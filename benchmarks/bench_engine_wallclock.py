@@ -1,8 +1,8 @@
-"""Engine wall-clock benchmark: executor backends + shuffle memory.
+"""Engine wall-clock benchmark: executor backends, fusion, spill, codecs.
 
 Unlike the ``bench_fig*`` modules, which read the *simulated* cluster
 clock, this bench times *real* elapsed seconds — the thing the pluggable
-executor layer (serial / threads / processes) accelerates — and tracks
+executor layer (serial / threads / pool) accelerates — and tracks
 it from PR to PR via ``benchmarks/results/BENCH_engine.json``:
 
 * PGPBA and PGSK generation wall time per backend at 10^5-10^6 edges
@@ -24,9 +24,6 @@ it from PR to PR via ``benchmarks/results/BENCH_engine.json``:
   fraction, and a prefetch micro-bench (chunk-streamed shuffle segments
   with one background prefetch connection, hit rate reported) — digests
   asserted to match the pool bit for bit in every configuration;
-* peak driver memory of ``distinct()`` under the hash-exchange shuffle
-  versus the legacy collect-everything shuffle (tracemalloc peaks on the
-  serial backend, so only the shuffle structure differs);
 * the lazy-DAG stage-fusion win: a 10^6-row grow/transform/contract/
   distinct pipeline timed and tracemalloc-metered with fusion on versus
   ``REPRO_FUSION=off``, asserting the fused run is >= 1.3x better on
@@ -43,7 +40,7 @@ it from PR to PR via ``benchmarks/results/BENCH_engine.json``:
   tracemalloc stays near the budget and the overflow lands on disk
   (reported: peaks, disk high-water, spill/reload counts, wall ratio);
 * the block codec trade-off surface: the same spill pipeline once per
-  codec (raw / zlib / lzma / mmap) under a tight 8 MiB budget,
+  codec (raw / zlib / mmap) under a tight 8 MiB budget,
   asserting byte-identical datasets and stage structures while
   reporting disk written, compression ratio and real encode/decode
   seconds per codec;
@@ -208,35 +205,6 @@ def run_backend_sweep(seed_bundle) -> list[dict]:
                         }
                     )
     return records
-
-
-def run_shuffle_memory() -> dict:
-    """Peak driver memory of distinct(): hash exchange vs legacy collect."""
-    rows = _shuffle_rows()
-    peaks: dict[str, int] = {}
-    for shuffle in ("collect", "exchange"):
-        ctx = ClusterContext(
-            n_nodes=4, executor_cores=12, partition_multiplier=2,
-            executor="serial",
-        )
-        rng = np.random.default_rng(5)
-        src = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
-        dst = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
-        rdd = ctx.parallelize([src, dst])
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        rdd.distinct(key_columns=(0, 1), shuffle=shuffle)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        peaks[shuffle] = int(peak)
-    return {
-        "rows": rows,
-        "collect_peak_bytes": peaks["collect"],
-        "exchange_peak_bytes": peaks["exchange"],
-        "exchange_over_collect": round(
-            peaks["exchange"] / max(1, peaks["collect"]), 3
-        ),
-    }
 
 
 def _fusion_pipeline(ctx: ClusterContext, rows: int):
@@ -490,7 +458,7 @@ def run_storage_spill() -> dict:
     }
 
 
-_CODEC_NAMES = ("raw", "zlib", "lzma", "mmap")
+_CODEC_NAMES = ("raw", "zlib", "mmap")
 
 
 def _codec_rows() -> int:
@@ -930,7 +898,6 @@ def run_engine_wallclock(seed_bundle) -> dict:
     backends = run_backend_sweep(seed_bundle)
     cluster = run_cluster_transport(seed_bundle)
     cluster_transport = run_cluster_pipeline(seed_bundle)
-    shuffle = run_shuffle_memory()
     fusion = run_fusion_comparison()
     recovery = run_fault_recovery()
     spill = run_storage_spill()
@@ -941,7 +908,6 @@ def run_engine_wallclock(seed_bundle) -> dict:
         "backends": backends,
         "cluster": cluster,
         "cluster_transport": cluster_transport,
-        "distinct_shuffle_memory": shuffle,
         "stage_fusion": fusion,
         "fault_recovery": recovery,
         "storage_spill": spill,
@@ -1025,13 +991,6 @@ def run_engine_wallclock(seed_bundle) -> dict:
             f"from the staging dict (hit rate {pf['hit_rate']:.0%}, "
             f"{pf['wall_seconds']:.3f} s)"
         )
-    print(
-        "\n== distinct() peak driver memory "
-        f"({shuffle['rows']:,} rows) ==\n"
-        f"collect  : {shuffle['collect_peak_bytes'] / 2**20:8.1f} MiB\n"
-        f"exchange : {shuffle['exchange_peak_bytes'] / 2**20:8.1f} MiB "
-        f"({shuffle['exchange_over_collect']:.2f}x)"
-    )
     print(
         "\n== stage fusion vs eager "
         f"({fusion['rows']:,} rows, serial backend) ==\n"
@@ -1156,8 +1115,7 @@ def test_engine_wallclock(benchmark, seed_bundle):
 
     # Adaptive coalescing really thinned the physical dispatch stream
     # (the simulated n_tasks is untouched — checked via the digests and
-    # stage structures above) and the pool's fork-once amortization
-    # beats fork-per-task at the largest size.
+    # stage structures above).
     for r in report["backends"]:
         assert r["tasks_dispatched"] <= r["tasks_emitted"]
         assert r["tasks_emitted"] > 0
@@ -1169,35 +1127,6 @@ def test_engine_wallclock(benchmark, seed_bundle):
     assert max(r["dispatch_ratio"] for r in pgpba_large) >= 4.0, (
         "expected >= 4x fewer physical dispatches at the largest PGPBA"
     )
-    # Fork-once amortization must win wherever per-task overhead
-    # dominates — the smallest size for both algorithms.  At the largest
-    # PGPBA size the comparison is hardware-dependent on a starved host:
-    # fork-per-task inherits the loop-carried edge partitions
-    # copy-on-write while persistent workers must ship them through the
-    # arena, so the strict wins are gated on real cores below.
-    smallest = min(_sizes())
-    for algo in ("PGPBA", "PGSK"):
-        small = [
-            r for r in report["backends"]
-            if r["algorithm"] == algo and r["target_edges"] == smallest
-        ]
-        pool_small = min(
-            (r["wall_seconds"] for r in small if r["backend"] == "pool"),
-            default=None,
-        )
-        proc_small = min(
-            (
-                r["wall_seconds"] for r in small
-                if r["backend"] == "processes"
-            ),
-            default=None,
-        )
-        if pool_small is not None and proc_small is not None:
-            assert pool_small < proc_small, (
-                f"persistent pool ({pool_small:.3f}s) should beat fork-"
-                f"per-task processes ({proc_small:.3f}s) on {algo} at "
-                f"{smallest:,} edges"
-            )
     if (os.cpu_count() or 1) >= 4 and not os.environ.get(
         "REPRO_BENCH_SMOKE"
     ):
@@ -1205,17 +1134,9 @@ def test_engine_wallclock(benchmark, seed_bundle):
             r["wall_seconds"] for r in pgpba_large
             if r["backend"] == "pool"
         )
-        proc_wall = min(
-            r["wall_seconds"] for r in pgpba_large
-            if r["backend"] == "processes"
-        )
         serial_wall = next(
             r["wall_seconds"] for r in pgpba_large
             if r["backend"] == "serial"
-        )
-        assert pool_wall * 2.0 <= proc_wall, (
-            f"expected >= 2x pool win over processes, got "
-            f"{proc_wall / pool_wall:.2f}x"
         )
         assert pool_wall <= serial_wall, (
             f"pool ({pool_wall:.3f}s) slower than serial "
@@ -1280,10 +1201,6 @@ def test_engine_wallclock(benchmark, seed_bundle):
                 "over pool, expected <= 1.25x"
             )
 
-    # The exchange shuffle must beat the collect shuffle on driver memory.
-    mem = report["distinct_shuffle_memory"]
-    assert mem["exchange_peak_bytes"] < mem["collect_peak_bytes"]
-
     # Stage fusion: same dataset, same simulated stages, >= 1.3x better
     # wall clock or peak driver memory than the eager path.
     fusion = report["stage_fusion"]
@@ -1342,15 +1259,15 @@ def test_engine_wallclock(benchmark, seed_bundle):
     assert codec["stage_structure_match"], (
         "a block codec changed the simulated stage structure"
     )
-    for name in ("zlib", "lzma"):
-        assert codec["codecs"][name]["compression_ratio"] >= 1.2, (
-            f"{name} failed to compress the spilled columns: "
-            f"{codec['codecs'][name]['compression_ratio']:.2f}x"
-        )
-        assert (
-            codec["codecs"][name]["disk_written_bytes"]
-            < codec["codecs"]["raw"]["disk_written_bytes"]
-        )
+    zlib_out = codec["codecs"]["zlib"]
+    assert zlib_out["compression_ratio"] >= 1.2, (
+        "zlib failed to compress the spilled columns: "
+        f"{zlib_out['compression_ratio']:.2f}x"
+    )
+    assert (
+        zlib_out["disk_written_bytes"]
+        < codec["codecs"]["raw"]["disk_written_bytes"]
+    )
 
     # Out of core: every scaling point stayed under the memory budget
     # (plus the transient allowance) while the grown edge set lived on
@@ -1386,9 +1303,7 @@ def test_engine_wallclock(benchmark, seed_bundle):
         )
         assert best >= 2.0, f"expected >= 2x PGPBA speedup, got {best:.2f}x"
 
-    benchmark.pedantic(
-        lambda: run_shuffle_memory(), rounds=1, iterations=1
-    )
+    benchmark.pedantic(run_fusion_comparison, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="executor cores per node")
     p.add_argument(
         "--executor",
-        choices=("serial", "threads", "processes", "pool", "cluster"),
+        choices=("serial", "threads", "pool", "cluster"),
         default=None,
         help="real execution backend for partition tasks (default: "
         "REPRO_EXECUTOR env var, then serial); 'pool' reuses persistent "
@@ -53,8 +53,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers", type=str, default=None, metavar="N|ADDRS",
-        help="an integer sizes the local backends (threads/processes/"
-        "pool; default: REPRO_LOCAL_WORKERS env var, then the CPU "
+        help="an integer sizes the local backends (threads/pool; "
+        "default: REPRO_LOCAL_WORKERS env var, then the CPU "
         "count); a comma-separated address list (host:port or "
         "unix:/path) names the 'cluster' backend's worker daemons "
         "(default: REPRO_WORKERS env var)",
@@ -114,10 +114,10 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
         "on close",
     )
     p.add_argument(
-        "--block-codec", choices=("raw", "zlib", "lzma", "mmap"),
+        "--block-codec", choices=("raw", "zlib", "mmap"),
         default=None,
         help="on-disk format for spilled blocks, shuffle segments and "
-        "checkpoints: 'raw' = uncompressed .npz, 'zlib'/'lzma' = "
+        "checkpoints: 'raw' = uncompressed .npz, 'zlib' = "
         "chunk-compressed columnar .blk, 'mmap' = uncompressed .blk "
         "read back via memory mapping (default: REPRO_BLOCK_CODEC env "
         "var, then raw); results and simulated metrics are "

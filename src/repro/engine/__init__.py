@@ -43,7 +43,6 @@ from repro.engine.executor import (
     TASK_BATCH_ENV_VAR,
     Executor,
     PoolExecutor,
-    ProcessExecutor,
     RecoveryStats,
     RemoteTaskError,
     SerialExecutor,
@@ -135,7 +134,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "PoolExecutor",
     "TaskOutcome",
     "SpeculationPolicy",

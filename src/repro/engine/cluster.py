@@ -1173,7 +1173,8 @@ class ClusterExecutor(Executor):
         if _cloudpickle is None:
             raise ValueError(
                 "the 'cluster' backend needs cloudpickle for task "
-                "transport; use 'processes' instead"
+                "transport; install it (pip install cloudpickle) or use "
+                "'threads'"
             )
         self.addresses = resolve_cluster_workers(workers)
         super().__init__(len(self.addresses))

@@ -10,7 +10,7 @@ delivers, and that is what this module accelerates: an
 their results in task order, so any backend can stand behind
 ``ArrayRDD.map_partitions`` without changing observable behaviour.
 
-Four backends are provided:
+Three local backends are provided:
 
 ``serial``
     The original driver-loop behaviour; the default, and the reference
@@ -20,39 +20,31 @@ Four backends are provided:
     calls (``np.unique``, ``np.repeat``, ``np.concatenate``, RNG fills)
     which release the GIL, so threads give real parallelism without any
     serialisation cost.
-``processes``
-    Fork-per-task worker processes.  Tasks are *inherited* by the forked
-    workers (copy-on-write), never pickled; result arrays travel back
-    through ``multiprocessing.shared_memory`` segments so a
-    multi-hundred-MB partition costs one memcpy instead of a pickle
-    round-trip.  Requires the ``fork`` start method (Linux/macOS).
-    One process per task (rather than a shared pool) is what makes a
-    crashed worker survivable: the driver detects the death through the
-    process sentinel and fails only that task.
 ``pool``
     Persistent forked workers running a task loop over a duplex pipe —
-    the fork cost is paid ``workers`` times per executor instead of once
-    per task.  Task closures ship as one pickle protocol-5 batch per IPC
-    round (``cloudpickle`` for the closures), with large array buffers
-    carried out-of-band through a grow-only shared-memory *arena* per
-    direction that is recycled across batches: no per-task segment
-    create/unlink, one memcpy each way.  Death detection matches the
-    ``processes`` backend — the driver waits on each busy worker's pipe
-    *and* process sentinel, so an injected ``os._exit(73)`` kill fails
-    only the in-progress task, requeues the not-yet-started remainder of
-    the batch, and respawns the worker.  Spilled-block task outputs
+    the fork cost is paid ``workers`` times per executor, not per task
+    (requires the ``fork`` start method: Linux/macOS).  Task closures
+    ship as one pickle protocol-5 batch per IPC round (``cloudpickle``
+    for the closures), with large array buffers carried out-of-band
+    through a grow-only shared-memory *arena* per direction that is
+    recycled across batches: no per-task segment create/unlink, one
+    memcpy each way.  The driver waits on each busy worker's pipe *and*
+    process sentinel, so a crashed worker is survivable: an injected
+    ``os._exit(73)`` kill fails only the in-progress task, requeues the
+    not-yet-started remainder of the batch, and respawns the worker.
+    Spilled-block task outputs
     (:class:`~repro.engine.storage.SpilledBlockHandle`) carry no arrays
     and therefore bypass the arena entirely — budgeted runs ship file
     paths, not data.
 
-A fifth backend, ``cluster``, promotes this pool protocol to sockets
+A fourth backend, ``cluster``, promotes this pool protocol to sockets
 against standalone ``repro worker`` daemons (possibly on other hosts);
 it lives in :mod:`repro.engine.cluster` and is registered lazily here
 so the two modules can share the worker loop without an import cycle.
 
 Every RNG stream in the engine is keyed by ``(seed, partition_index)``
-and results are gathered in partition order, so all three backends
-produce bit-identical datasets for identical seeds (tested).
+and results are gathered in partition order, so every backend
+produces bit-identical datasets for identical seeds (tested).
 
 Fault tolerance lives in two layers here:
 
@@ -61,8 +53,8 @@ Fault tolerance lives in two layers here:
   partition no longer aborts its siblings.  Subclasses override *either*
   :meth:`Executor.run` (simple backends — the base ``run_outcomes``
   guards each task and dispatches through ``run``) *or*
-  ``run_outcomes`` natively (the process backend, which must observe
-  worker death, and the thread backend's speculative path).
+  ``run_outcomes`` natively (the pool and cluster backends, which must
+  observe worker death, and the thread backend's speculative path).
 * :func:`run_with_recovery` drives rounds of ``run_outcomes`` with
   per-task retry budgets and exponential backoff — the engine analogue
   of Spark's lineage recomputation.  Because every engine task closure
@@ -77,7 +69,7 @@ Selection: ``ClusterContext(executor="threads", local_workers=8)``, or
 the environment variables ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS``
 when the constructor arguments are left unset.  Executors are context
 managers (``with make_executor(...) as ex:``) and ``close()`` is
-idempotent; the process backend additionally reaps any leaked worker
+idempotent; the pool backend additionally reaps any leaked worker
 children at interpreter exit.
 """
 
@@ -113,7 +105,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "PoolExecutor",
     "TaskOutcome",
     "SpeculationPolicy",
@@ -218,8 +209,8 @@ class TransportProfile:
     it never feeds the simulated clock.  The buckets:
 
     ``submit_seconds``
-        Handing work to a worker: ``Process.start()`` on the fork-per-
-        task backend, ``Connection.send`` of a task batch on the pool.
+        Handing work to a worker: ``Process.start()`` when the pool
+        forks one, ``Connection.send`` of each task batch.
     ``serialize_seconds``
         Pickling task batches / unpickling and copying out results
         (driver side only; worker-side compute is reported separately).
@@ -510,86 +501,8 @@ class ThreadExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Process backend: fork-per-task workers, shared-memory result transport.
+# Pool backend: persistent forked workers, protocol-5 arena transport.
 # ----------------------------------------------------------------------
-
-# Arrays smaller than this ride the normal pickle channel; the fixed cost
-# of creating/opening a shared-memory segment only pays off above it.
-_SHM_MIN_BYTES = 1 << 16
-
-
-class _ShmArray:
-    """Pickle-cheap handle to an ndarray parked in shared memory."""
-
-    __slots__ = ("segment", "shape", "dtype")
-
-    def __init__(self, segment: str, shape: tuple, dtype: str) -> None:
-        self.segment = segment
-        self.shape = shape
-        self.dtype = dtype
-
-    def __getstate__(self):
-        return (self.segment, self.shape, self.dtype)
-
-    def __setstate__(self, state):
-        self.segment, self.shape, self.dtype = state
-
-
-def _pack(obj: Any) -> Any:
-    """Swap large ndarrays in a result tree for shared-memory handles."""
-    if isinstance(obj, np.ndarray) and obj.nbytes >= _SHM_MIN_BYTES:
-        seg = shared_memory.SharedMemory(create=True, size=obj.nbytes)
-        np.ndarray(obj.shape, obj.dtype, buffer=seg.buf)[...] = obj
-        handle = _ShmArray(seg.name, obj.shape, obj.dtype.str)
-        seg.close()
-        return handle
-    if isinstance(obj, tuple):
-        return tuple(_pack(o) for o in obj)
-    if isinstance(obj, list):
-        return [_pack(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _pack(v) for k, v in obj.items()}
-    return obj
-
-
-def _unpack(obj: Any) -> Any:
-    """Materialise shared-memory handles back into driver-owned arrays."""
-    if isinstance(obj, _ShmArray):
-        seg = shared_memory.SharedMemory(name=obj.segment)
-        try:
-            arr = np.ndarray(
-                obj.shape, np.dtype(obj.dtype), buffer=seg.buf
-            ).copy()
-        finally:
-            seg.close()
-            seg.unlink()
-        return arr
-    if isinstance(obj, tuple):
-        return tuple(_unpack(o) for o in obj)
-    if isinstance(obj, list):
-        return [_unpack(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _unpack(v) for k, v in obj.items()}
-    return obj
-
-
-def _discard_packed(obj: Any) -> None:
-    """Release a packed result without materialising it — used to drain
-    the losing copy of a speculated task so its segments don't leak."""
-    if isinstance(obj, _ShmArray):
-        try:
-            seg = shared_memory.SharedMemory(name=obj.segment)
-        except FileNotFoundError:  # already unlinked
-            return
-        seg.close()
-        seg.unlink()
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            _discard_packed(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            _discard_packed(item)
-
 
 def _picklable_error(exc: BaseException) -> BaseException:
     """The exception itself if it pickles, else a text stand-in."""
@@ -603,275 +516,16 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return RemoteTaskError(f"{type(exc).__name__}: {exc}\n{detail}")
 
 
-def _child_main(fn: Task, conn: mp_connection.Connection) -> None:
-    """Worker-child body: run one task, report, exit immediately.
-
-    ``os._exit`` skips the forked interpreter's atexit/cleanup machinery
-    on purpose — the child must never run driver-side teardown.  An
-    injected "kill" never reaches the send: the task itself ``os._exit``s
-    with a nonzero code and the driver sees a silent death.
-    """
-    status = 0
-    try:
-        try:
-            value = fn()
-        except BaseException as exc:  # noqa: BLE001 - outcome channel
-            conn.send(("err", _picklable_error(exc)))
-        else:
-            conn.send(("ok", _pack(value)))
-        conn.close()
-    except BaseException:  # pragma: no cover - broken pipe to driver
-        status = 1
-    finally:
-        os._exit(status)
-
-
-@dataclass
-class _Child:
-    """Driver-side record of one in-flight worker process."""
-
-    index: int
-    proc: Any
-    conn: mp_connection.Connection
-    started: float
-    speculative: bool = False
-
-
-# Process executors with possibly-live children, reaped at interpreter
-# exit so an aborted run can't leave orphan workers behind.
-_LIVE_PROCESS_EXECUTORS: "weakref.WeakSet[ProcessExecutor]" = weakref.WeakSet()
+# Pool executors with possibly-live workers, reaped at interpreter exit
+# so an aborted run can't leave orphan workers behind.
+_LIVE_POOL_EXECUTORS: "weakref.WeakSet[PoolExecutor]" = weakref.WeakSet()
 _REAPER_REGISTERED = False
 
 
 def _reap_leaked_children() -> None:
-    for executor in list(_LIVE_PROCESS_EXECUTORS):
+    for executor in list(_LIVE_POOL_EXECUTORS):
         executor.close()
 
-
-class ProcessExecutor(Executor):
-    """Fork-per-task process backend with shared-memory result transport.
-
-    Each task runs in its own forked child (inheriting the task closure
-    copy-on-write), reporting through a dedicated pipe; the driver waits
-    on both the pipe and the process *sentinel*, so a child that dies
-    without reporting — a crash, an injected kill — surfaces as a
-    :class:`WorkerDied` outcome for that one task instead of hanging or
-    aborting the batch.
-    """
-
-    name = "processes"
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        if "fork" not in mp.get_all_start_methods():
-            raise ValueError(
-                "the 'processes' backend needs the fork start method "
-                "(unavailable on this platform); use 'threads' instead"
-            )
-        self._children: set[Any] = set()
-        global _REAPER_REGISTERED
-        _LIVE_PROCESS_EXECUTORS.add(self)
-        if not _REAPER_REGISTERED:
-            atexit.register(_reap_leaked_children)
-            _REAPER_REGISTERED = True
-
-    def run_outcomes(
-        self,
-        tasks: Sequence[Task],
-        *,
-        speculation: SpeculationPolicy | None = None,
-        speculative_tasks: Sequence[Task] | None = None,
-        on_speculate: Callable[[int], None] | None = None,
-    ) -> list[TaskOutcome]:
-        if not tasks:
-            return []
-        if len(tasks) <= 1 or self.workers == 1:
-            # In-driver fallback: injected kills degrade to
-            # SimulatedWorkerDeath (see FaultPlan.wrap), handled the same
-            # way by the recovery layer.
-            return self._run_inline(tasks)
-        return self._run_forked(
-            tasks, speculation, speculative_tasks or tasks, on_speculate
-        )
-
-    # ------------------------------------------------------------------
-    def _spawn(
-        self, ctx: Any, index: int, fn: Task, *, speculative: bool
-    ) -> _Child:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main, args=(fn, send_conn), daemon=True
-        )
-        started = time.perf_counter()
-        proc.start()
-        self.transport.submit_seconds += time.perf_counter() - started
-        send_conn.close()
-        self._children.add(proc)
-        return _Child(
-            index=index,
-            proc=proc,
-            conn=recv_conn,
-            started=time.monotonic(),
-            speculative=speculative,
-        )
-
-    def _retire(self, child: _Child, *, kill: bool = False) -> None:
-        """Drain, stop and reap one child (used for losers and cleanup)."""
-        try:
-            if child.conn.poll(0.05 if kill else 0):
-                tag, payload = child.conn.recv()
-                if tag == "ok":
-                    _discard_packed(payload)
-        except (EOFError, OSError):
-            pass
-        if kill and child.proc.is_alive():
-            child.proc.terminate()
-        child.proc.join(timeout=5.0)
-        child.conn.close()
-        self._children.discard(child.proc)
-
-    def _run_forked(
-        self,
-        tasks: Sequence[Task],
-        policy: SpeculationPolicy | None,
-        duplicates: Sequence[Task],
-        on_speculate: Callable[[int], None] | None,
-    ) -> list[TaskOutcome]:
-        # Start the resource tracker *before* forking so parent and
-        # workers share one tracker: segments registered by a worker at
-        # create are unregistered by the driver's unlink, and nothing is
-        # reported leaked.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        ctx = mp.get_context("fork")
-        n = len(tasks)
-        outcomes: list[TaskOutcome | None] = [None] * n
-        held_errors: dict[int, BaseException] = {}
-        durations: list[float] = []
-        speculated: set[int] = set()
-        pending: deque[int] = deque(range(n))
-        active: list[_Child] = []
-        try:
-            while any(o is None for o in outcomes):
-                while pending and len(active) < self.workers:
-                    i = pending.popleft()
-                    active.append(
-                        self._spawn(ctx, i, tasks[i], speculative=False)
-                    )
-                waitmap: dict[Any, _Child] = {}
-                for child in active:
-                    waitmap[child.conn] = child
-                    waitmap[child.proc.sentinel] = child
-                timeout = (
-                    policy.poll_interval_seconds if policy is not None else None
-                )
-                wait_started = time.perf_counter()
-                ready = mp_connection.wait(list(waitmap), timeout=timeout)
-                self.transport.ipc_wait_seconds += (
-                    time.perf_counter() - wait_started
-                )
-                handled: set[int] = set()
-                for obj in ready:
-                    child = waitmap[obj]
-                    if id(child) in handled:
-                        continue
-                    handled.add(id(child))
-                    self._complete(child, outcomes, held_errors, durations, active)
-                if policy is None:
-                    continue
-                threshold = policy.threshold(durations, n)
-                if threshold is None:
-                    continue
-                now = time.monotonic()
-                for child in list(active):
-                    if (
-                        not child.speculative
-                        and child.index not in speculated
-                        and outcomes[child.index] is None
-                        and now - child.started > threshold
-                        and len(active) < self.workers
-                    ):
-                        speculated.add(child.index)
-                        active.append(
-                            self._spawn(
-                                ctx,
-                                child.index,
-                                duplicates[child.index],
-                                speculative=True,
-                            )
-                        )
-                        if on_speculate is not None:
-                            on_speculate(child.index)
-        finally:
-            for child in list(active):
-                self._retire(child, kill=True)
-        return outcomes  # type: ignore[return-value]
-
-    def _complete(
-        self,
-        child: _Child,
-        outcomes: list[TaskOutcome | None],
-        held_errors: dict[int, BaseException],
-        durations: list[float],
-        active: list[_Child],
-    ) -> None:
-        """Absorb one ready child: a result, an error, or a death."""
-        msg = None
-        try:
-            if child.conn.poll():
-                msg = child.conn.recv()
-        except (EOFError, OSError):
-            msg = None
-        active.remove(child)
-        child.proc.join(timeout=5.0)
-        child.conn.close()
-        self._children.discard(child.proc)
-        i = child.index
-        if msg is not None and msg[0] == "ok":
-            if outcomes[i] is None:
-                unpack_started = time.perf_counter()
-                outcomes[i] = TaskOutcome(value=_unpack(msg[1]))
-                self.transport.serialize_seconds += (
-                    time.perf_counter() - unpack_started
-                )
-                duration = time.monotonic() - child.started
-                durations.append(duration)
-                self.transport.compute_seconds += duration
-                self.transport.payload_bytes += _result_nbytes(
-                    outcomes[i].value
-                )
-            else:  # losing copy of a speculated task
-                _discard_packed(msg[1])
-            return
-        if msg is not None:  # ("err", exception)
-            held_errors[i] = msg[1]
-        else:
-            exitcode = child.proc.exitcode
-            held_errors.setdefault(
-                i,
-                WorkerDied(
-                    f"worker for task {i} exited with code {exitcode} "
-                    "before reporting a result"
-                ),
-            )
-        # Only conclude failure once no other copy of the task is still
-        # running (a speculative duplicate may yet succeed).
-        if outcomes[i] is None and not any(c.index == i for c in active):
-            outcomes[i] = TaskOutcome(error=held_errors[i])
-
-    def close(self) -> None:
-        for proc in list(self._children):
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            self._children.discard(proc)
-        super().close()
-
-
-# ----------------------------------------------------------------------
-# Pool backend: persistent forked workers, protocol-5 arena transport.
-# ----------------------------------------------------------------------
 
 # Buffers below this ride inside the pickle blob; parking them in the
 # arena only pays once the memcpy beats the pickle-copy + descriptor cost.
@@ -1151,11 +805,12 @@ class PoolExecutor(Executor):
     Workers are forked once (lazily, on the first multi-task batch) and
     reused for every subsequent batch, so the fork + import-state cost is
     paid ``workers`` times per executor lifetime instead of once per
-    task.  See the module docstring for the transport protocol; the
-    fault-tolerance contract (sentinel death detection, requeue of
-    unstarted work, respawn) matches the ``processes`` backend, so the
-    whole :class:`FaultPlan` / :func:`run_with_recovery` machinery works
-    unchanged on top of it.
+    task.  See the module docstring for the transport protocol.  The
+    driver waits on each busy worker's pipe *and* process sentinel, so a
+    worker that dies without reporting surfaces as a :class:`WorkerDied`
+    outcome for the one in-progress task (unstarted work is requeued, the
+    worker respawned) and the whole :class:`FaultPlan` /
+    :func:`run_with_recovery` machinery works on top of it.
 
     ``task_batch`` caps how many tasks ship per IPC round; ``0`` picks
     an adaptive size (``ceil(n / (2 * workers))``) that gives every
@@ -1178,7 +833,7 @@ class PoolExecutor(Executor):
         if _cloudpickle is None:
             raise ValueError(
                 "the 'pool' backend needs cloudpickle for task transport; "
-                "use 'processes' instead"
+                "install it (pip install cloudpickle) or use 'threads'"
             )
         task_batch = 0 if task_batch is None else int(task_batch)
         if task_batch < 0:
@@ -1190,7 +845,7 @@ class PoolExecutor(Executor):
         self.workers_respawned = 0
         self.batches_sent = 0
         global _REAPER_REGISTERED
-        _LIVE_PROCESS_EXECUTORS.add(self)
+        _LIVE_POOL_EXECUTORS.add(self)
         if not _REAPER_REGISTERED:
             atexit.register(_reap_leaked_children)
             _REAPER_REGISTERED = True
@@ -1229,8 +884,10 @@ class PoolExecutor(Executor):
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> None:
         if self._mp_ctx is None:
-            # Shared resource tracker before the first fork, for the same
-            # register/unregister balance reason as the processes backend.
+            # Start the resource tracker *before* forking so driver and
+            # workers share one tracker: segments a worker registers at
+            # create are unregistered by the driver's unlink, and nothing
+            # is reported leaked.
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
@@ -1260,7 +917,7 @@ class PoolExecutor(Executor):
         """Reap one worker (already stopped or dead) and unlink every
         arena segment tied to it."""
         worker.proc.join(timeout=5.0)
-        if worker.proc.is_alive():  # pragma: no cover - stuck worker
+        if worker.proc.is_alive():  # stuck mid-task: "stop" went unread
             worker.proc.terminate()
             worker.proc.join(timeout=5.0)
         result_segments = list(worker.reader.segments)
@@ -1654,7 +1311,6 @@ def run_with_recovery(
 _BACKENDS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
     ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
     PoolExecutor.name: PoolExecutor,
 }
 

@@ -20,8 +20,8 @@ the driver, so the daemon never needs to unpickle closures) and is never
 compressed — it stays small by construction.  The out-of-band ``buf``
 sections carry pickle protocol-5 buffers — the same large array buffers
 the pool backend parks in shared-memory arenas ride the socket in frame
-order instead.  Each buffer carries its own codec id (0 = raw, 1 = zlib,
-2 = lzma — the PR 6 block-codec registry's compressors), so a receiver
+order instead.  Each buffer carries its own codec id (0 = raw, 1 = zlib
+— the block-codec registry's compressor; 2 is reserved), so a receiver
 never needs out-of-band agreement to decode a frame: mixed peers always
 interoperate, the negotiated codec only decides what a *sender* tries.
 A sender compresses a buffer only when it is at least
@@ -103,8 +103,10 @@ DEFAULT_WIRE_CODEC = "zlib"
 # names (and the compressors behind them) come from the block-codec
 # registry (storage/codecs.py) so wire and disk compression stay one
 # implementation; "off" ships every buffer raw.
-WIRE_CODECS = ("off", "zlib", "lzma")
-_WIRE_CODEC_IDS = {"off": 0, "zlib": 1, "lzma": 2}
+WIRE_CODECS = ("off", "zlib")
+# Id 2 was lzma in earlier builds and stays unassigned: a peer that still
+# sends it must get ProtocolError, never another codec's decoder.
+_WIRE_CODEC_IDS = {"off": 0, "zlib": 1}
 _WIRE_CODEC_NAMES = {i: name for name, i in _WIRE_CODEC_IDS.items()}
 
 # Buffers below this size ship raw even under a negotiated codec: the
@@ -493,7 +495,7 @@ def resolve_max_inflight(value: "int | str | None" = None) -> int:
 def resolve_wire_codec(value: "str | None" = None) -> str:
     """Wire codec a sender proposes/uses for large out-of-band buffers:
     explicit argument > ``REPRO_WIRE_CODEC`` > ``zlib``.  One of
-    ``off`` / ``zlib`` / ``lzma``."""
+    ``off`` / ``zlib``."""
     if value is None:
         env = os.environ.get(WIRE_CODEC_ENV_VAR)
         if env is None or not env.strip():

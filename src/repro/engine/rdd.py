@@ -81,7 +81,7 @@ __all__ = ["ArrayRDD", "SHUFFLE_ENV_VAR", "resolve_shuffle"]
 
 SHUFFLE_ENV_VAR = "REPRO_SHUFFLE"
 
-_SHUFFLE_MODES = ("exchange", "extsort", "collect")
+_SHUFFLE_MODES = ("exchange", "extsort")
 
 
 def resolve_shuffle(value: "str | None" = None) -> str:
@@ -571,8 +571,6 @@ class ArrayRDD:
         bounded by chunk size x runs plus the distinct survivors, never
         the full duplicate-laden bucket.  Its output (rows *and* row
         order) is byte-identical to the exchange path.
-        ``shuffle="collect"`` keeps the legacy collect-everything path
-        (used by the memory benchmarks as the comparison baseline).
         The shuffle is charged to the simulated clock via the reduce
         stage's measured cost plus a serial ``:driver`` component.
         """
@@ -591,23 +589,16 @@ class ArrayRDD:
             lambda cols, i: _unique_rows(cols, key_cols),
             stage=f"{stage}:map",
         )
-        rdd_id: int | None = None
-        if shuffle in ("exchange", "extsort"):
-            map_side._force()
-            # The exchange consumes the map side: its blocks are released
-            # as soon as every map task has re-bucketed its input.
-            shuffle_fn = (
-                _exchange_shuffle if shuffle == "exchange" else _extsort_shuffle
-            )
-            results, task_cpu, driver_cpu, rdd_id = shuffle_fn(
-                self._ctx, map_side, key_cols, n_parts
-            )
-            del map_side
-        else:
-            map_side._force()
-            results, task_cpu, driver_cpu = _collect_shuffle(
-                map_side, key_cols, n_parts
-            )
+        map_side._force()
+        # The exchange consumes the map side: its blocks are released
+        # as soon as every map task has re-bucketed its input.
+        shuffle_fn = (
+            _exchange_shuffle if shuffle == "exchange" else _extsort_shuffle
+        )
+        results, task_cpu, driver_cpu, rdd_id = shuffle_fn(
+            self._ctx, map_side, key_cols, n_parts
+        )
+        del map_side
         rdd = ArrayRDD._from_results(
             self._ctx,
             results,
@@ -860,8 +851,8 @@ def _exchange_shuffle(
     dataflow allows.  With a budget, every map task writes its buckets
     to one ``.npz`` shuffle segment through the block store and every
     reduce task streams its slots back from the segment files — the
-    dataset never transits driver memory at all, and on the processes
-    backend the exchange moves bytes via files instead of shm pickles.
+    dataset never transits driver memory at all, and on the process
+    backends the exchange moves bytes via files instead of shm arenas.
     """
     store = ctx.storage
     n_src = map_side.n_partitions
@@ -1173,31 +1164,6 @@ def _extsort_shuffle(
     results = [r[0] for r in reduced]
     task_cpu = [map_cpu[p] + reduced[p][1] for p in range(n_parts)]
     return results, task_cpu, 0.0, rdd_id
-
-
-def _collect_shuffle(
-    map_side: "ArrayRDD", key_cols: tuple[int, ...], n_parts: int
-) -> tuple[list[Columns], list[float], float]:
-    """Legacy shuffle: collect the whole dataset into the driver, route by
-    key hash, unique per destination.  O(dataset) driver memory; kept as
-    the baseline the engine benchmarks compare the exchange path against.
-
-    Returns ``(partitions, per_task_cpu, driver_cpu)`` with all measured
-    work in the task list; the caller applies the calibrated
-    parallel/serial cost split.
-    """
-    t0 = time.perf_counter()
-    all_cols = map_side.collect()
-    dest = (_hash_keys(all_cols, key_cols) % np.uint64(n_parts)).astype(
-        np.int64
-    )
-    parts: list[Columns] = []
-    for p in range(n_parts):
-        mask = dest == p
-        sub = tuple(c[mask] for c in all_cols)
-        parts.append(_unique_rows(sub, key_cols))
-    elapsed = time.perf_counter() - t0
-    return parts, [elapsed], 0.0
 
 
 # ----------------------------------------------------------------------

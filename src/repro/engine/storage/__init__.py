@@ -8,7 +8,7 @@ configurable memory budget by LRU-spilling serialized blocks to a spill
 directory, transparently reloads them on access, and provides durable
 checkpoint files that truncate lineage for fault recovery.  Block files
 are written through a pluggable codec (``codecs.py``): raw ``.npz``,
-chunk-compressed zlib/lzma columnar containers, or uncompressed
+chunk-compressed zlib columnar containers, or uncompressed
 memory-mapped read-back.  See DESIGN.md §8 for the block lifecycle and
 budget semantics and §10 for the codec layer.
 """

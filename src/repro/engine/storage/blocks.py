@@ -5,7 +5,7 @@ stable :class:`BlockId`.  Blocks start memory-resident; when the store's
 memory budget is exceeded the least-recently-used evictable blocks are
 serialized to block files under the spill directory and transparently
 reloaded on the next access.  The on-disk format is pluggable (see
-``codecs.py``): raw ``.npz``, chunk-compressed zlib/lzma ``.blk``, or
+``codecs.py``): raw ``.npz``, chunk-compressed zlib ``.blk``, or
 uncompressed ``.blk`` with memory-mapped read-back.  Every codec
 round-trips arrays bit-exactly, so a spilled-and-reloaded partition is
 byte-identical to the in-memory original — the engine's cross-backend
@@ -23,8 +23,8 @@ Three storage levels control the lifecycle:
 When a budget is active, tasks write their output columns to a block
 file *worker-side* via a picklable :class:`BlockWriter` and return a
 small :class:`SpilledBlockHandle` instead of the arrays themselves, so
-the driver never holds a whole dataset at once and the processes
-backend ships blocks via files rather than shared-memory pickles.  The
+the driver never holds a whole dataset at once and the process
+backends ship blocks via files rather than through shared memory.  The
 persistent pool backend composes with this transparently: a spill
 handle is a few hundred bytes, far below the shared-memory arena's
 out-of-band threshold, so budgeted results ride in-band through the
@@ -642,8 +642,8 @@ class BlockStore:
 
         Resident blocks yield a memory reference (arrays inherited
         copy-on-write by forked workers); spilled blocks yield a disk
-        reference so workers read the file themselves — the processes
-        backend ships spilled blocks via files, not shm pickles.
+        reference so workers read the file themselves — the process
+        backends ship spilled blocks via files, not shared memory.
         """
 
         entry = self._blocks[block_id]

@@ -9,7 +9,6 @@ is now pluggable:
   bit-exact, zero codec overhead, no streaming append.
 * ``zlib`` — the RBLK chunk-compressed columnar container with
   DEFLATE (level 1) payload chunks; streams both ways.
-* ``lzma`` — RBLK with LZMA (preset 0) chunks; better ratio, slower.
 * ``mmap`` — RBLK with *uncompressed* chunks; whole-array reads of
   read-only reloads come back as ``np.memmap`` views when the array's
   chunks are contiguous in the file, so a reload costs page-cache
@@ -34,7 +33,7 @@ on the session's active codec (a reduce task can read segments written
 under any codec).
 
 Bit-exactness: every codec stores the exact bytes of the C-contiguous
-array (``zlib``/``lzma`` are lossless), so spill-and-reload returns
+array (``zlib`` is lossless), so spill-and-reload returns
 byte-identical columns and the engine's cross-backend digest guarantee
 is codec-independent.
 """
@@ -42,7 +41,6 @@ is codec-independent.
 from __future__ import annotations
 
 import json
-import lzma
 import math
 import os
 import threading
@@ -65,6 +63,8 @@ DEFAULT_CODEC_CHUNK_BYTES = 1 << 20  # 1 MiB of raw array bytes per chunk
 _MAGIC = b"RBLK01"
 _FOOTER_LEN_BYTES = 8
 _TAIL_BYTES = _FOOTER_LEN_BYTES + len(_MAGIC)
+# Footer ``compression`` tags a reader accepts.
+_COMPRESSIONS = ("none", "zlib")
 
 __all__ = [
     "BLOCK_CODEC_ENV_VAR",
@@ -156,18 +156,11 @@ def _as_contiguous(arr: np.ndarray) -> np.ndarray:
 def _compress(compression: str, data: bytes) -> bytes:
     if compression == "zlib":
         return zlib.compress(data, 1)
-    if compression == "lzma":
-        return lzma.compress(data, preset=0)
     return data
 
 
 def _decompress(compression: str, payload: bytes, raw_len: int) -> bytes:
-    if compression == "zlib":
-        data = zlib.decompress(payload)
-    elif compression == "lzma":
-        data = lzma.decompress(payload)
-    else:
-        data = payload
+    data = zlib.decompress(payload) if compression == "zlib" else payload
     if len(data) != raw_len:
         raise ValueError(
             f"corrupt block chunk: expected {raw_len} raw bytes, "
@@ -309,7 +302,15 @@ def _read_rblk_footer(fh) -> dict:
         raise ValueError("not an RBLK block file (bad magic)")
     footer_len = int.from_bytes(tail[:_FOOTER_LEN_BYTES], "little")
     fh.seek(-(_TAIL_BYTES + footer_len), os.SEEK_END)
-    return json.loads(fh.read(footer_len).decode("utf-8"))
+    footer = json.loads(fh.read(footer_len).decode("utf-8"))
+    compression = footer["compression"]
+    if compression not in _COMPRESSIONS:
+        # e.g. a checkpoint written by an older build's lzma codec
+        raise ValueError(
+            f"{fh.name}: unsupported block compression {compression!r}; "
+            f"this build reads: {', '.join(_COMPRESSIONS)}"
+        )
+    return footer
 
 
 def _contiguous_span(chunks: "list[list[int]]") -> "int | None":
@@ -555,14 +556,6 @@ class ZlibCodec(BlockCodec):
     compression = "zlib"
 
 
-class LzmaCodec(BlockCodec):
-    """RBLK with LZMA preset-0 chunks: denser, several times slower."""
-
-    name = "lzma"
-    extension = ".blk"
-    compression = "lzma"
-
-
 class MmapCodec(BlockCodec):
     """RBLK with uncompressed chunks; reloads memory-map when contiguous."""
 
@@ -572,7 +565,7 @@ class MmapCodec(BlockCodec):
 
 
 CODECS: "dict[str, type[BlockCodec]]" = {
-    cls.name: cls for cls in (RawNpzCodec, ZlibCodec, LzmaCodec, MmapCodec)
+    cls.name: cls for cls in (RawNpzCodec, ZlibCodec, MmapCodec)
 }
 
 _INSTANCES: "dict[str, BlockCodec]" = {}

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -152,14 +154,14 @@ class TestEngineInfo:
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
         monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701,127.0.0.1:42702")
         monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "lzma")
+        monkeypatch.setenv("REPRO_WIRE_CODEC", "off")
         monkeypatch.setenv("REPRO_FETCH_PREFETCH", "2")
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "max in-flight" in out and "3 batches/link" in out
         assert "[env REPRO_MAX_INFLIGHT]" in out
-        assert "wire codec" in out and "lzma" in out
+        assert re.search(r"wire codec\s*: off\b", out)
         assert "[env REPRO_WIRE_CODEC]" in out
         assert "fetch prefetch" in out and "2 connections" in out
         assert "[env REPRO_FETCH_PREFETCH]" in out
@@ -176,6 +178,22 @@ class TestEngineInfo:
         assert "2 batches/link" in out  # REPRO_MAX_INFLIGHT default
         assert "zlib" in out            # REPRO_WIRE_CODEC default
         assert "fetch prefetch" in out and "off" in out
+
+    @pytest.mark.parametrize(
+        ("flag", "removed", "choices"),
+        [
+            ("--executor", "processes",
+             "'serial', 'threads', 'pool', 'cluster'"),
+            ("--block-codec", "lzma", "'raw', 'zlib', 'mmap'"),
+            ("--shuffle", "collect", "'exchange', 'extsort'"),
+        ],
+    )
+    def test_removed_values_rejected(self, flag, removed, choices, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["engine-info", flag, removed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{removed}'" in err and choices in err
 
     def test_generate_accepts_budget_flags(self, seed_pcap, tmp_path, capsys):
         rc = main(

@@ -31,6 +31,7 @@ Layers covered:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tracemalloc
 
@@ -56,6 +57,7 @@ from repro.engine import (
 from repro.engine.storage.codecs import (
     array_dtypes,
     iter_column_chunks,
+    read_arrays,
     read_block_file,
     read_named_file,
 )
@@ -93,11 +95,14 @@ class TestResolution:
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "zlib")
-        assert resolve_block_codec("lzma") == "lzma"
+        assert resolve_block_codec("mmap") == "mmap"
 
-    @pytest.mark.parametrize("bad", ["gzip", "snappy"])
+    # "lzma" is a removed codec: rejected like any other unknown name.
+    @pytest.mark.parametrize("bad", ["gzip", "snappy", "lzma"])
     def test_unknown_codec_rejected(self, bad):
-        with pytest.raises(ValueError, match="unknown block codec"):
+        with pytest.raises(
+            ValueError, match="unknown block codec.*mmap, raw, zlib"
+        ):
             resolve_block_codec(bad)
 
     def test_empty_means_unset(self, monkeypatch):
@@ -239,6 +244,30 @@ def test_zlib_compresses_redundant_data(tmp_path):
     assert zl.seconds >= 0.0
 
 
+def test_unknown_compression_tag_names_tag_and_file(tmp_path):
+    """A block file whose footer names a compression this build cannot
+    decode (e.g. an lzma checkpoint from an older build) is rejected up
+    front, not misread as uncompressed."""
+    footer = json.dumps({
+        "compression": "lzma",
+        "arrays": [{"name": "c0", "descr": "<i8", "shape": [4],
+                    "chunks": [[0, 8, 32]]}],
+    }).encode()
+    path = tmp_path / "old.blk"
+    path.write_bytes(
+        b"\x00" * 8 + footer + len(footer).to_bytes(8, "little") + b"RBLK01"
+    )
+    for read in (
+        read_block_file,
+        read_named_file,
+        array_dtypes,
+        lambda p: read_arrays(p, ["c0"]),
+        lambda p: list(iter_column_chunks(p, "c0")),
+    ):
+        with pytest.raises(ValueError, match="old.blk.*'lzma'"):
+            read(str(path))
+
+
 @pytest.mark.parametrize("codec_name", CODEC_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -372,8 +401,7 @@ class TestExternalSortDistinct:
 class TestSpillFiles:
     @pytest.mark.parametrize(
         ("codec_name", "ext"),
-        [("raw", ".npz"), ("zlib", ".blk"), ("lzma", ".blk"),
-         ("mmap", ".blk")],
+        [("raw", ".npz"), ("zlib", ".blk"), ("mmap", ".blk")],
     )
     def test_spill_extension_follows_codec(self, tmp_path, codec_name, ext):
         ctx = ClusterContext(
@@ -506,8 +534,8 @@ class TestEngineInfoCli:
         assert "extsort" in out
 
     def test_env_source(self, capsys, monkeypatch):
-        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "lzma")
+        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "mmap")
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert "lzma (*.blk)" in out
+        assert "mmap (*.blk)" in out
         assert f"[env {BLOCK_CODEC_ENV_VAR}]" in out

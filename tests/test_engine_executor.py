@@ -1,6 +1,6 @@
 """Executor backends: determinism, shuffle equivalence, metadata caches.
 
-The contract under test: every backend (serial / threads / processes)
+The contract under test: every backend (serial / threads / pool / cluster)
 produces bit-identical datasets and identical simulated-cluster
 accounting for fixed seeds, because RNG streams are keyed by partition
 index and per-task costs are measured inside the tasks.
@@ -14,7 +14,7 @@ import pytest
 from repro.core import PGPBA, PGSK
 from repro.engine import (
     ClusterContext,
-    ProcessExecutor,
+    PoolExecutor,
     SerialExecutor,
     ThreadExecutor,
     available_backends,
@@ -25,7 +25,11 @@ from repro.engine.executor import (
     WORKERS_ENV_VAR,
     resolve_backend,
 )
-from repro.engine.rdd import _unique_pair_index
+from repro.engine.rdd import (
+    SHUFFLE_ENV_VAR,
+    _unique_pair_index,
+    resolve_shuffle,
+)
 
 BACKENDS = available_backends()
 
@@ -53,16 +57,21 @@ class TestExecutorBasics:
             ex.close()
 
     def test_backend_registry(self, monkeypatch):
-        assert BACKENDS == (
-            "serial", "threads", "processes", "pool", "cluster",
-        )
+        assert BACKENDS == ("serial", "threads", "pool", "cluster")
         # Without daemon addresses the cluster backend refuses to build,
         # and the error says where addresses come from.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             make_executor("cluster")
-        with pytest.raises(ValueError):
-            make_executor("bogus")
+        # Unknown names — including the removed fork-per-task backend —
+        # are rejected with the valid choices spelled out.
+        choices = "serial, threads, pool, cluster"
+        for name in ("bogus", "processes"):
+            with pytest.raises(ValueError, match=choices):
+                make_executor(name)
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
+        with pytest.raises(ValueError, match=choices):
+            resolve_backend()
         with pytest.raises(ValueError):
             make_executor("serial", 0)
 
@@ -88,13 +97,13 @@ class TestExecutorBasics:
             assert ctx.executor is ex
 
     def test_process_backend_large_array_roundtrip(self):
-        """Arrays above the shared-memory threshold survive the segment
+        """Arrays above the shared-memory threshold survive the arena
         round-trip intact (and land driver-owned)."""
         if "fork" not in __import__("multiprocessing").get_all_start_methods():
             pytest.skip("fork unavailable")
-        ex = ProcessExecutor(2)
         big = np.arange(200_000, dtype=np.int64)
-        outs = ex.run([lambda: (big * 2, 1.5), lambda: (big + 1, 0.5)])
+        with PoolExecutor(2) as ex:
+            outs = ex.run([lambda: (big * 2, 1.5), lambda: (big + 1, 0.5)])
         assert np.array_equal(outs[0][0], big * 2)
         assert np.array_equal(outs[1][0], big + 1)
         assert outs[0][1] == 1.5 and outs[1][1] == 0.5
@@ -102,7 +111,7 @@ class TestExecutorBasics:
 
 
 class TestBackendEquivalence:
-    """serial == threads == processes, bit for bit."""
+    """serial == threads == pool == cluster, bit for bit."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rdd_pipeline_matches_serial(self, backend):
@@ -181,27 +190,32 @@ class TestBackendEquivalence:
 
 
 class TestExchangeShuffle:
-    def test_exchange_agrees_with_collect_path(self):
-        """The hash exchange and the legacy collect shuffle keep exactly
-        the same row set for multi-column keys spanning partitions."""
+    def test_shuffles_keep_exact_distinct_row_set(self):
+        """Both shuffles keep exactly the distinct row set for
+        multi-column keys spanning partitions."""
         rng = np.random.default_rng(9)
         src = rng.integers(0, 200, size=4000, dtype=np.int64)
         dst = rng.integers(0, 200, size=4000, dtype=np.int64)
         tag = rng.integers(0, 10, size=4000, dtype=np.int64)
         outs = {}
-        for shuffle in ("exchange", "collect"):
+        for shuffle in ("exchange", "extsort"):
             ctx = _ctx("serial")
             out = ctx.parallelize([src, dst, tag]).distinct(
                 key_columns=(0, 1), shuffle=shuffle
             ).collect()
             outs[shuffle] = set(zip(out[0].tolist(), out[1].tolist()))
         expected = set(zip(src.tolist(), dst.tolist()))
-        assert outs["exchange"] == outs["collect"] == expected
+        assert outs["exchange"] == outs["extsort"] == expected
 
-    def test_invalid_shuffle_mode(self):
+    def test_invalid_shuffle_mode(self, monkeypatch):
         ctx = _ctx("serial")
-        with pytest.raises(ValueError):
-            ctx.parallelize([np.arange(4)]).distinct(shuffle="teleport")
+        # "collect" was the removed driver-collect shuffle.
+        for mode in ("teleport", "collect"):
+            with pytest.raises(ValueError, match="exchange, extsort"):
+                ctx.parallelize([np.arange(4)]).distinct(shuffle=mode)
+        monkeypatch.setenv(SHUFFLE_ENV_VAR, "collect")
+        with pytest.raises(ValueError, match="exchange, extsort"):
+            resolve_shuffle()
 
     def test_exchange_balances_partitions(self):
         """The hash spreads contiguous ids over all reducers instead of

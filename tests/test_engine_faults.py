@@ -12,11 +12,11 @@ Layers covered here:
   injection horizon, the JSON wire form and the env/CLI knobs;
 * ``run_with_recovery``: retry rounds, budget exhaustion re-raising the
   original error, recompute accounting;
-* real worker death on the ``processes`` backend (the child actually
+* real worker death on the ``pool`` backend (the worker actually
   ``os._exit``\\ s and the driver observes it as :class:`WorkerDied`);
 * speculative re-execution of stragglers (first result wins);
 * end-to-end equivalence for RDD pipelines and full PGPBA / PGSK
-  generation across serial / threads / processes;
+  generation across every backend;
 * a Hypothesis chaos property over random (pipeline, fault plan) pairs —
   ``REPRO_CHAOS_EXAMPLES`` scales the example count (CI runs 200).
 """
@@ -39,7 +39,7 @@ from repro.engine import (
     ClusterContext,
     FaultPlan,
     InjectedFault,
-    ProcessExecutor,
+    PoolExecutor,
     RecoveryStats,
     SimulatedWorkerDeath,
     SpeculationPolicy,
@@ -356,7 +356,7 @@ class TestRunWithRecovery:
 
 
 # ----------------------------------------------------------------------
-# Real worker death (processes backend)
+# Real worker death (pool backend)
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
@@ -367,7 +367,7 @@ class TestWorkerDeath:
         driver reports WorkerDied with the kill exit code for that one
         task while its sibling completes."""
         plan = FaultPlan(seed=0, p_kill=1.0, max_failures_per_task=1)
-        with ProcessExecutor(2) as ex:
+        with PoolExecutor(2) as ex:
             wrapped = plan.wrap(
                 lambda: 1, batch=0, index=0, attempt=0,
                 driver_pid=os.getpid(),
@@ -378,22 +378,6 @@ class TestWorkerDeath:
         assert str(KILL_EXIT_CODE) in str(outcomes[0].error)
         assert np.array_equal(outcomes[1].value, np.arange(3))
 
-    def test_kill_recovered_end_to_end(self):
-        plan = FaultPlan(seed=1, p_kill=1.0, max_failures_per_task=1)
-        with ProcessExecutor(2) as ex:
-            stats = RecoveryStats()
-            out = run_with_recovery(
-                ex,
-                [lambda i=i: np.full(4, i) for i in range(3)],
-                fault_plan=plan,
-                backoff_seconds=0.0,
-                stats=stats,
-            )
-        for i in range(3):
-            assert np.array_equal(out[i], np.full(4, i))
-        assert stats.tasks_failed == 3
-        assert stats.tasks_retried == 3
-
     def test_unpicklable_child_error_degrades_to_text(self):
         class Weird(Exception):
             def __reduce__(self):
@@ -402,7 +386,7 @@ class TestWorkerDeath:
         def bad():
             raise Weird("worker-side detail")
 
-        with ProcessExecutor(2) as ex:
+        with PoolExecutor(2) as ex:
             outcomes = ex.run_outcomes([bad, lambda: 1])
         assert not outcomes[0].ok
         assert "Weird" in str(outcomes[0].error)
@@ -434,9 +418,9 @@ class TestSpeculation:
         assert policy.threshold([0.01, 0.01], 4) == pytest.approx(0.1)
         assert policy.threshold([1.0, 1.0], 4) == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads", "pool"])
     def test_first_result_wins(self, backend):
-        if backend == "processes" and "fork" not in mp.get_all_start_methods():
+        if backend == "pool" and "fork" not in mp.get_all_start_methods():
             pytest.skip("fork unavailable")
         with make_executor(backend, 4) as ex:
             stats = RecoveryStats()
@@ -494,26 +478,25 @@ class TestExecutorLifecycle:
         "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
     )
     def test_close_reaps_live_children(self):
-        ex = ProcessExecutor(2)
-        child = ex._spawn(
-            mp.get_context("fork"), 0, lambda: time.sleep(60),
-            speculative=False,
-        )
-        assert child.proc.is_alive()
+        """close() stops idle workers and terminates one stuck mid-task."""
+        ex = PoolExecutor(2)
+        ex.run([lambda: 1, lambda: 2])
+        busy, idle = ex._pool
+        assert ex._send_batch(busy, [(0, lambda: time.sleep(60), False)])
+        assert busy.proc.is_alive() and idle.proc.is_alive()
         ex.close()
-        assert not child.proc.is_alive()
+        assert not busy.proc.is_alive() and not idle.proc.is_alive()
 
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
     )
     def test_atexit_reaper_kills_orphans(self):
-        ex = ProcessExecutor(2)
-        child = ex._spawn(
-            mp.get_context("fork"), 0, lambda: time.sleep(60),
-            speculative=False,
-        )
+        ex = PoolExecutor(2)
+        ex.run([lambda: 1, lambda: 2])
+        procs = [worker.proc for worker in ex._pool]
+        assert all(proc.is_alive() for proc in procs)
         _reap_leaked_children()
-        assert not child.proc.is_alive()
+        assert not any(proc.is_alive() for proc in procs)
 
     def test_resolve_workers_reports_offender(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "lots")

@@ -270,7 +270,7 @@ class TestFusedEagerEquivalence:
         assert digest(cols_f) == digest(cols_e)
         assert struct_f == struct_e
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
     def test_pgpba_identical_across_modes_and_backends(
         self, seed_graph, seed_analysis, backend
     ):
@@ -293,7 +293,7 @@ class TestFusedEagerEquivalence:
                 )
         assert results[True] == results[False]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
     def test_pgsk_identical_across_modes_and_backends(
         self, seed_graph, seed_analysis, backend
     ):

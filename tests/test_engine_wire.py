@@ -45,6 +45,8 @@ from repro.engine.netproto import (
     DEFAULT_WIRE_CODEC,
     PROTOCOL_VERSION,
     WIRE_COMPRESS_MIN_BYTES,
+    ProtocolError,
+    _BUF_HEADER,
     build_frame,
     negotiate_wire_codec,
     recv_message,
@@ -71,7 +73,7 @@ def digest(arrays) -> str:
 class TestWireCompression:
     @settings(max_examples=40, deadline=None)
     @given(
-        codec=st.sampled_from(["off", "zlib", "lzma"]),
+        codec=st.sampled_from(["off", "zlib"]),
         sizes=st.lists(
             st.sampled_from(
                 [
@@ -125,17 +127,32 @@ class TestWireCompression:
         assert wire2 < raw2 / 2
 
     def test_mixed_peer_decode_is_codec_agnostic(self):
-        # A frame built with lzma decodes on a receiver that never heard
+        # A frame built with zlib decodes on a receiver that never heard
         # of the sender's setting: the codec id rides each buffer.
         payload = b"edge-list " * 4096
         a, b = socket.socketpair()
         try:
-            send_message(a, ("run", 0), [payload], codec="lzma")
+            send_message(a, ("run", 0), [payload], codec="zlib")
             _obj, buffers, _w, _r = recv_message(b)
         finally:
             a.close()
             b.close()
         assert bytes(buffers[0]) == payload
+
+    def test_retired_lzma_codec_id_is_a_protocol_error(self):
+        # Codec id 2 (lzma in older builds) stays unassigned: a frame
+        # from such a peer is refused, never decoded as something else.
+        payload = b"edge-list " * 4096
+        parts, _wire, _raw = build_frame(("run", 0), [payload], codec="off")
+        parts[2] = _BUF_HEADER.pack(2, len(payload), len(payload))
+        a, b = socket.socketpair()
+        try:
+            a.sendall(b"".join(bytes(part) for part in parts))
+            with pytest.raises(ProtocolError, match="unknown wire codec id 2"):
+                recv_message(b)
+        finally:
+            a.close()
+            b.close()
 
 
 # ----------------------------------------------------------------------
@@ -157,11 +174,15 @@ class TestKnobResolution:
         assert resolve_wire_codec(None) == DEFAULT_WIRE_CODEC
         assert resolve_wire_codec("off") == "off"
         assert resolve_wire_codec("none") == "off"
-        assert resolve_wire_codec("LZMA") == "lzma"
+        assert resolve_wire_codec("ZLIB") == "zlib"
         monkeypatch.setenv("REPRO_WIRE_CODEC", "off")
         assert resolve_wire_codec(None) == "off"
-        with pytest.raises(ValueError, match="REPRO_WIRE_CODEC"):
-            resolve_wire_codec("snappy")
+        # "lzma" was a wire codec in earlier builds.
+        for bad in ("snappy", "lzma"):
+            with pytest.raises(
+                ValueError, match="REPRO_WIRE_CODEC must be one of off/zlib"
+            ):
+                resolve_wire_codec(bad)
 
     def test_fetch_prefetch(self, monkeypatch):
         assert resolve_fetch_prefetch(None) == 0
@@ -173,11 +194,11 @@ class TestKnobResolution:
 
     def test_negotiate_falls_back_to_off(self):
         assert negotiate_wire_codec("zlib") == "zlib"
-        assert negotiate_wire_codec("lzma") == "lzma"
-        # A codec this build doesn't know (a newer peer's setting, or a
-        # pre-negotiation peer sending nothing) degrades to uncompressed
-        # rather than failing the handshake.
+        # A codec this build doesn't know (a newer peer's setting, an
+        # older peer's lzma, or a pre-negotiation peer sending nothing)
+        # degrades to uncompressed rather than failing the handshake.
         assert negotiate_wire_codec("zstd-9000") == "off"
+        assert negotiate_wire_codec("lzma") == "off"
         assert negotiate_wire_codec(None) == "off"
 
     def test_predict_next_segments(self):
