@@ -13,9 +13,8 @@ this module provides the equivalent:
   paths, sub-graphs) over a saved graph through the concurrent
   ``repro.serve`` layer and report per-family latency percentiles,
   cache hit ratio and queries/second;
-* ``engine-info`` — print the resolved engine configuration (backend,
-  workers, fusion, fault plan, memory budget, spill dir, task grain)
-  with the source of each setting, for debugging env-vs-flag precedence;
+* ``engine-info`` — print every ``repro.config`` setting's resolved
+  value with its source, for debugging env-vs-flag precedence;
 * ``worker``   — run a cluster worker daemon that executes task batches
   for a driver using the ``cluster`` executor backend and serves
   spill/shuffle blocks to peer workers.
@@ -26,112 +25,27 @@ Usage: ``python -m repro.cli <command> --help``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from repro import config
+
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    """Engine/runtime flags shared by ``generate`` and ``engine-info``."""
-    p.add_argument("--nodes", type=int, default=1,
-                   help="simulated cluster size")
-    p.add_argument("--cores", type=int, default=12,
-                   help="executor cores per node")
-    p.add_argument(
-        "--executor",
-        choices=("serial", "threads", "pool", "cluster"),
-        default=None,
-        help="real execution backend for partition tasks (default: "
-        "REPRO_EXECUTOR env var, then serial); 'pool' reuses persistent "
-        "forked workers with shared-memory transport, 'cluster' "
-        "dispatches to remote 'repro worker' daemons over sockets; only "
-        "wall-clock time changes, the simulated cluster metrics do not",
-    )
-    p.add_argument(
-        "--workers", type=str, default=None, metavar="N|ADDRS",
-        help="an integer sizes the local backends (threads/pool; "
-        "default: REPRO_LOCAL_WORKERS env var, then the CPU "
-        "count); a comma-separated address list (host:port or "
-        "unix:/path) names the 'cluster' backend's worker daemons "
-        "(default: REPRO_WORKERS env var)",
-    )
-    p.add_argument(
-        "--target-partition-bytes", type=str, default=None, metavar="SIZE",
-        help="coalesce adjacent small partitions into physical tasks of "
-        "roughly this size before dispatch, e.g. '4MB' or 'off' "
-        "(default: REPRO_TARGET_PARTITION_BYTES env var, then 4MB); "
-        "results and simulated cluster metrics are byte-identical under "
-        "any setting, only wall-clock dispatch overhead changes",
-    )
-    p.add_argument(
-        "--task-batch", type=int, default=None, metavar="N",
-        help="tasks shipped per worker IPC round on the pool backend; 0 "
-        "adapts to ~n/(2*workers) (default: REPRO_TASK_BATCH env var, "
-        "then 0)",
-    )
-    p.add_argument(
-        "--no-fusion", action="store_true",
-        help="disable lazy stage fusion and run every transformation "
-        "eagerly (default: fused; also settable via REPRO_FUSION=off); "
-        "results and simulated cluster metrics are identical, only "
-        "wall-clock time and local peak memory change",
-    )
-    p.add_argument(
-        "--faults", type=str, default=None, metavar="JSON",
-        help="deterministic fault-injection plan as JSON, e.g. "
-        '\'{"seed": 1, "p_exception": 0.1, "p_kill": 0.05}\' '
-        "(default: REPRO_FAULTS env var, then no injection); recovery "
-        "keeps results and simulated metrics bit-identical, only "
-        "wall-clock time and the recovery counters change",
-    )
-    p.add_argument(
-        "--max-task-retries", type=int, default=None,
-        help="retry budget per failed task before the run aborts "
-        "(default: REPRO_MAX_TASK_RETRIES env var, then 3)",
-    )
-    p.add_argument(
-        "--speculation", action="store_true", default=None,
-        help="speculatively re-execute straggler tasks, first result "
-        "wins (default: REPRO_SPECULATION env var, then off)",
-    )
-    p.add_argument(
-        "--memory-budget", type=str, default=None, metavar="SIZE",
-        help="cap on memory-resident partition blocks, e.g. '64MB' or "
-        "'none' (default: REPRO_MEMORY_BUDGET env var, then unlimited); "
-        "excess blocks spill to the spill dir and reload transparently — "
-        "results and simulated metrics are byte-identical under any "
-        "budget, only wall-clock time and disk usage change",
-    )
-    p.add_argument(
-        "--spill-dir", type=str, default=None, metavar="DIR",
-        help="base directory for spilled blocks, shuffle segments and "
-        "checkpoints (default: REPRO_SPILL_DIR env var, then the system "
-        "tempdir); each run uses its own session subdirectory, removed "
-        "on close",
-    )
-    p.add_argument(
-        "--block-codec", choices=("raw", "zlib", "mmap"),
-        default=None,
-        help="on-disk format for spilled blocks, shuffle segments and "
-        "checkpoints: 'raw' = uncompressed .npz, 'zlib' = "
-        "chunk-compressed columnar .blk, 'mmap' = uncompressed .blk "
-        "read back via memory mapping (default: REPRO_BLOCK_CODEC env "
-        "var, then raw); results and simulated metrics are "
-        "byte-identical under every codec, only disk bytes and "
-        "wall-clock encode/decode time change",
-    )
-    p.add_argument(
-        "--shuffle", choices=("exchange", "extsort"), default=None,
-        help="distinct() shuffle strategy: 'exchange' hash-exchanges "
-        "whole partitions, 'extsort' spills sorted runs and streams a "
-        "k-way merge so reduce-side memory stays bounded by the run "
-        "chunk size (default: REPRO_SHUFFLE env var, then exchange); "
-        "output and simulated metrics are byte-identical either way",
-    )
+def _layer(layer: str) -> list[str]:
+    """Names of the settings of one ``repro.config`` layer."""
+    return [s.name for s in config.SETTINGS.values() if s.layer == layer]
+
+
+def _add_cluster_shape_args(p: argparse.ArgumentParser) -> None:
+    """The simulated cluster's shape (the paper's Spark knobs)."""
+    p.add_argument("--nodes", type=int, default=None,
+                   help="simulated cluster size (default 1)")
+    p.add_argument("--cores", type=int, default=None,
+                   help="executor cores per node (default 12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,17 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="desired synthetic size in edges")
     p.add_argument("--fraction", type=float, default=0.1,
                    help="PGPBA growth fraction")
-    _add_engine_args(p)
+    _add_cluster_shape_args(p)
+    config.add_arguments(p, _layer("engine"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save-npz", type=Path, default=None)
     p.add_argument("--save-edges", type=Path, default=None)
 
     p = sub.add_parser(
         "engine-info",
-        help="print the resolved engine configuration and where each "
-        "setting came from (flag, environment variable, or default)",
+        help="print every resolved setting and where it came from "
+        "(flag, environment variable, or default)",
     )
-    _add_engine_args(p)
+    _add_cluster_shape_args(p)
+    config.add_arguments(p)
 
     p = sub.add_parser(
         "worker",
@@ -229,16 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of node,edge,path,subgraph "
         "(default: all four)",
     )
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for batched execution (default: "
-        "REPRO_QUERY_THREADS env var, then the CPU count)",
-    )
-    p.add_argument(
-        "--cache-size", type=int, default=None, metavar="N",
-        help="LRU result-cache capacity in entries, 0 disables "
-        "(default: REPRO_QUERY_CACHE env var, then 1024)",
-    )
+    config.add_arguments(p, _layer("serve"))
     p.add_argument(
         "--repeat", type=int, default=2,
         help="batch rounds; rounds after the first exercise the warm "
@@ -268,21 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a .pcap packet trace or a .npz flow-table archive "
         "instead of synthesizing traffic",
     )
-    p.add_argument(
-        "--window", type=str, default=None,
-        help="micro-batch window seconds (default: REPRO_STREAM_WINDOW "
-        "env var, then 5.0)",
-    )
-    p.add_argument(
-        "--lateness", type=str, default=None,
-        help="allowed lateness seconds, or 'auto' for the safe bound "
-        "(default: REPRO_STREAM_LATENESS env var, then auto)",
-    )
-    p.add_argument(
-        "--queue-capacity", type=str, default=None, metavar="N",
-        help="bounded-queue capacity in micro-batches (default: "
-        "REPRO_STREAM_QUEUE env var, then 8)",
-    )
+    config.add_arguments(p, _layer("stream"))
     p.add_argument("--batch-packets", type=int, default=256,
                    help="packets per source micro-batch (default 256)")
     p.add_argument("--idle-timeout", type=float, default=60.0,
@@ -297,39 +190,68 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _split_workers(value):
-    """The --workers flag is dual-mode: an integer sizes the local
-    backends, anything else is a cluster daemon address list.  Returns
-    ``(local_workers, cluster_workers)`` with the unused side None."""
-    if value is None:
-        return None, None
-    text = str(value).strip()
-    if text.lstrip("+-").isdigit():
-        return int(text), None
-    return None, text
+def _flag_values(args) -> dict:
+    """Setting name -> the text its CLI flag was given, ``None`` when
+    the flag is absent (or the sub-command has no such flag)."""
+    values = {
+        s.name: getattr(args, s.dest, None)
+        for s in config.SETTINGS.values()
+        if s.flag
+    }
+    # --workers is dual-mode: text the local_workers row parses sizes
+    # the local backends, anything else is a cluster daemon address list.
+    text = values["workers"]
+    values["local_workers"] = None
+    if text is not None:
+        try:
+            config.resolve("local_workers", text)
+        except ValueError:
+            pass
+        else:
+            values["local_workers"], values["workers"] = text, None
+    return values
+
+
+def _setting_rows(names, values) -> list:
+    """``(label, value, source)`` per named setting, resolved from
+    ``values`` (see :func:`_flag_values`)."""
+    rows = []
+    for name in names:
+        setting = config.SETTINGS[name]
+        value = values.get(name)
+        rows.append((
+            name.replace("_", " "),
+            setting.show(config.resolve(name, value)),
+            config.source(name, value is not None),
+        ))
+    return rows
+
+
+def _print_rows(rows) -> None:
+    for label, value, src in rows:
+        print(f"{label:<22}: {value:<40} [{src}]")
+
+
+def _cluster_shape(args) -> dict:
+    """``ClusterContext`` keywords for the simulated cluster's shape."""
+    return {
+        "n_nodes": 1 if args.nodes is None else args.nodes,
+        "executor_cores": 12 if args.cores is None else args.cores,
+    }
 
 
 def _make_context(args):
     """Build a ClusterContext from the shared engine flags."""
     from repro.engine import ClusterContext
 
-    local_workers, cluster_workers = _split_workers(args.workers)
+    values = _flag_values(args)
     return ClusterContext(
-        n_nodes=args.nodes,
-        executor_cores=args.cores,
-        executor=args.executor,
-        local_workers=local_workers,
-        workers=cluster_workers,
-        fusion=False if args.no_fusion else None,
-        fault_plan=args.faults,
-        max_task_retries=args.max_task_retries,
-        speculation=args.speculation,
-        memory_budget_bytes=args.memory_budget,
-        spill_dir=args.spill_dir,
-        block_codec=args.block_codec,
-        shuffle=args.shuffle,
-        target_partition_bytes=args.target_partition_bytes,
-        task_batch=args.task_batch,
+        **_cluster_shape(args),
+        **{
+            config.SETTINGS[name].kwarg: values[name]
+            for name in _layer("engine")
+            if name in values
+        },
     )
 
 
@@ -418,113 +340,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fmt_bytes(n: int) -> str:
-    for unit, shift in (("GiB", 30), ("MiB", 20), ("KiB", 10)):
-        if n >= 1 << shift:
-            return f"{n / (1 << shift):.1f} {unit}"
-    return f"{n} B"
-
-
 def _cmd_engine_info(args) -> int:
-    from repro.engine import (
-        BLOCK_CODEC_ENV_VAR,
-        MEMORY_BUDGET_ENV_VAR,
-        SHUFFLE_ENV_VAR,
-        SPILL_DIR_ENV_VAR,
-        TARGET_PARTITION_BYTES_ENV_VAR,
-        TASK_BATCH_ENV_VAR,
-        get_codec,
-        resolve_task_batch,
-    )
-
-    def source(flag_set: bool, env_var: str) -> str:
-        if flag_set:
-            return "flag"
-        if os.environ.get(env_var):
-            return f"env {env_var}"
-        return "default"
-
-    ctx = _make_context(args)
-    try:
-        plan = ctx.fault_plan
-        budget = ctx.storage.memory_budget_bytes
-        spill_base = ctx.storage.spill_base
-        rows = [
-            ("nodes", str(ctx.n_nodes), "flag" if args.nodes != 1 else "default"),
-            ("cores", str(ctx.scheduler.executor_cores),
-             "flag" if args.cores != 12 else "default"),
-            ("executor", f"{ctx.executor.name} x{ctx.executor.workers}",
-             source(args.executor is not None, "REPRO_EXECUTOR")),
-            ("workers", str(ctx.executor.workers),
-             source(args.workers is not None, "REPRO_LOCAL_WORKERS")),
-        ]
-        if ctx.executor.name == "cluster":
-            from repro.engine.cluster import FETCH_PREFETCH_ENV_VAR
-            from repro.engine.netproto import (
-                HEARTBEAT_INTERVAL_ENV_VAR,
-                HEARTBEAT_TIMEOUT_ENV_VAR,
-                MAX_INFLIGHT_ENV_VAR,
-                WIRE_CODEC_ENV_VAR,
-            )
-
-            rows += [
-                ("cluster workers", ", ".join(ctx.executor.addresses),
-                 source(args.workers is not None, "REPRO_WORKERS")),
-                ("heartbeat",
-                 f"ping every {ctx.executor.heartbeat_interval}s, "
-                 f"dead after {ctx.executor.heartbeat_timeout}s",
-                 source(False, HEARTBEAT_INTERVAL_ENV_VAR)
-                 if os.environ.get(HEARTBEAT_INTERVAL_ENV_VAR)
-                 else source(False, HEARTBEAT_TIMEOUT_ENV_VAR)),
-                ("max in-flight",
-                 f"{ctx.executor.max_inflight} batches/link",
-                 source(False, MAX_INFLIGHT_ENV_VAR)),
-                ("wire codec", ctx.executor.wire_codec,
-                 source(False, WIRE_CODEC_ENV_VAR)),
-                ("fetch prefetch",
-                 (lambda n: f"{n} connections" if n else "off")(
-                     ctx.executor.fetch_prefetch
-                 ),
-                 source(False, FETCH_PREFETCH_ENV_VAR)),
-            ]
-        rows += [
-            ("fusion", "on" if ctx.fusion_enabled else "off",
-             source(args.no_fusion, "REPRO_FUSION")),
-            ("fault plan", plan.to_json() if plan is not None else "off",
-             source(args.faults is not None, "REPRO_FAULTS")),
-            ("max task retries", str(ctx.max_task_retries),
-             source(args.max_task_retries is not None,
-                    "REPRO_MAX_TASK_RETRIES")),
-            ("speculation", "on" if ctx.speculation is not None else "off",
-             source(bool(args.speculation), "REPRO_SPECULATION")),
-            ("memory budget",
-             _fmt_bytes(budget) if budget is not None else "unlimited",
-             source(args.memory_budget is not None, MEMORY_BUDGET_ENV_VAR)),
-            ("spill dir",
-             spill_base if spill_base is not None else "(system tempdir)",
-             source(args.spill_dir is not None, SPILL_DIR_ENV_VAR)),
-            ("block codec",
-             f"{ctx.storage.codec} "
-             f"(*{get_codec(ctx.storage.codec).extension})",
-             source(args.block_codec is not None, BLOCK_CODEC_ENV_VAR)),
-            ("shuffle",
-             ctx.shuffle_strategy,
-             source(args.shuffle is not None, SHUFFLE_ENV_VAR)),
-            ("target partition",
-             _fmt_bytes(ctx.target_partition_bytes)
-             if ctx.target_partition_bytes else "off (no coalescing)",
-             source(args.target_partition_bytes is not None,
-                    TARGET_PARTITION_BYTES_ENV_VAR)),
-            ("task batch",
-             (lambda b: str(b) if b else "adaptive")(
-                 resolve_task_batch(args.task_batch)
-             ),
-             source(args.task_batch is not None, TASK_BATCH_ENV_VAR)),
-        ]
-        for name, value, src in rows:
-            print(f"{name:<17}: {value:<40} [{src}]")
-    finally:
-        ctx.close()
+    shape = _cluster_shape(args)
+    print("[simulated cluster]")
+    _print_rows([
+        ("nodes", str(shape["n_nodes"]),
+         "default" if args.nodes is None else "flag"),
+        ("cores", str(shape["executor_cores"]),
+         "default" if args.cores is None else "flag"),
+    ])
+    values = _flag_values(args)
+    for layer in dict.fromkeys(s.layer for s in config.SETTINGS.values()):
+        print(f"[{layer}]")
+        _print_rows(_setting_rows(_layer(layer), values))
     return 0
 
 
@@ -686,22 +514,12 @@ def _cmd_stream(args) -> int:
     from repro.netflow import FlowTable, assemble_flows
     from repro.serve import QueryServer
     from repro.stream import (
-        STREAM_LATENESS_ENV_VAR,
-        STREAM_QUEUE_ENV_VAR,
-        STREAM_WINDOW_ENV_VAR,
         GraphAccumulator,
         ReplaySource,
         StreamPipeline,
         TraceSource,
     )
     from repro.trace.synthesizer import TraceSynthesizer
-
-    def source_of(flag_set: bool, env_var: str) -> str:
-        if flag_set:
-            return "flag"
-        if os.environ.get(env_var):
-            return f"env {env_var}"
-        return "default"
 
     detect_window = 5.0
     if args.replay is not None:
@@ -759,14 +577,8 @@ def _cmd_stream(args) -> int:
         server=server,
         sink_delay_seconds=args.sink_delay,
     )
-    rows = [
-        ("window", f"{pipeline.window_seconds:g} s",
-         source_of(args.window is not None, STREAM_WINDOW_ENV_VAR)),
-        ("lateness",
-         "auto" if pipeline.lateness is None else f"{pipeline.lateness:g} s",
-         source_of(args.lateness is not None, STREAM_LATENESS_ENV_VAR)),
-        ("queue capacity", str(pipeline.queue_capacity),
-         source_of(args.queue_capacity is not None, STREAM_QUEUE_ENV_VAR)),
+    _print_rows([
+        *_setting_rows(_layer("stream"), _flag_values(args)),
         ("batch packets", str(args.batch_packets),
          "flag" if args.batch_packets != 256 else "default"),
         ("source",
@@ -774,9 +586,7 @@ def _cmd_stream(args) -> int:
          else f"synthetic {args.duration:g}s @ {args.session_rate:g} "
               f"sessions/s, seed {args.seed}",
          "flag" if args.replay is not None else "default"),
-    ]
-    for name, value, src in rows:
-        print(f"{name:<15}: {value:<44} [{src}]")
+    ])
 
     print("\nstreaming ...")
     result = pipeline.run()

@@ -1,0 +1,633 @@
+"""The one configuration surface: every runtime setting, declared once.
+
+Each knob of the engine, the query server and the streaming pipeline is
+one :class:`Setting` row of :data:`SETTINGS` — its name, environment
+variable, default, parser, CLI flag, constructor keyword and help text.
+Everything that needs to know about knobs derives from that table:
+
+* constructors call :func:`resolve` (explicit argument > environment
+  variable > default; a blank environment value counts as unset; every
+  rejection names the variable and the flag);
+* ``repro.cli`` builds its flags with :func:`add_arguments` and
+  ``repro engine-info`` prints every row with :func:`source`;
+* the README "Runtime flags" table is :func:`flags_table`
+  (``python -m repro.config`` prints it).
+
+This is a leaf module: it imports nothing from ``repro.engine``,
+``repro.serve`` or ``repro.stream``, so any of them may import it.  The
+closed value sets written out here (backends, codecs, shuffle modes) are
+pinned to the live registries by ``tests/test_config.py``.  It is also
+the only module that reads ``os.environ`` for configuration.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
+
+__all__ = [
+    "SETTINGS",
+    "Parser",
+    "Setting",
+    "add_arguments",
+    "flags_table",
+    "format_bytes",
+    "parse_address",
+    "parse_size",
+    "resolve",
+    "source",
+]
+
+
+# ----------------------------------------------------------------------
+# Value grammars shared with the rest of the program
+# ----------------------------------------------------------------------
+_SIZE_RE = re.compile(
+    r"^\s*(?P<number>\d+(?:\.\d+)?)\s*(?P<unit>[kmgt]i?b?|b)?\s*$",
+    re.IGNORECASE,
+)
+_SIZE_MULTIPLIERS = {
+    "b": 1,
+    "k": 1024,
+    "m": 1024**2,
+    "g": 1024**3,
+    "t": 1024**4,
+}
+
+
+def parse_size(text: str) -> int:
+    """Parse a human byte size ('8MB', '64MiB', '1.5GB', '4096') to bytes.
+
+    Units are powers of 1024; 'MB' and 'MiB' are synonyms.
+    """
+    match = _SIZE_RE.match(text)
+    if match is None:
+        raise ValueError(f"unparseable byte size: {text!r}")
+    number = float(match.group("number"))
+    unit = (match.group("unit") or "b").lower()
+    return int(number * _SIZE_MULTIPLIERS[unit[0]])
+
+
+def format_bytes(n: int) -> str:
+    for unit, shift in (("GiB", 30), ("MiB", 20), ("KiB", 10)):
+        if n >= 1 << shift:
+            return f"{n / (1 << shift):.1f} {unit}"
+    return f"{n} B"
+
+
+def parse_address(spec: str) -> tuple:
+    """Parse a worker address: ``host:port`` (TCP) or ``unix:/path``.
+
+    Returns ``("tcp", host, port)`` or ``("unix", path)``.
+    """
+    spec = spec.strip()
+    if not spec:
+        raise ValueError("empty worker address")
+    if spec.startswith("unix:"):
+        path = spec[len("unix:"):]
+        if not path:
+            raise ValueError(f"unix worker address needs a path: {spec!r}")
+        return ("unix", path)
+    host, sep, port_text = spec.rpartition(":")
+    if not sep or not host:
+        raise ValueError(
+            f"worker address {spec!r} is not 'host:port' or 'unix:/path'"
+        )
+    try:
+        port = int(port_text)
+    except ValueError as exc:
+        raise ValueError(
+            f"worker address {spec!r} has a non-integer port"
+        ) from exc
+    if not 0 <= port <= 65535:
+        raise ValueError(f"worker address {spec!r} port out of range")
+    return ("tcp", host, port)
+
+
+# ----------------------------------------------------------------------
+# Parsers
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Parser:
+    """Turns an argument or environment string into a setting's value,
+    raising ``ValueError`` for anything else.  ``what`` completes the
+    sentence "<ENV> must be ..."; ``metavar`` names the flag's operand
+    in ``--help``; ``values`` is the closed set of a :func:`choice`."""
+
+    fn: Callable[[Any], Any]
+    what: str
+    metavar: "str | None" = None
+    values: "tuple[str, ...] | None" = None
+
+    def __call__(self, value: Any) -> Any:
+        return self.fn(value)
+
+
+def integer(min: int) -> Parser:
+    def parse(value):
+        number = int(value)
+        if number < min:
+            raise ValueError(number)
+        return number
+
+    return Parser(parse, f"an integer >= {min}", "N")
+
+
+def _seconds(value, *, allow_zero: bool) -> float:
+    number = float(value)
+    if number < 0 or (number == 0 and not allow_zero):
+        raise ValueError(number)
+    return number
+
+
+seconds = Parser(
+    lambda value: _seconds(value, allow_zero=False),
+    "a number of seconds > 0",
+    "SECONDS",
+)
+
+
+def _lateness(value):
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        return None
+    return _seconds(value, allow_zero=True)
+
+
+# ``None`` is "auto": the flow assembler's safe bound, worked out by the
+# pipeline from its timeouts.
+lateness = Parser(
+    _lateness, "a number of seconds >= 0 or 'auto'", "SECONDS|auto"
+)
+
+
+def size(*, min: int = 0, off_tokens: Iterable[str] = (), off=None) -> Parser:
+    """A byte count (int, or human text through :func:`parse_size`);
+    the ``off_tokens`` spellings resolve to ``off``."""
+    off_tokens = tuple(off_tokens)
+
+    def parse(value):
+        if isinstance(value, str):
+            if value.strip().lower() in off_tokens:
+                return off
+            value = parse_size(value)
+        number = int(value)
+        if number < min:
+            raise ValueError(number)
+        return number
+
+    what = f"a byte size >= {min} such as 4096 or '64MB'"
+    if off_tokens:
+        what += " or one of " + ", ".join(t for t in off_tokens if t)
+    return Parser(parse, what, "SIZE")
+
+
+def choice(
+    values: Iterable[str], aliases: "Mapping[str, str] | None" = None
+) -> Parser:
+    values = tuple(values)
+    aliases = dict(aliases or {})
+
+    def parse(value):
+        name = str(value).strip().lower()
+        name = aliases.get(name, name)
+        if name not in values:
+            raise ValueError(name)
+        return name
+
+    return Parser(parse, "one of " + ", ".join(values), values=values)
+
+
+_ON_VALUES = ("on", "1", "true", "yes")
+_OFF_VALUES = ("off", "0", "false", "no")
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, str):
+        return bool(value)
+    token = value.strip().lower()
+    if token in _ON_VALUES:
+        return True
+    if token in _OFF_VALUES:
+        return False
+    raise ValueError(token)
+
+
+switch = Parser(_switch, "one of " + ", ".join(_ON_VALUES + _OFF_VALUES))
+
+path = Parser(os.fspath, "a directory path", "DIR")
+
+
+def _addresses(value) -> list[str]:
+    if isinstance(value, str):
+        specs = value.replace(",", " ").split()
+    else:
+        specs = [str(s).strip() for s in value if str(s).strip()]
+    for spec in specs:
+        parse_address(spec)  # fail fast on malformed entries
+    return specs
+
+
+addresses = Parser(
+    _addresses,
+    "a comma-separated list of host:port or unix:/path worker addresses",
+    "ADDRS",
+)
+
+
+def _json_object(value) -> dict:
+    if isinstance(value, Mapping):
+        return dict(value)
+    if not isinstance(value, str):
+        raise TypeError(
+            "expected a JSON object as text or a mapping, got "
+            f"{type(value).__name__}"
+        )
+    try:
+        data = json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a JSON object: {value!r} ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"not a JSON object: {value!r}")
+    return data
+
+
+json_object = Parser(_json_object, "a JSON object", "JSON")
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Setting:
+    """One knob.  ``default`` is already in parsed form; ``kwarg`` is
+    the keyword of the layer's constructor (see ``_CONSTRUCTORS``) that
+    takes the explicit value; ``show`` renders a resolved value for
+    ``engine-info`` and the README."""
+
+    name: str
+    env: str
+    default: Any
+    parse: Parser
+    flag: "str | None"
+    kwarg: "str | None"
+    help: str
+    layer: str = "engine"
+    show: Callable[[Any], str] = str
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute the flag is stored under."""
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+# Which constructor a layer's ``kwarg`` belongs to.
+_CONSTRUCTORS = {
+    "engine": "ClusterContext",
+    "cluster": "ClusterExecutor",
+    "serve": "QueryServer",
+    "stream": "StreamPipeline",
+}
+
+
+def _on_off(value) -> str:
+    return "on" if value else "off"
+
+
+def _cpu_count(value) -> str:
+    return "CPU count" if value is None else str(value)
+
+
+def _unit(unit: str) -> Callable[[Any], str]:
+    return lambda value: f"{value:g} {unit}"
+
+
+_BYTE_IDENTICAL = (
+    "results and simulated metrics are byte-identical under any value, "
+    "only wall clock, memory and disk use change"
+)
+
+SETTINGS: "dict[str, Setting]" = {
+    s.name: s
+    for s in (
+        Setting(
+            "executor", "REPRO_EXECUTOR", "serial",
+            choice(("serial", "threads", "pool", "cluster")),
+            "--executor", "executor",
+            "real execution backend for partition tasks: `pool` reuses "
+            "persistent forked workers with shared-memory transport, "
+            "`cluster` dispatches to remote `repro worker` daemons over "
+            "sockets; " + _BYTE_IDENTICAL,
+        ),
+        Setting(
+            "local_workers", "REPRO_LOCAL_WORKERS", None, integer(min=1),
+            "--workers", "local_workers",
+            "an integer sizes the local backends (`threads`/`pool`)",
+            show=_cpu_count,
+        ),
+        Setting(
+            "workers", "REPRO_WORKERS", None, addresses,
+            "--workers", "workers",
+            "an address list (`host:port` or `unix:/path`, comma-separated) "
+            "names the `cluster` backend's worker daemons (start them with "
+            "`repro worker --listen host:port`)",
+            show=lambda v: ", ".join(v) if v else "none",
+        ),
+        Setting(
+            "heartbeat_seconds", "REPRO_HEARTBEAT_SECONDS", 0.5, seconds,
+            None, "heartbeat_interval",
+            "ping cadence per busy cluster link",
+            layer="cluster", show=_unit("s"),
+        ),
+        Setting(
+            "heartbeat_timeout", "REPRO_HEARTBEAT_TIMEOUT", 15.0, seconds,
+            None, "heartbeat_timeout",
+            "silence after which a busy cluster worker is declared lost "
+            "(its tasks requeue via lineage recovery)",
+            layer="cluster", show=_unit("s"),
+        ),
+        Setting(
+            "max_inflight", "REPRO_MAX_INFLIGHT", 2, integer(min=1),
+            None, "max_inflight",
+            "batches pipelined per cluster link: the driver ships batch "
+            "N+1 while the worker computes batch N; 1 restores "
+            "stop-and-wait dispatch",
+            layer="cluster", show=_unit("batches/link"),
+        ),
+        Setting(
+            "wire_codec", "REPRO_WIRE_CODEC", "zlib",
+            choice(
+                ("off", "zlib"),
+                aliases={"none": "off", "raw": "off", "0": "off",
+                         "false": "off"},
+            ),
+            None, "wire_codec",
+            "per-buffer compression of cluster frames above 16 KiB; "
+            "negotiated in the handshake, per-buffer codec ids keep "
+            "mixed-codec peers interoperable",
+            layer="cluster",
+        ),
+        Setting(
+            "fetch_prefetch", "REPRO_FETCH_PREFETCH", 0, integer(min=0),
+            None, "fetch_prefetch",
+            "background connections per worker that prefetch the next "
+            "reduce task's predicted shuffle segments during remote "
+            "block fetch",
+            layer="cluster",
+            show=lambda v: f"{v} connections" if v else "off",
+        ),
+        # ~4 MiB of input per executor task: the point where per-task
+        # dispatch overhead stops mattering relative to NumPy kernel
+        # time on the partition.
+        Setting(
+            "target_partition_bytes", "REPRO_TARGET_PARTITION_BYTES",
+            4 * 1024 * 1024,
+            size(off_tokens=("off", "none", "0", "disabled"), off=0),
+            "--target-partition-bytes", "target_partition_bytes",
+            "coalesce adjacent small partitions into physical tasks of "
+            "roughly this size before dispatch; " + _BYTE_IDENTICAL,
+            show=lambda v: format_bytes(v) if v else "off (no coalescing)",
+        ),
+        Setting(
+            "task_batch", "REPRO_TASK_BATCH", 0, integer(min=0),
+            "--task-batch", "task_batch",
+            "tasks shipped per worker IPC round on the `pool` and "
+            "`cluster` backends; 0 adapts to ~n/(2*workers)",
+            show=lambda v: str(v) if v else "adaptive",
+        ),
+        Setting(
+            "fusion", "REPRO_FUSION", True, switch,
+            "--no-fusion", "fusion",
+            "lazy stage fusion of narrow per-partition chains; off runs "
+            "every transformation eagerly; " + _BYTE_IDENTICAL,
+            show=_on_off,
+        ),
+        Setting(
+            "faults", "REPRO_FAULTS", None, json_object,
+            "--faults", "fault_plan",
+            "deterministic fault-injection plan as JSON, e.g. "
+            '`{"seed": 1, "p_exception": 0.1, "p_kill": 0.05}`; recovery '
+            "keeps results and simulated metrics bit-identical",
+            show=lambda v: json.dumps(v, sort_keys=True) if v else "off",
+        ),
+        Setting(
+            "max_task_retries", "REPRO_MAX_TASK_RETRIES", 3, integer(min=0),
+            "--max-task-retries", "max_task_retries",
+            "retry budget per failed task before the run aborts "
+            "(mirrors Spark's `task.maxFailures=4`)",
+        ),
+        Setting(
+            "speculation", "REPRO_SPECULATION", False, switch,
+            "--speculation", "speculation",
+            "speculatively re-execute straggler tasks, first result wins",
+            show=_on_off,
+        ),
+        # An explicit "" is a spelling of "unlimited" here, and of the
+        # default for block_codec and shuffle below: the one way a caller
+        # holding only text can lift a value the environment sets.
+        Setting(
+            "memory_budget", "REPRO_MEMORY_BUDGET", None,
+            size(off_tokens=("none", "off", "unlimited", "inf", "")),
+            "--memory-budget", "memory_budget_bytes",
+            "cap on memory-resident partition blocks; excess blocks "
+            "LRU-spill to the spill dir and reload transparently; "
+            + _BYTE_IDENTICAL,
+            show=lambda v: "unlimited" if v is None else format_bytes(v),
+        ),
+        Setting(
+            "spill_dir", "REPRO_SPILL_DIR", None, path,
+            "--spill-dir", "spill_dir",
+            "base directory for spilled blocks, shuffle segments and "
+            "checkpoints; each run uses its own session subdirectory, "
+            "removed on close",
+            show=lambda v: "(system tempdir)" if v is None else v,
+        ),
+        Setting(
+            "block_codec", "REPRO_BLOCK_CODEC", "raw",
+            choice(("raw", "zlib", "mmap"), aliases={"": "raw"}),
+            "--block-codec", "block_codec",
+            "on-disk format for spilled blocks, shuffle segments and "
+            "checkpoints: `raw` = uncompressed `.npz`, `zlib` = "
+            "chunk-compressed columnar `.blk`, `mmap` = uncompressed "
+            "`.blk` read back via memory mapping; " + _BYTE_IDENTICAL,
+        ),
+        Setting(
+            "shuffle", "REPRO_SHUFFLE", "exchange",
+            choice(("exchange", "extsort"), aliases={"": "exchange"}),
+            "--shuffle", "shuffle",
+            "`distinct()` strategy: `exchange` hash-exchanges whole "
+            "partitions, `extsort` spills sorted runs and streams a k-way "
+            "merge so reduce memory stays bounded by "
+            "`REPRO_EXTSORT_CHUNK_ROWS`; " + _BYTE_IDENTICAL,
+        ),
+        Setting(
+            "emit_chunk_rows", "REPRO_EMIT_CHUNK_ROWS", 262144,
+            integer(min=1), None, None,
+            "rows per chunk for streaming edge emission in the "
+            "PGPBA/PGSK expansion stages (4 MB of int64 edge pairs)",
+            show=_unit("rows"),
+        ),
+        Setting(
+            "extsort_chunk_rows", "REPRO_EXTSORT_CHUNK_ROWS", 65536,
+            integer(min=1), None, None,
+            "run-file chunk rows of the `extsort` shuffle: the k-way "
+            "merge holds one chunk per run per column",
+            show=_unit("rows"),
+        ),
+        Setting(
+            "codec_chunk_bytes", "REPRO_CODEC_CHUNK_BYTES", 1 << 20,
+            size(min=1), None, None,
+            "target uncompressed chunk size inside `.blk` containers",
+            show=format_bytes,
+        ),
+        Setting(
+            "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),
+            "--threads", "threads",
+            "worker threads for batched query serving",
+            layer="serve", show=_cpu_count,
+        ),
+        Setting(
+            "query_cache", "REPRO_QUERY_CACHE", 1024, integer(min=0),
+            "--cache-size", "cache_size",
+            "LRU result-cache capacity in entries; 0 disables caching",
+            layer="serve", show=_unit("entries"),
+        ),
+        Setting(
+            "stream_queue", "REPRO_STREAM_QUEUE", 8, integer(min=1),
+            "--queue-capacity", "queue_capacity",
+            "bounded-queue capacity in micro-batches between streaming "
+            "stages; a full queue blocks the producer (backpressure), so "
+            "pipeline memory stays bounded",
+            layer="stream",
+        ),
+        Setting(
+            "stream_window", "REPRO_STREAM_WINDOW", 5.0, seconds,
+            "--window", "window_seconds",
+            "micro-batch window length in stream seconds; flows are "
+            "bucketed by start time into aligned windows",
+            layer="stream", show=_unit("s"),
+        ),
+        Setting(
+            "stream_lateness", "REPRO_STREAM_LATENESS", None, lateness,
+            "--lateness", "lateness",
+            "allowed lateness before a window closes: `auto` is the safe "
+            "bound `max(idle_timeout, max_flow_duration)` (streamed "
+            "detections byte-identical to batch); smaller values close "
+            "windows sooner and route late flows into the next window "
+            "(counted in `late_flows`)",
+            layer="stream",
+            show=lambda v: "auto" if v is None else f"{v:g} s",
+        ),
+    )
+}
+
+
+# ----------------------------------------------------------------------
+# Reading the table
+# ----------------------------------------------------------------------
+def resolve(name: str, value: Any = None) -> Any:
+    """Resolve one setting: explicit ``value`` > environment variable >
+    default.  A blank environment value counts as unset; an explicit
+    value, blank or not, goes to the row's parser and never falls
+    through to the environment."""
+    setting = SETTINGS[name]
+    if value is None:
+        value = os.environ.get(setting.env)
+        if value is None or not value.strip():
+            return setting.default
+    try:
+        return setting.parse(value)
+    except ValueError as exc:
+        names = setting.env + (f" / {setting.flag}" if setting.flag else "")
+        raise ValueError(
+            f"{names} must be {setting.parse.what}, got {value!r}"
+        ) from exc
+
+
+def source(name: str, flag_set: bool) -> str:
+    """Where :func:`resolve` takes ``name`` from, for ``engine-info``."""
+    setting = SETTINGS[name]
+    if flag_set:
+        return "flag"
+    if os.environ.get(setting.env, "").strip():
+        return f"env {setting.env}"
+    return "default"
+
+
+def add_arguments(
+    parser: argparse.ArgumentParser, names: "Iterable[str] | None" = None
+) -> None:
+    """Add the CLI flag of every named setting (default: all) to
+    ``parser``.  Flags default to ``None`` — "not given" — and keep the
+    text as typed, so the constructor's :func:`resolve` call is the one
+    place a value is interpreted; the text is only checked here so a bad
+    one is an argparse error.  Settings sharing a flag (``--workers``:
+    a count or an address list) get one option that accepts either."""
+    by_flag: "dict[str, list[Setting]]" = {}
+    for name in SETTINGS if names is None else names:
+        setting = SETTINGS[name]
+        if setting.flag:
+            by_flag.setdefault(setting.flag, []).append(setting)
+    for flag, rows in by_flag.items():
+        help_text = "; ".join(
+            f"{s.help} (default: {s.env} env var, then "
+            f"{s.show(s.default)})"
+            for s in rows
+        ).replace("`", "'")
+        first = rows[0]
+        if first.parse is switch:
+            parser.add_argument(
+                flag, action="store_const", const=not first.default,
+                default=None, help=help_text,
+            )
+        elif first.parse.values is not None:
+            parser.add_argument(
+                flag, choices=first.parse.values, default=None,
+                help=help_text,
+            )
+        else:
+            parser.add_argument(
+                flag, type=_checked_text(rows), default=None,
+                metavar="|".join(s.parse.metavar for s in rows),
+                help=help_text,
+            )
+
+
+def _checked_text(rows: "list[Setting]") -> Callable[[str], str]:
+    """An argparse ``type`` that accepts text any of ``rows`` parses."""
+
+    def check(text: str) -> str:
+        errors = []
+        for setting in rows:
+            try:
+                resolve(setting.name, text)
+                return text
+            except ValueError as exc:
+                errors.append(str(exc))
+        raise argparse.ArgumentTypeError("; ".join(errors))
+
+    return check
+
+
+def flags_table() -> str:
+    """The README "Runtime flags" table, one row per setting."""
+    lines = [
+        "| Environment variable | CLI flag | Constructor argument "
+        "| Default | Meaning |",
+        "| --- | --- | --- | --- | --- |",
+    ]
+    for s in SETTINGS.values():
+        flag = f"`{s.flag}`" if s.flag else "—"
+        kwarg = f"`{_CONSTRUCTORS[s.layer]}({s.kwarg}=)`" if s.kwarg else "—"
+        lines.append(
+            f"| `{s.env}` | {flag} | {kwarg} | {s.show(s.default)} "
+            f"| {s.help} |"
+        )
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(flags_table())

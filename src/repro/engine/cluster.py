@@ -76,6 +76,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from ..config import parse_address, resolve
 from .executor import (
     _ARENA_MIN_BYTES,
     _Arena,
@@ -89,7 +90,6 @@ from .executor import (
     Task,
     TaskOutcome,
     WorkerDied,
-    resolve_task_batch,
 )
 from .netproto import (
     PROTOCOL_VERSION,
@@ -103,79 +103,19 @@ from .netproto import (
     connect,
     decode_buffers,
     negotiate_wire_codec,
-    parse_address,
     recv_message,
-    resolve_heartbeat_interval,
-    resolve_heartbeat_timeout,
-    resolve_max_inflight,
-    resolve_wire_codec,
     send_message,
 )
 
 __all__ = [
-    "CLUSTER_WORKERS_ENV_VAR",
-    "FETCH_PREFETCH_ENV_VAR",
     "ClusterExecutor",
     "WorkerDaemon",
     "BlockFetcher",
     "predict_next_segments",
-    "resolve_cluster_workers",
-    "resolve_fetch_prefetch",
     "sockets_available",
     "launch_worker",
     "shutdown_worker",
 ]
-
-CLUSTER_WORKERS_ENV_VAR = "REPRO_WORKERS"
-FETCH_PREFETCH_ENV_VAR = "REPRO_FETCH_PREFETCH"
-DEFAULT_FETCH_PREFETCH = 0
-
-
-def resolve_fetch_prefetch(value: "int | str | None" = None) -> int:
-    """Background block-prefetch connections per fetcher: explicit
-    argument > ``REPRO_FETCH_PREFETCH`` > 0 (off)."""
-    if value is None:
-        env = os.environ.get(FETCH_PREFETCH_ENV_VAR)
-        if env is None or not env.strip():
-            return DEFAULT_FETCH_PREFETCH
-        value = env
-    try:
-        count = int(str(value).strip())
-    except ValueError as exc:
-        raise ValueError(
-            f"{FETCH_PREFETCH_ENV_VAR} must be an integer >= 0, "
-            f"got {value!r}"
-        ) from exc
-    if count < 0:
-        raise ValueError(
-            f"{FETCH_PREFETCH_ENV_VAR} must be >= 0, got {count}"
-        )
-    return count
-
-
-def resolve_cluster_workers(
-    value: "Sequence[str] | str | None" = None, *, required: bool = True
-) -> list[str]:
-    """Resolve the cluster worker address list: explicit argument >
-    ``REPRO_WORKERS`` (comma/whitespace separated ``host:port`` or
-    ``unix:/path`` specs)."""
-    if value is None:
-        value = os.environ.get(CLUSTER_WORKERS_ENV_VAR, "")
-    if isinstance(value, str):
-        specs = [s for s in value.replace(",", " ").split() if s]
-    else:
-        specs = [str(s).strip() for s in value if str(s).strip()]
-    if not specs and required:
-        raise ValueError(
-            "the 'cluster' backend needs worker addresses: start daemons "
-            "with 'repro worker --listen host:port' and list them in "
-            f"{CLUSTER_WORKERS_ENV_VAR} (comma-separated) or "
-            "ClusterContext(workers=[...])"
-        )
-    for spec in specs:
-        parse_address(spec)  # fail fast on malformed entries
-    return specs
-
 
 def sockets_available() -> bool:
     """Can this host bind a loopback TCP socket?  (Sandboxes may not.)"""
@@ -281,8 +221,8 @@ class BlockFetcher:
         self.peers = [str(p) for p in peers if str(p) not in skip]
         self.timeout = timeout
         self.transport = transport
-        self.wire_codec = resolve_wire_codec(wire_codec)
-        self.prefetch = resolve_fetch_prefetch(prefetch)
+        self.wire_codec = resolve("wire_codec", wire_codec)
+        self.prefetch = resolve("fetch_prefetch", prefetch)
         self.fetched = 0
         self.fetched_bytes = 0
         self.misses = 0
@@ -583,7 +523,7 @@ def _fetch_chunk_plan(path: Path) -> "list[tuple[int, int]]":
     when the file is an RBLK container (each compressed payload chunk is
     one frame, the footer rides the final span), fixed
     ``REPRO_CODEC_CHUNK_BYTES`` slices otherwise."""
-    from .storage.codecs import _read_rblk_footer, resolve_codec_chunk_bytes
+    from .storage.codecs import _read_rblk_footer
 
     size = os.path.getsize(path)
     if size == 0:
@@ -609,7 +549,7 @@ def _fetch_chunk_plan(path: Path) -> "list[tuple[int, int]]":
             spans.append((end, size - end))  # JSON footer + magic tail
         return spans
     except (ValueError, KeyError, TypeError, OSError):
-        step = resolve_codec_chunk_bytes()
+        step = resolve("codec_chunk_bytes")
         return [
             (offset, min(step, size - offset))
             for offset in range(0, size, step)
@@ -1176,17 +1116,26 @@ class ClusterExecutor(Executor):
                 "transport; install it (pip install cloudpickle) or use "
                 "'threads'"
             )
-        self.addresses = resolve_cluster_workers(workers)
+        self.addresses = resolve("workers", workers)
+        if not self.addresses:
+            raise ValueError(
+                "the 'cluster' backend needs worker addresses: start daemons "
+                "with 'repro worker --listen host:port' and list them in "
+                "REPRO_WORKERS (comma-separated) or "
+                "ClusterContext(workers=[...])"
+            )
         super().__init__(len(self.addresses))
-        self.task_batch = resolve_task_batch(task_batch)
-        self.heartbeat_interval = resolve_heartbeat_interval(
-            heartbeat_interval
+        self.task_batch = resolve("task_batch", task_batch)
+        self.heartbeat_interval = resolve(
+            "heartbeat_seconds", heartbeat_interval
         )
-        self.heartbeat_timeout = resolve_heartbeat_timeout(heartbeat_timeout)
+        self.heartbeat_timeout = resolve(
+            "heartbeat_timeout", heartbeat_timeout
+        )
         self.connect_timeout = connect_timeout
-        self.max_inflight = resolve_max_inflight(max_inflight)
-        self.wire_codec = resolve_wire_codec(wire_codec)
-        self.fetch_prefetch = resolve_fetch_prefetch(fetch_prefetch)
+        self.max_inflight = resolve("max_inflight", max_inflight)
+        self.wire_codec = resolve("wire_codec", wire_codec)
+        self.fetch_prefetch = resolve("fetch_prefetch", fetch_prefetch)
         self._links: list[_Link] = []
         self._lost: list[str] = []
         self._spill_roots: set[str] = set()
@@ -1236,7 +1185,7 @@ class ClusterExecutor(Executor):
                 if initial:
                     raise RuntimeError(
                         f"cannot reach cluster worker {spec!r} (from "
-                        f"{CLUSTER_WORKERS_ENV_VAR} / workers=[...]): {exc}"
+                        f"REPRO_WORKERS / workers=[...]): {exc}"
                     ) from exc
                 continue  # still down; retried on the next batch
             self._links.append(link)

@@ -42,6 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.engine.executor import (
     Executor,
     RecoveryStats,
@@ -49,15 +50,10 @@ from repro.engine.executor import (
     make_executor,
     run_with_recovery,
 )
-from repro.engine.faults import (
-    FaultPlan,
-    resolve_max_task_retries,
-    resolve_speculation,
-)
+from repro.engine.faults import FaultPlan
 from repro.engine.metrics import SimulationMetrics
 from repro.engine.partitioner import split_array, split_count
-from repro.engine.plan import resolve_fusion, resolve_target_partition_bytes
-from repro.engine.rdd import ArrayRDD, Columns, resolve_shuffle
+from repro.engine.rdd import ArrayRDD, Columns
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
 from repro.engine.storage import BlockStore
 
@@ -107,25 +103,23 @@ class ClusterContext:
         )
         self.partition_multiplier = partition_multiplier
         self.max_real_partitions = max_real_partitions
-        # Lazy evaluation + stage fusion switch: explicit argument >
-        # REPRO_FUSION env var > on.  Off, every transformation forces
-        # immediately (the eager reference path); the simulated metrics
-        # are identical either way, only wall clock / local peak memory
-        # change.
-        self.fusion_enabled = resolve_fusion(fusion)
-        # Physical task grain: coalesce small partition chains into
-        # ~target-sized executor tasks at plan time (explicit argument >
-        # REPRO_TARGET_PARTITION_BYTES env var > 4 MiB; 0 disables).
-        # Purely a dispatch optimisation — the simulated stage records
-        # are identical either way (asserted in tests).
-        self.target_partition_bytes = resolve_target_partition_bytes(
-            target_partition_bytes
+        # Configuration: every ``None`` argument below resolves through
+        # ``repro.config`` (explicit argument > REPRO_* variable >
+        # default; the table there documents each setting).
+        #
+        # Fusion off forces every transformation immediately (the eager
+        # reference path); target_partition_bytes coalesces small
+        # partition chains into ~target-sized executor tasks at plan
+        # time.  Both change only wall clock / local peak memory — the
+        # simulated stage records are identical (asserted in tests).
+        self.fusion_enabled = config.resolve("fusion", fusion)
+        self.target_partition_bytes = config.resolve(
+            "target_partition_bytes", target_partition_bytes
         )
         self.metrics = SimulationMetrics(n_nodes=n_nodes)
-        # ``workers`` is the cluster backend's daemon address list
-        # (falls back to REPRO_WORKERS); ``local_workers`` sizes the
-        # in-host backends.  Both can be passed — only the selected
-        # backend reads its one.
+        # ``workers`` is the cluster backend's daemon address list;
+        # ``local_workers`` sizes the in-host backends.  Both can be
+        # passed — only the selected backend reads its one.
         if isinstance(executor, Executor):
             self.executor = executor
         else:
@@ -135,11 +129,10 @@ class ClusterContext:
                 task_batch=task_batch,
                 cluster_workers=workers,
             )
-        # Fault tolerance: explicit arguments > REPRO_FAULTS /
-        # REPRO_MAX_TASK_RETRIES / REPRO_SPECULATION env vars > defaults
-        # (no injection, 3 retries, no speculation).
         self.fault_plan = FaultPlan.resolve(fault_plan)
-        self.max_task_retries = resolve_max_task_retries(max_task_retries)
+        self.max_task_retries = config.resolve(
+            "max_task_retries", max_task_retries
+        )
         if retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -147,31 +140,29 @@ class ClusterContext:
             self.speculation: SpeculationPolicy | None = speculation
         else:
             self.speculation = (
-                SpeculationPolicy() if resolve_speculation(speculation) else None
+                SpeculationPolicy()
+                if config.resolve("speculation", speculation)
+                else None
             )
         # Monotone batch counter keying each dispatched batch into the
         # fault plan's deterministic decision stream.
         self._batch_ids = itertools.count()
-        # Disk-backed block storage: explicit arguments >
-        # REPRO_MEMORY_BUDGET / REPRO_SPILL_DIR env vars > defaults
-        # (unlimited memory, system tempdir).  Every materialized
-        # partition lives here behind a BlockId; under a budget the
-        # store LRU-spills blocks to disk and tasks write their outputs
-        # as block files directly.  Monotone RDD ids key the blocks (and
-        # the persist accounting — id() reuse can never alias entries).
-        # Block codec: explicit argument > REPRO_BLOCK_CODEC > "raw".
-        # Every spill / shuffle-segment / checkpoint file the context
-        # writes goes through this codec; reads sniff the file format,
-        # so mixed-codec spill directories are still readable.
+        # Every materialized partition lives in the block store behind a
+        # BlockId; under a memory budget the store LRU-spills blocks to
+        # disk and tasks write their outputs as block files directly.
+        # Monotone RDD ids key the blocks (and the persist accounting —
+        # id() reuse can never alias entries).  Every spill /
+        # shuffle-segment / checkpoint file goes through block_codec;
+        # reads sniff the file format, so mixed-codec spill directories
+        # are still readable.
         self.storage = BlockStore(
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
             codec=block_codec,
         )
-        # distinct() shuffle strategy: explicit argument > REPRO_SHUFFLE
-        # > "exchange".  "extsort" swaps the reduce-side hash bucket for
-        # the external merge sort (byte-identical output).
-        self.shuffle_strategy = resolve_shuffle(shuffle)
+        # "extsort" swaps distinct()'s reduce-side hash bucket for the
+        # external merge sort (byte-identical output).
+        self.shuffle_strategy = config.resolve("shuffle", shuffle)
         self._rdd_ids = itertools.count()
         self.metrics.attach_storage(self.storage.stats)
         self.metrics.attach_transport(

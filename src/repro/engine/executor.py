@@ -94,6 +94,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .. import config
 from .faults import FaultPlan
 
 try:  # the pool backend needs cloudpickle for task-closure transport
@@ -115,18 +116,9 @@ __all__ = [
     "run_with_recovery",
     "make_executor",
     "available_backends",
-    "resolve_backend",
-    "resolve_task_batch",
     "default_workers",
-    "EXECUTOR_ENV_VAR",
-    "WORKERS_ENV_VAR",
-    "TASK_BATCH_ENV_VAR",
     "CLUSTER_BACKEND_NAME",
 ]
-
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-WORKERS_ENV_VAR = "REPRO_LOCAL_WORKERS"
-TASK_BATCH_ENV_VAR = "REPRO_TASK_BATCH"
 
 Task = Callable[[], Any]
 
@@ -835,10 +827,7 @@ class PoolExecutor(Executor):
                 "the 'pool' backend needs cloudpickle for task transport; "
                 "install it (pip install cloudpickle) or use 'threads'"
             )
-        task_batch = 0 if task_batch is None else int(task_batch)
-        if task_batch < 0:
-            raise ValueError("task_batch must be >= 0 (0 = adaptive)")
-        self.task_batch = task_batch
+        self.task_batch = config.resolve("task_batch", task_batch)
         self._pool: list[_PoolWorker] = []
         self._mp_ctx: Any = None
         self.workers_forked = 0
@@ -1324,57 +1313,6 @@ def available_backends() -> tuple[str, ...]:
     return (*_BACKENDS, CLUSTER_BACKEND_NAME)
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend name: explicit argument > env var > ``serial``."""
-    if name is None:
-        name = os.environ.get(EXECUTOR_ENV_VAR) or SerialExecutor.name
-    name = name.strip().lower()
-    if name not in _BACKENDS and name != CLUSTER_BACKEND_NAME:
-        raise ValueError(
-            f"unknown executor backend {name!r}; "
-            f"choose from {', '.join(available_backends())}"
-        )
-    return name
-
-
-def _resolve_workers(workers: int | None) -> int | None:
-    if workers is not None:
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ValueError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
-    return value
-
-
-def resolve_task_batch(task_batch: int | None = None) -> int:
-    """Tasks per pool IPC round: explicit argument > ``REPRO_TASK_BATCH``
-    env var > ``0`` (adaptive — see :class:`PoolExecutor`)."""
-    if task_batch is None:
-        env = os.environ.get(TASK_BATCH_ENV_VAR)
-        if env is None or not env.strip():
-            return 0
-        try:
-            task_batch = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{TASK_BATCH_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    task_batch = int(task_batch)
-    if task_batch < 0:
-        raise ValueError(
-            f"task_batch must be >= 0 (0 = adaptive), got {task_batch}"
-        )
-    return task_batch
-
-
 def make_executor(
     name: str | None = None,
     workers: int | None = None,
@@ -1387,16 +1325,12 @@ def make_executor(
     environment variables, then to ``serial`` with one worker per CPU.
     ``cluster_workers`` (addresses, or ``REPRO_WORKERS``) selects the
     daemons of the ``cluster`` backend and is ignored by local ones."""
-    backend = resolve_backend(name)
+    backend = config.resolve("executor", name)
     if backend == CLUSTER_BACKEND_NAME:
         from .cluster import ClusterExecutor
 
-        return ClusterExecutor(
-            cluster_workers, task_batch=resolve_task_batch(task_batch)
-        )
+        return ClusterExecutor(cluster_workers, task_batch=task_batch)
+    workers = config.resolve("local_workers", workers)
     if backend == PoolExecutor.name:
-        return PoolExecutor(
-            _resolve_workers(workers),
-            task_batch=resolve_task_batch(task_batch),
-        )
-    return _BACKENDS[backend](_resolve_workers(workers))
+        return PoolExecutor(workers, task_batch=task_batch)
+    return _BACKENDS[backend](workers)

@@ -41,28 +41,18 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro import config
+
 __all__ = [
-    "FAULTS_ENV_VAR",
-    "RETRIES_ENV_VAR",
-    "SPECULATION_ENV_VAR",
     "KILL_EXIT_CODE",
     "InjectedFault",
     "SimulatedWorkerDeath",
     "FaultPlan",
-    "resolve_max_task_retries",
-    "resolve_speculation",
 ]
-
-FAULTS_ENV_VAR = "REPRO_FAULTS"
-RETRIES_ENV_VAR = "REPRO_MAX_TASK_RETRIES"
-SPECULATION_ENV_VAR = "REPRO_SPECULATION"
 
 # Exit code an injected "kill" uses in a real worker child; chosen to be
 # recognisable in WorkerDied messages (and distinct from Python's 1).
 KILL_EXIT_CODE = 73
-
-_OFF_VALUES = frozenset({"off", "0", "false", "no"})
-_ON_VALUES = frozenset({"on", "1", "true", "yes"})
 
 # Salt mixed into the fault RNG key so fault decisions are decorrelated
 # from the engine's data RNG streams, which key on (seed, partition).
@@ -212,30 +202,7 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"fault plan must be a JSON object, got {text!r}: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"fault plan must be a JSON object, got {text!r}"
-            )
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "FaultPlan | None":
-        """Parse ``REPRO_FAULTS``; ``None`` when unset or blank."""
-        raw = (environ if environ is not None else os.environ).get(
-            FAULTS_ENV_VAR
-        )
-        if raw is None or not raw.strip():
-            return None
-        try:
-            return cls.from_json(raw)
-        except ValueError as exc:
-            raise ValueError(f"{FAULTS_ENV_VAR}: {exc}") from exc
+        return cls.from_dict(config.json_object(text))
 
     @classmethod
     def resolve(
@@ -247,54 +214,13 @@ class FaultPlan:
         falls back to the environment (and stays ``None`` when the
         environment is silent too).
         """
-        if value is None:
-            return cls.from_env()
         if isinstance(value, cls):
             return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        if isinstance(value, str):
-            return cls.from_json(value)
-        raise TypeError(
-            f"fault_plan must be a FaultPlan, dict, JSON string or None, "
-            f"got {type(value).__name__}"
-        )
-
-
-# ----------------------------------------------------------------------
-def resolve_max_task_retries(value: int | None = None, default: int = 3) -> int:
-    """Retry budget per task: explicit argument > ``REPRO_MAX_TASK_RETRIES``
-    env > ``default`` (3, mirroring Spark's ``task.maxFailures=4``)."""
-    if value is None:
-        env = os.environ.get(RETRIES_ENV_VAR)
-        if env is not None and env.strip():
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{RETRIES_ENV_VAR} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            return default
-    if value < 0:
-        raise ValueError(f"max_task_retries must be >= 0, got {value!r}")
-    return int(value)
-
-
-def resolve_speculation(flag: bool | None = None) -> bool:
-    """Speculative-execution switch: explicit argument >
-    ``REPRO_SPECULATION`` env > off."""
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(SPECULATION_ENV_VAR)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in _ON_VALUES:
-        return True
-    if value in _OFF_VALUES or value == "":
-        return False
-    raise ValueError(
-        f"{SPECULATION_ENV_VAR} must be one of "
-        f"{sorted(_ON_VALUES | _OFF_VALUES)}, got {raw!r}"
-    )
+        data = config.resolve("faults", value)
+        if data is None:
+            return None
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            setting = config.SETTINGS["faults"]
+            raise ValueError(f"{setting.env} / {setting.flag}: {exc}") from exc

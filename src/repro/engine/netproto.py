@@ -3,8 +3,8 @@
 The "cluster" executor promotes the pool backend's pipe protocol to
 sockets: the driver speaks to standalone ``repro worker`` daemons over
 TCP or unix-domain sockets, and this module defines the only thing both
-sides must agree on — the framing, the handshake, the negotiated wire
-codec, and the heartbeat/pipelining knobs.  The *content* of the frames
+sides must agree on — the framing, the handshake and the negotiated
+wire codec.  The *content* of the frames
 is exactly the pool protocol (``("run", blob, descriptors)`` batches,
 in-order ``("ok"/"err", key, ...)`` replies); sockets merely
 length-prefix it.
@@ -51,26 +51,18 @@ only a hung or dead peer does.
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
 import socket
 import struct
 from typing import Any, Iterable, Sequence
 
+from repro.config import parse_address
+
 __all__ = [
     "PROTOCOL_VERSION",
-    "HEARTBEAT_INTERVAL_ENV_VAR",
-    "HEARTBEAT_TIMEOUT_ENV_VAR",
-    "MAX_INFLIGHT_ENV_VAR",
-    "WIRE_CODEC_ENV_VAR",
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
-    "DEFAULT_MAX_INFLIGHT",
-    "DEFAULT_WIRE_CODEC",
     "WIRE_CODECS",
     "WIRE_COMPRESS_MIN_BYTES",
     "ProtocolError",
-    "parse_address",
     "format_address",
     "connect",
     "build_frame",
@@ -82,22 +74,9 @@ __all__ = [
     "a_recv_frame",
     "client_handshake",
     "negotiate_wire_codec",
-    "resolve_heartbeat_interval",
-    "resolve_heartbeat_timeout",
-    "resolve_max_inflight",
-    "resolve_wire_codec",
 ]
 
 PROTOCOL_VERSION = 2
-
-HEARTBEAT_INTERVAL_ENV_VAR = "REPRO_HEARTBEAT_SECONDS"
-HEARTBEAT_TIMEOUT_ENV_VAR = "REPRO_HEARTBEAT_TIMEOUT"
-MAX_INFLIGHT_ENV_VAR = "REPRO_MAX_INFLIGHT"
-WIRE_CODEC_ENV_VAR = "REPRO_WIRE_CODEC"
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
-DEFAULT_HEARTBEAT_TIMEOUT = 15.0
-DEFAULT_MAX_INFLIGHT = 2
-DEFAULT_WIRE_CODEC = "zlib"
 
 # Sender-side codecs a buffer may be compressed with on the wire.  The
 # names (and the compressors behind them) come from the block-codec
@@ -130,35 +109,6 @@ class ProtocolError(RuntimeError):
 # ----------------------------------------------------------------------
 # Addresses
 # ----------------------------------------------------------------------
-
-def parse_address(spec: str) -> tuple:
-    """Parse a worker address: ``host:port`` (TCP) or ``unix:/path``.
-
-    Returns ``("tcp", host, port)`` or ``("unix", path)``.
-    """
-    spec = spec.strip()
-    if not spec:
-        raise ValueError("empty worker address")
-    if spec.startswith("unix:"):
-        path = spec[len("unix:"):]
-        if not path:
-            raise ValueError(f"unix worker address needs a path: {spec!r}")
-        return ("unix", path)
-    host, sep, port_text = spec.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"worker address {spec!r} is not 'host:port' or 'unix:/path'"
-        )
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(
-            f"worker address {spec!r} has a non-integer port"
-        ) from exc
-    if not 0 <= port <= 65535:
-        raise ValueError(f"worker address {spec!r} port out of range")
-    return ("tcp", host, port)
-
 
 def format_address(addr: tuple) -> str:
     if addr[0] == "unix":
@@ -431,82 +381,3 @@ def negotiate_wire_codec(requested: "str | None") -> str:
     codec ids keep mixed peers interoperable either way)."""
     name = str(requested or "off").strip().lower()
     return name if name in WIRE_CODECS else "off"
-
-
-# ----------------------------------------------------------------------
-# Transport knobs
-# ----------------------------------------------------------------------
-
-def _resolve_seconds(value, env_var: str, default: float) -> float:
-    if value is None:
-        env = os.environ.get(env_var)
-        if env is None or not env.strip():
-            return default
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{env_var} must be a number of seconds, got {env!r}"
-            ) from exc
-    value = float(value)
-    if value <= 0:
-        raise ValueError(f"{env_var} must be > 0, got {value!r}")
-    return value
-
-
-def resolve_heartbeat_interval(value: "float | None" = None) -> float:
-    """Seconds between pings to a busy worker: explicit argument >
-    ``REPRO_HEARTBEAT_SECONDS`` > 0.5."""
-    return _resolve_seconds(
-        value, HEARTBEAT_INTERVAL_ENV_VAR, DEFAULT_HEARTBEAT_INTERVAL
-    )
-
-
-def resolve_heartbeat_timeout(value: "float | None" = None) -> float:
-    """Seconds of silence before a busy worker is declared dead:
-    explicit argument > ``REPRO_HEARTBEAT_TIMEOUT`` > 15."""
-    return _resolve_seconds(
-        value, HEARTBEAT_TIMEOUT_ENV_VAR, DEFAULT_HEARTBEAT_TIMEOUT
-    )
-
-
-def resolve_max_inflight(value: "int | str | None" = None) -> int:
-    """Dispatch pipeline depth — batches in flight per cluster link:
-    explicit argument > ``REPRO_MAX_INFLIGHT`` > 2.  1 restores the
-    strict stop-and-wait dispatch of the pre-pipelined transport."""
-    if value is None:
-        env = os.environ.get(MAX_INFLIGHT_ENV_VAR)
-        if env is None or not env.strip():
-            return DEFAULT_MAX_INFLIGHT
-        value = env
-    try:
-        window = int(str(value).strip())
-    except ValueError as exc:
-        raise ValueError(
-            f"{MAX_INFLIGHT_ENV_VAR} must be an integer >= 1, got {value!r}"
-        ) from exc
-    if window < 1:
-        raise ValueError(
-            f"{MAX_INFLIGHT_ENV_VAR} must be >= 1, got {window}"
-        )
-    return window
-
-
-def resolve_wire_codec(value: "str | None" = None) -> str:
-    """Wire codec a sender proposes/uses for large out-of-band buffers:
-    explicit argument > ``REPRO_WIRE_CODEC`` > ``zlib``.  One of
-    ``off`` / ``zlib``."""
-    if value is None:
-        env = os.environ.get(WIRE_CODEC_ENV_VAR)
-        if env is None or not env.strip():
-            return DEFAULT_WIRE_CODEC
-        value = env
-    name = str(value).strip().lower()
-    if name in ("none", "raw", "0", "false"):
-        name = "off"
-    if name not in WIRE_CODECS:
-        raise ValueError(
-            f"{WIRE_CODEC_ENV_VAR} must be one of {'/'.join(WIRE_CODECS)}, "
-            f"got {value!r}"
-        )
-    return name

@@ -67,7 +67,6 @@ recovery checkpoint.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -75,77 +74,16 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "FUSION_ENV_VAR",
-    "TARGET_PARTITION_BYTES_ENV_VAR",
-    "DEFAULT_TARGET_PARTITION_BYTES",
-    "resolve_fusion",
-    "resolve_target_partition_bytes",
     "PendingOp",
     "Pipe",
     "StageGroup",
     "fuse_and_run",
 ]
 
-FUSION_ENV_VAR = "REPRO_FUSION"
-TARGET_PARTITION_BYTES_ENV_VAR = "REPRO_TARGET_PARTITION_BYTES"
-
-# Default physical task grain: ~4 MiB of input per executor task, the
-# point where per-task dispatch overhead stops mattering relative to
-# NumPy kernel time on the partition.
-DEFAULT_TARGET_PARTITION_BYTES = 4 * 1024 * 1024
-
 # Never coalesce below this many physical tasks: small stages keep their
 # one-task-per-partition dispatch (parallelism is worth more than grain
 # there), and existing dispatch-count expectations stay exact.
 _MIN_COALESCED_CHUNKS = 8
-
-_TARGET_OFF_TOKENS = frozenset({"off", "none", "0", "disabled"})
-
-_OFF_VALUES = frozenset({"off", "0", "false", "no"})
-_ON_VALUES = frozenset({"on", "1", "true", "yes"})
-
-
-def resolve_fusion(flag: bool | None = None) -> bool:
-    """Resolve the fusion switch: explicit argument > env var > on."""
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(FUSION_ENV_VAR)
-    if raw is None:
-        return True
-    value = raw.strip().lower()
-    if value in _OFF_VALUES:
-        return False
-    if value in _ON_VALUES or value == "":
-        return True
-    raise ValueError(
-        f"{FUSION_ENV_VAR} must be one of "
-        f"{sorted(_ON_VALUES | _OFF_VALUES)}, got {raw!r}"
-    )
-
-
-def resolve_target_partition_bytes(value: int | str | None = None) -> int:
-    """Resolve the coalescing grain: explicit argument > the
-    ``REPRO_TARGET_PARTITION_BYTES`` env var > 4 MiB.  Accepts byte
-    counts or human sizes (``"256KB"``); ``0`` / ``"off"`` / ``"none"``
-    disables coalescing."""
-    from repro.engine.storage import parse_size
-
-    if value is None:
-        raw = os.environ.get(TARGET_PARTITION_BYTES_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_TARGET_PARTITION_BYTES
-        value = raw
-    if isinstance(value, str):
-        if value.strip().lower() in _TARGET_OFF_TOKENS:
-            return 0
-        value = parse_size(value)
-    target = int(value)
-    if target < 0:
-        raise ValueError(
-            f"target_partition_bytes must be >= 0 (0 = off), got {target}"
-        )
-    return target
-
 
 # Monotone ids give pending ops a global creation order; stages are
 # recorded in that order at force time, matching the call order the

@@ -67,6 +67,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.engine.partitioner import split_count
 from repro.engine.plan import PendingOp, Pipe, fuse_and_run
 from repro.engine.storage import BlockId, SpilledBlockHandle, StorageLevel
@@ -75,31 +76,8 @@ from repro.engine.storage.codecs import (
     iter_column_chunks,
     read_arrays,
 )
-from repro.engine.stream import resolve_extsort_chunk_rows
 
-__all__ = ["ArrayRDD", "SHUFFLE_ENV_VAR", "resolve_shuffle"]
-
-SHUFFLE_ENV_VAR = "REPRO_SHUFFLE"
-
-_SHUFFLE_MODES = ("exchange", "extsort")
-
-
-def resolve_shuffle(value: "str | None" = None) -> str:
-    """Resolve the distinct() shuffle strategy: arg > env > 'exchange'."""
-
-    if value is None:
-        value = os.environ.get(SHUFFLE_ENV_VAR)
-        if value is None:
-            return "exchange"
-    name = str(value).strip().lower()
-    if not name:
-        return "exchange"
-    if name not in _SHUFFLE_MODES:
-        raise ValueError(
-            f"unknown shuffle {name!r}; expected one of: "
-            + ", ".join(_SHUFFLE_MODES)
-        )
-    return name
+__all__ = ["ArrayRDD"]
 
 Columns = tuple[np.ndarray, ...]
 
@@ -579,7 +557,7 @@ class ArrayRDD:
         else:
             key_cols = tuple(key_columns)
         shuffle = (
-            resolve_shuffle(shuffle)
+            config.resolve("shuffle", shuffle)
             if shuffle is not None
             else getattr(self._ctx, "shuffle_strategy", "exchange")
         )
@@ -1036,7 +1014,7 @@ def _extsort_shuffle(
     n_src = map_side.n_partitions
     n_cols = map_side.n_columns
     rdd_id = ctx._next_rdd_id()
-    chunk_rows = resolve_extsort_chunk_rows()
+    chunk_rows = config.resolve("extsort_chunk_rows")
     shuffle_id = store.new_shuffle_id()
     seg_writer = store.shuffle_writer()
     if seg_writer.codec == "raw":

@@ -14,8 +14,6 @@ budget semantics and §10 for the codec layer.
 """
 
 from repro.engine.storage.blocks import (
-    MEMORY_BUDGET_ENV_VAR,
-    SPILL_DIR_ENV_VAR,
     BlockId,
     BlockStore,
     BlockWriter,
@@ -24,14 +22,9 @@ from repro.engine.storage.blocks import (
     StorageLevel,
     StorageStats,
     load_block_file,
-    parse_size,
-    resolve_memory_budget,
-    resolve_spill_dir,
     write_block_file,
 )
 from repro.engine.storage.codecs import (
-    BLOCK_CODEC_ENV_VAR,
-    CODEC_CHUNK_BYTES_ENV_VAR,
     CODECS,
     DEFAULT_CODEC,
     BlockCodec,
@@ -40,18 +33,12 @@ from repro.engine.storage.codecs import (
     iter_column_chunks,
     read_block_file,
     read_named_file,
-    resolve_block_codec,
-    resolve_codec_chunk_bytes,
     set_missing_file_resolver,
 )
 
 __all__ = [
-    "BLOCK_CODEC_ENV_VAR",
-    "CODEC_CHUNK_BYTES_ENV_VAR",
     "CODECS",
     "DEFAULT_CODEC",
-    "MEMORY_BUDGET_ENV_VAR",
-    "SPILL_DIR_ENV_VAR",
     "BlockCodec",
     "BlockId",
     "BlockStore",
@@ -64,13 +51,8 @@ __all__ = [
     "get_codec",
     "iter_column_chunks",
     "load_block_file",
-    "parse_size",
     "read_block_file",
     "read_named_file",
-    "resolve_block_codec",
-    "resolve_codec_chunk_bytes",
-    "resolve_memory_budget",
-    "resolve_spill_dir",
     "set_missing_file_resolver",
     "write_block_file",
 ]

@@ -41,7 +41,6 @@ charge zero anchor bytes to ``recovery_recompute_bytes``.
 from __future__ import annotations
 
 import os
-import re
 import shutil
 import tempfile
 import time
@@ -53,85 +52,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.engine.storage.codecs import (
     DEFAULT_CODEC,
     WriteInfo,
     get_codec,
     read_block_file,
-    resolve_block_codec,
 )
 
 Columns = Sequence[np.ndarray]
-
-MEMORY_BUDGET_ENV_VAR = "REPRO_MEMORY_BUDGET"
-SPILL_DIR_ENV_VAR = "REPRO_SPILL_DIR"
-
-_UNLIMITED_TOKENS = {"", "none", "off", "unlimited", "inf"}
-
-_SIZE_RE = re.compile(
-    r"^\s*(?P<number>\d+(?:\.\d+)?)\s*(?P<unit>[kmgt]i?b?|b)?\s*$",
-    re.IGNORECASE,
-)
-
-_SIZE_MULTIPLIERS = {
-    "b": 1,
-    "k": 1024,
-    "m": 1024**2,
-    "g": 1024**3,
-    "t": 1024**4,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human byte size ('8MB', '64MiB', '1.5GB', '4096') to bytes.
-
-    Units are powers of 1024; 'MB' and 'MiB' are synonyms.
-    """
-
-    match = _SIZE_RE.match(text)
-    if match is None:
-        raise ValueError(f"unparseable byte size: {text!r}")
-    number = float(match.group("number"))
-    unit = (match.group("unit") or "b").lower()
-    multiplier = _SIZE_MULTIPLIERS[unit[0]]
-    return int(number * multiplier)
-
-
-def resolve_memory_budget(value: "int | str | None" = None) -> "int | None":
-    """Resolve the memory budget: explicit argument > env var > unlimited.
-
-    Accepts an int (bytes), a human-readable string ('64MB'), or one of
-    the unlimited tokens ('none', 'off', 'unlimited').  Returns None for
-    unlimited.
-    """
-
-    if value is None:
-        value = os.environ.get(MEMORY_BUDGET_ENV_VAR)
-        if value is None:
-            return None
-    if isinstance(value, str):
-        if value.strip().lower() in _UNLIMITED_TOKENS:
-            return None
-        value = parse_size(value)
-    budget = int(value)
-    if budget < 0:
-        raise ValueError(f"memory budget must be >= 0, got {budget}")
-    return budget
-
-
-def resolve_spill_dir(value: "str | os.PathLike | None" = None) -> "str | None":
-    """Resolve the spill directory base: explicit argument > env var > tempdir.
-
-    Returns None to mean "use the system tempdir"; the BlockStore always
-    creates its own uniquely-named session directory under the base.
-    """
-
-    if value is not None:
-        return os.fspath(value)
-    env = os.environ.get(SPILL_DIR_ENV_VAR)
-    if env:
-        return env
-    return None
 
 
 class StorageLevel(Enum):
@@ -411,9 +340,11 @@ class BlockStore:
         spill_dir: "str | os.PathLike | None" = None,
         codec: "str | None" = None,
     ):
-        self.memory_budget_bytes = resolve_memory_budget(memory_budget_bytes)
-        self.codec = resolve_block_codec(codec)
-        self._spill_base = resolve_spill_dir(spill_dir)
+        self.memory_budget_bytes = config.resolve(
+            "memory_budget", memory_budget_bytes
+        )
+        self.codec = config.resolve("block_codec", codec)
+        self._spill_base = config.resolve("spill_dir", spill_dir)
         self._root: "Path | None" = None
         self._blocks: "dict[BlockId, _Entry]" = {}
         self._lru: "OrderedDict[BlockId, None]" = OrderedDict()

@@ -52,13 +52,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import config
+
 Columns = Sequence[np.ndarray]
 
-BLOCK_CODEC_ENV_VAR = "REPRO_BLOCK_CODEC"
-CODEC_CHUNK_BYTES_ENV_VAR = "REPRO_CODEC_CHUNK_BYTES"
-
-DEFAULT_CODEC = "raw"
-DEFAULT_CODEC_CHUNK_BYTES = 1 << 20  # 1 MiB of raw array bytes per chunk
+DEFAULT_CODEC = config.SETTINGS["block_codec"].default
 
 _MAGIC = b"RBLK01"
 _FOOTER_LEN_BYTES = 8
@@ -67,15 +65,11 @@ _TAIL_BYTES = _FOOTER_LEN_BYTES + len(_MAGIC)
 _COMPRESSIONS = ("none", "zlib")
 
 __all__ = [
-    "BLOCK_CODEC_ENV_VAR",
-    "CODEC_CHUNK_BYTES_ENV_VAR",
     "CODECS",
     "DEFAULT_CODEC",
     "BlockCodec",
     "WriteInfo",
     "get_codec",
-    "resolve_block_codec",
-    "resolve_codec_chunk_bytes",
     "array_dtypes",
     "read_arrays",
     "read_block_file",
@@ -83,42 +77,6 @@ __all__ = [
     "iter_column_chunks",
     "set_missing_file_resolver",
 ]
-
-
-def resolve_block_codec(value: "str | None" = None) -> str:
-    """Resolve the codec name: explicit argument > env var > 'raw'."""
-
-    if value is None:
-        value = os.environ.get(BLOCK_CODEC_ENV_VAR)
-        if value is None:
-            return DEFAULT_CODEC
-    name = str(value).strip().lower()
-    if not name:
-        return DEFAULT_CODEC
-    if name not in CODECS:
-        names = ", ".join(sorted(CODECS))
-        raise ValueError(
-            f"unknown block codec {name!r}; expected one of: {names}"
-        )
-    return name
-
-
-def resolve_codec_chunk_bytes(value: "int | str | None" = None) -> int:
-    """Resolve the raw-bytes-per-chunk target for RBLK payload chunks."""
-
-    if value is None:
-        env = os.environ.get(CODEC_CHUNK_BYTES_ENV_VAR)
-        if not env:
-            return DEFAULT_CODEC_CHUNK_BYTES
-        value = env
-    if isinstance(value, str):
-        from repro.engine.storage.blocks import parse_size
-
-        value = parse_size(value)
-    chunk = int(value)
-    if chunk <= 0:
-        raise ValueError(f"codec chunk bytes must be > 0, got {chunk}")
-    return chunk
 
 
 @dataclass(frozen=True)
@@ -466,7 +424,7 @@ class BlockCodec:
 
     def __init__(self, chunk_bytes: "int | None" = None):
         self.chunk_bytes = (
-            resolve_codec_chunk_bytes(chunk_bytes)
+            config.resolve("codec_chunk_bytes", chunk_bytes)
             if chunk_bytes is not None
             else None
         )
@@ -474,7 +432,7 @@ class BlockCodec:
     def _resolved_chunk_bytes(self) -> int:
         if self.chunk_bytes is not None:
             return self.chunk_bytes
-        return resolve_codec_chunk_bytes()
+        return config.resolve("codec_chunk_bytes")
 
     # -- whole-file writes -------------------------------------------
 
@@ -574,7 +532,7 @@ _INSTANCES: "dict[str, BlockCodec]" = {}
 def get_codec(name: "str | None" = None) -> BlockCodec:
     """Resolve + instantiate a codec (instances are stateless, cached)."""
 
-    resolved = resolve_block_codec(name)
+    resolved = config.resolve("block_codec", name)
     codec = _INSTANCES.get(resolved)
     if codec is None:
         codec = CODECS[resolved]()

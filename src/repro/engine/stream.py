@@ -5,13 +5,12 @@ one worker: map tasks emit edges as they are drawn (Yoo & Henderson's
 independent per-worker draws) and the runtime absorbs them in bounded
 buffers.  This module holds the local engine's equivalents:
 
-* :func:`resolve_emit_chunk_rows` — how many rows a streaming generator
-  op yields per chunk (``REPRO_EMIT_CHUNK_ROWS``, default 262144 — 4 MB
-  of int64 edge pairs per chunk);
-* :func:`resolve_extsort_chunk_rows` — run-file chunk granularity of the
-  external-sort shuffle (``REPRO_EXTSORT_CHUNK_ROWS``): the reduce-side
-  k-way merge holds one chunk per run per column, so this bounds reduce
-  memory;
+* the ``emit_chunk_rows`` setting (``REPRO_EMIT_CHUNK_ROWS``) — how many
+  rows a streaming generator op yields per chunk;
+* the ``extsort_chunk_rows`` setting (``REPRO_EXTSORT_CHUNK_ROWS``) —
+  run-file chunk granularity of the external-sort shuffle: the
+  reduce-side k-way merge holds one chunk per run per column, so this
+  bounds reduce memory;
 * :func:`iter_repeat_chunks` — the chunked equivalent of
   ``np.repeat`` over value/count column pairs, bit-identical to the
   unchunked expansion when concatenated.  The random draws happen
@@ -21,54 +20,13 @@ buffers.  This module holds the local engine's equivalents:
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = [
-    "EMIT_CHUNK_ROWS_ENV_VAR",
-    "EXTSORT_CHUNK_ROWS_ENV_VAR",
-    "DEFAULT_EMIT_CHUNK_ROWS",
-    "DEFAULT_EXTSORT_CHUNK_ROWS",
-    "resolve_emit_chunk_rows",
-    "resolve_extsort_chunk_rows",
-    "iter_repeat_chunks",
-]
+from repro import config
 
-EMIT_CHUNK_ROWS_ENV_VAR = "REPRO_EMIT_CHUNK_ROWS"
-EXTSORT_CHUNK_ROWS_ENV_VAR = "REPRO_EXTSORT_CHUNK_ROWS"
-
-DEFAULT_EMIT_CHUNK_ROWS = 262144
-DEFAULT_EXTSORT_CHUNK_ROWS = 65536
-
-
-def _resolve_rows(value: "int | str | None", env_var: str, default: int) -> int:
-    if value is None:
-        env = os.environ.get(env_var)
-        if not env:
-            return default
-        value = env
-    rows = int(value)
-    if rows <= 0:
-        raise ValueError(f"chunk rows must be > 0, got {rows}")
-    return rows
-
-
-def resolve_emit_chunk_rows(value: "int | str | None" = None) -> int:
-    """Rows per streamed generator chunk: argument > env > 262144."""
-
-    return _resolve_rows(
-        value, EMIT_CHUNK_ROWS_ENV_VAR, DEFAULT_EMIT_CHUNK_ROWS
-    )
-
-
-def resolve_extsort_chunk_rows(value: "int | str | None" = None) -> int:
-    """Rows per external-sort run chunk: argument > env > 65536."""
-
-    return _resolve_rows(
-        value, EXTSORT_CHUNK_ROWS_ENV_VAR, DEFAULT_EXTSORT_CHUNK_ROWS
-    )
+__all__ = ["iter_repeat_chunks"]
 
 
 def iter_repeat_chunks(
@@ -87,7 +45,7 @@ def iter_repeat_chunks(
     per growth step through this).
     """
 
-    chunk_rows = resolve_emit_chunk_rows(chunk_rows)
+    chunk_rows = config.resolve("emit_chunk_rows", chunk_rows)
     counts = np.asarray(counts, dtype=np.int64)
     values = tuple(np.asarray(v) for v in values)
     if counts.size == 0:

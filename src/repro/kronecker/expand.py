@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import config
 from repro.kronecker.initiator import InitiatorMatrix
 
 __all__ = [
@@ -114,9 +115,7 @@ def descend_batch_chunks(
     consumers can read the column dtypes.
     """
     if chunk_rows is None:
-        from repro.engine.stream import resolve_emit_chunk_rows
-
-        chunk_rows = resolve_emit_chunk_rows()
+        chunk_rows = config.resolve("emit_chunk_rows")
     if n_edges <= 0:
         yield np.empty(0, np.int64), np.empty(0, np.int64)
         return

@@ -27,7 +27,6 @@ from repro.serve.server import (
     Query,
     QueryServer,
     ServerStats,
-    resolve_query_threads,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "QueryServer",
     "ServerStats",
     "FamilyStats",
-    "resolve_query_threads",
 ]

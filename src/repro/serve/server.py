@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import config
 from repro.graph.property_graph import PropertyGraph
 from repro.queries.edge_queries import EdgeFilter, filter_edges
 from repro.queries.node_queries import (
@@ -56,40 +57,10 @@ __all__ = [
     "QueryServer",
     "ServerStats",
     "FamilyStats",
-    "resolve_query_threads",
-    "resolve_query_cache_size",
-    "QUERY_THREADS_ENV_VAR",
-    "QUERY_CACHE_ENV_VAR",
     "FAMILIES",
 ]
 
-QUERY_THREADS_ENV_VAR = "REPRO_QUERY_THREADS"
-QUERY_CACHE_ENV_VAR = "REPRO_QUERY_CACHE"
-
 FAMILIES = ("node", "edge", "path", "subgraph")
-
-
-def resolve_query_threads(threads: int | None = None) -> int:
-    """Worker threads for batched queries: explicit argument, then the
-    ``REPRO_QUERY_THREADS`` environment variable, then the CPU count."""
-    if threads is None:
-        env = os.environ.get(QUERY_THREADS_ENV_VAR)
-        threads = int(env) if env else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
-def resolve_query_cache_size(cache_size: int | None = None) -> int:
-    """Result-cache capacity (entries): explicit argument, then the
-    ``REPRO_QUERY_CACHE`` environment variable, then 1024.  0 disables
-    caching."""
-    if cache_size is None:
-        env = os.environ.get(QUERY_CACHE_ENV_VAR)
-        cache_size = int(env) if env else 1024
-    if cache_size < 0:
-        raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-    return cache_size
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +291,10 @@ class QueryServer:
         cache_size: int | None = None,
     ) -> None:
         self._snapshot = graph.snapshot()
-        self.threads = resolve_query_threads(threads)
-        self.cache_size = resolve_query_cache_size(cache_size)
+        self.threads = (
+            config.resolve("query_threads", threads) or os.cpu_count() or 1
+        )
+        self.cache_size = config.resolve("query_cache", cache_size)
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()

@@ -16,16 +16,6 @@ Entry points: :class:`StreamPipeline` (library),
 events/sec + backpressure proof).
 """
 
-from repro.stream.config import (
-    DEFAULT_QUEUE_CAPACITY,
-    DEFAULT_WINDOW_SECONDS,
-    STREAM_LATENESS_ENV_VAR,
-    STREAM_QUEUE_ENV_VAR,
-    STREAM_WINDOW_ENV_VAR,
-    resolve_lateness,
-    resolve_queue_capacity,
-    resolve_window_seconds,
-)
 from repro.stream.pipeline import (
     DetectionLatency,
     StreamPipeline,
@@ -53,12 +43,4 @@ __all__ = [
     "StreamStats",
     "StageStats",
     "QueueStats",
-    "resolve_queue_capacity",
-    "resolve_window_seconds",
-    "resolve_lateness",
-    "STREAM_QUEUE_ENV_VAR",
-    "STREAM_WINDOW_ENV_VAR",
-    "STREAM_LATENESS_ENV_VAR",
-    "DEFAULT_QUEUE_CAPACITY",
-    "DEFAULT_WINDOW_SECONDS",
 ]

@@ -37,12 +37,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro import config
 from repro.detect.online import OnlineDetector, TimedDetection
-from repro.stream.config import (
-    resolve_lateness,
-    resolve_queue_capacity,
-    resolve_window_seconds,
-)
 from repro.stream.queues import CLOSE, BoundedQueue, PipelineAborted
 from repro.stream.sources import Batch
 from repro.stream.stages import GraphAccumulator, WindowAssembler
@@ -199,9 +195,9 @@ class StreamPipeline:
     ) -> None:
         self.source = source
         self.detector = detector if detector is not None else OnlineDetector()
-        self.window_seconds = resolve_window_seconds(window_seconds)
-        self.lateness = resolve_lateness(lateness)
-        self.queue_capacity = resolve_queue_capacity(queue_capacity)
+        self.window_seconds = config.resolve("stream_window", window_seconds)
+        self.lateness = config.resolve("stream_lateness", lateness)
+        self.queue_capacity = config.resolve("stream_queue", queue_capacity)
         self.idle_timeout = idle_timeout
         self.max_flow_duration = max_flow_duration
         self.server = server

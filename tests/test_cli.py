@@ -148,6 +148,49 @@ class TestEngineInfo:
         assert "[env REPRO_EXECUTOR]" in out
         assert str(tmp_path) in out
 
+    def test_every_setting_is_printed_with_its_own_source(
+        self, monkeypatch, capsys
+    ):
+        from repro.config import SETTINGS
+
+        for setting in SETTINGS.values():
+            monkeypatch.delenv(setting.env, raising=False)
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "30")
+        monkeypatch.setenv("REPRO_QUERY_CACHE", "16")
+        rc = main(
+            ["engine-info", "--nodes", "1", "--workers", "h:1,h:2",
+             "--lateness", "2"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        for name in SETTINGS:
+            assert re.search(rf"^{name.replace('_', ' ')}\s*: ", out, re.M)
+
+        def row(label, value, source):
+            pattern = rf"^{label}\s*: {value}\s+\[{source}\]$"
+            return re.search(pattern, out, re.M)
+
+        # An explicit flag is a flag even when it repeats the default.
+        assert row("nodes", "1", "flag") and row("cores", "12", "default")
+        # The dual-mode --workers flag is credited to the row it fed.
+        assert row("workers", "h:1, h:2", "flag")
+        assert row("local workers", "CPU count", "default")
+        # The heartbeat pair is reported per variable, on any backend.
+        assert row("heartbeat seconds", "0.5 s", "default")
+        assert row("heartbeat timeout", "30 s", "env REPRO_HEARTBEAT_TIMEOUT")
+        assert row("query cache", "16 entries", "env REPRO_QUERY_CACHE")
+        assert row("stream lateness", "2 s", "flag")
+
+    @pytest.mark.parametrize("text", ["3", "+3", " 3 "])
+    def test_workers_count_feeds_local_workers(self, text, capsys):
+        # Whatever the local_workers row parses is a count; the split is
+        # decided by that parser alone.
+        assert main(["engine-info", "--workers", text]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^local workers\s*: 3\s+\[flag\]$", out, re.M)
+        assert re.search(r"^workers\s*: .*\[(default|env REPRO_WORKERS)\]$",
+                         out, re.M)
+
     def test_cluster_transport_knob_rows(self, monkeypatch, capsys):
         # No daemons needed: the cluster executor connects lazily, and
         # engine-info only resolves knobs.
@@ -159,7 +202,7 @@ class TestEngineInfo:
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "max in-flight" in out and "3 batches/link" in out
+        assert "max inflight" in out and "3 batches/link" in out
         assert "[env REPRO_MAX_INFLIGHT]" in out
         assert re.search(r"wire codec\s*: off\b", out)
         assert "[env REPRO_WIRE_CODEC]" in out
@@ -220,9 +263,9 @@ class TestStream:
         assert rc == 0
         out = capsys.readouterr().out
         # Resolved knobs with their sources, engine-info style.
-        assert "window         : 4 s" in out and "[flag]" in out
-        assert "lateness       : auto" in out and "[default]" in out
-        assert "queue capacity : 4" in out
+        assert re.search(r"stream window\s*: 4 s\s+\[flag\]", out)
+        assert re.search(r"stream lateness\s*: auto\s+\[default\]", out)
+        assert re.search(r"stream queue\s*: 4\s+\[flag\]", out)
         # The StreamStats block and the detection report.
         assert "events/sec" in out
         assert "queue source→assembly" in out
@@ -242,8 +285,9 @@ class TestStream:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "window         : 2.5 s" in out
-        assert "[env REPRO_STREAM_WINDOW]" in out
+        assert re.search(
+            r"stream window\s*: 2.5 s\s+\[env REPRO_STREAM_WINDOW\]", out
+        )
 
     def test_replay_npz(self, tmp_path, capsys):
         from repro.core.pipeline import packets_from

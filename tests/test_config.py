@@ -1,0 +1,323 @@
+"""``repro.config``: the one settings table, driven row by row.
+
+Every test below is parametrised over ``SETTINGS`` so a new row is
+covered the moment it is declared, and a frozen expectation pins that
+the table still holds exactly the knobs (names, flags, keywords,
+defaults) the program shipped with.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro import config
+from repro.config import SETTINGS
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
+
+# env -> (flag, constructor keyword, default): the 26 knobs, frozen.
+EXPECTED = {
+    "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
+    "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
+    "REPRO_WORKERS": ("--workers", "workers", None),
+    "REPRO_HEARTBEAT_SECONDS": (None, "heartbeat_interval", 0.5),
+    "REPRO_HEARTBEAT_TIMEOUT": (None, "heartbeat_timeout", 15.0),
+    "REPRO_MAX_INFLIGHT": (None, "max_inflight", 2),
+    "REPRO_WIRE_CODEC": (None, "wire_codec", "zlib"),
+    "REPRO_FETCH_PREFETCH": (None, "fetch_prefetch", 0),
+    "REPRO_TARGET_PARTITION_BYTES": (
+        "--target-partition-bytes", "target_partition_bytes", 4 << 20
+    ),
+    "REPRO_TASK_BATCH": ("--task-batch", "task_batch", 0),
+    "REPRO_FUSION": ("--no-fusion", "fusion", True),
+    "REPRO_FAULTS": ("--faults", "fault_plan", None),
+    "REPRO_MAX_TASK_RETRIES": ("--max-task-retries", "max_task_retries", 3),
+    "REPRO_SPECULATION": ("--speculation", "speculation", False),
+    "REPRO_MEMORY_BUDGET": ("--memory-budget", "memory_budget_bytes", None),
+    "REPRO_SPILL_DIR": ("--spill-dir", "spill_dir", None),
+    "REPRO_BLOCK_CODEC": ("--block-codec", "block_codec", "raw"),
+    "REPRO_SHUFFLE": ("--shuffle", "shuffle", "exchange"),
+    "REPRO_EMIT_CHUNK_ROWS": (None, None, 262144),
+    "REPRO_EXTSORT_CHUNK_ROWS": (None, None, 65536),
+    "REPRO_CODEC_CHUNK_BYTES": (None, None, 1 << 20),
+    "REPRO_QUERY_THREADS": ("--threads", "threads", None),
+    "REPRO_QUERY_CACHE": ("--cache-size", "cache_size", 1024),
+    "REPRO_STREAM_QUEUE": ("--queue-capacity", "queue_capacity", 8),
+    "REPRO_STREAM_WINDOW": ("--window", "window_seconds", 5.0),
+    "REPRO_STREAM_LATENESS": ("--lateness", "lateness", None),
+}
+
+# name -> (env text, its value, explicit argument, its value, rejected
+# values).  The env and argument values differ from each other and from
+# the default, so precedence is observable.
+CASES = {
+    "executor": ("threads", "threads", "POOL", "pool", ["processes", "bogus"]),
+    "local_workers": ("3", 3, 5, 5, ["lots", "0", -1]),
+    "workers": (
+        "h1:1, unix:/tmp/w.sock", ["h1:1", "unix:/tmp/w.sock"],
+        ["h2:2", " h3:3 "], ["h2:2", "h3:3"],
+        ["not-an-address", "h:port", "h:70000", "unix:"],
+    ),
+    "heartbeat_seconds": ("0.25", 0.25, 2, 2.0, ["soon", "0", -1]),
+    "heartbeat_timeout": ("30", 30.0, 1.5, 1.5, ["never", "0", -2.0]),
+    "max_inflight": ("3", 3, 5, 5, ["nope", "0", -1]),
+    "wire_codec": ("none", "off", "ZLIB", "zlib", ["snappy", "lzma"]),
+    "fetch_prefetch": ("4", 4, 2, 2, ["abc", "-1"]),
+    "target_partition_bytes": (
+        "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1]
+    ),
+    "task_batch": ("5", 5, 2, 2, ["abc", "-3"]),
+    "fusion": ("off", False, True, True, ["maybe"]),
+    "faults": (
+        '{"seed": 4, "p_kill": 0.2}', {"seed": 4, "p_kill": 0.2},
+        {"seed": 3}, {"seed": 3},
+        ["{broken", "[1, 2]"],
+    ),
+    "max_task_retries": ("7", 7, 0, 0, ["many", "-1"]),
+    "speculation": ("YES", True, False, False, ["maybe"]),
+    "memory_budget": ("8MB", 8 << 20, "none", None, ["abc", "8 peta", -1]),
+    "spill_dir": ("/tmp/env-spill", "/tmp/env-spill",
+                  Path("/tmp/arg-spill"), "/tmp/arg-spill", []),
+    "block_codec": ("mmap", "mmap", "ZLIB", "zlib", ["lzma", "gzip"]),
+    "shuffle": ("extsort", "extsort", "exchange", "exchange",
+                ["collect", "teleport"]),
+    "emit_chunk_rows": ("1000", 1000, 7, 7, ["abc", "0"]),
+    "extsort_chunk_rows": ("512", 512, 9, 9, ["abc", "-4"]),
+    "codec_chunk_bytes": ("64KB", 65536, 4096, 4096, ["abc", "0"]),
+    "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
+    "query_cache": ("9", 9, 0, 0, ["abc", "-1"]),
+    "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
+    "stream_window": ("2.5", 2.5, "10", 10.0, ["wide", "0", -1]),
+    "stream_lateness": ("1.5", 1.5, "auto", None, ["late", -0.5]),
+}
+
+# What an explicit "" argument means for the rows that take one; every
+# other row rejects it.
+EXPLICIT_BLANK = {
+    "workers": [],
+    "memory_budget": None,
+    "spill_dir": "",
+    "block_codec": "raw",
+    "shuffle": "exchange",
+}
+
+NAMES = list(SETTINGS)
+REJECTED = [(name, bad) for name in NAMES for bad in CASES[name][4]]
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    for setting in SETTINGS.values():
+        monkeypatch.delenv(setting.env, raising=False)
+
+
+class TestTable:
+    def test_exactly_the_shipped_knobs(self):
+        assert {
+            s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
+        } == EXPECTED
+        assert set(CASES) == set(SETTINGS)
+        assert all(name == s.name for name, s in SETTINGS.items())
+
+    def test_choice_rows_equal_the_live_sets(self):
+        from repro.engine import CODECS, available_backends
+        from repro.engine.netproto import WIRE_CODECS
+
+        assert SETTINGS["executor"].parse.values == available_backends()
+        assert set(SETTINGS["block_codec"].parse.values) == set(CODECS)
+        assert SETTINGS["wire_codec"].parse.values == WIRE_CODECS
+        assert SETTINGS["shuffle"].parse.values == ("exchange", "extsort")
+
+    def test_kwargs_exist_on_their_constructors(self):
+        from repro.engine import ClusterContext, ClusterExecutor
+        from repro.serve import QueryServer
+        from repro.stream import StreamPipeline
+
+        owners = {
+            "engine": ClusterContext, "cluster": ClusterExecutor,
+            "serve": QueryServer, "stream": StreamPipeline,
+        }
+        assert {c.__name__ for c in owners.values()} == set(
+            config._CONSTRUCTORS.values()
+        )
+        for s in SETTINGS.values():
+            if s.kwarg is not None:
+                assert s.kwarg in inspect.signature(owners[s.layer]).parameters
+
+    def test_config_is_a_leaf(self):
+        tree = ast.parse((SRC / "config.py").read_text())
+        imported = {
+            node.module if isinstance(node, ast.ImportFrom) else a.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names
+        }
+        assert not {m for m in imported if m and m.startswith("repro")}
+
+    def test_only_config_reads_the_environment(self):
+        # launch_worker copies the whole environment for the daemon
+        # subprocess; that is not a configuration read.
+        allowed = {"engine/cluster.py": "launch_worker"}
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel == "config.py":
+                continue
+            tree = ast.parse(path.read_text())
+            skip = _lines_of(tree, allowed[rel]) if rel in allowed else ()
+            for node in ast.walk(tree):
+                reads_env = (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in ("environ", "getenv")
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}
+                )
+                if reads_env and node.lineno not in skip:
+                    offenders.append(f"{rel}:{node.lineno}")
+        assert not offenders
+
+    def test_readme_flags_table_matches_settings(self):
+        readme = (REPO / "README.md").read_text()
+        # Each generated row carries the env name, flag, constructor
+        # keyword, default and help text of one setting.
+        rows = config.flags_table().splitlines()
+        assert len(rows) == 2 + len(SETTINGS)
+        for row in rows:
+            assert row in readme
+
+
+def _lines_of(tree: ast.Module, function: str) -> range:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return range(node.lineno, node.end_lineno + 1)
+    raise AssertionError(f"no function {function!r}")
+
+
+class TestResolve:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_default_when_unset(self, name):
+        assert config.resolve(name) == SETTINGS[name].default
+        assert config.source(name, False) == "default"
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_env_is_unset(self, name, blank, monkeypatch):
+        monkeypatch.setenv(SETTINGS[name].env, blank)
+        assert config.resolve(name) == SETTINGS[name].default
+        assert config.source(name, False) == "default"
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_env_beats_default(self, name, monkeypatch):
+        text, value = CASES[name][:2]
+        monkeypatch.setenv(SETTINGS[name].env, text)
+        assert config.resolve(name) == value != SETTINGS[name].default
+        assert config.source(name, False) == f"env {SETTINGS[name].env}"
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_argument_beats_env(self, name, monkeypatch):
+        text, env_value, arg, arg_value, _ = CASES[name]
+        monkeypatch.setenv(SETTINGS[name].env, text)
+        assert config.resolve(name, arg) == arg_value != env_value
+        assert config.source(name, True) == "flag"
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_explicit_blank_never_reads_the_environment(
+        self, name, monkeypatch
+    ):
+        # Only a blank *environment* value is "unset": REPRO_MEMORY_BUDGET
+        # must not override memory_budget_bytes="".
+        setting = SETTINGS[name]
+        monkeypatch.setenv(setting.env, CASES[name][0])
+        if name in EXPLICIT_BLANK:
+            assert config.resolve(name, "") == EXPLICIT_BLANK[name]
+        else:
+            with pytest.raises(ValueError, match=setting.env):
+                config.resolve(name, "")
+
+    @pytest.mark.parametrize(("name", "bad"), REJECTED)
+    def test_rejection_names_the_variable_and_flag(
+        self, name, bad, monkeypatch
+    ):
+        setting = SETTINGS[name]
+        with pytest.raises(ValueError) as as_argument:
+            config.resolve(name, bad)
+        assert setting.env in str(as_argument.value)
+        assert repr(bad) in str(as_argument.value)
+        if setting.flag:
+            assert setting.flag in str(as_argument.value)
+        if isinstance(bad, str):
+            monkeypatch.setenv(setting.env, bad)
+            with pytest.raises(ValueError, match=setting.env):
+                config.resolve(name)
+
+    def test_parsed_values_resolve_to_themselves(self):
+        """Constructors may be handed an already-resolved value."""
+        for name, (_, value, _, arg_value, _) in CASES.items():
+            for v in (value, arg_value):
+                if v is not None:
+                    assert config.resolve(name, v) == v
+
+
+class TestAddArguments:
+    def _parser(self, names=None):
+        parser = argparse.ArgumentParser(prog="t")
+        config.add_arguments(parser, names)
+        return parser
+
+    def test_flags_default_to_not_given(self):
+        args = self._parser().parse_args([])
+        for s in SETTINGS.values():
+            if s.flag:
+                assert getattr(args, s.dest) is None
+
+    def test_text_is_kept_as_typed(self):
+        args = self._parser().parse_args(
+            ["--memory-budget", "none", "--task-batch", "4",
+             "--no-fusion", "--speculation", "--executor", "pool"]
+        )
+        # "none" must survive to the constructor: resolved here it would
+        # read as "flag not given" and let the environment win.
+        assert args.memory_budget == "none"
+        assert args.task_batch == "4"
+        assert args.no_fusion is False and args.speculation is True
+        assert args.executor == "pool"
+
+    def test_shared_workers_flag_takes_count_or_addresses(self, capsys):
+        parser = self._parser(["local_workers", "workers"])
+        assert parser.parse_args(["--workers", "3"]).workers == "3"
+        assert parser.parse_args(["--workers", "h:1,h:2"]).workers == "h:1,h:2"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--workers", "0"])
+        err = capsys.readouterr().err
+        assert "REPRO_LOCAL_WORKERS" in err and "REPRO_WORKERS" in err
+
+    def test_only_named_settings_get_flags(self):
+        parser = self._parser(["query_threads", "max_inflight"])
+        assert parser.parse_args(["--threads", "2"]).threads == "2"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--cache-size", "1"])
+
+    @pytest.mark.parametrize(
+        ("flag", "bad", "env"),
+        [
+            ("--task-batch", "abc", "REPRO_TASK_BATCH"),
+            ("--memory-budget", "8 peta", "REPRO_MEMORY_BUDGET"),
+            ("--lateness", "late", "REPRO_STREAM_LATENESS"),
+            ("--faults", "{broken", "REPRO_FAULTS"),
+        ],
+    )
+    def test_bad_text_is_an_argparse_error(self, flag, bad, env, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._parser().parse_args([flag, bad])
+        assert exc.value.code == 2
+        assert env in capsys.readouterr().err

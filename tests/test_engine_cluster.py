@@ -26,12 +26,13 @@ import time
 import numpy as np
 import pytest
 
+from repro import config
+from repro.config import parse_address
 from repro.engine import ClusterContext
 from repro.engine.cluster import (
     BlockFetcher,
     ClusterExecutor,
     launch_worker,
-    resolve_cluster_workers,
     shutdown_worker,
     sockets_available,
 )
@@ -41,7 +42,6 @@ from repro.engine.netproto import (
     ProtocolError,
     client_handshake,
     connect,
-    parse_address,
     recv_message,
     send_message,
 )
@@ -104,12 +104,14 @@ class TestNetProto:
             b.close()
 
     def test_resolve_cluster_workers_parsing(self):
-        assert resolve_cluster_workers("h1:1, h2:2") == ["h1:1", "h2:2"]
-        assert resolve_cluster_workers(["h1:1", " h2:2 "]) == ["h1:1", "h2:2"]
+        assert config.resolve("workers", "h1:1, h2:2") == ["h1:1", "h2:2"]
+        assert config.resolve("workers", ["h1:1", " h2:2 "]) == [
+            "h1:1", "h2:2"
+        ]
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_cluster_workers([], required=True)
-        with pytest.raises(ValueError):
-            resolve_cluster_workers("not-an-address")
+            ClusterExecutor([])
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            config.resolve("workers", "not-an-address")
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ encode/decode time change.
 
 Layers covered:
 
-* ``resolve_block_codec`` / ``resolve_shuffle`` /
-  ``resolve_codec_chunk_bytes``: env/argument precedence;
+* the ``block_codec`` / ``shuffle`` / ``codec_chunk_bytes`` /
+  chunk-rows settings: accepted and rejected values;
 * per-codec round-trips over awkward shapes (empty, 0-d, 2-D,
   big-endian, zero columns) plus a Hypothesis sweep over arbitrary
   dtype/shape arrays;
@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,16 +44,11 @@ from hypothesis.extra import numpy as hnp
 from repro.cli import main
 from repro.core import PGPBA, PGSK
 from repro.engine import (
-    BLOCK_CODEC_ENV_VAR,
     CODECS,
     DEFAULT_CODEC,
-    SHUFFLE_ENV_VAR,
     ClusterContext,
     available_backends,
     get_codec,
-    resolve_block_codec,
-    resolve_codec_chunk_bytes,
-    resolve_shuffle,
 )
 from repro.engine.storage.codecs import (
     array_dtypes,
@@ -61,12 +57,7 @@ from repro.engine.storage.codecs import (
     read_block_file,
     read_named_file,
 )
-from repro.engine.stream import (
-    EXTSORT_CHUNK_ROWS_ENV_VAR,
-    iter_repeat_chunks,
-    resolve_emit_chunk_rows,
-    resolve_extsort_chunk_rows,
-)
+from repro.engine.stream import iter_repeat_chunks
 
 BACKENDS = tuple(available_backends())
 CODEC_NAMES = tuple(CODECS)
@@ -85,61 +76,85 @@ def _stage_structure(ctx) -> list:
 
 # ----------------------------------------------------------------------
 class TestResolution:
+    """The codec and shuffle settings as ``get_codec``, the context and
+    the chunk emitter read them (the per-row precedence table is
+    tests/test_config.py)."""
+
     def test_default_is_raw(self, monkeypatch):
-        monkeypatch.delenv(BLOCK_CODEC_ENV_VAR, raising=False)
-        assert resolve_block_codec() == DEFAULT_CODEC == "raw"
+        monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
+        assert get_codec().name == DEFAULT_CODEC == "raw"
 
     def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "zlib")
-        assert resolve_block_codec() == "zlib"
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
+        assert get_codec().name == "zlib"
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "zlib")
-        assert resolve_block_codec("mmap") == "mmap"
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
+        assert get_codec("mmap").name == "mmap"
 
     # "lzma" is a removed codec: rejected like any other unknown name.
     @pytest.mark.parametrize("bad", ["gzip", "snappy", "lzma"])
     def test_unknown_codec_rejected(self, bad):
         with pytest.raises(
-            ValueError, match="unknown block codec.*mmap, raw, zlib"
+            ValueError, match="REPRO_BLOCK_CODEC.*raw, zlib, mmap"
         ):
-            resolve_block_codec(bad)
+            get_codec(bad)
 
     def test_empty_means_unset(self, monkeypatch):
-        # "" mirrors an empty env var: fall through to the default.
-        monkeypatch.delenv(BLOCK_CODEC_ENV_VAR, raising=False)
-        assert resolve_block_codec("") == DEFAULT_CODEC
+        # An explicit "" is the default codec whatever the environment
+        # says; it does not fall through to the variable.
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
+        assert get_codec("").name == DEFAULT_CODEC
+        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
+        with ClusterContext(n_nodes=1, executor="serial", shuffle="") as ctx:
+            assert ctx.shuffle_strategy == "exchange"
 
     def test_unknown_env_codec_rejected(self, monkeypatch):
-        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "brotli")
-        with pytest.raises(ValueError, match="unknown block codec"):
-            resolve_block_codec()
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "brotli")
+        with pytest.raises(ValueError, match="REPRO_BLOCK_CODEC"):
+            get_codec()
 
     def test_shuffle_default_env_arg(self, monkeypatch):
-        monkeypatch.delenv(SHUFFLE_ENV_VAR, raising=False)
-        assert resolve_shuffle() == "exchange"
-        monkeypatch.setenv(SHUFFLE_ENV_VAR, "extsort")
-        assert resolve_shuffle() == "extsort"
-        assert resolve_shuffle("exchange") == "exchange"
-        with pytest.raises(ValueError, match="unknown shuffle"):
-            resolve_shuffle("radix")
+        def strategy(shuffle=None):
+            with ClusterContext(
+                n_nodes=1, executor="serial", shuffle=shuffle
+            ) as ctx:
+                return ctx.shuffle_strategy
+
+        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
+        assert strategy() == "exchange"
+        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
+        assert strategy() == "extsort"
+        assert strategy("exchange") == "exchange"
+        with pytest.raises(ValueError, match="REPRO_SHUFFLE"):
+            strategy("radix")
 
     def test_chunk_bytes_parses_sizes(self, monkeypatch):
-        assert resolve_codec_chunk_bytes("64KB") == 64 * 1024
-        assert resolve_codec_chunk_bytes(4096) == 4096
-        with pytest.raises(ValueError):
-            resolve_codec_chunk_bytes(0)
+        zlib_codec = CODECS["zlib"]
+        assert zlib_codec(chunk_bytes="64KB").chunk_bytes == 64 * 1024
+        assert zlib_codec(chunk_bytes=4096).chunk_bytes == 4096
+        with pytest.raises(ValueError, match="REPRO_CODEC_CHUNK_BYTES"):
+            zlib_codec(chunk_bytes=0)
 
     def test_chunk_rows_resolvers(self, monkeypatch):
-        monkeypatch.setenv(EXTSORT_CHUNK_ROWS_ENV_VAR, "1234")
-        assert resolve_extsort_chunk_rows() == 1234
-        assert resolve_extsort_chunk_rows(77) == 77
-        assert resolve_emit_chunk_rows() == 262144
-        with pytest.raises(ValueError):
-            resolve_extsort_chunk_rows(0)
+        values, counts = np.arange(10), np.full(10, 3)
+
+        def chunk_lengths(**kwargs):
+            return [
+                len(chunk)
+                for (chunk,) in iter_repeat_chunks((values,), counts, **kwargs)
+            ]
+
+        monkeypatch.delenv("REPRO_EMIT_CHUNK_ROWS", raising=False)
+        assert chunk_lengths() == [30]  # default: 262144 rows per chunk
+        monkeypatch.setenv("REPRO_EMIT_CHUNK_ROWS", "12")
+        assert chunk_lengths() == [12, 12, 6]
+        assert chunk_lengths(chunk_rows=20) == [20, 10]
+        with pytest.raises(ValueError, match="REPRO_EMIT_CHUNK_ROWS"):
+            chunk_lengths(chunk_rows=0)
 
     def test_context_rejects_bad_codec(self):
-        with pytest.raises(ValueError, match="unknown block codec"):
+        with pytest.raises(ValueError, match="REPRO_BLOCK_CODEC"):
             ClusterContext(n_nodes=1, block_codec="nope")
 
 
@@ -335,7 +350,7 @@ class TestExternalSortDistinct:
         assert es_stages == ex_stages
 
     def test_env_var_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv(SHUFFLE_ENV_VAR, "extsort")
+        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
         ctx = ClusterContext(n_nodes=2)
         assert ctx.shuffle_strategy == "extsort"
         cols = _dup_columns(500, 31)
@@ -368,7 +383,7 @@ class TestExternalSortDistinct:
         peak.  The backend is pinned serial: tracemalloc only sees
         driver-process allocations, so the comparison is meaningless on
         the process-based backends."""
-        monkeypatch.setenv(EXTSORT_CHUNK_ROWS_ENV_VAR, "1024")
+        monkeypatch.setenv("REPRO_EXTSORT_CHUNK_ROWS", "1024")
         n_parts = 8
         keys_per = 100_000
         rng = np.random.default_rng(5)
@@ -516,12 +531,12 @@ class TestStreamHelpers:
 # ----------------------------------------------------------------------
 class TestEngineInfoCli:
     def test_reports_codec_and_shuffle(self, capsys, monkeypatch):
-        monkeypatch.delenv(BLOCK_CODEC_ENV_VAR, raising=False)
-        monkeypatch.delenv(SHUFFLE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
+        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert "block codec      : raw (*.npz)" in out
-        assert "shuffle          : exchange" in out
+        assert re.search(r"block codec\s*: raw\b", out)
+        assert re.search(r"shuffle\s*: exchange\b", out)
         assert out.count("[default]") >= 2
 
     def test_flag_source(self, capsys):
@@ -530,12 +545,12 @@ class TestEngineInfoCli:
              "--shuffle", "extsort"]
         ) == 0
         out = capsys.readouterr().out
-        assert "zlib (*.blk)" in out
-        assert "extsort" in out
+        assert re.search(r"block codec\s*: zlib\s+\[flag\]", out)
+        assert re.search(r"shuffle\s*: extsort\s+\[flag\]", out)
 
     def test_env_source(self, capsys, monkeypatch):
-        monkeypatch.setenv(BLOCK_CODEC_ENV_VAR, "mmap")
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "mmap")
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert "mmap (*.blk)" in out
-        assert f"[env {BLOCK_CODEC_ENV_VAR}]" in out
+        assert re.search(r"block codec\s*: mmap\b", out)
+        assert "[env REPRO_BLOCK_CODEC]" in out

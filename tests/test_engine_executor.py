@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import PGPBA, PGSK
+from repro import config
 from repro.engine import (
     ClusterContext,
     PoolExecutor,
@@ -20,16 +21,7 @@ from repro.engine import (
     available_backends,
     make_executor,
 )
-from repro.engine.executor import (
-    EXECUTOR_ENV_VAR,
-    WORKERS_ENV_VAR,
-    resolve_backend,
-)
-from repro.engine.rdd import (
-    SHUFFLE_ENV_VAR,
-    _unique_pair_index,
-    resolve_shuffle,
-)
+from repro.engine.rdd import _unique_pair_index
 
 BACKENDS = available_backends()
 
@@ -69,26 +61,25 @@ class TestExecutorBasics:
         for name in ("bogus", "processes"):
             with pytest.raises(ValueError, match=choices):
                 make_executor(name)
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
+        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
         with pytest.raises(ValueError, match=choices):
-            resolve_backend()
+            config.resolve("executor")
         with pytest.raises(ValueError):
             make_executor("serial", 0)
 
     def test_env_var_selection(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        assert resolve_backend() == "serial"
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "threads")
-        assert resolve_backend() == "threads"
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert isinstance(make_executor(), SerialExecutor)
+        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
         # An explicit argument beats the environment.
-        assert resolve_backend("serial") == "serial"
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "3")
         ex = make_executor()
         assert isinstance(ex, ThreadExecutor)
         assert ex.workers == 3
         ex.close()
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
-        with pytest.raises(ValueError):
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "not-a-number")
+        with pytest.raises(ValueError, match="REPRO_LOCAL_WORKERS"):
             make_executor()
 
     def test_context_accepts_instance_and_closes(self):
@@ -213,9 +204,9 @@ class TestExchangeShuffle:
         for mode in ("teleport", "collect"):
             with pytest.raises(ValueError, match="exchange, extsort"):
                 ctx.parallelize([np.arange(4)]).distinct(shuffle=mode)
-        monkeypatch.setenv(SHUFFLE_ENV_VAR, "collect")
+        monkeypatch.setenv("REPRO_SHUFFLE", "collect")
         with pytest.raises(ValueError, match="exchange, extsort"):
-            resolve_shuffle()
+            _ctx("serial")
 
     def test_exchange_balances_partitions(self):
         """The hash spreads contiguous ids over all reducers instead of
@@ -322,7 +313,7 @@ class TestWorkerCountIndependence:
 
 
 @pytest.mark.skipif(
-    os.environ.get(EXECUTOR_ENV_VAR, "") != "",
+    os.environ.get("REPRO_EXECUTOR", "") != "",
     reason="REPRO_EXECUTOR already pinned in this environment",
 )
 class TestDefaultBackend:

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.cli import build_parser
 from repro.core import PGPBA, PGSK
 from repro.engine import (
@@ -50,19 +51,10 @@ from repro.engine import (
 )
 from repro.engine.executor import (
     Executor,
-    WORKERS_ENV_VAR,
     _reap_leaked_children,
-    _resolve_workers,
     default_workers,
 )
-from repro.engine.faults import (
-    FAULTS_ENV_VAR,
-    KILL_EXIT_CODE,
-    RETRIES_ENV_VAR,
-    SPECULATION_ENV_VAR,
-    resolve_max_task_retries,
-    resolve_speculation,
-)
+from repro.engine.faults import KILL_EXIT_CODE
 
 BACKENDS = available_backends()
 
@@ -188,63 +180,65 @@ class TestFaultPlan:
             FaultPlan.from_json("not json at all")
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV_VAR, "  ")
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV_VAR, '{"seed": 4, "p_kill": 0.2}')
-        plan = FaultPlan.from_env()
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert FaultPlan.resolve() is None
+        monkeypatch.setenv("REPRO_FAULTS", "  ")
+        assert FaultPlan.resolve() is None
+        monkeypatch.setenv("REPRO_FAULTS", '{"seed": 4, "p_kill": 0.2}')
+        plan = FaultPlan.resolve()
         assert plan == FaultPlan(seed=4, p_kill=0.2)
-        monkeypatch.setenv(FAULTS_ENV_VAR, "{broken")
-        with pytest.raises(ValueError, match=FAULTS_ENV_VAR):
-            FaultPlan.from_env()
+        monkeypatch.setenv("REPRO_FAULTS", "{broken")
+        with pytest.raises(ValueError, match="REPRO_FAULTS"):
+            FaultPlan.resolve()
 
     def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, '{"seed": 1}')
+        monkeypatch.setenv("REPRO_FAULTS", '{"seed": 1}')
         explicit = FaultPlan(seed=2)
         assert FaultPlan.resolve(explicit) is explicit
         assert FaultPlan.resolve({"seed": 3}) == FaultPlan(seed=3)
         assert FaultPlan.resolve('{"seed": 5}') == FaultPlan(seed=5)
         assert FaultPlan.resolve(None) == FaultPlan(seed=1)
-        monkeypatch.delenv(FAULTS_ENV_VAR)
+        monkeypatch.delenv("REPRO_FAULTS")
         assert FaultPlan.resolve(None) is None
         with pytest.raises(TypeError):
             FaultPlan.resolve(42)
 
 
 class TestKnobResolution:
+    # Through the context; the per-row precedence table is
+    # tests/test_config.py.
     def test_max_task_retries(self, monkeypatch):
-        monkeypatch.delenv(RETRIES_ENV_VAR, raising=False)
-        assert resolve_max_task_retries() == 3
-        assert resolve_max_task_retries(0) == 0
-        monkeypatch.setenv(RETRIES_ENV_VAR, "7")
-        assert resolve_max_task_retries() == 7
-        assert resolve_max_task_retries(2) == 2  # explicit beats env
-        monkeypatch.setenv(RETRIES_ENV_VAR, "many")
+        monkeypatch.delenv("REPRO_MAX_TASK_RETRIES", raising=False)
+        assert _ctx().max_task_retries == 3
+        assert _ctx(max_task_retries=0).max_task_retries == 0
+        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "7")
+        assert _ctx().max_task_retries == 7
+        assert _ctx(max_task_retries=2).max_task_retries == 2
+        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "many")
         with pytest.raises(ValueError, match="'many'"):
-            resolve_max_task_retries()
-        with pytest.raises(ValueError):
-            resolve_max_task_retries(-1)
+            _ctx()
+        with pytest.raises(ValueError, match="REPRO_MAX_TASK_RETRIES"):
+            _ctx(max_task_retries=-1)
 
     def test_speculation(self, monkeypatch):
-        monkeypatch.delenv(SPECULATION_ENV_VAR, raising=False)
-        assert resolve_speculation() is False
-        assert resolve_speculation(True) is True
+        monkeypatch.delenv("REPRO_SPECULATION", raising=False)
+        assert _ctx().speculation is None
+        assert isinstance(_ctx(speculation=True).speculation, SpeculationPolicy)
         for value in ("on", "1", "true", "YES"):
-            monkeypatch.setenv(SPECULATION_ENV_VAR, value)
-            assert resolve_speculation() is True
+            monkeypatch.setenv("REPRO_SPECULATION", value)
+            assert isinstance(_ctx().speculation, SpeculationPolicy)
         for value in ("off", "0", "false", "no", ""):
-            monkeypatch.setenv(SPECULATION_ENV_VAR, value)
-            assert resolve_speculation() is False
-        monkeypatch.setenv(SPECULATION_ENV_VAR, "maybe")
+            monkeypatch.setenv("REPRO_SPECULATION", value)
+            assert _ctx().speculation is None
+        monkeypatch.setenv("REPRO_SPECULATION", "maybe")
         with pytest.raises(ValueError, match="'maybe'"):
-            resolve_speculation()
-        assert resolve_speculation(False) is False  # explicit beats env
+            _ctx()
+        assert _ctx(speculation=False).speculation is None  # explicit beats env
 
     def test_context_env_wiring(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, '{"seed": 6, "p_exception": 0.1}')
-        monkeypatch.setenv(RETRIES_ENV_VAR, "5")
-        monkeypatch.setenv(SPECULATION_ENV_VAR, "on")
+        monkeypatch.setenv("REPRO_FAULTS", '{"seed": 6, "p_exception": 0.1}')
+        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
+        monkeypatch.setenv("REPRO_SPECULATION", "on")
         ctx = ClusterContext(n_nodes=1)
         assert ctx.fault_plan == FaultPlan(seed=6, p_exception=0.1)
         assert ctx.max_task_retries == 5
@@ -499,16 +493,16 @@ class TestExecutorLifecycle:
         assert not any(proc.is_alive() for proc in procs)
 
     def test_resolve_workers_reports_offender(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "lots")
         with pytest.raises(ValueError, match="'lots'"):
-            _resolve_workers(None)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
+            make_executor("threads")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "0")
         with pytest.raises(ValueError, match="'0'"):
-            _resolve_workers(None)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "   ")
-        assert _resolve_workers(None) is None
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        assert _resolve_workers(4) == 4
+            make_executor("threads")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "   ")
+        assert make_executor("threads").workers == default_workers()
+        monkeypatch.delenv("REPRO_LOCAL_WORKERS")
+        assert make_executor("threads", 4).workers == 4
         assert make_executor("serial").workers == default_workers()
 
     def test_subclass_overriding_run_gets_outcomes_for_free(self):
@@ -625,7 +619,7 @@ class TestZeroFaultByteIdentity:
         """A zero fault plan is observationally absent: same datasets,
         same simulated series, zero recovery counters — the guard that
         the injection layer costs nothing when disarmed."""
-        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         explicit, ctx_explicit = _pipeline_run("serial", ZERO_PLAN)
         absent, ctx_absent = _pipeline_run("serial", None)
         assert ctx_absent.fault_plan is None
@@ -681,7 +675,7 @@ class TestCliFlags:
         assert FaultPlan.resolve(args.faults) == FaultPlan(
             seed=1, p_exception=0.1
         )
-        assert args.max_task_retries == 5
+        assert config.resolve("max_task_retries", args.max_task_retries) == 5
         assert args.speculation is True
 
     def test_generate_fault_flags_default_to_env(self):

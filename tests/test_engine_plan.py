@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import PGPBA, PGSK
-from repro.engine import ClusterContext, FUSION_ENV_VAR, resolve_fusion
+from repro.engine import ClusterContext
 from repro.engine.executor import SerialExecutor
 from repro.engine.faults import FaultPlan
 
@@ -63,45 +63,55 @@ def digest(arrays) -> str:
 
 
 # ----------------------------------------------------------------------
-# resolve_fusion / knobs
+# the fusion switch
 # ----------------------------------------------------------------------
 class TestResolveFusion:
+    """The fusion switch as the context reads it (the per-row
+    precedence table is tests/test_config.py)."""
+
+    @staticmethod
+    def _fusion(**kwargs) -> bool:
+        with ClusterContext(executor="serial", **kwargs) as ctx:
+            return ctx.fusion_enabled
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        assert resolve_fusion(None) is True
+        monkeypatch.delenv("REPRO_FUSION", raising=False)
+        assert self._fusion() is True
 
     @pytest.mark.parametrize("value", ["off", "0", "false", "no", "OFF"])
     def test_env_off(self, monkeypatch, value):
-        monkeypatch.setenv(FUSION_ENV_VAR, value)
-        assert resolve_fusion(None) is False
+        monkeypatch.setenv("REPRO_FUSION", value)
+        assert self._fusion() is False
 
     @pytest.mark.parametrize("value", ["on", "1", "true", "yes", ""])
     def test_env_on(self, monkeypatch, value):
-        monkeypatch.setenv(FUSION_ENV_VAR, value)
-        assert resolve_fusion(None) is True
+        monkeypatch.setenv("REPRO_FUSION", value)
+        assert self._fusion() is True
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "off")
-        assert resolve_fusion(True) is True
-        monkeypatch.setenv(FUSION_ENV_VAR, "on")
-        assert resolve_fusion(False) is False
+        monkeypatch.setenv("REPRO_FUSION", "off")
+        assert self._fusion(fusion=True) is True
+        monkeypatch.setenv("REPRO_FUSION", "on")
+        assert self._fusion(fusion=False) is False
 
     def test_bad_value_raises(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "maybe")
+        monkeypatch.setenv("REPRO_FUSION", "maybe")
         with pytest.raises(ValueError, match="REPRO_FUSION"):
-            resolve_fusion(None)
+            ClusterContext()
 
     def test_context_flag(self):
         with ClusterContext(fusion=False) as ctx:
             assert ctx.fusion_enabled is False
 
     def test_cli_flag_wires_through(self):
-        from repro.cli import build_parser
+        from repro.cli import _flag_values, build_parser
 
         args = build_parser().parse_args(
             ["generate", "x.pcap", "--edges", "10", "--no-fusion"]
         )
-        assert args.no_fusion is True
+        assert _flag_values(args)["fusion"] is False
+        args = build_parser().parse_args(["generate", "x.pcap", "--edges", "10"])
+        assert _flag_values(args)["fusion"] is None
 
 
 # ----------------------------------------------------------------------

@@ -29,16 +29,11 @@ import pytest
 from repro.core import PGPBA, PGSK
 from repro.engine import (
     ClusterContext,
-    DEFAULT_TARGET_PARTITION_BYTES,
     FaultPlan,
     PoolExecutor,
     RecoveryStats,
     SpeculationPolicy,
-    TARGET_PARTITION_BYTES_ENV_VAR,
-    TASK_BATCH_ENV_VAR,
     make_executor,
-    resolve_target_partition_bytes,
-    resolve_task_batch,
     run_with_recovery,
 )
 from repro.engine.partitioner import chunk_weights, split_array
@@ -108,48 +103,48 @@ class TestChunkWeights:
 # Knob resolution: flag > env > default
 # ----------------------------------------------------------------------
 class TestKnobResolution:
+    # Through the constructors; the per-row precedence table is
+    # tests/test_config.py.
     def test_target_partition_bytes_default(self, monkeypatch):
-        monkeypatch.delenv(TARGET_PARTITION_BYTES_ENV_VAR, raising=False)
-        assert (
-            resolve_target_partition_bytes()
-            == DEFAULT_TARGET_PARTITION_BYTES
-        )
+        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
+        assert _ctx().target_partition_bytes == 4 << 20
 
     def test_target_partition_bytes_env_and_arg(self, monkeypatch):
-        monkeypatch.setenv(TARGET_PARTITION_BYTES_ENV_VAR, "256KB")
-        assert resolve_target_partition_bytes() == 256 * 1024
+        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "256KB")
+        assert _ctx().target_partition_bytes == 256 * 1024
         # An explicit argument beats the environment.
-        assert resolve_target_partition_bytes("1MB") == 1 << 20
-        assert resolve_target_partition_bytes(4096) == 4096
+        for arg, expected in (("1MB", 1 << 20), (4096, 4096)):
+            ctx = _ctx(target_partition_bytes=arg)
+            assert ctx.target_partition_bytes == expected
 
     @pytest.mark.parametrize("token", ["off", "none", "0", "disabled"])
     def test_off_tokens_disable(self, token):
-        assert resolve_target_partition_bytes(token) == 0
+        assert _ctx(target_partition_bytes=token).target_partition_bytes == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_target_partition_bytes(-1)
+        with pytest.raises(ValueError, match="REPRO_TARGET_PARTITION_BYTES"):
+            _ctx(target_partition_bytes=-1)
 
     def test_task_batch_resolution(self, monkeypatch):
-        monkeypatch.delenv(TASK_BATCH_ENV_VAR, raising=False)
-        assert resolve_task_batch() == 0
-        monkeypatch.setenv(TASK_BATCH_ENV_VAR, "5")
-        assert resolve_task_batch() == 5
-        assert resolve_task_batch(2) == 2
-        monkeypatch.setenv(TASK_BATCH_ENV_VAR, "-3")
-        with pytest.raises(ValueError):
-            resolve_task_batch()
+        monkeypatch.delenv("REPRO_TASK_BATCH", raising=False)
+        assert PoolExecutor(2).task_batch == 0
+        monkeypatch.setenv("REPRO_TASK_BATCH", "5")
+        assert PoolExecutor(2).task_batch == 5
+        assert PoolExecutor(2, task_batch=2).task_batch == 2
+        monkeypatch.setenv("REPRO_TASK_BATCH", "-3")
+        with pytest.raises(ValueError, match="REPRO_TASK_BATCH"):
+            PoolExecutor(2)
 
     def test_context_threads_the_knobs(self, monkeypatch):
-        monkeypatch.delenv(TARGET_PARTITION_BYTES_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
         with _ctx("serial", target_partition_bytes="64KB") as ctx:
             assert ctx.target_partition_bytes == 64 * 1024
-        monkeypatch.setenv(TARGET_PARTITION_BYTES_ENV_VAR, "off")
+        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "off")
         with _ctx("serial") as ctx:
             assert ctx.target_partition_bytes == 0
 
     def test_make_executor_pool_task_batch(self, monkeypatch):
-        monkeypatch.setenv(TASK_BATCH_ENV_VAR, "3")
+        monkeypatch.setenv("REPRO_TASK_BATCH", "3")
         with make_executor("pool", 2) as ex:
             assert isinstance(ex, PoolExecutor)
             assert ex.task_batch == 3

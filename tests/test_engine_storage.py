@@ -8,7 +8,7 @@ run.  The budget moves bytes between tiers; it never changes results.
 
 Layers covered:
 
-* ``parse_size`` / ``resolve_memory_budget`` / ``resolve_spill_dir``:
+* ``parse_size`` / the ``memory_budget`` and ``spill_dir`` settings:
   the env/argument precedence knobs;
 * ``BlockStore``: put/get round-trips, LRU eviction + transparent
   reload, level semantics (pinned / evictable / stream-through),
@@ -32,19 +32,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.config import parse_size
 from repro.core import PGPBA, PGSK
 from repro.engine import (
     BlockId,
     BlockStore,
     ClusterContext,
     FaultPlan,
-    MEMORY_BUDGET_ENV_VAR,
-    SPILL_DIR_ENV_VAR,
     StorageLevel,
     available_backends,
-    parse_size,
-    resolve_memory_budget,
-    resolve_spill_dir,
 )
 from repro.engine.storage import BlockWriter, SpilledBlockHandle
 from repro.engine.storage.blocks import load_block_file, write_block_file
@@ -90,37 +86,43 @@ class TestParseSize:
 
 
 class TestResolvers:
+    """The store's three settings, read through its constructor (the
+    per-row precedence table is tests/test_config.py)."""
+
     def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "8MB")
-        assert resolve_memory_budget("64MB") == 64 * 2**20
-        assert resolve_memory_budget(4096) == 4096
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
+        assert BlockStore("64MB").memory_budget_bytes == 64 * 2**20
+        assert BlockStore(4096).memory_budget_bytes == 4096
 
     def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "8MB")
-        assert resolve_memory_budget() == 8 * 2**20
-        monkeypatch.delenv(MEMORY_BUDGET_ENV_VAR)
-        assert resolve_memory_budget() is None
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
+        assert BlockStore().memory_budget_bytes == 8 * 2**20
+        monkeypatch.delenv("REPRO_MEMORY_BUDGET")
+        assert BlockStore().memory_budget_bytes is None
 
     @pytest.mark.parametrize("token", ["none", "off", "unlimited", "inf", ""])
-    def test_unlimited_tokens(self, token):
-        assert resolve_memory_budget(token) is None
+    def test_unlimited_tokens(self, token, monkeypatch):
+        # An explicit token, the blank one included, lifts a budget the
+        # environment sets.
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
+        assert BlockStore(token).memory_budget_bytes is None
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_memory_budget(-1)
+        with pytest.raises(ValueError, match="REPRO_MEMORY_BUDGET"):
+            BlockStore(-1)
 
     def test_spill_dir_precedence(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(SPILL_DIR_ENV_VAR, str(tmp_path / "env"))
-        assert resolve_spill_dir(str(tmp_path / "arg")) == str(
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "env"))
+        assert BlockStore(spill_dir=tmp_path / "arg").spill_base == str(
             tmp_path / "arg"
         )
-        assert resolve_spill_dir() == str(tmp_path / "env")
-        monkeypatch.delenv(SPILL_DIR_ENV_VAR)
-        assert resolve_spill_dir() is None
+        assert BlockStore().spill_base == str(tmp_path / "env")
+        monkeypatch.delenv("REPRO_SPILL_DIR")
+        assert BlockStore().spill_base is None
 
     def test_context_reads_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "1kb")
-        monkeypatch.setenv(SPILL_DIR_ENV_VAR, str(tmp_path / "spills"))
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1kb")
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "spills"))
         with ClusterContext(n_nodes=1) as ctx:
             assert ctx.storage.memory_budget_bytes == 1024
             assert ctx.storage.spill_base == str(tmp_path / "spills")

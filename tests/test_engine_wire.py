@@ -36,13 +36,10 @@ from repro.engine.cluster import (
     BlockFetcher,
     launch_worker,
     predict_next_segments,
-    resolve_fetch_prefetch,
     shutdown_worker,
     sockets_available,
 )
 from repro.engine.netproto import (
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_WIRE_CODEC,
     PROTOCOL_VERSION,
     WIRE_COMPRESS_MIN_BYTES,
     ProtocolError,
@@ -50,8 +47,6 @@ from repro.engine.netproto import (
     build_frame,
     negotiate_wire_codec,
     recv_message,
-    resolve_max_inflight,
-    resolve_wire_codec,
     send_message,
 )
 
@@ -159,38 +154,24 @@ class TestWireCompression:
 # Knob resolution + handshake negotiation
 # ----------------------------------------------------------------------
 class TestKnobResolution:
-    def test_max_inflight(self, monkeypatch):
-        assert resolve_max_inflight(None) == DEFAULT_MAX_INFLIGHT
-        assert resolve_max_inflight(5) == 5
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
-        assert resolve_max_inflight(None) == 3
-        with pytest.raises(ValueError):
-            resolve_max_inflight(0)
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "nope")
-        with pytest.raises(ValueError):
-            resolve_max_inflight(None)
-
     def test_wire_codec(self, monkeypatch):
-        assert resolve_wire_codec(None) == DEFAULT_WIRE_CODEC
-        assert resolve_wire_codec("off") == "off"
-        assert resolve_wire_codec("none") == "off"
-        assert resolve_wire_codec("ZLIB") == "zlib"
+        # As a fetcher reads it (no connection is made at construction).
+        def codec(wire_codec=None):
+            return BlockFetcher([], wire_codec=wire_codec).wire_codec
+
+        monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
+        assert codec() == "zlib"
+        assert codec("off") == "off"
+        assert codec("none") == "off"
+        assert codec("ZLIB") == "zlib"
         monkeypatch.setenv("REPRO_WIRE_CODEC", "off")
-        assert resolve_wire_codec(None) == "off"
+        assert codec() == "off"
         # "lzma" was a wire codec in earlier builds.
         for bad in ("snappy", "lzma"):
             with pytest.raises(
-                ValueError, match="REPRO_WIRE_CODEC must be one of off/zlib"
+                ValueError, match="REPRO_WIRE_CODEC must be one of off, zlib"
             ):
-                resolve_wire_codec(bad)
-
-    def test_fetch_prefetch(self, monkeypatch):
-        assert resolve_fetch_prefetch(None) == 0
-        assert resolve_fetch_prefetch(2) == 2
-        monkeypatch.setenv("REPRO_FETCH_PREFETCH", "4")
-        assert resolve_fetch_prefetch(None) == 4
-        with pytest.raises(ValueError):
-            resolve_fetch_prefetch(-1)
+                codec(bad)
 
     def test_negotiate_falls_back_to_off(self):
         assert negotiate_wire_codec("zlib") == "zlib"

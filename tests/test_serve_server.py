@@ -9,13 +9,7 @@ from repro.graph import PropertyGraph
 from repro.queries import QueryWorkload
 from repro.queries.subgraph_queries import PairAggregate
 from repro.serve import Query, QueryServer
-from repro.serve.server import (
-    _OPS,
-    QUERY_CACHE_ENV_VAR,
-    QUERY_THREADS_ENV_VAR,
-    resolve_query_cache_size,
-    resolve_query_threads,
-)
+from repro.serve.server import _OPS
 
 from tests.test_serve import random_graph
 
@@ -241,20 +235,22 @@ class TestServerStats:
         assert "node" not in stats.summary()
 
     def test_resolve_env_vars(self, monkeypatch):
-        monkeypatch.delenv(QUERY_THREADS_ENV_VAR, raising=False)
-        monkeypatch.delenv(QUERY_CACHE_ENV_VAR, raising=False)
-        assert resolve_query_threads(3) == 3
-        assert resolve_query_threads() >= 1
-        assert resolve_query_cache_size() == 1024
-        monkeypatch.setenv(QUERY_THREADS_ENV_VAR, "7")
-        monkeypatch.setenv(QUERY_CACHE_ENV_VAR, "9")
-        assert resolve_query_threads() == 7
-        assert resolve_query_cache_size() == 9
-        assert resolve_query_cache_size(0) == 0
-        with pytest.raises(ValueError):
-            resolve_query_threads(0)
-        with pytest.raises(ValueError):
-            resolve_query_cache_size(-1)
+        g = random_graph(40)
+        monkeypatch.delenv("REPRO_QUERY_THREADS", raising=False)
+        monkeypatch.delenv("REPRO_QUERY_CACHE", raising=False)
+        server = QueryServer(g)
+        assert server.threads >= 1  # the CPU count
+        assert server.cache_size == 1024
+        monkeypatch.setenv("REPRO_QUERY_THREADS", "7")
+        monkeypatch.setenv("REPRO_QUERY_CACHE", "9")
+        server = QueryServer(g)
+        assert (server.threads, server.cache_size) == (7, 9)
+        server = QueryServer(g, threads=3, cache_size=0)
+        assert (server.threads, server.cache_size) == (3, 0)
+        with pytest.raises(ValueError, match="REPRO_QUERY_THREADS"):
+            QueryServer(g, threads=0)
+        with pytest.raises(ValueError, match="REPRO_QUERY_CACHE"):
+            QueryServer(g, cache_size=-1)
 
 
 class TestWorkloadBridge:

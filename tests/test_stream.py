@@ -24,9 +24,6 @@ from repro.stream import (
     StreamPipeline,
     TraceSource,
     WindowAssembler,
-    resolve_lateness,
-    resolve_queue_capacity,
-    resolve_window_seconds,
 )
 from repro.stream.queues import CLOSE
 from repro.trace import attacks
@@ -66,41 +63,30 @@ def record(start, src=1, dst=2, sport=1000, dport=80):
 
 # ----------------------------------------------------------------------
 class TestConfig:
-    def test_defaults(self, monkeypatch):
-        for var in ("REPRO_STREAM_QUEUE", "REPRO_STREAM_WINDOW",
-                    "REPRO_STREAM_LATENESS"):
-            monkeypatch.delenv(var, raising=False)
-        assert resolve_queue_capacity(None) == 8
-        assert resolve_window_seconds(None) == 5.0
-        assert resolve_lateness(None) is None
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_QUEUE", "3")
-        monkeypatch.setenv("REPRO_STREAM_WINDOW", "2.5")
-        monkeypatch.setenv("REPRO_STREAM_LATENESS", "1.5")
-        assert resolve_queue_capacity(None) == 3
-        assert resolve_window_seconds(None) == 2.5
-        assert resolve_lateness(None) == 1.5
-
     def test_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM_QUEUE", "3")
         monkeypatch.setenv("REPRO_STREAM_WINDOW", "2.5")
         monkeypatch.setenv("REPRO_STREAM_LATENESS", "1.5")
-        assert resolve_queue_capacity(16) == 16
-        assert resolve_window_seconds("10") == 10.0
-        assert resolve_lateness("auto") is None
-        assert resolve_lateness(0) == 0.0
+        source = make_source(duration=1.0)
+        pipeline = StreamPipeline(
+            source, queue_capacity=16, window_seconds="10", lateness=0
+        )
+        assert pipeline.queue_capacity == 16
+        assert pipeline.window_seconds == 10.0
+        assert pipeline.lateness == 0.0
+        assert StreamPipeline(source, lateness="auto").lateness is None
 
     def test_invalid_values(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_queue_capacity(0)
-        with pytest.raises(ValueError):
-            resolve_window_seconds(-1)
-        with pytest.raises(ValueError):
-            resolve_lateness(-0.5)
+        source = make_source(duration=1.0)
+        with pytest.raises(ValueError, match="REPRO_STREAM_QUEUE"):
+            StreamPipeline(source, queue_capacity=0)
+        with pytest.raises(ValueError, match="REPRO_STREAM_WINDOW"):
+            StreamPipeline(source, window_seconds=-1)
+        with pytest.raises(ValueError, match="REPRO_STREAM_LATENESS"):
+            StreamPipeline(source, lateness=-0.5)
         monkeypatch.setenv("REPRO_STREAM_QUEUE", "zero")
-        with pytest.raises(ValueError):
-            resolve_queue_capacity(None)
+        with pytest.raises(ValueError, match="REPRO_STREAM_QUEUE"):
+            StreamPipeline(source)
 
 
 # ----------------------------------------------------------------------
