@@ -1,34 +1,31 @@
 """Multi-host "cluster" executor: socket worker daemons + remote blocks.
 
-This is the pool backend promoted to sockets (ROADMAP item 1, DESIGN.md
+The socket transport under the engine's one dispatcher (DESIGN.md §9,
 §12).  Three pieces:
 
 :class:`WorkerDaemon` / ``repro worker --listen <addr>``
     A standalone asyncio server.  Each driver connection handshakes
     (protocol version + session config) and gets a private *task child*
-    — a process forked to run the pool backend's
-    :func:`~repro.engine.executor._pool_worker_main` loop verbatim, so
-    task semantics (in-order execution, arena result transport,
-    ``os._exit`` on injected kills) are identical to the pool.  The
-    daemon's event loop bridges socket frames to the child's pipe and
-    keeps answering heartbeat pings while the child computes, so a slow
-    task never looks like a dead worker.  Fetch connections serve
-    spill/shuffle blocks by file name to peers (see below).
+    — a :class:`~repro.engine.executor._PipeChild` running the pool
+    backend's :func:`~repro.engine.executor._pool_worker_main` loop
+    verbatim, so task semantics (in-order execution, arena result
+    transport, ``os._exit`` on injected kills) are identical to the
+    pool.  The daemon's event loop bridges socket frames to the child's
+    pipe and keeps answering heartbeat pings while the child computes,
+    so a slow task never looks like a dead worker.  Fetch connections
+    serve spill/shuffle blocks by file name to peers (see below).
 
 :class:`ClusterExecutor` (``ClusterContext(executor="cluster",
 workers=[...])`` / ``REPRO_WORKERS`` / ``--workers``)
-    The driver side: connects to each daemon, ships the existing
-    ``("run", blob, ...)`` cloudpickle batches as length-prefixed frames
-    with large array buffers out-of-band (pickle protocol 5), and
-    mirrors :class:`~repro.engine.executor.PoolExecutor`'s scheduling:
-    each link holds a bounded window of in-flight batches
-    (``REPRO_MAX_INFLIGHT``), workers report strictly in dispatch
-    order, a death blames the first unreported task with
-    :class:`~repro.engine.executor.WorkerDied` and requeues the rest —
-    so :func:`~repro.engine.executor.run_with_recovery` lineage
-    recomputation and :class:`~repro.engine.faults.FaultPlan` injection
-    coordinates work unchanged.  Peer loss is detected two ways: socket
-    EOF/reset (daemon killed) and heartbeat timeout (daemon hung).
+    The driver side: connects to each daemon and hands the links to
+    :class:`~repro.engine.executor._Dispatcher` as its channels, so
+    scheduling, blame-and-requeue recovery and speculation are the
+    pool's, literally.  A :class:`_Link` adds only what a socket needs:
+    ``("run", blob, epoch)`` cloudpickle batches as length-prefixed
+    frames with large array buffers out-of-band (pickle protocol 5), a
+    bounded window of in-flight batches per link
+    (``REPRO_MAX_INFLIGHT``), and two loss detectors — socket EOF/reset
+    (daemon killed) and heartbeat timeout (daemon hung).
 
 :class:`BlockFetcher`
     The remote tier of the BlockStore: installed via
@@ -62,9 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing as mp
 import os
-import pickle
 import re
 import select
 import socket
@@ -78,18 +73,14 @@ from typing import Any, Callable, Sequence
 
 from ..config import parse_address, resolve
 from .executor import (
-    _ARENA_MIN_BYTES,
-    _Arena,
-    _ArenaReader,
+    _Channel,
     _cloudpickle,
-    _own_tree,
+    _Dispatcher,
+    _dump_out_of_band,
+    _Lost,
+    _PipeChild,
     _pool_worker_main,
-    _unlink_segment_names,
-    Executor,
-    SpeculationPolicy,
     Task,
-    TaskOutcome,
-    WorkerDied,
 )
 from .netproto import (
     PROTOCOL_VERSION,
@@ -571,27 +562,21 @@ class _DriverSession:
     child holds views into batch N's arena until it finishes computing
     N, so recycling a single arena while shipping batch N+1 would
     corrupt N's buffers mid-task.  The handshake's ``max_inflight``
-    sizes a ring of arenas cycled per dispatch — the driver never has
-    more than that many batches outstanding, so by the time a slot
-    comes around again its previous batch has fully replied."""
+    sizes the child's arena ring — the driver never has more than that
+    many batches outstanding."""
 
     def __init__(self, daemon: "WorkerDaemon", config: dict, loop) -> None:
         self.daemon = daemon
         self.loop = loop
         self.queue: asyncio.Queue = asyncio.Queue()
-        window = max(1, min(int(config.get("max_inflight") or 1), 64))
-        self.task_arenas = [_Arena() for _ in range(window)]
-        self._dispatch_seq = 0
+        self.window = max(1, min(int(config.get("max_inflight") or 1), 64))
         # Task-child deaths reported to the driver so far.  A run frame
         # stamped with a lower epoch was dispatched by the driver before
         # it learned of the death — the driver has already requeued those
         # tasks, so executing the frame here would double-run them.
         self.child_deaths = 0
         self.wire_codec = negotiate_wire_codec(config.get("wire_codec"))
-        self.reader = _ArenaReader()
-        self.proc: Any = None
-        self.conn: Any = None
-        self._mp_ctx = mp.get_context("fork")
+        self.child: "_PipeChild | None" = None
         # Install the remote-fetch resolver BEFORE any fork, so task
         # children inherit it: a reduce task that misses a shuffle
         # segment on local disk pulls it from a peer daemon directly.
@@ -612,54 +597,35 @@ class _DriverSession:
             self._had_resolver = True
 
     def _spawn_child(self) -> None:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        parent_conn, child_conn = self._mp_ctx.Pipe(duplex=True)
-        proc = self._mp_ctx.Process(
-            target=_daemon_child_main,
-            args=(
-                child_conn,
-                self.daemon.child_close_fds(),
-                len(self.task_arenas),
-            ),
-            daemon=True,
+        self.child = child = _PipeChild(
+            _daemon_child_main,
+            (self.daemon.child_close_fds(), self.window),
+            self.window,
         )
-        proc.start()
-        child_conn.close()
-        self.proc, self.conn = proc, parent_conn
         self.daemon.children_forked += 1
         threading.Thread(
             target=_pump_child,
-            args=(parent_conn, proc, self.loop, self.queue),
+            args=(child.conn, child.proc, self.loop, self.queue),
             daemon=True,
         ).start()
 
     def dispatch(self, blob: bytes, buffers: Sequence[bytes]) -> None:
         """Forward one ("run", blob)+buffers frame to the task child as
         a pool-protocol batch: out-of-band socket buffers become task
-        arena descriptors the child maps by name.  Arenas come from the
-        in-flight ring — the slot being recycled belongs to a batch the
-        driver has fully collected (see the class docstring).
+        arena descriptors the child maps by name.
 
-        Only a retired child (``proc is None``) triggers a respawn: a
+        Only a retired child (``child is None``) triggers a respawn: a
         child that is dead but not yet reported must NOT be replaced
         here, or a batch the driver still counts against the dead child
         would run on the new one.  Writes to the dead pipe are simply
-        lost — the driver requeues them when the death report lands."""
-        if self.proc is None:
+        lost — the pump thread reports the death and the driver
+        requeues them."""
+        if self.child is None:
             self._spawn_child()
-        arena = self.task_arenas[self._dispatch_seq % len(self.task_arenas)]
-        self._dispatch_seq += 1
-        arena.recycle()
+        arena = self.child.next_arena()
         descriptors = [arena.write(memoryview(buf)) for buf in buffers]
-        try:
-            self.conn.send(("run", blob, descriptors))
+        if self.child.send("run", blob, descriptors):
             self.daemon.batches_dispatched += 1
-        except (OSError, ValueError):
-            # Child died as we wrote; the pump thread reports the death
-            # and the driver requeues this batch.
-            pass
 
     async def pump_replies(self, writer: asyncio.StreamWriter) -> None:
         """Forward child replies to the driver socket.  Result arena
@@ -674,7 +640,7 @@ class _DriverSession:
             if tag == "ok":
                 _tag, key, payload, descriptors, duration = msg
                 buffers = [
-                    bytes(self.reader.view(*descriptor))
+                    bytes(self.child.reader.view(*descriptor))
                     for descriptor in descriptors
                 ]
                 await _a_send_compressed(
@@ -692,29 +658,14 @@ class _DriverSession:
                 await a_send_message(writer, ("died", msg[1]))
 
     def _retire_child(self) -> None:
-        proc, conn = self.proc, self.conn
-        self.proc = self.conn = None
-        if proc is None:
-            return
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - stuck child
-            proc.terminate()
-            proc.join(timeout=5.0)
-        result_segments = list(self.reader.segments)
-        self.reader.close()
-        _unlink_segment_names(result_segments)
-        self.reader = _ArenaReader()
-        if conn is not None:
-            with contextlib.suppress(OSError):
-                conn.close()
+        child, self.child = self.child, None
+        if child is not None:
+            child.retire()
 
     def close(self) -> None:
-        if self.conn is not None:
-            with contextlib.suppress(OSError, ValueError):
-                self.conn.send(("stop",))
+        if self.child is not None:
+            self.child.send("stop")
         self._retire_child()
-        for arena in self.task_arenas:
-            arena.destroy()
         if self._fetcher is not None:
             self._fetcher.close()
         if self._had_resolver:
@@ -935,16 +886,18 @@ class WorkerDaemon:
         async def _dispatch_runs() -> None:
             while True:
                 blob, epoch, entries = await runs.get()
+                if any(codec_id for codec_id, _payload, _raw in entries):
+                    buffers = await asyncio.to_thread(decode_buffers, entries)
+                else:
+                    buffers = [payload for _cid, payload, _raw in entries]
+                # Checked after the await above, not before it: a death
+                # can be reported while a frame inflates.
                 if epoch < session.child_deaths:
                     # Stamped before a death the driver has since been
                     # told about: the driver requeued these tasks, so
                     # running them here would double-execute them (and
                     # desync its strict-order reply accounting).
                     continue
-                if any(codec_id for codec_id, _payload, _raw in entries):
-                    buffers = await asyncio.to_thread(decode_buffers, entries)
-                else:
-                    buffers = [payload for _cid, payload, _raw in entries]
                 session.dispatch(blob, buffers)
 
         dispatcher = asyncio.ensure_future(_dispatch_runs())
@@ -1051,46 +1004,135 @@ def shutdown_worker(spec: str, timeout: float = 5.0) -> bool:
 # Driver side
 # ----------------------------------------------------------------------
 
-class _Link:
-    """Driver-side record of one connected worker daemon."""
+class _Link(_Channel):
+    """The socket channel: one connected worker daemon."""
 
-    __slots__ = (
-        "spec", "sock", "assigned", "batch_sizes", "wire_codec", "epoch",
-        "batch_started", "last_heard", "last_ping",
-    )
-
-    def __init__(self, spec: str, sock: socket.socket) -> None:
+    def __init__(
+        self, executor: "ClusterExecutor", spec: str, sock: socket.socket
+    ) -> None:
+        super().__init__()
+        self.executor = executor
         self.spec = spec
+        self.label = f"cluster worker {spec}"
         self.sock = sock
-        self.assigned: deque = deque()  # of (key, is_backup), dispatch order
-        self.batch_sizes: deque = deque()  # unreported tasks per in-flight batch
         self.wire_codec = "off"  # what the daemon agreed to in hello-ok
         self.epoch = 0  # task-child generation: +1 per ("died", ...) seen
-        self.batch_started = 0.0
+        self.last_heard = self.last_ping = time.monotonic()
+
+    def send(self, entries: "list[tuple[int, Task, bool]]") -> bool:
+        ex = self.executor
+        serialize_started = time.perf_counter()
+        # Serialize/compress time spent while any worker already holds a
+        # batch is overlapped with remote compute — that overlap is the
+        # payoff of pipelined dispatch, metered in overlap_seconds.
+        overlapped = any(other.assigned for other in ex._channels)
+        buffers: list = []  # out-of-band, by the pool arena's policy
+        blob = _dump_out_of_band(
+            [(key, fn) for key, fn, _ in entries], _cloudpickle, buffers.append
+        )
+        send_started = time.perf_counter()
+        try:
+            # The epoch stamps this batch with how many task-child deaths
+            # the driver has processed on this link; the daemon drops any
+            # batch stamped before its own death count, so a batch that
+            # was in flight when the child died (already blamed and
+            # requeued here) can never also run on the replacement child.
+            wire, raw_wire = send_message(
+                self.sock,
+                ("run", blob, self.epoch),
+                buffers,
+                codec=self.wire_codec,
+            )
+        except (OSError, ValueError):
+            return False
+        now = time.perf_counter()
+        ex.transport.serialize_seconds += send_started - serialize_started
+        ex.transport.submit_seconds += now - send_started
+        if overlapped:
+            ex.transport.overlap_seconds += now - serialize_started
+        ex.transport.payload_bytes += len(blob) + sum(
+            buf.nbytes for buf in buffers
+        )
+        ex._meter(wire, raw_wire)
+        if not self.assigned:
+            # Idle links are neither pinged nor heard from, so the
+            # silence clock restarts when work resumes — else any idle
+            # gap longer than heartbeat_timeout reads as a dead daemon.
+            self.last_heard = self.last_ping = time.monotonic()
+        return True
+
+    def waitables(self) -> list:
+        return [self.sock]
+
+    def poll(self) -> "tuple | None":
+        """EOF or a reset mid-read means the daemon is gone; so does a
+        busy link that stays silent past the heartbeat timeout."""
+        ex = self.executor
+        while True:
+            try:
+                readable, _, _ = select.select([self.sock], [], [], 0)
+            except OSError:
+                readable = [self.sock]
+            if not readable:
+                self._heartbeat()
+                return None
+            try:
+                frame = recv_message(self.sock)
+            except (ConnectionError, OSError, ProtocolError) as exc:
+                raise _Lost(f"lost (connection lost: {exc})") from exc
+            if frame is None:
+                raise _Lost("lost (connection closed)")
+            obj, buffers, wire, raw_wire = frame
+            self.last_heard = time.monotonic()
+            ex._meter(wire, raw_wire)
+            tag = obj[0]
+            if tag == "pong":
+                continue
+            if tag == "died":
+                # The daemon's task child died (e.g. an injected kill);
+                # the daemon itself is fine and stays in the ring.
+                ex.children_died += 1
+                self.epoch += 1  # mirrors the daemon's death count exactly
+                return ("died", f"task child exited with code {obj[1]}")
+            if tag == "ok":
+                _tag, key, payload, duration = obj
+                return ("ok", key, (payload, buffers), duration)
+            return obj  # ("err", key, exception, duration)
+
+    def _heartbeat(self) -> None:
+        ex = self.executor
+        if not self.assigned:
+            return  # idle links aren't pinged, so never time out
         now = time.monotonic()
-        self.last_heard = now
-        self.last_ping = now
+        silence = now - self.last_heard
+        if silence > ex.heartbeat_timeout:
+            raise _Lost(
+                f"lost (heartbeat timeout: no reply for {silence:.2f}s "
+                f"(limit {ex.heartbeat_timeout}s))"
+            )
+        if now - self.last_ping >= ex.heartbeat_interval:
+            try:
+                wire, raw_wire = send_message(self.sock, ("ping", now))
+            except (OSError, ValueError) as exc:
+                raise _Lost("lost (ping failed)") from exc
+            self.last_ping = now
+            ex._meter(wire, raw_wire)
 
 
-class ClusterExecutor(Executor):
-    """Socket driver for remote worker daemons — the pool backend's
-    scheduling contract over TCP/unix sockets.
+class ClusterExecutor(_Dispatcher):
+    """Socket driver for remote worker daemons: the dispatcher over
+    :class:`_Link` channels.
 
-    Dispatch is pipelined: every link carries up to ``max_inflight``
-    batches (``REPRO_MAX_INFLIGHT``, default 2), so the driver
-    serializes, compresses and ships batch N+1 while the daemon's task
-    child computes batch N.  Each daemon's task child still reports
-    strictly in dispatch order across the whole window, so a link loss
-    blames exactly the first unreported task (:class:`WorkerDied`) and
-    requeues the rest — the same recovery surface the pool exposes,
-    which is what lets :func:`run_with_recovery` and deterministic
-    fault injection work unchanged.  Two loss detectors: socket EOF/reset, and a heartbeat
-    (ping every ``heartbeat_interval`` seconds to each busy link, dead
-    after ``heartbeat_timeout`` seconds of silence).  A daemon whose
-    *task child* died (e.g. an injected ``os._exit`` kill) reports
-    ``("died", exitcode)`` and stays in the ring; only daemon loss
-    removes the link.  Lost links are retried at the next batch, so a
-    restarted daemon rejoins transparently.
+    Every link carries up to ``max_inflight`` batches
+    (``REPRO_MAX_INFLIGHT``, default 2), so the driver serializes,
+    compresses and ships batch N+1 while the daemon's task child
+    computes batch N.  Two loss detectors: socket EOF/reset, and a
+    heartbeat (ping every ``heartbeat_interval`` seconds to each busy
+    link, dead after ``heartbeat_timeout`` seconds of silence).  A
+    daemon whose *task child* died (e.g. an injected ``os._exit`` kill)
+    reports ``("died", exitcode)`` and stays in the ring; only daemon
+    loss removes the link.  Lost links are retried at the next batch, so
+    a restarted daemon rejoins transparently.
 
     Unlike the local backends, ``workers`` is not a count — it is the
     address list (``ClusterContext(workers=[...])`` / ``REPRO_WORKERS``).
@@ -1110,12 +1152,6 @@ class ClusterExecutor(Executor):
         wire_codec: "str | None" = None,
         fetch_prefetch: "int | None" = None,
     ) -> None:
-        if _cloudpickle is None:
-            raise ValueError(
-                "the 'cluster' backend needs cloudpickle for task "
-                "transport; install it (pip install cloudpickle) or use "
-                "'threads'"
-            )
         self.addresses = resolve("workers", workers)
         if not self.addresses:
             raise ValueError(
@@ -1124,8 +1160,7 @@ class ClusterExecutor(Executor):
                 "REPRO_WORKERS (comma-separated) or "
                 "ClusterContext(workers=[...])"
             )
-        super().__init__(len(self.addresses))
-        self.task_batch = resolve("task_batch", task_batch)
+        super().__init__(len(self.addresses), task_batch)
         self.heartbeat_interval = resolve(
             "heartbeat_seconds", heartbeat_interval
         )
@@ -1136,15 +1171,21 @@ class ClusterExecutor(Executor):
         self.max_inflight = resolve("max_inflight", max_inflight)
         self.wire_codec = resolve("wire_codec", wire_codec)
         self.fetch_prefetch = resolve("fetch_prefetch", fetch_prefetch)
-        self._links: list[_Link] = []
+        self._window = self.max_inflight
+        self._wake_seconds = self.heartbeat_interval  # pings need a tick
         self._lost: list[str] = []
         self._spill_roots: set[str] = set()
         self._fetcher: "BlockFetcher | None" = None
         self._previous_resolver: Any = None
-        self.batches_sent = 0
         self.workers_lost = 0
         self.workers_rejoined = 0
         self.children_died = 0
+
+    def _meter(self, wire: int, raw_wire: int) -> None:
+        """Count one framed socket message."""
+        self.transport.network_bytes += wire
+        self.transport.network_raw_bytes += raw_wire
+        self.transport.round_trips += 1
 
     # -- link management ----------------------------------------------
     def register_spill_root(self, path) -> None:
@@ -1171,12 +1212,12 @@ class ClusterExecutor(Executor):
             with contextlib.suppress(OSError):
                 sock.close()
             raise
-        link = _Link(spec, sock)
+        link = _Link(self, spec, sock)
         link.wire_codec = negotiate_wire_codec(info.get("wire_codec"))
         return link
 
-    def _ensure_links(self) -> None:
-        initial = not self._links and not self._lost
+    def _open_channels(self) -> None:
+        initial = not self._channels and not self._lost
         specs = list(self.addresses) if initial else list(self._lost)
         for spec in specs:
             try:
@@ -1188,11 +1229,11 @@ class ClusterExecutor(Executor):
                         f"REPRO_WORKERS / workers=[...]): {exc}"
                     ) from exc
                 continue  # still down; retried on the next batch
-            self._links.append(link)
+            self._channels.append(link)
             if not initial:
                 self._lost.remove(spec)
                 self.workers_rejoined += 1
-        if not self._links:
+        if not self._channels:
             raise RuntimeError(
                 "no cluster workers reachable: "
                 + ", ".join(repr(s) for s in self.addresses)
@@ -1208,447 +1249,24 @@ class ClusterExecutor(Executor):
             )
             self._previous_resolver = set_missing_file_resolver(self._fetcher)
 
-    # -- scheduling (mirrors PoolExecutor) -----------------------------
-    def run_outcomes(
-        self,
-        tasks: Sequence[Task],
-        *,
-        speculation: "SpeculationPolicy | None" = None,
-        speculative_tasks: "Sequence[Task] | None" = None,
-        on_speculate: "Callable[[int], None] | None" = None,
-    ) -> list[TaskOutcome]:
-        if not tasks:
-            return []
-        if len(tasks) <= 1:
-            # In-driver fallback: injected kills degrade to
-            # SimulatedWorkerDeath (see FaultPlan.wrap), same as pool.
-            return self._run_inline(tasks)
-        return self._run_cluster(
-            tasks, speculation, speculative_tasks or tasks, on_speculate
-        )
-
-    def _send_batch(
-        self, link: _Link, entries: "list[tuple[int, Task, bool]]"
-    ) -> bool:
-        """Ship one batch over a link; False if the link is gone (the
-        caller requeues the entries and drops the link)."""
-        serialize_started = time.perf_counter()
-        # Serialize/compress time spent while any worker already holds a
-        # batch is overlapped with remote compute — that overlap is the
-        # payoff of pipelined dispatch, metered in overlap_seconds.
-        overlapped = any(other.assigned for other in self._links)
-        payload = [(key, fn) for key, fn, _ in entries]
-        buffers: list = []
-
-        # Same out-of-band policy as the pool arena (PEP 574): truthy
-        # keeps a buffer in-band, falsy hands it to us for the socket.
-        def _callback(buffer: pickle.PickleBuffer) -> bool:
-            try:
-                raw = buffer.raw()
-            except Exception:  # noqa: BLE001 - non-contiguous: in-band
-                return True
-            if raw.nbytes < _ARENA_MIN_BYTES:
-                return True
-            buffers.append(raw)
-            return False
-
-        blob = _cloudpickle.dumps(
-            payload, protocol=5, buffer_callback=_callback
-        )
-        send_started = time.perf_counter()
-        try:
-            # The epoch stamps this batch with how many task-child deaths
-            # the driver has processed on this link; the daemon drops any
-            # batch stamped before its own death count, so a batch that
-            # was in flight when the child died (already blamed and
-            # requeued here) can never also run on the replacement child.
-            wire, raw_wire = send_message(
-                link.sock,
-                ("run", blob, link.epoch),
-                buffers,
-                codec=link.wire_codec,
-            )
-        except (OSError, ValueError):
-            return False
-        now = time.perf_counter()
-        self.transport.serialize_seconds += send_started - serialize_started
-        self.transport.submit_seconds += now - send_started
-        if overlapped:
-            self.transport.overlap_seconds += now - serialize_started
-        self.transport.payload_bytes += len(blob) + sum(
-            buf.nbytes for buf in buffers
-        )
-        self.transport.network_bytes += wire
-        self.transport.network_raw_bytes += raw_wire
-        self.transport.round_trips += 1
-        for key, _fn, is_backup in entries:
-            link.assigned.append((key, is_backup))
-        link.batch_sizes.append(len(entries))
-        link.batch_started = time.monotonic()
-        self.batches_sent += 1
-        return True
-
-    def _copies_in_flight(self, key: int) -> bool:
-        return any(
-            assigned_key == key
-            for link in self._links
-            for assigned_key, _backup in link.assigned
-        )
-
-    def _run_cluster(
-        self,
-        tasks: Sequence[Task],
-        policy: "SpeculationPolicy | None",
-        duplicates: Sequence[Task],
-        on_speculate: "Callable[[int], None] | None",
-    ) -> list[TaskOutcome]:
-        self._ensure_links()
-        n = len(tasks)
-        outcomes: "list[TaskOutcome | None]" = [None] * n
-        held_errors: dict[int, BaseException] = {}
-        durations: list[float] = []
-        speculated: set[int] = set()
-        pending: deque = deque(range(n))
-        while any(o is None for o in outcomes):
-            live = max(1, len(self._links))
-            limit = self.task_batch or max(1, -(-n // (2 * live)))
-            # Breadth-first feed: give every link one batch per pass
-            # (not one link its whole window) so early batches spread
-            # across daemons, then keep topping up until every link
-            # holds max_inflight batches or the queue drains.  Batch
-            # N+1 ships while a worker computes batch N — serialize and
-            # compute overlap instead of alternating.
-            fed = True
-            while fed and pending:
-                fed = False
-                for link in list(self._links):
-                    if not pending:
-                        break
-                    if len(link.batch_sizes) >= self.max_inflight:
-                        continue
-                    entries = []
-                    while pending and len(entries) < limit:
-                        i = pending.popleft()
-                        if outcomes[i] is None:
-                            entries.append((i, tasks[i], False))
-                    if not entries:
-                        continue
-                    if self._send_batch(link, entries):
-                        fed = True
-                    else:
-                        pending.extendleft(
-                            key for key, _fn, _b in reversed(entries)
-                        )
-                        self._fail_link(
-                            link, "send failed",
-                            outcomes, held_errors, pending,
-                        )
-            busy = [link for link in self._links if link.assigned]
-            if not busy:
-                if self._links:
-                    continue  # conclusions above freed work; loop re-feeds
-                # Every daemon is gone mid-batch.  Mark what is left
-                # unresolved as WorkerDied instead of raising: the
-                # recovery layer backs off and retries, and the next
-                # round's _ensure_links re-dials lost daemons (raising
-                # only if none ever come back).
-                for i in range(n):
-                    if outcomes[i] is None:
-                        outcomes[i] = TaskOutcome(
-                            error=held_errors.get(i)
-                            or WorkerDied(
-                                f"all {len(self.addresses)} cluster "
-                                "workers lost before task "
-                                f"{i} completed"
-                            )
-                        )
-                break
-            poll = (
-                policy.poll_interval_seconds
-                if policy is not None
-                else self.heartbeat_interval
-            )
-            timeout = min(poll, self.heartbeat_interval)
-            wait_started = time.perf_counter()
-            try:
-                ready, _, _ = select.select(
-                    [link.sock for link in busy], [], [], timeout
-                )
-            except OSError:
-                ready = []
-            self.transport.ipc_wait_seconds += (
-                time.perf_counter() - wait_started
-            )
-            by_sock = {link.sock: link for link in busy}
-            for sock in ready:
-                link = by_sock.get(sock)
-                if link is not None and link in self._links:
-                    self._drain_link(
-                        link, outcomes, held_errors, durations, pending
-                    )
-            self._heartbeat_sweep(outcomes, held_errors, pending)
-            if policy is not None:
-                self._maybe_speculate(
-                    policy,
-                    duplicates,
-                    outcomes,
-                    durations,
-                    speculated,
-                    on_speculate,
-                    n,
-                )
-        return outcomes  # type: ignore[return-value]
-
-    def _drain_link(
-        self,
-        link: _Link,
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        durations: list[float],
-        pending: deque,
-    ) -> None:
-        """Absorb everything a readable link has to say; EOF or a reset
-        mid-read means the daemon is gone."""
-        while link in self._links:
-            try:
-                readable, _, _ = select.select([link.sock], [], [], 0)
-            except OSError:
-                readable = [link.sock]
-            if not readable:
-                return
-            try:
-                frame = recv_message(link.sock)
-            except (ConnectionError, OSError, ProtocolError) as exc:
-                self._fail_link(
-                    link, f"connection lost: {exc}",
-                    outcomes, held_errors, pending,
-                )
-                return
-            if frame is None:
-                self._fail_link(
-                    link, "connection closed",
-                    outcomes, held_errors, pending,
-                )
-                return
-            obj, buffers, wire, raw_wire = frame
-            link.last_heard = time.monotonic()
-            self.transport.network_bytes += wire
-            self.transport.network_raw_bytes += raw_wire
-            self.transport.round_trips += 1
-            tag = obj[0]
-            if tag == "pong":
-                continue
-            if tag == "died":
-                self._absorb_death(
-                    link, obj[1], outcomes, held_errors, pending
-                )
-                continue
-            self._absorb(
-                link, obj, buffers, outcomes, held_errors, durations
-            )
-
-    def _absorb(
-        self,
-        link: _Link,
-        obj: tuple,
-        buffers: "list[bytes]",
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        durations: list[float],
-    ) -> None:
-        # Task children process and report strictly in dispatch order —
-        # across the whole in-flight window, so the head batch drains
-        # before the next batch's first reply can arrive.
-        if link.assigned:
-            link.assigned.popleft()
-        if link.batch_sizes:
-            link.batch_sizes[0] -= 1
-            if link.batch_sizes[0] <= 0:
-                link.batch_sizes.popleft()
-        link.batch_started = time.monotonic()
-        key = obj[1]
-        if obj[0] == "ok":
-            _tag, _key, payload, duration = obj
-            if outcomes[key] is None:
-                unpack_started = time.perf_counter()
-                value = _own_tree(pickle.loads(payload, buffers=buffers))
-                self.transport.serialize_seconds += (
-                    time.perf_counter() - unpack_started
-                )
-                outcomes[key] = TaskOutcome(value=value)
-                durations.append(duration)
-                self.transport.compute_seconds += duration
-                self.transport.payload_bytes += len(payload) + sum(
-                    len(buf) for buf in buffers
-                )
-            # A losing speculative copy needs no drain.
-            return
-        # ("err", key, exception, duration)
-        held_errors[key] = obj[2]
-        if outcomes[key] is None and not self._copies_in_flight(key):
-            outcomes[key] = TaskOutcome(error=held_errors[key])
-
-    def _blame_and_requeue(
-        self,
-        link: _Link,
-        error_for: "Callable[[int], BaseException]",
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        pending: deque,
-    ) -> None:
-        """Shared death bookkeeping: the first unreported assigned task
-        was in progress and takes the blame; the rest never started and
-        are requeued (same wrapped callables — fault verdicts are per
-        (batch, index, attempt), not per dispatch).  Under pipelining
-        the rule is unchanged: replies are strictly ordered across the
-        whole in-flight window, so the first unreported task — whichever
-        batch it rode in on — is the one that was in progress."""
-        if not link.assigned:
-            link.batch_sizes.clear()
-            return
-        blamed_key, _blamed_backup = link.assigned.popleft()
-        held_errors.setdefault(blamed_key, error_for(blamed_key))
-        unstarted = list(link.assigned)
-        link.assigned.clear()
-        link.batch_sizes.clear()
-        for key, is_backup in unstarted:
-            if outcomes[key] is not None:
-                continue
-            if not is_backup:
-                pending.append(key)
-            elif not self._copies_in_flight(key) and key in held_errors:
-                outcomes[key] = TaskOutcome(error=held_errors[key])
-        if outcomes[blamed_key] is None and not self._copies_in_flight(
-            blamed_key
-        ):
-            outcomes[blamed_key] = TaskOutcome(error=held_errors[blamed_key])
-
-    def _absorb_death(
-        self,
-        link: _Link,
-        exitcode: "int | None",
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        pending: deque,
-    ) -> None:
-        """The daemon's task child died (e.g. an injected kill); the
-        daemon itself is fine and stays in the ring."""
-        self.children_died += 1
-        link.epoch += 1  # mirrors the daemon's death count exactly
-        self._blame_and_requeue(
-            link,
-            lambda key: WorkerDied(
-                f"cluster worker {link.spec} task child exited with code "
-                f"{exitcode} before reporting a result for task {key}"
-            ),
-            outcomes,
-            held_errors,
-            pending,
-        )
-
-    def _fail_link(
-        self,
-        link: _Link,
-        reason: str,
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        pending: deque,
-    ) -> None:
-        """The daemon itself is gone: blame/requeue its work, drop the
-        link, and remember the address for rejoin attempts."""
-        self._blame_and_requeue(
-            link,
-            lambda key: WorkerDied(
-                f"cluster worker {link.spec} lost ({reason}) before "
-                f"reporting a result for task {key}"
-            ),
-            outcomes,
-            held_errors,
-            pending,
-        )
-        if link in self._links:
-            self._links.remove(link)
+    def _channel_lost(self, link: _Link) -> None:
+        """The daemon itself is gone: drop the link and remember the
+        address for rejoin attempts."""
+        if link in self._channels:
+            self._channels.remove(link)
         with contextlib.suppress(OSError):
             link.sock.close()
         if link.spec not in self._lost:
             self._lost.append(link.spec)
         self.workers_lost += 1
 
-    def _heartbeat_sweep(
-        self,
-        outcomes: "list[TaskOutcome | None]",
-        held_errors: dict,
-        pending: deque,
-    ) -> None:
-        now = time.monotonic()
-        for link in list(self._links):
-            if not link.assigned:
-                continue  # idle links aren't pinged, so never time out
-            silence = now - link.last_heard
-            if silence > self.heartbeat_timeout:
-                self._fail_link(
-                    link,
-                    f"heartbeat timeout: no reply for {silence:.2f}s "
-                    f"(limit {self.heartbeat_timeout}s)",
-                    outcomes,
-                    held_errors,
-                    pending,
-                )
-                continue
-            if now - link.last_ping >= self.heartbeat_interval:
-                try:
-                    wire, raw_wire = send_message(link.sock, ("ping", now))
-                except (OSError, ValueError):
-                    self._fail_link(
-                        link, "ping failed", outcomes, held_errors, pending
-                    )
-                    continue
-                link.last_ping = now
-                self.transport.network_bytes += wire
-                self.transport.network_raw_bytes += raw_wire
-                self.transport.round_trips += 1
-
-    def _maybe_speculate(
-        self,
-        policy: SpeculationPolicy,
-        duplicates: Sequence[Task],
-        outcomes: "list[TaskOutcome | None]",
-        durations: list[float],
-        speculated: set[int],
-        on_speculate: "Callable[[int], None] | None",
-        n: int,
-    ) -> None:
-        threshold = policy.threshold(durations, n)
-        if threshold is None:
-            return
-        idle = [link for link in self._links if not link.assigned]
-        if not idle:
-            return
-        now = time.monotonic()
-        for link in list(self._links):
-            if not link.assigned or not idle:
-                continue
-            key, is_backup = link.assigned[0]
-            if (
-                is_backup
-                or key in speculated
-                or outcomes[key] is not None
-                or now - link.batch_started <= threshold
-            ):
-                continue
-            target = idle.pop()
-            if self._send_batch(target, [(key, duplicates[key], True)]):
-                speculated.add(key)
-                if on_speculate is not None:
-                    on_speculate(key)
-
     def close(self) -> None:
-        for link in self._links:
+        for link in self._channels:
             with contextlib.suppress(OSError, ValueError):
                 send_message(link.sock, ("stop",))
             with contextlib.suppress(OSError):
                 link.sock.close()
-        self._links.clear()
+        self._channels.clear()
         if self._fetcher is not None:
             from .storage.codecs import set_missing_file_resolver
 

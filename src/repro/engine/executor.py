@@ -28,19 +28,27 @@ Three local backends are provided:
     for the closures), with large array buffers carried out-of-band
     through a grow-only shared-memory *arena* per direction that is
     recycled across batches: no per-task segment create/unlink, one
-    memcpy each way.  The driver waits on each busy worker's pipe *and*
-    process sentinel, so a crashed worker is survivable: an injected
-    ``os._exit(73)`` kill fails only the in-progress task, requeues the
-    not-yet-started remainder of the batch, and respawns the worker.
-    Spilled-block task outputs
+    memcpy each way.  Spilled-block task outputs
     (:class:`~repro.engine.storage.SpilledBlockHandle`) carry no arrays
     and therefore bypass the arena entirely — budgeted runs ship file
     paths, not data.
 
-A fourth backend, ``cluster``, promotes this pool protocol to sockets
-against standalone ``repro worker`` daemons (possibly on other hosts);
-it lives in :mod:`repro.engine.cluster` and is registered lazily here
-so the two modules can share the worker loop without an import cycle.
+A fourth backend, ``cluster``, talks to standalone ``repro worker``
+daemons (possibly on other hosts) over sockets; it lives in
+:mod:`repro.engine.cluster` and is registered lazily here so the two
+modules can share this one without an import cycle.
+
+``pool`` and ``cluster`` are the same scheduler over two transports.
+:class:`_Dispatcher` is the driver-side state machine — feed every
+channel up to its window, wait, drain replies, and apply the four
+rules: strict-order accounting, first-result-wins absorb, blame the
+first unreported task and requeue the rest when a worker dies, back up
+stragglers on idle channels — and a :class:`_Channel` hides what
+differs: how a batch is encoded and sent, how replies are read, what
+the driver waits on, and what losing the worker means.  The worker
+side is one function too (:func:`_pool_worker_main`, which the cluster
+daemon forks through the same :class:`_PipeChild` handle the pool
+uses).
 
 Every RNG stream in the engine is keyed by ``(seed, partition_index)``
 and results are gathered in partition order, so every backend
@@ -53,8 +61,8 @@ Fault tolerance lives in two layers here:
   partition no longer aborts its siblings.  Subclasses override *either*
   :meth:`Executor.run` (simple backends — the base ``run_outcomes``
   guards each task and dispatches through ``run``) *or*
-  ``run_outcomes`` natively (the pool and cluster backends, which must
-  observe worker death, and the thread backend's speculative path).
+  ``run_outcomes`` natively (the dispatcher, which must observe worker
+  death, and the thread backend's speculative path).
 * :func:`run_with_recovery` drives rounds of ``run_outcomes`` with
   per-task retry budgets and exponential backoff — the engine analogue
   of Spark's lineage recomputation.  Because every engine task closure
@@ -87,7 +95,7 @@ import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
@@ -244,28 +252,11 @@ class TransportProfile:
     overlap_seconds: float = 0.0
 
     def reset(self) -> None:
-        self.submit_seconds = 0.0
-        self.serialize_seconds = 0.0
-        self.ipc_wait_seconds = 0.0
-        self.compute_seconds = 0.0
-        self.payload_bytes = 0
-        self.network_bytes = 0
-        self.network_raw_bytes = 0
-        self.round_trips = 0
-        self.overlap_seconds = 0.0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "submit_seconds": self.submit_seconds,
-            "serialize_seconds": self.serialize_seconds,
-            "ipc_wait_seconds": self.ipc_wait_seconds,
-            "compute_seconds": self.compute_seconds,
-            "payload_bytes": self.payload_bytes,
-            "network_bytes": self.network_bytes,
-            "network_raw_bytes": self.network_raw_bytes,
-            "round_trips": self.round_trips,
-            "overlap_seconds": self.overlap_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _guard(task: Task) -> Callable[[], TaskOutcome]:
@@ -645,16 +636,17 @@ class _ArenaReader:
         self.prune(frozenset())
 
 
-def _dump_with_arena(obj: Any, arena: _Arena, pickler: Any):
-    """Pickle ``obj`` with protocol 5, parking large contiguous buffers
-    in ``arena``; returns ``(blob, descriptors)``.  Non-contiguous or
-    small buffers stay in-band — correctness never depends on a buffer
-    taking the arena path."""
-    descriptors: list[tuple[str, int, int]] = []
+def _dump_out_of_band(
+    obj: Any, pickler: Any, park: Callable[[memoryview], Any]
+) -> bytes:
+    """Pickle ``obj`` with protocol 5, handing the raw view of every
+    large contiguous buffer to ``park`` (in pickling order) instead of
+    copying it into the blob.  Non-contiguous or small buffers stay
+    in-band — correctness never depends on a buffer going out-of-band."""
 
     # buffer_callback contract (PEP 574): a *truthy* return keeps the
     # buffer in-band, a *falsy* one emits a NEXT_BUFFER opcode and makes
-    # the caller responsible for transporting it — here, via the arena.
+    # the caller responsible for transporting it — here, via ``park``.
     def _callback(buffer: pickle.PickleBuffer) -> bool:
         try:
             raw = buffer.raw()
@@ -662,10 +654,19 @@ def _dump_with_arena(obj: Any, arena: _Arena, pickler: Any):
             return True
         if raw.nbytes < _ARENA_MIN_BYTES:
             return True
-        descriptors.append(arena.write(raw))
+        park(raw)
         return False
 
-    blob = pickler.dumps(obj, protocol=5, buffer_callback=_callback)
+    return pickler.dumps(obj, protocol=5, buffer_callback=_callback)
+
+
+def _dump_with_arena(obj: Any, arena: _Arena, pickler: Any):
+    """:func:`_dump_out_of_band` into ``arena``; returns ``(blob,
+    descriptors)``."""
+    descriptors: list[tuple[str, int, int]] = []
+    blob = _dump_out_of_band(
+        obj, pickler, lambda raw: descriptors.append(arena.write(raw))
+    )
     return blob, descriptors
 
 
@@ -779,78 +780,188 @@ def _pool_worker_main(
         os._exit(status)
 
 
-@dataclass
-class _PoolWorker:
-    """Driver-side record of one persistent pool worker."""
-
-    proc: Any
-    conn: mp_connection.Connection
-    task_arena: _Arena
-    reader: _ArenaReader
-    assigned: deque  # of (key, is_backup) in dispatch order
-    batch_started: float = 0.0
-
-
-class PoolExecutor(Executor):
-    """Persistent forked worker pool with zero-copy batch transport.
-
-    Workers are forked once (lazily, on the first multi-task batch) and
-    reused for every subsequent batch, so the fork + import-state cost is
-    paid ``workers`` times per executor lifetime instead of once per
-    task.  See the module docstring for the transport protocol.  The
-    driver waits on each busy worker's pipe *and* process sentinel, so a
-    worker that dies without reporting surfaces as a :class:`WorkerDied`
-    outcome for the one in-progress task (unstarted work is requeued, the
-    worker respawned) and the whole :class:`FaultPlan` /
-    :func:`run_with_recovery` machinery works on top of it.
-
-    ``task_batch`` caps how many tasks ship per IPC round; ``0`` picks
-    an adaptive size (``ceil(n / (2 * workers))``) that gives every
-    worker two rounds of work for tail balancing.  Batching only affects
-    transport — task identity, result order and fault-injection
-    coordinates are those of the flat task list.
-    """
-
-    name = "pool"
+class _PipeChild:
+    """A forked process running the worker loop over a duplex pipe, plus
+    the arenas on this side of the pipe: a ring of ``window`` task
+    arenas (one per batch that may be in flight — the child holds views
+    into batch N's arena until it has finished N) and a reader over the
+    child's result arenas.  The pool holds one per worker, the cluster
+    daemon one per driver session."""
 
     def __init__(
-        self, workers: int | None = None, *, task_batch: int | None = None
+        self, target: Callable, args: tuple = (), window: int = 1
     ) -> None:
-        super().__init__(workers)
-        if "fork" not in mp.get_all_start_methods():
-            raise ValueError(
-                "the 'pool' backend needs the fork start method "
-                "(unavailable on this platform); use 'threads' instead"
-            )
+        # Start the resource tracker *before* forking so parent and
+        # child share one tracker: segments the child registers at
+        # create are unregistered by the parent's unlink, and nothing is
+        # reported leaked.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+        ctx = mp.get_context("fork")
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=target, args=(child_conn, *args), daemon=True
+        )
+        self.proc.start()
+        child_conn.close()
+        self.task_arenas = [_Arena() for _ in range(window)]
+        self.reader = _ArenaReader()
+        self._batches = 0
+
+    def next_arena(self) -> _Arena:
+        """The next batch's task arena, recycled: a ring slot comes
+        around again only after its previous batch has fully replied
+        (the sender never has more than ``window`` batches out)."""
+        arena = self.task_arenas[self._batches % len(self.task_arenas)]
+        self._batches += 1
+        arena.recycle()
+        return arena
+
+    def send(self, *msg: Any) -> bool:
+        """Write one message to the child; False if the child is gone."""
+        try:
+            self.conn.send(msg)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def retire(self) -> None:
+        """Reap the child (already stopped or dead) and unlink every
+        arena segment tied to it."""
+        self.proc.join(timeout=5.0)
+        if self.proc.is_alive():  # stuck mid-task: "stop" went unread
+            self.proc.terminate()
+            self.proc.join(timeout=5.0)
+        result_segments = list(self.reader.segments)
+        self.reader.close()
+        # A cleanly-stopped child unlinked its own result arenas; a
+        # killed one did not — unlink whatever is still there.
+        _unlink_segment_names(result_segments)
+        for arena in self.task_arenas:
+            arena.destroy()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+# ----------------------------------------------------------------------
+# The dispatcher: one driver-side scheduler for pool and cluster.
+# ----------------------------------------------------------------------
+
+class _Lost(Exception):
+    """Raised by :meth:`_Channel.poll` when the worker behind the
+    channel is gone; the message says how, for the ``WorkerDied``."""
+
+
+class _Channel:
+    """One worker as the dispatcher sees it.
+
+    The dispatcher owns the three fields below; a transport supplies
+    the three methods, and they are all it may differ in.
+    """
+
+    label = "worker"  # leads the WorkerDied message
+
+    def __init__(self) -> None:
+        # (key, is_backup) in dispatch order, across the whole window
+        self.assigned: deque = deque()
+        # unreported tasks of each in-flight batch, oldest first
+        self.batch_sizes: deque = deque()
+        # monotonic time of the last send or reply (the straggler clock)
+        self.batch_started = 0.0
+
+    def send(self, entries: list[tuple[int, Task, bool]]) -> bool:
+        """Encode and ship one batch of ``(key, fn, is_backup)``; False
+        if the worker is gone."""
+        raise NotImplementedError
+
+    def waitables(self) -> list:
+        """What ``multiprocessing.connection.wait`` should watch while
+        this channel has work out."""
+        raise NotImplementedError
+
+    def poll(self) -> tuple | None:
+        """The next reply, or None when nothing is readable now:
+        ``("ok", key, (payload, buffers), duration)`` with the result
+        still pickled (a losing duplicate is never unpickled),
+        ``("err", key, exception, duration)``, or ``("died", how)``
+        when the worker process died but the channel lives on.  Raises
+        :class:`_Lost` when the channel itself is gone."""
+        raise NotImplementedError
+
+
+class _Job:
+    """The bookkeeping of one ``run_outcomes`` call."""
+
+    def __init__(
+        self,
+        tasks: Sequence[Task],
+        duplicates: Sequence[Task],
+        policy: SpeculationPolicy | None,
+        on_speculate: Callable[[int], None] | None,
+    ) -> None:
+        self.tasks = tasks
+        self.duplicates = duplicates
+        self.policy = policy
+        self.on_speculate = on_speculate
+        self.outcomes: list[TaskOutcome | None] = [None] * len(tasks)
+        self.held_errors: dict[int, BaseException] = {}
+        self.durations: list[float] = []
+        self.speculated: set[int] = set()
+        self.pending: deque[int] = deque(range(len(tasks)))
+
+
+class _Dispatcher(Executor):
+    """The driver-side scheduling state machine of the process-based
+    backends, written once against :class:`_Channel`.
+
+    Workers run a batch strictly in order and report each task as it
+    finishes, so ``assigned`` (a flat deque per channel, with
+    ``batch_sizes`` counting the unreported tasks of each in-flight
+    batch beside it) always has the task in progress at its head.  That
+    is the hinge of every rule here: a reply belongs to the head, a
+    death blames the head (:class:`WorkerDied`) and requeues the rest —
+    which never started — and a straggler is a head that has been there
+    too long.  :func:`run_with_recovery`, retry budgets and
+    :class:`~repro.engine.faults.FaultPlan` coordinates sit on top
+    unchanged, because batching only affects transport: task identity,
+    result order and fault verdicts are those of the flat task list.
+
+    ``task_batch`` caps how many tasks ship per round; ``0`` picks
+    ``ceil(n / (2 * live channels))``, two rounds of work per worker for
+    tail balancing.  A subclass keeps ``_channels`` current, sets
+    ``_window`` (batches in flight per channel) and ``_wake_seconds``
+    (longest the wait may block, None for no limit), and implements
+    :meth:`_open_channels` and :meth:`_channel_lost`.
+    """
+
+    _window = 1
+    _wake_seconds: float | None = None
+
+    def __init__(
+        self, workers: int | None, task_batch: int | None
+    ) -> None:
         if _cloudpickle is None:
             raise ValueError(
-                "the 'pool' backend needs cloudpickle for task transport; "
-                "install it (pip install cloudpickle) or use 'threads'"
+                f"the {self.name!r} backend needs cloudpickle for task "
+                "transport; install it (pip install cloudpickle) or use "
+                "'threads'"
             )
+        super().__init__(workers)
         self.task_batch = config.resolve("task_batch", task_batch)
-        self._pool: list[_PoolWorker] = []
-        self._mp_ctx: Any = None
-        self.workers_forked = 0
-        self.workers_respawned = 0
+        self._channels: list = []
         self.batches_sent = 0
-        global _REAPER_REGISTERED
-        _LIVE_POOL_EXECUTORS.add(self)
-        if not _REAPER_REGISTERED:
-            atexit.register(_reap_leaked_children)
-            _REAPER_REGISTERED = True
 
-    # ------------------------------------------------------------------
-    def arena_stats(self) -> dict[str, list[int]]:
-        """Per-live-worker arena segment counts (diagnostic/test hook):
-        how many task-arena segments the driver ever created for each
-        worker, and how many result-arena segments it currently maps.
-        Steady state is 1 and 1 — reuse, not churn."""
-        return {
-            "task_segments": [
-                w.task_arena.segments_created for w in self._pool
-            ],
-            "result_segments": [len(w.reader.segments) for w in self._pool],
-        }
+    def _open_channels(self) -> None:
+        """Bring ``_channels`` up to strength before a job."""
+        raise NotImplementedError
+
+    def _channel_lost(self, channel: _Channel) -> None:
+        """``channel`` is gone and its work requeued: replace it or
+        drop it from ``_channels``."""
+        raise NotImplementedError
 
     def run_outcomes(
         self,
@@ -860,88 +971,237 @@ class PoolExecutor(Executor):
         speculative_tasks: Sequence[Task] | None = None,
         on_speculate: Callable[[int], None] | None = None,
     ) -> list[TaskOutcome]:
-        if not tasks:
-            return []
-        if len(tasks) <= 1 or self.workers == 1:
+        if len(tasks) <= 1:
             # In-driver fallback: injected kills degrade to
             # SimulatedWorkerDeath (see FaultPlan.wrap).
             return self._run_inline(tasks)
-        return self._run_pooled(
-            tasks, speculation, speculative_tasks or tasks, on_speculate
+        self._open_channels()
+        job = _Job(
+            tasks, speculative_tasks or tasks, speculation, on_speculate
         )
+        timeouts = [self._wake_seconds]
+        if speculation is not None:
+            timeouts.append(speculation.poll_interval_seconds)
+        timeout = min((t for t in timeouts if t is not None), default=None)
+        while any(o is None for o in job.outcomes):
+            self._feed(job)
+            busy = [c for c in self._channels if c.assigned]
+            if not busy:
+                if self._channels:
+                    continue  # conclusions above freed work; loop re-feeds
+                # Every worker is gone mid-job.  Mark what is left
+                # unresolved as WorkerDied instead of raising: the
+                # recovery layer backs off and retries, and the next
+                # round's _open_channels re-dials or re-forks (raising
+                # only if none ever come back).
+                for i, outcome in enumerate(job.outcomes):
+                    if outcome is None:
+                        job.outcomes[i] = TaskOutcome(
+                            error=job.held_errors.get(i)
+                            or WorkerDied(
+                                f"every {self.name} worker was lost "
+                                f"before task {i} completed"
+                            )
+                        )
+                break
+            wait_started = time.perf_counter()
+            mp_connection.wait(
+                [w for c in busy for w in c.waitables()], timeout=timeout
+            )
+            self.transport.ipc_wait_seconds += (
+                time.perf_counter() - wait_started
+            )
+            for channel in busy:
+                self._drain(channel, job)
+            if speculation is not None:
+                self._maybe_speculate(job)
+        return job.outcomes  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> None:
-        if self._mp_ctx is None:
-            # Start the resource tracker *before* forking so driver and
-            # workers share one tracker: segments a worker registers at
-            # create are unregistered by the driver's unlink, and nothing
-            # is reported leaked.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-            self._mp_ctx = mp.get_context("fork")
-        while len(self._pool) < self.workers:
-            self._pool.append(self._fork_worker())
-
-    def _fork_worker(self) -> _PoolWorker:
-        parent_conn, child_conn = self._mp_ctx.Pipe(duplex=True)
-        proc = self._mp_ctx.Process(
-            target=_pool_worker_main, args=(child_conn,), daemon=True
-        )
-        started = time.perf_counter()
-        proc.start()
-        self.transport.submit_seconds += time.perf_counter() - started
-        child_conn.close()
-        self.workers_forked += 1
-        return _PoolWorker(
-            proc=proc,
-            conn=parent_conn,
-            task_arena=_Arena(),
-            reader=_ArenaReader(),
-            assigned=deque(),
-        )
-
-    def _retire_worker(self, worker: _PoolWorker) -> None:
-        """Reap one worker (already stopped or dead) and unlink every
-        arena segment tied to it."""
-        worker.proc.join(timeout=5.0)
-        if worker.proc.is_alive():  # stuck mid-task: "stop" went unread
-            worker.proc.terminate()
-            worker.proc.join(timeout=5.0)
-        result_segments = list(worker.reader.segments)
-        worker.reader.close()
-        # A cleanly-stopped worker unlinked its own result arena; a
-        # killed one did not — unlink whatever is still there.
-        _unlink_segment_names(result_segments)
-        worker.task_arena.destroy()
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def _replace_worker(self, worker: _PoolWorker) -> None:
-        self._retire_worker(worker)
-        self._pool[self._pool.index(worker)] = self._fork_worker()
-        self.workers_respawned += 1
-
-    def _send_batch(
+    def _send(
         self,
-        worker: _PoolWorker,
+        channel: _Channel,
         entries: list[tuple[int, Task, bool]],
+        job: _Job,
     ) -> bool:
-        """Ship one batch to a worker; False if the worker is gone (the
-        caller requeues the entries and replaces the worker)."""
-        worker.task_arena.recycle()
+        """Ship one batch; a channel that cannot take it is lost (the
+        caller still holds ``entries``)."""
+        if not channel.send(entries):
+            self._blame_and_requeue(channel, "lost (send failed)", job)
+            self._channel_lost(channel)
+            return False
+        channel.assigned.extend((key, backup) for key, _fn, backup in entries)
+        channel.batch_sizes.append(len(entries))
+        channel.batch_started = time.monotonic()
+        self.batches_sent += 1
+        return True
+
+    def _feed(self, job: _Job) -> None:
+        """Breadth-first: give every channel one batch per pass (not one
+        channel its whole window) so early batches spread across
+        workers, then keep topping up until every channel holds
+        ``_window`` batches or the queue drains.  With a window above 1,
+        batch N+1 ships while a worker computes batch N — serialize and
+        compute overlap instead of alternating."""
+        live = max(1, len(self._channels))
+        limit = self.task_batch or max(1, -(-len(job.tasks) // (2 * live)))
+        fed = True
+        while fed and job.pending:
+            fed = False
+            for channel in list(self._channels):
+                if not job.pending:
+                    break
+                if len(channel.batch_sizes) >= self._window:
+                    continue
+                entries = []
+                while job.pending and len(entries) < limit:
+                    i = job.pending.popleft()
+                    if job.outcomes[i] is None:
+                        entries.append((i, job.tasks[i], False))
+                if not entries:
+                    continue
+                if self._send(channel, entries, job):
+                    fed = True
+                else:
+                    job.pending.extendleft(
+                        key for key, _fn, _b in reversed(entries)
+                    )
+
+    def _drain(self, channel: _Channel, job: _Job) -> None:
+        """Absorb everything a channel has to say, then let it report a
+        loss — in that order, so results a worker managed to send before
+        dying are never lost."""
+        try:
+            while (reply := channel.poll()) is not None:
+                if reply[0] == "died":
+                    self._blame_and_requeue(channel, reply[1], job)
+                else:
+                    self._absorb(channel, reply, job)
+        except _Lost as lost:
+            self._blame_and_requeue(channel, str(lost), job)
+            self._channel_lost(channel)
+
+    def _copies_in_flight(self, key: int) -> bool:
+        return any(
+            assigned_key == key
+            for channel in self._channels
+            for assigned_key, _backup in channel.assigned
+        )
+
+    def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
+        # Strict order across the whole in-flight window: the head batch
+        # drains before the next batch's first reply can arrive.
+        if channel.assigned:
+            channel.assigned.popleft()
+        if channel.batch_sizes:
+            channel.batch_sizes[0] -= 1
+            if channel.batch_sizes[0] <= 0:
+                channel.batch_sizes.popleft()
+        channel.batch_started = time.monotonic()
+        tag, key, body, duration = reply
+        if tag == "ok":
+            if job.outcomes[key] is None:
+                payload, buffers = body
+                unpack_started = time.perf_counter()
+                value = _own_tree(pickle.loads(payload, buffers=buffers))
+                self.transport.serialize_seconds += (
+                    time.perf_counter() - unpack_started
+                )
+                job.outcomes[key] = TaskOutcome(value=value)
+                job.durations.append(duration)
+                self.transport.compute_seconds += duration
+                self.transport.payload_bytes += len(payload) + sum(
+                    len(buf) for buf in buffers
+                )
+            # A losing speculative copy needs no drain: its buffers are
+            # reclaimed wholesale when the worker recycles its arena.
+            return
+        job.held_errors[key] = body
+        if job.outcomes[key] is None and not self._copies_in_flight(key):
+            job.outcomes[key] = TaskOutcome(error=body)
+
+    def _blame_and_requeue(
+        self, channel: _Channel, how: str, job: _Job
+    ) -> None:
+        """A worker died with work outstanding.  The first unreported
+        assigned task — whichever batch of the window it rode in on —
+        was in progress and takes the blame; the rest never started and
+        are requeued (same wrapped callables — the deterministic fault
+        verdict is per (batch, index, attempt), not per dispatch)."""
+        channel.batch_sizes.clear()
+        if not channel.assigned:
+            return
+        blamed, _backup = channel.assigned.popleft()
+        job.held_errors.setdefault(
+            blamed,
+            WorkerDied(
+                f"{channel.label} {how} before reporting a result for "
+                f"task {blamed}"
+            ),
+        )
+        unstarted = list(channel.assigned)
+        channel.assigned.clear()
+        for key, is_backup in unstarted:
+            if job.outcomes[key] is not None:
+                continue
+            if not is_backup:
+                job.pending.append(key)
+            elif not self._copies_in_flight(key) and key in job.held_errors:
+                # The backup vanished and its original already failed.
+                job.outcomes[key] = TaskOutcome(error=job.held_errors[key])
+        if job.outcomes[blamed] is None and not self._copies_in_flight(
+            blamed
+        ):
+            job.outcomes[blamed] = TaskOutcome(error=job.held_errors[blamed])
+
+    def _maybe_speculate(self, job: _Job) -> None:
+        """Send a backup of each straggling head task to an idle
+        channel, once per key; whichever copy reports first wins."""
+        threshold = job.policy.threshold(job.durations, len(job.tasks))
+        if threshold is None:
+            return
+        idle = [c for c in self._channels if not c.assigned]
+        now = time.monotonic()
+        for channel in list(self._channels):
+            if not idle:
+                return
+            if not channel.assigned:
+                continue
+            key, is_backup = channel.assigned[0]
+            if (
+                is_backup
+                or key in job.speculated
+                or job.outcomes[key] is not None
+                or now - channel.batch_started <= threshold
+            ):
+                continue
+            backup = [(key, job.duplicates[key], True)]
+            if self._send(idle.pop(), backup, job):
+                job.speculated.add(key)
+                if job.on_speculate is not None:
+                    job.on_speculate(key)
+
+
+class _PoolWorker(_Channel):
+    """The pipe channel: one persistent forked worker, its batches
+    parked in shared-memory arenas either side of the pipe."""
+
+    label = "pool worker"
+
+    def __init__(self, transport: TransportProfile) -> None:
+        super().__init__()
+        self.transport = transport
+        started = time.perf_counter()
+        self.child = _PipeChild(_pool_worker_main)
+        transport.submit_seconds += time.perf_counter() - started
+
+    def send(self, entries: list[tuple[int, Task, bool]]) -> bool:
+        arena = self.child.next_arena()
         serialize_started = time.perf_counter()
-        payload = [(key, fn) for key, fn, _ in entries]
         blob, descriptors = _dump_with_arena(
-            payload, worker.task_arena, _cloudpickle
+            [(key, fn) for key, fn, _ in entries], arena, _cloudpickle
         )
         send_started = time.perf_counter()
-        try:
-            worker.conn.send(("run", blob, descriptors))
-        except (OSError, ValueError):
+        if not self.child.send("run", blob, descriptors):
             return False
         now = time.perf_counter()
         self.transport.serialize_seconds += send_started - serialize_started
@@ -949,228 +1209,101 @@ class PoolExecutor(Executor):
         self.transport.payload_bytes += len(blob) + sum(
             descriptor[2] for descriptor in descriptors
         )
-        for key, _fn, is_backup in entries:
-            worker.assigned.append((key, is_backup))
-        worker.batch_started = time.monotonic()
-        self.batches_sent += 1
         return True
 
-    def _copies_in_flight(self, key: int) -> bool:
-        return any(
-            assigned_key == key
-            for worker in self._pool
-            for assigned_key, _backup in worker.assigned
-        )
+    def waitables(self) -> list:
+        # The sentinel too, so a worker that dies without a word (a
+        # FaultPlan kill's os._exit) wakes the driver.
+        return [self.child.conn, self.child.proc.sentinel]
 
-    def _run_pooled(
-        self,
-        tasks: Sequence[Task],
-        policy: SpeculationPolicy | None,
-        duplicates: Sequence[Task],
-        on_speculate: Callable[[int], None] | None,
-    ) -> list[TaskOutcome]:
-        self._ensure_pool()
-        n = len(tasks)
-        outcomes: list[TaskOutcome | None] = [None] * n
-        held_errors: dict[int, BaseException] = {}
-        durations: list[float] = []
-        speculated: set[int] = set()
-        pending: deque[int] = deque(range(n))
-        limit = self.task_batch or max(1, -(-n // (2 * self.workers)))
-        while any(o is None for o in outcomes):
-            for worker in list(self._pool):
-                if worker.assigned or not pending:
-                    continue
-                entries = []
-                while pending and len(entries) < limit:
-                    i = pending.popleft()
-                    if outcomes[i] is None:
-                        entries.append((i, tasks[i], False))
-                if not entries:
-                    continue
-                if not self._send_batch(worker, entries):
-                    # Worker died while idle; requeue and respawn.
-                    pending.extendleft(
-                        key for key, _fn, _b in reversed(entries)
-                    )
-                    self._replace_worker(worker)
-            waitmap: dict[Any, _PoolWorker] = {}
-            for worker in self._pool:
-                if worker.assigned:
-                    waitmap[worker.conn] = worker
-                    waitmap[worker.proc.sentinel] = worker
-            if not waitmap:
-                continue  # conclusions above freed work; loop re-feeds
-            timeout = (
-                policy.poll_interval_seconds if policy is not None else None
-            )
-            wait_started = time.perf_counter()
-            ready = mp_connection.wait(list(waitmap), timeout=timeout)
-            self.transport.ipc_wait_seconds += (
-                time.perf_counter() - wait_started
-            )
-            handled: set[int] = set()
-            for obj in ready:
-                worker = waitmap[obj]
-                if id(worker) in handled:
-                    continue
-                handled.add(id(worker))
-                self._drain_worker(
-                    worker, outcomes, held_errors, durations, pending
-                )
-            if policy is not None:
-                self._maybe_speculate(
-                    policy,
-                    duplicates,
-                    outcomes,
-                    durations,
-                    speculated,
-                    on_speculate,
-                    n,
-                )
-        return outcomes  # type: ignore[return-value]
-
-    def _drain_worker(
-        self,
-        worker: _PoolWorker,
-        outcomes: list[TaskOutcome | None],
-        held_errors: dict[int, BaseException],
-        durations: list[float],
-        pending: deque[int],
-    ) -> None:
-        """Absorb everything a ready worker has to say, then check for
-        death.  Messages are drained before the liveness check so results
-        a worker managed to send before dying are never lost."""
-        while True:
-            try:
-                if not worker.conn.poll():
-                    break
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                break
-            self._absorb(worker, msg, outcomes, held_errors, durations)
-        if not worker.proc.is_alive() and worker.assigned:
-            self._handle_death(worker, outcomes, held_errors, pending)
-
-    def _absorb(
-        self,
-        worker: _PoolWorker,
-        msg: tuple,
-        outcomes: list[TaskOutcome | None],
-        held_errors: dict[int, BaseException],
-        durations: list[float],
-    ) -> None:
-        # Workers process and report strictly in dispatch order.
-        if worker.assigned:
-            worker.assigned.popleft()
-        worker.batch_started = time.monotonic()
-        key = msg[1]
+    def poll(self) -> tuple | None:
+        child = self.child
+        try:
+            msg = child.conn.recv() if child.conn.poll() else None
+        except (EOFError, OSError):
+            msg = None
+        if msg is None:
+            if self.assigned and not child.proc.is_alive():
+                raise _Lost(f"exited with code {child.proc.exitcode}")
+            return None
         if msg[0] == "ok":
-            _tag, _key, payload, descriptors, duration = msg
-            if outcomes[key] is None:
-                unpack_started = time.perf_counter()
-                value = _own_tree(
-                    _load_with_arena(payload, descriptors, worker.reader)
-                )
-                self.transport.serialize_seconds += (
-                    time.perf_counter() - unpack_started
-                )
-                outcomes[key] = TaskOutcome(value=value)
-                durations.append(duration)
-                self.transport.compute_seconds += duration
-                self.transport.payload_bytes += len(payload) + sum(
-                    descriptor[2] for descriptor in descriptors
-                )
-            # A losing speculative copy needs no drain: its arena slot is
-            # reclaimed wholesale at the worker's next batch recycle.
-            return
-        # ("err", key, exception, duration)
-        held_errors[key] = msg[2]
-        if outcomes[key] is None and not self._copies_in_flight(key):
-            outcomes[key] = TaskOutcome(error=held_errors[key])
+            _tag, key, payload, descriptors, duration = msg
+            views = [child.reader.view(*d) for d in descriptors]
+            return ("ok", key, (payload, views), duration)
+        return msg  # ("err", key, exception, duration)
 
-    def _handle_death(
-        self,
-        worker: _PoolWorker,
-        outcomes: list[TaskOutcome | None],
-        held_errors: dict[int, BaseException],
-        pending: deque[int],
-    ) -> None:
-        """A worker died with work outstanding.  In-order processing
-        means the first unreported assigned task was in progress and
-        takes the blame; the rest never started and are requeued (same
-        wrapped callables — the deterministic fault verdict is per
-        (batch, index, attempt), not per dispatch)."""
-        blamed_key, _blamed_backup = worker.assigned.popleft()
-        exitcode = worker.proc.exitcode
-        held_errors.setdefault(
-            blamed_key,
-            WorkerDied(
-                f"worker for task {blamed_key} exited with code {exitcode} "
-                "before reporting a result"
-            ),
-        )
-        unstarted = list(worker.assigned)
-        worker.assigned.clear()
-        self._replace_worker(worker)
-        for key, is_backup in unstarted:
-            if outcomes[key] is not None:
-                continue
-            if not is_backup:
-                pending.append(key)
-            elif not self._copies_in_flight(key) and key in held_errors:
-                # The backup vanished and its original already failed.
-                outcomes[key] = TaskOutcome(error=held_errors[key])
-        if outcomes[blamed_key] is None and not self._copies_in_flight(
-            blamed_key
-        ):
-            outcomes[blamed_key] = TaskOutcome(error=held_errors[blamed_key])
 
-    def _maybe_speculate(
-        self,
-        policy: SpeculationPolicy,
-        duplicates: Sequence[Task],
-        outcomes: list[TaskOutcome | None],
-        durations: list[float],
-        speculated: set[int],
-        on_speculate: Callable[[int], None] | None,
-        n: int,
+class PoolExecutor(_Dispatcher):
+    """Persistent forked worker pool with zero-copy batch transport.
+
+    Workers are forked once (lazily, on the first multi-task batch) and
+    reused for every subsequent batch, so the fork + import-state cost is
+    paid ``workers`` times per executor lifetime instead of once per
+    task.  See the module docstring for the transport protocol and
+    :class:`_Dispatcher` for scheduling and recovery.  The window is 1:
+    a worker's single task arena is recycled per batch, so batches and
+    their replies strictly alternate.  A worker that dies (an injected
+    ``os._exit(73)`` kill, say) is respawned in place.
+    """
+
+    name = "pool"
+
+    def __init__(
+        self, workers: int | None = None, *, task_batch: int | None = None
     ) -> None:
-        threshold = policy.threshold(durations, n)
-        if threshold is None:
-            return
-        idle = [
-            w for w in self._pool if not w.assigned and w.proc.is_alive()
-        ]
-        if not idle:
-            return
-        now = time.monotonic()
-        for worker in self._pool:
-            if not worker.assigned or not idle:
-                continue
-            key, is_backup = worker.assigned[0]
-            if (
-                is_backup
-                or key in speculated
-                or outcomes[key] is not None
-                or now - worker.batch_started <= threshold
-            ):
-                continue
-            target = idle.pop()
-            if self._send_batch(target, [(key, duplicates[key], True)]):
-                speculated.add(key)
-                if on_speculate is not None:
-                    on_speculate(key)
+        if "fork" not in mp.get_all_start_methods():
+            raise ValueError(
+                "the 'pool' backend needs the fork start method "
+                "(unavailable on this platform); use 'threads' instead"
+            )
+        super().__init__(workers, task_batch)
+        self.workers_forked = 0
+        self.workers_respawned = 0
+        global _REAPER_REGISTERED
+        _LIVE_POOL_EXECUTORS.add(self)
+        if not _REAPER_REGISTERED:
+            atexit.register(_reap_leaked_children)
+            _REAPER_REGISTERED = True
+
+    def arena_stats(self) -> dict[str, list[int]]:
+        """Per-live-worker arena segment counts (diagnostic/test hook):
+        how many task-arena segments the driver ever created for each
+        worker, and how many result-arena segments it currently maps.
+        Steady state is 1 and 1 — reuse, not churn."""
+        children = [worker.child for worker in self._channels]
+        return {
+            "task_segments": [
+                c.task_arenas[0].segments_created for c in children
+            ],
+            "result_segments": [len(c.reader.segments) for c in children],
+        }
+
+    def run_outcomes(
+        self, tasks: Sequence[Task], **speculation: Any
+    ) -> list[TaskOutcome]:
+        if self.workers == 1:
+            return self._run_inline(tasks)  # no one to share with
+        return super().run_outcomes(tasks, **speculation)
+
+    def _new_worker(self) -> _PoolWorker:
+        self.workers_forked += 1
+        return _PoolWorker(self.transport)
+
+    def _open_channels(self) -> None:
+        while len(self._channels) < self.workers:
+            self._channels.append(self._new_worker())
+
+    def _channel_lost(self, channel: _Channel) -> None:
+        channel.child.retire()
+        self._channels[self._channels.index(channel)] = self._new_worker()
+        self.workers_respawned += 1
 
     def close(self) -> None:
-        for worker in self._pool:
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in self._pool:
-            self._retire_worker(worker)
-        self._pool.clear()
+        for worker in self._channels:
+            worker.child.send("stop")
+        for worker in self._channels:
+            worker.child.retire()
+        self._channels.clear()
         super().close()
 
 

@@ -241,6 +241,31 @@ class TestHeartbeat:
             server.close()
             thread.join(timeout=5)
 
+    def test_idle_link_is_not_timed_out_when_work_resumes(
+        self, cluster_daemons
+    ):
+        """Idle links are not pinged, so a driver-side pause longer than
+        the timeout must not read as silence once work resumes."""
+
+        def slow(k):
+            time.sleep(0.5)  # outlasts the first heartbeat sweep
+            return k
+
+        ex = ClusterExecutor(
+            list(cluster_daemons),
+            heartbeat_interval=0.2,
+            heartbeat_timeout=1.0,
+        )
+        try:
+            first = ex.run_outcomes([lambda k=k: k for k in range(4)])
+            assert [o.unwrap() for o in first] == [0, 1, 2, 3]
+            time.sleep(1.5)
+            second = ex.run_outcomes([lambda k=k: slow(k) for k in range(4)])
+            assert [o.unwrap() for o in second] == [0, 1, 2, 3]
+            assert ex.workers_lost == 0
+        finally:
+            ex.close()
+
     def test_heartbeat_knobs_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "0.25")
         monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2.5")

@@ -1,0 +1,299 @@
+"""The shared dispatcher, driven through an in-memory fake channel.
+
+``PoolExecutor`` and ``ClusterExecutor`` are one scheduling state
+machine (``_Dispatcher``) over two transports.  These tests substitute
+a third transport that forks nothing and opens no socket — a channel
+that runs each task in the driver when it is sent and hands the replies
+back under the test's control — so the ordering, blame-and-requeue and
+speculation rules are exercised directly instead of by killing real
+workers under a seeded fault plan.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+from collections import deque
+
+from repro.engine.executor import (
+    SpeculationPolicy,
+    TransportProfile,
+    WorkerDied,
+    _Channel,
+    _Dispatcher,
+    _Job,
+    _Lost,
+)
+
+
+class FakeChannel(_Channel):
+    """Runs a batch at ``send`` and queues the replies; ``poll`` then
+    releases them, withholds them (``held``), or stages a death after
+    ``dies_after`` replies: ``"lost"`` takes the channel down,
+    ``"died"`` kills only the worker behind it."""
+
+    label = "fake worker"
+
+    def __init__(self, *, dies_after=None, death="lost", refuse=False,
+                 held=lambda: False):
+        super().__init__()
+        self.dies_after = dies_after
+        self.death = death
+        self.refuse = refuse
+        self.held = held
+        self.batches: list[list[tuple[int, bool]]] = []
+        self.busy_at_send: list[bool] = []  # parallel to batches
+        self.outbox: deque = deque()
+        self.delivered = 0
+
+    def send(self, entries):
+        if self.refuse:
+            return False
+        self.batches.append([(key, backup) for key, _fn, backup in entries])
+        self.busy_at_send.append(bool(self.assigned))
+        for key, fn, _backup in entries:
+            try:
+                reply = ("ok", key, (pickle.dumps(fn()), []), 0.001)
+            except Exception as exc:  # noqa: BLE001 - the "err" reply
+                reply = ("err", key, exc, 0.001)
+            self.outbox.append(reply)
+        return True
+
+    def waitables(self):
+        return []
+
+    def poll(self):
+        if self.held() or not self.outbox:
+            return None
+        if self.delivered == self.dies_after:
+            self.dies_after = None
+            self.outbox.clear()
+            if self.death == "lost":
+                raise _Lost("lost (unplugged)")
+            return ("died", "task child exited with code 73")
+        self.delivered += 1
+        return self.outbox.popleft()
+
+
+class FakeDispatcher(_Dispatcher):
+    name = "fake"
+    _wake_seconds = 0.0  # fake channels have nothing to wait on
+
+    def __init__(self, channels, *, window=1, task_batch=0):
+        super().__init__(len(channels), task_batch)
+        self._channels = list(channels)
+        self._window = window
+        self.lost: list[FakeChannel] = []
+
+    def _open_channels(self):
+        pass
+
+    def _channel_lost(self, channel):
+        self._channels.remove(channel)
+        self.lost.append(channel)
+
+
+def tasks(n):
+    return [lambda i=i: i * 10 for i in range(n)]
+
+
+def keys(batch):
+    return [key for key, _backup in batch]
+
+
+def job_of(n, policy=None):
+    return _Job(tasks(n), tasks(n), policy, None)
+
+
+# Any straggling head task is backed up as soon as half the job is in.
+EAGER = SpeculationPolicy(
+    multiplier=0.0, min_runtime_seconds=0.0, poll_interval_seconds=0.0
+)
+
+
+class TestOrdering:
+    def test_replies_out_of_channel_order_land_positionally(self):
+        late = FakeChannel()
+        early = FakeChannel()
+        late.held = lambda: bool(early.outbox) or early.delivered < 2
+        ex = FakeDispatcher([late, early], task_batch=2)
+        outcomes = ex.run_outcomes(tasks(4))
+        assert keys(late.batches[0]) == [0, 1]
+        assert keys(early.batches[0]) == [2, 3]
+        assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
+        assert ex.batches_sent == 2
+        assert not late.assigned and not late.batch_sizes
+
+    def test_adaptive_batch_gives_each_channel_two_rounds(self):
+        a, b = FakeChannel(), FakeChannel()
+        ex = FakeDispatcher([a, b])  # task_batch=0: ceil(8 / (2 * 2))
+        assert [o.unwrap() for o in ex.run_outcomes(tasks(8))] == [
+            i * 10 for i in range(8)
+        ]
+        assert [len(batch) for batch in a.batches + b.batches] == [2] * 4
+
+    def test_window_is_fed_breadth_first(self):
+        a, b = FakeChannel(), FakeChannel()
+        a.held = b.held = lambda: True
+        ex = FakeDispatcher([a, b], window=3, task_batch=1)
+        ex._feed(job := job_of(5))
+        assert [keys(batch) for batch in a.batches] == [[0], [2], [4]]
+        assert [keys(batch) for batch in b.batches] == [[1], [3]]
+        assert list(a.batch_sizes) == [1, 1, 1] and not job.pending
+
+
+class TestBlameAndRequeue:
+    def test_lost_channel_blames_first_unreported_requeues_rest(self):
+        doomed = FakeChannel(dies_after=1)  # reports task 0, dies in 1
+        healthy = FakeChannel()
+        healthy.held = lambda: not ex.lost
+        ex = FakeDispatcher([doomed, healthy], task_batch=4)
+        outcomes = ex.run_outcomes(tasks(8))
+        assert keys(doomed.batches[0]) == [0, 1, 2, 3]
+        died = [i for i, o in enumerate(outcomes) if not o.ok]
+        assert died == [1]
+        assert isinstance(outcomes[1].error, WorkerDied)
+        assert "fake worker lost (unplugged)" in str(outcomes[1].error)
+        assert "task 1" in str(outcomes[1].error)
+        # k-1 = 2 unstarted tasks requeued, in order, behind no one.
+        assert [keys(batch) for batch in healthy.batches] == [
+            [4, 5, 6, 7], [2, 3]
+        ]
+        assert [o.value for i, o in enumerate(outcomes) if i != 1] == [
+            0, 20, 30, 40, 50, 60, 70
+        ]
+        assert ex.lost == [doomed]
+
+    def test_window_of_three_death_in_second_batch(self):
+        # One channel holds batches [0,1] [2,3] [4,5]; its worker dies
+        # having reported 0, 1, 2 — mid-task 3, in the second batch.
+        # The channel survives ("died"), so the requeue comes back to it.
+        channel = FakeChannel(dies_after=3, death="died")
+        ex = FakeDispatcher([channel], window=3, task_batch=2)
+        outcomes = ex.run_outcomes(tasks(6))
+        assert [keys(batch) for batch in channel.batches] == [
+            [0, 1], [2, 3], [4, 5], [4, 5]
+        ]
+        assert [i for i, o in enumerate(outcomes) if not o.ok] == [3]
+        assert isinstance(outcomes[3].error, WorkerDied)
+        assert "exited with code 73" in str(outcomes[3].error)
+        assert [o.value for o in outcomes if o.ok] == [0, 10, 20, 40, 50]
+        assert not ex.lost and not channel.batch_sizes
+
+    def test_every_channel_lost_returns_workerdied_not_raises(self):
+        a = FakeChannel(dies_after=1)
+        b = FakeChannel(dies_after=0)
+        ex = FakeDispatcher([a, b], task_batch=2)
+        outcomes = ex.run_outcomes(tasks(6))
+        assert outcomes[0].unwrap() == 0
+        assert all(isinstance(o.error, WorkerDied) for o in outcomes[1:])
+        assert "lost (unplugged)" in str(outcomes[1].error)  # blamed
+        assert "every fake worker was lost" in str(outcomes[5].error)
+        assert ex._channels == []
+
+    def test_failed_send_requeues_the_batch_at_the_head(self):
+        refusing = FakeChannel(refuse=True)
+        healthy = FakeChannel()
+        ex = FakeDispatcher([refusing, healthy], task_batch=2)
+        outcomes = ex.run_outcomes(tasks(6))
+        assert [o.unwrap() for o in outcomes] == [i * 10 for i in range(6)]
+        # The refused batch [0, 1] is the first thing the next channel
+        # gets — not pushed behind [2, 3].
+        assert [keys(batch) for batch in healthy.batches] == [
+            [0, 1], [2, 3], [4, 5]
+        ]
+        assert ex.lost == [refusing] and refusing.batches == []
+
+
+class TestSpeculation:
+    def _straggling(self):
+        """``slow`` sits on task 0 while ``fast`` finishes the rest."""
+        slow, fast = FakeChannel(), FakeChannel()
+        ex = FakeDispatcher([slow, fast], task_batch=1)
+        return ex, slow, fast
+
+    def test_backup_goes_to_an_idle_channel_once_per_key(self):
+        ex, slow, fast = self._straggling()
+        slow.held = lambda: True  # never reports: the backup must win
+        speculated: list[int] = []
+        outcomes = ex.run_outcomes(
+            tasks(4),
+            speculation=EAGER,
+            speculative_tasks=[lambda i=i: i * 10 for i in range(4)],
+            on_speculate=speculated.append,
+        )
+        assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
+        assert speculated == [0]
+        backups = [b for b in fast.batches if b[0][1]]
+        assert backups == [[(0, True)]]
+        assert not fast.busy_at_send[fast.batches.index(backups[0])]
+
+    def test_no_backup_while_every_channel_is_busy(self):
+        a, b = FakeChannel(), FakeChannel()
+        a.held = b.held = lambda: True
+        ex = FakeDispatcher([a, b], task_batch=1)
+        job = job_of(4, EAGER)
+        job.durations = [0.001, 0.001]
+        ex._feed(job)
+        ex._maybe_speculate(job)
+        assert ex.batches_sent == 2 and not job.speculated
+
+    def test_lost_backup_after_original_errored_resolves_to_that_error(
+        self,
+    ):
+        boom = ValueError("original failed")
+
+        def original():
+            raise boom
+
+        released = [False]
+        slow = FakeChannel(held=lambda: not released[0])
+        backup_host = FakeChannel()
+        ex = FakeDispatcher([slow, backup_host], task_batch=1)
+
+        def backup():
+            # The backup is now in flight: let the original's error out
+            # and take the backup's channel down before it reports.
+            released[0] = True
+            backup_host.dies_after = backup_host.delivered
+            return "never delivered"
+
+        outcomes = ex.run_outcomes(
+            [original, lambda: 1, lambda: 2],
+            speculation=EAGER,
+            speculative_tasks=[backup, lambda: 1, lambda: 2],
+        )
+        assert outcomes[0].error is boom  # not the backup's WorkerDied
+        assert [o.unwrap() for o in outcomes[1:]] == [1, 2]
+        assert ex.lost == [backup_host]
+
+    def test_first_result_wins_and_loser_is_not_unpickled(self):
+        ex, slow, fast = self._straggling()
+        released = [False]
+        slow.held = lambda: not released[0]
+
+        def backup():
+            released[0] = True  # both copies of task 0 now report
+            return "backup"
+
+        outcomes = ex.run_outcomes(
+            [lambda: "original", lambda: 1, lambda: 2, lambda: 3],
+            speculation=EAGER,
+            speculative_tasks=[backup, None, None, None],
+        )
+        # slow is drained before fast each round, so the original wins.
+        assert outcomes[0].unwrap() == "original"
+        assert ex.transport.payload_bytes == sum(
+            len(pickle.dumps(value)) for value in ("original", 1, 2, 3)
+        )
+
+
+class TestTransportProfile:
+    def test_as_dict_and_reset_cover_every_field(self):
+        names = [f.name for f in dataclasses.fields(TransportProfile)]
+        profile = TransportProfile(**{name: 7 for name in names})
+        assert list(profile.as_dict()) == names
+        assert set(profile.as_dict().values()) == {7}
+        profile.reset()
+        assert profile == TransportProfile()
+        assert not any(profile.as_dict().values())

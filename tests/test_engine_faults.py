@@ -475,11 +475,11 @@ class TestExecutorLifecycle:
         """close() stops idle workers and terminates one stuck mid-task."""
         ex = PoolExecutor(2)
         ex.run([lambda: 1, lambda: 2])
-        busy, idle = ex._pool
-        assert ex._send_batch(busy, [(0, lambda: time.sleep(60), False)])
-        assert busy.proc.is_alive() and idle.proc.is_alive()
+        busy, idle = (worker.child.proc for worker in ex._channels)
+        assert ex._channels[0].send([(0, lambda: time.sleep(60), False)])
+        assert busy.is_alive() and idle.is_alive()
         ex.close()
-        assert not busy.proc.is_alive() and not idle.proc.is_alive()
+        assert not busy.is_alive() and not idle.is_alive()
 
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
@@ -487,7 +487,7 @@ class TestExecutorLifecycle:
     def test_atexit_reaper_kills_orphans(self):
         ex = PoolExecutor(2)
         ex.run([lambda: 1, lambda: 2])
-        procs = [worker.proc for worker in ex._pool]
+        procs = [worker.child.proc for worker in ex._channels]
         assert all(proc.is_alive() for proc in procs)
         _reap_leaked_children()
         assert not any(proc.is_alive() for proc in procs)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import os
 import socket
 import threading
 import time
@@ -243,6 +244,75 @@ class TestHeartbeatDuringDecompress:
             assert obj[0] == "pong"
             # The pong must not have waited out the 1.5s decompress.
             assert latency < 1.0
+        finally:
+            sock.close()
+            daemon.request_stop()
+            thread.join(timeout=10)
+
+
+# ----------------------------------------------------------------------
+# A run frame that goes stale *while it inflates* is still dropped
+# ----------------------------------------------------------------------
+class TestStaleFrameDuringDecompress:
+    def test_frame_overtaken_by_a_child_death_never_runs(self, monkeypatch):
+        """The driver requeues everything in flight when it reads
+        ("died", ...).  A frame whose epoch was current when the daemon
+        picked it up, but whose decompression outlasted the death
+        report, must not reach the replacement child: its replies would
+        eat the driver's strict-order accounting for the requeued
+        copies (seen as a driver hang under the CI cluster fault plan)."""
+        import cloudpickle
+
+        import repro.engine.cluster as cluster_mod
+
+        real_decode = cluster_mod.decode_buffers
+
+        def slow_decode(entries):
+            time.sleep(0.75)  # the child dies and is reported meanwhile
+            return real_decode(entries)
+
+        monkeypatch.setattr(cluster_mod, "decode_buffers", slow_decode)
+        daemon = cluster_mod.WorkerDaemon("127.0.0.1:0")
+        holder: dict = {}
+        started = threading.Event()
+
+        def serve() -> None:
+            asyncio.run(daemon._main(lambda a: (holder.update(addr=a),
+                                                started.set())))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert started.wait(10)
+
+        from repro.engine.netproto import client_handshake, connect
+
+        def kill():
+            os._exit(73)
+
+        big = np.zeros(4 * WIRE_COMPRESS_MIN_BYTES, dtype=np.uint8)
+        buffers: list = []
+        stale = cloudpickle.dumps(
+            [(1, lambda a=big: int(a.sum()))],
+            protocol=5,
+            buffer_callback=lambda b: buffers.append(b.raw()),
+        )
+        sock = connect(holder["addr"], timeout=5)
+        sock.settimeout(5)
+        try:
+            client_handshake(
+                sock,
+                {"role": "driver", "peers": [], "wire_codec": "zlib",
+                 "max_inflight": 2},
+            )
+            send_message(sock, ("run", cloudpickle.dumps([(0, kill)]), 0))
+            send_message(sock, ("run", stale, 0), buffers, codec="zlib")
+            obj, _b, _w, _r = recv_message(sock)
+            assert obj == ("died", 73)
+            time.sleep(1.0)  # the stale frame has finished inflating
+            send_message(sock, ("ping", 0.0))
+            obj, _b, _w, _r = recv_message(sock)
+            assert obj[0] == "pong", f"stale batch ran: {obj[:2]!r}"
+            assert daemon.batches_dispatched == 1
         finally:
             sock.close()
             daemon.request_stop()
