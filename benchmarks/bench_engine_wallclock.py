@@ -20,10 +20,9 @@ it from PR to PR via ``benchmarks/results/BENCH_engine.json``:
   (section ``cluster_transport``): PGPBA at in-flight depth 1 + wire
   codec off (the pre-pipelining transport, reconstructed) versus the
   shipping defaults (depth 2 + zlib), reporting wall vs the local pool,
-  raw-vs-wire bytes with the compression ratio, the dispatch overlap
-  fraction, and a prefetch micro-bench (chunk-streamed shuffle segments
-  with one background prefetch connection, hit rate reported) — digests
-  asserted to match the pool bit for bit in every configuration;
+  raw-vs-wire bytes with the compression ratio and the dispatch
+  overlap fraction — digests asserted to match the pool bit for bit in
+  every configuration;
 * the lazy-DAG stage-fusion win: a 10^6-row grow/transform/contract/
   distinct pipeline timed and tracemalloc-metered with fusion on versus
   ``REPRO_FUSION=off``, asserting the fused run is >= 1.3x better on
@@ -40,13 +39,13 @@ it from PR to PR via ``benchmarks/results/BENCH_engine.json``:
   tracemalloc stays near the budget and the overflow lands on disk
   (reported: peaks, disk high-water, spill/reload counts, wall ratio);
 * the block codec trade-off surface: the same spill pipeline once per
-  codec (raw / zlib / mmap) under a tight 8 MiB budget,
+  codec (zlib / mmap) under a tight 8 MiB budget,
   asserting byte-identical datasets and stage structures while
   reporting disk written, compression ratio and real encode/decode
   seconds per codec;
 * out-of-core generation: weak-scaling PGPBA structure growth to 10^8
-  edges under a 1 GiB budget with the zlib codec and the external-sort
-  shuffle (wall, edges/s, tracemalloc peak vs budget, disk high-water,
+  edges under a 1 GiB budget with the zlib codec (wall, edges/s,
+  tracemalloc peak vs budget, disk high-water,
   compression ratio), plus a parity matrix re-growing the smallest size
   on every backend x codec under an 8 MiB budget and asserting digest +
   stage equality with an unbudgeted in-memory reference run.
@@ -381,9 +380,7 @@ def _spill_pipeline(ctx: ClusterContext, rows: int):
         lambda c, p: (np.repeat(c[0], 2), np.repeat(c[1], 2)),
         stage="spill:grow",
     )
-    return grown.distinct(
-        key_columns=(0, 1), stage="spill:distinct", shuffle="exchange"
-    )
+    return grown.distinct(key_columns=(0, 1), stage="spill:distinct")
 
 
 def _spill_digest(rdd) -> str:
@@ -458,7 +455,7 @@ def run_storage_spill() -> dict:
     }
 
 
-_CODEC_NAMES = ("raw", "zlib", "mmap")
+_CODEC_NAMES = ("zlib", "mmap")
 
 
 def _codec_rows() -> int:
@@ -512,7 +509,7 @@ def run_storage_codec() -> dict:
             {c["digest"] for c in codecs_out.values()}
         ) == 1,
         "stage_structure_match": all(
-            structures[c] == structures["raw"] for c in _CODEC_NAMES
+            structures[c] == structures["zlib"] for c in _CODEC_NAMES
         ),
     }
 
@@ -536,8 +533,8 @@ def run_out_of_core(seed_bundle) -> dict:
     """Weak-scaling PGPBA structure growth to 10^8 edges, out of core.
 
     Each size runs ``PGPBA.grow_structure`` (no decoration, no collect)
-    under the memory budget with the zlib codec and the external-sort
-    shuffle; the grown edge multiset lives in spilled compressed blocks
+    under the memory budget with the zlib codec; the grown edge
+    multiset lives in spilled compressed blocks
     and the driver digests it one partition at a time.  The reported
     wall clock includes the tracemalloc hooks (one pass measures both —
     a 10^8-edge second pass would double the bench time for a constant
@@ -556,7 +553,7 @@ def run_out_of_core(seed_bundle) -> dict:
         with ClusterContext(
             n_nodes=4, executor_cores=12, partition_multiplier=2,
             executor="serial", memory_budget_bytes=budget,
-            block_codec="zlib", shuffle="extsort",
+            block_codec="zlib",
         ) as ctx:
             gen = PGPBA(fraction=2.0, seed=11)
             tracemalloc.start()
@@ -615,7 +612,7 @@ def run_out_of_core(seed_bundle) -> dict:
             with ClusterContext(
                 n_nodes=4, executor_cores=12, partition_multiplier=2,
                 executor=backend, memory_budget_bytes=8 * 2**20,
-                block_codec=codec, shuffle="extsort",
+                block_codec=codec,
             ) as ctx:
                 gen = PGPBA(fraction=2.0, seed=11)
                 edges, _, _ = gen.grow_structure(
@@ -738,10 +735,9 @@ def run_cluster_pipeline(seed_bundle) -> dict:
     """The pipelined, compressed wire vs its own stop-and-wait baseline:
     PGPBA wall clock at in-flight depth 1 + codec off (the PR 8
     transport, reconstructed) against the shipping defaults (depth 2 +
-    zlib), with raw-vs-wire bytes, the overlap fraction and a prefetch
-    micro-bench.  Digests must match the local pool bit for bit."""
+    zlib), with raw-vs-wire bytes and the overlap fraction.  Digests
+    must match the local pool bit for bit."""
     from repro.engine.cluster import (
-        BlockFetcher,
         launch_worker,
         shutdown_worker,
         sockets_available,
@@ -835,61 +831,11 @@ def run_cluster_pipeline(seed_bundle) -> dict:
             except Exception:
                 proc.kill()
 
-    # Prefetch micro-bench: a chain of shuffle-named segments fetched in
-    # the order a reduce sweep would, with one background connection
-    # warming the predicted next segment.
-    import tempfile
-    import time as _time
-
-    n_segments = 8
-    prefetch = {"segments": n_segments}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fetch-") as tmp:
-        served = Path(tmp) / "served"
-        local = Path(tmp) / "local"
-        served.mkdir()
-        local.mkdir()
-        rng = np.random.default_rng(23)
-        for p in range(n_segments):
-            (served / f"es0-m0-d{p}.npz").write_bytes(
-                rng.integers(0, 255, 256 * 1024, dtype=np.uint8).tobytes()
-            )
-        proc, addr = launch_worker(roots=(served,))
-        fetcher = BlockFetcher([addr], prefetch=1)
-        try:
-            start = _time.perf_counter()
-            for p in range(n_segments):
-                assert fetcher(local / f"es0-m0-d{p}.npz") is True
-                deadline = _time.monotonic() + 5.0
-                while (
-                    _time.monotonic() < deadline
-                    and fetcher.prefetched <= p
-                    and p < n_segments - 1
-                ):
-                    _time.sleep(0.005)
-            prefetch.update(
-                {
-                    "wall_seconds": round(_time.perf_counter() - start, 4),
-                    "prefetched": fetcher.prefetched,
-                    "prefetch_hits": fetcher.prefetch_hits,
-                    "hit_rate": round(
-                        fetcher.prefetch_hits / n_segments, 3
-                    ),
-                }
-            )
-        finally:
-            fetcher.close()
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
-
     return {
         "target_edges": size,
         "pool_wall_seconds": round(pool_wall, 4),
         "pool_digest": pool_digest,
         "records": records,
-        "prefetch": prefetch,
         "all_match": all(r["digest_matches_pool"] for r in records),
     }
 
@@ -973,7 +919,6 @@ def run_engine_wallclock(seed_bundle) -> dict:
             ]
             for r in cluster_transport["records"]
         ]
-        pf = cluster_transport["prefetch"]
         print(
             "\n== Cluster transport: pipelining + wire compression "
             f"(PGPBA {cluster_transport['target_edges']:,} edges, "
@@ -986,10 +931,6 @@ def run_engine_wallclock(seed_bundle) -> dict:
                 ],
                 pipe_rows,
             )
-            + "\nprefetch : "
-            f"{pf['prefetch_hits']}/{pf['segments']} segments served "
-            f"from the staging dict (hit rate {pf['hit_rate']:.0%}, "
-            f"{pf['wall_seconds']:.3f} s)"
         )
     print(
         "\n== stage fusion vs eager "
@@ -1064,7 +1005,7 @@ def run_engine_wallclock(seed_bundle) -> dict:
     ooc = out_of_core
     print(
         "\n== out-of-core PGPBA structure growth "
-        f"(zlib + extsort, {ooc['budget_bytes'] / 2**20:.0f} MiB "
+        f"(zlib, {ooc['budget_bytes'] / 2**20:.0f} MiB "
         "budget, serial backend) =="
     )
     ooc_rows = [
@@ -1181,8 +1122,6 @@ def test_engine_wallclock(benchmark, seed_bundle):
             "zlib wire codec produced no compression"
         )
         assert shipped["overlap_seconds"] >= 0.0
-        pf = pipe["prefetch"]
-        assert pf["prefetch_hits"] > 0, "prefetch never hit"
         if not os.environ.get("REPRO_BENCH_SMOKE"):
             # Hardware-independent: at the full PGPBA size the edge
             # payloads compress far better than 2x (measured ~7x).
@@ -1266,7 +1205,7 @@ def test_engine_wallclock(benchmark, seed_bundle):
     )
     assert (
         zlib_out["disk_written_bytes"]
-        < codec["codecs"]["raw"]["disk_written_bytes"]
+        < codec["codecs"]["mmap"]["disk_written_bytes"]
     )
 
     # Out of core: every scaling point stayed under the memory budget

@@ -15,9 +15,9 @@ Everything that needs to know about knobs derives from that table:
 
 This is a leaf module: it imports nothing from ``repro.engine``,
 ``repro.serve`` or ``repro.stream``, so any of them may import it.  The
-closed value sets written out here (backends, codecs, shuffle modes) are
-pinned to the live registries by ``tests/test_config.py``.  It is also
-the only module that reads ``os.environ`` for configuration.
+closed value sets written out here (backends, codecs) are pinned to the
+live registries by ``tests/test_config.py``.  It is also the only module
+that reads ``os.environ`` for configuration.
 """
 
 from __future__ import annotations
@@ -337,16 +337,11 @@ SETTINGS: "dict[str, Setting]" = {
             show=lambda v: ", ".join(v) if v else "none",
         ),
         Setting(
-            "heartbeat_seconds", "REPRO_HEARTBEAT_SECONDS", 0.5, seconds,
-            None, "heartbeat_interval",
-            "ping cadence per busy cluster link",
-            layer="cluster", show=_unit("s"),
-        ),
-        Setting(
             "heartbeat_timeout", "REPRO_HEARTBEAT_TIMEOUT", 15.0, seconds,
             None, "heartbeat_timeout",
             "silence after which a busy cluster worker is declared lost "
-            "(its tasks requeue via lineage recovery)",
+            "(its tasks requeue via lineage recovery); busy links are "
+            "pinged every 1/30 of it",
             layer="cluster", show=_unit("s"),
         ),
         Setting(
@@ -369,15 +364,6 @@ SETTINGS: "dict[str, Setting]" = {
             "negotiated in the handshake, per-buffer codec ids keep "
             "mixed-codec peers interoperable",
             layer="cluster",
-        ),
-        Setting(
-            "fetch_prefetch", "REPRO_FETCH_PREFETCH", 0, integer(min=0),
-            None, "fetch_prefetch",
-            "background connections per worker that prefetch the next "
-            "reduce task's predicted shuffle segments during remote "
-            "block fetch",
-            layer="cluster",
-            show=lambda v: f"{v} connections" if v else "off",
         ),
         # ~4 MiB of input per executor task: the point where per-task
         # dispatch overhead stops mattering relative to NumPy kernel
@@ -426,8 +412,8 @@ SETTINGS: "dict[str, Setting]" = {
             show=_on_off,
         ),
         # An explicit "" is a spelling of "unlimited" here, and of the
-        # default for block_codec and shuffle below: the one way a caller
-        # holding only text can lift a value the environment sets.
+        # default for block_codec below: the one way a caller holding
+        # only text can lift a value the environment sets.
         Setting(
             "memory_budget", "REPRO_MEMORY_BUDGET", None,
             size(off_tokens=("none", "off", "unlimited", "inf", "")),
@@ -446,42 +432,13 @@ SETTINGS: "dict[str, Setting]" = {
             show=lambda v: "(system tempdir)" if v is None else v,
         ),
         Setting(
-            "block_codec", "REPRO_BLOCK_CODEC", "raw",
-            choice(("raw", "zlib", "mmap"), aliases={"": "raw"}),
+            "block_codec", "REPRO_BLOCK_CODEC", "mmap",
+            choice(("mmap", "zlib"), aliases={"": "mmap"}),
             "--block-codec", "block_codec",
-            "on-disk format for spilled blocks, shuffle segments and "
-            "checkpoints: `raw` = uncompressed `.npz`, `zlib` = "
-            "chunk-compressed columnar `.blk`, `mmap` = uncompressed "
-            "`.blk` read back via memory mapping; " + _BYTE_IDENTICAL,
-        ),
-        Setting(
-            "shuffle", "REPRO_SHUFFLE", "exchange",
-            choice(("exchange", "extsort"), aliases={"": "exchange"}),
-            "--shuffle", "shuffle",
-            "`distinct()` strategy: `exchange` hash-exchanges whole "
-            "partitions, `extsort` spills sorted runs and streams a k-way "
-            "merge so reduce memory stays bounded by "
-            "`REPRO_EXTSORT_CHUNK_ROWS`; " + _BYTE_IDENTICAL,
-        ),
-        Setting(
-            "emit_chunk_rows", "REPRO_EMIT_CHUNK_ROWS", 262144,
-            integer(min=1), None, None,
-            "rows per chunk for streaming edge emission in the "
-            "PGPBA/PGSK expansion stages (4 MB of int64 edge pairs)",
-            show=_unit("rows"),
-        ),
-        Setting(
-            "extsort_chunk_rows", "REPRO_EXTSORT_CHUNK_ROWS", 65536,
-            integer(min=1), None, None,
-            "run-file chunk rows of the `extsort` shuffle: the k-way "
-            "merge holds one chunk per run per column",
-            show=_unit("rows"),
-        ),
-        Setting(
-            "codec_chunk_bytes", "REPRO_CODEC_CHUNK_BYTES", 1 << 20,
-            size(min=1), None, None,
-            "target uncompressed chunk size inside `.blk` containers",
-            show=format_bytes,
+            "payload of the `.blk` files behind spilled blocks, shuffle "
+            "segments and checkpoints: `mmap` = uncompressed chunks read "
+            "back via memory mapping, `zlib` = DEFLATE-compressed chunks; "
+            + _BYTE_IDENTICAL,
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),

@@ -29,7 +29,7 @@ from repro.core.generator import GenerationResult, SeedAnalysis
 from repro.core.pgpba import _decorate
 from repro.engine.context import ClusterContext
 from repro.engine.storage import StorageLevel
-from repro.engine.stream import iter_repeat_chunks
+from repro.engine.stream import EMIT_CHUNK_ROWS, iter_repeat_chunks
 from repro.graph.property_graph import PropertyGraph
 from repro.kronecker.expand import descend_batch_chunks
 from repro.kronecker.initiator import InitiatorMatrix
@@ -145,7 +145,9 @@ class PGSK:
                 # budgeted run flush each window through the spill codec
                 # instead of materialising the partition's edge arrays.
                 rng = np.random.default_rng((*_tag, pidx))
-                yield from descend_batch_chunks(initiator, k, count, rng)
+                yield from descend_batch_chunks(
+                    initiator, k, count, rng, chunk_rows=EMIT_CHUNK_ROWS
+                )
 
             batch = ctx.generate(
                 batch_size, _descend, stage="kron:descend", stream=True

@@ -36,11 +36,8 @@ workers=[...])`` / ``REPRO_WORKERS`` / ``--workers``)
     path — so reduce tasks pull shuffle segments worker-to-worker
     instead of through the driver.  Blocks travel as their on-disk
     codec containers (PR 6), already compressed and checksummed, and
-    stream as bounded chunks (RBLK01 chunk-table aligned when the file
-    is an RBLK container) instead of one whole-file frame; with
-    ``REPRO_FETCH_PREFETCH`` > 0, background connections pull the
-    *predicted next* shuffle segments while the current reduce task
-    computes, so fetch latency overlaps compute worker-to-worker.
+    stream as bounded chunks (RBLK01 chunk-table aligned) instead of
+    one whole-file frame.
 
 Transport performance (DESIGN.md §14): dispatch is pipelined — up to
 ``REPRO_MAX_INFLIGHT`` batches ride each link so the driver serializes
@@ -60,14 +57,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import re
 import select
 import socket
 import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -98,11 +93,14 @@ from .netproto import (
     send_message,
 )
 
+# A busy link is pinged this many times per ``heartbeat_timeout``: the
+# daemon has that many chances to answer before it is declared lost.
+_PINGS_PER_TIMEOUT = 30
+
 __all__ = [
     "ClusterExecutor",
     "WorkerDaemon",
     "BlockFetcher",
-    "predict_next_segments",
     "sockets_available",
     "launch_worker",
     "shutdown_worker",
@@ -150,33 +148,6 @@ def _locate_block(roots: Sequence[str], name: str) -> "Path | None":
     return None
 
 
-# Shuffle segment names are sequential in their map/destination indices
-# (rdd.py): exchange members are ``ex{shuffle}-m{mapper}{ext}``, extsort
-# runs are ``es{shuffle}-m{mapper}-d{dest}{ext}``.  A reduce task that
-# just fetched one segment will very likely need the neighbouring ones
-# next — that locality is what the prefetcher exploits.
-_ES_SEGMENT = re.compile(r"^(es\d+-m)(\d+)(-d)(\d+)(\.[A-Za-z0-9.]+)$")
-_EX_SEGMENT = re.compile(r"^(ex\d+-m)(\d+)(\.[A-Za-z0-9.]+)$")
-
-
-def predict_next_segments(name: str) -> "list[str]":
-    """Shuffle segments likely to be fetched right after ``name``
-    (successor in the same run, same slot of the next mapper); empty
-    for names with no recognisable sequence."""
-    match = _ES_SEGMENT.match(name)
-    if match:
-        head, mapper, dsep, dest, ext = match.groups()
-        return [
-            f"{head}{mapper}{dsep}{int(dest) + 1}{ext}",
-            f"{head}{int(mapper) + 1}{dsep}{dest}{ext}",
-        ]
-    match = _EX_SEGMENT.match(name)
-    if match:
-        head, mapper, ext = match.groups()
-        return [f"{head}{int(mapper) + 1}{ext}"]
-    return []
-
-
 class BlockFetcher:
     """Missing-file resolver that pulls blocks from peer worker daemons.
 
@@ -188,15 +159,7 @@ class BlockFetcher:
     are written incrementally to a tmp file and renamed into place only
     when the stream completes — a dropped connection mid-transfer leaves
     no torn block *and no orphan tmp file*.  Returns True iff some peer
-    had the block.
-
-    With ``prefetch`` > 0 (``REPRO_FETCH_PREFETCH``), that many
-    background threads — each with its own fetch connections — pull the
-    segments :func:`predict_next_segments` names into an in-memory
-    staging dict, so the next reduce task's fetch is usually a local
-    memory copy (counted in ``prefetch_hits``)."""
-
-    _STAGE_MAX_ENTRIES = 32
+    had the block."""
 
     def __init__(
         self,
@@ -206,30 +169,17 @@ class BlockFetcher:
         timeout: float = 10.0,
         transport: Any = None,
         wire_codec: "str | None" = None,
-        prefetch: "int | None" = None,
     ) -> None:
         skip = set(exclude)
         self.peers = [str(p) for p in peers if str(p) not in skip]
         self.timeout = timeout
         self.transport = transport
         self.wire_codec = resolve("wire_codec", wire_codec)
-        self.prefetch = resolve("fetch_prefetch", prefetch)
         self.fetched = 0
         self.fetched_bytes = 0
         self.misses = 0
-        self.prefetched = 0
-        self.prefetch_hits = 0
         self._socks: dict[str, socket.socket] = {}
         self._lock = threading.Lock()
-        self._meter_lock = threading.Lock()
-        self._staged: dict[str, bytes] = {}
-        self._queue: deque = deque()
-        self._queue_cv = threading.Condition()
-        self._threads: list[threading.Thread] = []
-        # Prefetch threads (and cached sockets) never survive a fork;
-        # each process lazily starts its own on first use.
-        self._threads_pid: "int | None" = None
-        self._closing = False
 
     # -- connection plumbing -------------------------------------------
     def _open(self, peer: str) -> socket.socket:
@@ -248,10 +198,9 @@ class BlockFetcher:
     def _meter(self, wire: int, raw: int, trips: int) -> None:
         if self.transport is None:
             return
-        with self._meter_lock:
-            self.transport.network_bytes += wire
-            self.transport.network_raw_bytes += raw
-            self.transport.round_trips += trips
+        self.transport.network_bytes += wire
+        self.transport.network_raw_bytes += raw
+        self.transport.round_trips += trips
 
     def _stream(self, sock: socket.socket, name: str, sink) -> bool:
         """Request one block over an established fetch connection and
@@ -288,65 +237,35 @@ class BlockFetcher:
         finally:
             self._meter(wire, raw, trips)
 
-    # -- foreground fetch ----------------------------------------------
-    def _materialise(self, path: Path, write) -> "int | None":
-        """Run ``write(fh)`` against a tmp file next to ``path`` and
-        rename it into place; the tmp file is unlinked on *any* failure
-        (dropped connections used to orphan these).  Returns the byte
-        count on success, None when the writer reported a miss."""
+    def _fetch_to(self, peer: str, name: str, path: Path) -> bool:
+        """Stream ``name`` from ``peer`` into a tmp file next to ``path``
+        and rename it into place; the tmp file is unlinked on *any*
+        failure (dropped connections used to orphan these)."""
+        sock = self._socks.get(peer)
+        if sock is None:
+            sock = self._open(peer)
+            self._socks[peer] = sock
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.fetch-{os.getpid()}")
         placed = False
         try:
             with open(tmp, "wb") as fh:
-                nbytes = write(fh)
-            if nbytes is not None:
+                hit = self._stream(sock, name, fh.write)
+                nbytes = fh.tell()
+            if hit:
                 os.replace(tmp, path)
                 placed = True
-            return nbytes
+                self.fetched_bytes += nbytes
+            return hit
         finally:
             if not placed:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
 
-    def _fetch_to(self, peer: str, name: str, path: Path) -> bool:
-        sock = self._socks.get(peer)
-        if sock is None:
-            sock = self._open(peer)
-            self._socks[peer] = sock
-
-        def write(fh) -> "int | None":
-            total = 0
-
-            def sink(chunk: bytes) -> None:
-                nonlocal total
-                fh.write(chunk)
-                total += len(chunk)
-
-            return total if self._stream(sock, name, sink) else None
-
-        nbytes = self._materialise(path, write)
-        if nbytes is None:
-            return False
-        self.fetched_bytes += nbytes
-        return True
-
-    def _take_staged(self, name: str) -> "bytes | None":
-        with self._queue_cv:
-            return self._staged.pop(name, None)
-
     def __call__(self, path: "Path | str") -> bool:
         path = Path(path)
         name = path.name
         with self._lock:
-            staged = self._take_staged(name)
-            if staged is not None:
-                self._materialise(path, lambda fh: fh.write(staged) or len(staged))
-                self.fetched += 1
-                self.fetched_bytes += len(staged)
-                self.prefetch_hits += 1
-                self._enqueue_predictions(name)
-                return True
             for peer in list(self.peers):
                 try:
                     hit = self._fetch_to(peer, name, path)
@@ -355,89 +274,11 @@ class BlockFetcher:
                     continue
                 if hit:
                     self.fetched += 1
-                    self._enqueue_predictions(name)
                     return True
             self.misses += 1
             return False
 
-    # -- background prefetch -------------------------------------------
-    def _enqueue_predictions(self, name: str) -> None:
-        if self.prefetch <= 0:
-            return
-        self._ensure_prefetch_threads()
-        with self._queue_cv:
-            for successor in predict_next_segments(name):
-                if successor in self._staged or successor in self._queue:
-                    continue
-                self._queue.append(successor)
-            self._queue_cv.notify_all()
-
-    def _ensure_prefetch_threads(self) -> None:
-        pid = os.getpid()
-        if self._threads_pid != pid:
-            self._threads = []
-            self._threads_pid = pid
-        while len(self._threads) < self.prefetch:
-            thread = threading.Thread(
-                target=self._prefetch_loop,
-                name=f"repro-prefetch-{len(self._threads)}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _prefetch_loop(self) -> None:
-        socks: dict[str, socket.socket] = {}
-        try:
-            while True:
-                with self._queue_cv:
-                    while not self._queue and not self._closing:
-                        self._queue_cv.wait(timeout=1.0)
-                    if self._closing:
-                        return
-                    name = self._queue.popleft()
-                    if name in self._staged:
-                        continue
-                chunks: list[bytes] = []
-                done = False
-                for peer in list(self.peers):
-                    sock = socks.get(peer)
-                    try:
-                        if sock is None:
-                            sock = self._open(peer)
-                            socks[peer] = sock
-                        done = self._stream(sock, name, chunks.append)
-                    except (
-                        OSError, ConnectionError, ProtocolError, ValueError
-                    ):
-                        dead = socks.pop(peer, None)
-                        if dead is not None:
-                            with contextlib.suppress(OSError):
-                                dead.close()
-                        chunks.clear()
-                        continue
-                    if done:
-                        break
-                    chunks.clear()
-                if not done:
-                    continue
-                with self._queue_cv:
-                    self._staged[name] = b"".join(chunks)
-                    self.prefetched += 1
-                    while len(self._staged) > self._STAGE_MAX_ENTRIES:
-                        self._staged.pop(next(iter(self._staged)))
-        finally:
-            for sock in socks.values():
-                with contextlib.suppress(OSError):
-                    sock.close()
-
     def close(self) -> None:
-        with self._queue_cv:
-            self._closing = True
-            self._queue_cv.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads = []
         with self._lock:
             for peer in list(self._socks):
                 self._drop(peer)
@@ -512,9 +353,9 @@ async def _a_send_compressed(
 def _fetch_chunk_plan(path: Path) -> "list[tuple[int, int]]":
     """Spans to stream a served block file in: the RBLK01 chunk table
     when the file is an RBLK container (each compressed payload chunk is
-    one frame, the footer rides the final span), fixed
-    ``REPRO_CODEC_CHUNK_BYTES`` slices otherwise."""
-    from .storage.codecs import _read_rblk_footer
+    one frame, the footer rides the final span), fixed ``CHUNK_BYTES``
+    slices otherwise."""
+    from .storage.codecs import CHUNK_BYTES, _read_rblk_footer
 
     size = os.path.getsize(path)
     if size == 0:
@@ -540,10 +381,9 @@ def _fetch_chunk_plan(path: Path) -> "list[tuple[int, int]]":
             spans.append((end, size - end))  # JSON footer + magic tail
         return spans
     except (ValueError, KeyError, TypeError, OSError):
-        step = resolve("codec_chunk_bytes")
         return [
-            (offset, min(step, size - offset))
-            for offset in range(0, size, step)
+            (offset, min(CHUNK_BYTES, size - offset))
+            for offset in range(0, size, CHUNK_BYTES)
         ]
 
 
@@ -591,7 +431,6 @@ class _DriverSession:
                 peers,
                 exclude=(daemon.bound_address or "",),
                 wire_codec=self.wire_codec,
-                prefetch=config.get("fetch_prefetch"),
             )
             self._previous_resolver = set_missing_file_resolver(self._fetcher)
             self._had_resolver = True
@@ -1110,7 +949,7 @@ class _Link(_Channel):
                 f"lost (heartbeat timeout: no reply for {silence:.2f}s "
                 f"(limit {ex.heartbeat_timeout}s))"
             )
-        if now - self.last_ping >= ex.heartbeat_interval:
+        if now - self.last_ping >= ex._wake_seconds:
             try:
                 wire, raw_wire = send_message(self.sock, ("ping", now))
             except (OSError, ValueError) as exc:
@@ -1127,8 +966,8 @@ class ClusterExecutor(_Dispatcher):
     (``REPRO_MAX_INFLIGHT``, default 2), so the driver serializes,
     compresses and ships batch N+1 while the daemon's task child
     computes batch N.  Two loss detectors: socket EOF/reset, and a
-    heartbeat (ping every ``heartbeat_interval`` seconds to each busy
-    link, dead after ``heartbeat_timeout`` seconds of silence).  A
+    heartbeat (each busy link is dead after ``heartbeat_timeout``
+    seconds of silence and pinged every 1/30 of that).  A
     daemon whose *task child* died (e.g. an injected ``os._exit`` kill)
     reports ``("died", exitcode)`` and stays in the ring; only daemon
     loss removes the link.  Lost links are retried at the next batch, so
@@ -1145,12 +984,10 @@ class ClusterExecutor(_Dispatcher):
         workers: "Sequence[str] | str | None" = None,
         *,
         task_batch: "int | None" = None,
-        heartbeat_interval: "float | None" = None,
         heartbeat_timeout: "float | None" = None,
         connect_timeout: float = 10.0,
         max_inflight: "int | None" = None,
         wire_codec: "str | None" = None,
-        fetch_prefetch: "int | None" = None,
     ) -> None:
         self.addresses = resolve("workers", workers)
         if not self.addresses:
@@ -1161,18 +998,15 @@ class ClusterExecutor(_Dispatcher):
                 "ClusterContext(workers=[...])"
             )
         super().__init__(len(self.addresses), task_batch)
-        self.heartbeat_interval = resolve(
-            "heartbeat_seconds", heartbeat_interval
-        )
         self.heartbeat_timeout = resolve(
             "heartbeat_timeout", heartbeat_timeout
         )
         self.connect_timeout = connect_timeout
         self.max_inflight = resolve("max_inflight", max_inflight)
         self.wire_codec = resolve("wire_codec", wire_codec)
-        self.fetch_prefetch = resolve("fetch_prefetch", fetch_prefetch)
         self._window = self.max_inflight
-        self._wake_seconds = self.heartbeat_interval  # pings need a tick
+        # The ping cadence, and so the tick the dispatcher must wake at.
+        self._wake_seconds = self.heartbeat_timeout / _PINGS_PER_TIMEOUT
         self._lost: list[str] = []
         self._spill_roots: set[str] = set()
         self._fetcher: "BlockFetcher | None" = None
@@ -1201,7 +1035,6 @@ class ClusterExecutor(_Dispatcher):
             "spill_roots": sorted(self._spill_roots),
             "max_inflight": self.max_inflight,
             "wire_codec": self.wire_codec,
-            "fetch_prefetch": self.fetch_prefetch,
         }
 
     def _connect_link(self, spec: str) -> _Link:
@@ -1245,7 +1078,6 @@ class ClusterExecutor(_Dispatcher):
                 self.addresses,
                 transport=self.transport,
                 wire_codec=self.wire_codec,
-                prefetch=self.fetch_prefetch,
             )
             self._previous_resolver = set_missing_file_resolver(self._fetcher)
 

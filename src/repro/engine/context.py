@@ -87,7 +87,6 @@ class ClusterContext:
         memory_budget_bytes: int | str | None = None,
         spill_dir: str | None = None,
         block_codec: str | None = None,
-        shuffle: str | None = None,
     ) -> None:
         if partition_multiplier < 1:
             raise ValueError("partition_multiplier must be >= 1")
@@ -153,16 +152,13 @@ class ClusterContext:
         # Monotone RDD ids key the blocks (and the persist accounting —
         # id() reuse can never alias entries).  Every spill /
         # shuffle-segment / checkpoint file goes through block_codec;
-        # reads sniff the file format, so mixed-codec spill directories
-        # are still readable.
+        # reads go by the file's own footer, so mixed-codec spill
+        # directories are still readable.
         self.storage = BlockStore(
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
             codec=block_codec,
         )
-        # "extsort" swaps distinct()'s reduce-side hash bucket for the
-        # external merge sort (byte-identical output).
-        self.shuffle_strategy = config.resolve("shuffle", shuffle)
         self._rdd_ids = itertools.count()
         self.metrics.attach_storage(self.storage.stats)
         self.metrics.attach_transport(

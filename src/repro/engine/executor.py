@@ -780,6 +780,17 @@ def _pool_worker_main(
         os._exit(status)
 
 
+def _pipe_child_main(
+    parent_conn: mp_connection.Connection, target: Callable, *args: Any
+) -> None:
+    """Fork-child entry of :class:`_PipeChild`: close the inherited copy
+    of the parent's pipe end, then run ``target``.  While the child
+    holds that copy its own ``recv()`` can never see EOF, so a child
+    whose parent was SIGKILLed would block forever instead of exiting."""
+    parent_conn.close()
+    target(*args)
+
+
 class _PipeChild:
     """A forked process running the worker loop over a duplex pipe, plus
     the arenas on this side of the pipe: a ring of ``window`` task
@@ -801,7 +812,9 @@ class _PipeChild:
         ctx = mp.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=target, args=(child_conn, *args), daemon=True
+            target=_pipe_child_main,
+            args=(self.conn, target, child_conn, *args),
+            daemon=True,
         )
         self.proc.start()
         child_conn.close()

@@ -39,10 +39,9 @@ which sizes the daemon's task-arena ring) and the wire codec it wants
 ``hello-ok`` info dict — a daemon that doesn't know the requested codec
 agrees to ``"off"`` and the link still works, just uncompressed.
 
-Heartbeats: the driver pings every busy worker every
-``heartbeat_interval`` seconds and declares a worker dead after
-``heartbeat_timeout`` seconds of silence (``REPRO_HEARTBEAT_SECONDS`` /
-``REPRO_HEARTBEAT_TIMEOUT``).  The daemon answers pings from its event
+Heartbeats: the driver declares a busy worker dead after
+``heartbeat_timeout`` seconds of silence (``REPRO_HEARTBEAT_TIMEOUT``)
+and pings it every 1/30 of that.  The daemon answers pings from its event
 loop even while its task child computes — and while large frames are
 being decompressed off-loop — so a long task never trips the timeout;
 only a hung or dead peer does.

@@ -326,7 +326,7 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
             pipe.ops,
             _validate_partition,
             writer,
-            writer.name_for(BlockId(target_id, i)) if writer else None,
+            BlockId(target_id, i).filename if writer else None,
         )
 
     results: list = [None] * len(pipes)

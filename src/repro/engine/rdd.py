@@ -58,24 +58,17 @@ fault plan.
 
 from __future__ import annotations
 
-import dataclasses
-import heapq
 import os
 import time
 import weakref
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro import config
 from repro.engine.partitioner import split_count
 from repro.engine.plan import PendingOp, Pipe, fuse_and_run
 from repro.engine.storage import BlockId, SpilledBlockHandle, StorageLevel
-from repro.engine.storage.codecs import (
-    array_dtypes,
-    iter_column_chunks,
-    read_arrays,
-)
+from repro.engine.storage.codecs import BLOCK_EXTENSION, read_arrays
 
 __all__ = ["ArrayRDD"]
 
@@ -518,7 +511,6 @@ class ArrayRDD:
     def distinct(
         self, *, key_columns: tuple[int, int] | int = 0,
         stage: str = "distinct",
-        shuffle: "str | None" = None,
     ) -> "ArrayRDD":
         """Remove duplicate rows, keying on one int column or a pair.
 
@@ -529,26 +521,18 @@ class ArrayRDD:
         fusion barrier: it forces the map side and returns a
         materialized RDD.
 
-        ``shuffle`` defaults to the context's strategy
-        (``ClusterContext(shuffle=)`` / ``REPRO_SHUFFLE``, normally
-        ``"exchange"``).  ``"exchange"`` is a real hash exchange: every
-        map task buckets its rows by ``hash(key) % n_partitions`` on the
-        executor and the reduce-side unique runs per-partition on the
-        executor.  Without a memory budget the driver concatenates
-        per-destination buckets in memory (peak driver memory is
-        O(largest partition), not O(dataset)); with a budget the map
-        tasks write their buckets as **file shuffle segments** through
-        the block store and the reduce tasks read their slots back, so
-        no stage ever holds more than one partition in memory and a
-        10^7-row distinct runs under a fixed budget.
-        ``shuffle="extsort"`` replaces the reduce-side hash bucket with
-        an external merge sort: map tasks write key-sorted,
-        codec-compressed runs (one per destination) and reduce tasks
-        stream a ``heapq.merge`` k-way merge over the run chunk
-        iterators, keeping first occurrences — peak reduce memory is
-        bounded by chunk size x runs plus the distinct survivors, never
-        the full duplicate-laden bucket.  Its output (rows *and* row
-        order) is byte-identical to the exchange path.
+        The shuffle is a real hash exchange: every map task buckets its
+        rows by ``hash(key) % n_partitions`` on the executor and the
+        reduce-side unique runs per-partition on the executor.  Without
+        a memory budget the driver concatenates per-destination buckets
+        in memory (peak driver memory is O(largest partition), not
+        O(dataset)); with a budget the map tasks write their buckets as
+        **file shuffle segments** through the block store and the reduce
+        tasks read their slots back, so no stage ever holds more than
+        one partition in memory and a 10^7-row distinct runs under a
+        fixed budget.  Which of the two runs is decided by the budget,
+        not by the caller; their output (rows *and* row order) is
+        byte-identical.
         The shuffle is charged to the simulated clock via the reduce
         stage's measured cost plus a serial ``:driver`` component.
         """
@@ -556,12 +540,6 @@ class ArrayRDD:
             key_cols: tuple[int, ...] = (key_columns,)
         else:
             key_cols = tuple(key_columns)
-        shuffle = (
-            config.resolve("shuffle", shuffle)
-            if shuffle is not None
-            else getattr(self._ctx, "shuffle_strategy", "exchange")
-        )
-
         n_parts = self.n_partitions
         map_side = self.map_partitions(
             lambda cols, i: _unique_rows(cols, key_cols),
@@ -570,10 +548,7 @@ class ArrayRDD:
         map_side._force()
         # The exchange consumes the map side: its blocks are released
         # as soon as every map task has re-bucketed its input.
-        shuffle_fn = (
-            _exchange_shuffle if shuffle == "exchange" else _extsort_shuffle
-        )
-        results, task_cpu, driver_cpu, rdd_id = shuffle_fn(
+        results, task_cpu, driver_cpu, rdd_id = _exchange_shuffle(
             self._ctx, map_side, key_cols, n_parts
         )
         del map_side
@@ -681,11 +656,7 @@ class ArrayRDD:
         rdd_id = self._ctx._next_rdd_id()
 
         def _make_task(mine: list[tuple[int, int, int]], p: int):
-            out_name = (
-                writer.name_for(BlockId(rdd_id, p))
-                if writer is not None
-                else None
-            )
+            out_name = BlockId(rdd_id, p).filename
 
             def _task():
                 if writer is not None:
@@ -827,7 +798,7 @@ def _exchange_shuffle(
     both run on the executor and the driver only concatenates
     per-destination buckets, releasing buffers as eagerly as the
     dataflow allows.  With a budget, every map task writes its buckets
-    to one ``.npz`` shuffle segment through the block store and every
+    to one ``.blk`` shuffle segment through the block store and every
     reduce task streams its slots back from the segment files — the
     dataset never transits driver memory at all, and on the process
     backends the exchange moves bytes via files instead of shm arenas.
@@ -843,7 +814,7 @@ def _exchange_shuffle(
         refs = [map_side._task_ref(i) for i in range(n_src)]
 
         def _make_segment_task(ref, mi: int):
-            name = f"ex{shuffle_id}-m{mi}{seg_writer.extension}"
+            name = f"ex{shuffle_id}-m{mi}{BLOCK_EXTENSION}"
 
             def _task():
                 cols = ref.load()
@@ -879,7 +850,7 @@ def _exchange_shuffle(
         block_writer = store.block_writer()
 
         def _make_reduce_task(p: int):
-            out_name = block_writer.name_for(BlockId(rdd_id, p))
+            out_name = BlockId(rdd_id, p).filename
             slot_names = [f"d{p}c{j}" for j in range(n_cols)]
 
             def _task():
@@ -961,187 +932,6 @@ def _exchange_shuffle(
     out_parts = [r[0] for r in reduced]
     task_cpu = [bucket_cpu[p] + reduced[p][1] for p in range(n_parts)]
     return out_parts, task_cpu, driver_seconds, rdd_id
-
-
-# Global first-occurrence positions pack (map_index, local_index) into
-# one int64: map index in the high bits, routed-row index in the low 44.
-# Ascending pos is exactly the order the exchange reduce would see after
-# concatenating map segments, which is what makes the two paths emit
-# byte-identical partitions.
-_EXTSORT_POS_SHIFT = np.int64(44)
-
-
-def _run_row_iter(
-    path: str, n_cols: int, key_cols: tuple[int, ...]
-) -> Iterator[tuple]:
-    """Stream one sorted run as ``(key..., pos, values...)`` tuples.
-
-    Reads one chunk per column at a time (chunks are row-aligned across
-    a run's columns by construction), so resident bytes per run are one
-    chunk per column — the k-way merge's memory bound.  Values are
-    converted via ``tolist`` to native Python scalars: comparisons in
-    ``heapq.merge`` get cheaper and int64/float64 round-trip exactly.
-    """
-
-    iters = [iter_column_chunks(path, f"c{j}") for j in range(n_cols + 1)]
-    for chunks in zip(*iters):
-        lists = [c.tolist() for c in chunks]
-        key_lists = [lists[kc] for kc in key_cols]
-        pos_list = lists[n_cols]
-        yield from zip(*key_lists, pos_list, *lists[:n_cols])
-
-
-def _extsort_shuffle(
-    ctx, map_side: "ArrayRDD", key_cols: tuple[int, ...], n_parts: int
-):
-    """External merge-sort shuffle + streaming first-occurrence dedup.
-
-    Same contract as :func:`_exchange_shuffle` (and byte-identical
-    output), different memory shape: map tasks route rows with the
-    identical ``_route`` hash, key-sort each destination's slice
-    (stable, so equal keys stay in first-occurrence order), attach the
-    packed global position, and write one codec-compressed sorted run
-    per destination in bounded chunks.  Reduce tasks never concatenate
-    a bucket: ``heapq.merge`` streams the k runs in ``(key, pos)``
-    order, the first row of every equal-key group (= the globally
-    first occurrence, because pos is the concatenation order) survives,
-    and survivors are re-sorted by pos so the output rows and row order
-    match the hash-exchange reduce exactly.  Peak reduce memory is
-    O(chunk_rows x columns x runs) for the merge plus the distinct
-    survivors — duplicates are dropped on the fly and never buffered.
-    """
-    store = ctx.storage
-    n_src = map_side.n_partitions
-    n_cols = map_side.n_columns
-    rdd_id = ctx._next_rdd_id()
-    chunk_rows = config.resolve("extsort_chunk_rows")
-    shuffle_id = store.new_shuffle_id()
-    seg_writer = store.shuffle_writer()
-    if seg_writer.codec == "raw":
-        # The memory bound requires chunked reads on the merge side, and
-        # the raw .npz container cannot deliver them (numpy loads members
-        # whole).  Runs are shuffle-internal temporaries, so quietly use
-        # the uncompressed chunked .blk container instead; spilled
-        # *output* blocks still honour the configured codec.
-        seg_writer = dataclasses.replace(seg_writer, codec="mmap")
-    spill_outputs = store.spill_task_outputs
-    refs = [map_side._task_ref(i) for i in range(n_src)]
-
-    def _run_name(mi: int, p: int) -> str:
-        return f"es{shuffle_id}-m{mi}-d{p}{seg_writer.extension}"
-
-    def _make_run_task(ref, mi: int):
-        names = [_run_name(mi, p) for p in range(n_parts)]
-
-        def _task():
-            cols = ref.load()
-            t0 = time.perf_counter()
-            order, splits = _route(cols, key_cols, n_parts)
-            base = np.int64(mi) << _EXTSORT_POS_SHIFT
-            runs = []
-            for p in range(n_parts):
-                sel = order[splits[p]:splits[p + 1]]
-                rows = tuple(c[sel] for c in cols)
-                pos = base + np.arange(sel.size, dtype=np.int64)
-                if len(key_cols) == 1:
-                    sort_idx = np.argsort(rows[key_cols[0]], kind="stable")
-                else:
-                    # primary key first: lexsort keys are last-significant
-                    sort_idx = np.lexsort(
-                        (rows[key_cols[1]], rows[key_cols[0]])
-                    )
-                runs.append(
-                    (tuple(r[sort_idx] for r in rows), pos[sort_idx])
-                )
-            elapsed = time.perf_counter() - t0
-            infos = []
-            for p, (rows, pos) in enumerate(runs):
-                run_writer = seg_writer.open_chunked(names[p])
-                if pos.size == 0:
-                    # register dtypes so the reduce side can reconstruct
-                    # empty columns exactly
-                    run_writer.append_columns(
-                        tuple(r[:0] for r in rows) + (pos[:0],)
-                    )
-                else:
-                    for lo in range(0, pos.size, chunk_rows):
-                        hi = lo + chunk_rows
-                        run_writer.append_columns(
-                            tuple(r[lo:hi] for r in rows) + (pos[lo:hi],)
-                        )
-                infos.append(run_writer.close())
-            return infos, elapsed
-
-        return _task
-
-    outs = ctx.run_tasks(
-        [_make_run_task(r, mi) for mi, r in enumerate(refs)]
-    )
-    map_cpu = [o[1] for o in outs]
-    run_paths = [[info.path for info in o[0]] for o in outs]
-    seg_disk = int(sum(i.disk_bytes for o in outs for i in o[0]))
-    seg_logical = int(sum(i.nbytes for o in outs for i in o[0]))
-    seg_seconds = sum(i.codec_seconds for o in outs for i in o[0])
-    store.track_shuffle_segments(
-        seg_disk, seg_logical, n_src * n_parts, seg_seconds
-    )
-    refs = None
-    map_side._release_now()  # sorted runs now hold the data
-
-    block_writer = store.block_writer() if spill_outputs else None
-    n_key = len(key_cols)
-
-    def _make_merge_task(p: int):
-        paths = [run_paths[mi][p] for mi in range(n_src)]
-        out_name = (
-            block_writer.name_for(BlockId(rdd_id, p))
-            if block_writer is not None
-            else None
-        )
-
-        def _task():
-            t0 = time.perf_counter()
-            dtypes = array_dtypes(paths[0])
-            survivors: list[list] = [[] for _ in range(n_cols)]
-            keep_pos: list[int] = []
-            prev = None
-            merged = heapq.merge(
-                *(_run_row_iter(path, n_cols, key_cols) for path in paths)
-            )
-            for item in merged:
-                key = item[:n_key]
-                if key != prev:
-                    prev = key
-                    keep_pos.append(item[n_key])
-                    vals = item[n_key + 1:]
-                    for j in range(n_cols):
-                        survivors[j].append(vals[j])
-            # Ascending pos == the exchange's concatenated row order.
-            order = np.argsort(
-                np.asarray(keep_pos, dtype=np.int64), kind="stable"
-            )
-            cols = tuple(
-                np.asarray(survivors[j], dtype=dtypes[f"c{j}"])[order]
-                for j in range(n_cols)
-            )
-            elapsed = time.perf_counter() - t0
-            if block_writer is not None:
-                return block_writer.write(out_name, cols), elapsed
-            return cols, elapsed
-
-        return _task
-
-    reduced = ctx.run_tasks([_make_merge_task(p) for p in range(n_parts)])
-    for per_map in run_paths:
-        for path in per_map:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-    store.untrack_shuffle_segments(seg_disk, seg_logical)
-    results = [r[0] for r in reduced]
-    task_cpu = [map_cpu[p] + reduced[p][1] for p in range(n_parts)]
-    return results, task_cpu, 0.0, rdd_id
 
 
 # ----------------------------------------------------------------------

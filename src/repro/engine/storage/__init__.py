@@ -7,10 +7,9 @@ behind a stable :class:`BlockId`, keeps resident bytes under a
 configurable memory budget by LRU-spilling serialized blocks to a spill
 directory, transparently reloads them on access, and provides durable
 checkpoint files that truncate lineage for fault recovery.  Block files
-are written through a pluggable codec (``codecs.py``): raw ``.npz``,
-chunk-compressed zlib columnar containers, or uncompressed
-memory-mapped read-back.  See DESIGN.md §8 for the block lifecycle and
-budget semantics and §10 for the codec layer.
+are RBLK ``.blk`` containers (``codecs.py``) with uncompressed
+memory-mapped or zlib-compressed chunks.  See DESIGN.md §8 for the block
+lifecycle and budget semantics and §10 for the container.
 """
 
 from repro.engine.storage.blocks import (
@@ -30,7 +29,6 @@ from repro.engine.storage.codecs import (
     BlockCodec,
     WriteInfo,
     get_codec,
-    iter_column_chunks,
     read_block_file,
     read_named_file,
     set_missing_file_resolver,
@@ -49,7 +47,6 @@ __all__ = [
     "StorageStats",
     "WriteInfo",
     "get_codec",
-    "iter_column_chunks",
     "load_block_file",
     "read_block_file",
     "read_named_file",

@@ -4,12 +4,12 @@ Every materialized RDD partition lives in a :class:`BlockStore` behind a
 stable :class:`BlockId`.  Blocks start memory-resident; when the store's
 memory budget is exceeded the least-recently-used evictable blocks are
 serialized to block files under the spill directory and transparently
-reloaded on the next access.  The on-disk format is pluggable (see
-``codecs.py``): raw ``.npz``, chunk-compressed zlib ``.blk``, or
-uncompressed ``.blk`` with memory-mapped read-back.  Every codec
-round-trips arrays bit-exactly, so a spilled-and-reloaded partition is
-byte-identical to the in-memory original — the engine's cross-backend
-digest guarantee survives any budget under any codec.
+reloaded on the next access.  Every block file is an RBLK ``.blk``
+container (see ``codecs.py``) whose chunks are either uncompressed and
+memory-mapped on read-back (``mmap``) or DEFLATE-compressed (``zlib``).
+Both round-trip arrays bit-exactly, so a spilled-and-reloaded partition
+is byte-identical to the in-memory original — the engine's
+cross-backend digest guarantee survives any budget under either codec.
 
 Three storage levels control the lifecycle:
 
@@ -54,6 +54,7 @@ import numpy as np
 
 from repro import config
 from repro.engine.storage.codecs import (
+    BLOCK_EXTENSION,
     DEFAULT_CODEC,
     WriteInfo,
     get_codec,
@@ -97,12 +98,7 @@ class BlockId:
 
     @property
     def filename(self) -> str:
-        """Legacy raw-codec name; codec-aware callers use filename_for."""
-
-        return self.stem + ".npz"
-
-    def filename_for(self, extension: str) -> str:
-        return self.stem + extension
+        return self.stem + BLOCK_EXTENSION
 
 
 @dataclass
@@ -239,45 +235,24 @@ class BlockWriter:
     directory: str
     codec: str = DEFAULT_CODEC
 
-    @property
-    def extension(self) -> str:
-        return get_codec(self.codec).extension
-
-    def name_for(self, block_id: BlockId) -> str:
-        """Spill filename for a block under this writer's codec."""
-
-        return block_id.filename_for(self.extension)
-
-    def _codec_for(self, name: str) -> str:
-        """Honour an explicit extension: files are self-describing and
-        reads dispatch on the suffix, so a ``.npz`` name must hold an
-        npz archive whatever codec this writer carries (and ``.blk``
-        always holds the chunked container — uncompressed when the
-        session codec is raw)."""
-        if name.endswith(".npz"):
-            return "raw"
-        if name.endswith(".blk") and self.codec == "raw":
-            return "mmap"
-        return self.codec
-
     def write(self, name: str, columns: Columns) -> SpilledBlockHandle:
         return write_block_file(
             os.path.join(self.directory, name),
             columns,
-            codec=self._codec_for(name),
+            codec=self.codec,
         )
 
     def write_arrays(
         self, name: str, named: "dict[str, np.ndarray]"
     ) -> WriteInfo:
         path = os.path.join(self.directory, name)
-        return get_codec(self._codec_for(name)).write_named(path, named)
+        return get_codec(self.codec).write_named(path, named)
 
     def open_chunked(self, name: str) -> ChunkedBlockWriter:
         """A streaming writer for tasks that emit bounded chunks."""
 
         return ChunkedBlockWriter(
-            os.path.join(self.directory, name), self._codec_for(name)
+            os.path.join(self.directory, name), self.codec
         )
 
 
@@ -433,10 +408,8 @@ class BlockStore:
 
         if entry.path is not None:
             return  # a clean copy already exists on disk: no rewrite
-        codec = get_codec(self.codec)
-        name = entry.block_id.filename_for(codec.extension)
-        path = str(self._ensure_root() / "blocks" / name)
-        info = codec.write(path, entry.columns)
+        path = str(self._ensure_root() / "blocks" / entry.block_id.filename)
+        info = get_codec(self.codec).write(path, entry.columns)
         entry.path = path
         entry.disk_bytes = info.disk_bytes
         self.stats.spill_count += 1
@@ -622,18 +595,16 @@ class BlockStore:
         entry = self._blocks[block_id]
         if entry.durable:
             return entry.path
-        codec = get_codec(self.codec)
         if entry.path is None:
-            name = entry.block_id.filename_for(codec.extension)
+            name = entry.block_id.filename
             target = str(self._ensure_root() / "checkpoints" / name)
-            info = codec.write(target, entry.columns)
+            info = get_codec(self.codec).write(target, entry.columns)
             entry.disk_bytes = info.disk_bytes
             self.stats.spill_count += 1
             self.stats.codec_encode_seconds += info.seconds
             self.stats.add_disk(info.disk_bytes, entry.nbytes)
         else:
-            # Keep the existing file's extension: the bytes move as-is.
-            name = os.path.basename(entry.path)
+            name = os.path.basename(entry.path)  # the bytes move as-is
             target = str(self._ensure_root() / "checkpoints" / name)
             os.replace(entry.path, target)
         entry.path = target

@@ -1,18 +1,13 @@
-"""Pluggable block codecs: how partition columns become bytes on disk.
+"""The block container: how partition columns become bytes on disk.
 
-The BlockStore historically serialized every spilled partition as a raw
-uncompressed ``.npz``.  At the paper's Fig. 9 scales (10^8+ edges) the
-spill traffic dominates the disk budget, so the codec behind block files
-is now pluggable:
+Every spilled block, shuffle segment and checkpoint is one RBLK ``.blk``
+file; the codec only decides what its payload chunks hold:
 
-* ``raw``  — the legacy uncompressed ``.npz`` (``np.savez``/``np.load``);
-  bit-exact, zero codec overhead, no streaming append.
-* ``zlib`` — the RBLK chunk-compressed columnar container with
-  DEFLATE (level 1) payload chunks; streams both ways.
-* ``mmap`` — RBLK with *uncompressed* chunks; whole-array reads of
-  read-only reloads come back as ``np.memmap`` views when the array's
-  chunks are contiguous in the file, so a reload costs page-cache
-  faults instead of an up-front copy.
+* ``mmap`` — *uncompressed* chunks; whole-array reads come back as
+  ``np.memmap`` views when the array's chunks are contiguous in the
+  file, so a reload costs page-cache faults instead of an up-front copy.
+* ``zlib`` — DEFLATE (level 1) chunks: ~2.3x less disk for ~2x the
+  wall clock on edge columns.
 
 RBLK container layout (``.blk``)::
 
@@ -25,14 +20,13 @@ The footer maps each array name to its dtype (``np.lib.format`` descr,
 so byte order and structured dtypes round-trip), its shape, and a chunk
 list of ``[file_offset, compressed_len, raw_len]`` triples.  Payload
 first / footer last makes the format *streaming-append friendly*: a
-chunked writer emits compressed chunks as tasks produce rows and only
-assembles metadata at close.  Readers seek to the tail, verify the
-magic, and load the footer — no codec object needed; block files are
-self-describing and are always dispatched on extension + footer, never
-on the session's active codec (a reduce task can read segments written
-under any codec).
+chunked writer emits chunks as tasks produce rows and only assembles
+metadata at close.  Readers seek to the tail, verify the magic, and load
+the footer — no codec object needed; block files are self-describing and
+are read by their footer, never by the session's active codec (a reduce
+task can read segments written under either).
 
-Bit-exactness: every codec stores the exact bytes of the C-contiguous
+Bit-exactness: both codecs store the exact bytes of the C-contiguous
 array (``zlib`` is lossless), so spill-and-reload returns
 byte-identical columns and the engine's cross-backend digest guarantee
 is codec-independent.
@@ -48,7 +42,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +52,12 @@ Columns = Sequence[np.ndarray]
 
 DEFAULT_CODEC = config.SETTINGS["block_codec"].default
 
+# The one block-file suffix: spill blocks, shuffle segments, checkpoints.
+BLOCK_EXTENSION = ".blk"
+# Target uncompressed bytes per payload chunk.  Round-trips do not depend
+# on it (tests pass other ``chunk_bytes``).
+CHUNK_BYTES = 1 << 20
+
 _MAGIC = b"RBLK01"
 _FOOTER_LEN_BYTES = 8
 _TAIL_BYTES = _FOOTER_LEN_BYTES + len(_MAGIC)
@@ -65,16 +65,16 @@ _TAIL_BYTES = _FOOTER_LEN_BYTES + len(_MAGIC)
 _COMPRESSIONS = ("none", "zlib")
 
 __all__ = [
+    "BLOCK_EXTENSION",
+    "CHUNK_BYTES",
     "CODECS",
     "DEFAULT_CODEC",
     "BlockCodec",
     "WriteInfo",
     "get_codec",
-    "array_dtypes",
     "read_arrays",
     "read_block_file",
     "read_named_file",
-    "iter_column_chunks",
     "set_missing_file_resolver",
 ]
 
@@ -184,8 +184,7 @@ class _RblkWriter:
         """Append rows along axis 0; one call is one payload chunk.
 
         The caller controls chunk boundaries, so parallel arrays that are
-        appended together stay row-aligned chunk for chunk — the k-way
-        merge in the external sort zips their chunk iterators.
+        appended together stay row-aligned chunk for chunk.
         """
 
         chunk = _as_contiguous(chunk)
@@ -312,88 +311,13 @@ def _mmap_array(path: str, meta: dict) -> "np.ndarray | None":
     return view.reshape(shape)
 
 
-def _read_rblk(path: str, *, allow_mmap: bool) -> "dict[str, np.ndarray]":
-    with open(path, "rb") as fh:
-        footer = _read_rblk_footer(fh)
-        compression = footer["compression"]
-        out: "dict[str, np.ndarray]" = {}
-        for meta in footer["arrays"]:
-            arr = None
-            if allow_mmap and compression == "none":
-                arr = _mmap_array(path, meta)
-            if arr is None:
-                arr = _decode_array(fh, meta, compression)
-            out[meta["name"]] = arr
-    return out
-
-
-def _iter_rblk_column(path: str, name: str) -> Iterator[np.ndarray]:
-    """Stream one array's chunks without loading the rest of the file."""
-
-    with open(path, "rb") as fh:
-        footer = _read_rblk_footer(fh)
-        compression = footer["compression"]
-        for meta in footer["arrays"]:
-            if meta["name"] != name:
-                continue
-            dtype = np.lib.format.descr_to_dtype(meta["descr"])
-            trailing = tuple(meta["shape"][1:])
-            for off, clen, rlen in meta["chunks"]:
-                fh.seek(off)
-                data = _decompress(compression, fh.read(clen), rlen)
-                arr = np.frombuffer(bytearray(data), dtype=dtype)
-                if trailing:
-                    arr = arr.reshape((-1, *trailing))
-                yield arr
-            return
-    raise KeyError(f"no array named {name!r} in {path}")
-
-
 # ---------------------------------------------------------------------------
 # Codec classes
 # ---------------------------------------------------------------------------
 
 
-class _RawChunkedWriter:
-    """Chunked writer for the raw codec: buffers, concatenates, savez.
-
-    ``.npz`` cannot be appended to, so the raw codec's streaming writer
-    is *not* memory-bounded — it exists so streaming emission works
-    uniformly under every codec; pick ``zlib`` or ``mmap`` when the
-    bound matters (DESIGN.md §10).
-    """
-
-    def __init__(self, codec: "RawNpzCodec", path: str):
-        self._codec = codec
-        self._path = path
-        self._chunks: "list[tuple[np.ndarray, ...]]" = []
-        self._closed = False
-
-    def append_columns(self, columns: Columns) -> None:
-        self._chunks.append(tuple(_as_contiguous(c) for c in columns))
-
-    def close(self) -> WriteInfo:
-        if self._closed:
-            raise ValueError("writer already closed")
-        self._closed = True
-        if not self._chunks:
-            return self._codec.write(self._path, ())
-        n_columns = len(self._chunks[0])
-        columns = tuple(
-            np.concatenate([chunk[j] for chunk in self._chunks])
-            if len(self._chunks) > 1
-            else self._chunks[0][j]
-            for j in range(n_columns)
-        )
-        return self._codec.write(self._path, columns)
-
-    def abort(self) -> None:
-        self._closed = True
-        self._chunks = []
-
-
 class _RblkChunkedWriter:
-    """Chunked writer for RBLK codecs: every append streams to disk."""
+    """Column-chunk writer: every append streams to disk."""
 
     def __init__(self, writer: _RblkWriter):
         self._writer = writer
@@ -416,32 +340,22 @@ class _RblkChunkedWriter:
 
 
 class BlockCodec:
-    """One way of turning named arrays into a self-describing block file."""
+    """One way of filling an RBLK block file's payload chunks."""
 
     name: str = "?"
-    extension: str = "?"
     compression: str = "none"  # RBLK payload compression
 
-    def __init__(self, chunk_bytes: "int | None" = None):
-        self.chunk_bytes = (
-            config.resolve("codec_chunk_bytes", chunk_bytes)
-            if chunk_bytes is not None
-            else None
-        )
-
-    def _resolved_chunk_bytes(self) -> int:
-        if self.chunk_bytes is not None:
-            return self.chunk_bytes
-        return config.resolve("codec_chunk_bytes")
+    def __init__(self, chunk_bytes: int = CHUNK_BYTES):
+        if chunk_bytes < 1:
+            raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
+        self.chunk_bytes = chunk_bytes
 
     # -- whole-file writes -------------------------------------------
 
     def write_named(
         self, path: str, named: "dict[str, np.ndarray]"
     ) -> WriteInfo:
-        writer = _RblkWriter(
-            path, self.compression, self._resolved_chunk_bytes()
-        )
+        writer = _RblkWriter(path, self.compression, self.chunk_bytes)
         try:
             for name, arr in named.items():
                 writer.put_array(name, arr)
@@ -465,52 +379,14 @@ class BlockCodec:
         """A chunked writer: append_columns(chunk_cols)* then close()."""
 
         return _RblkChunkedWriter(
-            _RblkWriter(path, self.compression, self._resolved_chunk_bytes())
+            _RblkWriter(path, self.compression, self.chunk_bytes)
         )
-
-
-class RawNpzCodec(BlockCodec):
-    """The legacy format: one uncompressed ``.npz`` per block."""
-
-    name = "raw"
-    extension = ".npz"
-
-    def write_named(
-        self, path: str, named: "dict[str, np.ndarray]"
-    ) -> WriteInfo:
-        named = {k: _as_contiguous(v) for k, v in named.items()}
-        t0 = time.perf_counter()
-        tmp = _atomic_tmp(path)
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(handle, **named)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        seconds = time.perf_counter() - t0
-        first = next(iter(named.values()), None)
-        return WriteInfo(
-            path=path,
-            rows=int(first.shape[0]) if first is not None and first.ndim else 0,
-            n_columns=len(named),
-            logical_bytes=int(sum(arr.nbytes for arr in named.values())),
-            disk_bytes=int(os.path.getsize(path)),
-            seconds=seconds,
-        )
-
-    def open_writer(self, path: str):
-        return _RawChunkedWriter(self, path)
 
 
 class ZlibCodec(BlockCodec):
     """RBLK with DEFLATE level-1 chunks: fast, ~2-4x on edge columns."""
 
     name = "zlib"
-    extension = ".blk"
     compression = "zlib"
 
 
@@ -518,12 +394,11 @@ class MmapCodec(BlockCodec):
     """RBLK with uncompressed chunks; reloads memory-map when contiguous."""
 
     name = "mmap"
-    extension = ".blk"
     compression = "none"
 
 
 CODECS: "dict[str, type[BlockCodec]]" = {
-    cls.name: cls for cls in (RawNpzCodec, ZlibCodec, MmapCodec)
+    cls.name: cls for cls in (MmapCodec, ZlibCodec)
 }
 
 _INSTANCES: "dict[str, BlockCodec]" = {}
@@ -541,7 +416,7 @@ def get_codec(name: "str | None" = None) -> BlockCodec:
 
 
 # ---------------------------------------------------------------------------
-# Reads: extension + footer dispatch, independent of the active codec
+# Reads: by footer, independent of the active codec
 # ---------------------------------------------------------------------------
 
 # Remote tier hook (the cluster backend's worker-to-worker block fetch):
@@ -573,14 +448,26 @@ def _ensure_local(path: str) -> str:
     return path
 
 
-def read_named_file(path: str) -> "dict[str, np.ndarray]":
-    """Load every array of a block file as a name -> array dict."""
+def read_named_file(
+    path: str, names: "Sequence[str] | None" = None
+) -> "dict[str, np.ndarray]":
+    """Load a block file's arrays as a name -> array dict: the ``names``
+    asked for (the others are not decoded), or all of them.  Uncompressed
+    contiguous arrays come back memory-mapped."""
 
     path = _ensure_local(path)
-    if path.endswith(".npz"):
-        with np.load(path) as archive:
-            return {name: archive[name] for name in archive.files}
-    return _read_rblk(path, allow_mmap=True)
+    with open(path, "rb") as fh:
+        footer = _read_rblk_footer(fh)
+        compression = footer["compression"]
+        metas = {meta["name"]: meta for meta in footer["arrays"]}
+        out: "dict[str, np.ndarray]" = {}
+        for name in metas if names is None else names:
+            meta = metas[name]
+            arr = _mmap_array(path, meta) if compression == "none" else None
+            if arr is None:
+                arr = _decode_array(fh, meta, compression)
+            out[name] = arr
+    return out
 
 
 def read_block_file(path: str) -> "tuple[np.ndarray, ...]":
@@ -597,51 +484,5 @@ def read_arrays(path: str, names: Sequence[str]) -> "list[np.ndarray]":
     every map segment without decoding the other destinations.
     """
 
-    path = _ensure_local(path)
-    if path.endswith(".npz"):
-        with np.load(path) as archive:
-            return [archive[name] for name in names]
-    with open(path, "rb") as fh:
-        footer = _read_rblk_footer(fh)
-        compression = footer["compression"]
-        metas = {meta["name"]: meta for meta in footer["arrays"]}
-        out = []
-        for name in names:
-            meta = metas[name]
-            arr = None
-            if compression == "none":
-                arr = _mmap_array(path, meta)
-            if arr is None:
-                arr = _decode_array(fh, meta, compression)
-            out.append(arr)
-    return out
-
-
-def array_dtypes(path: str) -> "dict[str, np.dtype]":
-    """Dtype of every array in a block file, from metadata when possible.
-
-    RBLK answers from the footer alone; ``.npz`` has to load members
-    (the raw codec is the non-streaming compatibility path).
-    """
-
-    path = _ensure_local(path)
-    if path.endswith(".npz"):
-        with np.load(path) as archive:
-            return {name: archive[name].dtype for name in archive.files}
-    with open(path, "rb") as fh:
-        footer = _read_rblk_footer(fh)
-    return {
-        meta["name"]: np.lib.format.descr_to_dtype(meta["descr"])
-        for meta in footer["arrays"]
-    }
-
-
-def iter_column_chunks(path: str, name: str) -> Iterator[np.ndarray]:
-    """Stream one array chunk by chunk (whole array at once for .npz)."""
-
-    path = _ensure_local(path)
-    if path.endswith(".npz"):
-        with np.load(path) as archive:
-            yield archive[name]
-        return
-    yield from _iter_rblk_column(path, name)
+    members = read_named_file(path, names)
+    return [members[name] for name in names]

@@ -1,16 +1,12 @@
-"""Bounded-chunk streaming helpers for generators and the shuffle.
+"""Bounded-chunk streaming helpers for the generators.
 
 The paper's cluster never materializes a partition's whole edge array in
 one worker: map tasks emit edges as they are drawn (Yoo & Henderson's
 independent per-worker draws) and the runtime absorbs them in bounded
 buffers.  This module holds the local engine's equivalents:
 
-* the ``emit_chunk_rows`` setting (``REPRO_EMIT_CHUNK_ROWS``) — how many
-  rows a streaming generator op yields per chunk;
-* the ``extsort_chunk_rows`` setting (``REPRO_EXTSORT_CHUNK_ROWS``) —
-  run-file chunk granularity of the external-sort shuffle: the
-  reduce-side k-way merge holds one chunk per run per column, so this
-  bounds reduce memory;
+* :data:`EMIT_CHUNK_ROWS` — how many rows a streaming generator op
+  yields per chunk;
 * :func:`iter_repeat_chunks` — the chunked equivalent of
   ``np.repeat`` over value/count column pairs, bit-identical to the
   unchunked expansion when concatenated.  The random draws happen
@@ -24,16 +20,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro import config
+__all__ = ["EMIT_CHUNK_ROWS", "iter_repeat_chunks"]
 
-__all__ = ["iter_repeat_chunks"]
+# 4 MB of int64 edge pairs per chunk in the PGPBA/PGSK expansion stages.
+# Digests do not depend on it (tests pass other ``chunk_rows``).
+EMIT_CHUNK_ROWS = 262144
 
 
 def iter_repeat_chunks(
     values: Sequence[np.ndarray],
     counts: np.ndarray,
     *,
-    chunk_rows: "int | None" = None,
+    chunk_rows: int = EMIT_CHUNK_ROWS,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield ``tuple(np.repeat(v, counts) for v in values)`` in chunks.
 
@@ -45,7 +43,8 @@ def iter_repeat_chunks(
     per growth step through this).
     """
 
-    chunk_rows = config.resolve("emit_chunk_rows", chunk_rows)
+    if chunk_rows < 1:
+        raise ValueError("chunk_rows must be >= 1")
     counts = np.asarray(counts, dtype=np.int64)
     values = tuple(np.asarray(v) for v in values)
     if counts.size == 0:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import config
 from repro.kronecker.initiator import InitiatorMatrix
 
 __all__ = [
@@ -98,12 +97,12 @@ def descend_batch_chunks(
     n_edges: int,
     rng: np.random.Generator,
     *,
-    chunk_rows: int | None = None,
+    chunk_rows: int,
 ):
     """Stream :func:`descend_batch` output in bounded row chunks.
 
     Yields ``(src, dst)`` pairs covering ``n_edges`` placements in windows
-    of at most ``chunk_rows`` rows (default: the engine's emit-chunk size).
+    of at most ``chunk_rows`` rows.
     **Bit-identical** to a single ``descend_batch`` call with the same
     generator state: ``rng.random((m, k))`` fills row-major, consuming
     ``m * k`` uniforms in order, so drawing the rows in sequential windows
@@ -114,8 +113,8 @@ def descend_batch_chunks(
     Always yields at least one (possibly empty) chunk so downstream
     consumers can read the column dtypes.
     """
-    if chunk_rows is None:
-        chunk_rows = config.resolve("emit_chunk_rows")
+    if chunk_rows < 1:
+        raise ValueError("chunk_rows must be >= 1")
     if n_edges <= 0:
         yield np.empty(0, np.int64), np.empty(0, np.int64)
         return

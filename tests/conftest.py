@@ -5,6 +5,7 @@ backend-parametrized test."""
 from __future__ import annotations
 
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -13,12 +14,33 @@ from repro.core.pipeline import build_seed
 from repro.trace.synthesizer import synthesize_seed_packets
 
 
+def _reap(proc) -> None:
+    """Terminate-and-wait: on return the daemon has exited and been
+    collected, so it can neither outlive the session nor linger as a
+    zombie child of it."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck daemon
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 @pytest.fixture(scope="session")
-def cluster_daemons():
+def session_daemon_pids():
+    """Pids of the live ``cluster_daemons`` (empty until they start) —
+    the only worker daemons allowed to outlive a test module."""
+    return set()
+
+
+@pytest.fixture(scope="session")
+def cluster_daemons(session_daemon_pids):
     """Two loopback worker daemons on ephemeral ports; ``REPRO_WORKERS``
     points at them for the rest of the session so
     ``ClusterContext(executor="cluster")`` works without explicit
-    addresses.  Tests that kill daemons must launch their own."""
+    addresses.  Tests that kill daemons must launch their own (see
+    ``worker_daemon``)."""
     from repro.engine.cluster import (
         launch_worker,
         shutdown_worker,
@@ -35,8 +57,9 @@ def cluster_daemons():
             addrs.append(addr)
     except Exception as exc:  # pragma: no cover - environment-dependent
         for proc in procs:
-            proc.kill()
+            _reap(proc)
         pytest.skip(f"cannot launch cluster worker daemons: {exc}")
+    session_daemon_pids.update(proc.pid for proc in procs)
     previous = os.environ.get("REPRO_WORKERS")
     os.environ["REPRO_WORKERS"] = ",".join(addrs)
     yield tuple(addrs)
@@ -49,8 +72,28 @@ def cluster_daemons():
     for proc in procs:
         try:
             proc.wait(timeout=10)
-        except Exception:  # pragma: no cover - stuck daemon
-            proc.kill()
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck daemon
+            _reap(proc)
+    session_daemon_pids.clear()
+
+
+@pytest.fixture
+def worker_daemon():
+    """``launch(**launch_worker_kwargs) -> (process, address)`` for tests
+    that need daemons of their own (to kill, or to serve a directory).
+    Whatever a test leaves running is terminated and waited for here."""
+    from repro.engine.cluster import launch_worker
+
+    procs = []
+
+    def launch(**kwargs):
+        proc, addr = launch_worker(**kwargs)
+        procs.append(proc)
+        return proc, addr
+
+    yield launch
+    for proc in procs:
+        _reap(proc)
 
 
 @pytest.fixture(autouse=True)

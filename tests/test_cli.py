@@ -175,8 +175,7 @@ class TestEngineInfo:
         # The dual-mode --workers flag is credited to the row it fed.
         assert row("workers", "h:1, h:2", "flag")
         assert row("local workers", "CPU count", "default")
-        # The heartbeat pair is reported per variable, on any backend.
-        assert row("heartbeat seconds", "0.5 s", "default")
+        # Cluster rows are reported on any backend.
         assert row("heartbeat timeout", "30 s", "env REPRO_HEARTBEAT_TIMEOUT")
         assert row("query cache", "16 entries", "env REPRO_QUERY_CACHE")
         assert row("stream lateness", "2 s", "flag")
@@ -198,7 +197,6 @@ class TestEngineInfo:
         monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701,127.0.0.1:42702")
         monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
         monkeypatch.setenv("REPRO_WIRE_CODEC", "off")
-        monkeypatch.setenv("REPRO_FETCH_PREFETCH", "2")
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -206,29 +204,26 @@ class TestEngineInfo:
         assert "[env REPRO_MAX_INFLIGHT]" in out
         assert re.search(r"wire codec\s*: off\b", out)
         assert "[env REPRO_WIRE_CODEC]" in out
-        assert "fetch prefetch" in out and "2 connections" in out
-        assert "[env REPRO_FETCH_PREFETCH]" in out
 
     def test_cluster_transport_knob_defaults(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
         monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701")
-        for var in ("REPRO_MAX_INFLIGHT", "REPRO_WIRE_CODEC",
-                    "REPRO_FETCH_PREFETCH"):
+        for var in ("REPRO_MAX_INFLIGHT", "REPRO_WIRE_CODEC"):
             monkeypatch.delenv(var, raising=False)
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 batches/link" in out  # REPRO_MAX_INFLIGHT default
         assert "zlib" in out            # REPRO_WIRE_CODEC default
-        assert "fetch prefetch" in out and "off" in out
+        assert "fetch prefetch" not in out  # removed with the prefetcher
 
     @pytest.mark.parametrize(
         ("flag", "removed", "choices"),
         [
             ("--executor", "processes",
              "'serial', 'threads', 'pool', 'cluster'"),
-            ("--block-codec", "lzma", "'raw', 'zlib', 'mmap'"),
-            ("--shuffle", "collect", "'exchange', 'extsort'"),
+            ("--block-codec", "lzma", "'mmap', 'zlib'"),
+            ("--block-codec", "raw", "'mmap', 'zlib'"),
         ],
     )
     def test_removed_values_rejected(self, flag, removed, choices, capsys):

@@ -21,16 +21,14 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 26 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 20 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
     "REPRO_WORKERS": ("--workers", "workers", None),
-    "REPRO_HEARTBEAT_SECONDS": (None, "heartbeat_interval", 0.5),
     "REPRO_HEARTBEAT_TIMEOUT": (None, "heartbeat_timeout", 15.0),
     "REPRO_MAX_INFLIGHT": (None, "max_inflight", 2),
     "REPRO_WIRE_CODEC": (None, "wire_codec", "zlib"),
-    "REPRO_FETCH_PREFETCH": (None, "fetch_prefetch", 0),
     "REPRO_TARGET_PARTITION_BYTES": (
         "--target-partition-bytes", "target_partition_bytes", 4 << 20
     ),
@@ -41,11 +39,7 @@ EXPECTED = {
     "REPRO_SPECULATION": ("--speculation", "speculation", False),
     "REPRO_MEMORY_BUDGET": ("--memory-budget", "memory_budget_bytes", None),
     "REPRO_SPILL_DIR": ("--spill-dir", "spill_dir", None),
-    "REPRO_BLOCK_CODEC": ("--block-codec", "block_codec", "raw"),
-    "REPRO_SHUFFLE": ("--shuffle", "shuffle", "exchange"),
-    "REPRO_EMIT_CHUNK_ROWS": (None, None, 262144),
-    "REPRO_EXTSORT_CHUNK_ROWS": (None, None, 65536),
-    "REPRO_CODEC_CHUNK_BYTES": (None, None, 1 << 20),
+    "REPRO_BLOCK_CODEC": ("--block-codec", "block_codec", "mmap"),
     "REPRO_QUERY_THREADS": ("--threads", "threads", None),
     "REPRO_QUERY_CACHE": ("--cache-size", "cache_size", 1024),
     "REPRO_STREAM_QUEUE": ("--queue-capacity", "queue_capacity", 8),
@@ -64,11 +58,9 @@ CASES = {
         ["h2:2", " h3:3 "], ["h2:2", "h3:3"],
         ["not-an-address", "h:port", "h:70000", "unix:"],
     ),
-    "heartbeat_seconds": ("0.25", 0.25, 2, 2.0, ["soon", "0", -1]),
     "heartbeat_timeout": ("30", 30.0, 1.5, 1.5, ["never", "0", -2.0]),
     "max_inflight": ("3", 3, 5, 5, ["nope", "0", -1]),
     "wire_codec": ("none", "off", "ZLIB", "zlib", ["snappy", "lzma"]),
-    "fetch_prefetch": ("4", 4, 2, 2, ["abc", "-1"]),
     "target_partition_bytes": (
         "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1]
     ),
@@ -84,12 +76,10 @@ CASES = {
     "memory_budget": ("8MB", 8 << 20, "none", None, ["abc", "8 peta", -1]),
     "spill_dir": ("/tmp/env-spill", "/tmp/env-spill",
                   Path("/tmp/arg-spill"), "/tmp/arg-spill", []),
-    "block_codec": ("mmap", "mmap", "ZLIB", "zlib", ["lzma", "gzip"]),
-    "shuffle": ("extsort", "extsort", "exchange", "exchange",
-                ["collect", "teleport"]),
-    "emit_chunk_rows": ("1000", 1000, 7, 7, ["abc", "0"]),
-    "extsort_chunk_rows": ("512", 512, 9, 9, ["abc", "-4"]),
-    "codec_chunk_bytes": ("64KB", 65536, 4096, 4096, ["abc", "0"]),
+    # Two values, one of them the default: the argument spells the
+    # default back over the environment's other value.
+    "block_codec": ("zlib", "zlib", "MMAP", "mmap",
+                    ["raw", "lzma", "gzip", "extsort"]),
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1"]),
     "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
@@ -103,8 +93,7 @@ EXPLICIT_BLANK = {
     "workers": [],
     "memory_budget": None,
     "spill_dir": "",
-    "block_codec": "raw",
-    "shuffle": "exchange",
+    "block_codec": "mmap",
 }
 
 NAMES = list(SETTINGS)
@@ -122,6 +111,7 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
+        assert len(SETTINGS) == 20
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
@@ -132,7 +122,6 @@ class TestTable:
         assert SETTINGS["executor"].parse.values == available_backends()
         assert set(SETTINGS["block_codec"].parse.values) == set(CODECS)
         assert SETTINGS["wire_codec"].parse.values == WIRE_CODECS
-        assert SETTINGS["shuffle"].parse.values == ("exchange", "extsort")
 
     def test_kwargs_exist_on_their_constructors(self):
         from repro.engine import ClusterContext, ClusterExecutor

@@ -12,6 +12,8 @@ Contracts under test:
   to the original, and a genuine miss stays a miss.
 * **Operator ergonomics** — an unreachable address fails fast with an
   error naming the bad ``REPRO_WORKERS`` entry.
+* **No orphans** — a task child exits when its daemon is killed, and
+  nothing this module starts outlives it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import hashlib
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +37,6 @@ from repro.engine import ClusterContext
 from repro.engine.cluster import (
     BlockFetcher,
     ClusterExecutor,
-    launch_worker,
     shutdown_worker,
     sockets_available,
 )
@@ -49,6 +53,51 @@ from repro.engine.netproto import (
 pytestmark = pytest.mark.skipif(
     not sockets_available(), reason="loopback sockets unavailable"
 )
+
+
+def _process_table() -> "dict[int, tuple[int, str, str]]":
+    """pid -> (parent pid, state letter, command line), from /proc."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+            cmdline = Path("/proc", entry, "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we were looking
+        state, ppid = stat.rpartition(")")[2].split()[:2]
+        command = cmdline.replace(b"\0", b" ").decode(errors="replace")
+        table[int(entry)] = (int(ppid), state, command)
+    return table
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _nothing_outlives_the_module(session_daemon_pids):
+    """Every daemon, task child and pool worker started by a test here
+    is gone when the module ends — killed daemons used to leave their
+    task child behind (ppid 1, blocked in ``recv``), and un-waited ones a
+    zombie.  Only the session's shared ``cluster_daemons`` may stay."""
+    before = set(_process_table())
+    yield
+    me = os.getpid()
+
+    def leftovers():
+        return {
+            pid: row
+            for pid, row in _process_table().items()
+            if pid not in before
+            and pid not in session_daemon_pids
+            and (row[0] == me or "repro.cli worker" in row[2])
+            and "resource_tracker" not in row[2]
+        }
+
+    # A shared daemon retires a session's task child just after the
+    # driver hangs up: give that a moment.
+    deadline = time.monotonic() + 5.0
+    while leftovers() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not leftovers()
 
 
 def digest(arrays) -> str:
@@ -118,64 +167,44 @@ class TestNetProto:
 # Daemon lifecycle + handshake gate (real subprocess daemons)
 # ----------------------------------------------------------------------
 class TestDaemonHandshake:
-    def test_launch_announce_shutdown(self, tmp_path):
-        proc, addr = launch_worker(roots=(tmp_path,))
-        try:
-            host, port = addr.rsplit(":", 1)
-            assert int(port) > 0
-            assert shutdown_worker(addr)
-            assert proc.wait(timeout=10) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+    def test_launch_announce_shutdown(self, tmp_path, worker_daemon):
+        proc, addr = worker_daemon(roots=(tmp_path,))
+        host, port = addr.rsplit(":", 1)
+        assert int(port) > 0
+        assert shutdown_worker(addr)
+        assert proc.wait(timeout=10) == 0
 
-    def test_version_mismatch_rejected(self):
-        proc, addr = launch_worker()
+    def test_version_mismatch_rejected(self, worker_daemon):
+        proc, addr = worker_daemon()
+        sock = connect(addr)
         try:
-            sock = connect(addr)
-            try:
-                send_message(sock, ("hello", PROTOCOL_VERSION + 999, {}))
-                obj, _buffers, _n, _raw = recv_message(sock)
-                assert obj[0] == "hello-err"
-                assert "protocol version mismatch" in obj[1]
-            finally:
-                sock.close()
-            # The daemon survives a rejected peer and still serves a
-            # well-versioned one.
-            sock = connect(addr)
-            try:
-                info = client_handshake(
-                    sock, {"role": "driver", "peers": []}
-                )
-                assert info["pid"] == proc.pid
-            finally:
-                sock.close()
+            send_message(sock, ("hello", PROTOCOL_VERSION + 999, {}))
+            obj, _buffers, _n, _raw = recv_message(sock)
+            assert obj[0] == "hello-err"
+            assert "protocol version mismatch" in obj[1]
         finally:
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
+            sock.close()
+        # The daemon survives a rejected peer and still serves a
+        # well-versioned one.
+        sock = connect(addr)
+        try:
+            info = client_handshake(sock, {"role": "driver", "peers": []})
+            assert info["pid"] == proc.pid
+        finally:
+            sock.close()
 
-    def test_client_handshake_raises_protocolerror(self):
-        proc, addr = launch_worker()
+    def test_client_handshake_raises_protocolerror(self, worker_daemon):
+        _proc, addr = worker_daemon()
+        sock = socket.create_connection(tuple(parse_address(addr)[1:]))
         try:
-            sock = socket.create_connection(tuple(parse_address(addr)[1:]))
-            try:
-                send_message(sock, ("hello", -1, {}))
-                with pytest.raises(ProtocolError, match="version mismatch"):
-                    # Re-drive the client side manually: the daemon
-                    # already rejected, so the reply is hello-err.
-                    obj, _b, _n, _raw = recv_message(sock)
-                    raise ProtocolError(obj[1])
-            finally:
-                sock.close()
+            send_message(sock, ("hello", -1, {}))
+            with pytest.raises(ProtocolError, match="version mismatch"):
+                # Re-drive the client side manually: the daemon
+                # already rejected, so the reply is hello-err.
+                obj, _b, _n, _raw = recv_message(sock)
+                raise ProtocolError(obj[1])
         finally:
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
+            sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +246,7 @@ class TestHeartbeat:
             target=_mute_worker, args=(server, stop), daemon=True
         )
         thread.start()
-        ex = ClusterExecutor(
-            [addr], heartbeat_interval=0.05, heartbeat_timeout=0.4
-        )
+        ex = ClusterExecutor([addr], heartbeat_timeout=0.4)
         try:
             started = time.monotonic()
             outcomes = ex.run_outcomes(
@@ -251,11 +278,7 @@ class TestHeartbeat:
             time.sleep(0.5)  # outlasts the first heartbeat sweep
             return k
 
-        ex = ClusterExecutor(
-            list(cluster_daemons),
-            heartbeat_interval=0.2,
-            heartbeat_timeout=1.0,
-        )
+        ex = ClusterExecutor(list(cluster_daemons), heartbeat_timeout=1.0)
         try:
             first = ex.run_outcomes([lambda k=k: k for k in range(4)])
             assert [o.unwrap() for o in first] == [0, 1, 2, 3]
@@ -267,16 +290,39 @@ class TestHeartbeat:
             ex.close()
 
     def test_heartbeat_knobs_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "0.25")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2.5")
+        """One knob: a busy link is pinged every 1/30 of the timeout,
+        and that derived interval is the one ``_Link`` goes by."""
+        from repro.engine.cluster import _Link
+
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "30")
         ex = ClusterExecutor(["127.0.0.1:65000"])
+        ours, theirs = socket.socketpair()
         try:
-            assert ex.heartbeat_interval == 0.25
-            assert ex.heartbeat_timeout == 2.5
+            assert ex.heartbeat_timeout == 30.0
+            assert ex._wake_seconds == pytest.approx(1.0)
+            assert ClusterExecutor(
+                ["127.0.0.1:65000"], heartbeat_timeout=15.0
+            )._wake_seconds == pytest.approx(0.5)  # the former defaults
+            link = _Link(ex, "peer", ours)
+            link.assigned.append((0, False))
+            theirs.settimeout(0.0)
+            now = time.monotonic()
+            link.last_heard, link.last_ping = now, now - 0.5
+            link._heartbeat()  # half an interval since the last ping
+            with pytest.raises(BlockingIOError):
+                theirs.recv(1)
+            link.last_ping = now - 1.01
+            link._heartbeat()  # a full interval: ping
+            theirs.settimeout(5.0)
+            assert recv_message(theirs)[0][0] == "ping"
         finally:
             ex.close()
-        monkeypatch.setenv("REPRO_HEARTBEAT_SECONDS", "-1")
-        with pytest.raises(ValueError):
+            ours.close()
+            theirs.close()
+        with pytest.raises(TypeError, match="heartbeat_interval"):
+            ClusterExecutor(["127.0.0.1:65000"], heartbeat_interval=0.5)
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "-1")
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT_TIMEOUT"):
             ClusterExecutor(["127.0.0.1:65000"])
 
 
@@ -298,7 +344,7 @@ class TestDaemonLossRecovery:
             .collect()
         )
 
-    def test_sigkill_mid_batch_recovers_byte_identical(self):
+    def test_sigkill_mid_batch_recovers_byte_identical(self, worker_daemon):
         with ClusterContext(
             executor="serial", n_nodes=2, executor_cores=2
         ) as ctx:
@@ -308,39 +354,61 @@ class TestDaemonLossRecovery:
                 for r in ctx.metrics.tasks
             ]
 
-        procs, addrs = [], []
-        for _ in range(2):
-            proc, addr = launch_worker()
-            procs.append(proc)
-            addrs.append(addr)
+        procs, addrs = zip(*(worker_daemon() for _ in range(2)))
+        with ClusterContext(
+            executor="cluster", workers=addrs, n_nodes=2,
+            executor_cores=2, retry_backoff_seconds=0.0,
+        ) as ctx:
+            killer = threading.Timer(
+                0.2, procs[0].send_signal, (signal.SIGKILL,)
+            )
+            killer.start()
+            try:
+                got = digest(list(self._pipeline(ctx)))
+            finally:
+                killer.cancel()
+            got_stages = [
+                (r.stage, r.partition, r.node, r.bytes_out)
+                for r in ctx.metrics.tasks
+            ]
+            assert ctx.executor.workers_lost >= 1
+        assert got == ref
+        assert got_stages == ref_stages
+
+    def test_task_child_exits_when_its_parent_is_killed(self, tmp_path):
+        """A ``_PipeChild`` whose parent vanishes without ``retire()``
+        (a SIGKILLed daemon) reads EOF and exits.  It used to block in
+        ``recv`` forever: the fork had inherited the parent's end of its
+        own pipe, so the pipe never closed."""
+        # The pid travels by file: a captured stdout would be one more
+        # pipe the orphan holds open.
+        script = (
+            "import os, sys\n"
+            "from repro.engine.executor import _PipeChild, _pool_worker_main\n"
+            "child = _PipeChild(_pool_worker_main)\n"
+            "open(sys.argv[1], 'w').write(str(child.proc.pid))\n"
+            "os._exit(0)\n"
+        )
+        pid_file = tmp_path / "child.pid"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run(
+            [sys.executable, "-c", script, str(pid_file)], env=env,
+            timeout=60, check=True, stdin=subprocess.DEVNULL,
+        )
+        child = int(pid_file.read_text())
+
+        def running():
+            row = _process_table().get(child)
+            return row is not None and row[1] != "Z"
+
         try:
-            with ClusterContext(
-                executor="cluster", workers=addrs, n_nodes=2,
-                executor_cores=2, retry_backoff_seconds=0.0,
-            ) as ctx:
-                killer = threading.Timer(
-                    0.2, procs[0].send_signal, (signal.SIGKILL,)
-                )
-                killer.start()
-                try:
-                    got = digest(list(self._pipeline(ctx)))
-                finally:
-                    killer.cancel()
-                got_stages = [
-                    (r.stage, r.partition, r.node, r.bytes_out)
-                    for r in ctx.metrics.tasks
-                ]
-                assert ctx.executor.workers_lost >= 1
-            assert got == ref
-            assert got_stages == ref_stages
+            deadline = time.monotonic() + 2.0
+            while running() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running()
         finally:
-            for addr in addrs:
-                shutdown_worker(addr)
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except Exception:
-                    proc.kill()
+            if running():
+                os.kill(child, signal.SIGKILL)
 
     def test_unreachable_worker_names_the_address(self):
         # Port 1 on loopback refuses immediately; the error must tell
@@ -357,7 +425,9 @@ class TestDaemonLossRecovery:
 # Remote block fetch: peer pull equals local read
 # ----------------------------------------------------------------------
 class TestRemoteFetch:
-    def test_fetch_matches_original_and_misses_stay_misses(self, tmp_path):
+    def test_fetch_matches_original_and_misses_stay_misses(
+        self, tmp_path, worker_daemon
+    ):
         served = tmp_path / "served"
         local = tmp_path / "local"
         served.mkdir()
@@ -365,7 +435,7 @@ class TestRemoteFetch:
         blob = np.arange(30_000, dtype=np.int64).tobytes()
         (served / "shuffle_0_3.blk").write_bytes(blob)
 
-        proc, addr = launch_worker(roots=(served,))
+        _proc, addr = worker_daemon(roots=(served,))
         fetcher = BlockFetcher([addr])
         try:
             target = local / "shuffle_0_3.blk"
@@ -379,13 +449,8 @@ class TestRemoteFetch:
             assert not (local / "nope.blk").exists()
         finally:
             fetcher.close()
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
 
-    def test_resolver_feeds_codec_reads(self, tmp_path):
+    def test_resolver_feeds_codec_reads(self, tmp_path, worker_daemon):
         """read_named_file on a path that is only present on a peer
         daemon returns bytes identical to reading the original directly
         (the driver-relayed baseline)."""
@@ -400,30 +465,25 @@ class TestRemoteFetch:
         served.mkdir()
         local.mkdir()
         cols = (np.arange(5000, dtype=np.int64), np.ones(5000))
-        write_block_file(str(served / "block_7.npz"), cols)
-        direct = load_block_file(str(served / "block_7.npz"))
+        write_block_file(str(served / "block_7.blk"), cols)
+        direct = load_block_file(str(served / "block_7.blk"))
 
-        proc, addr = launch_worker(roots=(served,))
+        _proc, addr = worker_daemon(roots=(served,))
         fetcher = BlockFetcher([addr])
         previous = set_missing_file_resolver(fetcher)
         try:
-            fetched = load_block_file(str(local / "block_7.npz"))
+            fetched = load_block_file(str(local / "block_7.blk"))
             assert all(
                 np.array_equal(a, b) for a, b in zip(fetched, direct)
             )
             assert len(fetched) == len(direct)
             assert (
-                (local / "block_7.npz").read_bytes()
-                == (served / "block_7.npz").read_bytes()
+                (local / "block_7.blk").read_bytes()
+                == (served / "block_7.blk").read_bytes()
             )
         finally:
             set_missing_file_resolver(previous)
             fetcher.close()
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
 
 
 # ----------------------------------------------------------------------

@@ -1,31 +1,30 @@
-"""Block codecs + external-sort shuffle.
+"""The block container + the budgeted ``distinct()`` exchange.
 
-The contract under test: the on-disk representation of spilled blocks
-(raw ``.npz`` vs chunk-compressed columnar ``.blk``) and the shuffle
-strategy of ``distinct()`` (hash exchange vs external merge sort) are
-pure *physical* knobs — for any codec x shuffle x backend x budget the
-engine produces byte-identical datasets and identical simulated stage
-structure, while only disk bytes, peak reduce memory and wall-clock
+The contract under test: how spilled blocks are stored (``.blk`` chunks
+memory-mapped or zlib-compressed) and whether ``distinct()`` exchanges
+in memory or through file segments (decided by the memory budget) are
+pure *physical* matters — for any codec x backend x budget the engine
+produces byte-identical datasets and identical simulated stage
+structure, while only disk bytes, peak memory and wall-clock
 encode/decode time change.
 
 Layers covered:
 
-* the ``block_codec`` / ``shuffle`` / ``codec_chunk_bytes`` /
-  chunk-rows settings: accepted and rejected values;
+* the ``block_codec`` setting and the ``chunk_bytes`` / ``chunk_rows``
+  arguments: accepted and rejected values;
 * per-codec round-trips over awkward shapes (empty, 0-d, 2-D,
   big-endian, zero columns) plus a Hypothesis sweep over arbitrary
-  dtype/shape arrays;
-* chunked (streaming-append) writers and ``iter_column_chunks``
-  read-back;
+  dtype/shape arrays, and chunk-size invariance;
+* chunked (streaming-append) writers;
 * the ``mmap`` codec's memory-mapped reload fast path;
-* external-sort ``distinct()`` equivalence against the hash exchange on
-  every available backend, with and without a memory budget, for single
-  and pair keys — output *and* stage records;
-* the bounded-reduce-memory property of the external sort, asserted
-  with ``tracemalloc`` on a worst-case skew (every row hashed to one
-  reducer);
-* spill filename extensions and compression accounting;
-* the ``engine-info`` codec/shuffle rows.
+* ``distinct()`` equivalence of the budgeted file-segment exchange and
+  the in-memory one on every available backend under both codecs, for
+  single and pair keys — output *and* stage records;
+* worst-case reduce skew (every row hashed to one reducer) as a
+  correctness case, and the budget as a bound on traced peak memory for
+  a 2x10^6-row pair-key ``distinct()``;
+* spill file names and compression accounting;
+* the ``engine-info`` codec row.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from repro.engine import (
     get_codec,
 )
 from repro.engine.storage.codecs import (
-    array_dtypes,
-    iter_column_chunks,
     read_arrays,
     read_block_file,
     read_named_file,
@@ -76,13 +73,13 @@ def _stage_structure(ctx) -> list:
 
 # ----------------------------------------------------------------------
 class TestResolution:
-    """The codec and shuffle settings as ``get_codec``, the context and
-    the chunk emitter read them (the per-row precedence table is
-    tests/test_config.py)."""
+    """The codec setting as ``get_codec`` and the context read it (the
+    per-row precedence table is tests/test_config.py), and the chunk-size
+    arguments that used to be settings."""
 
-    def test_default_is_raw(self, monkeypatch):
+    def test_default_is_mmap(self, monkeypatch):
         monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
-        assert get_codec().name == DEFAULT_CODEC == "raw"
+        assert get_codec().name == DEFAULT_CODEC == "mmap"
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
@@ -92,11 +89,12 @@ class TestResolution:
         monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
         assert get_codec("mmap").name == "mmap"
 
-    # "lzma" is a removed codec: rejected like any other unknown name.
-    @pytest.mark.parametrize("bad", ["gzip", "snappy", "lzma"])
+    # "lzma" and "raw" are removed codecs: rejected like any other
+    # unknown name.
+    @pytest.mark.parametrize("bad", ["gzip", "snappy", "lzma", "raw"])
     def test_unknown_codec_rejected(self, bad):
         with pytest.raises(
-            ValueError, match="REPRO_BLOCK_CODEC.*raw, zlib, mmap"
+            ValueError, match="REPRO_BLOCK_CODEC.*one of mmap, zlib"
         ):
             get_codec(bad)
 
@@ -105,38 +103,22 @@ class TestResolution:
         # says; it does not fall through to the variable.
         monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
         assert get_codec("").name == DEFAULT_CODEC
-        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
-        with ClusterContext(n_nodes=1, executor="serial", shuffle="") as ctx:
-            assert ctx.shuffle_strategy == "exchange"
 
     def test_unknown_env_codec_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLOCK_CODEC", "brotli")
         with pytest.raises(ValueError, match="REPRO_BLOCK_CODEC"):
             get_codec()
 
-    def test_shuffle_default_env_arg(self, monkeypatch):
-        def strategy(shuffle=None):
-            with ClusterContext(
-                n_nodes=1, executor="serial", shuffle=shuffle
-            ) as ctx:
-                return ctx.shuffle_strategy
+    def test_chunk_bytes_argument(self):
+        from repro.engine.storage.codecs import CHUNK_BYTES
 
-        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
-        assert strategy() == "exchange"
-        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
-        assert strategy() == "extsort"
-        assert strategy("exchange") == "exchange"
-        with pytest.raises(ValueError, match="REPRO_SHUFFLE"):
-            strategy("radix")
-
-    def test_chunk_bytes_parses_sizes(self, monkeypatch):
         zlib_codec = CODECS["zlib"]
-        assert zlib_codec(chunk_bytes="64KB").chunk_bytes == 64 * 1024
+        assert zlib_codec().chunk_bytes == CHUNK_BYTES == 1 << 20
         assert zlib_codec(chunk_bytes=4096).chunk_bytes == 4096
-        with pytest.raises(ValueError, match="REPRO_CODEC_CHUNK_BYTES"):
+        with pytest.raises(ValueError, match="chunk_bytes"):
             zlib_codec(chunk_bytes=0)
 
-    def test_chunk_rows_resolvers(self, monkeypatch):
+    def test_chunk_rows_argument(self):
         values, counts = np.arange(10), np.full(10, 3)
 
         def chunk_lengths(**kwargs):
@@ -145,12 +127,10 @@ class TestResolution:
                 for (chunk,) in iter_repeat_chunks((values,), counts, **kwargs)
             ]
 
-        monkeypatch.delenv("REPRO_EMIT_CHUNK_ROWS", raising=False)
         assert chunk_lengths() == [30]  # default: 262144 rows per chunk
-        monkeypatch.setenv("REPRO_EMIT_CHUNK_ROWS", "12")
-        assert chunk_lengths() == [12, 12, 6]
+        assert chunk_lengths(chunk_rows=12) == [12, 12, 6]
         assert chunk_lengths(chunk_rows=20) == [20, 10]
-        with pytest.raises(ValueError, match="REPRO_EMIT_CHUNK_ROWS"):
+        with pytest.raises(ValueError, match="chunk_rows"):
             chunk_lengths(chunk_rows=0)
 
     def test_context_rejects_bad_codec(self):
@@ -182,7 +162,7 @@ class TestCodecRoundTrip:
     def test_write_read(self, tmp_path, codec_name, case):
         cols = _cases()[case]
         codec = get_codec(codec_name)
-        path = str(tmp_path / f"b{codec.extension}")
+        path = str(tmp_path / "b.blk")
         info = codec.write(path, cols)
         assert info.rows == (int(cols[0].shape[0]) if cols and
                              cols[0].ndim else 0) or info.rows >= 0
@@ -195,7 +175,7 @@ class TestCodecRoundTrip:
 
     def test_named_round_trip(self, tmp_path, codec_name):
         codec = get_codec(codec_name)
-        path = str(tmp_path / f"n{codec.extension}")
+        path = str(tmp_path / "n.blk")
         arrays = {"alpha": np.arange(10), "beta": np.linspace(0, 1, 7)}
         info = codec.write_named(path, arrays)
         assert info.disk_bytes == os.path.getsize(path)
@@ -204,13 +184,13 @@ class TestCodecRoundTrip:
         assert set(got) == set(arrays)
         for k, v in arrays.items():
             np.testing.assert_array_equal(got[k], v)
-        assert {k: d for k, d in array_dtypes(path).items()} == {
+        assert {k: v.dtype for k, v in got.items()} == {
             k: v.dtype for k, v in arrays.items()
         }
 
     def test_chunked_writer_round_trip(self, tmp_path, codec_name):
         codec = get_codec(codec_name)
-        path = str(tmp_path / f"c{codec.extension}")
+        path = str(tmp_path / "c.blk")
         rng = np.random.default_rng(1)
         a = rng.integers(0, 1 << 30, 10_000)
         b = rng.random(10_000)
@@ -223,14 +203,10 @@ class TestCodecRoundTrip:
         got = read_block_file(path)
         np.testing.assert_array_equal(got[0], a)
         np.testing.assert_array_equal(got[1], b)
-        # Chunked read-back reassembles the same columns.
-        for j, ref in enumerate((a, b)):
-            parts = list(iter_column_chunks(path, f"c{j}"))
-            np.testing.assert_array_equal(np.concatenate(parts), ref)
 
     def test_empty_chunked_writer(self, tmp_path, codec_name):
         codec = get_codec(codec_name)
-        path = str(tmp_path / f"e{codec.extension}")
+        path = str(tmp_path / "e.blk")
         w = codec.open_writer(path)
         w.append_columns((np.empty(0, np.int64), np.empty(0, np.float32)))
         info = w.close()
@@ -238,6 +214,21 @@ class TestCodecRoundTrip:
         got = read_block_file(path)
         assert got[0].dtype == np.int64 and got[0].size == 0
         assert got[1].dtype == np.float32 and got[1].size == 0
+
+    def test_chunk_bytes_never_changes_what_is_read(
+        self, tmp_path, codec_name
+    ):
+        """One payload chunk or hundreds: the arrays read back are the
+        same bytes (and stay memory-mapped when uncompressed)."""
+        cols = _cases()["ints"]
+        digests = set()
+        for chunk_bytes in (8, 100, 1 << 20):
+            path = str(tmp_path / f"k{chunk_bytes}.blk")
+            CODECS[codec_name](chunk_bytes=chunk_bytes).write(path, cols)
+            got = read_block_file(path)
+            assert isinstance(got[0], np.memmap) == (codec_name == "mmap")
+            digests.add(_digest(got))
+        assert digests == {_digest(cols)}
 
 
 def test_mmap_codec_memory_maps(tmp_path):
@@ -252,10 +243,10 @@ def test_mmap_codec_memory_maps(tmp_path):
 
 def test_zlib_compresses_redundant_data(tmp_path):
     cols = (np.zeros(100_000, dtype=np.int64),)
-    raw = get_codec("raw").write(str(tmp_path / "r.npz"), cols)
+    plain = get_codec("mmap").write(str(tmp_path / "m.blk"), cols)
     zl = get_codec("zlib").write(str(tmp_path / "z.blk"), cols)
-    assert zl.logical_bytes == raw.logical_bytes == 800_000
-    assert zl.disk_bytes < raw.disk_bytes // 10
+    assert zl.logical_bytes == plain.logical_bytes == 800_000
+    assert zl.disk_bytes < plain.disk_bytes // 10
     assert zl.seconds >= 0.0
 
 
@@ -275,9 +266,7 @@ def test_unknown_compression_tag_names_tag_and_file(tmp_path):
     for read in (
         read_block_file,
         read_named_file,
-        array_dtypes,
         lambda p: read_arrays(p, ["c0"]),
-        lambda p: list(iter_column_chunks(p, "c0")),
     ):
         with pytest.raises(ValueError, match="old.blk.*'lzma'"):
             read(str(path))
@@ -305,7 +294,7 @@ def test_codec_round_trip_property(tmp_path_factory, codec_name, data, dtype):
     arr = data.draw(hnp.arrays(dtype=dtype, shape=shape))
     codec = get_codec(codec_name)
     tmp = tmp_path_factory.mktemp("prop")
-    path = str(tmp / f"p{codec.extension}")
+    path = str(tmp / "p.blk")
     codec.write(path, (arr,))
     got = read_block_file(path)[0]
     assert got.dtype == arr.dtype
@@ -322,18 +311,22 @@ def _dup_columns(n_rows: int = 6_000, n_keys: int = 251):
     return k1, k2, payload
 
 
-class TestExternalSortDistinct:
+def _first_occurrences(col: np.ndarray) -> np.ndarray:
+    return col[np.sort(np.unique(col, return_index=True)[1])]
+
+
+class TestBudgetedDistinct:
+    """The file-segment exchange a memory budget switches on against the
+    in-memory one."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("budget", [None, 1 << 14])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
     @pytest.mark.parametrize("key_columns", [(0,), (0, 1)])
-    def test_matches_exchange(self, backend, budget, key_columns):
+    def test_matches_unbudgeted(self, backend, codec, key_columns):
         cols = _dup_columns()
 
-        def run(shuffle):
-            ctx = ClusterContext(
-                n_nodes=4, executor=backend,
-                memory_budget_bytes=budget, shuffle=shuffle,
-            )
+        def run(**ctx_kw):
+            ctx = ClusterContext(n_nodes=4, **ctx_kw)
             out = ctx.parallelize(cols, n_partitions=7).distinct(
                 key_columns=key_columns
             ).collect()
@@ -341,49 +334,24 @@ class TestExternalSortDistinct:
             ctx.close()
             return out, stages
 
-        ex, ex_stages = run("exchange")
-        es, es_stages = run("extsort")
-        assert len(es) == len(ex)
-        for a, b in zip(es, ex):
+        ref, ref_stages = run(executor="serial")
+        got, got_stages = run(
+            executor=backend, memory_budget_bytes=1 << 14, block_codec=codec
+        )
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-        assert es_stages == ex_stages
+        assert got_stages == ref_stages
 
-    def test_env_var_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHUFFLE", "extsort")
-        ctx = ClusterContext(n_nodes=2)
-        assert ctx.shuffle_strategy == "extsort"
-        cols = _dup_columns(500, 31)
-        got = ctx.parallelize(cols, n_partitions=3).distinct().collect()
-        ctx.close()
-        ref_ctx = ClusterContext(n_nodes=2, shuffle="exchange")
-        ref = ref_ctx.parallelize(cols, n_partitions=3).distinct().collect()
-        ref_ctx.close()
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-
-    def test_per_call_override(self):
-        ctx = ClusterContext(n_nodes=2, shuffle="exchange")
-        cols = _dup_columns(400, 17)
-        rdd = ctx.parallelize(cols, n_partitions=3)
-        a = rdd.distinct(shuffle="extsort").collect()
-        b = rdd.distinct(shuffle="exchange").collect()
-        ctx.close()
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_bounded_reduce_memory_under_skew(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [None, 1 << 16])
+    def test_all_rows_to_one_reducer(self, budget):
         """Worst-case reduce skew: every partition holds the same keys
         (unique *within* the partition, so the map-side combiner removes
         nothing) and every key is 0 mod n_parts, so all rows land on
-        reducer 0.  The hash exchange must concatenate and sort the full
-        800k-row bucket at once; the external sort streams it through
-        chunk-sized merge windows and only ever holds the 100k distinct
-        survivors, so its traced peak stays well under half the exchange
-        peak.  The backend is pinned serial: tracemalloc only sees
-        driver-process allocations, so the comparison is meaningless on
-        the process-based backends."""
-        monkeypatch.setenv("REPRO_EXTSORT_CHUNK_ROWS", "1024")
+        reducer 0 — which must keep each key's first occurrence, in
+        input order, whether it read its bucket from memory or from
+        segment files."""
         n_parts = 8
         keys_per = 100_000
         rng = np.random.default_rng(5)
@@ -391,34 +359,51 @@ class TestExternalSortDistinct:
         col = np.concatenate(
             [np.roll(base, 17 * i) for i in range(n_parts)]
         )
-
-        def peak(shuffle):
-            ctx = ClusterContext(
-                n_nodes=n_parts, shuffle=shuffle, executor="serial"
+        with ClusterContext(
+            n_nodes=n_parts, executor="serial", memory_budget_bytes=budget
+        ) as ctx:
+            rdd = ctx.parallelize((col,), n_partitions=n_parts).distinct(
+                key_columns=(0,)
             )
-            rdd = ctx.parallelize((col,), n_partitions=n_parts)
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            out = rdd.distinct(key_columns=(0,)).collect()
-            _, peak_bytes = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            ctx.close()
-            return out, peak_bytes
+            sizes = rdd.partition_sizes()
+            (out,) = rdd.collect()
+        assert sizes[0] == keys_per and not sizes[1:].any()
+        np.testing.assert_array_equal(out, _first_occurrences(col))
 
-        ex_out, ex_peak = peak("exchange")
-        es_out, es_peak = peak("extsort")
-        for a, b in zip(es_out, ex_out):
-            np.testing.assert_array_equal(a, b)
-        assert es_peak < ex_peak / 2, (es_peak, ex_peak)
+    def test_traced_peak_stays_under_the_budget(self, tmp_path):
+        """The bound the budget exists for, at PGSK's shape: 2x10^6
+        pair-key rows (32 MB) with a handful of duplicates pass through
+        ``distinct()`` under an 8 MiB budget without the driver process
+        ever holding 8 MiB of traced allocations.  Serial, because
+        tracemalloc only sees this process."""
+        budget = 8 << 20
+        n_rows = 2_000_000
+        rng = np.random.default_rng(16)
+        src = rng.integers(0, 1 << 20, n_rows).astype(np.int64)
+        dst = rng.integers(0, 1 << 20, n_rows).astype(np.int64)
+        src[-4:], dst[-4:] = src[:4], dst[:4]
+        expected = np.unique(src * (1 << 20) + dst).size
+        with ClusterContext(
+            n_nodes=4, executor="serial", memory_budget_bytes=budget,
+            spill_dir=tmp_path,
+        ) as ctx:
+            rdd = ctx.parallelize((src, dst), n_partitions=32)
+            del src, dst
+            tracemalloc.start()
+            try:
+                out = rdd.distinct(key_columns=(0, 1))
+                count = out.count()
+                _, peak_bytes = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert count == expected < n_rows
+        assert peak_bytes < budget, peak_bytes
 
 
 # ----------------------------------------------------------------------
 class TestSpillFiles:
-    @pytest.mark.parametrize(
-        ("codec_name", "ext"),
-        [("raw", ".npz"), ("zlib", ".blk"), ("mmap", ".blk")],
-    )
-    def test_spill_extension_follows_codec(self, tmp_path, codec_name, ext):
+    @pytest.mark.parametrize("codec_name", CODEC_NAMES)
+    def test_spill_files_are_blk(self, tmp_path, codec_name):
         ctx = ClusterContext(
             n_nodes=2, memory_budget_bytes=1_000,
             spill_dir=tmp_path, block_codec=codec_name,
@@ -432,7 +417,7 @@ class TestSpillFiles:
             if p.is_file()
         ]
         assert spilled, "budget of 1 kB must force spills"
-        assert all(p.suffix == ext for p in spilled), spilled
+        assert all(p.suffix == ".blk" for p in spilled), spilled
         assert ctx.storage.codec == codec_name
         rdd.unpersist()
         ctx.close()
@@ -457,12 +442,12 @@ class TestSpillFiles:
         ctx.close()
 
     def test_mixed_codec_directory_readable(self, tmp_path):
-        """Reads dispatch on the file, not the configured codec: blocks
+        """Reads go by the file's footer, not the configured codec: blocks
         written under one codec reload under another configuration."""
         a = (np.arange(100, dtype=np.int64),)
         get_codec("zlib").write(str(tmp_path / "x.blk"), a)
-        get_codec("raw").write(str(tmp_path / "y.npz"), a)
-        for name in ("x.blk", "y.npz"):
+        get_codec("mmap").write(str(tmp_path / "y.blk"), a)
+        for name in ("x.blk", "y.blk"):
             np.testing.assert_array_equal(
                 read_block_file(str(tmp_path / name))[0], a[0]
             )
@@ -470,7 +455,7 @@ class TestSpillFiles:
 
 # ----------------------------------------------------------------------
 class TestGeneratorDigestMatrix:
-    """Codec x shuffle x budget never changes generator output."""
+    """Backend x codec x budget never changes generator output."""
 
     @pytest.mark.parametrize("algo", [PGPBA, PGSK])
     def test_digests_invariant(self, algo, seed_graph, seed_analysis,
@@ -491,15 +476,15 @@ class TestGeneratorDigestMatrix:
             ctx.close()
             return d, stages
 
-        base_d, base_s = run()
-        for codec in CODEC_NAMES:
-            for shuffle in ("exchange", "extsort"):
-                d, s = run(
-                    block_codec=codec, shuffle=shuffle,
+        base = run(executor="serial")
+        for backend in BACKENDS:
+            assert run(executor=backend) == base, backend
+            for codec in CODEC_NAMES:
+                got = run(
+                    executor=backend, block_codec=codec,
                     memory_budget_bytes=1 << 14,
                 )
-                assert d == base_d, (codec, shuffle)
-                assert s == base_s, (codec, shuffle)
+                assert got == base, (backend, codec)
 
 
 # ----------------------------------------------------------------------
@@ -532,25 +517,19 @@ class TestStreamHelpers:
 class TestEngineInfoCli:
     def test_reports_codec_and_shuffle(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
-        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"block codec\s*: raw\b", out)
-        assert re.search(r"shuffle\s*: exchange\b", out)
-        assert out.count("[default]") >= 2
+        assert re.search(r"block codec\s*: mmap\s+\[default\]", out)
+        assert not re.search(r"^shuffle\b", out, re.M)
 
     def test_flag_source(self, capsys):
-        assert main(
-            ["engine-info", "--block-codec", "zlib",
-             "--shuffle", "extsort"]
-        ) == 0
+        assert main(["engine-info", "--block-codec", "zlib"]) == 0
         out = capsys.readouterr().out
         assert re.search(r"block codec\s*: zlib\s+\[flag\]", out)
-        assert re.search(r"shuffle\s*: extsort\s+\[flag\]", out)
 
     def test_env_source(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "mmap")
+        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"block codec\s*: mmap\b", out)
+        assert re.search(r"block codec\s*: zlib\b", out)
         assert "[env REPRO_BLOCK_CODEC]" in out

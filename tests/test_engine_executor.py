@@ -1,4 +1,4 @@
-"""Executor backends: determinism, shuffle equivalence, metadata caches.
+"""Executor backends: determinism, the distinct() exchange, metadata caches.
 
 The contract under test: every backend (serial / threads / pool / cluster)
 produces bit-identical datasets and identical simulated-cluster
@@ -182,31 +182,31 @@ class TestBackendEquivalence:
 
 class TestExchangeShuffle:
     def test_shuffles_keep_exact_distinct_row_set(self):
-        """Both shuffles keep exactly the distinct row set for
+        """Both branches of the exchange (in memory, and through file
+        segments under a budget) keep exactly the distinct row set for
         multi-column keys spanning partitions."""
         rng = np.random.default_rng(9)
         src = rng.integers(0, 200, size=4000, dtype=np.int64)
         dst = rng.integers(0, 200, size=4000, dtype=np.int64)
         tag = rng.integers(0, 10, size=4000, dtype=np.int64)
-        outs = {}
-        for shuffle in ("exchange", "extsort"):
-            ctx = _ctx("serial")
-            out = ctx.parallelize([src, dst, tag]).distinct(
-                key_columns=(0, 1), shuffle=shuffle
-            ).collect()
-            outs[shuffle] = set(zip(out[0].tolist(), out[1].tolist()))
         expected = set(zip(src.tolist(), dst.tolist()))
-        assert outs["exchange"] == outs["extsort"] == expected
+        for budget in (None, 1 << 14):
+            ctx = _ctx("serial", memory_budget_bytes=budget)
+            out = ctx.parallelize([src, dst, tag]).distinct(
+                key_columns=(0, 1)
+            ).collect()
+            ctx.close()
+            assert out[0].size == len(expected)
+            assert set(zip(out[0].tolist(), out[1].tolist())) == expected
 
-    def test_invalid_shuffle_mode(self, monkeypatch):
+    def test_invalid_shuffle_mode(self):
+        """Every mode is: the budget picks the exchange branch, and
+        nothing else can."""
         ctx = _ctx("serial")
-        # "collect" was the removed driver-collect shuffle.
-        for mode in ("teleport", "collect"):
-            with pytest.raises(ValueError, match="exchange, extsort"):
-                ctx.parallelize([np.arange(4)]).distinct(shuffle=mode)
-        monkeypatch.setenv("REPRO_SHUFFLE", "collect")
-        with pytest.raises(ValueError, match="exchange, extsort"):
-            _ctx("serial")
+        with pytest.raises(TypeError, match="shuffle"):
+            ctx.parallelize([np.arange(4)]).distinct(shuffle="exchange")
+        with pytest.raises(TypeError, match="shuffle"):
+            _ctx("serial", shuffle="exchange")
 
     def test_exchange_balances_partitions(self):
         """The hash spreads contiguous ids over all reducers instead of

@@ -278,7 +278,7 @@ class TestBlockStore:
             np.linspace(0, 1, 100),
             np.arange(100, dtype=np.uint16),
         )
-        path = str(tmp_path / "block.npz")
+        path = str(tmp_path / "block.blk")
         handle = write_block_file(path, cols)
         assert handle.rows == 100 and handle.n_columns == 3
         loaded = load_block_file(path)

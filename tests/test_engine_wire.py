@@ -5,15 +5,15 @@ Contracts under test:
 * **Wire compression** — frames round-trip bit-exactly for every codec
   and for buffer sizes straddling the compression threshold; per-buffer
   codec flags mean a receiver never needs to know the sender's setting.
-* **Knob resolution** — ``REPRO_MAX_INFLIGHT`` / ``REPRO_WIRE_CODEC`` /
-  ``REPRO_FETCH_PREFETCH`` resolvers and the handshake's codec
-  negotiation (unknown codec falls back to ``off``, never an error).
+* **Knob resolution** — the ``REPRO_WIRE_CODEC`` resolver and the
+  handshake's codec negotiation (unknown codec falls back to ``off``,
+  never an error).
 * **Daemon responsiveness** — heartbeat pings are answered while the
   daemon inflates a large compressed batch, because decompression runs
   off the event loop.
 * **Streaming fetch** — multi-chunk fetches are byte-identical for RBLK
   and raw files; a connection dropped mid-stream leaves no orphan tmp
-  file; prefetch stages the predicted next shuffle segment.
+  file.
 * **Digest invariance** — the (inflight x wire-codec) matrix produces
   byte-identical results and simulated stage records vs the serial
   backend.
@@ -35,11 +35,9 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import ClusterContext
 from repro.engine.cluster import (
     BlockFetcher,
-    launch_worker,
-    predict_next_segments,
-    shutdown_worker,
     sockets_available,
 )
+from repro.engine.executor import TransportProfile
 from repro.engine.netproto import (
     PROTOCOL_VERSION,
     WIRE_COMPRESS_MIN_BYTES,
@@ -183,15 +181,6 @@ class TestKnobResolution:
         assert negotiate_wire_codec("lzma") == "off"
         assert negotiate_wire_codec(None) == "off"
 
-    def test_predict_next_segments(self):
-        assert predict_next_segments("es3-m2-d5.npz") == [
-            "es3-m2-d6.npz",
-            "es3-m3-d5.npz",
-        ]
-        assert predict_next_segments("ex1-m7.blk") == ["ex1-m8.blk"]
-        assert predict_next_segments("block_7.npz") == []
-        assert predict_next_segments("not-a-segment") == []
-
 
 # ----------------------------------------------------------------------
 # Heartbeats stay prompt while a worker decompresses a large frame
@@ -320,14 +309,14 @@ class TestStaleFrameDuringDecompress:
 
 
 # ----------------------------------------------------------------------
-# Streaming fetch: chunked transfers, orphan cleanup, prefetch
+# Streaming fetch: chunked transfers, orphan cleanup
 # ----------------------------------------------------------------------
 class TestStreamingFetch:
-    def test_multi_chunk_fetch_byte_identical(self, tmp_path, monkeypatch):
-        # Small chunks force several frames per file for both layouts:
-        # RBLK (chunk-table spans) and raw bytes (fixed slices).
-        monkeypatch.setenv("REPRO_CODEC_CHUNK_BYTES", "8192")
-        from repro.engine.storage.codecs import get_codec
+    def test_multi_chunk_fetch_byte_identical(self, tmp_path, worker_daemon):
+        # Several frames per file for both layouts: RBLK written in
+        # small chunks (chunk-table spans) and raw bytes longer than one
+        # fixed slice.
+        from repro.engine.storage.codecs import CHUNK_BYTES, CODECS
 
         served = tmp_path / "served"
         local = tmp_path / "local"
@@ -337,15 +326,22 @@ class TestStreamingFetch:
             np.arange(40_000, dtype=np.int64),
             np.linspace(0.0, 1.0, 40_000),
         )
-        get_codec("zlib").write(str(served / "block_3.blk"), cols)
-        raw = np.random.default_rng(7).bytes(50_000)
+        CODECS["zlib"](chunk_bytes=8192).write(
+            str(served / "block_3.blk"), cols
+        )
+        raw = np.random.default_rng(7).bytes(2 * CHUNK_BYTES + 50_000)
         (served / "shuffle_1_2.blk").write_bytes(raw)
 
-        proc, addr = launch_worker(roots=(served,))
-        fetcher = BlockFetcher([addr], wire_codec="zlib")
+        _proc, addr = worker_daemon(roots=(served,))
+        meter = TransportProfile()
+        fetcher = BlockFetcher([addr], wire_codec="zlib", transport=meter)
         try:
-            for name in ("block_3.blk", "shuffle_1_2.blk"):
+            # At least one trip per frame: 2 x 40 container chunks,
+            # then 3 fixed slices.
+            for name, frames in (("block_3.blk", 80), ("shuffle_1_2.blk", 3)):
+                before = meter.round_trips
                 assert fetcher(local / name) is True
+                assert meter.round_trips - before > frames
                 assert (
                     (local / name).read_bytes()
                     == (served / name).read_bytes()
@@ -353,11 +349,6 @@ class TestStreamingFetch:
             assert fetcher.fetched == 2
         finally:
             fetcher.close()
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
 
     def test_dropped_connection_leaves_no_orphan_tmp(self, tmp_path):
         """Regression: a serving daemon dying mid-fetch used to strand a
@@ -400,19 +391,22 @@ class TestStreamingFetch:
         leftovers = [p.name for p in local.iterdir()]
         assert leftovers == []  # no target, no `.fetch-*` orphan
 
-    def test_mid_fetch_daemon_kill_cleans_up(self, tmp_path, monkeypatch):
+    def test_mid_fetch_daemon_kill_cleans_up(self, tmp_path, worker_daemon):
         # The same contract against a real daemon: SIGKILL it while a
-        # many-chunk transfer is in flight.  Tiny chunks keep the stream
-        # long enough that the kill lands mid-transfer.
-        monkeypatch.setenv("REPRO_CODEC_CHUNK_BYTES", "4096")
+        # many-chunk transfer is in flight.  Tiny container chunks (one
+        # frame each) keep the stream long enough that the kill lands
+        # mid-transfer.
+        from repro.engine.storage.codecs import CODECS
+
         served = tmp_path / "served"
         local = tmp_path / "local"
         served.mkdir()
         local.mkdir()
-        (served / "shuffle_5_5.blk").write_bytes(
-            np.random.default_rng(1).bytes(2_000_000)
+        CODECS["mmap"](chunk_bytes=4096).write(
+            str(served / "shuffle_5_5.blk"),
+            (np.random.default_rng(1).integers(0, 1 << 62, 250_000),),
         )
-        proc, addr = launch_worker(roots=(served,))
+        proc, addr = worker_daemon(roots=(served,))
         fetcher = BlockFetcher([addr], timeout=5.0)
         killer = threading.Timer(0.05, proc.kill)
         try:
@@ -421,41 +415,8 @@ class TestStreamingFetch:
         finally:
             killer.cancel()
             fetcher.close()
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
         for p in local.iterdir():
             assert not p.name.startswith("."), f"orphan tmp {p.name}"
-
-    def test_prefetch_stages_predicted_segment(self, tmp_path):
-        served = tmp_path / "served"
-        local = tmp_path / "local"
-        served.mkdir()
-        local.mkdir()
-        first = np.arange(9_000, dtype=np.int64).tobytes()
-        second = np.arange(9_000, 18_000, dtype=np.int64).tobytes()
-        (served / "es0-m0-d0.npz").write_bytes(first)
-        (served / "es0-m0-d1.npz").write_bytes(second)
-
-        proc, addr = launch_worker(roots=(served,))
-        fetcher = BlockFetcher([addr], prefetch=1)
-        try:
-            assert fetcher(local / "es0-m0-d0.npz") is True
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and fetcher.prefetched == 0:
-                time.sleep(0.02)
-            assert fetcher.prefetched >= 1
-            assert fetcher(local / "es0-m0-d1.npz") is True
-            assert fetcher.prefetch_hits == 1
-            assert (local / "es0-m0-d1.npz").read_bytes() == second
-        finally:
-            fetcher.close()
-            shutdown_worker(addr)
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +451,6 @@ class TestKnobMatrixInvariance:
             ]
         monkeypatch.setenv("REPRO_MAX_INFLIGHT", str(inflight))
         monkeypatch.setenv("REPRO_WIRE_CODEC", codec)
-        monkeypatch.setenv("REPRO_FETCH_PREFETCH", "1")
         with ClusterContext(
             executor="cluster", n_nodes=2, executor_cores=2
         ) as ctx:
