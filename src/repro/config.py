@@ -266,7 +266,10 @@ class Setting:
     """One knob.  ``default`` is already in parsed form; ``kwarg`` is
     the keyword of the layer's constructor (see ``_CONSTRUCTORS``) that
     takes the explicit value; ``show`` renders a resolved value for
-    ``engine-info`` and the README."""
+    ``engine-info`` and the README.  ``evidence`` names what needs more
+    than one value of the knob — a ``BENCHMARK.json`` workload or a
+    tier-1 test id (``tests/...::...``); a knob with neither is a
+    constant (``tests/test_config.py`` resolves every row's)."""
 
     name: str
     env: str
@@ -275,6 +278,7 @@ class Setting:
     flag: "str | None"
     kwarg: "str | None"
     help: str
+    evidence: str
     layer: str = "engine"
     show: Callable[[Any], str] = str
 
@@ -321,11 +325,13 @@ SETTINGS: "dict[str, Setting]" = {
             "persistent forked workers with shared-memory transport, "
             "`cluster` dispatches to remote `repro worker` daemons over "
             "sockets; " + _BYTE_IDENTICAL,
+            evidence="generate_pool",
         ),
         Setting(
             "local_workers", "REPRO_LOCAL_WORKERS", None, integer(min=1),
             "--workers", "local_workers",
             "an integer sizes the local backends (`threads`/`pool`)",
+            evidence="generate_pool",
             show=_cpu_count,
         ),
         Setting(
@@ -334,6 +340,10 @@ SETTINGS: "dict[str, Setting]" = {
             "an address list (`host:port` or `unix:/path`, comma-separated) "
             "names the `cluster` backend's worker daemons (start them with "
             "`repro worker --listen host:port`)",
+            evidence=(
+                "tests/test_engine_cluster.py::TestClusterEquivalence"
+                "::test_digest_and_transport_match_serial"
+            ),
             show=lambda v: ", ".join(v) if v else "none",
         ),
         Setting(
@@ -342,28 +352,11 @@ SETTINGS: "dict[str, Setting]" = {
             "silence after which a busy cluster worker is declared lost "
             "(its tasks requeue via lineage recovery); busy links are "
             "pinged every 1/30 of it",
-            layer="cluster", show=_unit("s"),
-        ),
-        Setting(
-            "max_inflight", "REPRO_MAX_INFLIGHT", 2, integer(min=1),
-            None, "max_inflight",
-            "batches pipelined per cluster link: the driver ships batch "
-            "N+1 while the worker computes batch N; 1 restores "
-            "stop-and-wait dispatch",
-            layer="cluster", show=_unit("batches/link"),
-        ),
-        Setting(
-            "wire_codec", "REPRO_WIRE_CODEC", "zlib",
-            choice(
-                ("off", "zlib"),
-                aliases={"none": "off", "raw": "off", "0": "off",
-                         "false": "off"},
+            evidence=(
+                "tests/test_engine_cluster.py::TestHeartbeat"
+                "::test_mute_worker_times_out"
             ),
-            None, "wire_codec",
-            "per-buffer compression of cluster frames above 16 KiB; "
-            "negotiated in the handshake, per-buffer codec ids keep "
-            "mixed-codec peers interoperable",
-            layer="cluster",
+            layer="cluster", show=_unit("s"),
         ),
         # ~4 MiB of input per executor task: the point where per-task
         # dispatch overhead stops mattering relative to NumPy kernel
@@ -375,20 +368,21 @@ SETTINGS: "dict[str, Setting]" = {
             "--target-partition-bytes", "target_partition_bytes",
             "coalesce adjacent small partitions into physical tasks of "
             "roughly this size before dispatch; " + _BYTE_IDENTICAL,
+            evidence=(
+                "tests/test_engine_pool.py::TestCoalescing"
+                "::test_dispatch_reduced_4x_simulation_unchanged"
+            ),
             show=lambda v: format_bytes(v) if v else "off (no coalescing)",
-        ),
-        Setting(
-            "task_batch", "REPRO_TASK_BATCH", 0, integer(min=0),
-            "--task-batch", "task_batch",
-            "tasks shipped per worker IPC round on the `pool` and "
-            "`cluster` backends; 0 adapts to ~n/(2*workers)",
-            show=lambda v: str(v) if v else "adaptive",
         ),
         Setting(
             "fusion", "REPRO_FUSION", True, switch,
             "--no-fusion", "fusion",
             "lazy stage fusion of narrow per-partition chains; off runs "
             "every transformation eagerly; " + _BYTE_IDENTICAL,
+            evidence=(
+                "tests/test_engine_plan.py::TestFusedEagerEquivalence"
+                "::test_fused_peak_memory_below_eager"
+            ),
             show=_on_off,
         ),
         Setting(
@@ -397,6 +391,10 @@ SETTINGS: "dict[str, Setting]" = {
             "deterministic fault-injection plan as JSON, e.g. "
             '`{"seed": 1, "p_exception": 0.1, "p_kill": 0.05}`; recovery '
             "keeps results and simulated metrics bit-identical",
+            evidence=(
+                "tests/test_engine_faults.py::TestChaosEquivalence"
+                "::test_pipeline_bit_identical_under_faults"
+            ),
             show=lambda v: json.dumps(v, sort_keys=True) if v else "off",
         ),
         Setting(
@@ -404,11 +402,19 @@ SETTINGS: "dict[str, Setting]" = {
             "--max-task-retries", "max_task_retries",
             "retry budget per failed task before the run aborts "
             "(mirrors Spark's `task.maxFailures=4`)",
+            evidence=(
+                "tests/test_engine_faults.py::TestRunWithRecovery"
+                "::test_budget_exhaustion_reraises_original"
+            ),
         ),
         Setting(
             "speculation", "REPRO_SPECULATION", False, switch,
             "--speculation", "speculation",
             "speculatively re-execute straggler tasks, first result wins",
+            evidence=(
+                "tests/test_engine_pool.py::TestSpeculationAcrossJobs"
+                "::test_pgpba_digest_equals_serial"
+            ),
             show=_on_off,
         ),
         # An explicit "" is a spelling of "unlimited" here, and of the
@@ -421,6 +427,10 @@ SETTINGS: "dict[str, Setting]" = {
             "cap on memory-resident partition blocks; excess blocks "
             "LRU-spill to the spill dir and reload transparently; "
             + _BYTE_IDENTICAL,
+            evidence=(
+                "tests/test_engine_storage.py::TestBudgetDigestMatrix"
+                "::test_budgeted_peak_memory_below_unlimited"
+            ),
             show=lambda v: "unlimited" if v is None else format_bytes(v),
         ),
         Setting(
@@ -429,6 +439,10 @@ SETTINGS: "dict[str, Setting]" = {
             "base directory for spilled blocks, shuffle segments and "
             "checkpoints; each run uses its own session subdirectory, "
             "removed on close",
+            evidence=(
+                "tests/test_engine_storage.py::TestResolvers"
+                "::test_context_reads_env"
+            ),
             show=lambda v: "(system tempdir)" if v is None else v,
         ),
         Setting(
@@ -439,17 +453,23 @@ SETTINGS: "dict[str, Setting]" = {
             "segments and checkpoints: `mmap` = uncompressed chunks read "
             "back via memory mapping, `zlib` = DEFLATE-compressed chunks; "
             + _BYTE_IDENTICAL,
+            evidence=(
+                "tests/test_engine_codecs.py::TestSpillFiles"
+                "::test_compression_accounting"
+            ),
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),
             "--threads", "threads",
             "worker threads for batched query serving",
+            evidence="serve_detect",
             layer="serve", show=_cpu_count,
         ),
         Setting(
             "query_cache", "REPRO_QUERY_CACHE", 1024, integer(min=0),
             "--cache-size", "cache_size",
             "LRU result-cache capacity in entries; 0 disables caching",
+            evidence="serve_detect",
             layer="serve", show=_unit("entries"),
         ),
         Setting(
@@ -458,6 +478,10 @@ SETTINGS: "dict[str, Setting]" = {
             "bounded-queue capacity in micro-batches between streaming "
             "stages; a full queue blocks the producer (backpressure), so "
             "pipeline memory stays bounded",
+            evidence=(
+                "tests/test_stream.py::TestPipeline"
+                "::test_backpressure_bounds_queue_depth"
+            ),
             layer="stream",
         ),
         Setting(
@@ -465,6 +489,7 @@ SETTINGS: "dict[str, Setting]" = {
             "--window", "window_seconds",
             "micro-batch window length in stream seconds; flows are "
             "bucketed by start time into aligned windows",
+            evidence="stream_detect",
             layer="stream", show=_unit("s"),
         ),
         Setting(
@@ -475,6 +500,10 @@ SETTINGS: "dict[str, Setting]" = {
             "detections byte-identical to batch); smaller values close "
             "windows sooner and route late flows into the next window "
             "(counted in `late_flows`)",
+            evidence=(
+                "tests/test_stream.py::TestWindowAssembler"
+                "::test_late_record_rerouted_and_counted"
+            ),
             layer="stream",
             show=lambda v: "auto" if v is None else f"{v:g} s",
         ),
@@ -573,15 +602,15 @@ def flags_table() -> str:
     """The README "Runtime flags" table, one row per setting."""
     lines = [
         "| Environment variable | CLI flag | Constructor argument "
-        "| Default | Meaning |",
-        "| --- | --- | --- | --- | --- |",
+        "| Default | Meaning | Evidence |",
+        "| --- | --- | --- | --- | --- | --- |",
     ]
     for s in SETTINGS.values():
         flag = f"`{s.flag}`" if s.flag else "—"
         kwarg = f"`{_CONSTRUCTORS[s.layer]}({s.kwarg}=)`" if s.kwarg else "—"
         lines.append(
             f"| `{s.env}` | {flag} | {kwarg} | {s.show(s.default)} "
-            f"| {s.help} |"
+            f"| {s.help} | `{s.evidence}` |"
         )
     return "\n".join(lines)
 

@@ -217,7 +217,12 @@ class PGPBA:
         context: ClusterContext | None = None,
     ) -> GenerationResult:
         """Grow ``seed_graph`` until it holds ``desired_size`` edges."""
-        ctx = context or ClusterContext(n_nodes=1)
+        if context is None:
+            with ClusterContext(n_nodes=1) as ctx:
+                return self.generate(
+                    seed_graph, analysis, desired_size, context=ctx
+                )
+        ctx = context
         start_clock = ctx.metrics.simulated_seconds
 
         edges, n_vertices, iterations = self.grow_structure(

@@ -111,7 +111,13 @@ class PGSK:
         """
         if desired_size < 1:
             raise ValueError("desired_size must be >= 1")
-        ctx = context or ClusterContext(n_nodes=1)
+        if context is None:
+            with ClusterContext(n_nodes=1) as ctx:
+                return self.generate(
+                    seed_graph, analysis, desired_size,
+                    context=ctx, initiator=initiator,
+                )
+        ctx = context
 
         if initiator is None:
             initiator = self.fit_initiator(seed_graph)

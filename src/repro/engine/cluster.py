@@ -23,9 +23,9 @@ workers=[...])`` / ``REPRO_WORKERS`` / ``--workers``)
     pool's, literally.  A :class:`_Link` adds only what a socket needs:
     ``("run", blob, epoch)`` cloudpickle batches as length-prefixed
     frames with large array buffers out-of-band (pickle protocol 5), a
-    bounded window of in-flight batches per link
-    (``REPRO_MAX_INFLIGHT``), and two loss detectors — socket EOF/reset
-    (daemon killed) and heartbeat timeout (daemon hung).
+    window of two in-flight batches per link, and two loss detectors —
+    socket EOF/reset (daemon killed) and heartbeat timeout (daemon
+    hung).
 
 :class:`BlockFetcher`
     The remote tier of the BlockStore: installed via
@@ -39,11 +39,9 @@ workers=[...])`` / ``REPRO_WORKERS`` / ``--workers``)
     stream as bounded chunks (RBLK01 chunk-table aligned) instead of
     one whole-file frame.
 
-Transport performance (DESIGN.md §14): dispatch is pipelined — up to
-``REPRO_MAX_INFLIGHT`` batches ride each link so the driver serializes
-and ships batch N+1 while the daemon's task child computes batch N —
-and large out-of-band buffers are compressed with the handshake's
-negotiated wire codec (``REPRO_WIRE_CODEC``, zlib by default).
+Transport performance (DESIGN.md §14): dispatch is pipelined — two
+batches ride each link so the driver serializes and ships batch N+1
+while the daemon's task child computes batch N.
 
 Determinism: the cluster backend changes only *where* tasks run, never
 what they compute — digests and simulated stage records stay
@@ -79,16 +77,11 @@ from .executor import (
 )
 from .netproto import (
     PROTOCOL_VERSION,
-    WIRE_COMPRESS_MIN_BYTES,
     ProtocolError,
-    a_recv_frame,
     a_recv_message,
     a_send_message,
-    build_frame,
     client_handshake,
     connect,
-    decode_buffers,
-    negotiate_wire_codec,
     recv_message,
     send_message,
 )
@@ -155,11 +148,10 @@ class BlockFetcher:
     set_missing_file_resolver`; called with the path a reader wanted and
     did not find.  Asks each peer for the file by name over a cached
     fetch connection; the peer streams it as bounded chunks (RBLK
-    chunk-table aligned, wire-compressed above the size threshold) that
-    are written incrementally to a tmp file and renamed into place only
-    when the stream completes — a dropped connection mid-transfer leaves
-    no torn block *and no orphan tmp file*.  Returns True iff some peer
-    had the block."""
+    chunk-table aligned) that are written incrementally to a tmp file
+    and renamed into place only when the stream completes — a dropped
+    connection mid-transfer leaves no torn block *and no orphan tmp
+    file*.  Returns True iff some peer had the block."""
 
     def __init__(
         self,
@@ -168,13 +160,11 @@ class BlockFetcher:
         exclude: Sequence[str] = (),
         timeout: float = 10.0,
         transport: Any = None,
-        wire_codec: "str | None" = None,
     ) -> None:
         skip = set(exclude)
         self.peers = [str(p) for p in peers if str(p) not in skip]
         self.timeout = timeout
         self.transport = transport
-        self.wire_codec = resolve("wire_codec", wire_codec)
         self.fetched = 0
         self.fetched_bytes = 0
         self.misses = 0
@@ -184,9 +174,7 @@ class BlockFetcher:
     # -- connection plumbing -------------------------------------------
     def _open(self, peer: str) -> socket.socket:
         sock = connect(peer, timeout=self.timeout)
-        client_handshake(
-            sock, {"role": "fetch", "wire_codec": self.wire_codec}
-        )
+        client_handshake(sock, {"role": "fetch"})
         return sock
 
     def _drop(self, peer: str) -> None:
@@ -195,11 +183,10 @@ class BlockFetcher:
             with contextlib.suppress(OSError):
                 sock.close()
 
-    def _meter(self, wire: int, raw: int, trips: int) -> None:
+    def _meter(self, wire: int, trips: int) -> None:
         if self.transport is None:
             return
         self.transport.network_bytes += wire
-        self.transport.network_raw_bytes += raw
         self.transport.round_trips += trips
 
     def _stream(self, sock: socket.socket, name: str, sink) -> bool:
@@ -209,10 +196,9 @@ class BlockFetcher:
         on connection trouble — the caller drops the socket, so a
         partially-consumed stream can never desynchronise later
         requests."""
-        wire = raw = trips = 0
+        wire = trips = 0
         try:
-            w, r = send_message(sock, ("fetch", name))
-            wire, raw, trips = wire + w, raw + r, trips + 1
+            wire, trips = send_message(sock, ("fetch", name)), 1
             while True:
                 reply = recv_message(sock)
                 if reply is None:
@@ -220,8 +206,8 @@ class BlockFetcher:
                         f"fetch peer closed the connection mid-stream "
                         f"for {name!r}"
                     )
-                obj, buffers, w, r = reply
-                wire, raw, trips = wire + w, raw + r, trips + 1
+                obj, buffers, received = reply
+                wire, trips = wire + received, trips + 1
                 tag = obj[0]
                 if tag == "chunk":
                     if buffers:
@@ -235,7 +221,7 @@ class BlockFetcher:
                     f"unexpected fetch reply {tag!r} for {name!r}"
                 )
         finally:
-            self._meter(wire, raw, trips)
+            self._meter(wire, trips)
 
     def _fetch_to(self, peer: str, name: str, path: Path) -> bool:
         """Stream ``name`` from ``peer`` into a tmp file next to ``path``
@@ -328,32 +314,10 @@ def _pump_child(conn: Any, proc: Any, loop: Any, queue: Any) -> None:
         )
 
 
-async def _a_send_compressed(
-    writer: asyncio.StreamWriter,
-    obj: Any,
-    buffers: Sequence,
-    codec: str,
-) -> "tuple[int, int]":
-    """Send a frame, building (and compressing) it off the event loop
-    when a buffer is large enough for the codec to engage; small or
-    uncompressed frames skip the thread hop."""
-    if codec != "off" and any(
-        memoryview(buf).nbytes >= WIRE_COMPRESS_MIN_BYTES for buf in buffers
-    ):
-        parts, wire, raw = await asyncio.to_thread(
-            build_frame, obj, list(buffers), codec
-        )
-        for part in parts:
-            writer.write(bytes(part) if isinstance(part, memoryview) else part)
-        await writer.drain()
-        return wire, raw
-    return await a_send_message(writer, obj, buffers)
-
-
 def _fetch_chunk_plan(path: Path) -> "list[tuple[int, int]]":
     """Spans to stream a served block file in: the RBLK01 chunk table
-    when the file is an RBLK container (each compressed payload chunk is
-    one frame, the footer rides the final span), fixed ``CHUNK_BYTES``
+    when the file is an RBLK container (each payload chunk is one
+    frame, the footer rides the final span), fixed ``CHUNK_BYTES``
     slices otherwise."""
     from .storage.codecs import CHUNK_BYTES, _read_rblk_footer
 
@@ -401,7 +365,7 @@ class _DriverSession:
     Pipelined dispatch needs one task arena per in-flight batch: the
     child holds views into batch N's arena until it finishes computing
     N, so recycling a single arena while shipping batch N+1 would
-    corrupt N's buffers mid-task.  The handshake's ``max_inflight``
+    corrupt N's buffers mid-task.  The handshake's ``window``
     sizes the child's arena ring — the driver never has more than that
     many batches outstanding."""
 
@@ -409,13 +373,12 @@ class _DriverSession:
         self.daemon = daemon
         self.loop = loop
         self.queue: asyncio.Queue = asyncio.Queue()
-        self.window = max(1, min(int(config.get("max_inflight") or 1), 64))
+        self.window = max(1, min(int(config.get("window") or 1), 64))
         # Task-child deaths reported to the driver so far.  A run frame
         # stamped with a lower epoch was dispatched by the driver before
         # it learned of the death — the driver has already requeued those
         # tasks, so executing the frame here would double-run them.
         self.child_deaths = 0
-        self.wire_codec = negotiate_wire_codec(config.get("wire_codec"))
         self.child: "_PipeChild | None" = None
         # Install the remote-fetch resolver BEFORE any fork, so task
         # children inherit it: a reduce task that misses a shuffle
@@ -428,9 +391,7 @@ class _DriverSession:
             from .storage.codecs import set_missing_file_resolver
 
             self._fetcher = BlockFetcher(
-                peers,
-                exclude=(daemon.bound_address or "",),
-                wire_codec=self.wire_codec,
+                peers, exclude=(daemon.bound_address or "",)
             )
             self._previous_resolver = set_missing_file_resolver(self._fetcher)
             self._had_resolver = True
@@ -469,10 +430,7 @@ class _DriverSession:
     async def pump_replies(self, writer: asyncio.StreamWriter) -> None:
         """Forward child replies to the driver socket.  Result arena
         views are copied to bytes immediately — the child recycles its
-        arena on the next batch, the socket frame must outlive that.
-        Frames with compressible payloads are built in a worker thread
-        so multi-megabyte zlib passes never stall the event loop (which
-        must keep answering heartbeat pings)."""
+        arena on the next batch, the socket frame must outlive that."""
         while True:
             msg = await self.queue.get()
             tag = msg[0]
@@ -482,11 +440,8 @@ class _DriverSession:
                     bytes(self.child.reader.view(*descriptor))
                     for descriptor in descriptors
                 ]
-                await _a_send_compressed(
-                    writer,
-                    ("ok", key, payload, duration),
-                    buffers,
-                    self.wire_codec,
+                await a_send_message(
+                    writer, ("ok", key, payload, duration), buffers
                 )
             elif tag == "err":
                 await a_send_message(writer, ("err", msg[1], msg[2], msg[3]))
@@ -599,7 +554,7 @@ class WorkerDaemon:
             frame = await a_recv_message(reader)
             if frame is None:
                 return
-            obj, _buffers, _wire, _raw = frame
+            obj = frame[0]
             if not (
                 isinstance(obj, tuple) and len(obj) >= 3 and obj[0] == "hello"
             ):
@@ -620,21 +575,16 @@ class WorkerDaemon:
                 return
             for root in config.get("spill_roots", ()):
                 self.served_roots.add(str(root))
-            agreed_codec = negotiate_wire_codec(config.get("wire_codec"))
             await a_send_message(
                 writer,
                 (
                     "hello-ok",
                     PROTOCOL_VERSION,
-                    {
-                        "pid": os.getpid(),
-                        "roots": len(self.served_roots),
-                        "wire_codec": agreed_codec,
-                    },
+                    {"pid": os.getpid(), "roots": len(self.served_roots)},
                 ),
             )
             if config.get("role") == "fetch":
-                await self._serve_fetch(reader, writer, agreed_codec)
+                await self._serve_fetch(reader, writer)
             else:
                 self.sessions_served += 1
                 await self._serve_driver(reader, writer, config)
@@ -647,21 +597,17 @@ class WorkerDaemon:
                 await writer.wait_closed()
 
     async def _serve_fetch(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        codec: str = "off",
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve block files as streams of bounded chunk frames: one
         frame per RBLK payload chunk (fixed-size slices for non-RBLK
-        files), wire-compressed per the negotiated codec, terminated by
-        ``fetch-end``.  File reads and frame compression run in worker
+        files), terminated by ``fetch-end``.  File reads run in worker
         threads, so slow disks never stall the daemon's event loop."""
         while True:
             frame = await a_recv_message(reader)
             if frame is None:
                 return
-            obj, _buffers, _wire, _raw = frame
+            obj = frame[0]
             if obj[0] != "fetch":
                 await a_send_message(
                     writer, ("fetch-err", f"unexpected message {obj[0]!r}")
@@ -687,8 +633,8 @@ class WorkerDaemon:
                     data = await asyncio.to_thread(
                         _read_span, path, offset, length
                     )
-                    await _a_send_compressed(
-                        writer, ("chunk", name, seq), [data], codec
+                    await a_send_message(
+                        writer, ("chunk", name, seq), [data]
                     )
                     total += length
             except OSError as exc:
@@ -708,60 +654,36 @@ class WorkerDaemon:
         writer: asyncio.StreamWriter,
         config: dict,
     ) -> None:
-        """Bridge one driver connection to its task child.
-
-        The recv loop only parses frames and answers pings; ``run``
-        frames are handed — still compressed — to a single dispatcher
-        task that decompresses them in a worker thread and forwards them
-        to the child in arrival order.  Decoupling the two keeps
-        heartbeat pongs prompt while a large batch inflates, which is
-        what stops the driver's timeout sweep from declaring this daemon
-        dead under heavy pipelined dispatch."""
-        loop = asyncio.get_running_loop()
-        session = _DriverSession(self, config, loop)
+        """Bridge one driver connection to its task child: answer
+        pings, forward ``run`` frames in arrival order."""
+        session = _DriverSession(self, config, asyncio.get_running_loop())
         pump = asyncio.ensure_future(session.pump_replies(writer))
-        runs: asyncio.Queue = asyncio.Queue()
-
-        async def _dispatch_runs() -> None:
-            while True:
-                blob, epoch, entries = await runs.get()
-                if any(codec_id for codec_id, _payload, _raw in entries):
-                    buffers = await asyncio.to_thread(decode_buffers, entries)
-                else:
-                    buffers = [payload for _cid, payload, _raw in entries]
-                # Checked after the await above, not before it: a death
-                # can be reported while a frame inflates.
-                if epoch < session.child_deaths:
-                    # Stamped before a death the driver has since been
-                    # told about: the driver requeued these tasks, so
-                    # running them here would double-execute them (and
-                    # desync its strict-order reply accounting).
-                    continue
-                session.dispatch(blob, buffers)
-
-        dispatcher = asyncio.ensure_future(_dispatch_runs())
         try:
             while True:
-                frame = await a_recv_frame(reader)
+                frame = await a_recv_message(reader)
                 if frame is None:
                     break
-                obj, entries, _wire, _raw = frame
+                obj, buffers, _wire = frame
                 tag = obj[0]
                 if tag == "ping":
                     await a_send_message(writer, ("pong", obj[1]))
                 elif tag == "run":
-                    epoch = obj[2] if len(obj) > 2 else 0
-                    runs.put_nowait((obj[1], epoch, entries))
+                    # A frame stamped before a death the driver has
+                    # since been told about: the driver requeued these
+                    # tasks, so running them here would double-execute
+                    # them (and desync its strict-order reply
+                    # accounting).
+                    if obj[2] >= session.child_deaths:
+                        session.dispatch(obj[1], buffers)
                 elif tag == "stop":
                     break
                 elif tag == "shutdown":
                     self.request_stop()
                     break
         finally:
-            for task in (dispatcher, pump):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+            pump.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await pump
             session.close()
 
 
@@ -854,14 +776,13 @@ class _Link(_Channel):
         self.spec = spec
         self.label = f"cluster worker {spec}"
         self.sock = sock
-        self.wire_codec = "off"  # what the daemon agreed to in hello-ok
         self.epoch = 0  # task-child generation: +1 per ("died", ...) seen
         self.last_heard = self.last_ping = time.monotonic()
 
     def send(self, entries: "list[tuple[int, Task, bool]]") -> bool:
         ex = self.executor
         serialize_started = time.perf_counter()
-        # Serialize/compress time spent while any worker already holds a
+        # Serialize/send time spent while any worker already holds a
         # batch is overlapped with remote compute — that overlap is the
         # payoff of pipelined dispatch, metered in overlap_seconds.
         overlapped = any(other.assigned for other in ex._channels)
@@ -876,11 +797,8 @@ class _Link(_Channel):
             # batch stamped before its own death count, so a batch that
             # was in flight when the child died (already blamed and
             # requeued here) can never also run on the replacement child.
-            wire, raw_wire = send_message(
-                self.sock,
-                ("run", blob, self.epoch),
-                buffers,
-                codec=self.wire_codec,
+            wire = send_message(
+                self.sock, ("run", blob, self.epoch), buffers
             )
         except (OSError, ValueError):
             return False
@@ -892,7 +810,7 @@ class _Link(_Channel):
         ex.transport.payload_bytes += len(blob) + sum(
             buf.nbytes for buf in buffers
         )
-        ex._meter(wire, raw_wire)
+        ex._meter(wire)
         if not self.assigned:
             # Idle links are neither pinged nor heard from, so the
             # silence clock restarts when work resumes — else any idle
@@ -921,9 +839,9 @@ class _Link(_Channel):
                 raise _Lost(f"lost (connection lost: {exc})") from exc
             if frame is None:
                 raise _Lost("lost (connection closed)")
-            obj, buffers, wire, raw_wire = frame
+            obj, buffers, wire = frame
             self.last_heard = time.monotonic()
-            ex._meter(wire, raw_wire)
+            ex._meter(wire)
             tag = obj[0]
             if tag == "pong":
                 continue
@@ -951,43 +869,40 @@ class _Link(_Channel):
             )
         if now - self.last_ping >= ex._wake_seconds:
             try:
-                wire, raw_wire = send_message(self.sock, ("ping", now))
+                wire = send_message(self.sock, ("ping", now))
             except (OSError, ValueError) as exc:
                 raise _Lost("lost (ping failed)") from exc
             self.last_ping = now
-            ex._meter(wire, raw_wire)
+            ex._meter(wire)
 
 
 class ClusterExecutor(_Dispatcher):
     """Socket driver for remote worker daemons: the dispatcher over
     :class:`_Link` channels.
 
-    Every link carries up to ``max_inflight`` batches
-    (``REPRO_MAX_INFLIGHT``, default 2), so the driver serializes,
-    compresses and ships batch N+1 while the daemon's task child
-    computes batch N.  Two loss detectors: socket EOF/reset, and a
-    heartbeat (each busy link is dead after ``heartbeat_timeout``
-    seconds of silence and pinged every 1/30 of that).  A
-    daemon whose *task child* died (e.g. an injected ``os._exit`` kill)
-    reports ``("died", exitcode)`` and stays in the ring; only daemon
-    loss removes the link.  Lost links are retried at the next batch, so
-    a restarted daemon rejoins transparently.
+    Every link carries up to two batches, so the driver serializes and
+    ships batch N+1 while the daemon's task child computes batch N (no
+    other depth beat 2 in the PR 21 probe).  Two loss detectors: socket
+    EOF/reset, and a heartbeat (each busy link is dead after
+    ``heartbeat_timeout`` seconds of silence and pinged every 1/30 of
+    that).  A daemon whose *task child* died (e.g. an injected
+    ``os._exit`` kill) reports ``("died", exitcode)`` and stays in the
+    ring; only daemon loss removes the link.  Lost links are retried at
+    the next batch, so a restarted daemon rejoins transparently.
 
     Unlike the local backends, ``workers`` is not a count — it is the
     address list (``ClusterContext(workers=[...])`` / ``REPRO_WORKERS``).
     """
 
     name = "cluster"
+    _window = 2
 
     def __init__(
         self,
         workers: "Sequence[str] | str | None" = None,
         *,
-        task_batch: "int | None" = None,
         heartbeat_timeout: "float | None" = None,
         connect_timeout: float = 10.0,
-        max_inflight: "int | None" = None,
-        wire_codec: "str | None" = None,
     ) -> None:
         self.addresses = resolve("workers", workers)
         if not self.addresses:
@@ -997,14 +912,11 @@ class ClusterExecutor(_Dispatcher):
                 "REPRO_WORKERS (comma-separated) or "
                 "ClusterContext(workers=[...])"
             )
-        super().__init__(len(self.addresses), task_batch)
+        super().__init__(len(self.addresses))
         self.heartbeat_timeout = resolve(
             "heartbeat_timeout", heartbeat_timeout
         )
         self.connect_timeout = connect_timeout
-        self.max_inflight = resolve("max_inflight", max_inflight)
-        self.wire_codec = resolve("wire_codec", wire_codec)
-        self._window = self.max_inflight
         # The ping cadence, and so the tick the dispatcher must wake at.
         self._wake_seconds = self.heartbeat_timeout / _PINGS_PER_TIMEOUT
         self._lost: list[str] = []
@@ -1015,10 +927,9 @@ class ClusterExecutor(_Dispatcher):
         self.workers_rejoined = 0
         self.children_died = 0
 
-    def _meter(self, wire: int, raw_wire: int) -> None:
+    def _meter(self, wire: int) -> None:
         """Count one framed socket message."""
         self.transport.network_bytes += wire
-        self.transport.network_raw_bytes += raw_wire
         self.transport.round_trips += 1
 
     # -- link management ----------------------------------------------
@@ -1033,21 +944,18 @@ class ClusterExecutor(_Dispatcher):
             "role": "driver",
             "peers": list(self.addresses),
             "spill_roots": sorted(self._spill_roots),
-            "max_inflight": self.max_inflight,
-            "wire_codec": self.wire_codec,
+            "window": self._window,
         }
 
     def _connect_link(self, spec: str) -> _Link:
         sock = connect(spec, timeout=self.connect_timeout)
         try:
-            info = client_handshake(sock, self._handshake_config())
+            client_handshake(sock, self._handshake_config())
         except BaseException:
             with contextlib.suppress(OSError):
                 sock.close()
             raise
-        link = _Link(self, spec, sock)
-        link.wire_codec = negotiate_wire_codec(info.get("wire_codec"))
-        return link
+        return _Link(self, spec, sock)
 
     def _open_channels(self) -> None:
         initial = not self._channels and not self._lost
@@ -1075,9 +983,7 @@ class ClusterExecutor(_Dispatcher):
             from .storage.codecs import set_missing_file_resolver
 
             self._fetcher = BlockFetcher(
-                self.addresses,
-                transport=self.transport,
-                wire_codec=self.wire_codec,
+                self.addresses, transport=self.transport
             )
             self._previous_resolver = set_missing_file_resolver(self._fetcher)
 

@@ -16,11 +16,10 @@ Orthogonally to the *simulated* cluster, ``executor`` / ``local_workers``
 pick the *real* execution backend partition tasks run on (see
 :mod:`repro.engine.executor`): simulated metrics are identical across
 backends because each task measures its own CPU cost; only wall-clock
-time changes.  Two further knobs shape the *physical* task grain without
+time changes.  One further knob shapes the *physical* task grain without
 touching the simulated series: ``target_partition_bytes`` (plan-level
 coalescing of small partition chains into ~target-sized executor tasks,
-``REPRO_TARGET_PARTITION_BYTES``, 0/"off" disables) and ``task_batch``
-(tasks per pool-backend IPC round, ``REPRO_TASK_BATCH``, 0 = adaptive).
+``REPRO_TARGET_PARTITION_BYTES``, 0/"off" disables).
 
 Every task batch is dispatched through the lineage-recovery layer
 (:func:`repro.engine.executor.run_with_recovery`): failed tasks are
@@ -77,7 +76,6 @@ class ClusterContext:
         executor: str | Executor | None = None,
         local_workers: int | None = None,
         workers: "Sequence[str] | str | None" = None,
-        task_batch: int | None = None,
         fusion: bool | None = None,
         target_partition_bytes: int | str | None = None,
         fault_plan: FaultPlan | dict | str | None = None,
@@ -123,10 +121,7 @@ class ClusterContext:
             self.executor = executor
         else:
             self.executor = make_executor(
-                executor,
-                local_workers,
-                task_batch=task_batch,
-                cluster_workers=workers,
+                executor, local_workers, cluster_workers=workers
             )
         self.fault_plan = FaultPlan.resolve(fault_plan)
         self.max_task_retries = config.resolve(

@@ -84,6 +84,7 @@ children at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
 import multiprocessing as mp
 import os
@@ -228,10 +229,6 @@ class TransportProfile:
         directions — zero for every local backend, the wire total for
         the cluster backend (task batches, results, heartbeats, remote
         block fetches).
-    ``network_raw_bytes``
-        The same traffic *before* wire compression (cluster-only).
-        Equal to ``network_bytes`` when ``REPRO_WIRE_CODEC=off``;
-        the gap between the two is the compression saving.
     ``round_trips``
         Framed socket messages exchanged (again cluster-only): batch
         dispatches, result/err replies, ping/pong pairs, fetches.
@@ -247,7 +244,6 @@ class TransportProfile:
     compute_seconds: float = 0.0
     payload_bytes: int = 0
     network_bytes: int = 0
-    network_raw_bytes: int = 0
     round_trips: int = 0
     overlap_seconds: float = 0.0
 
@@ -906,7 +902,15 @@ class _Channel:
 
 
 class _Job:
-    """The bookkeeping of one ``run_outcomes`` call."""
+    """The bookkeeping of one ``run_outcomes`` call.
+
+    Keys on the wire and in ``_Channel.assigned`` are ``(serial,
+    index)``: the job returns the moment every outcome is set, so a
+    losing speculative copy may still be running — its late reply (or
+    its worker's death) reaches the *next* job, which must recognise it
+    as not its own."""
+
+    _serials = itertools.count()
 
     def __init__(
         self,
@@ -915,6 +919,7 @@ class _Job:
         policy: SpeculationPolicy | None,
         on_speculate: Callable[[int], None] | None,
     ) -> None:
+        self.serial = next(self._serials)
         self.tasks = tasks
         self.duplicates = duplicates
         self.policy = policy
@@ -942,20 +947,19 @@ class _Dispatcher(Executor):
     unchanged, because batching only affects transport: task identity,
     result order and fault verdicts are those of the flat task list.
 
-    ``task_batch`` caps how many tasks ship per round; ``0`` picks
-    ``ceil(n / (2 * live channels))``, two rounds of work per worker for
-    tail balancing.  A subclass keeps ``_channels`` current, sets
-    ``_window`` (batches in flight per channel) and ``_wake_seconds``
-    (longest the wait may block, None for no limit), and implements
-    :meth:`_open_channels` and :meth:`_channel_lost`.
+    A round ships ``ceil(n / (2 * live channels))`` tasks per batch,
+    two rounds of work per worker for tail balancing (``task_batch``
+    pins another size; only tests do).  A subclass keeps ``_channels``
+    current, sets ``_window`` (batches in flight per channel) and
+    ``_wake_seconds`` (longest the wait may block, None for no limit),
+    and implements :meth:`_open_channels` and :meth:`_channel_lost`.
     """
 
     _window = 1
     _wake_seconds: float | None = None
+    task_batch = 0
 
-    def __init__(
-        self, workers: int | None, task_batch: int | None
-    ) -> None:
+    def __init__(self, workers: int | None) -> None:
         if _cloudpickle is None:
             raise ValueError(
                 f"the {self.name!r} backend needs cloudpickle for task "
@@ -963,7 +967,6 @@ class _Dispatcher(Executor):
                 "'threads'"
             )
         super().__init__(workers)
-        self.task_batch = config.resolve("task_batch", task_batch)
         self._channels: list = []
         self.batches_sent = 0
 
@@ -1038,11 +1041,14 @@ class _Dispatcher(Executor):
     ) -> bool:
         """Ship one batch; a channel that cannot take it is lost (the
         caller still holds ``entries``)."""
-        if not channel.send(entries):
+        stamped = [
+            ((job.serial, index), fn, backup) for index, fn, backup in entries
+        ]
+        if not channel.send(stamped):
             self._blame_and_requeue(channel, "lost (send failed)", job)
             self._channel_lost(channel)
             return False
-        channel.assigned.extend((key, backup) for key, _fn, backup in entries)
+        channel.assigned.extend((key, backup) for key, _fn, backup in stamped)
         channel.batch_sizes.append(len(entries))
         channel.batch_started = time.monotonic()
         self.batches_sent += 1
@@ -1093,11 +1099,11 @@ class _Dispatcher(Executor):
             self._blame_and_requeue(channel, str(lost), job)
             self._channel_lost(channel)
 
-    def _copies_in_flight(self, key: int) -> bool:
+    def _copies_in_flight(self, job: _Job, index: int) -> bool:
         return any(
-            assigned_key == key
+            key == (job.serial, index)
             for channel in self._channels
-            for assigned_key, _backup in channel.assigned
+            for key, _backup in channel.assigned
         )
 
     def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
@@ -1110,7 +1116,9 @@ class _Dispatcher(Executor):
             if channel.batch_sizes[0] <= 0:
                 channel.batch_sizes.popleft()
         channel.batch_started = time.monotonic()
-        tag, key, body, duration = reply
+        tag, (serial, key), body, duration = reply
+        if serial != job.serial:
+            return  # a losing copy an earlier job left running
         if tag == "ok":
             if job.outcomes[key] is None:
                 payload, buffers = body
@@ -1129,7 +1137,7 @@ class _Dispatcher(Executor):
             # reclaimed wholesale when the worker recycles its arena.
             return
         job.held_errors[key] = body
-        if job.outcomes[key] is None and not self._copies_in_flight(key):
+        if job.outcomes[key] is None and not self._copies_in_flight(job, key):
             job.outcomes[key] = TaskOutcome(error=body)
 
     def _blame_and_requeue(
@@ -1141,28 +1149,44 @@ class _Dispatcher(Executor):
         are requeued (same wrapped callables — the deterministic fault
         verdict is per (batch, index, attempt), not per dispatch)."""
         channel.batch_sizes.clear()
-        if not channel.assigned:
-            return
-        blamed, _backup = channel.assigned.popleft()
-        job.held_errors.setdefault(
-            blamed,
-            WorkerDied(
-                f"{channel.label} {how} before reporting a result for "
-                f"task {blamed}"
-            ),
-        )
-        unstarted = list(channel.assigned)
+        # Only this job's tasks: an earlier job's losing copy needs
+        # neither blame nor a rerun (and if it was the one in progress,
+        # nothing of this job's had started).
+        entries = list(channel.assigned)
         channel.assigned.clear()
+        unstarted = [
+            (index, is_backup)
+            for (serial, index), is_backup in entries
+            if serial == job.serial
+        ]
+        if not unstarted:
+            return
+        blamed = None
+        (in_progress_serial, _index), _backup = entries[0]
+        if in_progress_serial == job.serial:
+            blamed, _backup = unstarted.pop(0)
+            job.held_errors.setdefault(
+                blamed,
+                WorkerDied(
+                    f"{channel.label} {how} before reporting a result for "
+                    f"task {blamed}"
+                ),
+            )
         for key, is_backup in unstarted:
             if job.outcomes[key] is not None:
                 continue
             if not is_backup:
                 job.pending.append(key)
-            elif not self._copies_in_flight(key) and key in job.held_errors:
+            elif (
+                not self._copies_in_flight(job, key)
+                and key in job.held_errors
+            ):
                 # The backup vanished and its original already failed.
                 job.outcomes[key] = TaskOutcome(error=job.held_errors[key])
-        if job.outcomes[blamed] is None and not self._copies_in_flight(
-            blamed
+        if (
+            blamed is not None
+            and job.outcomes[blamed] is None
+            and not self._copies_in_flight(job, blamed)
         ):
             job.outcomes[blamed] = TaskOutcome(error=job.held_errors[blamed])
 
@@ -1179,9 +1203,10 @@ class _Dispatcher(Executor):
                 return
             if not channel.assigned:
                 continue
-            key, is_backup = channel.assigned[0]
+            (serial, key), is_backup = channel.assigned[0]
             if (
-                is_backup
+                serial != job.serial
+                or is_backup
                 or key in job.speculated
                 or job.outcomes[key] is not None
                 or now - channel.batch_started <= threshold
@@ -1261,15 +1286,13 @@ class PoolExecutor(_Dispatcher):
 
     name = "pool"
 
-    def __init__(
-        self, workers: int | None = None, *, task_batch: int | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise ValueError(
                 "the 'pool' backend needs the fork start method "
                 "(unavailable on this platform); use 'threads' instead"
             )
-        super().__init__(workers, task_batch)
+        super().__init__(workers)
         self.workers_forked = 0
         self.workers_respawned = 0
         global _REAPER_REGISTERED
@@ -1463,20 +1486,16 @@ def make_executor(
     name: str | None = None,
     workers: int | None = None,
     *,
-    task_batch: int | None = None,
     cluster_workers: "Sequence[str] | str | None" = None,
 ) -> Executor:
     """Instantiate a backend; ``None`` arguments fall back to the
-    ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS`` / ``REPRO_TASK_BATCH``
-    environment variables, then to ``serial`` with one worker per CPU.
+    ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS`` environment variables,
+    then to ``serial`` with one worker per CPU.
     ``cluster_workers`` (addresses, or ``REPRO_WORKERS``) selects the
     daemons of the ``cluster`` backend and is ignored by local ones."""
     backend = config.resolve("executor", name)
     if backend == CLUSTER_BACKEND_NAME:
         from .cluster import ClusterExecutor
 
-        return ClusterExecutor(cluster_workers, task_batch=task_batch)
-    workers = config.resolve("local_workers", workers)
-    if backend == PoolExecutor.name:
-        return PoolExecutor(workers, task_batch=task_batch)
-    return _BACKENDS[backend](workers)
+        return ClusterExecutor(cluster_workers)
+    return _BACKENDS[backend](config.resolve("local_workers", workers))

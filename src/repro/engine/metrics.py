@@ -163,7 +163,6 @@ class SimulationMetrics:
                 "compute_seconds": 0.0,
                 "payload_bytes": 0,
                 "network_bytes": 0,
-                "network_raw_bytes": 0,
                 "round_trips": 0,
                 "overlap_seconds": 0.0,
             }

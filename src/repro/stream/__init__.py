@@ -12,8 +12,8 @@ equivalent batch run per seed — enforced by the test suite across
 window sizes and queue capacities.
 
 Entry points: :class:`StreamPipeline` (library),
-``repro stream`` (CLI), ``benchmarks/bench_streaming.py`` (sustained
-events/sec + backpressure proof).
+``repro stream`` (CLI), the ``stream_detect`` workload of
+``BENCHMARK.json`` (sustained packets/sec, stage busy and stall time).
 """
 
 from repro.stream.pipeline import (

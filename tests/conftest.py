@@ -1,11 +1,14 @@
-"""Shared fixtures: expensive artifacts built once per session, plus the
+"""Shared fixtures: expensive artifacts built once per session, the
 loopback worker daemons that back the ``cluster`` executor in every
-backend-parametrized test."""
+backend-parametrized test, and the suite-wide leak guard."""
 
 from __future__ import annotations
 
 import os
 import subprocess
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,25 @@ def worker_daemon():
         _reap(proc)
 
 
+@pytest.fixture
+def open_context():
+    """``open_context(**kwargs) -> ClusterContext``, closed at teardown:
+    under an ambient pool or cluster executor (the CI jobs) a context a
+    test never closes holds its workers and their arenas until the
+    interpreter exits, which the leak guard below reports."""
+    from repro.engine import ClusterContext
+
+    contexts = []
+
+    def open_(**kwargs):
+        contexts.append(ClusterContext(**kwargs))
+        return contexts[-1]
+
+    yield open_
+    for ctx in contexts:
+        ctx.close()
+
+
 @pytest.fixture(autouse=True)
 def _cluster_backend_guard(request):
     """Give every test parametrized with the ``cluster`` backend live
@@ -108,6 +130,70 @@ def _cluster_backend_guard(request):
         for value in callspec.params.values()
     ):
         request.getfixturevalue("cluster_daemons")
+
+
+def process_table() -> "dict[int, tuple[int, str, str]]":
+    """pid -> (parent pid, state letter, command line), from /proc."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+            cmdline = Path("/proc", entry, "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we were looking
+        state, ppid = stat.rpartition(")")[2].split()[:2]
+        command = cmdline.replace(b"\0", b" ").decode(errors="replace")
+        table[int(entry)] = (int(ppid), state, command)
+    return table
+
+
+def _litter(basetemp: Path) -> "set[str]":
+    """What a run may leave on disk or in shared memory: arena segments,
+    BlockStore session directories (under the system temp dir or any
+    ``spill_dir`` a test chose), half-written block and fetch files."""
+    shm = Path("/dev/shm")
+    found = {str(p) for p in shm.iterdir()} if shm.is_dir() else set()
+    found.update(
+        str(p) for p in Path(tempfile.gettempdir()).glob("repro-spill-*")
+    )
+    for pattern in ("repro-spill-*", "*.tmp.*", ".*.fetch-*"):
+        found.update(str(p) for p in basetemp.rglob(pattern))
+    return found
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _nothing_outlives_the_module(session_daemon_pids, tmp_path_factory):
+    """After every test module: no new shared-memory segment, spill
+    directory or temporary block file, no ``repro.cli worker`` daemon and
+    no child of this process — killed daemons used to leave their task
+    child behind (ppid 1, blocked in ``recv``), un-waited ones a zombie,
+    killed pool workers their arenas.  Only the session's shared
+    ``cluster_daemons`` may stay."""
+    basetemp = tmp_path_factory.getbasetemp()
+    processes_before = set(process_table())
+    litter_before = _litter(basetemp)
+    yield
+    me = os.getpid()
+
+    def leftovers():
+        processes = {
+            f"pid {pid}: {command}"
+            for pid, (ppid, _state, command) in process_table().items()
+            if pid not in processes_before
+            and pid not in session_daemon_pids
+            and (ppid == me or "repro.cli worker" in command)
+            and "resource_tracker" not in command
+        }
+        return processes | (_litter(basetemp) - litter_before)
+
+    # A shared daemon retires a session's task child (and its arenas)
+    # just after the driver hangs up: give that a moment.
+    deadline = time.monotonic() + 5.0
+    while leftovers() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not leftovers()
 
 
 @pytest.fixture(scope="session")

@@ -195,26 +195,24 @@ class TestEngineInfo:
         # engine-info only resolves knobs.
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
         monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701,127.0.0.1:42702")
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "off")
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "4.5")
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "max inflight" in out and "3 batches/link" in out
-        assert "[env REPRO_MAX_INFLIGHT]" in out
-        assert re.search(r"wire codec\s*: off\b", out)
-        assert "[env REPRO_WIRE_CODEC]" in out
+        assert re.search(r"heartbeat timeout\s*: 4\.5 s\b", out)
+        assert "[env REPRO_HEARTBEAT_TIMEOUT]" in out
 
     def test_cluster_transport_knob_defaults(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
         monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701")
-        for var in ("REPRO_MAX_INFLIGHT", "REPRO_WIRE_CODEC"):
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv("REPRO_HEARTBEAT_TIMEOUT", raising=False)
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "2 batches/link" in out  # REPRO_MAX_INFLIGHT default
-        assert "zlib" in out            # REPRO_WIRE_CODEC default
+        assert re.search(r"heartbeat timeout\s*: 15 s\s+\[default\]", out)
+        # Constants since PR 21 (window 2, raw frames), not settings.
+        for gone in ("max inflight", "wire codec", "task batch"):
+            assert gone not in out
         assert "fetch prefetch" not in out  # removed with the prefetcher
 
     @pytest.mark.parametrize(

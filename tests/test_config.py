@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import ast
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,18 +24,15 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 20 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 17 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
     "REPRO_WORKERS": ("--workers", "workers", None),
     "REPRO_HEARTBEAT_TIMEOUT": (None, "heartbeat_timeout", 15.0),
-    "REPRO_MAX_INFLIGHT": (None, "max_inflight", 2),
-    "REPRO_WIRE_CODEC": (None, "wire_codec", "zlib"),
     "REPRO_TARGET_PARTITION_BYTES": (
         "--target-partition-bytes", "target_partition_bytes", 4 << 20
     ),
-    "REPRO_TASK_BATCH": ("--task-batch", "task_batch", 0),
     "REPRO_FUSION": ("--no-fusion", "fusion", True),
     "REPRO_FAULTS": ("--faults", "fault_plan", None),
     "REPRO_MAX_TASK_RETRIES": ("--max-task-retries", "max_task_retries", 3),
@@ -59,12 +59,9 @@ CASES = {
         ["not-an-address", "h:port", "h:70000", "unix:"],
     ),
     "heartbeat_timeout": ("30", 30.0, 1.5, 1.5, ["never", "0", -2.0]),
-    "max_inflight": ("3", 3, 5, 5, ["nope", "0", -1]),
-    "wire_codec": ("none", "off", "ZLIB", "zlib", ["snappy", "lzma"]),
     "target_partition_bytes": (
         "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1]
     ),
-    "task_batch": ("5", 5, 2, 2, ["abc", "-3"]),
     "fusion": ("off", False, True, True, ["maybe"]),
     "faults": (
         '{"seed": 4, "p_kill": 0.2}', {"seed": 4, "p_kill": 0.2},
@@ -111,17 +108,15 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
-        assert len(SETTINGS) == 20
+        assert len(SETTINGS) == 17
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
     def test_choice_rows_equal_the_live_sets(self):
         from repro.engine import CODECS, available_backends
-        from repro.engine.netproto import WIRE_CODECS
 
         assert SETTINGS["executor"].parse.values == available_backends()
         assert set(SETTINGS["block_codec"].parse.values) == set(CODECS)
-        assert SETTINGS["wire_codec"].parse.values == WIRE_CODECS
 
     def test_kwargs_exist_on_their_constructors(self):
         from repro.engine import ClusterContext, ClusterExecutor
@@ -174,6 +169,30 @@ class TestTable:
                 if reads_env and node.lineno not in skip:
                     offenders.append(f"{rel}:{node.lineno}")
         assert not offenders
+
+    def test_every_setting_names_its_evidence(self):
+        """A knob exists because something measured or tested needs
+        more than one value of it: a ``BENCHMARK.json`` workload, or a
+        tier-1 test id that pytest collects."""
+        workloads = {
+            w["name"]
+            for w in json.loads((REPO / "BENCHMARK.json").read_text())[
+                "workloads"
+            ]
+        }
+        test_ids = set()
+        for s in SETTINGS.values():
+            if "::" in s.evidence:
+                test_ids.add(s.evidence)
+            else:
+                assert s.evidence in workloads, (s.name, s.evidence)
+        collected = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only",
+             "-p", "no:cacheprovider", *sorted(test_ids)],
+            cwd=REPO, capture_output=True, text=True, timeout=120,
+        )
+        # Exit status 4 names every id pytest could not find.
+        assert collected.returncode == 0, collected.stdout + collected.stderr
 
     def test_readme_flags_table_matches_settings(self):
         readme = (REPO / "README.md").read_text()
@@ -271,13 +290,13 @@ class TestAddArguments:
 
     def test_text_is_kept_as_typed(self):
         args = self._parser().parse_args(
-            ["--memory-budget", "none", "--task-batch", "4",
+            ["--memory-budget", "none", "--max-task-retries", "4",
              "--no-fusion", "--speculation", "--executor", "pool"]
         )
         # "none" must survive to the constructor: resolved here it would
         # read as "flag not given" and let the environment win.
         assert args.memory_budget == "none"
-        assert args.task_batch == "4"
+        assert args.max_task_retries == "4"
         assert args.no_fusion is False and args.speculation is True
         assert args.executor == "pool"
 
@@ -291,7 +310,7 @@ class TestAddArguments:
         assert "REPRO_LOCAL_WORKERS" in err and "REPRO_WORKERS" in err
 
     def test_only_named_settings_get_flags(self):
-        parser = self._parser(["query_threads", "max_inflight"])
+        parser = self._parser(["query_threads", "heartbeat_timeout"])
         assert parser.parse_args(["--threads", "2"]).threads == "2"
         with pytest.raises(SystemExit):
             parser.parse_args(["--cache-size", "1"])
@@ -299,7 +318,7 @@ class TestAddArguments:
     @pytest.mark.parametrize(
         ("flag", "bad", "env"),
         [
-            ("--task-batch", "abc", "REPRO_TASK_BATCH"),
+            ("--max-task-retries", "many", "REPRO_MAX_TASK_RETRIES"),
             ("--memory-budget", "8 peta", "REPRO_MEMORY_BUDGET"),
             ("--lateness", "late", "REPRO_STREAM_LATENESS"),
             ("--faults", "{broken", "REPRO_FAULTS"),
@@ -310,3 +329,9 @@ class TestAddArguments:
             self._parser().parse_args([flag, bad])
         assert exc.value.code == 2
         assert env in capsys.readouterr().err
+
+    def test_removed_flags_are_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._parser().parse_args(["--task-batch", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --task-batch" in capsys.readouterr().err

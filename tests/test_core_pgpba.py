@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import PGPBA
-from repro.engine import ClusterContext
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
 
 
 @pytest.fixture
-def small_ctx():
-    return ClusterContext(n_nodes=2, executor_cores=2, partition_multiplier=1)
+def small_ctx(open_context):
+    return open_context(n_nodes=2, executor_cores=2, partition_multiplier=1)
 
 
 class TestGeneration:
@@ -136,9 +135,11 @@ class TestProperties:
 
 
 class TestDeterminismAndScaling:
-    def test_deterministic_given_seed(self, seed_graph, seed_analysis):
+    def test_deterministic_given_seed(
+        self, seed_graph, seed_analysis, open_context
+    ):
         def run():
-            ctx = ClusterContext(
+            ctx = open_context(
                 n_nodes=2, executor_cores=2, partition_multiplier=1
             )
             return PGPBA(fraction=0.4, seed=42).generate(
@@ -154,11 +155,13 @@ class TestDeterminismAndScaling:
             b.graph.edge_properties["OUT_BYTES"],
         )
 
-    def test_fraction_controls_iterations(self, seed_graph, seed_analysis):
+    def test_fraction_controls_iterations(
+        self, seed_graph, seed_analysis, open_context
+    ):
         target = 6 * seed_graph.n_edges
 
         def iters(fraction):
-            ctx = ClusterContext(
+            ctx = open_context(
                 n_nodes=1, executor_cores=2, partition_multiplier=1
             )
             return PGPBA(fraction=fraction, seed=1).generate(
@@ -179,7 +182,9 @@ class TestDeterminismAndScaling:
         deg = res.graph.degrees()
         assert deg.max() > 10 * deg.mean()
 
-    def test_simulated_time_recorded(self, seed_graph, seed_analysis, small_ctx):
+    def test_simulated_time_recorded(
+        self, seed_graph, seed_analysis, small_ctx
+    ):
         res = PGPBA(fraction=0.5, seed=10).generate(
             seed_graph, seed_analysis, 2 * seed_graph.n_edges,
             context=small_ctx,

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import PGSK
-from repro.engine import ClusterContext
 from repro.kronecker import InitiatorMatrix
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
 
 
 @pytest.fixture
-def small_ctx():
-    return ClusterContext(n_nodes=2, executor_cores=2, partition_multiplier=1)
+def small_ctx(open_context):
+    return open_context(n_nodes=2, executor_cores=2, partition_multiplier=1)
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +57,14 @@ class TestGeneration:
         assert res.graph.n_vertices == 2 ** k
 
     def test_deduplicate_limits_parallel_edges(
-        self, seed_graph, seed_analysis, fitted
+        self, seed_graph, seed_analysis, fitted, open_context
     ):
         """With dedup, multiplicities come only from the duplication stage;
         without it, descent collisions add extra parallel edges."""
         target = 2 * seed_graph.n_edges
 
         def max_mult(dedup):
-            ctx = ClusterContext(
+            ctx = open_context(
                 n_nodes=1, executor_cores=2, partition_multiplier=1
             )
             res = PGSK(
@@ -79,7 +78,7 @@ class TestGeneration:
         assert max_mult(False) >= max_mult(True)
 
     def test_duplication_distribution_choice(
-        self, seed_graph, seed_analysis, small_ctx, fitted
+        self, seed_graph, seed_analysis, small_ctx, fitted, open_context
     ):
         res_mult = PGSK(
             seed=5, duplication="multiplicity", generate_properties=False
@@ -87,7 +86,7 @@ class TestGeneration:
             seed_graph, seed_analysis, 2 * seed_graph.n_edges,
             context=small_ctx, initiator=fitted,
         )
-        ctx2 = ClusterContext(
+        ctx2 = open_context(
             n_nodes=2, executor_cores=2, partition_multiplier=1
         )
         res_deg = PGSK(
@@ -141,10 +140,10 @@ class TestProperties:
 
 class TestDeterminism:
     def test_deterministic_given_seed(
-        self, seed_graph, seed_analysis, fitted
+        self, seed_graph, seed_analysis, fitted, open_context
     ):
         def run():
-            ctx = ClusterContext(
+            ctx = open_context(
                 n_nodes=2, executor_cores=2, partition_multiplier=1
             )
             return PGSK(seed=42).generate(

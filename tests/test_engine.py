@@ -84,8 +84,8 @@ class TestScheduler:
 
 class TestRDD:
     @pytest.fixture
-    def ctx(self):
-        return ClusterContext(
+    def ctx(self, open_context):
+        return open_context(
             n_nodes=2, executor_cores=2, partition_multiplier=1
         )
 
@@ -192,16 +192,16 @@ class TestRDD:
 
 
 class TestContextMetrics:
-    def test_memory_settles_after_stage(self):
-        ctx = ClusterContext(n_nodes=2, executor_cores=2)
+    def test_memory_settles_after_stage(self, open_context):
+        ctx = open_context(n_nodes=2, executor_cores=2)
         rdd = ctx.parallelize([np.arange(10_000)])
         rdd.map_partitions(lambda cols, i: (np.repeat(cols[0], 4),)).count()
         assert ctx.metrics.peak_node_memory_bytes > (
             ctx.scheduler.node.memory_overhead_bytes
         )
 
-    def test_reset(self):
-        ctx = ClusterContext(n_nodes=1, executor_cores=1)
+    def test_reset(self, open_context):
+        ctx = open_context(n_nodes=1, executor_cores=1)
         ctx.parallelize([np.arange(10)]).map_partitions(
             lambda cols, i: cols
         ).count()
@@ -209,8 +209,8 @@ class TestContextMetrics:
         assert ctx.metrics.simulated_seconds == 0.0
         assert ctx.metrics.n_tasks == 0
 
-    def test_utilisation_bounded(self):
-        ctx = ClusterContext(n_nodes=2, executor_cores=2)
+    def test_utilisation_bounded(self, open_context):
+        ctx = open_context(n_nodes=2, executor_cores=2)
         ctx.parallelize([np.arange(1000)]).map_partitions(
             lambda cols, i: (np.sort(cols[0]),)
         ).count()
@@ -233,15 +233,15 @@ class TestTaskModel:
         none, _ = s_free.stage_makespan("s", cpu, np.array([1_000_000]))
         assert big > small > none == 0.0
 
-    def test_task_multiplier_preserves_total_cost(self):
+    def test_task_multiplier_preserves_total_cost(self, open_context):
         """Expanding a real partition into k simulated tasks must leave the
         1-node serial makespan unchanged (cost is split, not duplicated)."""
-        ctx1 = ClusterContext(
+        ctx1 = open_context(
             n_nodes=1, executor_cores=1, max_real_partitions=4,
             per_stage_overhead=0.0, per_task_overhead=0.0, per_byte_cost=0.0,
         )
         ctx1._record_stage("s", [0.8], [0], None, multiplier=1)
-        ctx8 = ClusterContext(
+        ctx8 = open_context(
             n_nodes=1, executor_cores=1, max_real_partitions=4,
             per_stage_overhead=0.0, per_task_overhead=0.0, per_byte_cost=0.0,
         )
@@ -250,9 +250,9 @@ class TestTaskModel:
             ctx1.metrics.simulated_seconds
         )
 
-    def test_multiplier_enables_parallelism(self):
+    def test_multiplier_enables_parallelism(self, open_context):
         """On a many-core cluster the expanded tasks spread over slots."""
-        ctx = ClusterContext(
+        ctx = open_context(
             n_nodes=4, executor_cores=2, max_real_partitions=4,
             per_stage_overhead=0.0, per_task_overhead=0.0, per_byte_cost=0.0,
         )
@@ -260,8 +260,8 @@ class TestTaskModel:
         # 8 simulated tasks of 0.1s over 8 slots -> one 0.1s wave.
         assert ctx.metrics.simulated_seconds == pytest.approx(0.1)
 
-    def test_real_partitions_capped(self):
-        ctx = ClusterContext(
+    def test_real_partitions_capped(self, open_context):
+        ctx = open_context(
             n_nodes=60, executor_cores=12, partition_multiplier=2,
             max_real_partitions=16,
         )
@@ -269,40 +269,42 @@ class TestTaskModel:
         assert rdd.n_partitions <= 16
         assert rdd.task_multiplier >= ctx.default_partitions // 16
 
-    def test_distinct_charges_serial_driver_component(self):
-        ctx = ClusterContext(n_nodes=2, executor_cores=2)
+    def test_distinct_charges_serial_driver_component(self, open_context):
+        ctx = open_context(n_nodes=2, executor_cores=2)
         rdd = ctx.parallelize([np.arange(1000) % 50])
         rdd.distinct()
         stages = {t.stage for t in ctx.metrics.tasks}
         assert any(s.endswith(":driver") for s in stages)
 
-    def test_sample_ceil_guarantees_progress(self):
+    def test_sample_ceil_guarantees_progress(self, open_context):
         """A tiny positive fraction still samples at least one row per
         partition (PGPBA's clamped final iteration relies on this)."""
-        ctx = ClusterContext(n_nodes=1, executor_cores=1)
+        ctx = open_context(n_nodes=1, executor_cores=1)
         rdd = ctx.parallelize([np.arange(100)], n_partitions=4)
         out = rdd.sample(1e-9, seed=0)
         assert out.count() >= 1
 
 
 class TestClampedPGPBA:
-    def test_clamping_limits_overshoot(self, seed_graph, seed_analysis):
+    def test_clamping_limits_overshoot(
+        self, seed_graph, seed_analysis, open_context
+    ):
         from repro.core import PGPBA
 
         target = 30 * seed_graph.n_edges
-        ctx = ClusterContext(n_nodes=2, executor_cores=2)
+        ctx = open_context(n_nodes=2, executor_cores=2)
         res = PGPBA(fraction=2.0, seed=1).generate(
             seed_graph, seed_analysis, target, context=ctx
         )
         assert res.graph.n_edges == pytest.approx(target, rel=0.25)
 
     def test_unclamped_matches_literal_algorithm(
-        self, seed_graph, seed_analysis
+        self, seed_graph, seed_analysis, open_context
     ):
         from repro.core import PGPBA
 
         target = 30 * seed_graph.n_edges
-        ctx = ClusterContext(n_nodes=2, executor_cores=2)
+        ctx = open_context(n_nodes=2, executor_cores=2)
         res = PGPBA(
             fraction=2.0, seed=1, clamp_final_iteration=False
         ).generate(seed_graph, seed_analysis, target, context=ctx)

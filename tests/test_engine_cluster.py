@@ -12,8 +12,8 @@ Contracts under test:
   to the original, and a genuine miss stays a miss.
 * **Operator ergonomics** — an unreachable address fails fast with an
   error naming the bad ``REPRO_WORKERS`` entry.
-* **No orphans** — a task child exits when its daemon is killed, and
-  nothing this module starts outlives it.
+* **No orphans** — a task child exits when its daemon is killed (and
+  ``conftest.py`` checks nothing any module starts outlives it).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,54 +49,11 @@ from repro.engine.netproto import (
     send_message,
 )
 
+from .conftest import process_table
+
 pytestmark = pytest.mark.skipif(
     not sockets_available(), reason="loopback sockets unavailable"
 )
-
-
-def _process_table() -> "dict[int, tuple[int, str, str]]":
-    """pid -> (parent pid, state letter, command line), from /proc."""
-    table = {}
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-            cmdline = Path("/proc", entry, "cmdline").read_bytes()
-        except OSError:
-            continue  # exited while we were looking
-        state, ppid = stat.rpartition(")")[2].split()[:2]
-        command = cmdline.replace(b"\0", b" ").decode(errors="replace")
-        table[int(entry)] = (int(ppid), state, command)
-    return table
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _nothing_outlives_the_module(session_daemon_pids):
-    """Every daemon, task child and pool worker started by a test here
-    is gone when the module ends — killed daemons used to leave their
-    task child behind (ppid 1, blocked in ``recv``), and un-waited ones a
-    zombie.  Only the session's shared ``cluster_daemons`` may stay."""
-    before = set(_process_table())
-    yield
-    me = os.getpid()
-
-    def leftovers():
-        return {
-            pid: row
-            for pid, row in _process_table().items()
-            if pid not in before
-            and pid not in session_daemon_pids
-            and (row[0] == me or "repro.cli worker" in row[2])
-            and "resource_tracker" not in row[2]
-        }
-
-    # A shared daemon retires a session's task child just after the
-    # driver hangs up: give that a moment.
-    deadline = time.monotonic() + 5.0
-    while leftovers() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not leftovers()
 
 
 def digest(arrays) -> str:
@@ -124,14 +80,13 @@ class TestNetProto:
         a, b = socket.socketpair()
         try:
             payload = np.arange(1000, dtype=np.int64).tobytes()
-            wire, raw = send_message(a, ("run", {"k": 1}), [payload, b"tail"])
-            assert raw > len(payload)
-            obj, buffers, received, received_raw = recv_message(b)
+            wire = send_message(a, ("run", {"k": 1}), [payload, b"tail"])
+            assert wire > len(payload)
+            obj, buffers, received = recv_message(b)
             assert obj == ("run", {"k": 1})
             assert bytes(buffers[0]) == payload
             assert bytes(buffers[1]) == b"tail"
             assert received == wire
-            assert received_raw == raw
         finally:
             a.close()
             b.close()
@@ -179,7 +134,7 @@ class TestDaemonHandshake:
         sock = connect(addr)
         try:
             send_message(sock, ("hello", PROTOCOL_VERSION + 999, {}))
-            obj, _buffers, _n, _raw = recv_message(sock)
+            obj, _buffers, _n = recv_message(sock)
             assert obj[0] == "hello-err"
             assert "protocol version mismatch" in obj[1]
         finally:
@@ -201,7 +156,7 @@ class TestDaemonHandshake:
             with pytest.raises(ProtocolError, match="version mismatch"):
                 # Re-drive the client side manually: the daemon
                 # already rejected, so the reply is hello-err.
-                obj, _b, _n, _raw = recv_message(sock)
+                obj, _b, _n = recv_message(sock)
                 raise ProtocolError(obj[1])
         finally:
             sock.close()
@@ -398,7 +353,7 @@ class TestDaemonLossRecovery:
         child = int(pid_file.read_text())
 
         def running():
-            row = _process_table().get(child)
+            row = process_table().get(child)
             return row is not None and row[1] != "Z"
 
         try:
@@ -505,11 +460,18 @@ class TestClusterEquivalence:
                     .distinct()
                     .collect()
                 )
-                return digest(list(out)), ctx.metrics.transport_breakdown()
+                stages = [
+                    (r.stage, r.partition, r.node, r.bytes_out)
+                    for r in ctx.metrics.tasks
+                ]
+                return (
+                    (digest(list(out)), stages),
+                    ctx.metrics.transport_breakdown(),
+                )
 
         ref, _ = run("serial")
         got, transport = run("cluster", workers=list(cluster_daemons))
-        assert got == ref
+        assert got == ref  # the dataset and the simulated stage records
         assert transport["network_bytes"] > 0
         assert transport["round_trips"] > 0
 

@@ -80,9 +80,10 @@ class FakeDispatcher(_Dispatcher):
     _wake_seconds = 0.0  # fake channels have nothing to wait on
 
     def __init__(self, channels, *, window=1, task_batch=0):
-        super().__init__(len(channels), task_batch)
+        super().__init__(len(channels))
         self._channels = list(channels)
         self._window = window
+        self.task_batch = task_batch
         self.lost: list[FakeChannel] = []
 
     def _open_channels(self):
@@ -98,7 +99,8 @@ def tasks(n):
 
 
 def keys(batch):
-    return [key for key, _backup in batch]
+    """Task indices of a sent batch (wire keys are ``(serial, index)``)."""
+    return [index for (_serial, index), _backup in batch]
 
 
 def job_of(n, policy=None):
@@ -225,7 +227,7 @@ class TestSpeculation:
         assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
         assert speculated == [0]
         backups = [b for b in fast.batches if b[0][1]]
-        assert backups == [[(0, True)]]
+        assert [keys(b) for b in backups] == [[0]]
         assert not fast.busy_at_send[fast.batches.index(backups[0])]
 
     def test_no_backup_while_every_channel_is_busy(self):
@@ -286,6 +288,46 @@ class TestSpeculation:
         assert ex.transport.payload_bytes == sum(
             len(pickle.dumps(value)) for value in ("original", 1, 2, 3)
         )
+
+    def test_late_loser_of_one_job_is_not_absorbed_by_the_next(self):
+        """The first job returns while its losing original is still
+        running on ``slow``; the reply must not be filed under the same
+        index of the second job (whose task 0 is a different task), and
+        ``slow`` must come back into service once it has reported."""
+        ex, slow, fast = self._straggling()
+        slow.held = lambda: True
+        first = ex.run_outcomes(
+            [lambda: "stale", lambda: 1, lambda: 2, lambda: 3],
+            speculation=EAGER,
+            speculative_tasks=[lambda: "backup", None, None, None],
+        )
+        assert [o.unwrap() for o in first] == ["backup", 1, 2, 3]
+        assert len(slow.assigned) == 1  # the loser, still out
+        slow.held = lambda: False
+        second = ex.run_outcomes([lambda i=i: f"new-{i}" for i in range(4)])
+        assert [o.unwrap() for o in second] == [
+            "new-0", "new-1", "new-2", "new-3"
+        ]
+        assert not slow.assigned and not slow.batch_sizes
+        assert len(slow.batches) > 1  # back in rotation after the drop
+
+    def test_death_under_a_stale_loser_blames_nothing_in_the_next_job(self):
+        # Window 2: ``slow`` takes a batch of the second job behind the
+        # first job's loser, then dies with the loser still in progress
+        # — so nothing of the second job had started there.
+        slow, fast = FakeChannel(), FakeChannel()
+        ex = FakeDispatcher([slow, fast], window=2, task_batch=1)
+        slow.held = lambda: True
+        ex.run_outcomes(
+            tasks(2), speculation=EAGER, speculative_tasks=tasks(2)
+        )
+        assert len(slow.assigned) == 1
+        slow.held = lambda: False
+        slow.dies_after = slow.delivered
+        second = ex.run_outcomes(tasks(4))
+        assert len(slow.batches) == 2  # the loser's, then one of job 2
+        assert [o.unwrap() for o in second] == [0, 10, 20, 30]
+        assert ex.lost == [slow]
 
 
 class TestTransportProfile:

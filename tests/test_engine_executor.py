@@ -32,6 +32,12 @@ def _ctx(backend: str, **kw) -> ClusterContext:
     return ClusterContext(executor=backend, local_workers=4, **kw)
 
 
+@pytest.fixture
+def serial_ctx():
+    with _ctx("serial") as ctx:
+        yield ctx
+
+
 class TestExecutorBasics:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_in_task_order(self, backend):
@@ -199,27 +205,27 @@ class TestExchangeShuffle:
             assert out[0].size == len(expected)
             assert set(zip(out[0].tolist(), out[1].tolist())) == expected
 
-    def test_invalid_shuffle_mode(self):
+    def test_invalid_shuffle_mode(self, serial_ctx):
         """Every mode is: the budget picks the exchange branch, and
         nothing else can."""
-        ctx = _ctx("serial")
+        ctx = serial_ctx
         with pytest.raises(TypeError, match="shuffle"):
             ctx.parallelize([np.arange(4)]).distinct(shuffle="exchange")
         with pytest.raises(TypeError, match="shuffle"):
             _ctx("serial", shuffle="exchange")
 
-    def test_exchange_balances_partitions(self):
+    def test_exchange_balances_partitions(self, serial_ctx):
         """The hash spreads contiguous ids over all reducers instead of
         landing them in one."""
-        ctx = _ctx("serial")
+        ctx = serial_ctx
         rdd = ctx.parallelize([np.arange(8000, dtype=np.int64)])
         out = rdd.distinct()
         sizes = out.partition_sizes()
         assert out.count() == 8000
         assert (sizes > 0).all()
 
-    def test_repartition_matches_array_split(self):
-        ctx = _ctx("serial")
+    def test_repartition_matches_array_split(self, serial_ctx):
+        ctx = serial_ctx
         data = np.arange(101, dtype=np.int64) * 3
         rdd = ctx.parallelize([data], n_partitions=4)
         parts = rdd.repartition(3)
@@ -232,7 +238,9 @@ class TestLargeIdKeys:
     """Regression: a*span+b row keying silently wrapped int64 for vertex
     ids near 2^32 with large spans, merging distinct rows."""
 
-    def test_colliding_pairs_under_old_packing_stay_distinct(self):
+    def test_colliding_pairs_under_old_packing_stay_distinct(
+        self, serial_ctx
+    ):
         # Old scheme: span = b.max()+1 = 2^32+1;
         # key(2^32, 0) = 2^32 * (2^32+1) == 2^32 (mod 2^64) == key(0, 2^32)
         big = np.int64(2**32)
@@ -241,15 +249,15 @@ class TestLargeIdKeys:
         idx = _unique_pair_index(a, b)
         assert sorted(idx.tolist()) == [0, 1]
 
-        ctx = _ctx("serial")
+        ctx = serial_ctx
         out = ctx.parallelize([a, b]).distinct(key_columns=(0, 1)).collect()
         pairs = set(zip(out[0].tolist(), out[1].tolist()))
         assert pairs == {(int(big), 0), (0, int(big))}
 
-    def test_true_duplicates_at_large_ids_removed(self):
+    def test_true_duplicates_at_large_ids_removed(self, serial_ctx):
         a = np.array([2**62, 2**62, 2**40], dtype=np.int64)
         b = np.array([2**61, 2**61, 2**39], dtype=np.int64)
-        ctx = _ctx("serial")
+        ctx = serial_ctx
         out = ctx.parallelize([a, b]).distinct(key_columns=(0, 1)).collect()
         assert out[0].size == 2
 
@@ -267,8 +275,8 @@ class TestLargeIdKeys:
 
 
 class TestMetadataCache:
-    def test_metadata_computed_once_and_read_only(self):
-        ctx = _ctx("serial")
+    def test_metadata_computed_once_and_read_only(self, serial_ctx):
+        ctx = serial_ctx
         rdd = ctx.parallelize([np.arange(1000)])
         sizes = rdd.partition_sizes()
         assert rdd.partition_sizes() is sizes  # cached, not re-scanned
@@ -278,8 +286,8 @@ class TestMetadataCache:
         with pytest.raises(ValueError):
             sizes[0] = 7
 
-    def test_cache_consistency_after_transforms(self):
-        ctx = _ctx("serial")
+    def test_cache_consistency_after_transforms(self, serial_ctx):
+        ctx = serial_ctx
         rdd = ctx.parallelize([np.arange(100)])
         doubled = rdd.map_partitions(
             lambda cols, i: (np.repeat(cols[0], 2),)

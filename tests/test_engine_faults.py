@@ -235,15 +235,15 @@ class TestKnobResolution:
             _ctx()
         assert _ctx(speculation=False).speculation is None  # explicit beats env
 
-    def test_context_env_wiring(self, monkeypatch):
+    def test_context_env_wiring(self, monkeypatch, open_context):
         monkeypatch.setenv("REPRO_FAULTS", '{"seed": 6, "p_exception": 0.1}')
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         monkeypatch.setenv("REPRO_SPECULATION", "on")
-        ctx = ClusterContext(n_nodes=1)
+        ctx = open_context(n_nodes=1)
         assert ctx.fault_plan == FaultPlan(seed=6, p_exception=0.1)
         assert ctx.max_task_retries == 5
         assert isinstance(ctx.speculation, SpeculationPolicy)
-        explicit = ClusterContext(
+        explicit = open_context(
             n_nodes=1, fault_plan=ZERO_PLAN, max_task_retries=1,
             speculation=False,
         )

@@ -11,6 +11,7 @@ backend.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,57 @@ class TestFusedEagerEquivalence:
             struct_e = stage_structure(ctx_e)
         assert digest(cols_f) == digest(cols_e)
         assert struct_f == struct_e
+
+    def test_fused_peak_memory_below_eager(self):
+        """What fusion is for, at a growth-shaped chain (expand x4,
+        transform, contract, distinct): eagerly, the expanded dataset is
+        materialised in full before the next stage starts; fused, each
+        partition flows through the whole narrow chain in one task.
+        Measured 3.8x at this size; serial, because tracemalloc only
+        sees this process."""
+        rows = 100_000
+        rng = np.random.default_rng(23)
+        src = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
+        dst = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
+
+        def run(fusion):
+            # The CI jobs' ambient grain, budget and fault plan each
+            # move a peak; the claim is about the defaults.
+            with ClusterContext(
+                n_nodes=4, executor="serial", fusion=fusion,
+                target_partition_bytes="4MB", memory_budget_bytes="none",
+                fault_plan=FaultPlan(),
+            ) as ctx:
+                tracemalloc.start()
+                try:
+                    cols = (
+                        ctx.parallelize([src, dst])
+                        .map_partitions(
+                            lambda c, p: (np.repeat(c[0], 4),
+                                          np.repeat(c[1], 4)),
+                            stage="grow",
+                        )
+                        .map_partitions(
+                            lambda c, p: (c[0] * 3 + p, c[0] ^ c[1]),
+                            stage="mix",
+                        )
+                        .map_partitions(
+                            lambda c, p: (c[0][::4].copy(), c[1][::4].copy()),
+                            stage="contract",
+                        )
+                        .distinct(key_columns=(0, 1), stage="dedup")
+                        .collect()
+                    )
+                    _, peak_bytes = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                return digest(cols), stage_structure(ctx), peak_bytes
+
+        fused_digest, fused_stages, fused_peak = run(True)
+        eager_digest, eager_stages, eager_peak = run(False)
+        assert fused_digest == eager_digest
+        assert fused_stages == eager_stages
+        assert eager_peak >= 2 * fused_peak, (eager_peak, fused_peak)
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
     def test_pgpba_identical_across_modes_and_backends(

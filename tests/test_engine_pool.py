@@ -125,16 +125,6 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="REPRO_TARGET_PARTITION_BYTES"):
             _ctx(target_partition_bytes=-1)
 
-    def test_task_batch_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_BATCH", raising=False)
-        assert PoolExecutor(2).task_batch == 0
-        monkeypatch.setenv("REPRO_TASK_BATCH", "5")
-        assert PoolExecutor(2).task_batch == 5
-        assert PoolExecutor(2, task_batch=2).task_batch == 2
-        monkeypatch.setenv("REPRO_TASK_BATCH", "-3")
-        with pytest.raises(ValueError, match="REPRO_TASK_BATCH"):
-            PoolExecutor(2)
-
     def test_context_threads_the_knobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
         with _ctx("serial", target_partition_bytes="64KB") as ctx:
@@ -142,12 +132,6 @@ class TestKnobResolution:
         monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "off")
         with _ctx("serial") as ctx:
             assert ctx.target_partition_bytes == 0
-
-    def test_make_executor_pool_task_batch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BATCH", "3")
-        with make_executor("pool", 2) as ex:
-            assert isinstance(ex, PoolExecutor)
-            assert ex.task_batch == 3
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +166,8 @@ class TestPoolLifecycle:
         blames exactly the killed task, respawns the worker, and the
         retry round completes bit-identically."""
         plan = FaultPlan(seed=1, p_kill=1.0, max_failures_per_task=1)
-        with PoolExecutor(2, task_batch=2) as ex:
+        with PoolExecutor(2) as ex:
+            ex.task_batch = 2  # two-task batches: a kill strands a task
             stats = RecoveryStats()
             out = run_with_recovery(
                 ex,
@@ -208,7 +193,8 @@ class TestPoolLifecycle:
         assert outcomes[1].value == 7 and outcomes[2].value == 8
 
     def test_results_in_task_order_with_batching(self):
-        with PoolExecutor(2, task_batch=2) as ex:
+        with PoolExecutor(2) as ex:
+            ex.task_batch = 2
             out = ex.run(
                 [
                     (lambda n=n: int(np.arange(n).sum()))
@@ -248,6 +234,38 @@ class TestPoolLifecycle:
             assert np.array_equal(out[i], np.full(10, i))
         assert stats.tasks_speculated >= 1
         assert stats.tasks_failed == 0
+
+
+# ----------------------------------------------------------------------
+# Speculation across consecutive jobs
+# ----------------------------------------------------------------------
+class TestSpeculationAcrossJobs:
+    def test_pgpba_digest_equals_serial(self, seed_graph, seed_analysis):
+        """A job returns while its losing speculative copies still run;
+        PGPBA's next stage is a new job on the same workers, and a late
+        loser's payload used to be accepted as that job's result (seen
+        as ``KeyError`` in ``plan.fuse_and_run``)."""
+        plan = {"seed": 5, "p_straggler": 0.05, "straggler_seconds": 0.1,
+                "max_failures_per_task": 2}
+
+        def run(backend, **kw):
+            with ClusterContext(
+                executor=backend, local_workers=2, n_nodes=60,
+                executor_cores=12, **kw,
+            ) as ctx:
+                graph = PGPBA(fraction=2.0, seed=11).generate(
+                    seed_graph, seed_analysis, 20_000, context=ctx
+                ).graph
+                cols = [graph.src, graph.dst] + [
+                    graph.edge_properties[k]
+                    for k in sorted(graph.edge_properties)
+                ]
+                return digest(cols), ctx.metrics.tasks_speculated
+
+        reference, _ = run("serial")
+        got, speculated = run("pool", speculation=True, fault_plan=plan)
+        assert speculated > 0  # else the plan no longer exercises this
+        assert got == reference
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +440,7 @@ class TestTransportMetering:
     EXPECTED_KEYS = {
         "submit_seconds", "serialize_seconds", "ipc_wait_seconds",
         "compute_seconds", "payload_bytes", "network_bytes",
-        "network_raw_bytes", "round_trips", "overlap_seconds",
+        "round_trips", "overlap_seconds",
     }
 
     def test_serial_profile(self):
