@@ -19,7 +19,7 @@ from repro.detect import (
     evaluate_detections,
     tune_thresholds,
 )
-from repro.netflow import FlowTable, assemble_flows
+from repro.netflow import FlowTable, assemble_table
 from repro.trace import attacks, synthesize_seed_packets
 from repro.trace.hosts import ipv4
 
@@ -28,9 +28,7 @@ WINDOW = 5.0
 
 def _table(frames):
     frames = sorted(frames, key=lambda f: f[0])
-    return FlowTable.from_records(
-        list(assemble_flows(packets_from(frames)))
-    )
+    return assemble_table(packets_from(frames))
 
 
 def _cols(table):

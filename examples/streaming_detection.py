@@ -20,7 +20,7 @@ Run:  python examples/streaming_detection.py
 import argparse
 
 from repro.detect import DetectionThresholds, OnlineDetector
-from repro.netflow import FlowTable, assemble_flows
+from repro.netflow import FlowTable, assemble_table
 from repro.core.pipeline import packets_from
 from repro.stream import StreamPipeline, TraceSource
 from repro.trace import attacks
@@ -70,9 +70,7 @@ def main() -> None:
     clean = TraceSynthesizer(session_rate=40.0, seed=17).generate(
         30.0, start_time=1_000_000.0
     )
-    clean_table = FlowTable.from_records(
-        list(assemble_flows(packets_from(clean)))
-    )
+    clean_table = assemble_table(packets_from(clean))
     thresholds = DetectionThresholds.fit_normal(
         {k: clean_table[k] for k in FlowTable.COLUMN_NAMES},
         window_seconds=WINDOW,

@@ -511,7 +511,7 @@ def _build_cli_attacks(names: str, duration: float, start: float):
 def _cmd_stream(args) -> int:
     from repro.core.pipeline import packets_from
     from repro.detect import DetectionThresholds, OnlineDetector
-    from repro.netflow import FlowTable, assemble_flows
+    from repro.netflow import FlowTable, assemble_table
     from repro.serve import QueryServer
     from repro.stream import (
         GraphAccumulator,
@@ -528,11 +528,9 @@ def _cmd_stream(args) -> int:
         if args.replay.suffix.lower() == ".npz":
             table = FlowTable.load_npz(args.replay)
         else:
-            records = list(
-                assemble_flows(packets_from(args.replay),
-                               idle_timeout=args.idle_timeout)
+            table = assemble_table(
+                packets_from(args.replay), idle_timeout=args.idle_timeout
             )
-            table = FlowTable.from_records(records)
     else:
         start_time = 1_000_000.0
         try:
@@ -556,9 +554,8 @@ def _cmd_stream(args) -> int:
         clean = TraceSynthesizer(
             session_rate=args.session_rate, seed=args.seed
         ).generate(args.duration, start_time=start_time)
-        table = FlowTable.from_records(
-            list(assemble_flows(packets_from(clean),
-                                idle_timeout=args.idle_timeout))
+        table = assemble_table(
+            packets_from(clean), idle_timeout=args.idle_timeout
         )
     thresholds = DetectionThresholds.fit_normal(
         {k: table[k] for k in FlowTable.COLUMN_NAMES},

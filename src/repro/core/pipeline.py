@@ -1,9 +1,9 @@
 """The preliminary steps of Fig. 1: pcap → Netflow → property-graph → analysis.
 
 ``build_seed`` accepts either a pcap file path or an in-memory list of
-timestamped frames (as produced by :mod:`repro.trace`), runs the flow
-assembler over it, maps the flow table onto a property graph, and analyses
-its structural and attribute distributions.
+timestamped frames (as produced by :mod:`repro.trace`), decodes it into a
+packet table, assembles the flow table from that, maps the flow table onto
+a property graph, and analyses its structural and attribute distributions.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from pathlib import Path
 
 from repro.core.generator import SeedAnalysis
 from repro.graph.property_graph import PropertyGraph
-from repro.netflow.flow_assembler import assemble_flows
+from repro.netflow.kernel import assemble_table
 from repro.netflow.mapping import flow_table_to_property_graph
 from repro.netflow.record import FlowTable
-from repro.pcap.packet import parse_ethernet_ipv4_packet
-from repro.pcap.reader import PcapReader
+from repro.pcap.reader import read_packet_table
+from repro.pcap.table import PacketTable
 
 __all__ = ["SeedBundle", "build_seed", "analyze_seed", "packets_from"]
 
@@ -51,46 +51,21 @@ def build_seed(
         bytes)`` pairs (e.g. :func:`repro.trace.synthesize_seed_packets`
         output), or an iterable of already-parsed packets.
     """
-    packets = packets_from(source)
-    records = list(assemble_flows(packets, idle_timeout=idle_timeout))
-    if not records:
+    table = assemble_table(packets_from(source), idle_timeout=idle_timeout)
+    if not len(table):
         raise ValueError("the source produced no flows")
-    table = FlowTable.from_records(records)
     graph = flow_table_to_property_graph(table)
     analysis = analyze_seed(graph, n_bins=n_bins)
     return SeedBundle(flow_table=table, graph=graph, analysis=analysis)
 
 
-def packets_from(source):
-    """Normalise a packet source into a :class:`ParsedPacket` iterator.
+def packets_from(source) -> PacketTable:
+    """Decode a packet source into a :class:`PacketTable`.
 
     Accepts a pcap file path, an iterable of ``(timestamp, frame bytes)``
     pairs, or an iterable of already-parsed packets; unparseable frames
-    are skipped.
+    are skipped.  The table iterates as :class:`ParsedPacket` rows.
     """
-    from repro.pcap.packet import ParsedPacket
-
     if isinstance(source, (str, Path)):
-        with PcapReader(source) as reader:
-            yield from reader.parsed_packets()
-        return
-    for item in source:
-        if isinstance(item, ParsedPacket):
-            yield item
-            continue
-        ts, frame = item
-        pkt = parse_ethernet_ipv4_packet(frame, timestamp=ts)
-        if pkt is not None:
-            yield pkt
-
-
-def _packets_from(source):
-    """Deprecated alias of :func:`packets_from` (pre-public name)."""
-    import warnings
-
-    warnings.warn(
-        "_packets_from is deprecated; use repro.core.pipeline.packets_from",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return packets_from(source)
+        return read_packet_table(source)
+    return PacketTable.pack(source)

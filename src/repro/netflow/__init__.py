@@ -4,9 +4,10 @@ The paper maps Netflow data onto property-graphs: hosts become vertices,
 TCP connections / UDP streams become edges carrying nine attributes
 (PROTOCOL, SRC_PORT, DEST_PORT, DURATION, OUT_BYTES, IN_BYTES, OUT_PKTS,
 IN_PKTS, STATE).  In the original system Bro IDS performed the packet→flow
-conversion; :class:`~repro.netflow.flow_assembler.FlowAssembler` is our
-from-scratch equivalent, including a TCP connection state machine producing
-Bro-style connection states.
+conversion; :func:`~repro.netflow.kernel.assemble_table` (bounded input,
+columnar) and :class:`~repro.netflow.flow_assembler.FlowAssembler`
+(unbounded input, incremental) are our from-scratch equivalent, including a
+TCP connection state machine producing Bro-style connection states.
 """
 
 from repro.netflow.attributes import (
@@ -15,7 +16,8 @@ from repro.netflow.attributes import (
     NETFLOW_EDGE_ATTRIBUTES,
 )
 from repro.netflow.record import NetflowRecord, FlowTable
-from repro.netflow.flow_assembler import FlowAssembler, assemble_flows
+from repro.netflow.flow_assembler import FlowAssembler
+from repro.netflow.kernel import assemble_flows, assemble_table
 from repro.netflow.mapping import flow_table_to_property_graph
 from repro.netflow import codec
 
@@ -27,6 +29,7 @@ __all__ = [
     "FlowTable",
     "FlowAssembler",
     "assemble_flows",
+    "assemble_table",
     "flow_table_to_property_graph",
     "codec",
 ]

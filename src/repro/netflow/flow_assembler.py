@@ -5,6 +5,11 @@ time-ordered packet stream and emits one :class:`NetflowRecord` per TCP
 connection / UDP stream / ICMP exchange, with bidirectional byte and packet
 counters and a Bro-style connection state.
 
+:class:`FlowAssembler` is the incremental machine: unbounded input
+(:mod:`repro.stream`) needs carried state.  Bounded input goes through the
+columnar kernel in :mod:`repro.netflow.kernel`, which produces the same
+flows in the same order and is tested against this class.
+
 Flow keying
 -----------
 A flow is identified by the canonical 5-tuple; the *originator* is the
@@ -18,7 +23,6 @@ property graph a *multi*graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from repro.netflow.attributes import Protocol, TcpState
 from repro.netflow.record import NetflowRecord
@@ -30,7 +34,7 @@ from repro.pcap.packet import (
     TcpFlags,
 )
 
-__all__ = ["FlowAssembler", "assemble_flows"]
+__all__ = ["FlowAssembler"]
 
 _PROTOCOL_OF = {
     PROTO_TCP: Protocol.TCP,
@@ -240,19 +244,3 @@ class FlowAssembler:
             and bool(pkt.tcp_flags & TcpFlags.ACK)
             and not (pkt.tcp_flags & TcpFlags.FIN)
         )
-
-
-def assemble_flows(
-    packets: Iterable[ParsedPacket],
-    *,
-    idle_timeout: float = 60.0,
-    max_flow_duration: float = 3600.0,
-) -> Iterator[NetflowRecord]:
-    """Run the assembler over a packet iterable, yielding flows as they
-    close, then everything left open at the end."""
-    assembler = FlowAssembler(
-        idle_timeout=idle_timeout, max_flow_duration=max_flow_duration
-    )
-    for pkt in packets:
-        yield from assembler.process(pkt)
-    yield from assembler.flush()

@@ -13,12 +13,19 @@ import struct
 from dataclasses import dataclass
 
 __all__ = [
+    "PcapError",
     "MAGIC_USEC",
     "MAGIC_USEC_SWAPPED",
     "LINKTYPE_ETHERNET",
     "PcapGlobalHeader",
     "PcapRecordHeader",
 ]
+
+
+class PcapError(ValueError):
+    """The bytes are not a well-formed libpcap capture (bad magic, a
+    truncated header, a record length running past the end of the file)."""
+
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_USEC_SWAPPED = 0xD4C3B2A1
@@ -58,7 +65,7 @@ class PcapGlobalHeader:
         """Parse the header; returns ``(header, endianness)`` where the
         endianness character ('<' or '>') must be used for record headers."""
         if len(data) < GLOBAL_HEADER_LEN:
-            raise ValueError(
+            raise PcapError(
                 f"truncated pcap global header: {len(data)} bytes"
             )
         (magic,) = struct.unpack("<I", data[:4])
@@ -67,7 +74,7 @@ class PcapGlobalHeader:
         elif magic == MAGIC_USEC_SWAPPED:
             endian = ">"
         else:
-            raise ValueError(f"not a pcap file (magic 0x{magic:08x})")
+            raise PcapError(f"not a pcap file (magic 0x{magic:08x})")
         fields = struct.unpack(endian + _GLOBAL_FMT, data[:GLOBAL_HEADER_LEN])
         _, major, minor, thiszone, sigfigs, snaplen, network = fields
         header = cls(
@@ -122,7 +129,7 @@ class PcapRecordHeader:
     @classmethod
     def unpack(cls, data: bytes, endian: str = "<") -> "PcapRecordHeader":
         if len(data) < RECORD_HEADER_LEN:
-            raise ValueError(
+            raise PcapError(
                 f"truncated pcap record header: {len(data)} bytes"
             )
         ts_sec, ts_usec, incl_len, orig_len = struct.unpack(

@@ -1,31 +1,36 @@
 """Streaming pcap reader.
 
-Reads the global header once, then yields ``(PcapRecordHeader, bytes)``
-pairs without ever loading the whole capture into memory — traces are
-processed packet-at-a-time by the flow assembler.
+Reads the global header once, then yields either raw
+``(PcapRecordHeader, bytes)`` pairs or decoded
+:class:`~repro.pcap.table.PacketTable` windows, without ever loading the
+whole capture into memory.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterator
 
 from repro.pcap.format import (
     GLOBAL_HEADER_LEN,
     RECORD_HEADER_LEN,
+    PcapError,
     PcapGlobalHeader,
     PcapRecordHeader,
 )
-from repro.pcap.packet import ParsedPacket, parse_ethernet_ipv4_packet
+from repro.pcap.packet import ParsedPacket
+from repro.pcap.table import PacketTable, record_tables
 
-__all__ = ["PcapReader", "read_pcap"]
+__all__ = ["PcapReader", "read_pcap", "read_packet_table"]
 
 
 class PcapReader:
     """Context-manager over a pcap file.
 
     Iterating yields raw ``(record_header, packet_bytes)``;
-    :meth:`parsed_packets` additionally decodes Ethernet/IPv4 frames.
+    :meth:`tables` decodes Ethernet/IPv4 frames a window at a time and
+    :meth:`parsed_packets` iterates those tables row by row.
     """
 
     def __init__(self, path) -> None:
@@ -35,9 +40,15 @@ class PcapReader:
         self._endian = "<"
 
     def __enter__(self) -> "PcapReader":
-        self._fh = self._path.open("rb")
-        raw = self._fh.read(GLOBAL_HEADER_LEN)
-        self.header, self._endian = PcapGlobalHeader.unpack(raw)
+        fh = self._path.open("rb")
+        try:
+            self.header, self._endian = PcapGlobalHeader.unpack(
+                fh.read(GLOBAL_HEADER_LEN)
+            )
+        except PcapError:
+            fh.close()
+            raise
+        self._fh = fh
         return self
 
     def __exit__(self, *exc) -> None:
@@ -45,30 +56,43 @@ class PcapReader:
             self._fh.close()
             self._fh = None
 
-    def __iter__(self) -> Iterator[tuple[PcapRecordHeader, bytes]]:
+    def _open_file(self):
         if self._fh is None:
             raise RuntimeError("PcapReader must be used as a context manager")
+        return self._fh
+
+    def __iter__(self) -> Iterator[tuple[PcapRecordHeader, bytes]]:
+        fh = self._open_file()
+        end_of_file = os.fstat(fh.fileno()).st_size
         while True:
-            raw = self._fh.read(RECORD_HEADER_LEN)
+            raw = fh.read(RECORD_HEADER_LEN)
             if not raw:
                 return
             if len(raw) < RECORD_HEADER_LEN:
-                raise ValueError("truncated pcap record header at EOF")
+                raise PcapError("truncated pcap record header at EOF")
             rec = PcapRecordHeader.unpack(raw, self._endian)
-            data = self._fh.read(rec.incl_len)
-            if len(data) < rec.incl_len:
-                raise ValueError("truncated pcap packet body at EOF")
-            yield rec, data
+            # checked before the read: a lying length allocates nothing
+            if fh.tell() + rec.incl_len > end_of_file:
+                raise PcapError("truncated pcap packet body at EOF")
+            yield rec, fh.read(rec.incl_len)
+
+    def tables(self) -> Iterator[PacketTable]:
+        """Yield the remaining records decoded, one table per read
+        window; non-IPv4 frames are silently skipped."""
+        return record_tables(self._open_file(), self._endian)
 
     def parsed_packets(self) -> Iterator[ParsedPacket]:
         """Yield decoded IPv4 packets, silently skipping non-IPv4 frames."""
-        for rec, data in self:
-            pkt = parse_ethernet_ipv4_packet(data, timestamp=rec.timestamp)
-            if pkt is not None:
-                yield pkt
+        for table in self.tables():
+            yield from table
+
+
+def read_packet_table(path) -> PacketTable:
+    """Decode an entire capture into one table."""
+    with PcapReader(path) as reader:
+        return PacketTable.concat(reader.tables())
 
 
 def read_pcap(path) -> list[ParsedPacket]:
     """Eagerly read and decode an entire capture (convenience for tests)."""
-    with PcapReader(path) as reader:
-        return list(reader.parsed_packets())
+    return list(read_packet_table(path))

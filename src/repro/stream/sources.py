@@ -1,9 +1,10 @@
 """Stream sources: live synthetic traffic and capture replay.
 
-A source yields :class:`Batch` objects — micro-batches of either parsed
-packets (``kind="packets"``) or already-assembled Netflow records
-(``kind="records"``).  Packet batches flow through the windowed flow
-assembler; record batches skip assembly and go straight to windowing.
+A source yields :class:`Batch` objects — micro-batches of either decoded
+packets (``kind="packets"``, a :class:`~repro.pcap.table.PacketTable`
+slice) or already-assembled Netflow records (``kind="records"``).  Packet
+batches flow through the windowed flow assembler; record batches skip
+assembly and go straight to windowing.
 
 * :class:`TraceSource` — wraps :class:`~repro.trace.TraceSynthesizer`
   plus any number of :mod:`repro.trace.attacks` ground truths, merging
@@ -12,8 +13,8 @@ assembler; record batches skip assembly and go straight to windowing.
   reference run can consume the identical input (the byte-identity
   contract).
 * :class:`ReplaySource` — replays a capture file: ``.pcap`` files are
-  parsed packet-by-packet (the same code path a SMIA-2011 capture would
-  take); ``.npz`` files are treated as saved
+  decoded a read window at a time (the same code path a SMIA-2011 capture
+  would take); ``.npz`` files are treated as saved
   :class:`~repro.netflow.record.FlowTable` archives and replayed as
   record batches sorted by flow start time.
 """
@@ -25,8 +26,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.netflow.record import FlowTable
-from repro.pcap.packet import parse_ethernet_ipv4_packet
 from repro.pcap.reader import PcapReader
+from repro.pcap.table import PacketTable, frame_tables
 from repro.trace.attacks import AttackGroundTruth
 from repro.trace.synthesizer import TimedFrame, TraceSynthesizer
 
@@ -40,7 +41,7 @@ class Batch:
     """One micro-batch of source events."""
 
     kind: str  # "packets" | "records"
-    items: tuple
+    items: tuple | PacketTable
 
     def __len__(self) -> int:
         return len(self.items)
@@ -49,6 +50,20 @@ class Batch:
 def _chunked(items, size: int):
     for i in range(0, len(items), size):
         yield items[i : i + size]
+
+
+def _packet_batches(tables, size: int) -> Iterator[Batch]:
+    """Re-cut decoder windows into batches of exactly ``size`` packets
+    (the last one may be short)."""
+    rest = PacketTable.empty()
+    for table in tables:
+        table = PacketTable.concat([rest, table]) if len(rest) else table
+        full = len(table) - len(table) % size
+        for chunk in _chunked(table[:full], size):
+            yield Batch(kind="packets", items=chunk)
+        rest = table[full:]
+    if len(rest):
+        yield Batch(kind="packets", items=rest)
 
 
 @dataclass
@@ -109,18 +124,10 @@ class TraceSource:
         return self._frames
 
     def batches(self) -> Iterator[Batch]:
-        """Parse frames and yield packet micro-batches."""
-        pending = []
-        for ts, frame in self.frames():
-            pkt = parse_ethernet_ipv4_packet(frame, timestamp=ts)
-            if pkt is None:
-                continue
-            pending.append(pkt)
-            if len(pending) >= self.batch_packets:
-                yield Batch(kind="packets", items=tuple(pending))
-                pending = []
-        if pending:
-            yield Batch(kind="packets", items=tuple(pending))
+        """Decode frames and yield packet micro-batches."""
+        yield from _packet_batches(
+            frame_tables(self.frames()), self.batch_packets
+        )
 
 
 @dataclass
@@ -149,15 +156,8 @@ class ReplaySource:
             yield from self._npz_batches()
 
     def _pcap_batches(self) -> Iterator[Batch]:
-        pending = []
         with PcapReader(self.path) as reader:
-            for pkt in reader.parsed_packets():
-                pending.append(pkt)
-                if len(pending) >= self.batch_packets:
-                    yield Batch(kind="packets", items=tuple(pending))
-                    pending = []
-        if pending:
-            yield Batch(kind="packets", items=tuple(pending))
+            yield from _packet_batches(reader.tables(), self.batch_packets)
 
     def _npz_batches(self) -> Iterator[Batch]:
         table = FlowTable.load_npz(self.path)

@@ -44,11 +44,11 @@ class ApplicationProfile:
 
     def sample_request_size(self, rng: np.random.Generator) -> int:
         mu, sigma = self.request_bytes
-        return int(np.clip(rng.lognormal(mu, sigma), 1, 1_400))
+        return int(min(max(rng.lognormal(mu, sigma), 1), 1_400))
 
     def sample_response_size(self, rng: np.random.Generator) -> int:
         mu, sigma = self.response_bytes
-        return int(np.clip(rng.lognormal(mu, sigma), 1, 1_400))
+        return int(min(max(rng.lognormal(mu, sigma), 1), 1_400))
 
 
 #: Default enterprise mix.  Weights need not sum to 1; they are normalised.

@@ -1,0 +1,266 @@
+"""The columnar flow kernel against the incremental assembler driven
+packet by packet: same flows, same order."""
+
+import dataclasses
+import math
+import re
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.core.pipeline import build_seed
+from repro.netflow import FlowAssembler, FlowTable, assemble_table
+from repro.netflow import kernel
+from repro.netflow.flow_assembler import _FlowState
+from repro.netflow.record import NetflowRecord
+from repro.pcap import PacketTable, write_pcap
+from repro.pcap.packet import (
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    ParsedPacket,
+    TcpFlags,
+)
+from repro.trace.synthesizer import TraceSynthesizer
+
+F = TcpFlags
+SYN, ACK, FIN, RST, PSH = F.SYN, F.ACK, F.FIN, F.RST, F.PSH
+
+
+def incremental(packets, **timeouts) -> list[NetflowRecord]:
+    assembler = FlowAssembler(**timeouts)
+    out = []
+    for pkt in packets:
+        out.extend(assembler.process(pkt))
+    out.extend(assembler.flush())
+    return out
+
+
+def packet(ts, src, dst, sport, dport, proto=PROTO_TCP, flags=0, size=0):
+    return ParsedPacket(
+        ts, src, dst, proto, sport, dport, TcpFlags(flags), size, 40 + size
+    )
+
+
+def assert_kernel_matches(packets, **timeouts):
+    expected = incremental(packets, **timeouts)
+    table = assemble_table(PacketTable.pack(packets), **timeouts)
+    assert list(table.records()) == expected
+    reference = FlowTable.from_records(expected)
+    for name in FlowTable.COLUMN_NAMES:
+        assert table[name].dtype == reference[name].dtype
+        assert np.array_equal(table[name], reference[name])
+    return expected
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: interleaved scripted conversations on a few 5-tuples
+# ----------------------------------------------------------------------
+_HANDSHAKE = [(0, SYN), (1, SYN | ACK), (0, ACK)]
+_DATA = [(0, PSH | ACK), (1, PSH | ACK)]
+SCRIPTS = {
+    "full": _HANDSHAKE + _DATA + [(0, FIN | ACK), (1, FIN | ACK), (0, ACK)],
+    "rej": [(0, SYN), (1, RST | ACK)],
+    "s0": [(0, SYN), (0, SYN)],
+    "sh": [(0, SYN), (0, FIN)],
+    "simultaneous_close": _HANDSHAKE
+    + [(0, FIN | ACK), (1, FIN | ACK), (1, ACK), (0, ACK)],
+    "half_close": _HANDSHAKE
+    + [(1, FIN | ACK), (0, ACK), (0, PSH | ACK), (0, FIN | ACK), (1, ACK)],
+    "rsto": _HANDSHAKE + [(0, RST)],
+    "rstr": _HANDSHAKE + [(1, RST | ACK)],
+    "trailing_acks": _HANDSHAKE
+    + [(1, FIN | ACK), (0, FIN | ACK), (1, ACK), (0, ACK), (1, ACK)],
+    "midstream": [(0, ACK), (1, PSH | ACK), (1, FIN)],
+}
+TIMEOUTS = [
+    (60.0, 3600.0), (5.0, 3600.0), (1.0, 4.0), (0.2, 1.0), (0.01, 0.02),
+    (2.0, 0.5),
+]
+_hosts = st.sampled_from([0x0A000001, 0x0A000002, 0x0A000003])
+_ports = st.sampled_from([80, 1024, 1025])
+_slots = st.tuples(
+    st.sampled_from(sorted(SCRIPTS) + ["tcp", "udp", "icmp", "unknown"]),
+    _hosts, _hosts, _ports, _ports,
+)
+
+
+@st.composite
+def traces(draw):
+    idle, longest = draw(st.sampled_from(TIMEOUTS))
+    # gaps at, and one ulp either side of, both timeouts
+    edges = [
+        g
+        for limit in (idle, longest)
+        for g in (limit, math.nextafter(limit, 0), math.nextafter(limit, 9e9))
+    ]
+    gap = st.one_of(
+        st.sampled_from([0.0, 0.0, 1e-4, 0.4 * idle, 2 * idle] + edges),
+        st.floats(0, 1, allow_nan=False),
+    )
+    slots = draw(st.lists(_slots, min_size=1, max_size=4))
+    steps = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(slots) - 1), gap, st.integers(0, 63),
+            st.booleans(), st.integers(0, 1400),
+        ),
+        max_size=60,
+    ))
+    now = draw(st.sampled_from([0.0, 1_000_000.0]))
+    cursor = [0] * len(slots)
+    packets = []
+    for which, wait, flags, reverse, size in steps:
+        kind, a, b, pa, pb = slots[which]
+        now += wait
+        if kind in SCRIPTS:  # the next step of the script, wrapping
+            script = SCRIPTS[kind]
+            reverse, flags = script[cursor[which] % len(script)]
+            cursor[which] += 1
+            proto = PROTO_TCP
+        else:
+            proto = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP,
+                     "unknown": None}[kind]
+        if reverse:
+            a, b, pa, pb = b, a, pb, pa
+        packets.append(packet(now, a, b, pa, pb, proto, int(flags), size))
+    return packets, {"idle_timeout": idle, "max_flow_duration": longest}
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces())
+def test_kernel_equals_the_incremental_assembler(trace):
+    packets, timeouts = trace
+    assert_kernel_matches(packets, **timeouts)
+
+
+# ----------------------------------------------------------------------
+def conversation(t0, sport, script, src=1, dst=2, dport=80, step=0.01):
+    return [
+        packet(t0 + i * step, *((dst, src, dport, sport) if back
+                                else (src, dst, sport, dport)),
+               flags=int(flags))
+        for i, (back, flags) in enumerate(SCRIPTS[script])
+    ]
+
+
+class TestRoutes:
+    def trace(self):
+        packets = (
+            conversation(0.0, 1000, "full")
+            + conversation(0.5, 1001, "rej")
+            + [packet(1.0 + i, 3, 4, 53, 53, PROTO_UDP, size=9)
+               for i in range(5)]
+            + conversation(80.0, 1000, "full")
+        )
+        return sorted(packets, key=lambda p: p.timestamp)
+
+    def test_ordered_input_never_builds_a_flow_state(self):
+        with mock.patch.object(
+            kernel, "FlowAssembler", side_effect=AssertionError
+        ):
+            assert len(assemble_table(PacketTable.pack(self.trace()))) == 4
+
+    def test_swapped_timestamps_take_the_incremental_route(self):
+        packets = self.trace()
+        a, b = packets[3], packets[4]
+        packets[3:5] = [
+            dataclasses.replace(a, timestamp=b.timestamp),
+            dataclasses.replace(b, timestamp=a.timestamp),
+        ]
+        with mock.patch.object(
+            kernel, "_incremental", wraps=kernel._incremental
+        ) as route:
+            assert_kernel_matches(packets)
+        assert route.call_count == 1
+
+    def test_empty_and_unknown_only(self):
+        assert len(assemble_table(PacketTable.empty())) == 0
+        only = [packet(0.0, 1, 2, 0, 0, None)]
+        assert len(assemble_table(PacketTable.pack(only))) == 0
+
+    def test_bad_timeouts_rejected(self):
+        with pytest.raises(ValueError):
+            assemble_table(PacketTable.empty(), idle_timeout=0)
+        with pytest.raises(ValueError):
+            assemble_table(PacketTable.empty(), max_flow_duration=-1)
+
+
+class TestEmissionOrderNeedsAllThreeKeys:
+    """One trace per component of ``(emit, torn, created)``: each matches
+    the incremental assembler as written and stops matching when its
+    component is dropped."""
+
+    # a torn-down flow is emitted at its closing packet, long before an
+    # older flow that stays open to the flush
+    needs_emit = (
+        [packet(0.0, 9, 10, 53, 53, PROTO_UDP)]
+        + conversation(1.0, 1000, "rej")
+    )
+    # the RST at t=62 expires the UDP flow (created second) and then
+    # tears down the TCP flow (created first): expired before torn
+    needs_torn = [
+        packet(0.0, 1, 2, 1000, 80, flags=int(SYN)),
+        packet(1.0, 3, 4, 53, 53, PROTO_UDP),
+        packet(30.0, 1, 2, 1000, 80, flags=int(ACK)),
+        packet(62.0, 1, 2, 1000, 80, flags=int(RST)),
+    ]
+    # both flush at the end; the higher key was created first
+    needs_created = [
+        packet(0.0, 9, 10, 53, 53, PROTO_UDP),
+        packet(1.0, 1, 2, 53, 53, PROTO_UDP),
+    ]
+
+    @pytest.mark.parametrize("trace, keep", [
+        (needs_emit, lambda emit, torn, created: (created, torn)),
+        (needs_torn, lambda emit, torn, created: (created, emit)),
+        (needs_created, lambda emit, torn, created: (torn, emit)),
+    ], ids=["emit", "torn", "created"])
+    def test_dropping_a_key_breaks_equivalence(self, trace, keep):
+        expected = assert_kernel_matches(trace)
+        with mock.patch.object(
+            kernel, "_emission_order",
+            lambda *keys: np.lexsort(keep(*keys)),
+        ):
+            got = list(assemble_table(PacketTable.pack(trace)).records())
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+        assert got != expected
+
+
+# ----------------------------------------------------------------------
+class TestNoObjectPerPacket:
+    def test_build_seed_from_a_capture_builds_no_packet_or_flow_objects(
+        self, tmp_path
+    ):
+        frames = TraceSynthesizer(session_rate=40.0, seed=3).generate(5.0)
+        path = tmp_path / "seed.pcap"
+        write_pcap(path, frames)
+        made = {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                made[cls] += 1
+                init(self, *args, **kwargs)
+
+            return mock.patch.object(cls, "__init__", __init__)
+
+        with counting(ParsedPacket), counting(_FlowState), counting(
+            NetflowRecord
+        ):
+            bundle = build_seed(path)
+        assert len(frames) > 4_000 and len(bundle.flow_table) > 100
+        assert made == {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0}
+
+    def test_flow_assembler_is_used_only_by_netflow_and_stream(self):
+        src = Path(repro.__file__).parent
+        users = {
+            path.relative_to(src).parts[0]
+            for path in src.rglob("*.py")
+            if re.search(r"\bFlowAssembler\b", path.read_text())
+        }
+        assert users == {"netflow", "stream"}

@@ -1,5 +1,7 @@
 """Unit tests for the trace substrate: hosts, workloads, synthesizer, attacks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ class TestSynthesizer:
         b = synthesize_seed_packets(duration=3.0, session_rate=20, seed=5)
         assert len(a) == len(b)
         assert all(x[1] == y[1] for x, y in zip(a, b))
+
+    def test_frame_list_is_pinned(self):
+        """Every benchmark input starts here: a faster sampler must emit
+        the same bytes (digest taken before the scalar ``np.clip`` in the
+        size samplers was replaced)."""
+        frames = TraceSynthesizer(session_rate=40.0, seed=3).generate(5.0)
+        digest = hashlib.sha256()
+        for ts, frame in frames:
+            digest.update(repr(ts).encode())
+            digest.update(frame)
+        assert len(frames) == 4064
+        assert digest.hexdigest() == (
+            "2b54529b68628f4d61a550ce60acf194"
+            "81fa81b065f12a12d311f3da9a713096"
+        )
 
     def test_different_seeds_differ(self):
         a = synthesize_seed_packets(duration=3.0, session_rate=20, seed=5)
