@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detect.detector import Detection, NetflowAnomalyDetector
+from repro.detect.patterns import window_index
 from repro.detect.thresholds import DetectionThresholds
 from repro.graph.property_graph import PropertyGraph
 from repro.netflow.attributes import Protocol, TcpState
@@ -60,33 +61,24 @@ class OfflineDetectionPipeline:
     def detect_windowed(
         self, graph: PropertyGraph, *, window_seconds: float
     ) -> list[WindowedDetections]:
-        """Slice the graph's flows by START_TIME and detect per window."""
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        """Slice the graph's flows by START_TIME and detect per window:
+        one :class:`WindowedDetections` for every window holding a flow.
+        Graphs without a START_TIME edge attribute need :meth:`detect`."""
         cols = self._columns(graph)
-        times = cols.get("START_TIME")
-        if times is None:
-            raise ValueError(
-                "graph carries no START_TIME edge attribute; use detect()"
+        t0, window = window_index(cols, window_seconds)
+        found: dict[int, list[Detection]] = {
+            int(w): [] for w in np.unique(window)
+        }
+        for w, det in self.detector.detect_per_window(cols, window):
+            found[w].append(det)
+        return [
+            WindowedDetections(
+                window_start=t0 + w * window_seconds,
+                window_end=t0 + (w + 1) * window_seconds,
+                detections=tuple(dets),
             )
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return []
-        t0 = float(times.min())
-        idx = ((times - t0) // window_seconds).astype(np.int64)
-        out: list[WindowedDetections] = []
-        for w in np.unique(idx):
-            mask = idx == w
-            window_cols = {k: np.asarray(v)[mask] for k, v in cols.items()}
-            dets = self.detector.detect(window_cols)
-            out.append(
-                WindowedDetections(
-                    window_start=t0 + w * window_seconds,
-                    window_end=t0 + (w + 1) * window_seconds,
-                    detections=tuple(dets),
-                )
-            )
-        return out
+            for w, dets in found.items()
+        ]
 
     # ------------------------------------------------------------------
     @staticmethod

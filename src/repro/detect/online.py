@@ -6,10 +6,11 @@ detector every ``hop_seconds`` of stream time.  Alarms for the same
 (kind, ip, direction) are suppressed for ``cooldown_seconds`` so a
 sustained attack raises one alert, not one per hop.
 
-The window is a ring of column buffers: appends are O(1) amortised and
-each evaluation materialises the live slice as plain NumPy columns for the
-batch detector — streaming reuses the exact same detection logic that the
-offline pipeline runs.
+The window is a ``deque`` of ``NetflowRecord`` objects, rebuilt into a
+``FlowTable`` (``FlowTable.from_records``) on every evaluation for the
+batch detector, so streaming reuses the exact detection logic the offline
+pipeline runs.  That per-hop rebuild, a Python pass over the whole
+window, is the known cost of this design.
 """
 
 from __future__ import annotations

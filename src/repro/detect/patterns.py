@@ -2,10 +2,12 @@
 
 The detector's first move is to "aggregate the network traffic by either
 the same destination or the source IP".  On a property graph this is a
-group-by over edge endpoints; here it is a fully vectorised pass: one
-``np.unique(..., return_inverse=True)`` to label the groups, then
-``np.bincount`` reductions for every aggregate, including distinct-count
-aggregates computed by de-duplicating (group, value) pairs first.
+group-by over edge endpoints; here it is one sort-based pass per
+direction: :func:`_unique_pairs` labels every flow with its (window, IP)
+group once, every sum is an ``np.bincount`` over those labels, and the two
+distinct counts sort packed (group, value) keys and count where the key
+changes.  The START_TIME window index is the major half of the group key,
+so all windows aggregate in the same pass; unwindowed input is window 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.netflow.attributes import Protocol
 
-__all__ = ["TrafficPatterns", "build_traffic_patterns", "iter_windows"]
+__all__ = ["TrafficPatterns", "build_traffic_patterns", "window_index"]
 
 _REQUIRED = (
     "SRC_IP", "DST_IP", "DEST_PORT", "OUT_BYTES", "IN_BYTES",
@@ -31,10 +33,12 @@ class TrafficPatterns:
     ``direction`` is "destination" (grouped by DST_IP; ``n_distinct_peers``
     counts distinct sources — the paper's N(S_IP)) or "source" (grouped by
     SRC_IP; ``n_distinct_peers`` counts distinct destinations — N(D_IP)).
+    Groups are (window, IP) pairs in ascending order.
     """
 
     direction: str
     ips: np.ndarray                # the detection IPs (group keys)
+    window: np.ndarray             # START_TIME window index of each group
     n_flows: np.ndarray            # N(flow)
     n_distinct_peers: np.ndarray   # N(S_IP) or N(D_IP)
     n_distinct_ports: np.ndarray   # N(D_port)
@@ -70,25 +74,82 @@ class TrafficPatterns:
         return codes[np.argmax(stack, axis=0)]
 
 
+def _starts(col: np.ndarray) -> np.ndarray:
+    """Where a non-empty sorted column differs from the row before."""
+    return np.concatenate(([True], col[1:] != col[:-1]))
+
+
+def _unique_pairs(major: np.ndarray, minor: np.ndarray, *, labels: bool):
+    """Distinct ``(major, minor)`` int64 rows in ascending order, as two
+    columns, plus each row's index into them (None when the packed path
+    runs without ``labels``).
+
+    The pair travels as one int64, ``(major - min) << shift | (minor -
+    min)``, whenever both spans fit in 63 bits together — always true of
+    group labels, window indexes, IPv4 addresses and ports — so one sort
+    of a flat integer column does the work.  Any other input is lexsorted.
+    """
+    if major.size == 0:
+        return major, minor, (np.zeros(0, np.int64) if labels else None)
+    lo, lo_minor = int(major.min()), int(minor.min())
+    shift = (int(minor.max()) - lo_minor).bit_length()
+    if (int(major.max()) - lo).bit_length() + shift <= 63:
+        key = ((major - lo) << shift) | (minor - lo_minor)
+        if labels:
+            key, inverse = np.unique(key, return_inverse=True)
+        else:
+            key.sort()
+            key, inverse = key[_starts(key)], None
+        minor = (key & ((1 << shift) - 1)) + lo_minor
+        return (key >> shift) + lo, minor, inverse
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    first = _starts(major) | _starts(minor)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return major[first], minor[first], inverse
+
+
 def _distinct_per_group(
     group_idx: np.ndarray, values: np.ndarray, n_groups: int
 ) -> np.ndarray:
-    """Count distinct ``values`` per group via pair de-duplication."""
-    if group_idx.size == 0:
-        return np.zeros(n_groups, dtype=np.int64)
-    pairs = np.stack([group_idx, values.astype(np.int64)], axis=1)
-    uniq = np.unique(pairs, axis=0)
-    return np.bincount(uniq[:, 0], minlength=n_groups)
+    """Count distinct ``values`` per group (``group_idx`` is int64)."""
+    values = np.asarray(values).astype(np.int64)
+    groups, _, _ = _unique_pairs(group_idx, values, labels=False)
+    return np.bincount(groups, minlength=n_groups)
+
+
+def window_index(
+    flow_columns, window_seconds: float
+) -> tuple[float, np.ndarray]:
+    """``(t0, index)``: each flow's START_TIME window, counted from the
+    earliest start ``t0``.
+
+    Attacks are bursts; aggregating a whole capture dilutes a ten-second
+    scan into a victim's day of legitimate traffic.  Both calibration and
+    detection therefore aggregate per window, mirroring the interval
+    reports a Netflow monitor emits.
+    """
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    times = _get(flow_columns, "START_TIME")
+    if times is None:
+        raise ValueError("flow columns lack START_TIME; cannot window")
+    times = np.asarray(times, dtype=np.float64)
+    t0 = float(times.min()) if times.size else 0.0
+    return t0, ((times - t0) // window_seconds).astype(np.int64)
 
 
 def build_traffic_patterns(
-    flow_columns: dict[str, np.ndarray], *, direction: str
+    flow_columns, *, direction: str, window: np.ndarray | None = None
 ) -> TrafficPatterns:
-    """Aggregate flow columns into per-IP traffic patterns.
+    """Aggregate flow columns into per-(window, IP) traffic patterns.
 
     ``flow_columns`` is any mapping providing the Netflow columns (a
     :class:`~repro.netflow.record.FlowTable` works, as does the dict from
-    :func:`~repro.netflow.mapping.property_graph_to_flow_columns`).
+    :func:`~repro.netflow.mapping.property_graph_to_flow_columns`);
+    ``window`` is each flow's window index from :func:`window_index`
+    (None: every flow in window 0).
     """
     if direction not in ("destination", "source"):
         raise ValueError("direction must be 'destination' or 'source'")
@@ -96,69 +157,52 @@ def build_traffic_patterns(
     if missing:
         raise ValueError(f"flow columns missing: {missing}")
 
+    def col(name: str, dtype=np.float64) -> np.ndarray:
+        return np.asarray(_get(flow_columns, name), dtype=dtype)
+
     key_col = "DST_IP" if direction == "destination" else "SRC_IP"
     peer_col = "SRC_IP" if direction == "destination" else "DST_IP"
-    keys = np.asarray(_get(flow_columns, key_col), dtype=np.int64)
-    ips, group_idx = np.unique(keys, return_inverse=True)
+    keys = col(key_col, np.int64)
+    if window is None:
+        window = np.zeros(keys.size, dtype=np.int64)
+    group_window, ips, group_idx = _unique_pairs(
+        np.asarray(window, dtype=np.int64), keys, labels=True
+    )
     n = ips.size
 
-    def summed(col: np.ndarray) -> np.ndarray:
+    def summed(values: np.ndarray, dtype=np.float64) -> np.ndarray:
         return np.bincount(
-            group_idx, weights=col.astype(np.float64), minlength=n
-        )
+            group_idx, weights=values, minlength=n
+        ).astype(dtype, copy=False)
 
-    proto_all = np.asarray(_get(flow_columns, "PROTOCOL"), dtype=np.int64)
-    flow_size = (
-        np.asarray(_get(flow_columns, "OUT_BYTES"), dtype=np.float64)
-        + np.asarray(_get(flow_columns, "IN_BYTES"), dtype=np.float64)
-    )
-    pkts = (
-        np.asarray(_get(flow_columns, "OUT_PKTS"), dtype=np.float64)
-        + np.asarray(_get(flow_columns, "IN_PKTS"), dtype=np.float64)
-    )
-    n_flows = np.bincount(group_idx, minlength=n).astype(np.int64)
+    proto = col("PROTOCOL", np.int64)
+    sum_flow_size = summed(col("OUT_BYTES") + col("IN_BYTES"))
+    sum_packets = summed(col("OUT_PKTS") + col("IN_PKTS"))
+    n_flows = np.bincount(group_idx, minlength=n)
     safe = np.maximum(n_flows, 1).astype(np.float64)
-
-    proto = proto_all
-
-    def proto_flows(code: int) -> np.ndarray:
-        return np.bincount(
-            group_idx, weights=(proto == code).astype(np.float64),
-            minlength=n,
-        ).astype(np.int64)
-
+    # ICMP has no ports (the DEST_PORT column carries echo sequence
+    # numbers there), so port diversity is counted on TCP/UDP only —
+    # otherwise an ICMP flood masquerades as a port scan.
+    ported = proto != int(Protocol.ICMP)
+    ports = np.asarray(_get(flow_columns, "DEST_PORT"))[ported]
     return TrafficPatterns(
         direction=direction,
         ips=ips,
+        window=group_window,
         n_flows=n_flows,
         n_distinct_peers=_distinct_per_group(
-            group_idx,
-            np.asarray(_get(flow_columns, peer_col)),
-            n,
+            group_idx, _get(flow_columns, peer_col), n
         ),
-        # ICMP has no ports (the DEST_PORT column carries echo sequence
-        # numbers there), so port diversity is counted on TCP/UDP only —
-        # otherwise an ICMP flood masquerades as a port scan.
-        n_distinct_ports=_distinct_per_group(
-            group_idx[proto_all != int(Protocol.ICMP)],
-            np.asarray(_get(flow_columns, "DEST_PORT"))[
-                proto_all != int(Protocol.ICMP)
-            ],
-            n,
-        ),
-        sum_flow_size=summed(flow_size),
-        avg_flow_size=summed(flow_size) / safe,
-        sum_packets=summed(pkts),
-        avg_packets=summed(pkts) / safe,
-        syn_count=summed(
-            np.asarray(_get(flow_columns, "SYN_COUNT"), dtype=np.float64)
-        ).astype(np.int64),
-        ack_count=summed(
-            np.asarray(_get(flow_columns, "ACK_COUNT"), dtype=np.float64)
-        ).astype(np.int64),
-        tcp_flows=proto_flows(int(Protocol.TCP)),
-        udp_flows=proto_flows(int(Protocol.UDP)),
-        icmp_flows=proto_flows(int(Protocol.ICMP)),
+        n_distinct_ports=_distinct_per_group(group_idx[ported], ports, n),
+        sum_flow_size=sum_flow_size,
+        avg_flow_size=sum_flow_size / safe,
+        sum_packets=sum_packets,
+        avg_packets=sum_packets / safe,
+        syn_count=summed(col("SYN_COUNT"), np.int64),
+        ack_count=summed(col("ACK_COUNT"), np.int64),
+        tcp_flows=summed(proto == int(Protocol.TCP), np.int64),
+        udp_flows=summed(proto == int(Protocol.UDP), np.int64),
+        icmp_flows=summed(proto == int(Protocol.ICMP), np.int64),
     )
 
 
@@ -168,42 +212,3 @@ def _get(columns, name: str):
         return columns[name]
     except (KeyError, IndexError):
         return None
-
-
-def iter_windows(
-    flow_columns, window_seconds: float
-) -> list[tuple[float, dict[str, np.ndarray]]]:
-    """Slice flow columns into START_TIME windows.
-
-    Attacks are bursts; aggregating a whole capture dilutes a ten-second
-    scan into a victim's day of legitimate traffic.  Both calibration and
-    detection therefore operate per window, mirroring the interval reports
-    a Netflow monitor emits.  Returns ``(window_start, columns)`` pairs.
-    """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
-    times = _get(flow_columns, "START_TIME")
-    if times is None:
-        raise ValueError("flow columns lack START_TIME; cannot window")
-    times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        return []
-    names = [
-        n for n in
-        ("SRC_IP", "DST_IP", "PROTOCOL", "SRC_PORT", "DEST_PORT",
-         "START_TIME", "DURATION", "OUT_BYTES", "IN_BYTES", "OUT_PKTS",
-         "IN_PKTS", "STATE", "SYN_COUNT", "ACK_COUNT")
-        if _get(flow_columns, n) is not None
-    ]
-    t0 = float(times.min())
-    idx = ((times - t0) // window_seconds).astype(np.int64)
-    out: list[tuple[float, dict[str, np.ndarray]]] = []
-    for w in np.unique(idx):
-        mask = idx == w
-        out.append(
-            (
-                t0 + float(w) * window_seconds,
-                {n: np.asarray(_get(flow_columns, n))[mask] for n in names},
-            )
-        )
-    return out

@@ -73,37 +73,20 @@ class DetectionThresholds:
         same window length at detection time
         (:meth:`NetflowAnomalyDetector.detect_windowed`).
         """
-        from repro.detect.patterns import build_traffic_patterns, iter_windows
+        from repro.detect.patterns import build_traffic_patterns, window_index
 
         if not 0.0 < quantile <= 1.0:
             raise ValueError("quantile must lie in (0, 1]")
         if margin < 1.0:
             raise ValueError("margin must be >= 1")
 
+        window = None
         if window_seconds is not None:
-            slices = [c for _, c in iter_windows(flow_columns, window_seconds)]
-        else:
-            slices = [flow_columns]
-        dst_parts = [
-            build_traffic_patterns(c, direction="destination") for c in slices
-        ]
-        src_parts = [
-            build_traffic_patterns(c, direction="source") for c in slices
-        ]
-
-        class _Cat:
-            """Concatenated view over the per-window pattern arrays."""
-
-            def __init__(self, parts):
-                self._parts = parts
-
-            def __getattr__(self, name):
-                return np.concatenate(
-                    [getattr(p, name) for p in self._parts]
-                )
-
-        dst = _Cat(dst_parts)
-        src = _Cat(src_parts)
+            _, window = window_index(flow_columns, window_seconds)
+        dst, src = (
+            build_traffic_patterns(flow_columns, direction=d, window=window)
+            for d in ("destination", "source")
+        )
 
         def q(arr: np.ndarray, default: float, at: float = quantile) -> float:
             if arr.size == 0:

@@ -1,23 +1,36 @@
 """Tests for the Section IV anomaly-detection stack."""
 
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import PGPBA
 from repro.core.pipeline import packets_from
 from repro.detect import (
     DetectionThresholds,
     NetflowAnomalyDetector,
+    OfflineDetectionPipeline,
+    TrafficPatterns,
     build_traffic_patterns,
     evaluate_detections,
 )
-from repro.detect.patterns import iter_windows
+from repro.detect.patterns import _distinct_per_group, window_index
 from repro.detect.report import DetectionReport
 from repro.detect.detector import Detection
 from repro.netflow import FlowTable, assemble_flows
+from repro.netflow.attributes import Protocol
+from repro.netflow.mapping import flow_table_to_property_graph
 from repro.trace import attacks, synthesize_seed_packets
 from repro.trace.hosts import ipv4
 
 WINDOW = 5.0
+
+# SHA-256 of ``TestGolden``'s answers, computed with the per-window
+# mask-loop implementation this grouping kernel replaced.
+GOLDEN = "bed9d9330fdf31a879d530366b598650cd8ee6622fecead6416a5728e68e32e8"
 
 
 def flows_from(frames):
@@ -135,16 +148,25 @@ class TestPatterns:
         assert p.n_distinct_ports.max() == 0
 
     def test_iter_windows_partition(self, clean_table):
-        total = 0
-        for _, cols in iter_windows(columns(clean_table), WINDOW):
-            span = cols["START_TIME"].max() - cols["START_TIME"].min()
-            assert span < WINDOW
-            total += len(cols["START_TIME"])
-        assert total == len(clean_table)
+        cols = columns(clean_table)
+        t0, window = window_index(cols, WINDOW)
+        times = cols["START_TIME"]
+        assert t0 == times.min()
+        p = build_traffic_patterns(cols, direction="source", window=window)
+        assert np.all(np.diff(p.window) >= 0)
+        for w in np.unique(window):
+            inside = times[window == w]
+            assert inside.max() - inside.min() < WINDOW
+            assert p.n_flows[p.window == w].sum() == inside.size
+        assert p.n_flows.sum() == len(clean_table)
 
     def test_iter_windows_validation(self, clean_table):
-        with pytest.raises(ValueError):
-            iter_windows(columns(clean_table), 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            window_index(columns(clean_table), 0.0)
+        cols = columns(clean_table)
+        del cols["START_TIME"]
+        with pytest.raises(ValueError, match="START_TIME"):
+            window_index(cols, WINDOW)
 
 
 class TestThresholds:
@@ -152,6 +174,12 @@ class TestThresholds:
         assert thresholds.dp_lt <= thresholds.dp_ht
         assert thresholds.fs_lt <= thresholds.fs_ht
         assert thresholds.np_lt <= thresholds.np_ht
+
+    def test_fit_normal_windowed_empty_input(self):
+        empty = FlowTable.empty()
+        assert DetectionThresholds.fit_normal(
+            empty, window_seconds=WINDOW
+        ) == DetectionThresholds.fit_normal(empty)
 
     def test_vector_roundtrip(self, thresholds):
         back = DetectionThresholds.from_vector(thresholds.as_vector())
@@ -293,3 +321,233 @@ class TestReport:
     def test_f1_zero_guard(self):
         rep = DetectionReport(0, 5, 5, (), ("x",) * 5)
         assert rep.f1 == 0.0
+
+
+def _canonical(detections):
+    return [
+        (d.kind, d.ip, d.direction, sorted(d.evidence.items()))
+        for d in detections
+    ]
+
+
+class TestGolden:
+    def test_answers_unchanged(self, seed_bundle, attack_set, thresholds):
+        """Every alarm, its evidence, its order and every fitted threshold
+        of the whole-graph, windowed and calibration paths, against the
+        digest pinned in ``GOLDEN``."""
+        graph = PGPBA(fraction=2.0, seed=3).generate(
+            seed_bundle.graph, seed_bundle.analysis, 20_000
+        ).graph
+        tight = DetectionThresholds(
+            dip_t=5, sip_t=5, dp_lt=50, dp_ht=60, nf_t=20, fs_lt=5000,
+            fs_ht=1e5, np_lt=50, np_ht=500, sa_t=0.9,
+        )
+        table, _ = attack_set
+        windows = OfflineDetectionPipeline(thresholds).detect_windowed(
+            flow_table_to_property_graph(table), window_seconds=WINDOW
+        )
+        answers = (
+            _canonical(OfflineDetectionPipeline().detect(graph)),
+            _canonical(OfflineDetectionPipeline(tight).detect(graph)),
+            [
+                (float(w.window_start), float(w.window_end),
+                 _canonical(w.detections))
+                for w in windows
+            ],
+            _canonical(
+                NetflowAnomalyDetector(thresholds).detect_windowed(
+                    columns(table), window_seconds=WINDOW
+                )
+            ),
+            [float(v) for v in thresholds.as_vector()],
+        )
+        assert [len(a) for a in answers] == [2, 276, 6, 8, 10]
+        digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+        assert digest == GOLDEN
+
+
+# ----------------------------------------------------------------------
+# the grouping kernel against references
+# ----------------------------------------------------------------------
+def _reference_patterns(flow_columns, direction):
+    """``build_traffic_patterns`` as it was before the sort-based kernel:
+    ``np.unique`` labels and row-wise ``np.unique(axis=0)`` distincts."""
+
+    def distinct(group_idx, values, n_groups):
+        if group_idx.size == 0:
+            return np.zeros(n_groups, dtype=np.int64)
+        pairs = np.stack([group_idx, values.astype(np.int64)], axis=1)
+        uniq = np.unique(pairs, axis=0)
+        return np.bincount(uniq[:, 0], minlength=n_groups)
+
+    key_col = "DST_IP" if direction == "destination" else "SRC_IP"
+    peer_col = "SRC_IP" if direction == "destination" else "DST_IP"
+    keys = np.asarray(flow_columns[key_col], dtype=np.int64)
+    ips, group_idx = np.unique(keys, return_inverse=True)
+    n = ips.size
+
+    def summed(col):
+        return np.bincount(
+            group_idx, weights=col.astype(np.float64), minlength=n
+        )
+
+    proto = np.asarray(flow_columns["PROTOCOL"], dtype=np.int64)
+    flow_size = (
+        np.asarray(flow_columns["OUT_BYTES"], dtype=np.float64)
+        + np.asarray(flow_columns["IN_BYTES"], dtype=np.float64)
+    )
+    pkts = (
+        np.asarray(flow_columns["OUT_PKTS"], dtype=np.float64)
+        + np.asarray(flow_columns["IN_PKTS"], dtype=np.float64)
+    )
+    n_flows = np.bincount(group_idx, minlength=n).astype(np.int64)
+    safe = np.maximum(n_flows, 1).astype(np.float64)
+
+    def proto_flows(code):
+        return np.bincount(
+            group_idx, weights=(proto == code).astype(np.float64),
+            minlength=n,
+        ).astype(np.int64)
+
+    ported = proto != int(Protocol.ICMP)
+    return dict(
+        ips=ips,
+        n_flows=n_flows,
+        n_distinct_peers=distinct(
+            group_idx, np.asarray(flow_columns[peer_col]), n
+        ),
+        n_distinct_ports=distinct(
+            group_idx[ported], np.asarray(flow_columns["DEST_PORT"])[ported],
+            n,
+        ),
+        sum_flow_size=summed(flow_size),
+        avg_flow_size=summed(flow_size) / safe,
+        sum_packets=summed(pkts),
+        avg_packets=summed(pkts) / safe,
+        syn_count=summed(flow_columns["SYN_COUNT"]).astype(np.int64),
+        ack_count=summed(flow_columns["ACK_COUNT"]).astype(np.int64),
+        tcp_flows=proto_flows(int(Protocol.TCP)),
+        udp_flows=proto_flows(int(Protocol.UDP)),
+        icmp_flows=proto_flows(int(Protocol.ICMP)),
+    )
+
+
+@st.composite
+def _flow_columns(draw):
+    """A few IPv4-like hosts, sometimes joined by the two int64 extremes
+    (a span no packed key holds, so the lexsort path runs)."""
+    hosts = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        hosts += [-(2**63), 2**63 - 1]
+    host = st.sampled_from(hosts)
+    rows = draw(st.lists(
+        st.tuples(
+            host, host,
+            st.sampled_from([0, 22, 80, 443, 65535]),
+            st.sampled_from([1, 6, 17, 47]),
+            st.integers(0, 10**6), st.integers(0, 10**6),
+            st.integers(0, 1000), st.integers(0, 1000),
+            st.integers(0, 20), st.integers(0, 20),
+            st.floats(0.0, 30.0),
+        ),
+        max_size=40,
+    ))
+    names = ("SRC_IP", "DST_IP", "DEST_PORT", "PROTOCOL", "OUT_BYTES",
+             "IN_BYTES", "OUT_PKTS", "IN_PKTS", "SYN_COUNT", "ACK_COUNT",
+             "START_TIME")
+    return {
+        name: np.array(
+            [r[i] for r in rows],
+            dtype=np.float64 if name == "START_TIME" else np.int64,
+        )
+        for i, name in enumerate(names)
+    }
+
+
+def _assert_fields_equal(got: TrafficPatterns, want: dict) -> None:
+    """Values, shapes and dtypes; dtypes only when non-empty, because the
+    reference's weighted ``np.bincount`` of no rows comes back int64."""
+    for name, expected in want.items():
+        np.testing.assert_array_equal(
+            getattr(got, name), expected, err_msg=name,
+            strict=bool(expected.size),
+        )
+
+
+class TestGroupingKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_groups=st.integers(1, 6),
+        scale=st.sampled_from([50, 2**33, 2**63]),
+        data=st.data(),
+    )
+    def test_distinct_per_group_matches_sets(self, n_groups, scale, data):
+        """Negative values, spans past 2^32 (packed) and of the whole
+        int64 range (lexsort), empty input, one group, groups with no
+        values; values come from a small pool so groups share them."""
+        pool = data.draw(st.lists(
+            st.integers(-scale, scale - 1), min_size=1, max_size=4
+        ))
+        if scale == 2**63:
+            pool += [-scale, scale - 1]
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, n_groups - 1), st.sampled_from(pool)),
+            max_size=40,
+        ))
+        g = np.array([r[0] for r in rows], dtype=np.int64)
+        v = np.array([r[1] for r in rows], dtype=np.int64)
+        pairs = set(zip(g.tolist(), v.tolist()))
+        want = [sum(1 for a, _ in pairs if a == k) for k in range(n_groups)]
+        got = _distinct_per_group(g, v, n_groups)
+        assert got.tolist() == want
+
+    def test_distinct_per_group_full_int64_span(self):
+        """A span no packed key can hold: the lexsort path, with a value
+        shared across the group boundary."""
+        lo, hi = -(2**63), 2**63 - 1
+        g = np.array([0, 1, 1, 1], dtype=np.int64)
+        v = np.array([lo, hi, lo, lo], dtype=np.int64)
+        assert _distinct_per_group(g, v, 3).tolist() == [1, 2, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cols=_flow_columns(),
+        direction=st.sampled_from(["destination", "source"]),
+    )
+    def test_patterns_match_reference(self, cols, direction):
+        got = build_traffic_patterns(cols, direction=direction)
+        assert not got.window.any()
+        _assert_fields_equal(got, _reference_patterns(cols, direction))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cols=_flow_columns(),
+        direction=st.sampled_from(["destination", "source"]),
+        window_seconds=st.sampled_from([0.5, 5.0, 60.0]),
+    )
+    def test_windowed_patterns_match_per_window_reference(
+        self, cols, direction, window_seconds
+    ):
+        """(window, IP) groups == the reference run on each window's
+        rows, concatenated in window order."""
+        _, window = window_index(cols, window_seconds)
+        got = build_traffic_patterns(cols, direction=direction, window=window)
+        windows = [*np.unique(window).tolist(), -1]  # -1: an empty slice
+        parts = [
+            _reference_patterns(
+                {k: c[window == w] for k, c in cols.items()}, direction
+            )
+            for w in windows
+        ]
+        want = {
+            name: np.concatenate([p[name] for p in parts])
+            for name in parts[0]
+        }
+        want["window"] = np.concatenate([
+            np.full(p["ips"].size, w, dtype=np.int64)
+            for w, p in zip(windows, parts)
+        ])
+        _assert_fields_equal(got, want)
+        assert set(want) == {f.name for f in fields(TrafficPatterns)} - {
+            "direction"
+        }
