@@ -14,10 +14,7 @@ this module provides the equivalent:
   ``repro.serve`` layer and report per-family latency percentiles,
   cache hit ratio and queries/second;
 * ``engine-info`` — print every ``repro.config`` setting's resolved
-  value with its source, for debugging env-vs-flag precedence;
-* ``worker``   — run a cluster worker daemon that executes task batches
-  for a driver using the ``cluster`` executor backend and serves
-  spill/shuffle blocks to peer workers.
+  value with its source, for debugging env-vs-flag precedence.
 
 Usage: ``python -m repro.cli <command> --help``.
 """
@@ -94,24 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_shape_args(p)
     config.add_arguments(p)
-
-    p = sub.add_parser(
-        "worker",
-        help="run a cluster worker daemon: listens for a driver using "
-        "the 'cluster' executor backend, executes its task batches and "
-        "serves spill/shuffle blocks to peer workers",
-    )
-    p.add_argument(
-        "--listen", type=str, default="127.0.0.1:0", metavar="ADDR",
-        help="bind address, host:port (port 0 picks an ephemeral port, "
-        "announced on stdout) or unix:/path (default 127.0.0.1:0)",
-    )
-    p.add_argument(
-        "--root", type=Path, action="append", default=[], metavar="DIR",
-        help="additionally serve block files under this directory to "
-        "fetch requests (repeatable; drivers register their session "
-        "spill roots automatically at handshake)",
-    )
 
     p = sub.add_parser("detect", help="detect anomalies in a capture")
     p.add_argument("pcap", type=Path, help="capture to analyse")
@@ -193,23 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_values(args) -> dict:
     """Setting name -> the text its CLI flag was given, ``None`` when
     the flag is absent (or the sub-command has no such flag)."""
-    values = {
+    return {
         s.name: getattr(args, s.dest, None)
         for s in config.SETTINGS.values()
         if s.flag
     }
-    # --workers is dual-mode: text the local_workers row parses sizes
-    # the local backends, anything else is a cluster daemon address list.
-    text = values["workers"]
-    values["local_workers"] = None
-    if text is not None:
-        try:
-            config.resolve("local_workers", text)
-        except ValueError:
-            pass
-        else:
-            values["local_workers"], values["workers"] = text, None
-    return values
 
 
 def _setting_rows(names, values) -> list:
@@ -615,28 +582,11 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.engine.cluster import WorkerDaemon
-
-    daemon = WorkerDaemon(args.listen, served_roots=args.root)
-
-    def _announce(address: str) -> None:
-        # The exact banner launch_worker() and operators key off.
-        print(f"listening on {address}", flush=True)
-
-    try:
-        daemon.run(announce=_announce)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "analyze": _cmd_analyze,
     "generate": _cmd_generate,
     "engine-info": _cmd_engine_info,
-    "worker": _cmd_worker,
     "stream": _cmd_stream,
     "detect": _cmd_detect,
     "veracity": _cmd_veracity,

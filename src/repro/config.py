@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ __all__ = [
     "add_arguments",
     "flags_table",
     "format_bytes",
-    "parse_address",
     "parse_size",
     "resolve",
     "source",
@@ -79,35 +79,6 @@ def format_bytes(n: int) -> str:
     return f"{n} B"
 
 
-def parse_address(spec: str) -> tuple:
-    """Parse a worker address: ``host:port`` (TCP) or ``unix:/path``.
-
-    Returns ``("tcp", host, port)`` or ``("unix", path)``.
-    """
-    spec = spec.strip()
-    if not spec:
-        raise ValueError("empty worker address")
-    if spec.startswith("unix:"):
-        path = spec[len("unix:"):]
-        if not path:
-            raise ValueError(f"unix worker address needs a path: {spec!r}")
-        return ("unix", path)
-    host, sep, port_text = spec.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"worker address {spec!r} is not 'host:port' or 'unix:/path'"
-        )
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(
-            f"worker address {spec!r} has a non-integer port"
-        ) from exc
-    if not 0 <= port <= 65535:
-        raise ValueError(f"worker address {spec!r} port out of range")
-    return ("tcp", host, port)
-
-
 # ----------------------------------------------------------------------
 # Parsers
 # ----------------------------------------------------------------------
@@ -139,7 +110,10 @@ def integer(min: int) -> Parser:
 
 def _seconds(value, *, allow_zero: bool) -> float:
     number = float(value)
-    if number < 0 or (number == 0 and not allow_zero):
+    # float() takes "nan" and "inf"; neither is a duration.
+    if not math.isfinite(number) or number < 0 or (
+        number == 0 and not allow_zero
+    ):
         raise ValueError(number)
     return number
 
@@ -221,23 +195,6 @@ switch = Parser(_switch, "one of " + ", ".join(_ON_VALUES + _OFF_VALUES))
 path = Parser(os.fspath, "a directory path", "DIR")
 
 
-def _addresses(value) -> list[str]:
-    if isinstance(value, str):
-        specs = value.replace(",", " ").split()
-    else:
-        specs = [str(s).strip() for s in value if str(s).strip()]
-    for spec in specs:
-        parse_address(spec)  # fail fast on malformed entries
-    return specs
-
-
-addresses = Parser(
-    _addresses,
-    "a comma-separated list of host:port or unix:/path worker addresses",
-    "ADDRS",
-)
-
-
 def _json_object(value) -> dict:
     if isinstance(value, Mapping):
         return dict(value)
@@ -291,7 +248,6 @@ class Setting:
 # Which constructor a layer's ``kwarg`` belongs to.
 _CONSTRUCTORS = {
     "engine": "ClusterContext",
-    "cluster": "ClusterExecutor",
     "serve": "QueryServer",
     "stream": "StreamPipeline",
 }
@@ -319,44 +275,19 @@ SETTINGS: "dict[str, Setting]" = {
     for s in (
         Setting(
             "executor", "REPRO_EXECUTOR", "serial",
-            choice(("serial", "threads", "pool", "cluster")),
+            choice(("serial", "threads", "pool")),
             "--executor", "executor",
             "real execution backend for partition tasks: `pool` reuses "
-            "persistent forked workers with shared-memory transport, "
-            "`cluster` dispatches to remote `repro worker` daemons over "
-            "sockets; " + _BYTE_IDENTICAL,
+            "persistent forked workers with shared-memory transport; "
+            + _BYTE_IDENTICAL,
             evidence="generate_pool",
         ),
         Setting(
             "local_workers", "REPRO_LOCAL_WORKERS", None, integer(min=1),
             "--workers", "local_workers",
-            "an integer sizes the local backends (`threads`/`pool`)",
+            "worker count of the `threads` and `pool` backends",
             evidence="generate_pool",
             show=_cpu_count,
-        ),
-        Setting(
-            "workers", "REPRO_WORKERS", None, addresses,
-            "--workers", "workers",
-            "an address list (`host:port` or `unix:/path`, comma-separated) "
-            "names the `cluster` backend's worker daemons (start them with "
-            "`repro worker --listen host:port`)",
-            evidence=(
-                "tests/test_engine_cluster.py::TestClusterEquivalence"
-                "::test_digest_and_transport_match_serial"
-            ),
-            show=lambda v: ", ".join(v) if v else "none",
-        ),
-        Setting(
-            "heartbeat_timeout", "REPRO_HEARTBEAT_TIMEOUT", 15.0, seconds,
-            None, "heartbeat_timeout",
-            "silence after which a busy cluster worker is declared lost "
-            "(its tasks requeue via lineage recovery); busy links are "
-            "pinged every 1/30 of it",
-            evidence=(
-                "tests/test_engine_cluster.py::TestHeartbeat"
-                "::test_mute_worker_times_out"
-            ),
-            layer="cluster", show=_unit("s"),
         ),
         # ~4 MiB of input per executor task: the point where per-task
         # dispatch overhead stops mattering relative to NumPy kernel
@@ -550,50 +481,41 @@ def add_arguments(
     ``parser``.  Flags default to ``None`` — "not given" — and keep the
     text as typed, so the constructor's :func:`resolve` call is the one
     place a value is interpreted; the text is only checked here so a bad
-    one is an argparse error.  Settings sharing a flag (``--workers``:
-    a count or an address list) get one option that accepts either."""
-    by_flag: "dict[str, list[Setting]]" = {}
+    one is an argparse error."""
     for name in SETTINGS if names is None else names:
-        setting = SETTINGS[name]
-        if setting.flag:
-            by_flag.setdefault(setting.flag, []).append(setting)
-    for flag, rows in by_flag.items():
-        help_text = "; ".join(
+        s = SETTINGS[name]
+        if not s.flag:
+            continue
+        help_text = (
             f"{s.help} (default: {s.env} env var, then "
             f"{s.show(s.default)})"
-            for s in rows
         ).replace("`", "'")
-        first = rows[0]
-        if first.parse is switch:
+        if s.parse is switch:
             parser.add_argument(
-                flag, action="store_const", const=not first.default,
+                s.flag, action="store_const", const=not s.default,
                 default=None, help=help_text,
             )
-        elif first.parse.values is not None:
+        elif s.parse.values is not None:
             parser.add_argument(
-                flag, choices=first.parse.values, default=None,
+                s.flag, choices=s.parse.values, default=None,
                 help=help_text,
             )
         else:
             parser.add_argument(
-                flag, type=_checked_text(rows), default=None,
-                metavar="|".join(s.parse.metavar for s in rows),
-                help=help_text,
+                s.flag, type=_checked_text(s), default=None,
+                metavar=s.parse.metavar, help=help_text,
             )
 
 
-def _checked_text(rows: "list[Setting]") -> Callable[[str], str]:
-    """An argparse ``type`` that accepts text any of ``rows`` parses."""
+def _checked_text(setting: Setting) -> Callable[[str], str]:
+    """An argparse ``type`` that accepts the text ``setting`` parses."""
 
     def check(text: str) -> str:
-        errors = []
-        for setting in rows:
-            try:
-                resolve(setting.name, text)
-                return text
-            except ValueError as exc:
-                errors.append(str(exc))
-        raise argparse.ArgumentTypeError("; ".join(errors))
+        try:
+            resolve(setting.name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return text
 
     return check
 

@@ -20,14 +20,6 @@ exceptions, worker deaths and stragglers to prove recovery is
 bit-identical to the fault-free run.
 """
 
-from repro.engine.cluster import (
-    BlockFetcher,
-    ClusterExecutor,
-    WorkerDaemon,
-    launch_worker,
-    shutdown_worker,
-    sockets_available,
-)
 from repro.engine.context import ClusterContext
 from repro.engine.executor import (
     Executor,
@@ -68,12 +60,6 @@ from repro.engine.stream import iter_repeat_chunks
 __all__ = [
     "ClusterContext",
     "ArrayRDD",
-    "BlockFetcher",
-    "ClusterExecutor",
-    "WorkerDaemon",
-    "launch_worker",
-    "shutdown_worker",
-    "sockets_available",
     "ClusterScheduler",
     "NodeSpec",
     "SimulationMetrics",

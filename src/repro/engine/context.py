@@ -13,7 +13,8 @@ study of Fig. 8 found 12 optimal), and ``partition_multiplier`` (the paper
 found 2x-4x the executor-core count best).
 
 Orthogonally to the *simulated* cluster, ``executor`` / ``local_workers``
-pick the *real* execution backend partition tasks run on (see
+pick the *real* execution backend partition tasks run on — in the
+driver, its threads or its forked workers, always on this host (see
 :mod:`repro.engine.executor`): simulated metrics are identical across
 backends because each task measures its own CPU cost; only wall-clock
 time changes.  One further knob shapes the *physical* task grain without
@@ -75,7 +76,6 @@ class ClusterContext:
         max_real_partitions: int = 32,
         executor: str | Executor | None = None,
         local_workers: int | None = None,
-        workers: "Sequence[str] | str | None" = None,
         fusion: bool | None = None,
         target_partition_bytes: int | str | None = None,
         fault_plan: FaultPlan | dict | str | None = None,
@@ -114,15 +114,10 @@ class ClusterContext:
             "target_partition_bytes", target_partition_bytes
         )
         self.metrics = SimulationMetrics(n_nodes=n_nodes)
-        # ``workers`` is the cluster backend's daemon address list;
-        # ``local_workers`` sizes the in-host backends.  Both can be
-        # passed — only the selected backend reads its one.
         if isinstance(executor, Executor):
             self.executor = executor
         else:
-            self.executor = make_executor(
-                executor, local_workers, cluster_workers=workers
-            )
+            self.executor = make_executor(executor, local_workers)
         self.fault_plan = FaultPlan.resolve(fault_plan)
         self.max_task_retries = config.resolve(
             "max_task_retries", max_task_retries
@@ -159,14 +154,6 @@ class ClusterContext:
         self.metrics.attach_transport(
             getattr(self.executor, "transport", None)
         )
-        # The cluster backend advertises the session spill root to its
-        # worker daemons so spill blocks and shuffle segments written
-        # under it are fetchable worker-to-worker by file name.
-        register_spill_root = getattr(
-            self.executor, "register_spill_root", None
-        )
-        if register_spill_root is not None:
-            register_spill_root(self.storage.ensure_spill_root())
 
     def _next_rdd_id(self) -> int:
         return next(self._rdd_ids)

@@ -1,4 +1,4 @@
-"""Pluggable local execution backends for the Map-Reduce engine.
+"""Local execution backends for the Map-Reduce engine.
 
 The engine keeps two clocks.  The *simulated* clock (Fig. 8-12) is driven
 by per-partition CPU costs measured *inside* each task with
@@ -10,7 +10,7 @@ delivers, and that is what this module accelerates: an
 their results in task order, so any backend can stand behind
 ``ArrayRDD.map_partitions`` without changing observable behaviour.
 
-Three local backends are provided:
+Three backends are provided, all on the driver's host:
 
 ``serial``
     The original driver-loop behaviour; the default, and the reference
@@ -33,22 +33,15 @@ Three local backends are provided:
     and therefore bypass the arena entirely — budgeted runs ship file
     paths, not data.
 
-A fourth backend, ``cluster``, talks to standalone ``repro worker``
-daemons (possibly on other hosts) over sockets; it lives in
-:mod:`repro.engine.cluster` and is registered lazily here so the two
-modules can share this one without an import cycle.
-
-``pool`` and ``cluster`` are the same scheduler over two transports.
-:class:`_Dispatcher` is the driver-side state machine — feed every
-channel up to its window, wait, drain replies, and apply the four
-rules: strict-order accounting, first-result-wins absorb, blame the
-first unreported task and requeue the rest when a worker dies, back up
-stragglers on idle channels — and a :class:`_Channel` hides what
-differs: how a batch is encoded and sent, how replies are read, what
-the driver waits on, and what losing the worker means.  The worker
-side is one function too (:func:`_pool_worker_main`, which the cluster
-daemon forks through the same :class:`_PipeChild` handle the pool
-uses).
+The pool's scheduling is :class:`_Dispatcher`, the driver-side state
+machine — give every idle channel one batch, wait, drain replies, and
+apply the four rules: strict-order accounting, first-result-wins
+absorb, blame the first unreported task and requeue the rest when a
+worker dies, back up stragglers on idle channels.  A
+:class:`_Channel` is the seam between that machine and the pipe to one
+worker (:class:`_PoolWorker`): how a batch is encoded and sent, how
+replies are read, what the driver waits on.  The worker side is
+:func:`_pool_worker_main`, forked through :class:`_PipeChild`.
 
 Every RNG stream in the engine is keyed by ``(seed, partition_index)``
 and results are gathered in partition order, so every backend
@@ -126,7 +119,6 @@ __all__ = [
     "make_executor",
     "available_backends",
     "default_workers",
-    "CLUSTER_BACKEND_NAME",
 ]
 
 Task = Callable[[], Any]
@@ -224,18 +216,6 @@ class TransportProfile:
     ``payload_bytes``
         Bytes that crossed a process boundary (pickle blobs plus
         out-of-band arena buffers), both directions.
-    ``network_bytes``
-        Bytes that crossed a *socket* (frame headers included), both
-        directions — zero for every local backend, the wire total for
-        the cluster backend (task batches, results, heartbeats, remote
-        block fetches).
-    ``round_trips``
-        Framed socket messages exchanged (again cluster-only): batch
-        dispatches, result/err replies, ping/pong pairs, fetches.
-    ``overlap_seconds``
-        Driver serialize/send time spent while at least one other link
-        already had work in flight (cluster-only) — the pipelining win:
-        wall clock the dispatch path hid behind remote compute.
     """
 
     submit_seconds: float = 0.0
@@ -243,9 +223,6 @@ class TransportProfile:
     ipc_wait_seconds: float = 0.0
     compute_seconds: float = 0.0
     payload_bytes: int = 0
-    network_bytes: int = 0
-    round_trips: int = 0
-    overlap_seconds: float = 0.0
 
     def reset(self) -> None:
         for f in fields(self):
@@ -632,17 +609,17 @@ class _ArenaReader:
         self.prune(frozenset())
 
 
-def _dump_out_of_band(
-    obj: Any, pickler: Any, park: Callable[[memoryview], Any]
-) -> bytes:
-    """Pickle ``obj`` with protocol 5, handing the raw view of every
-    large contiguous buffer to ``park`` (in pickling order) instead of
-    copying it into the blob.  Non-contiguous or small buffers stay
-    in-band — correctness never depends on a buffer going out-of-band."""
+def _dump_with_arena(obj: Any, arena: _Arena, pickler: Any):
+    """Pickle ``obj`` with protocol 5, writing every large contiguous
+    buffer into ``arena`` (in pickling order) instead of copying it into
+    the blob; returns ``(blob, descriptors)``.  Non-contiguous or small
+    buffers stay in-band — correctness never depends on a buffer going
+    out-of-band."""
+    descriptors: list[tuple[str, int, int]] = []
 
     # buffer_callback contract (PEP 574): a *truthy* return keeps the
     # buffer in-band, a *falsy* one emits a NEXT_BUFFER opcode and makes
-    # the caller responsible for transporting it — here, via ``park``.
+    # the caller responsible for transporting it — here, the arena.
     def _callback(buffer: pickle.PickleBuffer) -> bool:
         try:
             raw = buffer.raw()
@@ -650,19 +627,10 @@ def _dump_out_of_band(
             return True
         if raw.nbytes < _ARENA_MIN_BYTES:
             return True
-        park(raw)
+        descriptors.append(arena.write(raw))
         return False
 
-    return pickler.dumps(obj, protocol=5, buffer_callback=_callback)
-
-
-def _dump_with_arena(obj: Any, arena: _Arena, pickler: Any):
-    """:func:`_dump_out_of_band` into ``arena``; returns ``(blob,
-    descriptors)``."""
-    descriptors: list[tuple[str, int, int]] = []
-    blob = _dump_out_of_band(
-        obj, pickler, lambda raw: descriptors.append(arena.write(raw))
-    )
+    blob = pickler.dumps(obj, protocol=5, buffer_callback=_callback)
     return blob, descriptors
 
 
@@ -694,33 +662,24 @@ def _own_tree(obj: Any) -> Any:
     return obj
 
 
-def _pool_worker_main(
-    conn: mp_connection.Connection, result_arenas: int = 1
-) -> None:
+def _pool_worker_main(conn: mp_connection.Connection) -> None:
     """Long-lived worker body: loop over task batches until "stop".
 
     One ``("run", blob, descriptors)`` message carries a whole batch of
     ``(key, fn)`` pairs; task buffers are read from the driver's task
     arena, results are pickled per task with buffers parked in this
-    worker's own result arena (recycled each batch — no per-task segment
-    create/unlink).  Tasks run strictly in batch order, which is what
-    lets the driver attribute a silent death to the first unreported
-    task.  An injected kill ``os._exit``s inside ``fn`` — the arena
-    segments it leaves behind are unlinked by the driver (it learned
-    their names from earlier result descriptors) or, as a last resort,
-    by the shared resource tracker at interpreter exit.
-
-    ``result_arenas`` sizes a ring of result arenas cycled per batch.
-    The pool's strict alternation (the driver copies a batch's results
-    out before dispatching the next one) only needs 1.  A pipelined
-    peer — the cluster daemon — may still be copying batch N's result
-    buffers while this worker computes batch N+1, so it passes its
-    in-flight window: recycling a slot is then safe because the peer
-    never dispatches batch N+W before batch N is fully drained.
+    worker's own result arena.  The arena is recycled per batch — no
+    per-task segment create/unlink — which is safe because the driver
+    copies a batch's results out before it sends the next batch.  Tasks
+    run strictly in batch order, which is what lets the driver attribute
+    a silent death to the first unreported task.  An injected kill
+    ``os._exit``s inside ``fn`` — the arena segments it leaves behind
+    are unlinked by the driver (it learned their names from earlier
+    result descriptors) or, as a last resort, by the shared resource
+    tracker at interpreter exit.
     """
     reader = _ArenaReader()
-    arenas = [_Arena() for _ in range(max(1, result_arenas))]
-    batch_seq = 0
+    arena = _Arena()
     status = 0
     try:
         while True:
@@ -728,8 +687,6 @@ def _pool_worker_main(
             if msg[0] == "stop":
                 break
             _tag, blob, descriptors = msg
-            arena = arenas[batch_seq % len(arenas)]
-            batch_seq += 1
             arena.recycle()
             reader.prune({descriptor[0] for descriptor in descriptors})
             items = _load_with_arena(blob, descriptors, reader)
@@ -766,8 +723,7 @@ def _pool_worker_main(
     except BaseException:  # pragma: no cover - unexpected protocol error
         status = 1
     finally:
-        for arena in arenas:
-            arena.destroy()
+        arena.destroy()
         reader.close()
         try:
             conn.close()
@@ -789,15 +745,11 @@ def _pipe_child_main(
 
 class _PipeChild:
     """A forked process running the worker loop over a duplex pipe, plus
-    the arenas on this side of the pipe: a ring of ``window`` task
-    arenas (one per batch that may be in flight — the child holds views
-    into batch N's arena until it has finished N) and a reader over the
-    child's result arenas.  The pool holds one per worker, the cluster
-    daemon one per driver session."""
+    the arenas on this side of the pipe: the task arena (the child holds
+    views into it until it has finished the batch) and a reader over the
+    child's result arena.  The pool holds one per worker."""
 
-    def __init__(
-        self, target: Callable, args: tuple = (), window: int = 1
-    ) -> None:
+    def __init__(self, target: Callable) -> None:
         # Start the resource tracker *before* forking so parent and
         # child share one tracker: segments the child registers at
         # create are unregistered by the parent's unlink, and nothing is
@@ -809,23 +761,13 @@ class _PipeChild:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_pipe_child_main,
-            args=(self.conn, target, child_conn, *args),
+            args=(self.conn, target, child_conn),
             daemon=True,
         )
         self.proc.start()
         child_conn.close()
-        self.task_arenas = [_Arena() for _ in range(window)]
+        self.task_arena = _Arena()
         self.reader = _ArenaReader()
-        self._batches = 0
-
-    def next_arena(self) -> _Arena:
-        """The next batch's task arena, recycled: a ring slot comes
-        around again only after its previous batch has fully replied
-        (the sender never has more than ``window`` batches out)."""
-        arena = self.task_arenas[self._batches % len(self.task_arenas)]
-        self._batches += 1
-        arena.recycle()
-        return arena
 
     def send(self, *msg: Any) -> bool:
         """Write one message to the child; False if the child is gone."""
@@ -847,8 +789,7 @@ class _PipeChild:
         # A cleanly-stopped child unlinked its own result arenas; a
         # killed one did not — unlink whatever is still there.
         _unlink_segment_names(result_segments)
-        for arena in self.task_arenas:
-            arena.destroy()
+        self.task_arena.destroy()
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - already closed
@@ -856,7 +797,7 @@ class _PipeChild:
 
 
 # ----------------------------------------------------------------------
-# The dispatcher: one driver-side scheduler for pool and cluster.
+# The dispatcher: the pool's driver-side scheduler.
 # ----------------------------------------------------------------------
 
 class _Lost(Exception):
@@ -867,17 +808,16 @@ class _Lost(Exception):
 class _Channel:
     """One worker as the dispatcher sees it.
 
-    The dispatcher owns the three fields below; a transport supplies
-    the three methods, and they are all it may differ in.
+    The dispatcher owns the two fields below; a transport supplies the
+    three methods, and they are all it may differ in.  A channel holds
+    at most one batch: it is busy iff ``assigned`` is non-empty.
     """
 
     label = "worker"  # leads the WorkerDied message
 
     def __init__(self) -> None:
-        # (key, is_backup) in dispatch order, across the whole window
+        # (key, is_backup) of the unreported tasks, in dispatch order
         self.assigned: deque = deque()
-        # unreported tasks of each in-flight batch, oldest first
-        self.batch_sizes: deque = deque()
         # monotonic time of the last send or reply (the straggler clock)
         self.batch_started = 0.0
 
@@ -894,10 +834,9 @@ class _Channel:
     def poll(self) -> tuple | None:
         """The next reply, or None when nothing is readable now:
         ``("ok", key, (payload, buffers), duration)`` with the result
-        still pickled (a losing duplicate is never unpickled),
-        ``("err", key, exception, duration)``, or ``("died", how)``
-        when the worker process died but the channel lives on.  Raises
-        :class:`_Lost` when the channel itself is gone."""
+        still pickled (a losing duplicate is never unpickled) or
+        ``("err", key, exception, duration)``.  Raises :class:`_Lost`
+        when the worker is gone."""
         raise NotImplementedError
 
 
@@ -932,31 +871,26 @@ class _Job:
 
 
 class _Dispatcher(Executor):
-    """The driver-side scheduling state machine of the process-based
-    backends, written once against :class:`_Channel`.
+    """The driver-side scheduling state machine of the pool, written
+    against :class:`_Channel`.
 
     Workers run a batch strictly in order and report each task as it
-    finishes, so ``assigned`` (a flat deque per channel, with
-    ``batch_sizes`` counting the unreported tasks of each in-flight
-    batch beside it) always has the task in progress at its head.  That
-    is the hinge of every rule here: a reply belongs to the head, a
-    death blames the head (:class:`WorkerDied`) and requeues the rest —
-    which never started — and a straggler is a head that has been there
-    too long.  :func:`run_with_recovery`, retry budgets and
+    finishes, so ``assigned`` always has the task in progress at its
+    head.  That is the hinge of every rule here: a reply belongs to the
+    head, a death blames the head (:class:`WorkerDied`) and requeues the
+    rest — which never started — and a straggler is a head that has
+    been there too long.  :func:`run_with_recovery`, retry budgets and
     :class:`~repro.engine.faults.FaultPlan` coordinates sit on top
     unchanged, because batching only affects transport: task identity,
     result order and fault verdicts are those of the flat task list.
 
-    A round ships ``ceil(n / (2 * live channels))`` tasks per batch,
-    two rounds of work per worker for tail balancing (``task_batch``
-    pins another size; only tests do).  A subclass keeps ``_channels``
-    current, sets ``_window`` (batches in flight per channel) and
-    ``_wake_seconds`` (longest the wait may block, None for no limit),
-    and implements :meth:`_open_channels` and :meth:`_channel_lost`.
+    Each idle channel gets one batch of ``ceil(n / (2 * live
+    channels))`` tasks, two rounds of work per worker for tail balancing
+    (``task_batch`` pins another size; only tests do).  A subclass keeps
+    ``_channels`` current and implements :meth:`_open_channels` and
+    :meth:`_channel_lost`.
     """
 
-    _window = 1
-    _wake_seconds: float | None = None
     task_batch = 0
 
     def __init__(self, workers: int | None) -> None:
@@ -995,10 +929,10 @@ class _Dispatcher(Executor):
         job = _Job(
             tasks, speculative_tasks or tasks, speculation, on_speculate
         )
-        timeouts = [self._wake_seconds]
-        if speculation is not None:
-            timeouts.append(speculation.poll_interval_seconds)
-        timeout = min((t for t in timeouts if t is not None), default=None)
+        timeout = (
+            None if speculation is None
+            else speculation.poll_interval_seconds
+        )
         while any(o is None for o in job.outcomes):
             self._feed(job)
             busy = [c for c in self._channels if c.assigned]
@@ -1008,8 +942,7 @@ class _Dispatcher(Executor):
                 # Every worker is gone mid-job.  Mark what is left
                 # unresolved as WorkerDied instead of raising: the
                 # recovery layer backs off and retries, and the next
-                # round's _open_channels re-dials or re-forks (raising
-                # only if none ever come back).
+                # round's _open_channels re-forks.
                 for i, outcome in enumerate(job.outcomes):
                     if outcome is None:
                         job.outcomes[i] = TaskOutcome(
@@ -1049,41 +982,29 @@ class _Dispatcher(Executor):
             self._channel_lost(channel)
             return False
         channel.assigned.extend((key, backup) for key, _fn, backup in stamped)
-        channel.batch_sizes.append(len(entries))
         channel.batch_started = time.monotonic()
         self.batches_sent += 1
         return True
 
     def _feed(self, job: _Job) -> None:
-        """Breadth-first: give every channel one batch per pass (not one
-        channel its whole window) so early batches spread across
-        workers, then keep topping up until every channel holds
-        ``_window`` batches or the queue drains.  With a window above 1,
-        batch N+1 ships while a worker computes batch N — serialize and
-        compute overlap instead of alternating."""
+        """Give each idle channel one batch from the head of the queue;
+        a batch a channel refused goes back to the head for the next."""
         live = max(1, len(self._channels))
         limit = self.task_batch or max(1, -(-len(job.tasks) // (2 * live)))
-        fed = True
-        while fed and job.pending:
-            fed = False
-            for channel in list(self._channels):
-                if not job.pending:
-                    break
-                if len(channel.batch_sizes) >= self._window:
-                    continue
-                entries = []
-                while job.pending and len(entries) < limit:
-                    i = job.pending.popleft()
-                    if job.outcomes[i] is None:
-                        entries.append((i, job.tasks[i], False))
-                if not entries:
-                    continue
-                if self._send(channel, entries, job):
-                    fed = True
-                else:
-                    job.pending.extendleft(
-                        key for key, _fn, _b in reversed(entries)
-                    )
+        for channel in list(self._channels):
+            if not job.pending:
+                break
+            if channel.assigned:
+                continue
+            entries = []
+            while job.pending and len(entries) < limit:
+                i = job.pending.popleft()
+                if job.outcomes[i] is None:
+                    entries.append((i, job.tasks[i], False))
+            if entries and not self._send(channel, entries, job):
+                job.pending.extendleft(
+                    key for key, _fn, _b in reversed(entries)
+                )
 
     def _drain(self, channel: _Channel, job: _Job) -> None:
         """Absorb everything a channel has to say, then let it report a
@@ -1091,10 +1012,7 @@ class _Dispatcher(Executor):
         dying are never lost."""
         try:
             while (reply := channel.poll()) is not None:
-                if reply[0] == "died":
-                    self._blame_and_requeue(channel, reply[1], job)
-                else:
-                    self._absorb(channel, reply, job)
+                self._absorb(channel, reply, job)
         except _Lost as lost:
             self._blame_and_requeue(channel, str(lost), job)
             self._channel_lost(channel)
@@ -1107,14 +1025,9 @@ class _Dispatcher(Executor):
         )
 
     def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
-        # Strict order across the whole in-flight window: the head batch
-        # drains before the next batch's first reply can arrive.
+        # Strict order: a reply is always the head's.
         if channel.assigned:
             channel.assigned.popleft()
-        if channel.batch_sizes:
-            channel.batch_sizes[0] -= 1
-            if channel.batch_sizes[0] <= 0:
-                channel.batch_sizes.popleft()
         channel.batch_started = time.monotonic()
         tag, (serial, key), body, duration = reply
         if serial != job.serial:
@@ -1144,11 +1057,10 @@ class _Dispatcher(Executor):
         self, channel: _Channel, how: str, job: _Job
     ) -> None:
         """A worker died with work outstanding.  The first unreported
-        assigned task — whichever batch of the window it rode in on —
-        was in progress and takes the blame; the rest never started and
-        are requeued (same wrapped callables — the deterministic fault
-        verdict is per (batch, index, attempt), not per dispatch)."""
-        channel.batch_sizes.clear()
+        assigned task was in progress and takes the blame; the rest
+        never started and are requeued (same wrapped callables — the
+        deterministic fault verdict is per (batch, index, attempt), not
+        per dispatch)."""
         # Only this job's tasks: an earlier job's losing copy needs
         # neither blame nor a rerun (and if it was the one in progress,
         # nothing of this job's had started).
@@ -1233,7 +1145,10 @@ class _PoolWorker(_Channel):
         transport.submit_seconds += time.perf_counter() - started
 
     def send(self, entries: list[tuple[int, Task, bool]]) -> bool:
-        arena = self.child.next_arena()
+        # The previous batch has fully replied (one batch per channel),
+        # so the child holds no view into the arena any more.
+        arena = self.child.task_arena
+        arena.recycle()
         serialize_started = time.perf_counter()
         blob, descriptors = _dump_with_arena(
             [(key, fn) for key, fn, _ in entries], arena, _cloudpickle
@@ -1278,9 +1193,9 @@ class PoolExecutor(_Dispatcher):
     reused for every subsequent batch, so the fork + import-state cost is
     paid ``workers`` times per executor lifetime instead of once per
     task.  See the module docstring for the transport protocol and
-    :class:`_Dispatcher` for scheduling and recovery.  The window is 1:
-    a worker's single task arena is recycled per batch, so batches and
-    their replies strictly alternate.  A worker that dies (an injected
+    :class:`_Dispatcher` for scheduling and recovery.  A worker's single
+    task arena is recycled per batch, so batches and their replies
+    strictly alternate.  A worker that dies (an injected
     ``os._exit(73)`` kill, say) is respawned in place.
     """
 
@@ -1308,9 +1223,7 @@ class PoolExecutor(_Dispatcher):
         Steady state is 1 and 1 — reuse, not churn."""
         children = [worker.child for worker in self._channels]
         return {
-            "task_segments": [
-                c.task_arenas[0].segments_created for c in children
-            ],
+            "task_segments": [c.task_arena.segments_created for c in children],
             "result_segments": [len(c.reader.segments) for c in children],
         }
 
@@ -1472,30 +1385,16 @@ _BACKENDS: dict[str, type[Executor]] = {
     PoolExecutor.name: PoolExecutor,
 }
 
-# The multi-host backend lives in repro.engine.cluster (which imports
-# this module for the worker loop and arena transport), so it is named
-# here and instantiated lazily rather than registered in _BACKENDS.
-CLUSTER_BACKEND_NAME = "cluster"
-
 
 def available_backends() -> tuple[str, ...]:
-    return (*_BACKENDS, CLUSTER_BACKEND_NAME)
+    return tuple(_BACKENDS)
 
 
 def make_executor(
-    name: str | None = None,
-    workers: int | None = None,
-    *,
-    cluster_workers: "Sequence[str] | str | None" = None,
+    name: str | None = None, workers: int | None = None
 ) -> Executor:
     """Instantiate a backend; ``None`` arguments fall back to the
     ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS`` environment variables,
-    then to ``serial`` with one worker per CPU.
-    ``cluster_workers`` (addresses, or ``REPRO_WORKERS``) selects the
-    daemons of the ``cluster`` backend and is ignored by local ones."""
+    then to ``serial`` with one worker per CPU."""
     backend = config.resolve("executor", name)
-    if backend == CLUSTER_BACKEND_NAME:
-        from .cluster import ClusterExecutor
-
-        return ClusterExecutor(cluster_workers)
     return _BACKENDS[backend](config.resolve("local_workers", workers))

@@ -9,8 +9,8 @@ as a function of ``(plan seed, batch, task index, attempt)`` — whether a
 given task attempt
 
 * raises an :class:`InjectedFault`,
-* dies like a crashed worker (a ``pool`` / ``cluster`` worker process
-  really calls ``os._exit``; in-driver backends raise
+* dies like a crashed worker (a ``pool`` worker process really calls
+  ``os._exit``; in-driver backends raise
   :class:`SimulatedWorkerDeath` instead, which the recovery layer treats
   identically), or
 * straggles (sleeps ``straggler_seconds`` *outside* the measured task
@@ -150,7 +150,7 @@ class FaultPlan:
         """Wrap one task attempt with this plan's verdict.
 
         The verdict is evaluated when the wrapped task *runs* — in the
-        worker process for the ``pool`` / ``cluster`` backends — so a
+        worker process for the ``pool`` backend — so a
         "kill" can really take that process down (``os._exit``) when the
         task executes outside ``driver_pid``, and degrades to
         :class:`SimulatedWorkerDeath` in-driver.  A straggler sleeps

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.executor import TransportProfile
+
 __all__ = ["TaskRecord", "SimulationMetrics"]
 
 
@@ -156,16 +158,7 @@ class SimulationMetrics:
         """The executor's wall-clock overhead profile as a plain dict
         (zeros when no executor transport is attached)."""
         if self.transport is None:
-            return {
-                "submit_seconds": 0.0,
-                "serialize_seconds": 0.0,
-                "ipc_wait_seconds": 0.0,
-                "compute_seconds": 0.0,
-                "payload_bytes": 0,
-                "network_bytes": 0,
-                "round_trips": 0,
-                "overlap_seconds": 0.0,
-            }
+            return TransportProfile().as_dict()
         return self.transport.as_dict()
 
     @property

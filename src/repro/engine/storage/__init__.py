@@ -31,7 +31,6 @@ from repro.engine.storage.codecs import (
     get_codec,
     read_block_file,
     read_named_file,
-    set_missing_file_resolver,
 )
 
 __all__ = [
@@ -50,6 +49,5 @@ __all__ = [
     "load_block_file",
     "read_block_file",
     "read_named_file",
-    "set_missing_file_resolver",
     "write_block_file",
 ]

@@ -355,16 +355,6 @@ class BlockStore:
 
         return self._spill_base
 
-    def ensure_spill_root(self) -> Path:
-        """Create (if needed) and return the session spill directory.
-
-        Public so the cluster backend can advertise it to worker
-        daemons up front: spill blocks, shuffle segments and
-        checkpoints written under it become remotely fetchable by
-        peers through the daemons' block servers."""
-
-        return self._ensure_root()
-
     def block_writer(self) -> BlockWriter:
         """A picklable writer for task-side block output."""
 

@@ -24,7 +24,9 @@ chunked writer emits chunks as tasks produce rows and only assembles
 metadata at close.  Readers seek to the tail, verify the magic, and load
 the footer — no codec object needed; block files are self-describing and
 are read by their footer, never by the session's active codec (a reduce
-task can read segments written under either).
+task can read segments written under either).  Every reader opens a
+path on this host's disk: the driver and its forked workers share one
+spill directory, so no block ever travels between hosts.
 
 Bit-exactness: both codecs store the exact bytes of the C-contiguous
 array (``zlib`` is lossless), so spill-and-reload returns
@@ -41,8 +43,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +76,6 @@ __all__ = [
     "read_arrays",
     "read_block_file",
     "read_named_file",
-    "set_missing_file_resolver",
 ]
 
 
@@ -419,35 +419,6 @@ def get_codec(name: "str | None" = None) -> BlockCodec:
 # Reads: by footer, independent of the active codec
 # ---------------------------------------------------------------------------
 
-# Remote tier hook (the cluster backend's worker-to-worker block fetch):
-# when a reader asks for a block file that is not on local disk and a
-# resolver is installed, it gets one chance to materialise the file
-# (e.g. by fetching the bytes from a peer worker daemon) before the
-# read proceeds — and fails with the ordinary FileNotFoundError if the
-# resolver could not produce it.  Process-global on purpose: it is
-# installed once per driver/worker process by the cluster layer and
-# inherited by forked task children.
-_MISSING_FILE_RESOLVER: "Callable[[Path], bool] | None" = None
-
-
-def set_missing_file_resolver(
-    resolver: "Callable[[Path], bool] | None",
-) -> "Callable[[Path], bool] | None":
-    """Install (or clear, with ``None``) the missing-block resolver;
-    returns the previous one so callers can restore it."""
-
-    global _MISSING_FILE_RESOLVER
-    previous = _MISSING_FILE_RESOLVER
-    _MISSING_FILE_RESOLVER = resolver
-    return previous
-
-
-def _ensure_local(path: str) -> str:
-    if _MISSING_FILE_RESOLVER is not None and not os.path.exists(path):
-        _MISSING_FILE_RESOLVER(Path(path))
-    return path
-
-
 def read_named_file(
     path: str, names: "Sequence[str] | None" = None
 ) -> "dict[str, np.ndarray]":
@@ -455,7 +426,6 @@ def read_named_file(
     asked for (the others are not decoded), or all of them.  Uncompressed
     contiguous arrays come back memory-mapped."""
 
-    path = _ensure_local(path)
     with open(path, "rb") as fh:
         footer = _read_rblk_footer(fh)
         compression = footer["compression"]

@@ -1,11 +1,9 @@
-"""Shared fixtures: expensive artifacts built once per session, the
-loopback worker daemons that back the ``cluster`` executor in every
-backend-parametrized test, and the suite-wide leak guard."""
+"""Shared fixtures: expensive artifacts built once per session and the
+suite-wide leak guard."""
 
 from __future__ import annotations
 
 import os
-import subprocess
 import tempfile
 import time
 from pathlib import Path
@@ -17,94 +15,12 @@ from repro.core.pipeline import build_seed
 from repro.trace.synthesizer import synthesize_seed_packets
 
 
-def _reap(proc) -> None:
-    """Terminate-and-wait: on return the daemon has exited and been
-    collected, so it can neither outlive the session nor linger as a
-    zombie child of it."""
-    if proc.poll() is None:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck daemon
-            proc.kill()
-            proc.wait(timeout=10)
-
-
-@pytest.fixture(scope="session")
-def session_daemon_pids():
-    """Pids of the live ``cluster_daemons`` (empty until they start) —
-    the only worker daemons allowed to outlive a test module."""
-    return set()
-
-
-@pytest.fixture(scope="session")
-def cluster_daemons(session_daemon_pids):
-    """Two loopback worker daemons on ephemeral ports; ``REPRO_WORKERS``
-    points at them for the rest of the session so
-    ``ClusterContext(executor="cluster")`` works without explicit
-    addresses.  Tests that kill daemons must launch their own (see
-    ``worker_daemon``)."""
-    from repro.engine.cluster import (
-        launch_worker,
-        shutdown_worker,
-        sockets_available,
-    )
-
-    if not sockets_available():
-        pytest.skip("loopback sockets unavailable in this environment")
-    procs, addrs = [], []
-    try:
-        for _ in range(2):
-            proc, addr = launch_worker()
-            procs.append(proc)
-            addrs.append(addr)
-    except Exception as exc:  # pragma: no cover - environment-dependent
-        for proc in procs:
-            _reap(proc)
-        pytest.skip(f"cannot launch cluster worker daemons: {exc}")
-    session_daemon_pids.update(proc.pid for proc in procs)
-    previous = os.environ.get("REPRO_WORKERS")
-    os.environ["REPRO_WORKERS"] = ",".join(addrs)
-    yield tuple(addrs)
-    if previous is None:
-        os.environ.pop("REPRO_WORKERS", None)
-    else:
-        os.environ["REPRO_WORKERS"] = previous
-    for addr in addrs:
-        shutdown_worker(addr)
-    for proc in procs:
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck daemon
-            _reap(proc)
-    session_daemon_pids.clear()
-
-
-@pytest.fixture
-def worker_daemon():
-    """``launch(**launch_worker_kwargs) -> (process, address)`` for tests
-    that need daemons of their own (to kill, or to serve a directory).
-    Whatever a test leaves running is terminated and waited for here."""
-    from repro.engine.cluster import launch_worker
-
-    procs = []
-
-    def launch(**kwargs):
-        proc, addr = launch_worker(**kwargs)
-        procs.append(proc)
-        return proc, addr
-
-    yield launch
-    for proc in procs:
-        _reap(proc)
-
-
 @pytest.fixture
 def open_context():
     """``open_context(**kwargs) -> ClusterContext``, closed at teardown:
-    under an ambient pool or cluster executor (the CI jobs) a context a
-    test never closes holds its workers and their arenas until the
-    interpreter exits, which the leak guard below reports."""
+    under an ambient pool executor (the CI jobs) a context a test never
+    closes holds its workers and their arenas until the interpreter
+    exits, which the leak guard below reports."""
     from repro.engine import ClusterContext
 
     contexts = []
@@ -116,20 +32,6 @@ def open_context():
     yield open_
     for ctx in contexts:
         ctx.close()
-
-
-@pytest.fixture(autouse=True)
-def _cluster_backend_guard(request):
-    """Give every test parametrized with the ``cluster`` backend live
-    loopback daemons (or a clean skip when sockets are unavailable)."""
-    callspec = getattr(request.node, "callspec", None)
-    if callspec is None:
-        return
-    if any(
-        isinstance(value, str) and value == "cluster"
-        for value in callspec.params.values()
-    ):
-        request.getfixturevalue("cluster_daemons")
 
 
 def process_table() -> "dict[int, tuple[int, str, str]]":
@@ -152,25 +54,23 @@ def process_table() -> "dict[int, tuple[int, str, str]]":
 def _litter(basetemp: Path) -> "set[str]":
     """What a run may leave on disk or in shared memory: arena segments,
     BlockStore session directories (under the system temp dir or any
-    ``spill_dir`` a test chose), half-written block and fetch files."""
+    ``spill_dir`` a test chose), half-written block files."""
     shm = Path("/dev/shm")
     found = {str(p) for p in shm.iterdir()} if shm.is_dir() else set()
     found.update(
         str(p) for p in Path(tempfile.gettempdir()).glob("repro-spill-*")
     )
-    for pattern in ("repro-spill-*", "*.tmp.*", ".*.fetch-*"):
+    for pattern in ("repro-spill-*", "*.tmp.*"):
         found.update(str(p) for p in basetemp.rglob(pattern))
     return found
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _nothing_outlives_the_module(session_daemon_pids, tmp_path_factory):
+def _nothing_outlives_the_module(tmp_path_factory):
     """After every test module: no new shared-memory segment, spill
-    directory or temporary block file, no ``repro.cli worker`` daemon and
-    no child of this process — killed daemons used to leave their task
-    child behind (ppid 1, blocked in ``recv``), un-waited ones a zombie,
-    killed pool workers their arenas.  Only the session's shared
-    ``cluster_daemons`` may stay."""
+    directory or temporary block file, and no child of this process —
+    an un-waited child lingers as a zombie, a killed pool worker leaves
+    its arenas."""
     basetemp = tmp_path_factory.getbasetemp()
     processes_before = set(process_table())
     litter_before = _litter(basetemp)
@@ -182,14 +82,13 @@ def _nothing_outlives_the_module(session_daemon_pids, tmp_path_factory):
             f"pid {pid}: {command}"
             for pid, (ppid, _state, command) in process_table().items()
             if pid not in processes_before
-            and pid not in session_daemon_pids
-            and (ppid == me or "repro.cli worker" in command)
+            and ppid == me
             and "resource_tracker" not in command
         }
         return processes | (_litter(basetemp) - litter_before)
 
-    # A shared daemon retires a session's task child (and its arenas)
-    # just after the driver hangs up: give that a moment.
+    # Give a process still finishing its teardown a moment before
+    # calling what it holds a leak.
     deadline = time.monotonic() + 5.0
     while leftovers() and time.monotonic() < deadline:
         time.sleep(0.05)

@@ -131,6 +131,11 @@ class TestEngineInfo:
         assert "memory budget" in out and "unlimited" in out
         assert "spill dir" in out and "(system tempdir)" in out
         assert out.count("[default]") >= 6
+        # Removed settings (the socket backend's among them) stay gone.
+        for gone in ("heartbeat timeout", "max inflight", "wire codec",
+                     "task batch", "fetch prefetch", "[cluster]"):
+            assert gone not in out
+        assert not re.search(r"^workers\s*:", out, re.M)
 
     def test_flag_beats_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
@@ -155,10 +160,10 @@ class TestEngineInfo:
 
         for setting in SETTINGS.values():
             monkeypatch.delenv(setting.env, raising=False)
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "30")
+        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         monkeypatch.setenv("REPRO_QUERY_CACHE", "16")
         rc = main(
-            ["engine-info", "--nodes", "1", "--workers", "h:1,h:2",
+            ["engine-info", "--nodes", "1", "--workers", "3",
              "--lateness", "2"]
         )
         assert rc == 0
@@ -172,59 +177,39 @@ class TestEngineInfo:
 
         # An explicit flag is a flag even when it repeats the default.
         assert row("nodes", "1", "flag") and row("cores", "12", "default")
-        # The dual-mode --workers flag is credited to the row it fed.
-        assert row("workers", "h:1, h:2", "flag")
-        assert row("local workers", "CPU count", "default")
-        # Cluster rows are reported on any backend.
-        assert row("heartbeat timeout", "30 s", "env REPRO_HEARTBEAT_TIMEOUT")
+        assert row("local workers", "3", "flag")
+        assert row("max task retries", "5", "env REPRO_MAX_TASK_RETRIES")
         assert row("query cache", "16 entries", "env REPRO_QUERY_CACHE")
         assert row("stream lateness", "2 s", "flag")
 
     @pytest.mark.parametrize("text", ["3", "+3", " 3 "])
     def test_workers_count_feeds_local_workers(self, text, capsys):
-        # Whatever the local_workers row parses is a count; the split is
-        # decided by that parser alone.
         assert main(["engine-info", "--workers", text]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^local workers\s*: 3\s+\[flag\]$", out, re.M)
-        assert re.search(r"^workers\s*: .*\[(default|env REPRO_WORKERS)\]$",
-                         out, re.M)
-
-    def test_cluster_transport_knob_rows(self, monkeypatch, capsys):
-        # No daemons needed: the cluster executor connects lazily, and
-        # engine-info only resolves knobs.
-        monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
-        monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701,127.0.0.1:42702")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "4.5")
-        rc = main(["engine-info"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert re.search(r"heartbeat timeout\s*: 4\.5 s\b", out)
-        assert "[env REPRO_HEARTBEAT_TIMEOUT]" in out
-
-    def test_cluster_transport_knob_defaults(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
-        monkeypatch.setenv("REPRO_WORKERS", "127.0.0.1:42701")
-        monkeypatch.delenv("REPRO_HEARTBEAT_TIMEOUT", raising=False)
-        rc = main(["engine-info"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert re.search(r"heartbeat timeout\s*: 15 s\s+\[default\]", out)
-        # Constants since PR 21 (window 2, raw frames), not settings.
-        for gone in ("max inflight", "wire codec", "task batch"):
-            assert gone not in out
-        assert "fetch prefetch" not in out  # removed with the prefetcher
 
     @pytest.mark.parametrize(
         ("flag", "removed", "choices"),
         [
-            ("--executor", "processes",
-             "'serial', 'threads', 'pool', 'cluster'"),
+            ("--executor", "processes", "'serial', 'threads', 'pool'"),
+            ("--executor", "cluster", "'serial', 'threads', 'pool'"),
+            ("REPRO_EXECUTOR", "cluster", "serial, threads, pool"),
             ("--block-codec", "lzma", "'mmap', 'zlib'"),
             ("--block-codec", "raw", "'mmap', 'zlib'"),
         ],
     )
-    def test_removed_values_rejected(self, flag, removed, choices, capsys):
+    def test_removed_values_rejected(
+        self, flag, removed, choices, capsys, monkeypatch
+    ):
+        if not flag.startswith("--"):  # an environment variable
+            monkeypatch.setenv(flag, removed)
+            with pytest.raises(ValueError) as exc:
+                main(["engine-info"])
+            assert str(exc.value) == (
+                f"{flag} / --executor must be one of {choices}, "
+                f"got '{removed}'"
+            )
+            return
         with pytest.raises(SystemExit) as exc:
             main(["engine-info", flag, removed])
         assert exc.value.code == 2

@@ -24,12 +24,10 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 17 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 15 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
-    "REPRO_WORKERS": ("--workers", "workers", None),
-    "REPRO_HEARTBEAT_TIMEOUT": (None, "heartbeat_timeout", 15.0),
     "REPRO_TARGET_PARTITION_BYTES": (
         "--target-partition-bytes", "target_partition_bytes", 4 << 20
     ),
@@ -51,14 +49,9 @@ EXPECTED = {
 # values).  The env and argument values differ from each other and from
 # the default, so precedence is observable.
 CASES = {
-    "executor": ("threads", "threads", "POOL", "pool", ["processes", "bogus"]),
+    "executor": ("threads", "threads", "POOL", "pool",
+                 ["processes", "bogus", "cluster"]),
     "local_workers": ("3", 3, 5, 5, ["lots", "0", -1]),
-    "workers": (
-        "h1:1, unix:/tmp/w.sock", ["h1:1", "unix:/tmp/w.sock"],
-        ["h2:2", " h3:3 "], ["h2:2", "h3:3"],
-        ["not-an-address", "h:port", "h:70000", "unix:"],
-    ),
-    "heartbeat_timeout": ("30", 30.0, 1.5, 1.5, ["never", "0", -2.0]),
     "target_partition_bytes": (
         "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1]
     ),
@@ -80,14 +73,15 @@ CASES = {
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1"]),
     "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
-    "stream_window": ("2.5", 2.5, "10", 10.0, ["wide", "0", -1]),
-    "stream_lateness": ("1.5", 1.5, "auto", None, ["late", -0.5]),
+    "stream_window": ("2.5", 2.5, "10", 10.0,
+                      ["wide", "0", -1, "nan", "inf", "-inf"]),
+    "stream_lateness": ("1.5", 1.5, "auto", None,
+                        ["late", -0.5, "nan", "inf", "-inf"]),
 }
 
 # What an explicit "" argument means for the rows that take one; every
 # other row rejects it.
 EXPLICIT_BLANK = {
-    "workers": [],
     "memory_budget": None,
     "spill_dir": "",
     "block_codec": "mmap",
@@ -108,7 +102,7 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
-        assert len(SETTINGS) == 17
+        assert len(SETTINGS) == 15
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
@@ -119,13 +113,13 @@ class TestTable:
         assert set(SETTINGS["block_codec"].parse.values) == set(CODECS)
 
     def test_kwargs_exist_on_their_constructors(self):
-        from repro.engine import ClusterContext, ClusterExecutor
+        from repro.engine import ClusterContext
         from repro.serve import QueryServer
         from repro.stream import StreamPipeline
 
         owners = {
-            "engine": ClusterContext, "cluster": ClusterExecutor,
-            "serve": QueryServer, "stream": StreamPipeline,
+            "engine": ClusterContext, "serve": QueryServer,
+            "stream": StreamPipeline,
         }
         assert {c.__name__ for c in owners.values()} == set(
             config._CONSTRUCTORS.values()
@@ -145,17 +139,12 @@ class TestTable:
         assert not {m for m in imported if m and m.startswith("repro")}
 
     def test_only_config_reads_the_environment(self):
-        # launch_worker copies the whole environment for the daemon
-        # subprocess; that is not a configuration read.
-        allowed = {"engine/cluster.py": "launch_worker"}
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
             rel = path.relative_to(SRC).as_posix()
             if rel == "config.py":
                 continue
-            tree = ast.parse(path.read_text())
-            skip = _lines_of(tree, allowed[rel]) if rel in allowed else ()
-            for node in ast.walk(tree):
+            for node in ast.walk(ast.parse(path.read_text())):
                 reads_env = (
                     isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
@@ -166,7 +155,7 @@ class TestTable:
                     and node.module == "os"
                     and {a.name for a in node.names} & {"environ", "getenv"}
                 )
-                if reads_env and node.lineno not in skip:
+                if reads_env:
                     offenders.append(f"{rel}:{node.lineno}")
         assert not offenders
 
@@ -202,13 +191,6 @@ class TestTable:
         assert len(rows) == 2 + len(SETTINGS)
         for row in rows:
             assert row in readme
-
-
-def _lines_of(tree: ast.Module, function: str) -> range:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            return range(node.lineno, node.end_lineno + 1)
-    raise AssertionError(f"no function {function!r}")
 
 
 class TestResolve:
@@ -300,17 +282,16 @@ class TestAddArguments:
         assert args.no_fusion is False and args.speculation is True
         assert args.executor == "pool"
 
-    def test_shared_workers_flag_takes_count_or_addresses(self, capsys):
-        parser = self._parser(["local_workers", "workers"])
+    def test_workers_flag_takes_a_count_only(self, capsys):
+        parser = self._parser(["local_workers"])
         assert parser.parse_args(["--workers", "3"]).workers == "3"
-        assert parser.parse_args(["--workers", "h:1,h:2"]).workers == "h:1,h:2"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--workers", "0"])
-        err = capsys.readouterr().err
-        assert "REPRO_LOCAL_WORKERS" in err and "REPRO_WORKERS" in err
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--workers", "127.0.0.1:1"])
+        assert exc.value.code == 2
+        assert "REPRO_LOCAL_WORKERS" in capsys.readouterr().err
 
     def test_only_named_settings_get_flags(self):
-        parser = self._parser(["query_threads", "heartbeat_timeout"])
+        parser = self._parser(["query_threads", "local_workers"])
         assert parser.parse_args(["--threads", "2"]).threads == "2"
         with pytest.raises(SystemExit):
             parser.parse_args(["--cache-size", "1"])

@@ -1,18 +1,19 @@
-"""The shared dispatcher, driven through an in-memory fake channel.
+"""The pool's dispatcher, driven through an in-memory fake channel.
 
-``PoolExecutor`` and ``ClusterExecutor`` are one scheduling state
-machine (``_Dispatcher``) over two transports.  These tests substitute
-a third transport that forks nothing and opens no socket — a channel
-that runs each task in the driver when it is sent and hands the replies
-back under the test's control — so the ordering, blame-and-requeue and
-speculation rules are exercised directly instead of by killing real
-workers under a seeded fault plan.
+``PoolExecutor`` is a scheduling state machine (``_Dispatcher``) over a
+pipe transport (``_Channel``).  These tests substitute a transport that
+forks nothing — a channel that runs each task in the driver when it is
+sent and hands the replies back under the test's control — so the
+ordering, blame-and-requeue and speculation rules are exercised
+directly instead of by killing real workers under a seeded fault plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import weakref
 from collections import deque
 
 from repro.engine.executor import (
@@ -28,23 +29,27 @@ from repro.engine.executor import (
 
 class FakeChannel(_Channel):
     """Runs a batch at ``send`` and queues the replies; ``poll`` then
-    releases them, withholds them (``held``), or stages a death after
-    ``dies_after`` replies: ``"lost"`` takes the channel down,
-    ``"died"`` kills only the worker behind it."""
+    releases them, withholds them (``held``), or takes the channel down
+    after ``dies_after`` replies."""
 
     label = "fake worker"
 
-    def __init__(self, *, dies_after=None, death="lost", refuse=False,
-                 held=lambda: False):
+    def __init__(self, *, dies_after=None, refuse=False, held=lambda: False):
         super().__init__()
         self.dies_after = dies_after
-        self.death = death
         self.refuse = refuse
         self.held = held
         self.batches: list[list[tuple[int, bool]]] = []
         self.busy_at_send: list[bool] = []  # parallel to batches
         self.outbox: deque = deque()
         self.delivered = 0
+        # The read end of a pipe holding one unread byte: always
+        # readable, so the dispatcher's wait on this channel returns at
+        # once.
+        self.ready, writer = os.pipe()
+        os.write(writer, b"x")
+        os.close(writer)
+        weakref.finalize(self, os.close, self.ready)
 
     def send(self, entries):
         if self.refuse:
@@ -60,7 +65,7 @@ class FakeChannel(_Channel):
         return True
 
     def waitables(self):
-        return []
+        return [self.ready]
 
     def poll(self):
         if self.held() or not self.outbox:
@@ -68,21 +73,17 @@ class FakeChannel(_Channel):
         if self.delivered == self.dies_after:
             self.dies_after = None
             self.outbox.clear()
-            if self.death == "lost":
-                raise _Lost("lost (unplugged)")
-            return ("died", "task child exited with code 73")
+            raise _Lost("lost (unplugged)")
         self.delivered += 1
         return self.outbox.popleft()
 
 
 class FakeDispatcher(_Dispatcher):
     name = "fake"
-    _wake_seconds = 0.0  # fake channels have nothing to wait on
 
-    def __init__(self, channels, *, window=1, task_batch=0):
+    def __init__(self, channels, *, task_batch=0):
         super().__init__(len(channels))
         self._channels = list(channels)
-        self._window = window
         self.task_batch = task_batch
         self.lost: list[FakeChannel] = []
 
@@ -124,7 +125,7 @@ class TestOrdering:
         assert keys(early.batches[0]) == [2, 3]
         assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
         assert ex.batches_sent == 2
-        assert not late.assigned and not late.batch_sizes
+        assert not late.assigned
 
     def test_adaptive_batch_gives_each_channel_two_rounds(self):
         a, b = FakeChannel(), FakeChannel()
@@ -134,14 +135,16 @@ class TestOrdering:
         ]
         assert [len(batch) for batch in a.batches + b.batches] == [2] * 4
 
-    def test_window_is_fed_breadth_first(self):
+    def test_a_busy_channel_gets_no_second_batch(self):
         a, b = FakeChannel(), FakeChannel()
         a.held = b.held = lambda: True
-        ex = FakeDispatcher([a, b], window=3, task_batch=1)
-        ex._feed(job := job_of(5))
-        assert [keys(batch) for batch in a.batches] == [[0], [2], [4]]
-        assert [keys(batch) for batch in b.batches] == [[1], [3]]
-        assert list(a.batch_sizes) == [1, 1, 1] and not job.pending
+        ex = FakeDispatcher([a, b], task_batch=1)
+        job = job_of(5)
+        ex._feed(job)
+        ex._feed(job)
+        assert [keys(batch) for batch in a.batches] == [[0]]
+        assert [keys(batch) for batch in b.batches] == [[1]]
+        assert list(job.pending) == [2, 3, 4]
 
 
 class TestBlameAndRequeue:
@@ -165,22 +168,6 @@ class TestBlameAndRequeue:
             0, 20, 30, 40, 50, 60, 70
         ]
         assert ex.lost == [doomed]
-
-    def test_window_of_three_death_in_second_batch(self):
-        # One channel holds batches [0,1] [2,3] [4,5]; its worker dies
-        # having reported 0, 1, 2 — mid-task 3, in the second batch.
-        # The channel survives ("died"), so the requeue comes back to it.
-        channel = FakeChannel(dies_after=3, death="died")
-        ex = FakeDispatcher([channel], window=3, task_batch=2)
-        outcomes = ex.run_outcomes(tasks(6))
-        assert [keys(batch) for batch in channel.batches] == [
-            [0, 1], [2, 3], [4, 5], [4, 5]
-        ]
-        assert [i for i, o in enumerate(outcomes) if not o.ok] == [3]
-        assert isinstance(outcomes[3].error, WorkerDied)
-        assert "exited with code 73" in str(outcomes[3].error)
-        assert [o.value for o in outcomes if o.ok] == [0, 10, 20, 40, 50]
-        assert not ex.lost and not channel.batch_sizes
 
     def test_every_channel_lost_returns_workerdied_not_raises(self):
         a = FakeChannel(dies_after=1)
@@ -308,15 +295,16 @@ class TestSpeculation:
         assert [o.unwrap() for o in second] == [
             "new-0", "new-1", "new-2", "new-3"
         ]
-        assert not slow.assigned and not slow.batch_sizes
+        assert not slow.assigned
         assert len(slow.batches) > 1  # back in rotation after the drop
 
     def test_death_under_a_stale_loser_blames_nothing_in_the_next_job(self):
-        # Window 2: ``slow`` takes a batch of the second job behind the
-        # first job's loser, then dies with the loser still in progress
-        # — so nothing of the second job had started there.
+        # ``slow`` still holds the first job's loser when the second job
+        # starts, so it is busy and gets none of the second job; it then
+        # dies with the loser in progress — nothing of the second job
+        # was there to blame or requeue.
         slow, fast = FakeChannel(), FakeChannel()
-        ex = FakeDispatcher([slow, fast], window=2, task_batch=1)
+        ex = FakeDispatcher([slow, fast], task_batch=1)
         slow.held = lambda: True
         ex.run_outcomes(
             tasks(2), speculation=EAGER, speculative_tasks=tasks(2)
@@ -325,7 +313,7 @@ class TestSpeculation:
         slow.held = lambda: False
         slow.dies_after = slow.delivered
         second = ex.run_outcomes(tasks(4))
-        assert len(slow.batches) == 2  # the loser's, then one of job 2
+        assert len(slow.batches) == 1  # the loser's only
         assert [o.unwrap() for o in second] == [0, 10, 20, 30]
         assert ex.lost == [slow]
 

@@ -1,6 +1,6 @@
 """Executor backends: determinism, the distinct() exchange, metadata caches.
 
-The contract under test: every backend (serial / threads / pool / cluster)
+The contract under test: every backend (serial / threads / pool)
 produces bit-identical datasets and identical simulated-cluster
 accounting for fixed seeds, because RNG streams are keyed by partition
 index and per-task costs are measured inside the tasks.
@@ -55,18 +55,15 @@ class TestExecutorBasics:
             ex.close()
 
     def test_backend_registry(self, monkeypatch):
-        assert BACKENDS == ("serial", "threads", "pool", "cluster")
-        # Without daemon addresses the cluster backend refuses to build,
-        # and the error says where addresses come from.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            make_executor("cluster")
-        # Unknown names — including the removed fork-per-task backend —
-        # are rejected with the valid choices spelled out.
-        choices = "serial, threads, pool, cluster"
-        for name in ("bogus", "processes"):
+        assert BACKENDS == ("serial", "threads", "pool")
+        # Unknown names — including the removed fork-per-task and socket
+        # backends — are rejected with the valid choices spelled out.
+        choices = "serial, threads, pool"
+        for name in ("bogus", "processes", "cluster"):
             with pytest.raises(ValueError, match=choices):
                 make_executor(name)
+        with pytest.raises(ValueError, match=f"{choices}, got 'cluster'"):
+            ClusterContext(executor="cluster")
         monkeypatch.setenv("REPRO_EXECUTOR", "processes")
         with pytest.raises(ValueError, match=choices):
             config.resolve("executor")
@@ -108,7 +105,7 @@ class TestExecutorBasics:
 
 
 class TestBackendEquivalence:
-    """serial == threads == pool == cluster, bit for bit."""
+    """serial == threads == pool, bit for bit."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rdd_pipeline_matches_serial(self, backend):

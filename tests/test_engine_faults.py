@@ -752,12 +752,8 @@ class TestHypothesisChaos:
         backend=st.sampled_from(BACKENDS),
     )
     def test_random_pipeline_digest_equal_to_fault_free(
-        self, request, plan, ops, backend
+        self, plan, ops, backend
     ):
-        if backend == "cluster":
-            # The sampled backend isn't a pytest param, so the autouse
-            # guard can't see it — request the daemons explicitly.
-            request.getfixturevalue("cluster_daemons")
         with _ctx(backend, ZERO_PLAN) as ref_ctx:
             ref = _apply_pipeline(ref_ctx, ops)
         with _ctx(backend, plan) as got_ctx:

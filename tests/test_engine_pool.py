@@ -6,7 +6,7 @@ Three contracts under test:
   batches (the shared-memory arenas are recycled, not re-created), a
   worker killed mid-batch is respawned and its unfinished work retried
   through the ordinary :func:`run_with_recovery` machinery, and
-  ``close()`` is idempotent.
+  ``close()`` is idempotent; a worker whose driver is killed exits.
 * **Coalescing is invisible to the simulated cluster** — merging small
   partitions into fewer physical dispatches (and running empty chains
   inline in the driver) changes ``tasks_dispatched`` only; datasets,
@@ -22,6 +22,10 @@ from __future__ import annotations
 import hashlib
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from repro.engine import (
     run_with_recovery,
 )
 from repro.engine.partitioner import chunk_weights, split_array
+
+from .conftest import process_table
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -204,6 +210,42 @@ class TestPoolLifecycle:
         assert out == [
             sum(range(n)) for n in (80_000, 10, 40_000, 1, 500, 9)
         ]
+
+    def test_worker_exits_when_its_driver_is_killed(self, tmp_path):
+        """A pool worker whose driver is SIGKILLed (no ``retire()``, no
+        "stop") reads EOF and exits.  It would block in ``recv`` forever,
+        reparented to init, if it still held the driver's end of its own
+        pipe: ``_pipe_child_main`` closes that inherited copy."""
+        # The pid travels by file: a captured stdout would be one more
+        # pipe the orphan holds open.
+        script = (
+            "import os, signal, sys\n"
+            "from repro.engine.executor import _PipeChild, _pool_worker_main\n"
+            "child = _PipeChild(_pool_worker_main)\n"
+            "open(sys.argv[1], 'w').write(str(child.proc.pid))\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        pid_file = tmp_path / "worker.pid"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        driver = subprocess.run(
+            [sys.executable, "-c", script, str(pid_file)], env=env,
+            timeout=60, stdin=subprocess.DEVNULL,
+        )
+        assert driver.returncode == -signal.SIGKILL
+        worker = int(pid_file.read_text())
+
+        def running():
+            row = process_table().get(worker)
+            return row is not None and row[1] != "Z"
+
+        try:
+            deadline = time.monotonic() + 2.0
+            while running() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running()
+        finally:
+            if running():
+                os.kill(worker, signal.SIGKILL)
 
     def test_close_idempotent(self):
         ex = PoolExecutor(2)
@@ -437,10 +479,10 @@ class TestCoalescing:
 # Transport metering
 # ----------------------------------------------------------------------
 class TestTransportMetering:
+    # Exactly the fields benchmarks/e2e/workloads.py reads.
     EXPECTED_KEYS = {
         "submit_seconds", "serialize_seconds", "ipc_wait_seconds",
-        "compute_seconds", "payload_bytes", "network_bytes",
-        "round_trips", "overlap_seconds",
+        "compute_seconds", "payload_bytes",
     }
 
     def test_serial_profile(self):
@@ -479,7 +521,8 @@ class TestTransportMetering:
         from repro.engine import SimulationMetrics
 
         m = SimulationMetrics(n_nodes=1)
-        assert m.transport_breakdown()["payload_bytes"] == 0
+        assert set(m.transport_breakdown()) == self.EXPECTED_KEYS
+        assert not any(m.transport_breakdown().values())
         assert m.dispatch_ratio == 1.0
 
 
@@ -525,9 +568,6 @@ class TestShmHygiene:
         ResourceWarning promoted to an error: close() must unlink every
         recycled arena segment (even those of killed workers) and leave
         no unclosed fds for -X dev to complain about."""
-        import subprocess
-        import sys
-
         script = tmp_path / "shm_hygiene.py"
         script.write_text(_SHM_HYGIENE_SCRIPT)
         env = dict(os.environ)
