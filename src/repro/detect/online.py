@@ -1,21 +1,26 @@
 """Online (streaming) intrusion detection — the paper's §VI future work.
 
-:class:`OnlineDetector` consumes Netflow records as they close, maintains
-a sliding time window of recent flows, and re-runs the Fig. 4 flow-chart
-detector every ``hop_seconds`` of stream time.  Alarms for the same
-(kind, ip, direction) are suppressed for ``cooldown_seconds`` so a
-sustained attack raises one alert, not one per hop.
+:class:`OnlineDetector` consumes flows as they close, keeps the recent
+ones, and re-runs the Fig. 4 flow-chart detector every ``hop_seconds`` of
+stream time over the flows that started in the last ``window_seconds``.
+Alarms for the same (kind, ip, direction) are suppressed for
+``cooldown_seconds`` so a sustained attack raises one alert, not one per
+hop.
 
-The window is a ``deque`` of ``NetflowRecord`` objects, rebuilt into a
-``FlowTable`` (``FlowTable.from_records``) on every evaluation for the
-batch detector, so streaming reuses the exact detection logic the offline
-pipeline runs.  That per-hop rebuild, a Python pass over the whole
-window, is the known cost of this design.
+Flows arrive as :class:`FlowTable` slices and stay columns.  Every hop a
+batch makes due is evaluated in one pass: each recent flow is repeated
+once per due hop ``t`` whose window ``[t - W, t)`` holds its start — at
+most ⌈W/hop⌉ of them — and (hop, IP) is the group key of one
+:meth:`~repro.detect.detector.NetflowAnomalyDetector.detect_per_window`
+call, as (window, IP) is for the batch detector.  The cooldown then runs
+over the alarms in hop order.  A flow counts only in hops evaluated after
+it arrived, so no result depends on how the flows are cut into tables,
+and a late flow never counts in a hop whose window excludes it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -72,7 +77,8 @@ class OnlineDetector:
         self.window_seconds = window_seconds
         self.hop_seconds = hop
         self.cooldown_seconds = cooldown_seconds
-        self._window: deque[NetflowRecord] = deque()
+        self._recent = FlowTable.empty()
+        self._latest = -math.inf  # the stream time: the largest start seen
         self._next_eval: float | None = None
         self._last_alert: dict[tuple, float] = {}
         self.flows_processed = 0
@@ -80,24 +86,42 @@ class OnlineDetector:
     # ------------------------------------------------------------------
     @property
     def window_size(self) -> int:
-        return len(self._window)
+        """Flows held for the hops still to come."""
+        return len(self._recent)
+
+    def process_table(self, flows: FlowTable) -> list[TimedDetection]:
+        """Feed flows in arrival order (start-time order, late ones aside).
+
+        Returns the alarms newly raised by the window evaluations the
+        stream time advanced past — the same however the flows are cut
+        into tables, and the same as feeding them one by one to
+        :meth:`process`.
+        """
+        n = len(flows)
+        if not n:
+            return []
+        start = flows["START_TIME"]
+        self.flows_processed += n
+        if self._next_eval is None:
+            self._next_eval = float(start[0]) + self.hop_seconds
+        # the stream time at each flow's arrival, and the hops it passes
+        arrival = np.maximum.accumulate(np.maximum(start, self._latest))
+        self._latest = float(arrival[-1])
+        due = []
+        while self._next_eval <= self._latest:
+            due.append(self._next_eval)
+            self._next_eval += self.hop_seconds
+        due = np.array(due, dtype=np.float64)
+        after = np.concatenate([
+            np.zeros(len(self._recent), dtype=np.int64),
+            np.searchsorted(due, arrival, side="right"),
+        ])
+        self._recent = self._recent.concat(flows)
+        return self._evaluate(due, after)
 
     def process(self, record: NetflowRecord) -> list[TimedDetection]:
-        """Feed one flow (records must arrive in start_time order).
-
-        Returns the alarms newly raised by any window evaluations that the
-        stream time advanced past.
-        """
-        now = record.start_time
-        self.flows_processed += 1
-        if self._next_eval is None:
-            self._next_eval = now + self.hop_seconds
-        out: list[TimedDetection] = []
-        while self._next_eval is not None and now >= self._next_eval:
-            out.extend(self._evaluate(self._next_eval))
-            self._next_eval += self.hop_seconds
-        self._window.append(record)
-        return out
+        """Feed one flow; see :meth:`process_table`."""
+        return self.process_table(FlowTable.from_records([record]))
 
     def flush(self) -> list[TimedDetection]:
         """Drain: run every pending evaluation plus a final tail pass.
@@ -109,19 +133,22 @@ class OnlineDetector:
         ``cooldown_seconds=0``.  Calling :meth:`flush` twice without new
         records is a no-op the second time.
         """
-        if not self._window:
+        if not len(self._recent):
             return []
-        end = max(r.start_time for r in self._window) + 1e-9
+        end = self._latest + 1e-9
         already = set(self._last_alert)
-        out: list[TimedDetection] = []
-        while self._next_eval is not None and self._next_eval < end:
-            out.extend(self._evaluate(self._next_eval))
+        times = []
+        while self._next_eval < end:
+            times.append(self._next_eval)
             self._next_eval += self.hop_seconds
-        out.extend(self._evaluate(end))
-        out.sort(key=lambda a: a.time)  # stable: keeps eval order on ties
+        # hops run in time order and the tail pass last: sorted already
+        alerts = self._evaluate(
+            np.array(times + [end]),
+            np.zeros(len(self._recent), dtype=np.int64),
+        )
         seen: set[tuple] = set()
         deduped: list[TimedDetection] = []
-        for alert in out:
+        for alert in alerts:
             det = alert.detection
             key = (det.kind, det.ip, det.direction)
             if key in already or key in seen:
@@ -134,25 +161,40 @@ class OnlineDetector:
         self, records: Iterable[NetflowRecord]
     ) -> Iterator[TimedDetection]:
         """Convenience driver over a record iterable."""
-        for record in records:
-            yield from self.process(record)
+        yield from self.process_table(FlowTable.from_records(list(records)))
         yield from self.flush()
 
     # ------------------------------------------------------------------
-    def _evaluate(self, now: float) -> list[TimedDetection]:
-        horizon = now - self.window_seconds
-        while self._window and self._window[0].start_time < horizon:
-            self._window.popleft()
-        if not self._window:
+    def _evaluate(
+        self, times: np.ndarray, after: np.ndarray
+    ) -> list[TimedDetection]:
+        """Evaluate the windows ending at ``times`` (ascending) in one
+        detector pass.  Recent flow ``i`` counts in hop ``j`` when ``j >=
+        after[i]`` (it had arrived) and ``times[j] - W <= start`` (the
+        horizon test a lone hop makes); flows no later hop can hold are
+        then dropped."""
+        if not times.size:
             return []
-        table = FlowTable.from_records(list(self._window))
-        cols = {k: table[k] for k in FlowTable.COLUMN_NAMES}
+        start = self._recent["START_TIME"]
+        horizon = times - self.window_seconds
+        count = np.maximum(
+            np.searchsorted(horizon, start, side="right") - after, 0
+        )
+        member = np.repeat(np.arange(start.size), count)
+        hop = np.arange(member.size) - np.repeat(
+            np.cumsum(count) - count - after, count
+        )
+        hits = self._detector.detect_per_window(
+            self._recent.select(member), hop
+        ) if member.size else []
         out: list[TimedDetection] = []
-        for det in self._detector.detect(cols):
+        for j, det in hits:
+            now = float(times[j])
             key = (det.kind, det.ip, det.direction)
             last = self._last_alert.get(key)
             if last is not None and now - last < self.cooldown_seconds:
                 continue
             self._last_alert[key] = now
             out.append(TimedDetection(time=now, detection=det))
+        self._recent = self._recent.select(start >= horizon[-1])
         return out

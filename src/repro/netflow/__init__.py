@@ -4,10 +4,12 @@ The paper maps Netflow data onto property-graphs: hosts become vertices,
 TCP connections / UDP streams become edges carrying nine attributes
 (PROTOCOL, SRC_PORT, DEST_PORT, DURATION, OUT_BYTES, IN_BYTES, OUT_PKTS,
 IN_PKTS, STATE).  In the original system Bro IDS performed the packet→flow
-conversion; :func:`~repro.netflow.kernel.assemble_table` (bounded input,
-columnar) and :class:`~repro.netflow.flow_assembler.FlowAssembler`
-(unbounded input, incremental) are our from-scratch equivalent, including a
-TCP connection state machine producing Bro-style connection states.
+conversion; the columnar kernel (:func:`~repro.netflow.kernel.assemble_table`
+for bounded input, :func:`~repro.netflow.kernel.assemble_batch` with carried
+:class:`~repro.netflow.kernel.OpenFlows` for streams) is our from-scratch
+equivalent, including a TCP connection state machine producing Bro-style
+connection states; :class:`~repro.netflow.flow_assembler.FlowAssembler` is
+its packet-at-a-time reference.
 """
 
 from repro.netflow.attributes import (

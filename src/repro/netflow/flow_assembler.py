@@ -5,10 +5,12 @@ time-ordered packet stream and emits one :class:`NetflowRecord` per TCP
 connection / UDP stream / ICMP exchange, with bidirectional byte and packet
 counters and a Bro-style connection state.
 
-:class:`FlowAssembler` is the incremental machine: unbounded input
-(:mod:`repro.stream`) needs carried state.  Bounded input goes through the
-columnar kernel in :mod:`repro.netflow.kernel`, which produces the same
-flows in the same order and is tested against this class.
+:class:`FlowAssembler` is the packet-at-a-time machine.  Every input,
+bounded or streamed, goes through the columnar kernel in
+:mod:`repro.netflow.kernel`, which carries open flows between micro-batches
+as columns and produces the same flows in the same order; this class is
+the kernel's route for timestamps that go backwards — its only caller —
+and the reference the kernel is tested against.
 
 Flow keying
 -----------
@@ -22,7 +24,7 @@ property graph a *multi*graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netflow.attributes import Protocol, TcpState
 from repro.netflow.record import NetflowRecord
@@ -54,6 +56,8 @@ class _FlowState:
     dst_port: int
     first_ts: float
     last_ts: float
+    # packets the assembler had taken before the one that opened the flow
+    created: int = 0
     out_bytes: int = 0
     in_bytes: int = 0
     out_pkts: int = 0
@@ -68,7 +72,6 @@ class _FlowState:
     resp_fin: bool = False
     orig_rst: bool = False
     resp_rst: bool = False
-    midstream: bool = field(default=False)
 
     def record(self) -> NetflowRecord:
         return NetflowRecord(
@@ -92,8 +95,6 @@ class _FlowState:
         """Collapse the observed handshake into a Bro-style conn_state."""
         if self.protocol is not Protocol.TCP:
             return TcpState.NONE
-        if self.midstream and not self.orig_syn:
-            return TcpState.OTH
         if not self.orig_syn:
             return TcpState.OTH
         if self.resp_rst and not self.established:
@@ -136,6 +137,7 @@ class FlowAssembler:
         self._max_duration = max_flow_duration
         self._flows: dict[tuple, _FlowState] = {}
         self._clock = float("-inf")
+        self._seen = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -162,12 +164,10 @@ class FlowAssembler:
                 dst_port=pkt.dst_port,
                 first_ts=pkt.timestamp,
                 last_ts=pkt.timestamp,
+                created=self._seen,
             )
-            if pkt.transport == PROTO_TCP and not (
-                pkt.tcp_flags & TcpFlags.SYN
-            ):
-                state.midstream = True
             self._flows[key] = state
+        self._seen += 1
         self._update(state, pkt)
         if self._teardown_complete(state, pkt):
             del self._flows[key]

@@ -1,10 +1,24 @@
 """Columnar flow assembly: :class:`PacketTable` → :class:`FlowTable`.
 
-Sort → split → reduce.  Packets are stably sorted by the canonical
-5-tuple, the sorted run is split into flows where the incremental
-:class:`~repro.netflow.flow_assembler.FlowAssembler` would close one and
-open the next, and every flow attribute is a segmented reduction — the
-same flows, in the same order, without a Python object per packet.
+Sort → split → reduce, one micro-batch at a time.  Packets are stably
+sorted by the canonical 5-tuple, the sorted run is split into flows where
+the incremental :class:`~repro.netflow.flow_assembler.FlowAssembler` would
+close one and open the next, and every flow attribute is a segmented
+reduction — the same flows, in the same order, without a Python object
+per packet.
+
+Carried state
+-------------
+A batch starts from the flows earlier batches left open, an
+:class:`OpenFlows`: per flow its key, originator, first and last
+timestamps, creation sequence, the ``reduceat`` counters and the flag
+summary the Bro state reads.  Each open flow enters the sort as one *held*
+row ahead of its key's packets: its last timestamp stands in for the
+previous packet's, its first timestamp for the flow's start, and its
+counters and flags add into the reductions.  A batch is a fixed number of
+NumPy calls over O(batch + open flows) rows, and no result depends on
+where the batches are cut.  :func:`assemble_table` (bounded input) is one
+batch from empty state followed by the flush.
 
 Where a flow ends
 -----------------
@@ -25,25 +39,132 @@ yields the rest in creation order.  So rows are sorted by ``(emit index,
 expired-before-torn, creation index)``: a torn-down flow emits at its
 closing packet, an expired one at the first later packet of *any* flow
 that satisfies the original float predicate (found by bisection on that
-predicate itself, not on a rearranged one), the rest at end of input.
+predicate itself, not on a rearranged one); the rest stay open.
 
-The precondition is non-decreasing timestamps (``PcapWriter`` enforces
-it); input that violates it is run through the incremental assembler.
+The precondition is non-decreasing timestamps, across batches as well as
+inside one (``PcapWriter`` enforces it); a batch that violates it is run
+through the incremental assembler and handed back as carried state.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.netflow.attributes import TcpState
-from repro.netflow.flow_assembler import FlowAssembler
+from repro.netflow.flow_assembler import (
+    _PROTOCOL_OF,
+    FlowAssembler,
+    _FlowState,
+)
 from repro.netflow.record import FlowTable, NetflowRecord
 from repro.pcap.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.pcap.table import PacketTable
 
-__all__ = ["assemble_table", "assemble_flows"]
+__all__ = ["OpenFlows", "assemble_batch", "assemble_table", "assemble_flows"]
+
+# What an open flow carries besides its key: :class:`_FlowState`'s names.
+_COUNTERS = ("out_pkts", "in_pkts", "out_bytes", "in_bytes", "syn_count",
+             "ack_count")
+_FLAGS = ("orig_syn", "resp_synack", "established", "orig_fin", "resp_fin",
+          "orig_rst", "resp_rst")
+_STATE_FIELDS = ("first_ts", "last_ts", "created") + _COUNTERS + _FLAGS
+# Open flows travel as one float64 matrix, a row per flow and a column per
+# field: every field is a timestamp or an integer below 2**53, which a
+# float64 holds exactly, and gathering or joining flows is one call, not
+# one per field.
+_FIELDS = ("lo", "hi", "transport", "origin_lo") + _STATE_FIELDS
+_COL = {name: i for i, name in enumerate(_FIELDS)}
+_DTYPE = {
+    name: np.float64 if name.endswith("_ts")
+    else np.bool_ if name in ("origin_lo",) + _FLAGS
+    else np.int64
+    for name in _FIELDS
+}
+
+
+def _fields(flows: np.ndarray) -> dict:
+    """A flow matrix's columns by name, each in its own dtype."""
+    return {name: flows[:, i].astype(_DTYPE[name])
+            for i, name in enumerate(_FIELDS)}
+
+
+@dataclass(frozen=True)
+class OpenFlows:
+    """The flows a batch left open, a row each in no particular order
+    (columns ``_FIELDS``: ``lo``/``hi`` are ``ip << 16 | port`` endpoints,
+    ``origin_lo`` says which one originated, ``created`` orders them), plus
+    the packet clock and the number of packets consumed so far — the next
+    flow's creation sequence."""
+
+    flows: np.ndarray
+    clock: float = -math.inf
+    seen: int = 0
+
+    @classmethod
+    def empty(cls) -> "OpenFlows":
+        return cls(np.empty((0, len(_FIELDS))))
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def ordered(self) -> np.ndarray:
+        """The rows in creation order."""
+        return self.flows[np.argsort(self.flows[:, _COL["created"]])]
+
+    def table(self) -> FlowTable:
+        """The open flows as rows, in creation order: what a flush emits."""
+        return _flow_table(self.ordered())
+
+
+def _mix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A hash of an endpoint pair: equal pairs hash equal (so a match
+    between different pairs costs one row in the sort, no more)."""
+    return lo * 0x9E3779B1 ^ hi
+
+
+def _flow_table(flows: np.ndarray) -> FlowTable:
+    """Flow rows from a flow matrix."""
+    f = _fields(flows)
+    origin = np.where(f["origin_lo"], f["lo"], f["hi"])
+    responder = np.where(f["origin_lo"], f["hi"], f["lo"])
+    established = f["established"]
+    state = np.select(
+        [
+            f["transport"] != PROTO_TCP,
+            ~f["orig_syn"],
+            f["resp_rst"] & ~established,
+            ~established & f["orig_fin"],
+            ~established,
+            f["orig_rst"],
+            f["resp_rst"],
+            f["orig_fin"] & f["resp_fin"],
+        ],
+        [
+            TcpState.NONE, TcpState.OTH, TcpState.REJ, TcpState.SH,
+            TcpState.S0, TcpState.RSTO, TcpState.RSTR, TcpState.SF,
+        ],
+        default=TcpState.S1,
+    )
+    return FlowTable({
+        "SRC_IP": origin >> 16,
+        "DST_IP": responder >> 16,
+        "PROTOCOL": f["transport"],
+        "SRC_PORT": origin & 0xFFFF,
+        "DEST_PORT": responder & 0xFFFF,
+        "START_TIME": f["first_ts"],
+        "DURATION": np.maximum(0.0, (f["last_ts"] - f["first_ts"]) * 1e3),
+        "OUT_BYTES": f["out_bytes"],
+        "IN_BYTES": f["in_bytes"],
+        "OUT_PKTS": f["out_pkts"],
+        "IN_PKTS": f["in_pkts"],
+        "STATE": state,
+        "SYN_COUNT": f["syn_count"],
+        "ACK_COUNT": f["ack_count"],
+    })
 
 
 def _first_exceeding(ts, lo, hi, base, limit) -> np.ndarray:
@@ -72,55 +193,104 @@ def _emission_order(emit, torn, created) -> np.ndarray:
     return np.lexsort((created, torn, emit))
 
 
-def _incremental(packets: PacketTable, **timeouts) -> Iterator[NetflowRecord]:
+def _incremental(packets: PacketTable, carry: OpenFlows, **timeouts):
+    """The route for timestamps that go backwards, inside the batch or
+    against the carried clock, and :class:`FlowAssembler`'s only caller:
+    carried state → one ``_FlowState`` per open flow → packet-by-packet
+    processing → carried state."""
     assembler = FlowAssembler(**timeouts)
-    for pkt in packets:
-        yield from assembler.process(pkt)
-    yield from assembler.flush()
+    for lo, hi, transport, origin_lo, *state in carry.ordered().tolist():
+        lo, hi, transport = int(lo), int(hi), int(transport)
+        src, dst = (lo, hi) if origin_lo else (hi, lo)
+        key = ((lo >> 16, lo & 0xFFFF), (hi >> 16, hi & 0xFFFF), transport)
+        assembler._flows[key] = _FlowState(
+            src_ip=src >> 16, dst_ip=dst >> 16,
+            protocol=_PROTOCOL_OF[transport],
+            src_port=src & 0xFFFF, dst_port=dst & 0xFFFF,
+            **{name: _DTYPE[name](value).item()
+               for name, value in zip(_STATE_FIELDS, state)},
+        )
+    assembler._clock, assembler._seen = carry.clock, carry.seen
+    closed = [record for pkt in packets for record in assembler.process(pkt)]
+    left = [
+        (a[0] << 16 | a[1], b[0] << 16 | b[1], transport,
+         (s.src_ip, s.src_port) == a,
+         *(getattr(s, name) for name in _STATE_FIELDS))
+        for (a, b, transport), s in assembler._flows.items()
+    ]
+    return FlowTable.from_records(closed), OpenFlows(
+        np.array(left, np.float64).reshape(-1, len(_FIELDS)),
+        clock=assembler._clock, seen=assembler._seen,
+    )
 
 
-def assemble_table(
+def assemble_batch(
     packets: PacketTable,
+    carry: OpenFlows,
     *,
     idle_timeout: float = 60.0,
     max_flow_duration: float = 3600.0,
-) -> FlowTable:
-    """Assemble a bounded packet table into flows: the rows, and the row
-    order, of a :class:`FlowAssembler` fed the same packets one by one."""
+) -> tuple[FlowTable, OpenFlows]:
+    """Feed one packet micro-batch on top of the flows ``carry`` holds
+    open: the flows it closed, in the order a :class:`FlowAssembler` fed
+    the same packets one by one yields them, and the flows still open."""
     if idle_timeout <= 0 or max_flow_duration <= 0:
         raise ValueError("timeouts must be positive")
-    known = np.isin(packets.transport, (PROTO_TCP, PROTO_UDP, PROTO_ICMP))
+    proto = packets.transport
+    known = (proto == PROTO_TCP) | (proto == PROTO_UDP) | (proto == PROTO_ICMP)
     if not known.all():
         packets = packets[known]
     ts = packets.timestamp
     n = ts.size
     if n == 0:
-        return FlowTable.empty()
-    if not np.all(ts[1:] >= ts[:-1]):
-        return FlowTable.from_records(list(_incremental(
-            packets, idle_timeout=idle_timeout,
+        return FlowTable.empty(), carry
+    if ts[0] < carry.clock or not np.all(ts[1:] >= ts[:-1]):
+        return _incremental(
+            packets, carry, idle_timeout=idle_timeout,
             max_flow_duration=max_flow_duration,
-        )))
-
-    # -- sort: by canonical key; stable, so time order survives in a key
+        )
+    held = carry.flows
     src_ep = packets.src_ip.astype(np.int64) << 16 | packets.src_port
     dst_ep = packets.dst_ip.astype(np.int64) << 16 | packets.dst_port
     from_lo = src_ep <= dst_ep
     lo = np.where(from_lo, src_ep, dst_ep)
     hi = np.where(from_lo, dst_ep, src_ep)
-    order = np.lexsort((packets.transport, hi, lo))
-    lo, hi, from_lo = lo[order], hi[order], from_lo[order]
-    transport = packets.transport[order]
-    sorted_ts = ts[order]
-    is_tcp = transport == PROTO_TCP
-    flags = np.where(is_tcp, packets.tcp_flags[order], 0)
+    # Only the open flows a packet of this batch may continue enter the
+    # sort; the others can only expire.
+    pairs = np.sort(_mix(lo, hi))
+    key = _mix(held[:, _COL["lo"]].astype(np.int64),
+               held[:, _COL["hi"]].astype(np.int64))
+    touched = pairs[np.minimum(np.searchsorted(pairs, key), n - 1)] == key
+    enter = _fields(held[touched])
+    j = int(touched.sum())
+
+    # -- sort: by canonical key; stable, and the held rows go first, so a
+    # key's open flow leads its packets, which stay in time order
+    lo = np.concatenate([enter["lo"], lo])
+    hi = np.concatenate([enter["hi"], hi])
+    transport = np.concatenate([enter["transport"], packets.transport])
+    order = np.lexsort((transport, hi, lo))
+    lo, hi, transport = lo[order], hi[order], transport[order]
+    m = j + n
+    at = np.maximum(order - j, -1)  # index in the batch; -1 on a held row
+    from_lo = np.concatenate([enter["origin_lo"], from_lo])[order]
+    sorted_ts = np.concatenate([enter["last_ts"], ts])[order]
+    lead = np.flatnonzero(at < 0)
+    # the held rows, in the order of their positions in the sort
+    enter = {name: col[order[lead]] for name, col in enter.items()}
+    born = sorted_ts.copy()
+    born[lead] = enter["first_ts"]
+    packet = at >= 0
+    flags = np.where(
+        packet & (transport == PROTO_TCP), packets.tcp_flags[at], 0
+    )
     fin = flags & int(TcpFlags.FIN) != 0
     syn = flags & int(TcpFlags.SYN) != 0
     rst = flags & int(TcpFlags.RST) != 0
     ack = flags & int(TcpFlags.ACK) != 0
 
     # -- split: segment cuts first, then the start-dependent ends in rounds
-    cut = np.ones(n, dtype=bool)
+    cut = np.ones(m, dtype=bool)
     cut[1:] = (
         (lo[1:] != lo[:-1])
         | (hi[1:] != hi[:-1])
@@ -128,24 +298,29 @@ def assemble_table(
         | (sorted_ts[1:] - sorted_ts[:-1] > idle_timeout)
         | rst[:-1]
     )
-    position = np.arange(n + 1)
+    position = np.arange(m + 1)
 
     def next_true(mask) -> np.ndarray:
-        """``out[i]`` = smallest ``j >= i`` with ``mask[j]``, else ``n``."""
+        """``out[i]`` = smallest ``j >= i`` with ``mask[j]``, else ``m``."""
         out = position.copy()
-        out[:n][~mask] = n
+        out[:m][~mask] = m
         return np.minimum.accumulate(out[::-1])[::-1]
 
+    fin_lo, fin_hi = fin & from_lo, fin & ~from_lo
+    fin_lo[lead] = np.where(enter["origin_lo"], enter["orig_fin"],
+                            enter["resp_fin"])
+    fin_hi[lead] = np.where(enter["origin_lo"], enter["resp_fin"],
+                            enter["orig_fin"])
     next_close = next_true(ack & ~fin)
-    next_fin_lo = next_true(fin & from_lo)
-    next_fin_hi = next_true(fin & ~from_lo)
+    next_fin_lo = next_true(fin_lo)
+    next_fin_hi = next_true(fin_hi)
     start = np.flatnonzero(cut)
-    seg_last = np.append(start[1:], n) - 1
+    seg_last = np.append(start[1:], m) - 1
     firsts, lasts, torn_flags = [], [], []
     while start.size:
         close = next_close[np.maximum(next_fin_lo[start], next_fin_hi[start])]
         too_old = _first_exceeding(
-            sorted_ts, start + 1, seg_last + 1, sorted_ts[start],
+            sorted_ts, start + 1, seg_last + 1, born[start],
             max_flow_duration,
         )
         last = np.minimum(np.minimum(close, too_old - 1), seg_last)
@@ -161,82 +336,106 @@ def assemble_table(
     last = np.concatenate(lasts)[by_position]
     torn = np.concatenate(torn_flags)[by_position]
 
-    # -- reduce: flows are contiguous runs of the sorted packets
-    n_packets = last - first + 1
-    flow_of = np.repeat(np.arange(first.size), n_packets)
+    # -- reduce: flows are contiguous runs of the sorted rows.  A held row
+    # starts a segment, so it leads a flow, and adds what it carries; it
+    # counts as outbound (its own originator) and has no flags.
+    flow_of = np.repeat(np.arange(first.size), last - first + 1)
     outbound = from_lo == from_lo[first][flow_of]
     inbound = ~outbound
+    payload = np.where(packet, packets.payload_len[at], 0)
+    led = np.flatnonzero(at[first] < 0)  # in step with ``enter``
 
-    def total(values) -> np.ndarray:
-        return np.add.reduceat(values.astype(np.int64), first)
+    def total(name, values) -> np.ndarray:
+        out = np.add.reduceat(values, first, dtype=np.int64)
+        out[led] += enter[name]
+        return out
 
-    def seen(mask) -> np.ndarray:
-        return np.logical_or.reduceat(mask, first)
+    def seen(name, mask) -> np.ndarray:
+        out = np.logical_or.reduceat(mask, first)
+        out[led] |= enter[name]
+        return out
 
-    payload = packets.payload_len[order].astype(np.int64)
-    out_pkts = total(outbound)
-    out_bytes = total(np.where(outbound, payload, 0))
-    orig_syn = seen(outbound & syn & ~ack)
-    orig_fin = seen(outbound & fin)
-    resp_fin = seen(inbound & fin)
-    orig_rst = seen(outbound & rst)
-    resp_rst = seen(inbound & rst)
-    # an outbound ACK after the responder's SYN+ACK
+    created = carry.seen + at[first]
+    created[led] = enter["created"]
+    # an outbound ACK after the responder's SYN+ACK; a carried SYN+ACK
+    # sits at the held row, before every packet of its flow
+    synack = np.minimum.reduceat(
+        np.where(inbound & syn & ack, position[:m], m), first
+    )
+    synack[led] = np.where(enter["resp_synack"], lead, synack[led])
     established = np.maximum.reduceat(
-        np.where(outbound & ack, position[:n], -1), first
-    ) > np.minimum.reduceat(
-        np.where(inbound & syn & ack, position[:n], n), first
-    )
-    state = np.select(
-        [
-            ~is_tcp[first],
-            ~orig_syn,
-            resp_rst & ~established,
-            ~established & orig_fin,
-            ~established,
-            orig_rst,
-            resp_rst,
-            orig_fin & resp_fin,
-        ],
-        [
-            TcpState.NONE, TcpState.OTH, TcpState.REJ, TcpState.SH,
-            TcpState.S0, TcpState.RSTO, TcpState.RSTR, TcpState.SF,
-        ],
-        default=TcpState.S1,
-    )
-
-    # -- order: as process()/flush() would have yielded the records
-    first_ts = sorted_ts[first]
-    last_ts = sorted_ts[last]
-    created = order[first]
-    closed = order[last]
-    end = np.full(first.size, n)
-    expired = np.minimum(
-        _first_exceeding(ts, closed + 1, end, last_ts, idle_timeout),
-        _first_exceeding(ts, closed + 1, end, first_ts, max_flow_duration),
-    )
-    rows = _emission_order(np.where(torn, closed, expired), torn, created)
-
-    # the originator is whoever sent the flow's first packet
-    origin = np.where(from_lo[first], lo[first], hi[first])
-    responder = np.where(from_lo[first], hi[first], lo[first])
-    columns = {
-        "SRC_IP": origin >> 16,
-        "DST_IP": responder >> 16,
-        "PROTOCOL": transport[first],
-        "SRC_PORT": origin & 0xFFFF,
-        "DEST_PORT": responder & 0xFFFF,
-        "START_TIME": first_ts,
-        "DURATION": np.maximum(0.0, (last_ts - first_ts) * 1e3),
-        "OUT_BYTES": out_bytes,
-        "IN_BYTES": total(payload) - out_bytes,
-        "OUT_PKTS": out_pkts,
-        "IN_PKTS": n_packets - out_pkts,
-        "STATE": state,
-        "SYN_COUNT": total(syn),
-        "ACK_COUNT": total(ack),
+        np.where(outbound & ack, position[:m], -1), first
+    ) > synack
+    established[led] |= enter["established"]
+    flows = {
+        "lo": lo[first],
+        "hi": hi[first],
+        "transport": transport[first],
+        "origin_lo": from_lo[first],
+        "first_ts": born[first],
+        "last_ts": sorted_ts[last],
+        "created": created,
+        "out_pkts": total("out_pkts", outbound & packet),
+        "in_pkts": total("in_pkts", inbound),
+        "out_bytes": total("out_bytes", np.where(outbound, payload, 0)),
+        "in_bytes": total("in_bytes", np.where(inbound, payload, 0)),
+        "syn_count": total("syn_count", syn),
+        "ack_count": total("ack_count", ack),
+        "orig_syn": seen("orig_syn", outbound & syn & ~ack),
+        "resp_synack": seen("resp_synack", inbound & syn & ack),
+        "established": established,
+        "orig_fin": seen("orig_fin", outbound & fin),
+        "resp_fin": seen("resp_fin", inbound & fin),
+        "orig_rst": seen("orig_rst", outbound & rst),
+        "resp_rst": seen("resp_rst", inbound & rst),
     }
-    return FlowTable({name: col[rows] for name, col in columns.items()})
+
+    # -- order: as process() would have yielded the records.  The open
+    # flows no packet touched can only expire; the others stay open.
+    flows = np.column_stack([flows[name] for name in _FIELDS])
+
+    def expiry(after, matrix) -> np.ndarray:
+        """The first packet from ``after`` on that expires each flow."""
+        end = np.full(after.size, n)
+        return np.minimum(
+            _first_exceeding(ts, after, end, matrix[:, _COL["last_ts"]],
+                             idle_timeout),
+            _first_exceeding(ts, after, end, matrix[:, _COL["first_ts"]],
+                             max_flow_duration),
+        )
+
+    closed = at[last]
+    held_emit = expiry(np.zeros(len(held), dtype=np.int64), held)
+    gone = ~touched & (held_emit < n)
+    flows = np.concatenate([flows, held[gone]])
+    emit = np.concatenate([
+        np.where(torn, closed, expiry(closed + 1, flows[:closed.size])),
+        held_emit[gone],
+    ])
+    torn = np.concatenate([torn, np.zeros(gone.sum(), dtype=bool)])
+    created = flows[:, _COL["created"]]
+    done = np.flatnonzero(emit < n)
+    done = done[_emission_order(emit[done], torn[done], created[done])]
+    return _flow_table(flows[done]), OpenFlows(
+        np.concatenate([held[~touched & ~gone], flows[emit == n]]),
+        clock=float(ts[-1]), seen=carry.seen + n,
+    )
+
+
+def assemble_table(
+    packets: PacketTable,
+    *,
+    idle_timeout: float = 60.0,
+    max_flow_duration: float = 3600.0,
+) -> FlowTable:
+    """Assemble a bounded packet table into flows — one batch from empty
+    state, then the flush: the rows, and the row order, of a
+    :class:`FlowAssembler` fed the same packets one by one."""
+    closed, still_open = assemble_batch(
+        packets, OpenFlows.empty(), idle_timeout=idle_timeout,
+        max_flow_duration=max_flow_duration,
+    )
+    return closed.concat(still_open.table())
 
 
 def assemble_flows(

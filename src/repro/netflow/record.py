@@ -118,7 +118,7 @@ class FlowTable:
 
     @classmethod
     def empty(cls) -> "FlowTable":
-        return cls.from_records([])
+        return cls({name: np.empty(0, dtype) for name, dtype in _COLUMNS})
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -156,11 +156,11 @@ class FlowTable:
         sel = np.asarray(mask_or_index)
         return FlowTable({k: v[sel] for k, v in self._cols.items()})
 
-    def concat(self, other: "FlowTable") -> "FlowTable":
+    def concat(self, *others: "FlowTable") -> "FlowTable":
         """Row-wise concatenation."""
         return FlowTable(
             {
-                k: np.concatenate([v, other._cols[k]])
+                k: np.concatenate([v] + [other._cols[k] for other in others])
                 for k, v in self._cols.items()
             }
         )

@@ -334,8 +334,7 @@ class StreamPipeline:
                 if self.sink_delay_seconds:
                     time.sleep(self.sink_delay_seconds)
                 t0 = time.perf_counter()
-                for record in window.records:
-                    detections.extend(self.detector.process(record))
+                detections.extend(self.detector.process_table(window.table))
                 st.busy_seconds += time.perf_counter() - t0
                 windows_seen[0] += 1
                 window_latencies.append(

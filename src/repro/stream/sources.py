@@ -2,9 +2,10 @@
 
 A source yields :class:`Batch` objects — micro-batches of either decoded
 packets (``kind="packets"``, a :class:`~repro.pcap.table.PacketTable`
-slice) or already-assembled Netflow records (``kind="records"``).  Packet
-batches flow through the windowed flow assembler; record batches skip
-assembly and go straight to windowing.
+slice) or already-assembled flows (``kind="records"``, a
+:class:`~repro.netflow.record.FlowTable` slice).  Packet batches flow
+through the windowed flow assembler; record batches skip assembly and go
+straight to windowing.
 
 * :class:`TraceSource` — wraps :class:`~repro.trace.TraceSynthesizer`
   plus any number of :mod:`repro.trace.attacks` ground truths, merging
@@ -16,7 +17,7 @@ assembly and go straight to windowing.
   decoded a read window at a time (the same code path a SMIA-2011 capture
   would take); ``.npz`` files are treated as saved
   :class:`~repro.netflow.record.FlowTable` archives and replayed as
-  record batches sorted by flow start time.
+  table slices in (stable) flow start-time order.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.netflow.record import FlowTable
 from repro.pcap.reader import PcapReader
@@ -41,7 +44,7 @@ class Batch:
     """One micro-batch of source events."""
 
     kind: str  # "packets" | "records"
-    items: tuple | PacketTable
+    items: PacketTable | FlowTable
 
     def __len__(self) -> int:
         return len(self.items)
@@ -161,6 +164,6 @@ class ReplaySource:
 
     def _npz_batches(self) -> Iterator[Batch]:
         table = FlowTable.load_npz(self.path)
-        records = sorted(table.records(), key=lambda r: r.start_time)
-        for chunk in _chunked(records, self.batch_packets):
-            yield Batch(kind="records", items=tuple(chunk))
+        order = np.argsort(table["START_TIME"], kind="stable")
+        for chunk in _chunked(order, self.batch_packets):
+            yield Batch(kind="records", items=table.select(chunk))

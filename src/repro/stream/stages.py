@@ -4,6 +4,17 @@ These classes are pure single-threaded machines — the thread/queue
 plumbing lives in :mod:`repro.stream.pipeline` — so the watermark and
 incremental-graph semantics are unit-testable without concurrency.
 
+Columns end to end
+------------------
+A packet micro-batch is a :class:`~repro.pcap.table.PacketTable` slice;
+:func:`~repro.netflow.kernel.assemble_batch` turns it, on top of the
+flows earlier batches left open, into a :class:`FlowTable` of the flows it
+closed.  Windows bucket such slices: one ``floor`` gives every flow's
+window index, and a closing window concatenates its slices and orders
+them with one stable argsort on ``START_TIME``.  No packet or flow becomes
+a Python object on this path; ``FlowWindow.records`` builds record objects
+only when it is read.
+
 Windowing & the byte-identity argument
 --------------------------------------
 Flows are bucketed by ``start_time`` into consecutive ``[k*W, (k+1)*W)``
@@ -38,8 +49,9 @@ import numpy as np
 
 from repro.graph.property_graph import PropertyGraph
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
-from repro.netflow.flow_assembler import FlowAssembler
+from repro.netflow.kernel import OpenFlows, assemble_batch
 from repro.netflow.record import FlowTable, NetflowRecord
+from repro.pcap.table import PacketTable
 
 __all__ = ["FlowWindow", "WindowAssembler", "GraphAccumulator"]
 
@@ -51,17 +63,23 @@ class FlowWindow:
     index: int
     start: float
     end: float
-    records: tuple[NetflowRecord, ...]
+    table: FlowTable
     # Wall-clock stamp at emission; the sink measures end-to-end window
     # latency against it.  Excluded from equality.
     closed_at_wall: float = field(compare=False, default=0.0)
 
+    @property
+    def records(self) -> tuple[NetflowRecord, ...]:
+        """The flows as record objects, built on each read."""
+        return tuple(self.table.records())
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
 
 
 class WindowAssembler:
-    """Packets (or records) in, watermark-closed :class:`FlowWindow`s out.
+    """Packets (or flow tables) in, watermark-closed :class:`FlowWindow`s
+    out.
 
     Parameters
     ----------
@@ -72,7 +90,7 @@ class WindowAssembler:
         bound ``max(idle_timeout, max_flow_duration)`` (packet mode) /
         ``0`` (record mode, where input is already start-ordered).
     idle_timeout, max_flow_duration:
-        Passed through to the :class:`FlowAssembler`.
+        Passed through to the flow kernel.
     """
 
     def __init__(
@@ -88,16 +106,14 @@ class WindowAssembler:
         self.window_seconds = window_seconds
         self.idle_timeout = idle_timeout
         self.max_flow_duration = max_flow_duration
-        self._assembler = FlowAssembler(
-            idle_timeout=idle_timeout, max_flow_duration=max_flow_duration
-        )
+        self._open = OpenFlows.empty()
         self._packet_lateness = (
             max(idle_timeout, max_flow_duration)
             if lateness is None
             else lateness
         )
         self._record_lateness = 0.0 if lateness is None else lateness
-        self._buckets: dict[int, list[NetflowRecord]] = {}
+        self._buckets: dict[int, list[FlowTable]] = {}
         self._clock = -math.inf
         # Windows with index < _next_index have been emitted.
         self._next_index: int | None = None
@@ -105,77 +121,77 @@ class WindowAssembler:
         self.flows_out = 0
 
     # ------------------------------------------------------------------
-    def _index_of(self, start_time: float) -> int:
-        return int(math.floor(start_time / self.window_seconds))
-
-    def _admit(self, record: NetflowRecord) -> None:
-        idx = self._index_of(record.start_time)
-        if self._next_index is not None and idx < self._next_index:
-            # Its window is already gone: reroute into the next emitted
-            # window rather than dropping it (counted, not silent).
-            self.late_flows += 1
-            idx = self._next_index
-        self._buckets.setdefault(idx, []).append(record)
+    def _admit(self, flows: FlowTable) -> None:
+        if not len(flows):
+            return
+        idx = np.floor(flows["START_TIME"] / self.window_seconds).astype(
+            np.int64
+        )
+        if self._next_index is not None:
+            # A flow whose window is already gone is rerouted into the
+            # next emitted window rather than dropped (counted, not
+            # silent).
+            late = idx < self._next_index
+            self.late_flows += int(late.sum())
+            idx[late] = self._next_index
+        for w in np.unique(idx):
+            self._buckets.setdefault(int(w), []).append(
+                flows.select(idx == w)
+            )
 
     def _emit_through(self, watermark: float) -> list[FlowWindow]:
         """Emit every window whose end the watermark has passed."""
-        if not self._buckets:
-            return []
-        out = []
-        cutoff = self._index_of(watermark)  # windows < cutoff are closed
-        for idx in sorted(self._buckets):
-            if idx >= cutoff:
-                break
-            out.append(self._window(idx, self._buckets.pop(idx)))
-        if out:
-            self._next_index = max(
-                self._next_index or -(2**62), out[-1].index + 1
-            )
-        return out
-
-    def _window(self, idx: int, records: list[NetflowRecord]) -> FlowWindow:
-        records.sort(key=lambda r: r.start_time)  # stable: keeps tie order
-        self.flows_out += len(records)
-        return FlowWindow(
-            index=idx,
-            start=idx * self.window_seconds,
-            end=(idx + 1) * self.window_seconds,
-            records=tuple(records),
-            closed_at_wall=time.perf_counter(),
-        )
-
-    # ------------------------------------------------------------------
-    def process_packets(self, packets) -> list[FlowWindow]:
-        """Feed one packet micro-batch; returns any windows it closed."""
-        for pkt in packets:
-            for record in self._assembler.process(pkt):
-                self._admit(record)
-            if pkt.timestamp > self._clock:
-                self._clock = pkt.timestamp
-        return self._emit_through(self._clock - self._packet_lateness)
-
-    def process_records(self, records) -> list[FlowWindow]:
-        """Feed pre-assembled records (replay mode, start-time order)."""
-        for record in records:
-            self._admit(record)
-            if record.start_time > self._clock:
-                self._clock = record.start_time
-        return self._emit_through(self._clock - self._record_lateness)
-
-    def drain(self) -> list[FlowWindow]:
-        """End of stream: flush open flows and emit every remaining
-        window, including the partial last one."""
-        for record in self._assembler.flush():
-            self._admit(record)
+        edge = watermark / self.window_seconds
         out = [
             self._window(idx, self._buckets.pop(idx))
-            for idx in sorted(self._buckets)
+            for idx in sorted(self._buckets) if idx + 1 <= edge
         ]
         if out:
             self._next_index = max(
                 self._next_index or -(2**62), out[-1].index + 1
             )
         return out
+
+    def _window(self, idx: int, parts: list[FlowTable]) -> FlowWindow:
+        flows = parts[0].concat(*parts[1:])
+        # stable: keeps arrival order among equal start times
+        flows = flows.select(np.argsort(flows["START_TIME"], kind="stable"))
+        self.flows_out += len(flows)
+        return FlowWindow(
+            index=idx,
+            start=idx * self.window_seconds,
+            end=(idx + 1) * self.window_seconds,
+            table=flows,
+            closed_at_wall=time.perf_counter(),
+        )
+
+    # ------------------------------------------------------------------
+    def process_packets(self, packets) -> list[FlowWindow]:
+        """Feed one packet micro-batch (a :class:`PacketTable`, or what
+        :meth:`PacketTable.pack` takes); returns any windows it closed."""
+        packets = PacketTable.pack(packets)
+        closed, self._open = assemble_batch(
+            packets, self._open, idle_timeout=self.idle_timeout,
+            max_flow_duration=self.max_flow_duration,
+        )
+        self._admit(closed)
+        if len(packets):
+            self._clock = max(self._clock, float(packets.timestamp.max()))
+        return self._emit_through(self._clock - self._packet_lateness)
+
+    def process_records(self, flows: FlowTable) -> list[FlowWindow]:
+        """Feed pre-assembled flows (replay mode, start-time order)."""
+        self._admit(flows)
+        if len(flows):
+            self._clock = max(self._clock, float(flows["START_TIME"].max()))
+        return self._emit_through(self._clock - self._record_lateness)
+
+    def drain(self) -> list[FlowWindow]:
+        """End of stream: flush open flows and emit every remaining
+        window, including the partial last one."""
+        self._admit(self._open.table())
+        self._open = OpenFlows.empty()
+        return self._emit_through(math.inf)
 
 
 class GraphAccumulator:
@@ -237,9 +253,9 @@ class GraphAccumulator:
 
     def fold(self, window: FlowWindow) -> PropertyGraph:
         """Append one window's flows and return the updated live graph."""
-        if window.records:
-            table = FlowTable.from_records(list(window.records))
-            k = len(table)
+        table = window.table
+        k = len(table)
+        if k:
             self._grow(self._n + k)
             for name in self._GRAPH_COLUMNS:
                 self._cols[name][self._n : self._n + k] = table[name]

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import packets_from
-from repro.detect import DetectionThresholds, OnlineDetector
+from repro.detect import (
+    DetectionThresholds,
+    NetflowAnomalyDetector,
+    OnlineDetector,
+)
 from repro.netflow import FlowTable, assemble_flows
+from repro.netflow.record import NetflowRecord
 from repro.trace import attacks, synthesize_seed_packets
 from repro.trace.hosts import ipv4
 
@@ -195,3 +202,144 @@ class TestStreaming:
                                                gt.attacker_ips[0])
         }
         assert attack_alarms & stream_kinds
+
+
+# ----------------------------------------------------------------------
+# process_table against a per-hop reference
+# ----------------------------------------------------------------------
+# Every group with traffic trips the flood rules, so each hop reports its
+# window's flow counts in the alarms' evidence.
+LOUD = DetectionThresholds(fs_lt=0.0, fs_ht=0.0, np_lt=0.0, np_ht=0.0)
+
+
+def flow(start, src=1, dst=2, dport=80, size=100):
+    return NetflowRecord(
+        src_ip=src, dst_ip=dst, protocol=6, src_port=1000, dst_port=dport,
+        start_time=start, duration_ms=1.0, out_bytes=size, in_bytes=0,
+        out_pkts=1, in_pkts=1, state=3, syn_count=1, ack_count=1,
+    )
+
+
+def reference(records, thresholds, window, hop, cooldown):
+    """Hop by hop, each over the flows that had arrived with
+    ``t - window <= start`` — the membership rule — then the drain."""
+    detector = NetflowAnomalyDetector(thresholds)
+    arrived, last, out = [], {}, []
+    next_eval = None
+
+    def evaluate(t):
+        rows = [r for r in arrived if r.start_time >= t - window]
+        found = []
+        if not rows:
+            return found
+        for det in detector.detect(FlowTable.from_records(rows)):
+            key = (det.kind, det.ip, det.direction)
+            if key in last and t - last[key] < cooldown:
+                continue
+            last[key] = t
+            found.append((t, det))
+        return found
+
+    for r in records:
+        if next_eval is None:
+            next_eval = r.start_time + hop
+        while r.start_time >= next_eval:
+            out += evaluate(next_eval)
+            next_eval += hop
+        arrived.append(r)
+    if not arrived:
+        return out
+    end = max(r.start_time for r in arrived) + 1e-9
+    already, tail = set(last), []
+    while next_eval < end:
+        tail += evaluate(next_eval)
+        next_eval += hop
+    tail += evaluate(end)
+    seen = set()
+    for t, det in tail:
+        key = (det.kind, det.ip, det.direction)
+        if key not in already and key not in seen:
+            seen.add(key)
+            out.append((t, det))
+    return out
+
+
+def as_tuples(alerts):
+    return [
+        (a.time, a.detection.kind, a.detection.ip, a.detection.direction,
+         a.detection.evidence)
+        for a in alerts
+    ]
+
+
+class TestColumns:
+    def test_a_late_flow_counts_only_in_hops_whose_window_holds_it(self):
+        """W=5, hop=2.5: the flow starting at 1.0 arrives after the one at
+        3.0; the hop at 7.5 evaluates [2.5, 7.5) and must not count it."""
+        records = [flow(t) for t in (0.0, 3.0, 1.0, 6.0, 8.5, 11.0)]
+        detector = OnlineDetector(
+            LOUD, window_seconds=5.0, hop_seconds=2.5, cooldown_seconds=0.0
+        )
+        counts = [
+            (a.time, a.detection.evidence["n_flows"])
+            for a in detector.run(records)
+            if a.detection.direction == "destination"
+        ]
+        assert counts == [(2.5, 1), (5.0, 3), (7.5, 2), (10.0, 2)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        starts=st.lists(
+            st.tuples(
+                st.floats(0.0, 20.0, allow_nan=False),
+                st.integers(1, 3), st.integers(1, 3),
+                st.integers(1, 4), st.integers(0, 3000),
+            ),
+            max_size=40,
+        ),
+        late=st.booleans(),
+        window=st.sampled_from([1.0, 2.5, 5.0]),
+        hop=st.sampled_from([None, 0.7, 5.0]),
+        cooldown=st.sampled_from([0.0, 3.0, 30.0]),
+        cuts=st.lists(st.integers(0, 40), max_size=5),
+    )
+    def test_process_table_equals_the_per_hop_reference(
+        self, starts, late, window, hop, cooldown, cuts
+    ):
+        """Wherever the flows are cut into tables — and one by one through
+        ``process`` — the alarms equal the per-hop reference, evidence
+        included, with late (out-of-order) flows or without."""
+        records = [
+            flow(t, src=src, dst=dst, dport=80 + port, size=size)
+            for t, src, dst, port, size in starts
+        ]
+        if not late:
+            records.sort(key=lambda r: r.start_time)
+        expected = [
+            (t, d.kind, d.ip, d.direction, d.evidence)
+            for t, d in reference(
+                records, LOUD, window, hop or window / 2, cooldown
+            )
+        ]
+
+        def detector():
+            return OnlineDetector(
+                LOUD, window_seconds=window, hop_seconds=hop,
+                cooldown_seconds=cooldown,
+            )
+
+        batched, det = [], detector()
+        bounds = [0, *sorted(c for c in cuts if c <= len(records)),
+                  len(records)]
+        for a, b in zip(bounds, bounds[1:]):
+            batched += det.process_table(
+                FlowTable.from_records(records[a:b])
+            )
+        batched += det.flush()
+        assert as_tuples(batched) == expected
+
+        one, det = [], detector()
+        for r in records:
+            one += det.process(r)
+        one += det.flush()
+        assert as_tuples(one) == expected

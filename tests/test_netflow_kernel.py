@@ -15,6 +15,7 @@ import repro
 from repro.core.pipeline import build_seed
 from repro.netflow import FlowAssembler, FlowTable, assemble_table
 from repro.netflow import kernel
+from repro.netflow.kernel import OpenFlows, assemble_batch
 from repro.netflow.flow_assembler import _FlowState
 from repro.netflow.record import NetflowRecord
 from repro.pcap import PacketTable, write_pcap
@@ -137,6 +138,83 @@ def test_kernel_equals_the_incremental_assembler(trace):
     assert_kernel_matches(packets, **timeouts)
 
 
+def batched(packets, cuts, **timeouts):
+    """Feed ``packets`` cut at ``cuts`` through the kernel with carried
+    state and through one assembler: the flows each batch closed, per
+    batch, from both, then both ends' open flows."""
+    table = PacketTable.pack(packets)
+    bounds = [0, *sorted(cuts), len(packets)]
+    assembler = FlowAssembler(**timeouts)
+    carry = OpenFlows.empty()
+    got, expected = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        closed, carry = assemble_batch(table[a:b], carry, **timeouts)
+        got.append(list(closed.records()))
+        expected.append(
+            [r for pkt in packets[a:b] for r in assembler.process(pkt)]
+        )
+    return got, expected, carry, assembler
+
+
+@st.composite
+def cut_traces(draw, regressions=False):
+    packets, timeouts = draw(traces())
+    if regressions:  # move some packets back in time
+        for i in draw(st.lists(st.integers(0, max(len(packets) - 1, 0)),
+                               max_size=4)):
+            if packets:
+                back = draw(st.sampled_from([1e-4, timeouts["idle_timeout"],
+                                             5.0]))
+                packets[i] = dataclasses.replace(
+                    packets[i], timestamp=packets[i].timestamp - back
+                )
+    cuts = draw(st.lists(st.integers(0, len(packets)), max_size=6))
+    return packets, cuts, timeouts
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_traces())
+def test_batch_cuts_change_nothing(trace):
+    """Rows, their order and the carried state at the end do not depend
+    on where the batches are cut."""
+    packets, cuts, timeouts = trace
+    got, expected, carry, assembler = batched(packets, cuts, **timeouts)
+    assert got == expected
+    assert list(carry.table().records()) == assembler.flush()
+    whole_closed, whole = assemble_batch(
+        PacketTable.pack(packets), OpenFlows.empty(), **timeouts
+    )
+    assert [r for rows in got for r in rows] == list(whole_closed.records())
+    assert np.array_equal(carry.ordered(), whole.ordered())
+    assert (carry.clock, carry.seen) == (whole.clock, whole.seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_traces(regressions=True))
+def test_timestamp_regressions_take_the_assembler_route(trace):
+    """Timestamps that go backwards, inside a batch or across a cut, run
+    through the assembler and hand back carried state the kernel goes on
+    from."""
+    packets, cuts, timeouts = trace
+    got, expected, carry, assembler = batched(packets, cuts, **timeouts)
+    assert got == expected
+    assert list(carry.table().records()) == assembler.flush()
+
+
+def test_carried_state_round_trips_through_the_assembler():
+    packets = sorted(
+        conversation(0.0, 1000, "full")[:4]
+        + conversation(0.001, 1001, "half_close")[:5]
+        + [packet(0.5, 3, 4, 53, 53, PROTO_UDP, size=9)],
+        key=lambda p: p.timestamp,
+    )
+    _, carry = assemble_batch(PacketTable.pack(packets), OpenFlows.empty())
+    assert len(carry) == 3
+    _, back = kernel._incremental(PacketTable.empty(), carry)
+    assert np.array_equal(back.ordered(), carry.ordered())
+    assert (back.clock, back.seen) == (carry.clock, carry.seen)
+
+
 # ----------------------------------------------------------------------
 def conversation(t0, sport, script, src=1, dst=2, dport=80, step=0.01):
     return [
@@ -195,10 +273,11 @@ class TestEmissionOrderNeedsAllThreeKeys:
     component is dropped."""
 
     # a torn-down flow is emitted at its closing packet, long before an
-    # older flow that stays open to the flush
+    # older flow that the packet at t=100 expires
     needs_emit = (
         [packet(0.0, 9, 10, 53, 53, PROTO_UDP)]
         + conversation(1.0, 1000, "rej")
+        + [packet(100.0, 9, 10, 53, 53, PROTO_UDP)]
     )
     # the RST at t=62 expires the UDP flow (created second) and then
     # tears down the TCP flow (created first): expired before torn
@@ -208,10 +287,11 @@ class TestEmissionOrderNeedsAllThreeKeys:
         packet(30.0, 1, 2, 1000, 80, flags=int(ACK)),
         packet(62.0, 1, 2, 1000, 80, flags=int(RST)),
     ]
-    # both flush at the end; the higher key was created first
+    # the packet at t=100 expires both; the higher key was created first
     needs_created = [
         packet(0.0, 9, 10, 53, 53, PROTO_UDP),
         packet(1.0, 1, 2, 53, 53, PROTO_UDP),
+        packet(100.0, 5, 6, 53, 53, PROTO_UDP),
     ]
 
     @pytest.mark.parametrize("trace, keep", [
@@ -256,11 +336,14 @@ class TestNoObjectPerPacket:
         assert len(frames) > 4_000 and len(bundle.flow_table) > 100
         assert made == {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0}
 
-    def test_flow_assembler_is_used_only_by_netflow_and_stream(self):
+    def test_flow_assembler_is_used_only_by_the_kernel(self):
+        """Its one caller is the kernel's route for timestamps that go
+        backwards (the package also exports it, as the test reference)."""
         src = Path(repro.__file__).parent
         users = {
-            path.relative_to(src).parts[0]
+            path.relative_to(src).as_posix()
             for path in src.rglob("*.py")
             if re.search(r"\bFlowAssembler\b", path.read_text())
         }
-        assert users == {"netflow", "stream"}
+        assert users == {"netflow/__init__.py", "netflow/flow_assembler.py",
+                         "netflow/kernel.py"}

@@ -1,7 +1,9 @@
 """Tests for the micro-batch streaming pipeline (repro.stream)."""
 
+import math
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 from repro.core.pipeline import packets_from
 from repro.detect import DetectionThresholds, OnlineDetector
 from repro.netflow import FlowTable, assemble_flows
-from repro.netflow.flow_assembler import FlowAssembler
+from repro.netflow.flow_assembler import FlowAssembler, _FlowState
 from repro.netflow.mapping import flow_table_to_property_graph
 from repro.netflow.record import NetflowRecord
+from repro.pcap import PacketTable, write_pcap
+from repro.pcap.packet import ParsedPacket
 from repro.serve import QueryServer
 from repro.stream import (
     Batch,
@@ -29,6 +33,7 @@ from repro.stream.queues import CLOSE
 from repro.trace import attacks
 from repro.trace.hosts import ipv4
 from repro.trace.synthesizer import TraceSynthesizer
+from tests.test_netflow_kernel import cut_traces
 
 WINDOW = 5.0
 
@@ -59,6 +64,10 @@ def record(start, src=1, dst=2, sport=1000, dport=80):
         out_bytes=100, in_bytes=100, out_pkts=1, in_pkts=1,
         syn_count=1, ack_count=1, state=3,
     )
+
+
+def flows(*records):
+    return FlowTable.from_records(list(records))
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +154,7 @@ class TestWindowAssembler:
     def test_record_mode_windows_partition_by_start_time(self):
         wa = WindowAssembler(window_seconds=10.0)
         recs = [record(t) for t in (1.0, 2.0, 11.0, 12.0, 25.0)]
-        windows = wa.process_records(recs)
+        windows = wa.process_records(flows(*recs))
         windows += wa.drain()
         assert [w.index for w in windows] == [0, 1, 2]
         assert [len(w) for w in windows] == [2, 2, 1]
@@ -155,27 +164,27 @@ class TestWindowAssembler:
 
     def test_windows_sorted_by_start_time(self):
         wa = WindowAssembler(window_seconds=10.0)
-        wa.process_records([record(3.0), record(1.0), record(2.0)])
+        wa.process_records(flows(record(3.0), record(1.0), record(2.0)))
         (w,) = wa.drain()
         assert [r.start_time for r in w.records] == [1.0, 2.0, 3.0]
 
     def test_watermark_holds_window_until_lateness_passes(self):
         wa = WindowAssembler(window_seconds=10.0, lateness=5.0)
         # Clock 12 < end(0) + lateness: window 0 must stay open.
-        assert wa.process_records([record(1.0), record(12.0)]) == []
+        assert wa.process_records(flows(record(1.0), record(12.0))) == []
         # Clock 15.1 pushes the watermark past end(0)=10.
-        windows = wa.process_records([record(15.1)])
+        windows = wa.process_records(flows(record(15.1)))
         assert [w.index for w in windows] == [0]
 
     def test_late_record_rerouted_and_counted(self):
         wa = WindowAssembler(window_seconds=10.0, lateness=0.0)
-        wa.process_records([record(5.0)])
-        windows = wa.process_records([record(25.0)])  # closes window 0
+        wa.process_records(flows(record(5.0)))
+        windows = wa.process_records(flows(record(25.0)))  # closes window 0
         # Empty windows are never materialised: only window 0 comes out.
         assert [w.index for w in windows] == [0]
         assert [len(w) for w in windows] == [1]
         late = record(3.0)  # belongs to the already-emitted window 0
-        rerouted = wa.process_records([late])
+        rerouted = wa.process_records(flows(late))
         assert wa.late_flows == 1
         # The late record rides in the next unemitted window instead of
         # being dropped (here window 1, which the watermark has already
@@ -249,13 +258,13 @@ class TestGraphAccumulator:
     def test_published_graph_is_immutable_under_growth(self):
         acc = GraphAccumulator()
         wa = WindowAssembler(window_seconds=10.0)
-        wa.process_records([record(1.0, src=1, dst=2)])
+        wa.process_records(flows(record(1.0, src=1, dst=2)))
         (w1,) = wa.drain()
         g1 = acc.fold(w1)
         src_before = g1.src.copy()
         wa2 = WindowAssembler(window_seconds=10.0)
         wa2.process_records(
-            [record(11.0, src=3, dst=4), record(12.0, src=5, dst=6)]
+            flows(record(11.0, src=3, dst=4), record(12.0, src=5, dst=6))
         )
         for w in wa2.drain():
             acc.fold(w)
@@ -495,3 +504,124 @@ class TestQueueSentinel:
         q.close(abort)
         assert q.get(abort) == 1
         assert q.get(abort) is CLOSE
+
+
+# ----------------------------------------------------------------------
+class TestColumnsEndToEnd:
+    def test_stream_path_builds_no_packet_or_flow_objects(self, tmp_path):
+        """Packets and flows stay columns from the capture to the
+        detector; record objects exist only where ``.records`` is read."""
+        frames = TraceSynthesizer(session_rate=40.0, seed=3).generate(5.0)
+        path = tmp_path / "stream.pcap"
+        write_pcap(path, frames)
+        made = {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0, "rows": 0}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                made[cls] += 1
+                init(self, *args, **kwargs)
+
+            return mock.patch.object(cls, "__init__", __init__)
+
+        from_records = FlowTable.from_records
+        one = flows(record(1.0))
+
+        def spy(records):
+            made["rows"] += 1
+            return from_records(records)
+
+        with counting(ParsedPacket), counting(_FlowState), counting(
+            NetflowRecord
+        ), mock.patch.object(FlowTable, "from_records", spy):
+            result = StreamPipeline(
+                ReplaySource(path), window_seconds=1.0
+            ).run()
+            assert made == {ParsedPacket: 0, _FlowState: 0,
+                            NetflowRecord: 0, "rows": 0}
+            wa = WindowAssembler(window_seconds=10.0)
+            (window,) = wa.process_records(one) + wa.drain()
+            assert made[NetflowRecord] == 0
+            assert len(window.records) == 1 and made[NetflowRecord] == 1
+        assert result.stats.packets > 4_000 and result.stats.flows > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trace=cut_traces(regressions=True),
+        window_seconds=st.sampled_from([0.5, 2.0]),
+        lateness=st.sampled_from([None, 0.0, 0.5, 3.0]),
+    )
+    def test_non_monotone_stream_equals_packet_by_packet(
+        self, trace, window_seconds, lateness
+    ):
+        """Timestamps that go backwards inside batches and across batch
+        cuts: windows, late flows and detections equal a FlowAssembler
+        fed packet by packet with flows windowed one at a time."""
+        packets, cuts, timeouts = trace
+        bounds = [0, *sorted(cuts), len(packets)]
+        batches = [packets[a:b] for a, b in zip(bounds, bounds[1:])]
+        wa = WindowAssembler(
+            window_seconds=window_seconds, lateness=lateness, **timeouts
+        )
+        windows = [
+            w for batch in batches
+            for w in wa.process_packets(PacketTable.pack(batch))
+        ] + wa.drain()
+        expected, late = reference_windows(
+            batches, window_seconds=window_seconds,
+            lateness=(max(timeouts.values()) if lateness is None
+                      else lateness),
+            **timeouts,
+        )
+        assert [(w.index, list(w.records)) for w in windows] == expected
+        assert wa.late_flows == late
+
+        loud = DetectionThresholds(fs_lt=0.0, fs_ht=0.0, np_lt=0.0,
+                                   np_ht=0.0)
+        streamed = OnlineDetector(loud, cooldown_seconds=1.0)
+        alarms = [a for w in windows
+                  for a in streamed.process_table(w.table)]
+        alarms += streamed.flush()
+        reference = OnlineDetector(loud, cooldown_seconds=1.0).run(
+            [r for _, rows in expected for r in rows]
+        )
+        assert [(a, a.detection.evidence) for a in alarms] == [
+            (a, a.detection.evidence) for a in reference
+        ]
+
+
+def reference_windows(batches, *, window_seconds, lateness, **timeouts):
+    """Windows as ``(index, records)`` and the late-flow count of a
+    FlowAssembler fed packet by packet, its flows bucketed one by one."""
+    assembler = FlowAssembler(**timeouts)
+    buckets, windows = {}, []
+    state = {"next": None, "late": 0, "clock": -math.inf}
+
+    def admit(r):
+        idx = math.floor(r.start_time / window_seconds)
+        if state["next"] is not None and idx < state["next"]:
+            state["late"] += 1
+            idx = state["next"]
+        buckets.setdefault(idx, []).append(r)
+
+    def emit(cutoff):
+        out = [
+            (idx, sorted(buckets.pop(idx), key=lambda r: r.start_time))
+            for idx in sorted(buckets) if idx < cutoff
+        ]
+        if out:
+            state["next"] = max(state["next"] or -(2**62), out[-1][0] + 1)
+        windows.extend(out)
+
+    for batch in batches:
+        for pkt in batch:
+            for r in assembler.process(pkt):
+                admit(r)
+            state["clock"] = max(state["clock"], pkt.timestamp)
+        if buckets:
+            emit(math.floor((state["clock"] - lateness) / window_seconds))
+    for r in assembler.flush():
+        admit(r)
+    emit(math.inf)
+    return windows, state["late"]
