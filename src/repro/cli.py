@@ -291,11 +291,10 @@ def _cmd_generate(args) -> int:
         f"{result.peak_node_memory_bytes / 2**20:.1f} MiB"
     )
     m = ctx.metrics
-    if ctx.fault_plan is not None or m.tasks_failed or m.tasks_speculated:
+    if ctx.fault_plan is not None or m.tasks_failed:
         print(
             "fault recovery       : "
             f"{m.tasks_failed} failed, {m.tasks_retried} retried, "
-            f"{m.tasks_speculated} speculated, "
             f"{m.recovery_recompute_bytes / 2**20:.1f} MiB recomputed"
         )
     if args.save_npz:

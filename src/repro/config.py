@@ -7,7 +7,8 @@ Everything that needs to know about knobs derives from that table:
 
 * constructors call :func:`resolve` (explicit argument > environment
   variable > default; a blank environment value counts as unset; every
-  rejection names the variable and the flag);
+  rejection names the variable and the flag; a ``REPRO_*`` variable
+  that names no row is an error, not silently ignored);
 * ``repro.cli`` builds its flags with :func:`add_arguments` and
   ``repro engine-info`` prints every row with :func:`source`;
 * the README "Runtime flags" table is :func:`flags_table`
@@ -15,8 +16,8 @@ Everything that needs to know about knobs derives from that table:
 
 This is a leaf module: it imports nothing from ``repro.engine``,
 ``repro.serve`` or ``repro.stream``, so any of them may import it.  The
-closed value sets written out here (backends, codecs) are pinned to the
-live registries by ``tests/test_config.py``.  It is also the only module
+closed value set written out here (backends) is pinned to the live
+registry by ``tests/test_config.py``.  It is also the only module
 that reads ``os.environ`` for configuration.
 """
 
@@ -159,15 +160,11 @@ def size(*, min: int = 0, off_tokens: Iterable[str] = (), off=None) -> Parser:
     return Parser(parse, what, "SIZE")
 
 
-def choice(
-    values: Iterable[str], aliases: "Mapping[str, str] | None" = None
-) -> Parser:
+def choice(values: Iterable[str]) -> Parser:
     values = tuple(values)
-    aliases = dict(aliases or {})
 
     def parse(value):
         name = str(value).strip().lower()
-        name = aliases.get(name, name)
         if name not in values:
             raise ValueError(name)
         return name
@@ -338,19 +335,9 @@ SETTINGS: "dict[str, Setting]" = {
                 "::test_budget_exhaustion_reraises_original"
             ),
         ),
-        Setting(
-            "speculation", "REPRO_SPECULATION", False, switch,
-            "--speculation", "speculation",
-            "speculatively re-execute straggler tasks, first result wins",
-            evidence=(
-                "tests/test_engine_pool.py::TestSpeculationAcrossJobs"
-                "::test_pgpba_digest_equals_serial"
-            ),
-            show=_on_off,
-        ),
-        # An explicit "" is a spelling of "unlimited" here, and of the
-        # default for block_codec below: the one way a caller holding
-        # only text can lift a value the environment sets.
+        # An explicit "" is a spelling of "unlimited": the one way a
+        # caller holding only text can lift a budget the environment
+        # sets.
         Setting(
             "memory_budget", "REPRO_MEMORY_BUDGET", None,
             size(off_tokens=("none", "off", "unlimited", "inf", "")),
@@ -375,19 +362,6 @@ SETTINGS: "dict[str, Setting]" = {
                 "::test_context_reads_env"
             ),
             show=lambda v: "(system tempdir)" if v is None else v,
-        ),
-        Setting(
-            "block_codec", "REPRO_BLOCK_CODEC", "mmap",
-            choice(("mmap", "zlib"), aliases={"": "mmap"}),
-            "--block-codec", "block_codec",
-            "payload of the `.blk` files behind spilled blocks, shuffle "
-            "segments and checkpoints: `mmap` = uncompressed chunks read "
-            "back via memory mapping, `zlib` = DEFLATE-compressed chunks; "
-            + _BYTE_IDENTICAL,
-            evidence=(
-                "tests/test_engine_codecs.py::TestSpillFiles"
-                "::test_compression_accounting"
-            ),
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),
@@ -449,9 +423,11 @@ def resolve(name: str, value: Any = None) -> Any:
     """Resolve one setting: explicit ``value`` > environment variable >
     default.  A blank environment value counts as unset; an explicit
     value, blank or not, goes to the row's parser and never falls
-    through to the environment."""
+    through to the environment, and reading the environment fails on
+    any ``REPRO_*`` variable that is not a row of :data:`SETTINGS`."""
     setting = SETTINGS[name]
     if value is None:
+        _check_environment()
         value = os.environ.get(setting.env)
         if value is None or not value.strip():
             return setting.default
@@ -462,6 +438,23 @@ def resolve(name: str, value: Any = None) -> Any:
         raise ValueError(
             f"{names} must be {setting.parse.what}, got {value!r}"
         ) from exc
+
+
+_ENV_NAMES = frozenset(s.env for s in SETTINGS.values())
+
+
+def _check_environment() -> None:
+    """Refuse a ``REPRO_*`` variable that names no setting — a removed
+    or misspelt knob would otherwise be silently ignored."""
+    unknown = sorted(
+        name for name in os.environ
+        if name.startswith("REPRO_") and name not in _ENV_NAMES
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown environment variable(s) {', '.join(unknown)}; "
+            f"the REPRO_* settings are: {', '.join(sorted(_ENV_NAMES))}"
+        )
 
 
 def source(name: str, flag_set: bool) -> str:

@@ -13,11 +13,10 @@ from the simulated clock; veracity figures from the real data.
 
 Like its Spark original, the execution layer survives task failures:
 every batch runs through lineage-based recovery (retry from the
-narrowest persisted or source ancestor, optional speculative
-re-execution of stragglers), and a seeded
+narrowest persisted or source ancestor), and a seeded
 :class:`~repro.engine.faults.FaultPlan` can deterministically inject
-exceptions, worker deaths and stragglers to prove recovery is
-bit-identical to the fault-free run.
+exceptions and worker deaths to prove recovery is bit-identical to the
+fault-free run.
 """
 
 from repro.engine.context import ClusterContext
@@ -27,7 +26,6 @@ from repro.engine.executor import (
     RecoveryStats,
     RemoteTaskError,
     SerialExecutor,
-    SpeculationPolicy,
     TaskOutcome,
     ThreadExecutor,
     TransportProfile,
@@ -45,15 +43,12 @@ from repro.engine.rdd import ArrayRDD
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
 from repro.engine.metrics import SimulationMetrics, TaskRecord
 from repro.engine.storage import (
-    CODECS,
-    DEFAULT_CODEC,
     BlockCodec,
     BlockId,
     BlockStore,
     SpilledBlockHandle,
     StorageLevel,
     StorageStats,
-    get_codec,
 )
 from repro.engine.stream import iter_repeat_chunks
 
@@ -69,7 +64,6 @@ __all__ = [
     "ThreadExecutor",
     "PoolExecutor",
     "TaskOutcome",
-    "SpeculationPolicy",
     "RecoveryStats",
     "TransportProfile",
     "WorkerDied",
@@ -80,14 +74,11 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "SimulatedWorkerDeath",
-    "CODECS",
-    "DEFAULT_CODEC",
     "BlockCodec",
     "BlockId",
     "BlockStore",
     "SpilledBlockHandle",
     "StorageLevel",
     "StorageStats",
-    "get_codec",
     "iter_repeat_chunks",
 ]

@@ -29,10 +29,9 @@ recomputing only the lost partition's fused chain from its anchor
 (source or ``persist()``-ed) partitions.  A seeded
 :class:`~repro.engine.faults.FaultPlan` — ``fault_plan=`` argument, the
 ``REPRO_FAULTS`` environment variable, or the CLI ``--faults`` flag —
-deterministically injects task failures, worker deaths and stragglers to
-exercise that path; ``speculation=True`` additionally re-executes
-stragglers with first-result-wins.  Recovery affects wall clock and the
-``metrics`` recovery counters only, never the simulated series.
+deterministically injects task failures and worker deaths to exercise
+that path.  Recovery affects wall clock and the ``metrics`` recovery
+counters only, never the simulated series.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro import config
 from repro.engine.executor import (
     Executor,
     RecoveryStats,
-    SpeculationPolicy,
     make_executor,
     run_with_recovery,
 )
@@ -81,10 +79,8 @@ class ClusterContext:
         fault_plan: FaultPlan | dict | str | None = None,
         max_task_retries: int | None = None,
         retry_backoff_seconds: float = 0.01,
-        speculation: bool | SpeculationPolicy | None = None,
         memory_budget_bytes: int | str | None = None,
         spill_dir: str | None = None,
-        block_codec: str | None = None,
     ) -> None:
         if partition_multiplier < 1:
             raise ValueError("partition_multiplier must be >= 1")
@@ -125,14 +121,6 @@ class ClusterContext:
         if retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
         self.retry_backoff_seconds = retry_backoff_seconds
-        if isinstance(speculation, SpeculationPolicy):
-            self.speculation: SpeculationPolicy | None = speculation
-        else:
-            self.speculation = (
-                SpeculationPolicy()
-                if config.resolve("speculation", speculation)
-                else None
-            )
         # Monotone batch counter keying each dispatched batch into the
         # fault plan's deterministic decision stream.
         self._batch_ids = itertools.count()
@@ -140,14 +128,10 @@ class ClusterContext:
         # BlockId; under a memory budget the store LRU-spills blocks to
         # disk and tasks write their outputs as block files directly.
         # Monotone RDD ids key the blocks (and the persist accounting —
-        # id() reuse can never alias entries).  Every spill /
-        # shuffle-segment / checkpoint file goes through block_codec;
-        # reads go by the file's own footer, so mixed-codec spill
-        # directories are still readable.
+        # id() reuse can never alias entries).
         self.storage = BlockStore(
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
-            codec=block_codec,
         )
         self._rdd_ids = itertools.count()
         self.metrics.attach_storage(self.storage.stats)
@@ -187,7 +171,6 @@ class ClusterContext:
                 batch=next(self._batch_ids),
                 max_task_retries=self.max_task_retries,
                 backoff_seconds=self.retry_backoff_seconds,
-                speculation=self.speculation,
                 stats=stats,
             )
         finally:

@@ -35,9 +35,10 @@ Three backends are provided, all on the driver's host:
 
 The pool's scheduling is :class:`_Dispatcher`, the driver-side state
 machine — give every idle channel one batch, wait, drain replies, and
-apply the four rules: strict-order accounting, first-result-wins
-absorb, blame the first unreported task and requeue the rest when a
-worker dies, back up stragglers on idle channels.  A
+apply the three rules: absorb each reply as the head task's outcome,
+blame the first unreported task and requeue the rest when a worker
+dies, and mark whatever is left as :class:`WorkerDied` when every
+worker is gone.  A
 :class:`_Channel` is the seam between that machine and the pipe to one
 worker (:class:`_PoolWorker`): how a batch is encoded and sent, how
 replies are read, what the driver waits on.  The worker side is
@@ -55,7 +56,7 @@ Fault tolerance lives in two layers here:
   :meth:`Executor.run` (simple backends — the base ``run_outcomes``
   guards each task and dispatches through ``run``) *or*
   ``run_outcomes`` natively (the dispatcher, which must observe worker
-  death, and the thread backend's speculative path).
+  death).
 * :func:`run_with_recovery` drives rounds of ``run_outcomes`` with
   per-task retry budgets and exponential backoff — the engine analogue
   of Spark's lineage recomputation.  Because every engine task closure
@@ -63,8 +64,8 @@ Fault tolerance lives in two layers here:
   ``persist()``-ed blocks, see ``plan._make_fused_task``), re-running a
   failed task IS recomputing the lost partition's fused chain from its
   narrowest persisted or source ancestor; nothing else is touched.
-  Stragglers get speculative re-execution (:class:`SpeculationPolicy`)
-  with first-result-wins.
+  Every task is a pure function of ``(seed, partition)``, so each runs
+  as one copy: a second copy could only repeat work already running.
 
 Selection: ``ClusterContext(executor="threads", local_workers=8)``, or
 the environment variables ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS``
@@ -77,18 +78,14 @@ children at interpreter exit.
 from __future__ import annotations
 
 import atexit
-import itertools
-import math
 import multiprocessing as mp
 import os
 import pickle
-import statistics
 import time
 import traceback
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
@@ -110,7 +107,6 @@ __all__ = [
     "ThreadExecutor",
     "PoolExecutor",
     "TaskOutcome",
-    "SpeculationPolicy",
     "RecoveryStats",
     "TransportProfile",
     "WorkerDied",
@@ -155,41 +151,12 @@ class TaskOutcome:
         return self.value
 
 
-@dataclass(frozen=True)
-class SpeculationPolicy:
-    """When to launch a backup copy of a slow task (first result wins).
-
-    Once at least ``quantile`` of the batch has completed, any task still
-    running after ``max(min_runtime_seconds, multiplier * median)`` of
-    the completed durations is speculated once.  Mirrors Spark's
-    ``spark.speculation.{multiplier,quantile}`` knobs.
-    """
-
-    multiplier: float = 1.5
-    quantile: float = 0.5
-    min_runtime_seconds: float = 0.01
-    poll_interval_seconds: float = 0.005
-
-    def threshold(
-        self, durations: Sequence[float], n_total: int
-    ) -> float | None:
-        """Straggler cutoff, or ``None`` while too few tasks finished."""
-        need = max(1, math.ceil(self.quantile * n_total))
-        if len(durations) < need:
-            return None
-        return max(
-            self.min_runtime_seconds,
-            self.multiplier * statistics.median(durations),
-        )
-
-
 @dataclass
 class RecoveryStats:
     """Counters produced by one :func:`run_with_recovery` batch."""
 
     tasks_failed: int = 0
     tasks_retried: int = 0
-    tasks_speculated: int = 0
     recompute_bytes: int = 0
 
 
@@ -291,22 +258,8 @@ class Executor:
             self.transport.compute_seconds += time.perf_counter() - started
         return outcomes
 
-    def run_outcomes(
-        self,
-        tasks: Sequence[Task],
-        *,
-        speculation: SpeculationPolicy | None = None,
-        speculative_tasks: Sequence[Task] | None = None,
-        on_speculate: Callable[[int], None] | None = None,
-    ) -> list[TaskOutcome]:
-        """Run a batch, one :class:`TaskOutcome` per task.
-
-        ``speculative_tasks`` are clean backup copies, positionally
-        aligned with ``tasks``; backends that cannot observe in-flight
-        tasks (this base implementation, used by ``serial``) ignore
-        speculation — it is an optimisation, never a correctness hook.
-        """
-        del speculation, speculative_tasks, on_speculate
+    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
+        """Run a batch, one :class:`TaskOutcome` per task."""
         return list(self.run([_guard(task) for task in tasks]))
 
     def close(self) -> None:
@@ -335,24 +288,6 @@ class SerialExecutor(Executor):
             results.append(task())
             self.transport.compute_seconds += time.perf_counter() - started
         return results
-
-
-class _TimedCall:
-    """Callable wrapper recording its own start time and duration, so
-    speculation only considers tasks that actually started running."""
-
-    __slots__ = ("fn", "started", "duration")
-
-    def __init__(self, fn: Callable[[], TaskOutcome]) -> None:
-        self.fn = fn
-        self.started: float | None = None
-        self.duration: float | None = None
-
-    def __call__(self) -> TaskOutcome:
-        self.started = time.monotonic()
-        outcome = self.fn()
-        self.duration = time.monotonic() - self.started
-        return outcome
 
 
 class ThreadExecutor(Executor):
@@ -384,70 +319,6 @@ class ThreadExecutor(Executor):
         if len(tasks) <= 1 or self.workers == 1:
             return [_timed(task) for task in tasks]
         return list(self._ensure_pool().map(_timed, tasks))
-
-    def run_outcomes(
-        self,
-        tasks: Sequence[Task],
-        *,
-        speculation: SpeculationPolicy | None = None,
-        speculative_tasks: Sequence[Task] | None = None,
-        on_speculate: Callable[[int], None] | None = None,
-    ) -> list[TaskOutcome]:
-        if speculation is None or len(tasks) <= 1 or self.workers == 1:
-            return super().run_outcomes(tasks)
-        return self._run_speculative(
-            tasks, speculation, speculative_tasks or tasks, on_speculate
-        )
-
-    def _run_speculative(
-        self,
-        tasks: Sequence[Task],
-        policy: SpeculationPolicy,
-        duplicates: Sequence[Task],
-        on_speculate: Callable[[int], None] | None,
-    ) -> list[TaskOutcome]:
-        n = len(tasks)
-        pool = self._ensure_pool()
-        outcomes: list[TaskOutcome | None] = [None] * n
-        durations: list[float] = []
-        speculated: set[int] = set()
-        futures: dict[Any, tuple[int, _TimedCall]] = {}
-        for i, task in enumerate(tasks):
-            call = _TimedCall(_guard(task))
-            futures[pool.submit(call)] = (i, call)
-        while any(o is None for o in outcomes):
-            done, _ = futures_wait(
-                list(futures),
-                timeout=policy.poll_interval_seconds,
-                return_when=FIRST_COMPLETED,
-            )
-            for fut in done:
-                i, call = futures.pop(fut)
-                outcome = fut.result()  # guarded: never raises
-                if outcomes[i] is None:
-                    outcomes[i] = outcome
-                    if call.duration is not None:
-                        durations.append(call.duration)
-                        self.transport.compute_seconds += call.duration
-            threshold = policy.threshold(durations, n)
-            if threshold is None:
-                continue
-            now = time.monotonic()
-            for fut, (i, call) in list(futures.items()):
-                if (
-                    outcomes[i] is None
-                    and i not in speculated
-                    and call.started is not None
-                    and now - call.started > threshold
-                ):
-                    speculated.add(i)
-                    backup = _TimedCall(_guard(duplicates[i]))
-                    futures[pool.submit(backup)] = (i, backup)
-                    if on_speculate is not None:
-                        on_speculate(i)
-        # Loser duplicates still queued or running are abandoned: their
-        # results are pure values with no external resources to release.
-        return outcomes  # type: ignore[return-value]
 
     def close(self) -> None:
         if self._pool is not None:
@@ -808,22 +679,20 @@ class _Lost(Exception):
 class _Channel:
     """One worker as the dispatcher sees it.
 
-    The dispatcher owns the two fields below; a transport supplies the
-    three methods, and they are all it may differ in.  A channel holds
-    at most one batch: it is busy iff ``assigned`` is non-empty.
+    The dispatcher owns ``assigned``; a transport supplies the three
+    methods, and they are all it may differ in.  A channel holds at most
+    one batch: it is busy iff ``assigned`` is non-empty.
     """
 
     label = "worker"  # leads the WorkerDied message
 
     def __init__(self) -> None:
-        # (key, is_backup) of the unreported tasks, in dispatch order
-        self.assigned: deque = deque()
-        # monotonic time of the last send or reply (the straggler clock)
-        self.batch_started = 0.0
+        # task indices of the unreported tasks, in dispatch order
+        self.assigned: deque[int] = deque()
 
-    def send(self, entries: list[tuple[int, Task, bool]]) -> bool:
-        """Encode and ship one batch of ``(key, fn, is_backup)``; False
-        if the worker is gone."""
+    def send(self, entries: list[tuple[int, Task]]) -> bool:
+        """Encode and ship one batch of ``(key, fn)``; False if the
+        worker is gone."""
         raise NotImplementedError
 
     def waitables(self) -> list:
@@ -834,39 +703,21 @@ class _Channel:
     def poll(self) -> tuple | None:
         """The next reply, or None when nothing is readable now:
         ``("ok", key, (payload, buffers), duration)`` with the result
-        still pickled (a losing duplicate is never unpickled) or
-        ``("err", key, exception, duration)``.  Raises :class:`_Lost`
-        when the worker is gone."""
+        still pickled (the dispatcher unpickles it, so the time lands in
+        ``serialize_seconds``) or ``("err", key, exception, duration)``.
+        Raises :class:`_Lost` when the worker is gone."""
         raise NotImplementedError
 
 
 class _Job:
-    """The bookkeeping of one ``run_outcomes`` call.
+    """The bookkeeping of one ``run_outcomes`` call.  Keys on the wire
+    and in ``_Channel.assigned`` are plain task indices: a job returns
+    only once every task has reported or been blamed, so no channel
+    still holds work of an earlier job."""
 
-    Keys on the wire and in ``_Channel.assigned`` are ``(serial,
-    index)``: the job returns the moment every outcome is set, so a
-    losing speculative copy may still be running — its late reply (or
-    its worker's death) reaches the *next* job, which must recognise it
-    as not its own."""
-
-    _serials = itertools.count()
-
-    def __init__(
-        self,
-        tasks: Sequence[Task],
-        duplicates: Sequence[Task],
-        policy: SpeculationPolicy | None,
-        on_speculate: Callable[[int], None] | None,
-    ) -> None:
-        self.serial = next(self._serials)
+    def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks = tasks
-        self.duplicates = duplicates
-        self.policy = policy
-        self.on_speculate = on_speculate
         self.outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-        self.held_errors: dict[int, BaseException] = {}
-        self.durations: list[float] = []
-        self.speculated: set[int] = set()
         self.pending: deque[int] = deque(range(len(tasks)))
 
 
@@ -878,8 +729,9 @@ class _Dispatcher(Executor):
     finishes, so ``assigned`` always has the task in progress at its
     head.  That is the hinge of every rule here: a reply belongs to the
     head, a death blames the head (:class:`WorkerDied`) and requeues the
-    rest — which never started — and a straggler is a head that has
-    been there too long.  :func:`run_with_recovery`, retry budgets and
+    rest — which never started — and when no worker is left every
+    unresolved task becomes a :class:`WorkerDied` outcome.
+    :func:`run_with_recovery`, retry budgets and
     :class:`~repro.engine.faults.FaultPlan` coordinates sit on top
     unchanged, because batching only affects transport: task identity,
     result order and fault verdicts are those of the flat task list.
@@ -913,26 +765,13 @@ class _Dispatcher(Executor):
         drop it from ``_channels``."""
         raise NotImplementedError
 
-    def run_outcomes(
-        self,
-        tasks: Sequence[Task],
-        *,
-        speculation: SpeculationPolicy | None = None,
-        speculative_tasks: Sequence[Task] | None = None,
-        on_speculate: Callable[[int], None] | None = None,
-    ) -> list[TaskOutcome]:
+    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
         if len(tasks) <= 1:
             # In-driver fallback: injected kills degrade to
             # SimulatedWorkerDeath (see FaultPlan.wrap).
             return self._run_inline(tasks)
         self._open_channels()
-        job = _Job(
-            tasks, speculative_tasks or tasks, speculation, on_speculate
-        )
-        timeout = (
-            None if speculation is None
-            else speculation.poll_interval_seconds
-        )
+        job = _Job(tasks)
         while any(o is None for o in job.outcomes):
             self._feed(job)
             busy = [c for c in self._channels if c.assigned]
@@ -946,45 +785,20 @@ class _Dispatcher(Executor):
                 for i, outcome in enumerate(job.outcomes):
                     if outcome is None:
                         job.outcomes[i] = TaskOutcome(
-                            error=job.held_errors.get(i)
-                            or WorkerDied(
+                            error=WorkerDied(
                                 f"every {self.name} worker was lost "
                                 f"before task {i} completed"
                             )
                         )
                 break
             wait_started = time.perf_counter()
-            mp_connection.wait(
-                [w for c in busy for w in c.waitables()], timeout=timeout
-            )
+            mp_connection.wait([w for c in busy for w in c.waitables()])
             self.transport.ipc_wait_seconds += (
                 time.perf_counter() - wait_started
             )
             for channel in busy:
                 self._drain(channel, job)
-            if speculation is not None:
-                self._maybe_speculate(job)
         return job.outcomes  # type: ignore[return-value]
-
-    def _send(
-        self,
-        channel: _Channel,
-        entries: list[tuple[int, Task, bool]],
-        job: _Job,
-    ) -> bool:
-        """Ship one batch; a channel that cannot take it is lost (the
-        caller still holds ``entries``)."""
-        stamped = [
-            ((job.serial, index), fn, backup) for index, fn, backup in entries
-        ]
-        if not channel.send(stamped):
-            self._blame_and_requeue(channel, "lost (send failed)", job)
-            self._channel_lost(channel)
-            return False
-        channel.assigned.extend((key, backup) for key, _fn, backup in stamped)
-        channel.batch_started = time.monotonic()
-        self.batches_sent += 1
-        return True
 
     def _feed(self, job: _Job) -> None:
         """Give each idle channel one batch from the head of the queue;
@@ -996,15 +810,17 @@ class _Dispatcher(Executor):
                 break
             if channel.assigned:
                 continue
-            entries = []
-            while job.pending and len(entries) < limit:
-                i = job.pending.popleft()
-                if job.outcomes[i] is None:
-                    entries.append((i, job.tasks[i], False))
-            if entries and not self._send(channel, entries, job):
-                job.pending.extendleft(
-                    key for key, _fn, _b in reversed(entries)
-                )
+            keys = [
+                job.pending.popleft()
+                for _ in range(min(limit, len(job.pending)))
+            ]
+            if channel.send([(i, job.tasks[i]) for i in keys]):
+                channel.assigned.extend(keys)
+                self.batches_sent += 1
+            else:
+                # Idle, so nothing to blame: the batch is still ours.
+                job.pending.extendleft(reversed(keys))
+                self._channel_lost(channel)
 
     def _drain(self, channel: _Channel, job: _Job) -> None:
         """Absorb everything a channel has to say, then let it report a
@@ -1017,41 +833,24 @@ class _Dispatcher(Executor):
             self._blame_and_requeue(channel, str(lost), job)
             self._channel_lost(channel)
 
-    def _copies_in_flight(self, job: _Job, index: int) -> bool:
-        return any(
-            key == (job.serial, index)
-            for channel in self._channels
-            for key, _backup in channel.assigned
-        )
-
     def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
         # Strict order: a reply is always the head's.
-        if channel.assigned:
-            channel.assigned.popleft()
-        channel.batch_started = time.monotonic()
-        tag, (serial, key), body, duration = reply
-        if serial != job.serial:
-            return  # a losing copy an earlier job left running
-        if tag == "ok":
-            if job.outcomes[key] is None:
-                payload, buffers = body
-                unpack_started = time.perf_counter()
-                value = _own_tree(pickle.loads(payload, buffers=buffers))
-                self.transport.serialize_seconds += (
-                    time.perf_counter() - unpack_started
-                )
-                job.outcomes[key] = TaskOutcome(value=value)
-                job.durations.append(duration)
-                self.transport.compute_seconds += duration
-                self.transport.payload_bytes += len(payload) + sum(
-                    len(buf) for buf in buffers
-                )
-            # A losing speculative copy needs no drain: its buffers are
-            # reclaimed wholesale when the worker recycles its arena.
-            return
-        job.held_errors[key] = body
-        if job.outcomes[key] is None and not self._copies_in_flight(job, key):
+        channel.assigned.popleft()
+        tag, key, body, duration = reply
+        if tag == "err":
             job.outcomes[key] = TaskOutcome(error=body)
+            return
+        payload, buffers = body
+        unpack_started = time.perf_counter()
+        value = _own_tree(pickle.loads(payload, buffers=buffers))
+        self.transport.serialize_seconds += (
+            time.perf_counter() - unpack_started
+        )
+        job.outcomes[key] = TaskOutcome(value=value)
+        self.transport.compute_seconds += duration
+        self.transport.payload_bytes += len(payload) + sum(
+            len(buf) for buf in buffers
+        )
 
     def _blame_and_requeue(
         self, channel: _Channel, how: str, job: _Job
@@ -1061,74 +860,17 @@ class _Dispatcher(Executor):
         never started and are requeued (same wrapped callables — the
         deterministic fault verdict is per (batch, index, attempt), not
         per dispatch)."""
-        # Only this job's tasks: an earlier job's losing copy needs
-        # neither blame nor a rerun (and if it was the one in progress,
-        # nothing of this job's had started).
-        entries = list(channel.assigned)
+        if not channel.assigned:
+            return
+        blamed, *unstarted = channel.assigned
         channel.assigned.clear()
-        unstarted = [
-            (index, is_backup)
-            for (serial, index), is_backup in entries
-            if serial == job.serial
-        ]
-        if not unstarted:
-            return
-        blamed = None
-        (in_progress_serial, _index), _backup = entries[0]
-        if in_progress_serial == job.serial:
-            blamed, _backup = unstarted.pop(0)
-            job.held_errors.setdefault(
-                blamed,
-                WorkerDied(
-                    f"{channel.label} {how} before reporting a result for "
-                    f"task {blamed}"
-                ),
+        job.outcomes[blamed] = TaskOutcome(
+            error=WorkerDied(
+                f"{channel.label} {how} before reporting a result for "
+                f"task {blamed}"
             )
-        for key, is_backup in unstarted:
-            if job.outcomes[key] is not None:
-                continue
-            if not is_backup:
-                job.pending.append(key)
-            elif (
-                not self._copies_in_flight(job, key)
-                and key in job.held_errors
-            ):
-                # The backup vanished and its original already failed.
-                job.outcomes[key] = TaskOutcome(error=job.held_errors[key])
-        if (
-            blamed is not None
-            and job.outcomes[blamed] is None
-            and not self._copies_in_flight(job, blamed)
-        ):
-            job.outcomes[blamed] = TaskOutcome(error=job.held_errors[blamed])
-
-    def _maybe_speculate(self, job: _Job) -> None:
-        """Send a backup of each straggling head task to an idle
-        channel, once per key; whichever copy reports first wins."""
-        threshold = job.policy.threshold(job.durations, len(job.tasks))
-        if threshold is None:
-            return
-        idle = [c for c in self._channels if not c.assigned]
-        now = time.monotonic()
-        for channel in list(self._channels):
-            if not idle:
-                return
-            if not channel.assigned:
-                continue
-            (serial, key), is_backup = channel.assigned[0]
-            if (
-                serial != job.serial
-                or is_backup
-                or key in job.speculated
-                or job.outcomes[key] is not None
-                or now - channel.batch_started <= threshold
-            ):
-                continue
-            backup = [(key, job.duplicates[key], True)]
-            if self._send(idle.pop(), backup, job):
-                job.speculated.add(key)
-                if job.on_speculate is not None:
-                    job.on_speculate(key)
+        )
+        job.pending.extend(unstarted)
 
 
 class _PoolWorker(_Channel):
@@ -1144,15 +886,13 @@ class _PoolWorker(_Channel):
         self.child = _PipeChild(_pool_worker_main)
         transport.submit_seconds += time.perf_counter() - started
 
-    def send(self, entries: list[tuple[int, Task, bool]]) -> bool:
+    def send(self, entries: list[tuple[int, Task]]) -> bool:
         # The previous batch has fully replied (one batch per channel),
         # so the child holds no view into the arena any more.
         arena = self.child.task_arena
         arena.recycle()
         serialize_started = time.perf_counter()
-        blob, descriptors = _dump_with_arena(
-            [(key, fn) for key, fn, _ in entries], arena, _cloudpickle
-        )
+        blob, descriptors = _dump_with_arena(entries, arena, _cloudpickle)
         send_started = time.perf_counter()
         if not self.child.send("run", blob, descriptors):
             return False
@@ -1227,12 +967,10 @@ class PoolExecutor(_Dispatcher):
             "result_segments": [len(c.reader.segments) for c in children],
         }
 
-    def run_outcomes(
-        self, tasks: Sequence[Task], **speculation: Any
-    ) -> list[TaskOutcome]:
+    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
         if self.workers == 1:
             return self._run_inline(tasks)  # no one to share with
-        return super().run_outcomes(tasks, **speculation)
+        return super().run_outcomes(tasks)
 
     def _new_worker(self) -> _PoolWorker:
         self.workers_forked += 1
@@ -1268,7 +1006,6 @@ def run_with_recovery(
     batch: int = 0,
     max_task_retries: int = 3,
     backoff_seconds: float = 0.01,
-    speculation: SpeculationPolicy | None = None,
     stats: RecoveryStats | None = None,
 ) -> list[Any]:
     """Run a task batch, retrying failed tasks from lineage.
@@ -1284,9 +1021,7 @@ def run_with_recovery(
 
     ``fault_plan`` wraps each attempt with its deterministic injection
     verdict (attempt numbers advance per failure, so a plan with
-    ``max_failures_per_task <= max_task_retries`` always converges);
-    speculative duplicates are dispatched at the injection horizon and
-    therefore always run clean.
+    ``max_failures_per_task <= max_task_retries`` always converges).
     """
     n = len(tasks)
     if n == 0:
@@ -1317,29 +1052,9 @@ def run_with_recovery(
                 )
                 for i in pending
             ]
-            backups = [
-                plan.wrap(
-                    tasks[i],
-                    batch=batch,
-                    index=i,
-                    attempt=plan.max_failures_per_task,
-                    driver_pid=driver_pid,
-                )
-                for i in pending
-            ]
         else:
             wrapped = [tasks[i] for i in pending]
-            backups = wrapped
-
-        def _count_speculation(_index: int) -> None:
-            stats.tasks_speculated += 1
-
-        outcomes = executor.run_outcomes(
-            wrapped,
-            speculation=speculation,
-            speculative_tasks=backups,
-            on_speculate=_count_speculation,
-        )
+        outcomes = executor.run_outcomes(wrapped)
         next_pending: list[int] = []
         for pos, i in enumerate(pending):
             outcome = outcomes[pos]

@@ -8,14 +8,11 @@ provides a seeded, serializable :class:`FaultPlan` that decides — purely
 as a function of ``(plan seed, batch, task index, attempt)`` — whether a
 given task attempt
 
-* raises an :class:`InjectedFault`,
+* raises an :class:`InjectedFault`, or
 * dies like a crashed worker (a ``pool`` worker process really calls
   ``os._exit``; in-driver backends raise
   :class:`SimulatedWorkerDeath` instead, which the recovery layer treats
-  identically), or
-* straggles (sleeps ``straggler_seconds`` *outside* the measured task
-  region, so the simulated clock never sees the delay and speculative
-  re-execution has something to win against).
+  identically).
 
 Because the decision is a pure function of the attempt coordinates, a
 fault schedule is reproducible across executor backends and across
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
 
@@ -72,36 +68,29 @@ class SimulatedWorkerDeath(InjectedFault):
 class FaultPlan:
     """Seeded, serializable schedule of task-granular fault injections.
 
-    ``p_exception`` / ``p_kill`` / ``p_straggler`` are per-attempt
-    probabilities (their sum must stay <= 1); ``max_failures_per_task``
-    is the injection horizon: attempts numbered at or past it are never
-    faulted, which bounds consecutive failures per task and makes
-    convergence under retries provable.  Speculative duplicate attempts
-    are dispatched at the horizon, so they always run clean.
+    ``p_exception`` / ``p_kill`` are per-attempt probabilities (their
+    sum must stay <= 1); ``max_failures_per_task`` is the injection
+    horizon: attempts numbered at or past it are never faulted, which
+    bounds consecutive failures per task and makes convergence under
+    retries provable.
     """
 
     seed: int = 0
     p_exception: float = 0.0
     p_kill: float = 0.0
-    p_straggler: float = 0.0
-    straggler_seconds: float = 0.02
     max_failures_per_task: int = 2
 
     def __post_init__(self) -> None:
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-        for name in ("p_exception", "p_kill", "p_straggler"):
+        for name in ("p_exception", "p_kill"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        total = self.p_exception + self.p_kill + self.p_straggler
+        total = self.p_exception + self.p_kill
         if total > 1.0 + 1e-12:
             raise ValueError(
                 f"fault probabilities must sum to <= 1, got {total!r}"
-            )
-        if self.straggler_seconds < 0:
-            raise ValueError(
-                f"straggler_seconds must be >= 0, got {self.straggler_seconds!r}"
             )
         if int(self.max_failures_per_task) != self.max_failures_per_task or (
             self.max_failures_per_task < 0
@@ -115,16 +104,12 @@ class FaultPlan:
     @property
     def is_zero(self) -> bool:
         """True when the plan can never inject anything."""
-        return (
-            self.p_exception == 0.0
-            and self.p_kill == 0.0
-            and self.p_straggler == 0.0
-        )
+        return self.p_exception == 0.0 and self.p_kill == 0.0
 
     def action(self, batch: int, index: int, attempt: int) -> str | None:
-        """The verdict for one task attempt: ``"exception"``, ``"kill"``,
-        ``"straggler"`` or ``None`` — a pure function of the coordinates,
-        so it is identical on every backend and on every replay."""
+        """The verdict for one task attempt: ``"exception"``, ``"kill"``
+        or ``None`` — a pure function of the coordinates, so it is
+        identical on every backend and on every replay."""
         if self.is_zero or attempt >= self.max_failures_per_task:
             return None
         u = np.random.default_rng(
@@ -134,8 +119,6 @@ class FaultPlan:
             return "exception"
         if u < self.p_exception + self.p_kill:
             return "kill"
-        if u < self.p_exception + self.p_kill + self.p_straggler:
-            return "straggler"
         return None
 
     def wrap(
@@ -153,9 +136,7 @@ class FaultPlan:
         worker process for the ``pool`` backend — so a
         "kill" can really take that process down (``os._exit``) when the
         task executes outside ``driver_pid``, and degrades to
-        :class:`SimulatedWorkerDeath` in-driver.  A straggler sleeps
-        before the task body, outside its measured segments: the
-        simulated cluster clock never sees injected delays.
+        :class:`SimulatedWorkerDeath` in-driver.
         """
         if self.is_zero:
             return task
@@ -174,8 +155,6 @@ class FaultPlan:
                     f"injected worker death (batch={batch}, task={index}, "
                     f"attempt={attempt})"
                 )
-            if action == "straggler":
-                time.sleep(self.straggler_seconds)
             return task()
 
         return _faulted

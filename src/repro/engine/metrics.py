@@ -13,9 +13,8 @@ the generators keep live across loop iterations.
 
 Fault recovery is metered separately from the simulated series: the
 recovery layer (:func:`repro.engine.executor.run_with_recovery`) reports
-``tasks_failed`` / ``tasks_retried`` / ``tasks_speculated`` /
-``recovery_recompute_bytes`` per batch via :meth:`SimulationMetrics.
-record_recovery`.  These counters never feed the scheduler, so the
+``tasks_failed`` / ``tasks_retried`` / ``recovery_recompute_bytes``
+per batch via :meth:`SimulationMetrics.record_recovery`.  These counters never feed the scheduler, so the
 Fig. 8-12 stage records and makespans are byte-identical whether a run
 recovered from faults or saw none (asserted in tests).
 
@@ -66,7 +65,6 @@ class SimulationMetrics:
     peak_persisted_bytes: int = 0
     tasks_failed: int = 0
     tasks_retried: int = 0
-    tasks_speculated: int = 0
     recovery_recompute_bytes: int = 0
     # Physical dispatch accounting (wall-clock side of the two clocks):
     # logical tasks emitted by the planner vs. executor tasks actually
@@ -123,7 +121,6 @@ class SimulationMetrics:
         simulated Fig. 8-12 series are unaffected by faults."""
         self.tasks_failed += stats.tasks_failed
         self.tasks_retried += stats.tasks_retried
-        self.tasks_speculated += stats.tasks_speculated
         self.recovery_recompute_bytes += stats.recompute_bytes
 
     # ------------------------------------------------------------------
@@ -208,14 +205,6 @@ class SimulationMetrics:
         return (
             0 if self.storage is None
             else int(self.storage.disk_logical_bytes)
-        )
-
-    @property
-    def storage_compression_ratio(self) -> float:
-        """Logical/actual byte ratio over every block the codec wrote."""
-        return (
-            1.0 if self.storage is None
-            else float(self.storage.compression_ratio())
         )
 
     @property

@@ -7,8 +7,8 @@ behind a stable :class:`BlockId`, keeps resident bytes under a
 configurable memory budget by LRU-spilling serialized blocks to a spill
 directory, transparently reloads them on access, and provides durable
 checkpoint files that truncate lineage for fault recovery.  Block files
-are RBLK ``.blk`` containers (``codecs.py``) with uncompressed
-memory-mapped or zlib-compressed chunks.  See DESIGN.md §8 for the block
+are RBLK ``.blk`` containers (``codecs.py``) of uncompressed chunks,
+memory-mapped on read-back.  See DESIGN.md §8 for the block
 lifecycle and budget semantics and §10 for the container.
 """
 
@@ -24,18 +24,13 @@ from repro.engine.storage.blocks import (
     write_block_file,
 )
 from repro.engine.storage.codecs import (
-    CODECS,
-    DEFAULT_CODEC,
     BlockCodec,
     WriteInfo,
-    get_codec,
     read_block_file,
     read_named_file,
 )
 
 __all__ = [
-    "CODECS",
-    "DEFAULT_CODEC",
     "BlockCodec",
     "BlockId",
     "BlockStore",
@@ -45,7 +40,6 @@ __all__ = [
     "StorageLevel",
     "StorageStats",
     "WriteInfo",
-    "get_codec",
     "load_block_file",
     "read_block_file",
     "read_named_file",

@@ -5,11 +5,10 @@ stable :class:`BlockId`.  Blocks start memory-resident; when the store's
 memory budget is exceeded the least-recently-used evictable blocks are
 serialized to block files under the spill directory and transparently
 reloaded on the next access.  Every block file is an RBLK ``.blk``
-container (see ``codecs.py``) whose chunks are either uncompressed and
-memory-mapped on read-back (``mmap``) or DEFLATE-compressed (``zlib``).
-Both round-trip arrays bit-exactly, so a spilled-and-reloaded partition
-is byte-identical to the in-memory original — the engine's
-cross-backend digest guarantee survives any budget under either codec.
+container (see ``codecs.py``) of uncompressed chunks, memory-mapped on
+read-back.  It round-trips arrays bit-exactly, so a spilled-and-reloaded
+partition is byte-identical to the in-memory original — the engine's
+cross-backend digest guarantee survives any budget.
 
 Three storage levels control the lifecycle:
 
@@ -55,13 +54,14 @@ import numpy as np
 from repro import config
 from repro.engine.storage.codecs import (
     BLOCK_EXTENSION,
-    DEFAULT_CODEC,
+    BlockCodec,
     WriteInfo,
-    get_codec,
     read_block_file,
 )
 
 Columns = Sequence[np.ndarray]
+
+_CODEC = BlockCodec()
 
 
 class StorageLevel(Enum):
@@ -105,11 +105,9 @@ class BlockId:
 class StorageStats:
     """Live per-tier byte accounting, surfaced through SimulationMetrics.
 
-    ``disk_bytes`` is the *actual* on-disk footprint (post-codec file
-    sizes); ``disk_logical_bytes`` is the pre-codec array bytes those
-    files represent.  The ``disk_written_*`` pair accumulates over the
-    session (never decremented), so :meth:`compression_ratio` reflects
-    everything the codec ever encoded, not just blocks still alive.
+    ``disk_bytes`` is the *actual* on-disk footprint (file sizes,
+    footers included); ``disk_logical_bytes`` is the array bytes those
+    files represent.
     """
 
     memory_bytes: int = 0
@@ -119,8 +117,6 @@ class StorageStats:
     reload_count: int = 0
     peak_memory_bytes: int = 0
     disk_high_water_bytes: int = 0
-    disk_written_bytes: int = 0
-    disk_written_logical_bytes: int = 0
     codec_encode_seconds: float = 0.0
     codec_decode_seconds: float = 0.0
 
@@ -135,21 +131,12 @@ class StorageStats:
     def add_disk(self, disk_bytes: int, logical_bytes: int) -> None:
         self.disk_bytes += disk_bytes
         self.disk_logical_bytes += logical_bytes
-        self.disk_written_bytes += disk_bytes
-        self.disk_written_logical_bytes += logical_bytes
         if self.disk_bytes > self.disk_high_water_bytes:
             self.disk_high_water_bytes = self.disk_bytes
 
     def sub_disk(self, disk_bytes: int, logical_bytes: int) -> None:
         self.disk_bytes -= disk_bytes
         self.disk_logical_bytes -= logical_bytes
-
-    def compression_ratio(self) -> float:
-        """Logical-to-disk ratio over everything written (1.0 when idle)."""
-
-        if self.disk_written_bytes <= 0:
-            return 1.0
-        return self.disk_written_logical_bytes / self.disk_written_bytes
 
     @property
     def codec_seconds(self) -> float:
@@ -160,7 +147,7 @@ class StorageStats:
 class SpilledBlockHandle:
     """What a task returns instead of arrays when it spilled its output.
 
-    ``nbytes`` is the logical (pre-codec) array bytes; ``disk_bytes``
+    ``nbytes`` is the logical array bytes; ``disk_bytes``
     the actual file size (0 means "unknown", treated as logical by the
     store).  ``codec_seconds`` carries task-side encode time back to
     the driver's :class:`StorageStats`.
@@ -185,19 +172,17 @@ def _handle_from_info(info: WriteInfo, rows: "int | None" = None) -> SpilledBloc
     )
 
 
-def write_block_file(
-    path: str, columns: Columns, codec: str = DEFAULT_CODEC
-) -> SpilledBlockHandle:
+def write_block_file(path: str, columns: Columns) -> SpilledBlockHandle:
     """Serialize a columnar partition to ``path`` (atomic temp + rename)."""
 
     columns = tuple(columns)
-    info = get_codec(codec).write(path, columns)
+    info = _CODEC.write(path, columns)
     rows = int(columns[0].size) if columns else 0
     return _handle_from_info(info, rows=rows)
 
 
 def load_block_file(path: str) -> "tuple[np.ndarray, ...]":
-    """Load a columnar partition written by any codec (self-describing)."""
+    """Load a columnar partition (the file is self-describing)."""
 
     return read_block_file(path)
 
@@ -209,8 +194,8 @@ class ChunkedBlockWriter:
     :class:`SpilledBlockHandle` a whole-partition write would return.
     """
 
-    def __init__(self, path: str, codec: str):
-        self._inner = get_codec(codec).open_writer(path)
+    def __init__(self, path: str):
+        self._inner = _CODEC.open_writer(path)
 
     def append_columns(self, columns: Columns) -> None:
         self._inner.append_columns(columns)
@@ -228,32 +213,23 @@ class BlockWriter:
 
     Created driver-side (the directory is made before any fork) and
     captured in task closures, so forked workers and threads can write
-    spill files without touching the BlockStore itself.  Carries the
-    session's codec name so every task-side file uses the same format.
+    spill files without touching the BlockStore itself.
     """
 
     directory: str
-    codec: str = DEFAULT_CODEC
 
     def write(self, name: str, columns: Columns) -> SpilledBlockHandle:
-        return write_block_file(
-            os.path.join(self.directory, name),
-            columns,
-            codec=self.codec,
-        )
+        return write_block_file(os.path.join(self.directory, name), columns)
 
     def write_arrays(
         self, name: str, named: "dict[str, np.ndarray]"
     ) -> WriteInfo:
-        path = os.path.join(self.directory, name)
-        return get_codec(self.codec).write_named(path, named)
+        return _CODEC.write_named(os.path.join(self.directory, name), named)
 
     def open_chunked(self, name: str) -> ChunkedBlockWriter:
         """A streaming writer for tasks that emit bounded chunks."""
 
-        return ChunkedBlockWriter(
-            os.path.join(self.directory, name), self.codec
-        )
+        return ChunkedBlockWriter(os.path.join(self.directory, name))
 
 
 class _MemoryRef:
@@ -313,12 +289,10 @@ class BlockStore:
         self,
         memory_budget_bytes: "int | str | None" = None,
         spill_dir: "str | os.PathLike | None" = None,
-        codec: "str | None" = None,
     ):
         self.memory_budget_bytes = config.resolve(
             "memory_budget", memory_budget_bytes
         )
-        self.codec = config.resolve("block_codec", codec)
         self._spill_base = config.resolve("spill_dir", spill_dir)
         self._root: "Path | None" = None
         self._blocks: "dict[BlockId, _Entry]" = {}
@@ -358,12 +332,12 @@ class BlockStore:
     def block_writer(self) -> BlockWriter:
         """A picklable writer for task-side block output."""
 
-        return BlockWriter(str(self._ensure_root() / "blocks"), self.codec)
+        return BlockWriter(str(self._ensure_root() / "blocks"))
 
     def shuffle_writer(self) -> BlockWriter:
         """A picklable writer for task-side shuffle segment output."""
 
-        return BlockWriter(str(self._ensure_root() / "shuffle"), self.codec)
+        return BlockWriter(str(self._ensure_root() / "shuffle"))
 
     def new_shuffle_id(self) -> int:
         return next(self._shuffle_ids)
@@ -399,7 +373,7 @@ class BlockStore:
         if entry.path is not None:
             return  # a clean copy already exists on disk: no rewrite
         path = str(self._ensure_root() / "blocks" / entry.block_id.filename)
-        info = get_codec(self.codec).write(path, entry.columns)
+        info = _CODEC.write(path, entry.columns)
         entry.path = path
         entry.disk_bytes = info.disk_bytes
         self.stats.spill_count += 1
@@ -588,7 +562,7 @@ class BlockStore:
         if entry.path is None:
             name = entry.block_id.filename
             target = str(self._ensure_root() / "checkpoints" / name)
-            info = get_codec(self.codec).write(target, entry.columns)
+            info = _CODEC.write(target, entry.columns)
             entry.disk_bytes = info.disk_bytes
             self.stats.spill_count += 1
             self.stats.codec_encode_seconds += info.seconds

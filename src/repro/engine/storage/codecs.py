@@ -1,13 +1,10 @@
 """The block container: how partition columns become bytes on disk.
 
 Every spilled block, shuffle segment and checkpoint is one RBLK ``.blk``
-file; the codec only decides what its payload chunks hold:
-
-* ``mmap`` — *uncompressed* chunks; whole-array reads come back as
-  ``np.memmap`` views when the array's chunks are contiguous in the
-  file, so a reload costs page-cache faults instead of an up-front copy.
-* ``zlib`` — DEFLATE (level 1) chunks: ~2.3x less disk for ~2x the
-  wall clock on edge columns.
+file of *uncompressed* payload chunks, written by the one
+:class:`BlockCodec`; whole-array reads come back as ``np.memmap`` views
+when the array's chunks are contiguous in the file, so a reload costs
+page-cache faults instead of an up-front copy.
 
 RBLK container layout (``.blk``)::
 
@@ -18,20 +15,20 @@ RBLK container layout (``.blk``)::
 
 The footer maps each array name to its dtype (``np.lib.format`` descr,
 so byte order and structured dtypes round-trip), its shape, and a chunk
-list of ``[file_offset, compressed_len, raw_len]`` triples.  Payload
-first / footer last makes the format *streaming-append friendly*: a
-chunked writer emits chunks as tasks produce rows and only assembles
-metadata at close.  Readers seek to the tail, verify the magic, and load
-the footer — no codec object needed; block files are self-describing and
-are read by their footer, never by the session's active codec (a reduce
-task can read segments written under either).  Every reader opens a
-path on this host's disk: the driver and its forked workers share one
-spill directory, so no block ever travels between hosts.
+list of ``[file_offset, stored_len, raw_len]`` triples, plus a
+``compression`` tag that is always ``"none"``; a footer naming any other
+tag (an older build's ``lzma`` or ``zlib``) is refused with an error
+naming the tag and the file.  Payload first / footer last makes the
+format *streaming-append friendly*: a chunked writer emits chunks as
+tasks produce rows and only assembles metadata at close.  Readers seek
+to the tail, verify the magic, and load the footer — no codec object
+needed.  Every reader opens a path on this host's disk: the driver and
+its forked workers share one spill directory, so no block ever travels
+between hosts.
 
-Bit-exactness: both codecs store the exact bytes of the C-contiguous
-array (``zlib`` is lossless), so spill-and-reload returns
-byte-identical columns and the engine's cross-backend digest guarantee
-is codec-independent.
+Bit-exactness: chunks hold the exact bytes of the C-contiguous array, so
+spill-and-reload returns byte-identical columns and the engine's
+cross-backend digest guarantee holds under any memory budget.
 """
 
 from __future__ import annotations
@@ -41,17 +38,12 @@ import math
 import os
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro import config
-
 Columns = Sequence[np.ndarray]
-
-DEFAULT_CODEC = config.SETTINGS["block_codec"].default
 
 # The one block-file suffix: spill blocks, shuffle segments, checkpoints.
 BLOCK_EXTENSION = ".blk"
@@ -62,17 +54,14 @@ CHUNK_BYTES = 1 << 20
 _MAGIC = b"RBLK01"
 _FOOTER_LEN_BYTES = 8
 _TAIL_BYTES = _FOOTER_LEN_BYTES + len(_MAGIC)
-# Footer ``compression`` tags a reader accepts.
-_COMPRESSIONS = ("none", "zlib")
+# The footer ``compression`` tag; the only one a reader accepts.
+_COMPRESSION = "none"
 
 __all__ = [
     "BLOCK_EXTENSION",
     "CHUNK_BYTES",
-    "CODECS",
-    "DEFAULT_CODEC",
     "BlockCodec",
     "WriteInfo",
-    "get_codec",
     "read_arrays",
     "read_block_file",
     "read_named_file",
@@ -87,12 +76,14 @@ class WriteInfo:
     rows: int
     n_columns: int
     logical_bytes: int  # sum of array .nbytes (pre-codec)
-    disk_bytes: int  # actual file size on disk (post-codec)
-    seconds: float  # encode time, compression + file writes
+    disk_bytes: int  # actual file size on disk (arrays + footer)
+    seconds: float  # encode time: the chunk file writes
 
 
 def _atomic_tmp(path: str) -> str:
-    """Temp name unique per process *and* thread (speculative duplicates)."""
+    """Temp name unique per process *and* thread, so two attempts at
+    one block never share a temp file: a killed worker's partial file
+    stays under its own pid while the retry writes in another process."""
 
     return f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
 
@@ -111,31 +102,14 @@ def _as_contiguous(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _compress(compression: str, data: bytes) -> bytes:
-    if compression == "zlib":
-        return zlib.compress(data, 1)
-    return data
-
-
-def _decompress(compression: str, payload: bytes, raw_len: int) -> bytes:
-    data = zlib.decompress(payload) if compression == "zlib" else payload
-    if len(data) != raw_len:
-        raise ValueError(
-            f"corrupt block chunk: expected {raw_len} raw bytes, "
-            f"got {len(data)}"
-        )
-    return data
-
-
 class _RblkWriter:
     """Appends payload chunks to a temp file; footer + rename at close."""
 
-    def __init__(self, path: str, compression: str, chunk_bytes: int):
+    def __init__(self, path: str, chunk_bytes: int):
         self._final_path = path
         self._tmp = _atomic_tmp(path)
         self._fh = open(self._tmp, "wb")
         self._offset = 0
-        self._compression = compression
         self._chunk_bytes = chunk_bytes
         self._arrays: "dict[str, dict]" = {}
         self._order: "list[str]" = []
@@ -159,11 +133,10 @@ class _RblkWriter:
 
     def _write_chunk(self, meta: dict, data: bytes) -> None:
         t0 = time.perf_counter()
-        payload = _compress(self._compression, data)
-        self._fh.write(payload)
+        self._fh.write(data)
         self._seconds += time.perf_counter() - t0
-        meta["chunks"].append([self._offset, len(payload), len(data)])
-        self._offset += len(payload)
+        meta["chunks"].append([self._offset, len(data), len(data)])
+        self._offset += len(data)
 
     def put_array(self, name: str, arr: np.ndarray) -> None:
         """Write a whole array, split internally into chunk_bytes chunks."""
@@ -221,7 +194,7 @@ class _RblkWriter:
                     }
                 )
             footer = json.dumps(
-                {"compression": self._compression, "arrays": footer_arrays}
+                {"compression": _COMPRESSION, "arrays": footer_arrays}
             ).encode("utf-8")
             self._fh.write(footer)
             self._fh.write(len(footer).to_bytes(_FOOTER_LEN_BYTES, "little"))
@@ -261,17 +234,17 @@ def _read_rblk_footer(fh) -> dict:
     fh.seek(-(_TAIL_BYTES + footer_len), os.SEEK_END)
     footer = json.loads(fh.read(footer_len).decode("utf-8"))
     compression = footer["compression"]
-    if compression not in _COMPRESSIONS:
-        # e.g. a checkpoint written by an older build's lzma codec
+    if compression != _COMPRESSION:
+        # e.g. a file written by an older build's lzma or zlib codec
         raise ValueError(
             f"{fh.name}: unsupported block compression {compression!r}; "
-            f"this build reads: {', '.join(_COMPRESSIONS)}"
+            f"this build reads: {_COMPRESSION}"
         )
     return footer
 
 
 def _contiguous_span(chunks: "list[list[int]]") -> "int | None":
-    """First-chunk offset if uncompressed chunks are back to back."""
+    """First-chunk offset if the chunks are back to back."""
 
     offset = chunks[0][0]
     expect = offset
@@ -282,13 +255,19 @@ def _contiguous_span(chunks: "list[list[int]]") -> "int | None":
     return offset
 
 
-def _decode_array(fh, meta: dict, compression: str) -> np.ndarray:
+def _decode_array(fh, meta: dict) -> np.ndarray:
     dtype = np.lib.format.descr_to_dtype(meta["descr"])
     shape = tuple(meta["shape"])
     buf = bytearray()
     for off, clen, rlen in meta["chunks"]:
         fh.seek(off)
-        buf += _decompress(compression, fh.read(clen), rlen)
+        data = fh.read(clen)
+        if len(data) != rlen:
+            raise ValueError(
+                f"corrupt block chunk: expected {rlen} raw bytes, "
+                f"got {len(data)}"
+            )
+        buf += data
     if dtype.itemsize and len(buf):
         arr = np.frombuffer(buf, dtype=dtype)
     else:
@@ -297,7 +276,7 @@ def _decode_array(fh, meta: dict, compression: str) -> np.ndarray:
 
 
 def _mmap_array(path: str, meta: dict) -> "np.ndarray | None":
-    """Memory-mapped view of an uncompressed contiguous array, or None."""
+    """Memory-mapped view of a contiguous array, or None."""
 
     dtype = np.lib.format.descr_to_dtype(meta["descr"])
     shape = tuple(meta["shape"])
@@ -312,7 +291,7 @@ def _mmap_array(path: str, meta: dict) -> "np.ndarray | None":
 
 
 # ---------------------------------------------------------------------------
-# Codec classes
+# The codec
 # ---------------------------------------------------------------------------
 
 
@@ -340,10 +319,8 @@ class _RblkChunkedWriter:
 
 
 class BlockCodec:
-    """One way of filling an RBLK block file's payload chunks."""
-
-    name: str = "?"
-    compression: str = "none"  # RBLK payload compression
+    """Writes RBLK block files of uncompressed ``chunk_bytes`` chunks;
+    stateless apart from the chunk size."""
 
     def __init__(self, chunk_bytes: int = CHUNK_BYTES):
         if chunk_bytes < 1:
@@ -355,7 +332,7 @@ class BlockCodec:
     def write_named(
         self, path: str, named: "dict[str, np.ndarray]"
     ) -> WriteInfo:
-        writer = _RblkWriter(path, self.compression, self.chunk_bytes)
+        writer = _RblkWriter(path, self.chunk_bytes)
         try:
             for name, arr in named.items():
                 writer.put_array(name, arr)
@@ -378,64 +355,29 @@ class BlockCodec:
     def open_writer(self, path: str):
         """A chunked writer: append_columns(chunk_cols)* then close()."""
 
-        return _RblkChunkedWriter(
-            _RblkWriter(path, self.compression, self.chunk_bytes)
-        )
-
-
-class ZlibCodec(BlockCodec):
-    """RBLK with DEFLATE level-1 chunks: fast, ~2-4x on edge columns."""
-
-    name = "zlib"
-    compression = "zlib"
-
-
-class MmapCodec(BlockCodec):
-    """RBLK with uncompressed chunks; reloads memory-map when contiguous."""
-
-    name = "mmap"
-    compression = "none"
-
-
-CODECS: "dict[str, type[BlockCodec]]" = {
-    cls.name: cls for cls in (MmapCodec, ZlibCodec)
-}
-
-_INSTANCES: "dict[str, BlockCodec]" = {}
-
-
-def get_codec(name: "str | None" = None) -> BlockCodec:
-    """Resolve + instantiate a codec (instances are stateless, cached)."""
-
-    resolved = config.resolve("block_codec", name)
-    codec = _INSTANCES.get(resolved)
-    if codec is None:
-        codec = CODECS[resolved]()
-        _INSTANCES[resolved] = codec
-    return codec
+        return _RblkChunkedWriter(_RblkWriter(path, self.chunk_bytes))
 
 
 # ---------------------------------------------------------------------------
-# Reads: by footer, independent of the active codec
+# Reads: by footer, no codec object needed
 # ---------------------------------------------------------------------------
 
 def read_named_file(
     path: str, names: "Sequence[str] | None" = None
 ) -> "dict[str, np.ndarray]":
     """Load a block file's arrays as a name -> array dict: the ``names``
-    asked for (the others are not decoded), or all of them.  Uncompressed
-    contiguous arrays come back memory-mapped."""
+    asked for (the others are not decoded), or all of them.  Contiguous
+    arrays come back memory-mapped."""
 
     with open(path, "rb") as fh:
         footer = _read_rblk_footer(fh)
-        compression = footer["compression"]
         metas = {meta["name"]: meta for meta in footer["arrays"]}
         out: "dict[str, np.ndarray]" = {}
         for name in metas if names is None else names:
             meta = metas[name]
-            arr = _mmap_array(path, meta) if compression == "none" else None
+            arr = _mmap_array(path, meta)
             if arr is None:
-                arr = _decode_array(fh, meta, compression)
+                arr = _decode_array(fh, meta)
             out[name] = arr
     return out
 

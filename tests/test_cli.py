@@ -194,8 +194,6 @@ class TestEngineInfo:
             ("--executor", "processes", "'serial', 'threads', 'pool'"),
             ("--executor", "cluster", "'serial', 'threads', 'pool'"),
             ("REPRO_EXECUTOR", "cluster", "serial, threads, pool"),
-            ("--block-codec", "lzma", "'mmap', 'zlib'"),
-            ("--block-codec", "raw", "'mmap', 'zlib'"),
         ],
     )
     def test_removed_values_rejected(

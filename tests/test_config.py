@@ -24,7 +24,7 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 15 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 13 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
@@ -34,10 +34,8 @@ EXPECTED = {
     "REPRO_FUSION": ("--no-fusion", "fusion", True),
     "REPRO_FAULTS": ("--faults", "fault_plan", None),
     "REPRO_MAX_TASK_RETRIES": ("--max-task-retries", "max_task_retries", 3),
-    "REPRO_SPECULATION": ("--speculation", "speculation", False),
     "REPRO_MEMORY_BUDGET": ("--memory-budget", "memory_budget_bytes", None),
     "REPRO_SPILL_DIR": ("--spill-dir", "spill_dir", None),
-    "REPRO_BLOCK_CODEC": ("--block-codec", "block_codec", "mmap"),
     "REPRO_QUERY_THREADS": ("--threads", "threads", None),
     "REPRO_QUERY_CACHE": ("--cache-size", "cache_size", 1024),
     "REPRO_STREAM_QUEUE": ("--queue-capacity", "queue_capacity", 8),
@@ -62,14 +60,9 @@ CASES = {
         ["{broken", "[1, 2]"],
     ),
     "max_task_retries": ("7", 7, 0, 0, ["many", "-1"]),
-    "speculation": ("YES", True, False, False, ["maybe"]),
     "memory_budget": ("8MB", 8 << 20, "none", None, ["abc", "8 peta", -1]),
     "spill_dir": ("/tmp/env-spill", "/tmp/env-spill",
                   Path("/tmp/arg-spill"), "/tmp/arg-spill", []),
-    # Two values, one of them the default: the argument spells the
-    # default back over the environment's other value.
-    "block_codec": ("zlib", "zlib", "MMAP", "mmap",
-                    ["raw", "lzma", "gzip", "extsort"]),
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1"]),
     "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
@@ -84,7 +77,6 @@ CASES = {
 EXPLICIT_BLANK = {
     "memory_budget": None,
     "spill_dir": "",
-    "block_codec": "mmap",
 }
 
 NAMES = list(SETTINGS)
@@ -102,15 +94,14 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
-        assert len(SETTINGS) == 15
+        assert len(SETTINGS) == 13
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
     def test_choice_rows_equal_the_live_sets(self):
-        from repro.engine import CODECS, available_backends
+        from repro.engine import available_backends
 
         assert SETTINGS["executor"].parse.values == available_backends()
-        assert set(SETTINGS["block_codec"].parse.values) == set(CODECS)
 
     def test_kwargs_exist_on_their_constructors(self):
         from repro.engine import ClusterContext
@@ -250,6 +241,25 @@ class TestResolve:
             with pytest.raises(ValueError, match=setting.env):
                 config.resolve(name)
 
+    @pytest.mark.parametrize(
+        "variable", ["REPRO_WORKERS", "REPRO_SPECULATION"]
+    )
+    def test_unknown_variable_is_an_error(self, variable, monkeypatch):
+        """A ``REPRO_*`` variable that names no row (one a removed knob
+        used, say) fails every read of the environment instead of being
+        silently ignored."""
+        from repro.cli import main
+        from repro.engine import ClusterContext
+
+        monkeypatch.setenv(variable, "on")
+        with pytest.raises(ValueError, match=variable) as exc:
+            main(["engine-info"])
+        assert "REPRO_EXECUTOR" in str(exc.value)  # lists the valid ones
+        with pytest.raises(ValueError, match=variable):
+            ClusterContext()
+        # An explicit value reads no environment.
+        assert config.resolve("executor", "pool") == "pool"
+
     def test_parsed_values_resolve_to_themselves(self):
         """Constructors may be handed an already-resolved value."""
         for name, (_, value, _, arg_value, _) in CASES.items():
@@ -273,13 +283,13 @@ class TestAddArguments:
     def test_text_is_kept_as_typed(self):
         args = self._parser().parse_args(
             ["--memory-budget", "none", "--max-task-retries", "4",
-             "--no-fusion", "--speculation", "--executor", "pool"]
+             "--no-fusion", "--executor", "pool"]
         )
         # "none" must survive to the constructor: resolved here it would
         # read as "flag not given" and let the environment win.
         assert args.memory_budget == "none"
         assert args.max_task_retries == "4"
-        assert args.no_fusion is False and args.speculation is True
+        assert args.no_fusion is False
         assert args.executor == "pool"
 
     def test_workers_flag_takes_a_count_only(self, capsys):
@@ -312,7 +322,13 @@ class TestAddArguments:
         assert env in capsys.readouterr().err
 
     def test_removed_flags_are_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            self._parser().parse_args(["--task-batch", "4"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --task-batch" in capsys.readouterr().err
+        for argv in (
+            ["--task-batch", "4"], ["--speculation"], ["--block-codec", "zlib"]
+        ):
+            with pytest.raises(SystemExit) as exc:
+                self._parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert (
+                f"unrecognized arguments: {' '.join(argv)}"
+                in capsys.readouterr().err
+            )

@@ -1,30 +1,30 @@
 """The block container + the budgeted ``distinct()`` exchange.
 
-The contract under test: how spilled blocks are stored (``.blk`` chunks
-memory-mapped or zlib-compressed) and whether ``distinct()`` exchanges
-in memory or through file segments (decided by the memory budget) are
-pure *physical* matters — for any codec x backend x budget the engine
-produces byte-identical datasets and identical simulated stage
-structure, while only disk bytes, peak memory and wall-clock
-encode/decode time change.
+The contract under test: that spilled blocks live in ``.blk`` files of
+memory-mapped chunks, and whether ``distinct()`` exchanges in memory or
+through file segments (decided by the memory budget), are pure
+*physical* matters — for any backend x budget the engine produces
+byte-identical datasets and identical simulated stage structure, while
+only disk bytes, peak memory and wall-clock encode/decode time change.
 
 Layers covered:
 
-* the ``block_codec`` setting and the ``chunk_bytes`` / ``chunk_rows``
-  arguments: accepted and rejected values;
-* per-codec round-trips over awkward shapes (empty, 0-d, 2-D,
-  big-endian, zero columns) plus a Hypothesis sweep over arbitrary
-  dtype/shape arrays, and chunk-size invariance;
+* the ``chunk_bytes`` / ``chunk_rows`` arguments: accepted and rejected
+  values;
+* round-trips over awkward shapes (empty, 0-d, 2-D, big-endian, zero
+  columns) plus a Hypothesis sweep over arbitrary dtype/shape arrays,
+  and chunk-size invariance;
 * chunked (streaming-append) writers;
-* the ``mmap`` codec's memory-mapped reload fast path;
+* the memory-mapped reload fast path, and the refusal of footers that
+  name a compression (an older build's ``lzma`` or ``zlib``);
 * ``distinct()`` equivalence of the budgeted file-segment exchange and
-  the in-memory one on every available backend under both codecs, for
-  single and pair keys — output *and* stage records;
+  the in-memory one on every available backend, for single and pair
+  keys — output *and* stage records;
 * worst-case reduce skew (every row hashed to one reducer) as a
   correctness case, and the budget as a bound on traced peak memory for
   a 2x10^6-row pair-key ``distinct()``;
-* spill file names and compression accounting;
-* the ``engine-info`` codec row.
+* spill file names and disk accounting;
+* ``engine-info`` flag/env sources, and no codec row.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.cli import main
 from repro.core import PGPBA, PGSK
-from repro.engine import (
-    CODECS,
-    DEFAULT_CODEC,
-    ClusterContext,
-    available_backends,
-    get_codec,
-)
+from repro.engine import BlockCodec, ClusterContext, available_backends
 from repro.engine.storage.codecs import (
     read_arrays,
     read_block_file,
@@ -57,7 +51,6 @@ from repro.engine.storage.codecs import (
 from repro.engine.stream import iter_repeat_chunks
 
 BACKENDS = tuple(available_backends())
-CODEC_NAMES = tuple(CODECS)
 
 
 def _digest(cols) -> str:
@@ -73,50 +66,15 @@ def _stage_structure(ctx) -> list:
 
 # ----------------------------------------------------------------------
 class TestResolution:
-    """The codec setting as ``get_codec`` and the context read it (the
-    per-row precedence table is tests/test_config.py), and the chunk-size
-    arguments that used to be settings."""
-
-    def test_default_is_mmap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
-        assert get_codec().name == DEFAULT_CODEC == "mmap"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
-        assert get_codec().name == "zlib"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
-        assert get_codec("mmap").name == "mmap"
-
-    # "lzma" and "raw" are removed codecs: rejected like any other
-    # unknown name.
-    @pytest.mark.parametrize("bad", ["gzip", "snappy", "lzma", "raw"])
-    def test_unknown_codec_rejected(self, bad):
-        with pytest.raises(
-            ValueError, match="REPRO_BLOCK_CODEC.*one of mmap, zlib"
-        ):
-            get_codec(bad)
-
-    def test_empty_means_unset(self, monkeypatch):
-        # An explicit "" is the default codec whatever the environment
-        # says; it does not fall through to the variable.
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
-        assert get_codec("").name == DEFAULT_CODEC
-
-    def test_unknown_env_codec_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "brotli")
-        with pytest.raises(ValueError, match="REPRO_BLOCK_CODEC"):
-            get_codec()
+    """The chunk-size arguments that used to be settings."""
 
     def test_chunk_bytes_argument(self):
         from repro.engine.storage.codecs import CHUNK_BYTES
 
-        zlib_codec = CODECS["zlib"]
-        assert zlib_codec().chunk_bytes == CHUNK_BYTES == 1 << 20
-        assert zlib_codec(chunk_bytes=4096).chunk_bytes == 4096
+        assert BlockCodec().chunk_bytes == CHUNK_BYTES == 1 << 20
+        assert BlockCodec(chunk_bytes=4096).chunk_bytes == 4096
         with pytest.raises(ValueError, match="chunk_bytes"):
-            zlib_codec(chunk_bytes=0)
+            BlockCodec(chunk_bytes=0)
 
     def test_chunk_rows_argument(self):
         values, counts = np.arange(10), np.full(10, 3)
@@ -132,11 +90,6 @@ class TestResolution:
         assert chunk_lengths(chunk_rows=20) == [20, 10]
         with pytest.raises(ValueError, match="chunk_rows"):
             chunk_lengths(chunk_rows=0)
-
-    def test_context_rejects_bad_codec(self):
-        with pytest.raises(ValueError, match="REPRO_BLOCK_CODEC"):
-            ClusterContext(n_nodes=1, block_codec="nope")
-
 
 # ----------------------------------------------------------------------
 def _cases() -> dict:
@@ -156,12 +109,11 @@ def _cases() -> dict:
     }
 
 
-@pytest.mark.parametrize("codec_name", CODEC_NAMES)
 class TestCodecRoundTrip:
     @pytest.mark.parametrize("case", sorted(_cases()))
-    def test_write_read(self, tmp_path, codec_name, case):
+    def test_write_read(self, tmp_path, case):
         cols = _cases()[case]
-        codec = get_codec(codec_name)
+        codec = BlockCodec()
         path = str(tmp_path / "b.blk")
         info = codec.write(path, cols)
         assert info.rows == (int(cols[0].shape[0]) if cols and
@@ -173,8 +125,8 @@ class TestCodecRoundTrip:
             assert g.shape == c.shape
             np.testing.assert_array_equal(g, c)
 
-    def test_named_round_trip(self, tmp_path, codec_name):
-        codec = get_codec(codec_name)
+    def test_named_round_trip(self, tmp_path):
+        codec = BlockCodec()
         path = str(tmp_path / "n.blk")
         arrays = {"alpha": np.arange(10), "beta": np.linspace(0, 1, 7)}
         info = codec.write_named(path, arrays)
@@ -188,8 +140,8 @@ class TestCodecRoundTrip:
             k: v.dtype for k, v in arrays.items()
         }
 
-    def test_chunked_writer_round_trip(self, tmp_path, codec_name):
-        codec = get_codec(codec_name)
+    def test_chunked_writer_round_trip(self, tmp_path):
+        codec = BlockCodec()
         path = str(tmp_path / "c.blk")
         rng = np.random.default_rng(1)
         a = rng.integers(0, 1 << 30, 10_000)
@@ -204,8 +156,8 @@ class TestCodecRoundTrip:
         np.testing.assert_array_equal(got[0], a)
         np.testing.assert_array_equal(got[1], b)
 
-    def test_empty_chunked_writer(self, tmp_path, codec_name):
-        codec = get_codec(codec_name)
+    def test_empty_chunked_writer(self, tmp_path):
+        codec = BlockCodec()
         path = str(tmp_path / "e.blk")
         w = codec.open_writer(path)
         w.append_columns((np.empty(0, np.int64), np.empty(0, np.float32)))
@@ -215,24 +167,22 @@ class TestCodecRoundTrip:
         assert got[0].dtype == np.int64 and got[0].size == 0
         assert got[1].dtype == np.float32 and got[1].size == 0
 
-    def test_chunk_bytes_never_changes_what_is_read(
-        self, tmp_path, codec_name
-    ):
+    def test_chunk_bytes_never_changes_what_is_read(self, tmp_path):
         """One payload chunk or hundreds: the arrays read back are the
-        same bytes (and stay memory-mapped when uncompressed)."""
+        same bytes, and stay memory-mapped."""
         cols = _cases()["ints"]
         digests = set()
         for chunk_bytes in (8, 100, 1 << 20):
             path = str(tmp_path / f"k{chunk_bytes}.blk")
-            CODECS[codec_name](chunk_bytes=chunk_bytes).write(path, cols)
+            BlockCodec(chunk_bytes=chunk_bytes).write(path, cols)
             got = read_block_file(path)
-            assert isinstance(got[0], np.memmap) == (codec_name == "mmap")
+            assert isinstance(got[0], np.memmap)
             digests.add(_digest(got))
         assert digests == {_digest(cols)}
 
 
 def test_mmap_codec_memory_maps(tmp_path):
-    codec = get_codec("mmap")
+    codec = BlockCodec()
     path = str(tmp_path / "m.blk")
     arr = np.arange(4_096, dtype=np.int64)
     codec.write(path, (arr,))
@@ -241,38 +191,30 @@ def test_mmap_codec_memory_maps(tmp_path):
     np.testing.assert_array_equal(np.asarray(got), arr)
 
 
-def test_zlib_compresses_redundant_data(tmp_path):
-    cols = (np.zeros(100_000, dtype=np.int64),)
-    plain = get_codec("mmap").write(str(tmp_path / "m.blk"), cols)
-    zl = get_codec("zlib").write(str(tmp_path / "z.blk"), cols)
-    assert zl.logical_bytes == plain.logical_bytes == 800_000
-    assert zl.disk_bytes < plain.disk_bytes // 10
-    assert zl.seconds >= 0.0
-
-
 def test_unknown_compression_tag_names_tag_and_file(tmp_path):
     """A block file whose footer names a compression this build cannot
-    decode (e.g. an lzma checkpoint from an older build) is rejected up
+    decode (an lzma or zlib file from an older build) is rejected up
     front, not misread as uncompressed."""
-    footer = json.dumps({
-        "compression": "lzma",
-        "arrays": [{"name": "c0", "descr": "<i8", "shape": [4],
-                    "chunks": [[0, 8, 32]]}],
-    }).encode()
-    path = tmp_path / "old.blk"
-    path.write_bytes(
-        b"\x00" * 8 + footer + len(footer).to_bytes(8, "little") + b"RBLK01"
-    )
-    for read in (
-        read_block_file,
-        read_named_file,
-        lambda p: read_arrays(p, ["c0"]),
-    ):
-        with pytest.raises(ValueError, match="old.blk.*'lzma'"):
-            read(str(path))
+    for tag in ("lzma", "zlib"):
+        footer = json.dumps({
+            "compression": tag,
+            "arrays": [{"name": "c0", "descr": "<i8", "shape": [4],
+                        "chunks": [[0, 8, 32]]}],
+        }).encode()
+        path = tmp_path / f"old-{tag}.blk"
+        path.write_bytes(
+            b"\x00" * 8 + footer + len(footer).to_bytes(8, "little")
+            + b"RBLK01"
+        )
+        for read in (
+            read_block_file,
+            read_named_file,
+            lambda p: read_arrays(p, ["c0"]),
+        ):
+            with pytest.raises(ValueError, match=f"old-{tag}.blk.*'{tag}'"):
+                read(str(path))
 
 
-@pytest.mark.parametrize("codec_name", CODEC_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(
     data=st.data(),
@@ -281,9 +223,9 @@ def test_unknown_compression_tag_names_tag_and_file(tmp_path):
          np.float32, np.float64, np.bool_]
     ),
 )
-def test_codec_round_trip_property(tmp_path_factory, codec_name, data, dtype):
+def test_codec_round_trip_property(tmp_path_factory, data, dtype):
     """Any dtype/shape combination — including empty and 0-d — survives
-    a write/read cycle bit-exactly under every codec."""
+    a write/read cycle bit-exactly."""
     shape = data.draw(
         st.one_of(
             st.just(()),
@@ -292,7 +234,7 @@ def test_codec_round_trip_property(tmp_path_factory, codec_name, data, dtype):
         )
     )
     arr = data.draw(hnp.arrays(dtype=dtype, shape=shape))
-    codec = get_codec(codec_name)
+    codec = BlockCodec()
     tmp = tmp_path_factory.mktemp("prop")
     path = str(tmp / "p.blk")
     codec.write(path, (arr,))
@@ -320,9 +262,8 @@ class TestBudgetedDistinct:
     in-memory one."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("codec", CODEC_NAMES)
     @pytest.mark.parametrize("key_columns", [(0,), (0, 1)])
-    def test_matches_unbudgeted(self, backend, codec, key_columns):
+    def test_matches_unbudgeted(self, backend, key_columns):
         cols = _dup_columns()
 
         def run(**ctx_kw):
@@ -335,9 +276,7 @@ class TestBudgetedDistinct:
             return out, stages
 
         ref, ref_stages = run(executor="serial")
-        got, got_stages = run(
-            executor=backend, memory_budget_bytes=1 << 14, block_codec=codec
-        )
+        got, got_stages = run(executor=backend, memory_budget_bytes=1 << 14)
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype
@@ -402,11 +341,9 @@ class TestBudgetedDistinct:
 
 # ----------------------------------------------------------------------
 class TestSpillFiles:
-    @pytest.mark.parametrize("codec_name", CODEC_NAMES)
-    def test_spill_files_are_blk(self, tmp_path, codec_name):
+    def test_spill_files_are_blk(self, tmp_path):
         ctx = ClusterContext(
-            n_nodes=2, memory_budget_bytes=1_000,
-            spill_dir=tmp_path, block_codec=codec_name,
+            n_nodes=2, memory_budget_bytes=1_000, spill_dir=tmp_path,
         )
         rdd = ctx.parallelize(
             (np.arange(5_000, dtype=np.int64),), n_partitions=4
@@ -418,22 +355,20 @@ class TestSpillFiles:
         ]
         assert spilled, "budget of 1 kB must force spills"
         assert all(p.suffix == ".blk" for p in spilled), spilled
-        assert ctx.storage.codec == codec_name
         rdd.unpersist()
         ctx.close()
 
-    def test_compression_accounting(self, tmp_path):
+    def test_disk_accounting(self, tmp_path):
         ctx = ClusterContext(
-            n_nodes=2, memory_budget_bytes=1_000,
-            spill_dir=tmp_path, block_codec="zlib",
+            n_nodes=2, memory_budget_bytes=1_000, spill_dir=tmp_path,
         )
         cols = (np.zeros(50_000, dtype=np.int64),)
         rdd = ctx.parallelize(cols, n_partitions=2).persist()
         rdd.count()
         stats = ctx.storage.stats
-        assert stats.disk_logical_bytes > stats.disk_bytes
-        assert stats.compression_ratio() > 5.0
-        assert ctx.metrics.storage_compression_ratio > 5.0
+        # uncompressed chunks: the files are the arrays plus footers
+        assert stats.disk_logical_bytes == cols[0].nbytes
+        assert 0 < stats.disk_bytes - stats.disk_logical_bytes < 4096
         assert ctx.metrics.storage_disk_logical_bytes == (
             stats.disk_logical_bytes
         )
@@ -441,21 +376,9 @@ class TestSpillFiles:
         rdd.unpersist()
         ctx.close()
 
-    def test_mixed_codec_directory_readable(self, tmp_path):
-        """Reads go by the file's footer, not the configured codec: blocks
-        written under one codec reload under another configuration."""
-        a = (np.arange(100, dtype=np.int64),)
-        get_codec("zlib").write(str(tmp_path / "x.blk"), a)
-        get_codec("mmap").write(str(tmp_path / "y.blk"), a)
-        for name in ("x.blk", "y.blk"):
-            np.testing.assert_array_equal(
-                read_block_file(str(tmp_path / name))[0], a[0]
-            )
-
-
 # ----------------------------------------------------------------------
 class TestGeneratorDigestMatrix:
-    """Backend x codec x budget never changes generator output."""
+    """Backend x budget never changes generator output."""
 
     @pytest.mark.parametrize("algo", [PGPBA, PGSK])
     def test_digests_invariant(self, algo, seed_graph, seed_analysis,
@@ -479,12 +402,8 @@ class TestGeneratorDigestMatrix:
         base = run(executor="serial")
         for backend in BACKENDS:
             assert run(executor=backend) == base, backend
-            for codec in CODEC_NAMES:
-                got = run(
-                    executor=backend, block_codec=codec,
-                    memory_budget_bytes=1 << 14,
-                )
-                assert got == base, (backend, codec)
+            got = run(executor=backend, memory_budget_bytes=1 << 14)
+            assert got == base, backend
 
 
 # ----------------------------------------------------------------------
@@ -515,21 +434,23 @@ class TestStreamHelpers:
 
 # ----------------------------------------------------------------------
 class TestEngineInfoCli:
-    def test_reports_codec_and_shuffle(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK_CODEC", raising=False)
+    def test_reports_no_codec_or_shuffle_row(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_MEMORY_BUDGET", raising=False)
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"block codec\s*: mmap\s+\[default\]", out)
-        assert not re.search(r"^shuffle\b", out, re.M)
+        assert re.search(
+            r"^memory budget\s*: unlimited\s+\[default\]", out, re.M
+        )
+        assert not re.search(r"^(block codec|shuffle)\b", out, re.M)
 
     def test_flag_source(self, capsys):
-        assert main(["engine-info", "--block-codec", "zlib"]) == 0
+        assert main(["engine-info", "--memory-budget", "8MB"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"block codec\s*: zlib\s+\[flag\]", out)
+        assert re.search(r"memory budget\s*: 8\.0 MiB\s+\[flag\]", out)
 
     def test_env_source(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_CODEC", "zlib")
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"block codec\s*: zlib\b", out)
-        assert "[env REPRO_BLOCK_CODEC]" in out
+        assert re.search(r"memory budget\s*: 8\.0 MiB\b", out)
+        assert "[env REPRO_MEMORY_BUDGET]" in out

@@ -4,8 +4,11 @@
 pipe transport (``_Channel``).  These tests substitute a transport that
 forks nothing — a channel that runs each task in the driver when it is
 sent and hands the replies back under the test's control — so the
-ordering, blame-and-requeue and speculation rules are exercised
+ordering, blame-and-requeue and total-loss rules are exercised
 directly instead of by killing real workers under a seeded fault plan.
+Every job runs one copy per task, so :class:`FakeDispatcher` checks
+after each ``run_outcomes`` that no channel still holds work: that is
+what lets wire keys be plain task indices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import weakref
 from collections import deque
 
 from repro.engine.executor import (
-    SpeculationPolicy,
     TransportProfile,
     WorkerDied,
     _Channel,
@@ -39,8 +41,7 @@ class FakeChannel(_Channel):
         self.dies_after = dies_after
         self.refuse = refuse
         self.held = held
-        self.batches: list[list[tuple[int, bool]]] = []
-        self.busy_at_send: list[bool] = []  # parallel to batches
+        self.batches: list[list[int]] = []  # task indices per batch
         self.outbox: deque = deque()
         self.delivered = 0
         # The read end of a pipe holding one unread byte: always
@@ -54,9 +55,8 @@ class FakeChannel(_Channel):
     def send(self, entries):
         if self.refuse:
             return False
-        self.batches.append([(key, backup) for key, _fn, backup in entries])
-        self.busy_at_send.append(bool(self.assigned))
-        for key, fn, _backup in entries:
+        self.batches.append([key for key, _fn in entries])
+        for key, fn in entries:
             try:
                 reply = ("ok", key, (pickle.dumps(fn()), []), 0.001)
             except Exception as exc:  # noqa: BLE001 - the "err" reply
@@ -94,24 +94,19 @@ class FakeDispatcher(_Dispatcher):
         self._channels.remove(channel)
         self.lost.append(channel)
 
+    def run_outcomes(self, tasks):
+        outcomes = super().run_outcomes(tasks)
+        # One copy per task: a finished job leaves no work behind.
+        assert not any(c.assigned for c in self._channels + self.lost)
+        return outcomes
+
 
 def tasks(n):
     return [lambda i=i: i * 10 for i in range(n)]
 
 
-def keys(batch):
-    """Task indices of a sent batch (wire keys are ``(serial, index)``)."""
-    return [index for (_serial, index), _backup in batch]
-
-
-def job_of(n, policy=None):
-    return _Job(tasks(n), tasks(n), policy, None)
-
-
-# Any straggling head task is backed up as soon as half the job is in.
-EAGER = SpeculationPolicy(
-    multiplier=0.0, min_runtime_seconds=0.0, poll_interval_seconds=0.0
-)
+def job_of(n):
+    return _Job(tasks(n))
 
 
 class TestOrdering:
@@ -121,11 +116,30 @@ class TestOrdering:
         late.held = lambda: bool(early.outbox) or early.delivered < 2
         ex = FakeDispatcher([late, early], task_batch=2)
         outcomes = ex.run_outcomes(tasks(4))
-        assert keys(late.batches[0]) == [0, 1]
-        assert keys(early.batches[0]) == [2, 3]
+        assert late.batches[0] == [0, 1]
+        assert early.batches[0] == [2, 3]
         assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
         assert ex.batches_sent == 2
         assert not late.assigned
+
+    def test_err_reply_mid_batch_sets_that_outcome_only(self):
+        boom = ValueError("task 1 failed")
+
+        def failing():
+            raise boom
+
+        a, b = FakeChannel(), FakeChannel()
+        ex = FakeDispatcher([a, b], task_batch=3)
+        work = tasks(6)
+        work[1] = failing
+        outcomes = ex.run_outcomes(work)
+        assert outcomes[1].error is boom
+        assert [o.unwrap() for i, o in enumerate(outcomes) if i != 1] == [
+            0, 20, 30, 40, 50
+        ]
+        # the rest of the batch ran on the same channel, nothing resent
+        assert a.batches == [[0, 1, 2]]
+        assert ex.batches_sent == 2 and ex.lost == []
 
     def test_adaptive_batch_gives_each_channel_two_rounds(self):
         a, b = FakeChannel(), FakeChannel()
@@ -142,8 +156,8 @@ class TestOrdering:
         job = job_of(5)
         ex._feed(job)
         ex._feed(job)
-        assert [keys(batch) for batch in a.batches] == [[0]]
-        assert [keys(batch) for batch in b.batches] == [[1]]
+        assert a.batches == [[0]]
+        assert b.batches == [[1]]
         assert list(job.pending) == [2, 3, 4]
 
 
@@ -154,14 +168,14 @@ class TestBlameAndRequeue:
         healthy.held = lambda: not ex.lost
         ex = FakeDispatcher([doomed, healthy], task_batch=4)
         outcomes = ex.run_outcomes(tasks(8))
-        assert keys(doomed.batches[0]) == [0, 1, 2, 3]
+        assert doomed.batches[0] == [0, 1, 2, 3]
         died = [i for i, o in enumerate(outcomes) if not o.ok]
         assert died == [1]
         assert isinstance(outcomes[1].error, WorkerDied)
         assert "fake worker lost (unplugged)" in str(outcomes[1].error)
         assert "task 1" in str(outcomes[1].error)
         # k-1 = 2 unstarted tasks requeued, in order, behind no one.
-        assert [keys(batch) for batch in healthy.batches] == [
+        assert healthy.batches == [
             [4, 5, 6, 7], [2, 3]
         ]
         assert [o.value for i, o in enumerate(outcomes) if i != 1] == [
@@ -188,134 +202,10 @@ class TestBlameAndRequeue:
         assert [o.unwrap() for o in outcomes] == [i * 10 for i in range(6)]
         # The refused batch [0, 1] is the first thing the next channel
         # gets — not pushed behind [2, 3].
-        assert [keys(batch) for batch in healthy.batches] == [
+        assert healthy.batches == [
             [0, 1], [2, 3], [4, 5]
         ]
         assert ex.lost == [refusing] and refusing.batches == []
-
-
-class TestSpeculation:
-    def _straggling(self):
-        """``slow`` sits on task 0 while ``fast`` finishes the rest."""
-        slow, fast = FakeChannel(), FakeChannel()
-        ex = FakeDispatcher([slow, fast], task_batch=1)
-        return ex, slow, fast
-
-    def test_backup_goes_to_an_idle_channel_once_per_key(self):
-        ex, slow, fast = self._straggling()
-        slow.held = lambda: True  # never reports: the backup must win
-        speculated: list[int] = []
-        outcomes = ex.run_outcomes(
-            tasks(4),
-            speculation=EAGER,
-            speculative_tasks=[lambda i=i: i * 10 for i in range(4)],
-            on_speculate=speculated.append,
-        )
-        assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
-        assert speculated == [0]
-        backups = [b for b in fast.batches if b[0][1]]
-        assert [keys(b) for b in backups] == [[0]]
-        assert not fast.busy_at_send[fast.batches.index(backups[0])]
-
-    def test_no_backup_while_every_channel_is_busy(self):
-        a, b = FakeChannel(), FakeChannel()
-        a.held = b.held = lambda: True
-        ex = FakeDispatcher([a, b], task_batch=1)
-        job = job_of(4, EAGER)
-        job.durations = [0.001, 0.001]
-        ex._feed(job)
-        ex._maybe_speculate(job)
-        assert ex.batches_sent == 2 and not job.speculated
-
-    def test_lost_backup_after_original_errored_resolves_to_that_error(
-        self,
-    ):
-        boom = ValueError("original failed")
-
-        def original():
-            raise boom
-
-        released = [False]
-        slow = FakeChannel(held=lambda: not released[0])
-        backup_host = FakeChannel()
-        ex = FakeDispatcher([slow, backup_host], task_batch=1)
-
-        def backup():
-            # The backup is now in flight: let the original's error out
-            # and take the backup's channel down before it reports.
-            released[0] = True
-            backup_host.dies_after = backup_host.delivered
-            return "never delivered"
-
-        outcomes = ex.run_outcomes(
-            [original, lambda: 1, lambda: 2],
-            speculation=EAGER,
-            speculative_tasks=[backup, lambda: 1, lambda: 2],
-        )
-        assert outcomes[0].error is boom  # not the backup's WorkerDied
-        assert [o.unwrap() for o in outcomes[1:]] == [1, 2]
-        assert ex.lost == [backup_host]
-
-    def test_first_result_wins_and_loser_is_not_unpickled(self):
-        ex, slow, fast = self._straggling()
-        released = [False]
-        slow.held = lambda: not released[0]
-
-        def backup():
-            released[0] = True  # both copies of task 0 now report
-            return "backup"
-
-        outcomes = ex.run_outcomes(
-            [lambda: "original", lambda: 1, lambda: 2, lambda: 3],
-            speculation=EAGER,
-            speculative_tasks=[backup, None, None, None],
-        )
-        # slow is drained before fast each round, so the original wins.
-        assert outcomes[0].unwrap() == "original"
-        assert ex.transport.payload_bytes == sum(
-            len(pickle.dumps(value)) for value in ("original", 1, 2, 3)
-        )
-
-    def test_late_loser_of_one_job_is_not_absorbed_by_the_next(self):
-        """The first job returns while its losing original is still
-        running on ``slow``; the reply must not be filed under the same
-        index of the second job (whose task 0 is a different task), and
-        ``slow`` must come back into service once it has reported."""
-        ex, slow, fast = self._straggling()
-        slow.held = lambda: True
-        first = ex.run_outcomes(
-            [lambda: "stale", lambda: 1, lambda: 2, lambda: 3],
-            speculation=EAGER,
-            speculative_tasks=[lambda: "backup", None, None, None],
-        )
-        assert [o.unwrap() for o in first] == ["backup", 1, 2, 3]
-        assert len(slow.assigned) == 1  # the loser, still out
-        slow.held = lambda: False
-        second = ex.run_outcomes([lambda i=i: f"new-{i}" for i in range(4)])
-        assert [o.unwrap() for o in second] == [
-            "new-0", "new-1", "new-2", "new-3"
-        ]
-        assert not slow.assigned
-        assert len(slow.batches) > 1  # back in rotation after the drop
-
-    def test_death_under_a_stale_loser_blames_nothing_in_the_next_job(self):
-        # ``slow`` still holds the first job's loser when the second job
-        # starts, so it is busy and gets none of the second job; it then
-        # dies with the loser in progress — nothing of the second job
-        # was there to blame or requeue.
-        slow, fast = FakeChannel(), FakeChannel()
-        ex = FakeDispatcher([slow, fast], task_batch=1)
-        slow.held = lambda: True
-        ex.run_outcomes(
-            tasks(2), speculation=EAGER, speculative_tasks=tasks(2)
-        )
-        assert len(slow.assigned) == 1
-        slow.held = lambda: False
-        slow.dies_after = slow.delivered
-        second = ex.run_outcomes(tasks(4))
-        assert len(slow.batches) == 1  # the loser's only
-        assert [o.unwrap() for o in second] == [0, 10, 20, 30]
-        assert ex.lost == [slow]
 
 
 class TestTransportProfile:

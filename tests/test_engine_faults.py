@@ -1,7 +1,7 @@
 """Deterministic fault injection + lineage-based recovery.
 
 The contract under test — the engine's Spark property: under any seeded
-fault plan (raised exceptions, killed worker processes, stragglers) with
+fault plan (raised exceptions, killed worker processes) with
 retries enabled, every backend produces the bit-identical dataset and
 the identical simulated-cluster accounting as the fault-free run.
 Recovery is wall-clock-only; the Fig. 8-12 series never see it.
@@ -14,11 +14,10 @@ Layers covered here:
   original error, recompute accounting;
 * real worker death on the ``pool`` backend (the worker actually
   ``os._exit``\\ s and the driver observes it as :class:`WorkerDied`);
-* speculative re-execution of stragglers (first result wins);
 * end-to-end equivalence for RDD pipelines and full PGPBA / PGSK
   generation across every backend;
 * a Hypothesis chaos property over random (pipeline, fault plan) pairs —
-  ``REPRO_CHAOS_EXAMPLES`` scales the example count (CI runs 200).
+  ``CHAOS_EXAMPLES`` scales the example count (CI runs 200).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.engine import (
     PoolExecutor,
     RecoveryStats,
     SimulatedWorkerDeath,
-    SpeculationPolicy,
     WorkerDied,
     available_backends,
     make_executor,
@@ -60,15 +58,13 @@ BACKENDS = available_backends()
 
 ZERO_PLAN = FaultPlan()
 
-# A plan that injects all three fault kinds at rates high enough to hit
+# A plan that injects both fault kinds at rates high enough to hit
 # every multi-batch workload below, while staying convergent: the
 # injection horizon (2) is within the default retry budget (3).
 CHAOS_PLAN = FaultPlan(
     seed=13,
     p_exception=0.25,
     p_kill=0.15,
-    p_straggler=0.1,
-    straggler_seconds=0.002,
     max_failures_per_task=2,
 )
 
@@ -101,7 +97,7 @@ def _ctx(backend="serial", plan=ZERO_PLAN, **kw):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_action_is_pure(self):
-        plan = FaultPlan(seed=5, p_exception=0.3, p_kill=0.3, p_straggler=0.3)
+        plan = FaultPlan(seed=5, p_exception=0.3, p_kill=0.3)
         coords = [(b, i, a) for b in range(4) for i in range(6) for a in range(3)]
         first = [plan.action(*c) for c in coords]
         second = [plan.action(*c) for c in coords]
@@ -141,14 +137,26 @@ class TestFaultPlan:
         with pytest.raises(SimulatedWorkerDeath):
             wrapped()
 
-    def test_wrap_straggler_still_returns(self):
+    def test_ci_plan_verdicts_are_pinned(self):
+        """The verdicts of the CI pool job's plan over batches 0-7 x
+        tasks 0-31 x attempts 0-1, digested when plans still had a third,
+        delay-only fault kind: removing it moved no exception or kill
+        verdict (same ``u`` draw per attempt, same thresholds)."""
         plan = FaultPlan(
-            seed=0, p_straggler=1.0, straggler_seconds=0.0
+            seed=101, p_exception=0.05, p_kill=0.05, max_failures_per_task=2
         )
-        wrapped = plan.wrap(
-            lambda: 7, batch=0, index=0, attempt=0, driver_pid=os.getpid()
+        verdicts = [
+            str(plan.action(batch, index, attempt))
+            for batch in range(8)
+            for index in range(32)
+            for attempt in range(2)
+        ]
+        assert hashlib.sha256(",".join(verdicts).encode()).hexdigest() == (
+            "835c629e82e255a5cecd86ba584a9f7842a310886ff4d610b7633a6afb250dd1"
         )
-        assert wrapped() == 7
+        assert (verdicts.count("exception"), verdicts.count("kill")) == (
+            31, 28
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -157,7 +165,7 @@ class TestFaultPlan:
             {"p_exception": -0.1},
             {"p_kill": 1.5},
             {"p_exception": 0.6, "p_kill": 0.6},
-            {"straggler_seconds": -1.0},
+            {"max_failures_per_task": 1.5},
             {"max_failures_per_task": -2},
         ],
     )
@@ -220,36 +228,17 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="REPRO_MAX_TASK_RETRIES"):
             _ctx(max_task_retries=-1)
 
-    def test_speculation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPECULATION", raising=False)
-        assert _ctx().speculation is None
-        assert isinstance(_ctx(speculation=True).speculation, SpeculationPolicy)
-        for value in ("on", "1", "true", "YES"):
-            monkeypatch.setenv("REPRO_SPECULATION", value)
-            assert isinstance(_ctx().speculation, SpeculationPolicy)
-        for value in ("off", "0", "false", "no", ""):
-            monkeypatch.setenv("REPRO_SPECULATION", value)
-            assert _ctx().speculation is None
-        monkeypatch.setenv("REPRO_SPECULATION", "maybe")
-        with pytest.raises(ValueError, match="'maybe'"):
-            _ctx()
-        assert _ctx(speculation=False).speculation is None  # explicit beats env
-
     def test_context_env_wiring(self, monkeypatch, open_context):
         monkeypatch.setenv("REPRO_FAULTS", '{"seed": 6, "p_exception": 0.1}')
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
-        monkeypatch.setenv("REPRO_SPECULATION", "on")
         ctx = open_context(n_nodes=1)
         assert ctx.fault_plan == FaultPlan(seed=6, p_exception=0.1)
         assert ctx.max_task_retries == 5
-        assert isinstance(ctx.speculation, SpeculationPolicy)
         explicit = open_context(
             n_nodes=1, fault_plan=ZERO_PLAN, max_task_retries=1,
-            speculation=False,
         )
         assert explicit.fault_plan == ZERO_PLAN
         assert explicit.max_task_retries == 1
-        assert explicit.speculation is None
         with pytest.raises(ValueError):
             ClusterContext(n_nodes=1, retry_backoff_seconds=-1.0)
 
@@ -388,69 +377,6 @@ class TestWorkerDeath:
 
 
 # ----------------------------------------------------------------------
-# Speculative execution
-# ----------------------------------------------------------------------
-class TestSpeculation:
-    # seed=4 is verified below to straggle exactly one of four tasks in
-    # batch 0 — the shape speculation exists for.
-    LONE_STRAGGLER = FaultPlan(
-        seed=4, p_straggler=0.3, straggler_seconds=0.4,
-        max_failures_per_task=1,
-    )
-    POLICY = SpeculationPolicy(
-        min_runtime_seconds=0.05, poll_interval_seconds=0.005
-    )
-
-    def test_plan_shape(self):
-        acts = [self.LONE_STRAGGLER.action(0, i, 0) for i in range(4)]
-        assert acts.count("straggler") == 1
-
-    def test_threshold_needs_quorum(self):
-        policy = SpeculationPolicy(quantile=0.5, min_runtime_seconds=0.1)
-        assert policy.threshold([], 4) is None
-        assert policy.threshold([0.01], 4) is None
-        assert policy.threshold([0.01, 0.01], 4) == pytest.approx(0.1)
-        assert policy.threshold([1.0, 1.0], 4) == pytest.approx(1.5)
-
-    @pytest.mark.parametrize("backend", ["threads", "pool"])
-    def test_first_result_wins(self, backend):
-        if backend == "pool" and "fork" not in mp.get_all_start_methods():
-            pytest.skip("fork unavailable")
-        with make_executor(backend, 4) as ex:
-            stats = RecoveryStats()
-            t0 = time.monotonic()
-            out = run_with_recovery(
-                ex,
-                [lambda i=i: np.full(10, i) for i in range(4)],
-                fault_plan=self.LONE_STRAGGLER,
-                speculation=self.POLICY,
-                backoff_seconds=0.0,
-                stats=stats,
-            )
-            wall = time.monotonic() - t0
-        for i in range(4):
-            assert np.array_equal(out[i], np.full(10, i))
-        assert stats.tasks_speculated == 1
-        assert stats.tasks_failed == 0  # stragglers are slow, not wrong
-        # The backup (dispatched past the injection horizon, hence clean)
-        # finished long before the 0.4s straggler would have.
-        assert wall < self.LONE_STRAGGLER.straggler_seconds
-
-    def test_serial_ignores_speculation(self):
-        with make_executor("serial") as ex:
-            stats = RecoveryStats()
-            out = run_with_recovery(
-                ex,
-                [lambda i=i: i for i in range(3)],
-                speculation=self.POLICY,
-                backoff_seconds=0.0,
-                stats=stats,
-            )
-        assert out == [0, 1, 2]
-        assert stats.tasks_speculated == 0
-
-
-# ----------------------------------------------------------------------
 # Executor lifecycle (close idempotence, context manager, child reaping)
 # ----------------------------------------------------------------------
 class TestExecutorLifecycle:
@@ -476,7 +402,7 @@ class TestExecutorLifecycle:
         ex = PoolExecutor(2)
         ex.run([lambda: 1, lambda: 2])
         busy, idle = (worker.child.proc for worker in ex._channels)
-        assert ex._channels[0].send([(0, lambda: time.sleep(60), False)])
+        assert ex._channels[0].send([(0, lambda: time.sleep(60))])
         assert busy.is_alive() and idle.is_alive()
         ex.close()
         assert not busy.is_alive() and not idle.is_alive()
@@ -599,20 +525,6 @@ class TestChaosEquivalence:
         assert stage_structure(got_ctx) == stage_structure(ref_ctx)
         assert got_ctx.metrics.tasks_failed > 0
 
-    def test_speculation_keeps_results_identical(self):
-        ref, _ = _pipeline_run("threads", ZERO_PLAN)
-        plan = FaultPlan(
-            seed=13, p_straggler=0.3, straggler_seconds=0.05,
-            max_failures_per_task=2,
-        )
-        got, ctx = _pipeline_run(
-            "threads", plan,
-            speculation=SpeculationPolicy(
-                min_runtime_seconds=0.01, poll_interval_seconds=0.002
-            ),
-        )
-        assert digest(got) == digest(ref)
-
 
 class TestZeroFaultByteIdentity:
     def test_zero_plan_equals_no_plan(self, monkeypatch):
@@ -628,7 +540,6 @@ class TestZeroFaultByteIdentity:
         for ctx in (ctx_explicit, ctx_absent):
             assert ctx.metrics.tasks_failed == 0
             assert ctx.metrics.tasks_retried == 0
-            assert ctx.metrics.tasks_speculated == 0
             assert ctx.metrics.recovery_recompute_bytes == 0
 
 
@@ -669,14 +580,12 @@ class TestCliFlags:
                 "generate", "seed.pcap", "--edges", "100",
                 "--faults", '{"seed": 1, "p_exception": 0.1}',
                 "--max-task-retries", "5",
-                "--speculation",
             ]
         )
         assert FaultPlan.resolve(args.faults) == FaultPlan(
             seed=1, p_exception=0.1
         )
         assert config.resolve("max_task_retries", args.max_task_retries) == 5
-        assert args.speculation is True
 
     def test_generate_fault_flags_default_to_env(self):
         args = build_parser().parse_args(
@@ -685,21 +594,18 @@ class TestCliFlags:
         # None everywhere: ClusterContext falls through to the env vars.
         assert args.faults is None
         assert args.max_task_retries is None
-        assert args.speculation is None
 
 
 # ----------------------------------------------------------------------
 # Hypothesis chaos property: random pipeline x random fault plan
 # ----------------------------------------------------------------------
-CHAOS_EXAMPLES = int(os.environ.get("REPRO_CHAOS_EXAMPLES", "25"))
+CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "25"))
 
 fault_plans = st.builds(
     FaultPlan,
     seed=st.integers(0, 2**16),
     p_exception=st.floats(0.0, 0.35),
     p_kill=st.floats(0.0, 0.3),
-    p_straggler=st.floats(0.0, 0.2),
-    straggler_seconds=st.just(0.001),
     max_failures_per_task=st.integers(0, 3),
 )
 

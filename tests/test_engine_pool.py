@@ -36,7 +36,6 @@ from repro.engine import (
     FaultPlan,
     PoolExecutor,
     RecoveryStats,
-    SpeculationPolicy,
     make_executor,
     run_with_recovery,
 )
@@ -253,61 +252,6 @@ class TestPoolLifecycle:
         ex.close()
         ex.close()
         assert ex.run([lambda: 3]) == [3]  # single task: inline fallback
-
-    def test_speculation_first_result_wins(self):
-        plan = FaultPlan(
-            seed=4, p_straggler=0.3, straggler_seconds=0.4,
-            max_failures_per_task=1,
-        )
-        policy = SpeculationPolicy(
-            min_runtime_seconds=0.05, poll_interval_seconds=0.005
-        )
-        with PoolExecutor(4) as ex:
-            stats = RecoveryStats()
-            out = run_with_recovery(
-                ex,
-                [lambda i=i: np.full(10, i) for i in range(4)],
-                fault_plan=plan,
-                speculation=policy,
-                backoff_seconds=0.0,
-                stats=stats,
-            )
-        for i in range(4):
-            assert np.array_equal(out[i], np.full(10, i))
-        assert stats.tasks_speculated >= 1
-        assert stats.tasks_failed == 0
-
-
-# ----------------------------------------------------------------------
-# Speculation across consecutive jobs
-# ----------------------------------------------------------------------
-class TestSpeculationAcrossJobs:
-    def test_pgpba_digest_equals_serial(self, seed_graph, seed_analysis):
-        """A job returns while its losing speculative copies still run;
-        PGPBA's next stage is a new job on the same workers, and a late
-        loser's payload used to be accepted as that job's result (seen
-        as ``KeyError`` in ``plan.fuse_and_run``)."""
-        plan = {"seed": 5, "p_straggler": 0.05, "straggler_seconds": 0.1,
-                "max_failures_per_task": 2}
-
-        def run(backend, **kw):
-            with ClusterContext(
-                executor=backend, local_workers=2, n_nodes=60,
-                executor_cores=12, **kw,
-            ) as ctx:
-                graph = PGPBA(fraction=2.0, seed=11).generate(
-                    seed_graph, seed_analysis, 20_000, context=ctx
-                ).graph
-                cols = [graph.src, graph.dst] + [
-                    graph.edge_properties[k]
-                    for k in sorted(graph.edge_properties)
-                ]
-                return digest(cols), ctx.metrics.tasks_speculated
-
-        reference, _ = run("serial")
-        got, speculated = run("pool", speculation=True, fault_plan=plan)
-        assert speculated > 0  # else the plan no longer exercises this
-        assert got == reference
 
 
 # ----------------------------------------------------------------------
