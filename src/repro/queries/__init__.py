@@ -8,7 +8,8 @@ way a deployed graph-based IDS would exercise it:
 
 * **node queries** — host lookup, degree ranking, neighbourhoods;
 * **edge queries** — attribute-filtered flow selection (protocol, port,
-  state, byte thresholds);
+  state, byte thresholds), answered as an :class:`EdgeSelection` of
+  edge ids over the graph; ``to_graph()`` gathers the columns on demand;
 * **path queries** — k-hop reachability and shortest paths (lateral
   movement analysis);
 * **sub-graph queries** — traffic motifs: fan-out (scanning), fan-in
@@ -20,7 +21,11 @@ from repro.queries.node_queries import (
     neighbors,
     vertex_by_host_id,
 )
-from repro.queries.edge_queries import EdgeFilter, filter_edges
+from repro.queries.edge_queries import (
+    EdgeFilter,
+    EdgeSelection,
+    filter_edges,
+)
 from repro.queries.path_queries import (
     k_hop_neighborhood,
     reachable_within,
@@ -38,6 +43,7 @@ __all__ = [
     "degree_top_k",
     "neighbors",
     "EdgeFilter",
+    "EdgeSelection",
     "filter_edges",
     "k_hop_neighborhood",
     "shortest_path_length",

@@ -12,17 +12,23 @@ the most selective index supplies a sorted candidate list via two
 gathers over just those candidates — a full-column boolean scan happens
 only when no pinned column is indexed.  Either path selects the same
 edges in the same order.
+
+:func:`filter_edges` answers with an :class:`EdgeSelection`: the
+matching edge ids over the snapshot's immutable graph, 8 bytes per edge.
+Columns are gathered only when a caller asks for them
+(:meth:`EdgeSelection.to_graph`), so a server holding many answers holds
+ids, not copies of ``src``, ``dst`` and every edge column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from repro.graph.property_graph import PropertyGraph
 
-__all__ = ["EdgeFilter", "filter_edges"]
+__all__ = ["EdgeFilter", "EdgeSelection", "filter_edges"]
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,40 @@ class EdgeFilter:
         return np.ascontiguousarray(cand, dtype=np.int64)
 
 
-def filter_edges(graph, flt: EdgeFilter) -> PropertyGraph:
-    """Sub-multigraph of the edges matching ``flt`` (vertices preserved)."""
+@dataclass(frozen=True, eq=False)
+class EdgeSelection:
+    """The edges of a graph that matched an :class:`EdgeFilter`.
+
+    ``edge_ids`` are the matching edge ids, int64, ascending and
+    read-only.  The selection pins the graph it was taken from by
+    reference (copying nothing), so an answer taken before
+    :meth:`~repro.serve.server.QueryServer.swap` keeps reading the old
+    graph's rows.  That graph is an init-only argument, kept off the
+    dataclass fields.
+    """
+
+    n_vertices: int
+    edge_ids: np.ndarray
+    base: InitVar[PropertyGraph]
+
+    def __post_init__(self, base: PropertyGraph) -> None:
+        # A view, so freezing it never changes the caller's array.
+        ids = np.ascontiguousarray(self.edge_ids, dtype=np.int64).view()
+        ids.flags.writeable = False
+        object.__setattr__(self, "edge_ids", ids)
+        object.__setattr__(self, "_base", base)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.edge_ids.size)
+
+    def to_graph(self) -> PropertyGraph:
+        """Sub-multigraph of the selected edges (vertices preserved):
+        ``src``, ``dst`` and every edge column gathered afresh."""
+        return self._base.select_edges(self.edge_ids)
+
+
+def filter_edges(graph, flt: EdgeFilter) -> EdgeSelection:
+    """The edges matching ``flt``, as ids over the snapshot's graph."""
     snap = graph.snapshot()
-    return snap.graph.select_edges(flt.selection(snap))
+    return EdgeSelection(snap.n_vertices, flt.selection(snap), snap.graph)

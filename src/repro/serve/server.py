@@ -11,6 +11,15 @@ makes regeneration (a new graph, a new snapshot, a new epoch) an
 implicit cache invalidation: :meth:`QueryServer.swap` installs the new
 snapshot and drops every stale entry.
 
+Every answer is read-only: :meth:`QueryServer.execute` marks each
+ndarray in a result (a bare array, or an array field of a dataclass
+answer) unwritable before it is cached or returned, so a caller cannot
+corrupt what the next cache hit returns, and answers behave the same
+cold and warm.  An edge-filter answer is an
+:class:`~repro.queries.edge_queries.EdgeSelection` of ids over the
+snapshot's graph; it pins that graph, so an answer taken before
+:meth:`QueryServer.swap` still reads the old graph's rows.
+
 Batched execution is deterministic: each query is a pure function of the
 snapshot, so a batch returns byte-identical results at any thread count,
 cached or not, and identical to calling the ``repro.queries`` functions
@@ -23,6 +32,7 @@ engine's SimulationMetrics.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
@@ -177,6 +187,18 @@ def _run_edge_filter(snap: GraphSnapshot, p: dict):
     # equals/ranges were canonicalized to sorted (name, value) tuples.
     flt = EdgeFilter(equals=dict(p["equals"]), ranges=dict(p["ranges"]))
     return filter_edges(snap, flt)
+
+
+def _read_only(result):
+    """Mark every ndarray of a query result unwritable (in place)."""
+    if isinstance(result, np.ndarray):
+        result.flags.writeable = False
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            value = getattr(result, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return result
 
 
 _OPS: dict[str, callable] = {
@@ -370,7 +392,7 @@ class QueryServer:
                     self._cache.move_to_end(key)
                     hit = True
         if not hit:
-            result = runner(snap, query.kwargs())
+            result = _read_only(runner(snap, query.kwargs()))
             if self.cache_size:
                 with self._lock:
                     self._cache[key] = result

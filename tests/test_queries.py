@@ -67,26 +67,28 @@ class TestNodeQueries:
 class TestEdgeQueries:
     def test_equals_filter(self, seed_graph):
         flt = EdgeFilter(equals={"PROTOCOL": 6})
-        sub = filter_edges(seed_graph, flt)
+        sub = filter_edges(seed_graph, flt).to_graph()
         assert (sub.edge_properties["PROTOCOL"] == 6).all()
         assert sub.n_edges < seed_graph.n_edges
 
     def test_range_filter(self, seed_graph):
         flt = EdgeFilter(ranges={"OUT_BYTES": (100, 10_000)})
-        sub = filter_edges(seed_graph, flt)
+        sub = filter_edges(seed_graph, flt).to_graph()
         ob = sub.edge_properties["OUT_BYTES"]
         assert (ob >= 100).all() and (ob <= 10_000).all()
 
     def test_open_ended_range(self, seed_graph):
         flt = EdgeFilter(ranges={"DURATION": (None, 1e12)})
-        assert filter_edges(seed_graph, flt).n_edges == seed_graph.n_edges
+        sel = filter_edges(seed_graph, flt)
+        assert sel.n_edges == seed_graph.n_edges
+        assert sel.to_graph().n_edges == seed_graph.n_edges
 
     def test_conjunction(self, seed_graph):
         flt = EdgeFilter(
             equals={"PROTOCOL": 6},
             ranges={"IN_BYTES": (1, None)},
         )
-        sub = filter_edges(seed_graph, flt)
+        sub = filter_edges(seed_graph, flt).to_graph()
         assert (sub.edge_properties["PROTOCOL"] == 6).all()
         assert (sub.edge_properties["IN_BYTES"] >= 1).all()
 

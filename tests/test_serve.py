@@ -1,12 +1,18 @@
 """GraphSnapshot: index correctness and byte-identity with the
 pre-snapshot query implementations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.graph import PropertyGraph
 from repro.queries import (
     EdgeFilter,
+    EdgeSelection,
     QueryWorkload,
     degree_top_k,
     fan_in_motif,
@@ -43,6 +49,19 @@ def random_graph(seed: int, n: int = 60, e: int = 500) -> PropertyGraph:
 
 
 SEEDS = (0, 1, 2)
+
+
+def assert_same_edges(got: PropertyGraph, want: PropertyGraph) -> None:
+    """``src``, ``dst`` and every edge column equal, dtypes included."""
+    assert got.n_vertices == want.n_vertices
+    assert np.array_equal(got.src, want.src)
+    assert np.array_equal(got.dst, want.dst)
+    assert set(got.edge_properties) == set(want.edge_properties)
+    for name in want.edge_properties:
+        a = np.asarray(got.edge_properties[name])
+        b = np.asarray(want.edge_properties[name])
+        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype
 
 
 class TestSnapshotStructure:
@@ -178,15 +197,9 @@ class TestQueryByteIdentity:
             mask = flt.mask(g)
             sel = flt.selection(g)
             assert np.array_equal(sel, np.flatnonzero(mask))
-            sub = filter_edges(g, flt)
-            ref = g.select_edges(mask)
-            assert np.array_equal(sub.src, ref.src)
-            assert np.array_equal(sub.dst, ref.dst)
-            for name in g.edge_properties:
-                got = np.asarray(sub.edge_properties[name])
-                want = np.asarray(ref.edge_properties[name])
-                assert np.array_equal(got, want)
-                assert got.dtype == want.dtype
+            answer = filter_edges(g, flt)
+            assert np.array_equal(answer.edge_ids, sel)
+            assert_same_edges(answer.to_graph(), g.select_edges(mask))
 
     def test_edge_filter_unknown_attribute(self):
         g = random_graph(0)
@@ -294,8 +307,8 @@ class TestSnapshotMemoization:
         )
         report = QueryWorkload(n_queries=10, seed=3).run(g)
         assert report.total_seconds > 0
-        # One construction for the queried graph.  (Edge filters create
-        # result sub-graphs; those are never snapshotted.)
+        # One construction for the queried graph.  (Edge filters answer
+        # with edge ids over it; no result sub-graph is built.)
         assert builds.count(g) == 1
         assert len(builds) == 1
         QueryWorkload(n_queries=10, seed=4).run(g)
@@ -316,3 +329,96 @@ class TestSnapshotMemoization:
         for v in range(10):
             k_hop_neighborhood(g, v, 2)
         assert calls["n"] == 1
+
+
+# ----------------------------------------------------------------------
+# EdgeSelection: ids over the snapshot, columns on demand
+# ----------------------------------------------------------------------
+@st.composite
+def graphs_and_filters(draw):
+    """A small random Netflow-ish graph and a filter over it.  Values are
+    drawn from narrow ranges so predicates match some edges, all edges
+    or none; an out-of-domain probe value forces an empty match."""
+    n = draw(st.integers(1, 12))
+    e = draw(st.integers(0, 60))
+
+    def column(elements, dtype=np.int64):
+        return draw(hnp.arrays(dtype, e, elements=elements))
+
+    g = PropertyGraph(
+        n,
+        column(st.integers(0, n - 1)),
+        column(st.integers(0, n - 1)),
+        edge_properties={
+            "PROTOCOL": column(st.sampled_from([6, 17])),
+            "DEST_PORT": column(st.sampled_from([22, 80, 443]), np.int32),
+            "STATE": column(st.integers(0, 3), np.int8),
+            "OUT_BYTES": column(st.integers(0, 4)),
+            "IN_BYTES": column(st.integers(0, 4)),
+            "DURATION": column(
+                st.floats(0, 10, allow_nan=False), np.float64
+            ),
+        },
+    )
+    bound = st.one_of(st.none(), st.integers(0, 4))
+    flt = EdgeFilter(
+        equals=draw(st.fixed_dictionaries({}, optional={
+            # indexed columns: the probe candidates
+            "PROTOCOL": st.sampled_from([6, 17, 99]),
+            "DEST_PORT": st.sampled_from([22, 80, 443, 4444]),
+            "STATE": st.integers(0, 4),
+            # unindexed: verified by gather or scanned
+            "OUT_BYTES": st.integers(0, 5),
+        })),
+        ranges=draw(st.fixed_dictionaries({}, optional={
+            "IN_BYTES": st.tuples(bound, bound),
+            "DURATION": st.tuples(
+                st.one_of(st.none(), st.floats(0, 5)),
+                st.one_of(st.none(), st.floats(5, 10)),
+            ),
+        })),
+    )
+    return g, flt
+
+
+class TestEdgeSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_filters())
+    def test_to_graph_equals_masked_select(self, case):
+        g, flt = case
+        mask = flt.mask(g)
+        answer = filter_edges(g, flt)
+        assert isinstance(answer, EdgeSelection)
+        assert answer.n_vertices == g.n_vertices
+        assert answer.edge_ids.dtype == np.int64
+        assert not answer.edge_ids.flags.writeable
+        assert np.array_equal(answer.edge_ids, np.flatnonzero(mask))
+        assert answer.n_edges == int(mask.sum())
+        assert_same_edges(answer.to_graph(), g.select_edges(mask))
+
+    @pytest.mark.parametrize("column,value", [
+        ("PROTOCOL", 6), ("DEST_PORT", 443), ("STATE", 1),
+    ])
+    def test_equals_only_probe_is_a_view_of_the_index(self, column, value):
+        g = random_graph(3)
+        answer = filter_edges(g, EdgeFilter(equals={column: value}))
+        index = g.snapshot().edge_indexes[column]
+        assert answer.n_edges > 0
+        assert np.shares_memory(answer.edge_ids, index.order)
+        assert np.array_equal(
+            answer.edge_ids, np.flatnonzero(g.edge_properties[column] == value)
+        )
+
+    def test_fields_are_n_vertices_and_edge_ids(self):
+        assert [f.name for f in dataclasses.fields(EdgeSelection)] == [
+            "n_vertices", "edge_ids"
+        ]
+
+    def test_freezing_never_touches_the_callers_array(self):
+        g = random_graph(4)
+        ids = np.array([0, 3, 7], dtype=np.int64)
+        sel = EdgeSelection(g.n_vertices, ids, g)
+        assert ids.flags.writeable
+        with pytest.raises(ValueError):
+            sel.edge_ids[0] = 1
+        assert_same_edges(sel.to_graph(), g.select_edges(ids))

@@ -1,17 +1,20 @@
 """QueryServer: concurrency determinism, caching, epochs, statistics."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import PropertyGraph
-from repro.queries import QueryWorkload
+from repro.queries import EdgeFilter, EdgeSelection, QueryWorkload
 from repro.queries.subgraph_queries import PairAggregate
 from repro.serve import Query, QueryServer
 from repro.serve.server import _OPS
 
-from tests.test_serve import random_graph
+from tests.test_serve import assert_same_edges, random_graph
 
 
 def results_equal(a, b) -> bool:
@@ -20,6 +23,12 @@ def results_equal(a, b) -> bool:
         return False
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, EdgeSelection):
+        return (
+            a.n_vertices == b.n_vertices
+            and results_equal(a.edge_ids, b.edge_ids)
+            and results_equal(a.to_graph(), b.to_graph())
+        )
     if isinstance(a, PropertyGraph):
         return (
             a.n_vertices == b.n_vertices
@@ -196,6 +205,91 @@ class TestEpochInvalidation:
         assert server.cache_info()["size"] == 1
         server.execute(Query.degree_top_k(3))
         assert server.cache_info()["hits"] == 1
+
+
+def answer_arrays(answer) -> list:
+    """The ndarrays an answer holds: itself, or its dataclass fields."""
+    if dataclasses.is_dataclass(answer):
+        values = [getattr(answer, f.name) for f in dataclasses.fields(answer)]
+    else:
+        values = [answer]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+class TestReadOnlyAnswers:
+    ARRAY_OPS = {
+        "neighbors", "degree_top_k", "edge_filter", "k_hop", "reachable",
+        "fan_out", "fan_in", "pair_aggregate",
+    }
+
+    @pytest.mark.parametrize("cache_size", (0, 16))
+    def test_writing_into_an_answer_raises(self, cache_size):
+        g = random_graph(50)
+        server = QueryServer(g, threads=1, cache_size=cache_size)
+        batch = full_batch(g)
+        first = server.run_batch(batch)
+        checked = set()
+        for query, answer in zip(batch, first):
+            for arr in answer_arrays(answer):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+                checked.add(query.op)
+        assert checked == self.ARRAY_OPS
+        second = server.run_batch(batch)
+        for a, b in zip(first, second):
+            assert results_equal(a, b)
+        snap = g.snapshot()
+        for query, answer in zip(batch, second):
+            assert results_equal(answer, _OPS[query.op](snap, query.kwargs()))
+
+
+class TestEdgeAnswers:
+    def test_cached_edge_answers_hold_ids_only(self):
+        g = random_graph(60, n=200, e=20_000)
+        snap = g.snapshot()
+        batch = QueryWorkload(n_queries=24, seed=1).build_queries(
+            snap, families=["edge"]
+        )
+        QueryServer(snap, threads=1, cache_size=0).run_batch(batch)
+        server = QueryServer(snap, threads=1, cache_size=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            answers = server.run_batch(batch)
+            answers = server.run_batch(batch)  # warm: every query hits
+            unique = {
+                q.fingerprint(): a for q, a in zip(batch, answers)
+            }
+            del answers
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = server.cache_info()
+        assert info["size"] == len(unique) > 1
+        assert info["hits"] >= len(batch)
+        id_bytes = 8 * sum(a.n_edges for a in unique.values())
+        owned = sum(
+            arr.nbytes
+            for a in unique.values() for arr in answer_arrays(a)
+        )
+        assert owned == id_bytes > 0
+        # Everything the cache keeps alive: the ids plus about 1.5 KiB
+        # of bookkeeping per entry, never a copy of the columns.
+        assert id_bytes <= retained <= id_bytes + 4096 * len(unique)
+
+    def test_answer_taken_before_swap_reads_the_old_graph(self):
+        g1, g2 = random_graph(20), random_graph(21)
+        flt = EdgeFilter(
+            equals={"PROTOCOL": 6}, ranges={"OUT_BYTES": (1, None)}
+        )
+        query = Query.edge_filter(equals=flt.equals, ranges=flt.ranges)
+        server = QueryServer(g1, threads=1, cache_size=64)
+        old = server.execute(query)
+        server.swap(g2)
+        new = server.execute(query)
+        assert server.cache_info()["hits"] == 0
+        assert_same_edges(old.to_graph(), g1.select_edges(flt.mask(g1)))
+        assert_same_edges(new.to_graph(), g2.select_edges(flt.mask(g2)))
 
 
 class TestServerStats:
