@@ -57,24 +57,18 @@ def default_cluster(
     executor_cores: int = 12,
     executor: str | None = None,
     local_workers: int | None = None,
-    memory_budget_bytes: int | str | None = None,
-    spill_dir: str | None = None,
 ) -> ClusterContext:
     """The paper's standard configuration: 60 nodes, 12 cores each,
     partitions = 2x executor cores.  ``executor`` / ``local_workers``
     select the real execution backend (default: serial, or the
-    ``REPRO_EXECUTOR`` environment override); ``memory_budget_bytes`` /
-    ``spill_dir`` bound the driver-resident block bytes (default:
-    unlimited, or the ``REPRO_MEMORY_BUDGET`` / ``REPRO_SPILL_DIR``
-    environment overrides)."""
+    ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS`` environment
+    overrides)."""
     return ClusterContext(
         n_nodes=n_nodes,
         executor_cores=executor_cores,
         partition_multiplier=2,
         executor=executor,
         local_workers=local_workers,
-        memory_budget_bytes=memory_budget_bytes,
-        spill_dir=spill_dir,
     )
 
 

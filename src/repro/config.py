@@ -99,9 +99,19 @@ class Parser:
         return self.fn(value)
 
 
+def _whole(value) -> int:
+    """``int(value)`` for an int, an integral float or integer text; a
+    bool or a fractional float is refused rather than truncated."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    return int(value)
+
+
 def integer(min: int) -> Parser:
     def parse(value):
-        number = int(value)
+        number = _whole(value)
         if number < min:
             raise ValueError(number)
         return number
@@ -149,7 +159,7 @@ def size(*, min: int = 0, off_tokens: Iterable[str] = (), off=None) -> Parser:
             if value.strip().lower() in off_tokens:
                 return off
             value = parse_size(value)
-        number = int(value)
+        number = _whole(value)
         if number < min:
             raise ValueError(number)
         return number
@@ -188,8 +198,6 @@ def _switch(value) -> bool:
 
 
 switch = Parser(_switch, "one of " + ", ".join(_ON_VALUES + _OFF_VALUES))
-
-path = Parser(os.fspath, "a directory path", "DIR")
 
 
 def _json_object(value) -> dict:
@@ -264,7 +272,7 @@ def _unit(unit: str) -> Callable[[Any], str]:
 
 _BYTE_IDENTICAL = (
     "results and simulated metrics are byte-identical under any value, "
-    "only wall clock, memory and disk use change"
+    "only wall clock and memory use change"
 )
 
 SETTINGS: "dict[str, Setting]" = {
@@ -334,34 +342,6 @@ SETTINGS: "dict[str, Setting]" = {
                 "tests/test_engine_faults.py::TestRunWithRecovery"
                 "::test_budget_exhaustion_reraises_original"
             ),
-        ),
-        # An explicit "" is a spelling of "unlimited": the one way a
-        # caller holding only text can lift a budget the environment
-        # sets.
-        Setting(
-            "memory_budget", "REPRO_MEMORY_BUDGET", None,
-            size(off_tokens=("none", "off", "unlimited", "inf", "")),
-            "--memory-budget", "memory_budget_bytes",
-            "cap on memory-resident partition blocks; excess blocks "
-            "LRU-spill to the spill dir and reload transparently; "
-            + _BYTE_IDENTICAL,
-            evidence=(
-                "tests/test_engine_storage.py::TestBudgetDigestMatrix"
-                "::test_budgeted_peak_memory_below_unlimited"
-            ),
-            show=lambda v: "unlimited" if v is None else format_bytes(v),
-        ),
-        Setting(
-            "spill_dir", "REPRO_SPILL_DIR", None, path,
-            "--spill-dir", "spill_dir",
-            "base directory for spilled blocks, shuffle segments and "
-            "checkpoints; each run uses its own session subdirectory, "
-            "removed on close",
-            evidence=(
-                "tests/test_engine_storage.py::TestResolvers"
-                "::test_context_reads_env"
-            ),
-            show=lambda v: "(system tempdir)" if v is None else v,
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),

@@ -28,8 +28,6 @@ import numpy as np
 
 from repro.core.generator import GenerationResult, SeedAnalysis
 from repro.engine.context import ClusterContext
-from repro.engine.storage import StorageLevel
-from repro.engine.stream import iter_repeat_chunks
 from repro.graph.property_graph import PropertyGraph
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
 
@@ -61,19 +59,6 @@ class PGPBA:
         Safety bound on the while loop.
     seed:
         Base RNG seed; all stages derive their streams from it.
-    storage_level:
-        Where the loop-carried edge RDD's pinned partitions live
-        (:class:`~repro.engine.StorageLevel` or its string name).  The
-        default ``memory_and_disk`` spills under the context's memory
-        budget; ``disk_only`` keeps the growing edge multiset
-        file-resident — the mode that unlocks graphs larger than RAM.
-    checkpoint_interval:
-        Every N-th iteration the freshly persisted edge RDD is also
-        written durably through the block store (``RDD.checkpoint()``),
-        so a task lost to a fault restarts from the checkpoint file
-        instead of recomputing — strictly lower
-        ``recovery_recompute_bytes`` under a fault plan.  0 (default)
-        disables checkpointing.
     """
 
     fraction: float = 0.1
@@ -82,37 +67,23 @@ class PGPBA:
     clamp_final_iteration: bool = True
     max_iterations: int = 10_000
     seed: int = 0
-    storage_level: "StorageLevel | str" = StorageLevel.MEMORY_AND_DISK
-    checkpoint_interval: int = 0
 
     def __post_init__(self) -> None:
         if self.fraction <= 0:
             raise ValueError("fraction must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
-        self.storage_level = StorageLevel.coerce(self.storage_level)
 
     # ------------------------------------------------------------------
-    def grow_structure(
+    def generate(
         self,
         seed_graph: PropertyGraph,
         analysis: SeedAnalysis,
         desired_size: int,
         *,
         context: ClusterContext | None = None,
-    ):
-        """Run the growth loop only (Fig. 2 lines 1-14), no collect.
-
-        Returns ``(edges, n_vertices, iterations)`` where ``edges`` is the
-        persisted two-column edge RDD.  This is the out-of-core entry
-        point: under a memory budget with ``storage_level="disk_only"``
-        the grown edge multiset lives in spilled codec blocks end to end
-        and the driver never materialises it — callers stream or digest
-        the partitions themselves.  :meth:`generate` builds on this and
-        adds the decoration + collect tail.
-        """
+    ) -> GenerationResult:
+        """Grow ``seed_graph`` until it holds ``desired_size`` edges."""
         if seed_graph.n_edges == 0:
             raise ValueError("PGPBA needs a non-empty seed graph")
         if desired_size < seed_graph.n_edges:
@@ -120,15 +91,19 @@ class PGPBA:
                 f"desired_size {desired_size} is smaller than the seed "
                 f"({seed_graph.n_edges} edges); PGPBA only grows graphs"
             )
-        ctx = context or ClusterContext(n_nodes=1)
+        if context is None:
+            with ClusterContext(n_nodes=1) as ctx:
+                return self.generate(
+                    seed_graph, analysis, desired_size, context=ctx
+                )
+        ctx = context
+        start_clock = ctx.metrics.simulated_seconds
 
         # The edge RDD is the loop-carried state: persist it so every
         # iteration's sample reads the pinned partitions instead of
         # replaying the whole growth lineage, and so the driver-side
         # memory meter tracks what the loop keeps resident.
-        edges = ctx.parallelize([seed_graph.src, seed_graph.dst]).persist(
-            self.storage_level
-        )
+        edges = ctx.parallelize([seed_graph.src, seed_graph.dst]).persist()
         n_vertices = seed_graph.n_vertices
         n_edges = seed_graph.n_edges
         in_dist = analysis.in_degree
@@ -154,28 +129,27 @@ class PGPBA:
             rng_base = self.seed * 1_000_003 + iterations
 
             def _grow(cols, pidx, _off=offsets, _rb=rng_base):
-                # Streaming emitter: every random value is drawn up front
-                # (pick, out_deg, in_deg — the exact draw order of the
-                # materialised version, so the RNG stream and therefore
-                # the output are bit-identical), then the np.repeat
-                # expansion — the part whose output dwarfs its input —
-                # is yielded in bounded row chunks.  Under a memory
-                # budget each chunk flushes straight into the spill
-                # codec; the full partition edge array never exists.
+                # Draw order is pick, out_deg, in_deg; the out-edges
+                # (new -> existing) come before the in-edges.
                 src, dst = cols
                 m = src.size
                 if m == 0:
                     empty = np.empty(0, np.int64)
-                    yield empty, empty
-                    return
+                    return empty, empty
                 rng = np.random.default_rng((_rb, pidx))
                 new_v = _off[pidx] + np.arange(m, dtype=np.int64)
                 pick = rng.random(m) < 0.5
                 dest_v = np.where(pick, src, dst)
                 out_deg = out_dist.sample(m, rng).astype(np.int64)
                 in_deg = in_dist.sample(m, rng).astype(np.int64)
-                yield from iter_repeat_chunks((new_v, dest_v), out_deg)
-                yield from iter_repeat_chunks((dest_v, new_v), in_deg)
+                return (
+                    np.concatenate(
+                        (np.repeat(new_v, out_deg), np.repeat(dest_v, in_deg))
+                    ),
+                    np.concatenate(
+                        (np.repeat(dest_v, out_deg), np.repeat(new_v, in_deg))
+                    ),
+                )
 
             # Growth multiplies each sampled edge into ~mean_new_edges
             # new ones (two int64 columns each); hint that expansion so
@@ -185,7 +159,7 @@ class PGPBA:
                 sizes * 16, (sizes * mean_new_edges * 16).astype(np.int64)
             )
             new_edges = sampled.map_partitions(
-                _grow, stage="pa:grow", bytes_hint=grow_hint, stream=True
+                _grow, stage="pa:grow", bytes_hint=grow_hint
             )
             n_vertices += n_new
             n_edges += new_edges.count()
@@ -193,42 +167,13 @@ class PGPBA:
             if grown.n_partitions > 4 * ctx.max_real_partitions:
                 grown = grown.repartition(ctx.max_real_partitions)
             edges.unpersist()
-            edges = grown.persist(self.storage_level)
-            if (
-                self.checkpoint_interval
-                and iterations % self.checkpoint_interval == 0
-            ):
-                edges.checkpoint()
+            edges = grown.persist()
 
         if n_edges < desired_size:
             raise RuntimeError(
                 f"PGPBA did not reach {desired_size} edges within "
                 f"{self.max_iterations} iterations (got {n_edges})"
             )
-        return edges, n_vertices, iterations
-
-    # ------------------------------------------------------------------
-    def generate(
-        self,
-        seed_graph: PropertyGraph,
-        analysis: SeedAnalysis,
-        desired_size: int,
-        *,
-        context: ClusterContext | None = None,
-    ) -> GenerationResult:
-        """Grow ``seed_graph`` until it holds ``desired_size`` edges."""
-        if context is None:
-            with ClusterContext(n_nodes=1) as ctx:
-                return self.generate(
-                    seed_graph, analysis, desired_size, context=ctx
-                )
-        ctx = context
-        start_clock = ctx.metrics.simulated_seconds
-
-        edges, n_vertices, iterations = self.grow_structure(
-            seed_graph, analysis, desired_size, context=ctx
-        )
-
         structure_clock = ctx.metrics.simulated_seconds
 
         prop_cols: dict[str, np.ndarray] = {}

@@ -28,10 +28,8 @@ import numpy as np
 from repro.core.generator import GenerationResult, SeedAnalysis
 from repro.core.pgpba import _decorate
 from repro.engine.context import ClusterContext
-from repro.engine.storage import StorageLevel
-from repro.engine.stream import EMIT_CHUNK_ROWS, iter_repeat_chunks
 from repro.graph.property_graph import PropertyGraph
-from repro.kronecker.expand import descend_batch_chunks
+from repro.kronecker.expand import descend_batch
 from repro.kronecker.initiator import InitiatorMatrix
 from repro.kronecker.kronfit import kronfit
 
@@ -55,11 +53,6 @@ class PGSK:
         behaviour).  Off, collisions stay as parallel edges.
     kronfit_iterations, kronfit_swaps:
         Effort knobs for the fitting stage.
-    storage_level:
-        Where the persisted loop-carried edge sets live
-        (:class:`~repro.engine.StorageLevel` or its string name); the
-        default ``memory_and_disk`` spills under the context's memory
-        budget, ``disk_only`` keeps them file-resident.
     """
 
     duplication: str = "multiplicity"
@@ -70,14 +63,12 @@ class PGSK:
     kronfit_swaps: int = 100
     max_rounds: int = 64
     seed: int = 0
-    storage_level: "StorageLevel | str" = StorageLevel.MEMORY_AND_DISK
 
     def __post_init__(self) -> None:
         if self.duplication not in ("multiplicity", "out_degree"):
             raise ValueError(
                 "duplication must be 'multiplicity' or 'out_degree'"
             )
-        self.storage_level = StorageLevel.coerce(self.storage_level)
 
     # ------------------------------------------------------------------
     def fit_initiator(self, seed_graph: PropertyGraph) -> InitiatorMatrix:
@@ -146,18 +137,10 @@ class PGSK:
             rng_tag = (self.seed, k, rounds)
 
             def _descend(count, pidx, _tag=rng_tag):
-                # Chunked descent is bit-identical to one whole-batch
-                # draw (see descend_batch_chunks); streaming it lets a
-                # budgeted run flush each window through the spill codec
-                # instead of materialising the partition's edge arrays.
                 rng = np.random.default_rng((*_tag, pidx))
-                yield from descend_batch_chunks(
-                    initiator, k, count, rng, chunk_rows=EMIT_CHUNK_ROWS
-                )
+                return descend_batch(initiator, k, count, rng)
 
-            batch = ctx.generate(
-                batch_size, _descend, stage="kron:descend", stream=True
-            )
+            batch = ctx.generate(batch_size, _descend, stage="kron:descend")
             merged = batch if edges is None else edges.union(batch)
             if self.deduplicate:
                 merged = merged.distinct(
@@ -169,7 +152,7 @@ class PGSK:
             # the duplication pass after the loop) read the cached
             # partitions instead of replaying the descent lineage, and
             # the driver-side memory meter sees what stays resident.
-            edges = merged.persist(self.storage_level)
+            edges = merged.persist()
             have = edges.count()
             remaining = distinct_target - have
         if edges is None:
@@ -188,15 +171,11 @@ class PGSK:
         dup_seed = (self.seed, 17)
 
         def _duplicate(cols, pidx):
-            # Multiplicities are drawn whole (same RNG stream as the
-            # materialised version); only the np.repeat expansion is
-            # chunked, so output is bit-identical while peak memory
-            # stays bounded by the emit-chunk size.
             s, d = cols
             rng = np.random.default_rng((*dup_seed, pidx))
             n = dup_dist.sample(s.size, rng).astype(np.int64)
             n = np.maximum(n, 1)
-            yield from iter_repeat_chunks((s, d), n)
+            return np.repeat(s, n), np.repeat(d, n)
 
         distinct_edges = edges
         # Persist the multigraph: both the property-decoration pass and
@@ -209,9 +188,8 @@ class PGSK:
             distinct_edges.partition_bytes() * mean_dup
         ).astype(np.int64)
         edges = distinct_edges.map_partitions(
-            _duplicate, stage="kron:duplicate", bytes_hint=dup_hint,
-            stream=True,
-        ).persist(self.storage_level)
+            _duplicate, stage="kron:duplicate", bytes_hint=dup_hint
+        ).persist()
         # Force now so the duplication stage is charged to the structure
         # clock (not the property clock) exactly as on the eager path.
         edges.count()

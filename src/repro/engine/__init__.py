@@ -42,15 +42,7 @@ from repro.engine.faults import (
 from repro.engine.rdd import ArrayRDD
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
 from repro.engine.metrics import SimulationMetrics, TaskRecord
-from repro.engine.storage import (
-    BlockCodec,
-    BlockId,
-    BlockStore,
-    SpilledBlockHandle,
-    StorageLevel,
-    StorageStats,
-)
-from repro.engine.stream import iter_repeat_chunks
+from repro.engine.storage import BlockId, BlockStore
 
 __all__ = [
     "ClusterContext",
@@ -74,11 +66,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "SimulatedWorkerDeath",
-    "BlockCodec",
     "BlockId",
     "BlockStore",
-    "SpilledBlockHandle",
-    "StorageLevel",
-    "StorageStats",
-    "iter_repeat_chunks",
 ]

@@ -79,8 +79,6 @@ class ClusterContext:
         fault_plan: FaultPlan | dict | str | None = None,
         max_task_retries: int | None = None,
         retry_backoff_seconds: float = 0.01,
-        memory_budget_bytes: int | str | None = None,
-        spill_dir: str | None = None,
     ) -> None:
         if partition_multiplier < 1:
             raise ValueError("partition_multiplier must be >= 1")
@@ -125,16 +123,10 @@ class ClusterContext:
         # fault plan's deterministic decision stream.
         self._batch_ids = itertools.count()
         # Every materialized partition lives in the block store behind a
-        # BlockId; under a memory budget the store LRU-spills blocks to
-        # disk and tasks write their outputs as block files directly.
-        # Monotone RDD ids key the blocks (and the persist accounting —
-        # id() reuse can never alias entries).
-        self.storage = BlockStore(
-            memory_budget_bytes=memory_budget_bytes,
-            spill_dir=spill_dir,
-        )
+        # BlockId.  Monotone RDD ids key the blocks (and the persist
+        # accounting — id() reuse can never alias entries).
+        self.storage = BlockStore()
         self._rdd_ids = itertools.count()
-        self.metrics.attach_storage(self.storage.stats)
         self.metrics.attach_transport(
             getattr(self.executor, "transport", None)
         )
@@ -178,7 +170,7 @@ class ClusterContext:
 
     def close(self) -> None:
         """Release executor resources (worker pools) and drop the block
-        store (spilled files, the session spill dir); idempotent."""
+        store; idempotent."""
         self.executor.close()
         self.storage.close()
 
@@ -204,7 +196,6 @@ class ClusterContext:
 
     def reset_metrics(self) -> None:
         self.metrics = SimulationMetrics(n_nodes=self.n_nodes)
-        self.metrics.attach_storage(self.storage.stats)
         profile = getattr(self.executor, "transport", None)
         if profile is not None:
             profile.reset()
@@ -243,19 +234,12 @@ class ClusterContext:
         *,
         n_partitions: int | None = None,
         stage: str = "generate",
-        stream: bool = False,
     ) -> ArrayRDD:
         """Create an RDD by running ``fn(count, partition_index)`` per
         partition — the pattern behind PGSK's parallel recursive descent,
         where an "initially empty RDD ... is partitioned among the
         available compute nodes" and each node generates edges
         independently.
-
-        ``stream=True`` declares that ``fn`` yields bounded column
-        chunks instead of returning one column tuple: under a memory
-        budget each chunk flushes straight through the block store, so
-        a partition's edge array never materializes whole in a worker
-        (the Yoo & Henderson independent-draws pattern at 10^8+ edges).
         """
         nominal = max(1, n_partitions or self.default_partitions)
         real, multiplier = self._real_and_multiplier(nominal)
@@ -275,7 +259,7 @@ class ClusterContext:
         # (~2 int64 columns per item); zero-count slots stay at zero and
         # are correctly pruned to inline execution.
         return seedless.map_partitions(
-            _gen, stage=stage, bytes_hint=counts * 16, stream=stream
+            _gen, stage=stage, bytes_hint=counts * 16
         )
 
     # ------------------------------------------------------------------

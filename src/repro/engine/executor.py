@@ -28,10 +28,7 @@ Three backends are provided, all on the driver's host:
     for the closures), with large array buffers carried out-of-band
     through a grow-only shared-memory *arena* per direction that is
     recycled across batches: no per-task segment create/unlink, one
-    memcpy each way.  Spilled-block task outputs
-    (:class:`~repro.engine.storage.SpilledBlockHandle`) carry no arrays
-    and therefore bypass the arena entirely — budgeted runs ship file
-    paths, not data.
+    memcpy each way.
 
 The pool's scheduling is :class:`_Dispatcher`, the driver-side state
 machine — give every idle channel one batch, wait, drain replies, and
@@ -1063,7 +1060,7 @@ def run_with_recovery(
                 if round_no > 0:
                     # Tasks that know their lineage (fused chains) expose
                     # a `recovery_bytes` accountant covering every re-run
-                    # operator segment plus any non-durable anchor; plain
+                    # operator segment plus the anchor; plain
                     # tasks fall back to the result's payload size.
                     accountant = getattr(tasks[i], "recovery_bytes", None)
                     if accountant is not None:

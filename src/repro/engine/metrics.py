@@ -72,10 +72,6 @@ class SimulationMetrics:
     tasks_emitted: int = 0
     tasks_dispatched: int = 0
     tasks_inlined: int = 0
-    # Live view of the owning context's BlockStore accounting (attached
-    # by the context, shared across reset_metrics): real driver-process
-    # bytes, not simulated cluster bytes.
-    storage: object = None
     # Live view of the executor's TransportProfile (attached by the
     # context, which zeroes it on reset_metrics so the breakdown spans
     # the same window as every other counter here).
@@ -141,11 +137,6 @@ class SimulationMetrics:
         return int(sum(self.persisted_rdd_bytes.values()))
 
     # ------------------------------------------------------------------
-    def attach_storage(self, stats) -> None:
-        """Bind the context's live :class:`~repro.engine.storage.
-        StorageStats` so block-tier accounting surfaces here."""
-        self.storage = stats
-
     def attach_transport(self, profile) -> None:
         """Bind the executor's live :class:`~repro.engine.executor.
         TransportProfile` so per-task overhead surfaces here."""
@@ -164,56 +155,6 @@ class SimulationMetrics:
         if self.tasks_dispatched == 0:
             return 1.0
         return self.tasks_emitted / self.tasks_dispatched
-
-    @property
-    def storage_memory_bytes(self) -> int:
-        """Bytes of block data currently resident in driver memory."""
-        return 0 if self.storage is None else int(self.storage.memory_bytes)
-
-    @property
-    def storage_disk_bytes(self) -> int:
-        """Bytes of block data currently spilled on disk."""
-        return 0 if self.storage is None else int(self.storage.disk_bytes)
-
-    @property
-    def storage_spill_count(self) -> int:
-        """Blocks (and shuffle segments) written to disk so far."""
-        return 0 if self.storage is None else int(self.storage.spill_count)
-
-    @property
-    def storage_reload_count(self) -> int:
-        """Spilled blocks read back from disk so far."""
-        return 0 if self.storage is None else int(self.storage.reload_count)
-
-    @property
-    def storage_peak_memory_bytes(self) -> int:
-        return (
-            0 if self.storage is None
-            else int(self.storage.peak_memory_bytes)
-        )
-
-    @property
-    def storage_disk_high_water_bytes(self) -> int:
-        return (
-            0 if self.storage is None
-            else int(self.storage.disk_high_water_bytes)
-        )
-
-    @property
-    def storage_disk_logical_bytes(self) -> int:
-        """Pre-codec array bytes the current on-disk blocks represent."""
-        return (
-            0 if self.storage is None
-            else int(self.storage.disk_logical_bytes)
-        )
-
-    @property
-    def storage_codec_seconds(self) -> float:
-        """Driver-observed encode + decode time inside the block codec."""
-        return (
-            0.0 if self.storage is None
-            else float(self.storage.codec_seconds)
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -2,7 +2,7 @@
 
 ``split_array`` / ``split_count`` fix *logical* partition boundaries: the
 same ``(total, n_partitions)`` always produces the same split, so stage
-re-execution (recovery, another backend, another budget) lands every row
+re-execution (recovery, another backend, another task grain) lands every row
 in the same partition.  ``chunk_weights`` works on the other side of the
 two-clock boundary: it groups logical partitions into the *physical*
 executor tasks the coalescer dispatches, without ever moving a row

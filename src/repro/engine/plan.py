@@ -61,7 +61,7 @@ recovery layer (:func:`repro.engine.executor.run_with_recovery`) re-runs
 a failed task it recomputes exactly the lost partition's chain from its
 narrowest persisted or source ancestor — sibling partitions and already
 persisted data are never touched, and ``persist()`` doubles as the
-recovery checkpoint.
+recovery anchor.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class PendingOp:
     estimate is zero and they would all collapse into the driver-inline
     path.  Order-of-magnitude accuracy is enough; hints only weight the
     chunk boundaries, never the simulated metrics.
-
-    ``stream`` marks an op whose ``fn`` returns an *iterator of column
-    chunks* instead of one column tuple.  Under a memory budget a
-    terminal streaming op flushes each chunk straight through the block
-    writer (the partition edge array never materializes in the task);
-    otherwise the chunks are concatenated — bit-identical either way.
     """
 
     fn: Callable[[Sequence[np.ndarray], int], Sequence[np.ndarray]]
@@ -118,7 +112,6 @@ class PendingOp:
     n_tasks: int
     multiplier: int
     bytes_hint: tuple[int, ...] | None = None
-    stream: bool = False
     seq: int = field(default_factory=lambda: next(_op_ids))
 
 
@@ -146,79 +139,21 @@ class StageGroup:
     bytes_out: list[int]
 
 
-def _make_fused_task(ref, ops, validate, writer=None, out_name=None):
+def _make_fused_task(ref, ops, validate):
     """Build one executor task running a whole chain of narrow ops.
 
-    ``ref`` is a block reference from the store: resident blocks hand
-    the task their arrays directly, spilled blocks hand it a file path
-    the worker reads itself (loading happens *outside* the timed
-    segments — storage I/O is not simulated cluster compute, so the
-    Fig. 8-12 series stay identical under any memory budget).  When
-    ``writer`` is set (a memory budget is active) the task serializes
-    its output to ``out_name`` worker-side and returns a small
-    :class:`~repro.engine.storage.SpilledBlockHandle` instead of the
-    arrays, so the driver never accumulates a whole dataset of results.
-
-    Each operator segment is timed separately (`two clocks`: the
-    simulated scheduler needs per-stage costs, not per-fused-task costs)
-    and its output bytes captured; intermediates die as soon as the next
-    segment consumed them, so the task's transient footprint is one
-    partition, not one RDD.
+    ``ref`` is a block reference from the store; the task reads the
+    anchor's arrays through it.  Each operator segment is timed
+    separately (`two clocks`: the simulated scheduler needs per-stage
+    costs, not per-fused-task costs) and its output bytes captured;
+    intermediates die as soon as the next segment consumed them, so the
+    task's transient footprint is one partition, not one RDD.
     """
 
     def _task():
         current = ref.load()
         segments = []
-        handle = None
-        n_ops = len(ops)
-        for oi, (op, task_index) in enumerate(ops):
-            if op.stream:
-                # Streaming op: fn returns an iterator of column chunks.
-                # Only the generator's own compute (the next() calls) is
-                # timed — chunk serialization is storage I/O, untimed
-                # like every other block write, so the simulated stage
-                # costs match the monolithic path.
-                gen = iter(op.fn(current, task_index))
-                current = None  # the input dies as chunks stream out
-                terminal_spill = oi == n_ops - 1 and writer is not None
-                out_writer = (
-                    writer.open_chunked(out_name) if terminal_spill else None
-                )
-                chunks = None if terminal_spill else []
-                elapsed = 0.0
-                nbytes_out = 0
-                n_chunks = 0
-                while True:
-                    t0 = time.perf_counter()
-                    try:
-                        chunk = next(gen)
-                    except StopIteration:
-                        elapsed += time.perf_counter() - t0
-                        break
-                    elapsed += time.perf_counter() - t0
-                    chunk = validate(chunk)
-                    nbytes_out += sum(c.nbytes for c in chunk)
-                    n_chunks += 1
-                    if out_writer is not None:
-                        out_writer.append_columns(chunk)
-                    else:
-                        chunks.append(chunk)
-                if n_chunks == 0:
-                    raise ValueError(
-                        f"streaming op {op.stage!r} yielded no chunks"
-                    )
-                segments.append((op.seq, task_index, elapsed, nbytes_out))
-                if out_writer is not None:
-                    handle = out_writer.close()
-                else:
-                    width = len(chunks[0])
-                    current = tuple(
-                        chunks[0][j]
-                        if len(chunks) == 1
-                        else np.concatenate([ch[j] for ch in chunks])
-                        for j in range(width)
-                    )
-                continue
+        for op, task_index in ops:
             t0 = time.perf_counter()
             current = validate(op.fn(current, task_index))
             elapsed = time.perf_counter() - t0
@@ -230,19 +165,13 @@ def _make_fused_task(ref, ops, validate, writer=None, out_name=None):
                     sum(c.nbytes for c in current),
                 )
             )
-        if handle is not None:
-            return handle, segments
-        if writer is not None:
-            return writer.write(out_name, current), segments
         return current, segments
 
     # Chain-aware recovery accounting: a retried fused task recomputes
-    # every operator segment *plus* — unless the anchor is durable (a
-    # checkpoint file survives the simulated worker loss; an in-memory
-    # or persist()-ed anchor does not) — the anchor partition itself.
-    # This is what makes checkpoint() strictly cheaper to recover
-    # through than persist() under a fault plan.
-    anchor_bytes = 0 if ref.durable else ref.nbytes
+    # every operator segment plus the anchor partition itself — a
+    # source or persist()-ed anchor lives in executor memory, which the
+    # simulated worker loss takes with it.
+    anchor_bytes = ref.nbytes
 
     def _recovery_bytes(value):
         return anchor_bytes + sum(seg[3] for seg in value[1])
@@ -273,10 +202,10 @@ def _make_chunk_task(subtasks):
 
 def _estimate_partition_bytes(pipe: Pipe) -> int:
     """Deterministic size estimate for one pipe: the anchor partition's
-    stored bytes (cached metadata — spilled blocks are never loaded)
-    maxed with any operator ``bytes_hint``.  A pure function of plan
-    state, never of executor parallelism, so the chunk composition it
-    drives is identical on every backend."""
+    stored bytes (cached metadata) maxed with any operator
+    ``bytes_hint``.  A pure function of plan state, never of executor
+    parallelism, so the chunk composition it drives is identical on
+    every backend."""
     estimate = int(pipe.base.partition_bytes()[pipe.index])
     for op, task_index in pipe.ops:
         hint = op.bytes_hint
@@ -285,14 +214,12 @@ def _estimate_partition_bytes(pipe: Pipe) -> int:
     return estimate
 
 
-def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
+def fuse_and_run(ctx, pipes: Sequence[Pipe]):
     """Execute a partition-pipe plan; return ``(results, stage_groups)``.
 
     ``results`` holds, per output partition, either the computed column
-    tuple, a :class:`~repro.engine.storage.SpilledBlockHandle` when a
-    memory budget made the task write its output file worker-side
-    (``target_id`` namespaces those block files), or a
-    :class:`~repro.engine.storage.BlockId` for pipes with an empty chain
+    tuple or a :class:`~repro.engine.storage.BlockId` for pipes with an
+    empty chain
     (pure union passthrough) — resolved by reference on the driver: no
     task, no copy, no stage record, exactly like the eager ``union``.
 
@@ -306,7 +233,6 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
     """
     from repro.engine.partitioner import chunk_weights
     from repro.engine.rdd import _validate_partition
-    from repro.engine.storage import BlockId
 
     # A persisted-but-lazy anchor materializes first (and registers its
     # resident bytes); its chain is its own, never fused into ours.
@@ -316,17 +242,11 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
             seen.add(id(pipe.base))
             pipe.base._force()
 
-    store = ctx.storage
-    writer = store.block_writer() if store.spill_task_outputs else None
     work = [(i, pipe) for i, pipe in enumerate(pipes) if pipe.ops]
 
-    def _task_for(i: int, pipe: Pipe):
+    def _task_for(pipe: Pipe):
         return _make_fused_task(
-            pipe.base._task_ref(pipe.index),
-            pipe.ops,
-            _validate_partition,
-            writer,
-            BlockId(target_id, i).filename if writer else None,
+            pipe.base._task_ref(pipe.index), pipe.ops, _validate_partition
         )
 
     results: list = [None] * len(pipes)
@@ -342,7 +262,7 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
         remote = [k for k, est in enumerate(estimates) if est > 0]
         for k in inline:
             i, pipe = work[k]
-            payload, segments = _task_for(i, pipe)()
+            payload, segments = _task_for(pipe)()
             results[i] = payload
             raw_segments.extend(segments)
         groups = (
@@ -359,7 +279,7 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
         for group in groups:
             members = [remote[position] for position in group]
             chunk_tasks.append(
-                _make_chunk_task([_task_for(*work[k]) for k in members])
+                _make_chunk_task([_task_for(work[k][1]) for k in members])
             )
             chunk_members.append(members)
         ctx.metrics.tasks_inlined += len(inline)
@@ -375,7 +295,7 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe], *, target_id: int = 0):
                 raw_segments.extend(segments)
     else:
         outs = (
-            ctx.run_tasks([_task_for(i, pipe) for i, pipe in work])
+            ctx.run_tasks([_task_for(pipe) for _i, pipe in work])
             if work
             else []
         )

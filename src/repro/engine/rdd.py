@@ -23,42 +23,31 @@ force every transformation immediately — the eager reference path.
 Materialized partitions live in the context's
 :class:`~repro.engine.storage.BlockStore` behind stable
 :class:`~repro.engine.storage.BlockId` handles: the RDD itself only holds
-block ids, and every data access goes through the store — which may keep
-the block resident, spill it to disk under memory pressure, or stream it
-from a file (``StorageLevel.DISK_ONLY``).  Spilled blocks reload
-bit-identically, so the engine's digest guarantees hold under any memory
-budget.  Blocks are reference counted (``union`` passthrough shares
-them) and freed when the last referencing RDD is garbage collected.
+block ids, and every data access goes through the store.  Blocks are
+memory-resident and reference counted (``union`` passthrough shares
+them), and freed when the last referencing RDD is garbage collected.
 
-``persist(level)`` pins an RDD: its first forcing materializes and
-caches the partitions (breaking any fusion chain through it) and
-registers the resident bytes with the metrics' driver-side memory meter
-until ``unpersist()``.  ``StorageLevel.MEMORY_ONLY`` reproduces the
-legacy never-evict pin; ``MEMORY_AND_DISK`` (default) may spill under a
-budget; ``DISK_ONLY`` keeps partitions file-resident.  Forcing always
-caches the forced RDD's own partitions, but *not* its lineage
-intermediates — fork two lazy branches off one unforced RDD and the
-shared prefix recomputes (and is re-charged to the simulated clock);
-persist the branch point to avoid that, as the generators do at their
-loop boundaries.
+``persist()`` pins an RDD: its first forcing materializes and caches the
+partitions (breaking any fusion chain through it) and registers the
+resident bytes with the metrics' driver-side memory meter until
+``unpersist()``.  Forcing always caches the forced RDD's own
+partitions, but *not* its lineage intermediates — fork two lazy
+branches off one unforced RDD and the shared prefix recomputes (and is
+re-charged to the simulated clock); persist the branch point to avoid
+that, as the generators do at their loop boundaries.
 
 The "resilient" in the name is earned at the execution layer: every task
 batch an action dispatches goes through
 :func:`~repro.engine.executor.run_with_recovery`, so a failed or killed
 task is retried from its captured anchor partitions — recomputing only
 the lost partition's chain from its narrowest persisted or source
-ancestor.  ``persist()`` doubles as a *volatile* recovery anchor (its
-blocks live in executor memory, which the simulated failure loses, so a
-retry re-charges the anchor bytes to ``recovery_recompute_bytes``);
-:meth:`ArrayRDD.checkpoint` writes partitions **durably** through the
-store and truncates lineage, so retries re-read the checkpoint file and
-charge nothing for the anchor — strictly less recomputation under any
-fault plan.
+ancestor.  ``persist()`` doubles as the recovery anchor; its blocks
+live in executor memory, which the simulated failure loses, so a retry
+re-charges the anchor bytes to ``recovery_recompute_bytes``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from typing import Callable, Sequence
@@ -67,8 +56,7 @@ import numpy as np
 
 from repro.engine.partitioner import split_count
 from repro.engine.plan import PendingOp, Pipe, fuse_and_run
-from repro.engine.storage import BlockId, SpilledBlockHandle, StorageLevel
-from repro.engine.storage.codecs import BLOCK_EXTENSION, read_arrays
+from repro.engine.storage import BlockId
 
 __all__ = ["ArrayRDD"]
 
@@ -108,9 +96,8 @@ class ArrayRDD:
     Partitions are immutable once materialized, so the driver-side
     metadata views (``count``, ``partition_sizes``, ``partition_bytes``)
     are computed once and cached — PGPBA's growth loop polls them every
-    iteration.  Metadata comes from the block store's per-block records,
-    so none of these calls loads spilled data.  On a lazy RDD they are
-    actions: they force the lineage.
+    iteration.  Metadata comes from the block store's per-block records.
+    On a lazy RDD they are actions: they force the lineage.
     """
 
     def __init__(
@@ -128,19 +115,15 @@ class ArrayRDD:
         self._known_columns = width
         self._adopt_results(parts)
 
-    def _init_shell(
-        self, context, task_multiplier: int, *, rdd_id: "int | None" = None
-    ) -> None:
+    def _init_shell(self, context, task_multiplier: int) -> None:
         self._ctx = context
         self.task_multiplier = task_multiplier
-        self._id = rdd_id if rdd_id is not None else context._next_rdd_id()
+        self._id = context._next_rdd_id()
         self._pipes: list[Pipe] | None = None
         self._blocks: list[BlockId] | None = None
         self._finalizer = None
         self._known_columns: int | None = None
         self._persisted = False
-        self._checkpointed = False
-        self._level = StorageLevel.MEMORY_AND_DISK
         self._cached_count: int | None = None
         self._cached_sizes: np.ndarray | None = None
         self._cached_bytes: np.ndarray | None = None
@@ -167,13 +150,12 @@ class ArrayRDD:
         results: list,
         *,
         task_multiplier: int,
-        rdd_id: "int | None" = None,
     ) -> "ArrayRDD":
         """Build a materialized RDD from executor results: raw column
-        tuples, :class:`SpilledBlockHandle` (task wrote the block file),
-        or :class:`BlockId` (share an existing block by reference)."""
+        tuples, or :class:`BlockId` (share an existing block by
+        reference)."""
         rdd = cls.__new__(cls)
-        rdd._init_shell(context, task_multiplier, rdd_id=rdd_id)
+        rdd._init_shell(context, task_multiplier)
         rdd._adopt_results(results)
         return rdd
 
@@ -187,14 +169,9 @@ class ArrayRDD:
                 store.share(result)
                 blocks.append(result)
                 w = store.meta(result).n_columns
-            elif isinstance(result, SpilledBlockHandle):
-                block_id = BlockId(self._id, i)
-                store.adopt(block_id, result, level=self._level)
-                blocks.append(block_id)
-                w = result.n_columns
             else:
                 block_id = BlockId(self._id, i)
-                store.put(block_id, result, level=self._level)
+                store.put(block_id, result)
                 blocks.append(block_id)
                 w = len(result)
             if width is None:
@@ -236,9 +213,7 @@ class ArrayRDD:
         each logical stage's measured costs, register the blocks."""
         if self._blocks is not None:
             return self._blocks
-        results, stage_groups = fuse_and_run(
-            self._ctx, self._pipes, target_id=self._id
-        )
+        results, stage_groups = fuse_and_run(self._ctx, self._pipes)
         for group in stage_groups:
             self._ctx._record_stage(
                 group.op.stage,
@@ -264,31 +239,14 @@ class ArrayRDD:
         self._force()
         return self._ctx.storage.task_ref(self._blocks[index])
 
-    def persist(
-        self, level: "StorageLevel | str | None" = None
-    ) -> "ArrayRDD":
+    def persist(self) -> "ArrayRDD":
         """Pin this RDD: cache its partitions at first forcing (breaking
         any fusion chain through it) and account the resident bytes on
         the driver-side memory meter until :meth:`unpersist`.
-
-        ``level`` picks where the pinned partitions live:
-        ``MEMORY_ONLY`` never evicts (the legacy behaviour),
-        ``MEMORY_AND_DISK`` (default) spills under the context's memory
-        budget and reloads transparently, ``DISK_ONLY`` keeps them
-        file-resident.  Idempotent: re-persisting (same or different
-        level) re-levels the blocks without double-counting bytes.
+        Idempotent: re-persisting never double-counts bytes.
         """
-        level = (
-            StorageLevel.MEMORY_AND_DISK
-            if level is None
-            else StorageLevel.coerce(level)
-        )
         self._persisted = True
-        self._level = level
         if self._blocks is not None:
-            store = self._ctx.storage
-            for block_id in self._blocks:
-                store.set_level(block_id, level)
             # register_persist overwrites the same key, so repeated
             # persist() calls can never drift the accounting.
             self._ctx.metrics.register_persist(
@@ -297,37 +255,12 @@ class ArrayRDD:
         return self
 
     def unpersist(self) -> "ArrayRDD":
-        """Release the persist accounting (idempotent) and make the
-        blocks evictable again.  The partition data itself is freed by
-        block reference counting once nothing downstream shares it."""
+        """Release the persist accounting (idempotent).  The partition
+        data itself is freed by block reference counting once nothing
+        downstream shares it."""
         if self._persisted:
             self._persisted = False
-            self._level = StorageLevel.MEMORY_AND_DISK
             self._ctx.metrics.release_persist(self._id)
-            if self._blocks is not None:
-                store = self._ctx.storage
-                for block_id in self._blocks:
-                    store.set_level(block_id, StorageLevel.MEMORY_AND_DISK)
-        return self
-
-    def checkpoint(self) -> "ArrayRDD":
-        """Write this RDD's partitions durably through the block store
-        and truncate lineage (an action: forces first).
-
-        Unlike ``persist()`` — whose blocks live in (simulated) executor
-        memory and are lost with a worker, so a downstream retry
-        re-charges the anchor bytes — a checkpointed block is a file
-        that survives worker loss: ``run_with_recovery`` restarts a lost
-        downstream task by re-reading the checkpoint, and
-        ``recovery_recompute_bytes`` charges only the re-run operator
-        chain, never the anchor.  Reads stream from the checkpoint file
-        (the recovery path *is* the read path, keeping digests honest).
-        """
-        self._force()
-        store = self._ctx.storage
-        for block_id in self._blocks:
-            store.checkpoint_block(block_id)
-        self._checkpointed = True
         return self
 
     @property
@@ -335,16 +268,8 @@ class ArrayRDD:
         return self._persisted
 
     @property
-    def is_checkpointed(self) -> bool:
-        return self._checkpointed
-
-    @property
     def is_materialized(self) -> bool:
         return self._blocks is not None
-
-    @property
-    def storage_level(self) -> StorageLevel:
-        return self._level
 
     # ------------------------------------------------------------------
     @property
@@ -367,11 +292,8 @@ class ArrayRDD:
 
     @property
     def _parts(self) -> "list[Columns] | None":
-        """Loaded partition list (legacy view used by tests/diagnostics).
-
-        ``None`` while lazy; loading goes through the store, so spilled
-        blocks are pulled back transparently.
-        """
+        """Loaded partition list (legacy view used by tests/diagnostics);
+        ``None`` while lazy."""
         if self._blocks is None:
             return None
         return [self._partition(i) for i in range(len(self._blocks))]
@@ -384,9 +306,8 @@ class ArrayRDD:
     def partition_sizes(self) -> np.ndarray:
         """Row count per partition (an action on a lazy RDD).
 
-        Served from block metadata — never loads spilled data.  Cached
-        and returned read-only: partitions never change after
-        materialization.
+        Served from block metadata.  Cached and returned read-only:
+        partitions never change after materialization.
         """
         if self._cached_sizes is None:
             self._force()
@@ -427,7 +348,6 @@ class ArrayRDD:
         *,
         stage: str = "map_partitions",
         bytes_hint: Sequence[int] | np.ndarray | None = None,
-        stream: bool = False,
     ) -> "ArrayRDD":
         """Apply ``fn(columns, partition_index) -> columns`` per partition.
 
@@ -440,12 +360,6 @@ class ArrayRDD:
         the coalescing planner; only needed when the op *grows* its data
         far beyond the anchor (generate stages on empty anchors most of
         all).  Purely a dispatch-grain weight, never simulated cost.
-
-        ``stream=True`` declares that ``fn`` returns an *iterator of
-        column chunks* rather than one column tuple: under a memory
-        budget a terminal streaming op writes each chunk through the
-        block store as it is produced (bounded task memory), otherwise
-        the chunks are concatenated — bit-identical results either way.
         """
         op = PendingOp(
             fn=fn,
@@ -457,7 +371,6 @@ class ArrayRDD:
                 if bytes_hint is None
                 else tuple(int(b) for b in bytes_hint)
             ),
-            stream=stream,
         )
         if self._is_anchor:
             pipes = [
@@ -522,17 +435,10 @@ class ArrayRDD:
         materialized RDD.
 
         The shuffle is a real hash exchange: every map task buckets its
-        rows by ``hash(key) % n_partitions`` on the executor and the
-        reduce-side unique runs per-partition on the executor.  Without
-        a memory budget the driver concatenates per-destination buckets
-        in memory (peak driver memory is O(largest partition), not
-        O(dataset)); with a budget the map tasks write their buckets as
-        **file shuffle segments** through the block store and the reduce
-        tasks read their slots back, so no stage ever holds more than
-        one partition in memory and a 10^7-row distinct runs under a
-        fixed budget.  Which of the two runs is decided by the budget,
-        not by the caller; their output (rows *and* row order) is
-        byte-identical.
+        rows by ``hash(key) % n_partitions`` on the executor, the driver
+        concatenates per-destination buckets in memory (releasing each
+        source's buckets as they are merged), and the reduce-side unique
+        runs per-partition on the executor.
         The shuffle is charged to the simulated clock via the reduce
         stage's measured cost plus a serial ``:driver`` component.
         """
@@ -548,15 +454,12 @@ class ArrayRDD:
         map_side._force()
         # The exchange consumes the map side: its blocks are released
         # as soon as every map task has re-bucketed its input.
-        results, task_cpu, driver_cpu, rdd_id = _exchange_shuffle(
+        results, task_cpu, driver_cpu = _exchange_shuffle(
             self._ctx, map_side, key_cols, n_parts
         )
         del map_side
         rdd = ArrayRDD._from_results(
-            self._ctx,
-            results,
-            task_multiplier=self.task_multiplier,
-            rdd_id=rdd_id,
+            self._ctx, results, task_multiplier=self.task_multiplier
         )
         # The simulated cost model is calibrated independently of the
         # local data path: of the total measured shuffle work, 75%
@@ -613,8 +516,7 @@ class ArrayRDD:
         A range exchange (and therefore a fusion barrier): the driver
         only *plans* (computes per-destination source slices); the
         per-destination load/slice/concatenate work runs as executor
-        tasks against block references, and — under a memory budget —
-        each task writes its output straight to a block file.  Row order
+        tasks against block references.  Row order
         (and therefore the output) is identical to concatenating
         everything and ``np.array_split``-ing it, without ever
         materialising the full dataset in the driver.
@@ -651,33 +553,9 @@ class ArrayRDD:
         )
         plan_seconds = time.perf_counter() - t0
         n_cols = self.n_columns
-        store = self._ctx.storage
-        writer = store.block_writer() if store.spill_task_outputs else None
-        rdd_id = self._ctx._next_rdd_id()
 
-        def _make_task(mine: list[tuple[int, int, int]], p: int):
-            out_name = BlockId(rdd_id, p).filename
-
+        def _make_task(mine: list[tuple[int, int, int]]):
             def _task():
-                if writer is not None:
-                    # Budgeted: stream source slices straight into the
-                    # output block file, one source at a time — peak
-                    # task memory is one source partition plus the
-                    # codec's chunk buffers, never the full destination.
-                    out = writer.open_chunked(out_name)
-                    elapsed = 0.0
-                    if not mine:
-                        template = template_ref.load()
-                        t0 = time.perf_counter()
-                        out.append_columns(tuple(c[:0] for c in template))
-                        elapsed += time.perf_counter() - t0
-                    for s, a, b in mine:
-                        src = refs[s].load()
-                        t0 = time.perf_counter()
-                        out.append_columns(tuple(c[a:b] for c in src))
-                        elapsed += time.perf_counter() - t0
-                        del src
-                    return out.close(), elapsed
                 loaded = [(refs[s].load(), a, b) for s, a, b in mine]
                 if not loaded and template_ref is not None:
                     template = template_ref.load()
@@ -697,18 +575,13 @@ class ArrayRDD:
 
             return _task
 
-        outs = self._ctx.run_tasks(
-            [_make_task(mine, p) for p, mine in enumerate(pieces)]
-        )
+        outs = self._ctx.run_tasks([_make_task(mine) for mine in pieces])
         results = [out[0] for out in outs]
         # Fold the (tiny, index-only) driver planning cost into the tasks
         # so the stage structure matches the pre-exchange accounting.
         cpu = [out[1] + plan_seconds / n_partitions for out in outs]
         rdd = ArrayRDD._from_results(
-            self._ctx,
-            results,
-            task_multiplier=self.task_multiplier,
-            rdd_id=rdd_id,
+            self._ctx, results, task_multiplier=self.task_multiplier
         )
         self._ctx._record_stage(
             stage,
@@ -774,9 +647,9 @@ def _hash_keys(cols: Columns, key_cols: tuple[int, ...]) -> np.ndarray:
 
 
 def _route(cols: Columns, key_cols: tuple[int, ...], n_parts: int):
-    """Stable per-destination row ordering for the hash exchange: the
-    identical routing runs in the in-memory and file-segment paths, so
-    the reduce side sees the same rows in the same order either way."""
+    """Stable per-destination row ordering for the hash exchange, so
+    the reduce side sees the same rows in the same order on every
+    backend."""
     dest = (_hash_keys(cols, key_cols) % np.uint64(n_parts)).astype(np.int64)
     order = np.argsort(dest, kind="stable")
     splits = np.searchsorted(dest[order], np.arange(n_parts + 1))
@@ -788,100 +661,14 @@ def _exchange_shuffle(
 ):
     """Hash-exchange + reduce-side unique without a driver collect.
 
-    Returns ``(results, per_task_cpu, driver_cpu, rdd_id)`` — raw
-    measured seconds; the caller applies the calibrated parallel/serial
-    cost split.  ``results`` are column tuples (in-memory path) or
-    :class:`SpilledBlockHandle` (budgeted path); ``rdd_id`` is the block
-    namespace the outputs were written under.
-
-    Without a memory budget, map-side bucketing and reduce-side unique
-    both run on the executor and the driver only concatenates
-    per-destination buckets, releasing buffers as eagerly as the
-    dataflow allows.  With a budget, every map task writes its buckets
-    to one ``.blk`` shuffle segment through the block store and every
-    reduce task streams its slots back from the segment files — the
-    dataset never transits driver memory at all, and on the process
-    backends the exchange moves bytes via files instead of shm arenas.
+    Returns ``(results, per_task_cpu, driver_cpu)`` — raw measured
+    seconds; the caller applies the calibrated parallel/serial cost
+    split.  Map-side bucketing and reduce-side unique both run on the
+    executor; the driver only concatenates per-destination buckets,
+    releasing buffers as eagerly as the dataflow allows.
     """
-    store = ctx.storage
     n_src = map_side.n_partitions
     n_cols = map_side.n_columns
-    rdd_id = ctx._next_rdd_id()
-
-    if store.spill_task_outputs:
-        shuffle_id = store.new_shuffle_id()
-        seg_writer = store.shuffle_writer()
-        refs = [map_side._task_ref(i) for i in range(n_src)]
-
-        def _make_segment_task(ref, mi: int):
-            name = f"ex{shuffle_id}-m{mi}{BLOCK_EXTENSION}"
-
-            def _task():
-                cols = ref.load()
-                t0 = time.perf_counter()
-                order, splits = _route(cols, key_cols, n_parts)
-                named = {}
-                for p in range(n_parts):
-                    sel = order[splits[p]:splits[p + 1]]
-                    for j, c in enumerate(cols):
-                        named[f"d{p}c{j}"] = c[sel]
-                elapsed = time.perf_counter() - t0
-                return seg_writer.write_arrays(name, named), elapsed
-
-            return _task
-
-        outs = ctx.run_tasks(
-            [_make_segment_task(r, mi) for mi, r in enumerate(refs)]
-        )
-        map_cpu = [o[1] for o in outs]
-        seg_infos = [o[0] for o in outs]
-        seg_paths = [info.path for info in seg_infos]
-        seg_disk = int(sum(info.disk_bytes for info in seg_infos))
-        seg_logical = int(sum(info.logical_bytes for info in seg_infos))
-        store.track_shuffle_segments(
-            seg_disk,
-            seg_logical,
-            n_src,
-            sum(info.seconds for info in seg_infos),
-        )
-        refs = None
-        map_side._release_now()  # segments now hold the data
-
-        block_writer = store.block_writer()
-
-        def _make_reduce_task(p: int):
-            out_name = BlockId(rdd_id, p).filename
-            slot_names = [f"d{p}c{j}" for j in range(n_cols)]
-
-            def _task():
-                t0 = time.perf_counter()
-                per_col: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
-                for path in seg_paths:
-                    slots = read_arrays(path, slot_names)
-                    for j in range(n_cols):
-                        per_col[j].append(slots[j])
-                cols = tuple(
-                    np.concatenate(per_col[j]) for j in range(n_cols)
-                )
-                out = _unique_rows(cols, key_cols)
-                elapsed = time.perf_counter() - t0
-                return block_writer.write(out_name, out), elapsed
-
-            return _task
-
-        reduced = ctx.run_tasks(
-            [_make_reduce_task(p) for p in range(n_parts)]
-        )
-        for path in seg_paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        store.untrack_shuffle_segments(seg_disk, seg_logical)
-        results = [r[0] for r in reduced]
-        task_cpu = [map_cpu[p] + reduced[p][1] for p in range(n_parts)]
-        return results, task_cpu, 0.0, rdd_id
-
     refs = [map_side._task_ref(i) for i in range(n_src)]
 
     def _make_bucket_task(ref):
@@ -931,7 +718,7 @@ def _exchange_shuffle(
     reduced = ctx.run_tasks([_make_unique_task(g) for g in gathered])
     out_parts = [r[0] for r in reduced]
     task_cpu = [bucket_cpu[p] + reduced[p][1] for p in range(n_parts)]
-    return out_parts, task_cpu, driver_seconds, rdd_id
+    return out_parts, task_cpu, driver_seconds
 
 
 # ----------------------------------------------------------------------

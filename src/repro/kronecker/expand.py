@@ -37,7 +37,6 @@ __all__ = [
     "deterministic_kronecker_adjacency",
     "stochastic_kronecker_edges",
     "descend_batch",
-    "descend_batch_chunks",
 ]
 
 
@@ -89,40 +88,6 @@ def descend_batch(
     src = row_digits @ place
     dst = col_digits @ place
     return src.astype(np.int64), dst.astype(np.int64)
-
-
-def descend_batch_chunks(
-    initiator: InitiatorMatrix,
-    k: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    *,
-    chunk_rows: int,
-):
-    """Stream :func:`descend_batch` output in bounded row chunks.
-
-    Yields ``(src, dst)`` pairs covering ``n_edges`` placements in windows
-    of at most ``chunk_rows`` rows.
-    **Bit-identical** to a single ``descend_batch`` call with the same
-    generator state: ``rng.random((m, k))`` fills row-major, consuming
-    ``m * k`` uniforms in order, so drawing the rows in sequential windows
-    produces exactly the same cell sequence.  This is what lets the
-    streaming PGSK expansion reproduce the materialised digests while
-    never holding a whole partition's edges in memory.
-
-    Always yields at least one (possibly empty) chunk so downstream
-    consumers can read the column dtypes.
-    """
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be >= 1")
-    if n_edges <= 0:
-        yield np.empty(0, np.int64), np.empty(0, np.int64)
-        return
-    done = 0
-    while done < n_edges:
-        m = min(chunk_rows, n_edges - done)
-        yield descend_batch(initiator, k, m, rng)
-        done += m
 
 
 def stochastic_kronecker_edges(

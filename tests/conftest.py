@@ -4,7 +4,6 @@ suite-wide leak guard."""
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -51,29 +50,20 @@ def process_table() -> "dict[int, tuple[int, str, str]]":
     return table
 
 
-def _litter(basetemp: Path) -> "set[str]":
-    """What a run may leave on disk or in shared memory: arena segments,
-    BlockStore session directories (under the system temp dir or any
-    ``spill_dir`` a test chose), half-written block files."""
+def _litter() -> "set[str]":
+    """What a run may leave in shared memory: the pool's arena
+    segments."""
     shm = Path("/dev/shm")
-    found = {str(p) for p in shm.iterdir()} if shm.is_dir() else set()
-    found.update(
-        str(p) for p in Path(tempfile.gettempdir()).glob("repro-spill-*")
-    )
-    for pattern in ("repro-spill-*", "*.tmp.*"):
-        found.update(str(p) for p in basetemp.rglob(pattern))
-    return found
+    return {str(p) for p in shm.iterdir()} if shm.is_dir() else set()
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _nothing_outlives_the_module(tmp_path_factory):
-    """After every test module: no new shared-memory segment, spill
-    directory or temporary block file, and no child of this process —
-    an un-waited child lingers as a zombie, a killed pool worker leaves
-    its arenas."""
-    basetemp = tmp_path_factory.getbasetemp()
+def _nothing_outlives_the_module():
+    """After every test module: no new shared-memory segment and no
+    child of this process — an un-waited child lingers as a zombie, a
+    killed pool worker leaves its arenas."""
     processes_before = set(process_table())
-    litter_before = _litter(basetemp)
+    litter_before = _litter()
     yield
     me = os.getpid()
 
@@ -85,7 +75,7 @@ def _nothing_outlives_the_module(tmp_path_factory):
             and ppid == me
             and "resource_tracker" not in command
         }
-        return processes | (_litter(basetemp) - litter_before)
+        return processes | (_litter() - litter_before)
 
     # Give a process still finishing its teardown a moment before
     # calling what it holds a leak.

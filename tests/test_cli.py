@@ -128,30 +128,48 @@ class TestEngineInfo:
         rc = main(["engine-info"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "memory budget" in out and "unlimited" in out
-        assert "spill dir" in out and "(system tempdir)" in out
         assert out.count("[default]") >= 6
-        # Removed settings (the socket backend's among them) stay gone.
+        # Removed settings (the socket backend's and the out-of-core
+        # layer's among them) stay gone.
         for gone in ("heartbeat timeout", "max inflight", "wire codec",
-                     "task batch", "fetch prefetch", "[cluster]"):
+                     "task batch", "fetch prefetch", "[cluster]",
+                     "memory budget", "spill dir"):
             assert gone not in out
         assert not re.search(r"^workers\s*:", out, re.M)
 
-    def test_flag_beats_env(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "8MB")
+    def test_flag_beats_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "8MB")
         monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        rc = main(
-            [
-                "engine-info",
-                "--memory-budget", "64MB",
-                "--spill-dir", str(tmp_path),
-            ]
-        )
+        rc = main(["engine-info", "--target-partition-bytes", "64MB"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "64.0 MiB" in out and "[flag]" in out
+        assert re.search(
+            r"^target partition bytes\s*: 64\.0 MiB\s+\[flag\]$", out, re.M
+        )
         assert "[env REPRO_EXECUTOR]" in out
-        assert str(tmp_path) in out
+
+    def test_reports_no_codec_or_shuffle_row(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
+        assert main(["engine-info"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^target partition bytes\s*: 4\.0 MiB\s+\[default\]", out, re.M
+        )
+        assert not re.search(r"^(block codec|shuffle)\b", out, re.M)
+
+    def test_flag_source(self, capsys):
+        assert main(["engine-info", "--target-partition-bytes", "8MB"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"target partition bytes\s*: 8\.0 MiB\s+\[flag\]", out
+        )
+
+    def test_env_source(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "8MB")
+        assert main(["engine-info"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"target partition bytes\s*: 8\.0 MiB\b", out)
+        assert "[env REPRO_TARGET_PARTITION_BYTES]" in out
 
     def test_every_setting_is_printed_with_its_own_source(
         self, monkeypatch, capsys
@@ -214,17 +232,14 @@ class TestEngineInfo:
         err = capsys.readouterr().err
         assert f"invalid choice: '{removed}'" in err and choices in err
 
-    def test_generate_accepts_budget_flags(self, seed_pcap, tmp_path, capsys):
-        rc = main(
-            [
-                "generate", str(seed_pcap),
-                "--edges", "3000", "--fraction", "0.5",
-                "--memory-budget", "1KB",
-                "--spill-dir", str(tmp_path / "spill"),
-            ]
-        )
-        assert rc == 0
-        assert "PGPBA" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "flags", [["--memory-budget", "1KB"], ["--spill-dir", "spill"]]
+    )
+    def test_generate_rejects_budget_flags(self, seed_pcap, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(seed_pcap), "--edges", "3000", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStream:

@@ -1,5 +1,7 @@
 """Tests for the PGPBA generator (Fig. 2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,13 @@ class TestGeneration:
             PGPBA(fraction=0.0)
         with pytest.raises(ValueError):
             PGPBA(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"storage_level": "disk_only"}, {"checkpoint_interval": 1}]
+    )
+    def test_out_of_core_fields_are_gone(self, kwargs):
+        with pytest.raises(TypeError):
+            PGPBA(**kwargs)
 
 
 class TestProperties:
@@ -193,3 +202,26 @@ class TestDeterminismAndScaling:
         assert res.total_seconds >= res.structure_seconds
         assert res.peak_node_memory_bytes > 0
         assert res.edges_per_second > 0
+
+
+# sha256 over src, dst and every edge column in sorted name order.
+GOLDEN_DIGEST = (
+    "4fe75097c0d10ac041ba0c10446ee85348a586fc45c52715f4902ab17eeda097"
+)
+
+
+@pytest.mark.parametrize("backend", ["serial", "pool"])
+def test_golden_digest(backend, seed_graph, seed_analysis, open_context):
+    """Pins the generator's output bytes: any change to a random draw,
+    its order or the edge order shows here."""
+    ctx = open_context(n_nodes=4, executor=backend)
+    g = PGPBA(fraction=2.0, seed=3).generate(
+        seed_graph, seed_analysis, 20_000, context=ctx
+    ).graph
+    h = hashlib.sha256()
+    for col in [g.src, g.dst] + [
+        g.edge_properties[k] for k in sorted(g.edge_properties)
+    ]:
+        h.update(np.ascontiguousarray(col).tobytes())
+    assert g.n_edges == 20_857
+    assert h.hexdigest() == GOLDEN_DIGEST

@@ -1,5 +1,7 @@
 """Tests for the PGSK generator (Fig. 3)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             PGSK(duplication="bogus")
 
+    def test_storage_level_field_is_gone(self):
+        with pytest.raises(TypeError):
+            PGSK(storage_level="disk_only")
+
     def test_bad_size_rejected(self, seed_graph, seed_analysis):
         with pytest.raises(ValueError):
             PGSK().generate(seed_graph, seed_analysis, 0)
@@ -174,3 +180,26 @@ class TestDeterminism:
         assert res.property_seconds > 0
         assert res.extra["rounds"] >= 1
         assert res.extra["distinct_target"] >= 1
+
+
+# sha256 over src, dst and every edge column in sorted name order.
+GOLDEN_DIGEST = (
+    "4d0b21a2dcb13b8c8d276a4f7ed9de3219ee0afc7555282c40c55cf665e3c5e1"
+)
+
+
+@pytest.mark.parametrize("backend", ["serial", "pool"])
+def test_golden_digest(backend, seed_graph, seed_analysis, open_context):
+    """Pins the generator's output bytes, KronFit included: any change
+    to a random draw, its order or the edge order shows here."""
+    ctx = open_context(n_nodes=4, executor=backend)
+    g = PGSK(seed=3).generate(
+        seed_graph, seed_analysis, 20_000, context=ctx
+    ).graph
+    h = hashlib.sha256()
+    for col in [g.src, g.dst] + [
+        g.edge_properties[k] for k in sorted(g.edge_properties)
+    ]:
+        h.update(np.ascontiguousarray(col).tobytes())
+    assert g.n_edges == 19_810
+    assert h.hexdigest() == GOLDEN_DIGEST

@@ -148,6 +148,29 @@ class TestRDD:
         pairs = set(zip(out_s.tolist(), out_d.tolist()))
         assert pairs == {(0, 1), (1, 2)}
 
+    def test_all_rows_to_one_reducer(self, open_context):
+        """Worst-case reduce skew: every partition holds the same keys
+        (unique *within* the partition, so the map-side combiner removes
+        nothing) and every key is 0 mod n_parts, so all rows land on
+        reducer 0 — which must keep each key's first occurrence, in
+        input order."""
+        n_parts = 8
+        keys_per = 100_000
+        rng = np.random.default_rng(5)
+        base = rng.permutation(keys_per).astype(np.int64) * n_parts
+        col = np.concatenate(
+            [np.roll(base, 17 * i) for i in range(n_parts)]
+        )
+        ctx = open_context(n_nodes=n_parts, executor="serial")
+        rdd = ctx.parallelize((col,), n_partitions=n_parts).distinct(
+            key_columns=(0,)
+        )
+        sizes = rdd.partition_sizes()
+        (out,) = rdd.collect()
+        assert sizes[0] == keys_per and not sizes[1:].any()
+        first = np.sort(np.unique(col, return_index=True)[1])
+        np.testing.assert_array_equal(out, col[first])
+
     def test_distinct_across_partitions(self, ctx):
         # Same value in different partitions must still deduplicate.
         rdd = ctx.parallelize([np.array([7] * 40)])

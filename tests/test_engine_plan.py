@@ -294,12 +294,11 @@ class TestFusedEagerEquivalence:
         dst = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
 
         def run(fusion):
-            # The CI jobs' ambient grain, budget and fault plan each
-            # move a peak; the claim is about the defaults.
+            # The CI jobs' ambient grain and fault plan each move a
+            # peak; the claim is about the defaults.
             with ClusterContext(
                 n_nodes=4, executor="serial", fusion=fusion,
-                target_partition_bytes="4MB", memory_budget_bytes="none",
-                fault_plan=FaultPlan(),
+                target_partition_bytes="4MB", fault_plan=FaultPlan(),
             ) as ctx:
                 tracemalloc.start()
                 try:

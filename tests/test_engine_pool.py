@@ -319,13 +319,10 @@ class TestCoalescing:
 
     @pytest.mark.parametrize("backend", ["serial", "pool"])
     @pytest.mark.parametrize("target", [0, "256KB"])
-    @pytest.mark.parametrize("budget", [None, "32KB"])
-    def test_chain_digest_matrix(self, backend, target, budget):
-        """Coalescing x backend x memory budget: one digest."""
-        def run(name, tgt, bud):
-            with _ctx(
-                name, target_partition_bytes=tgt, memory_budget_bytes=bud
-            ) as ctx:
+    def test_chain_digest_matrix(self, backend, target):
+        """Coalescing x backend: one digest."""
+        def run(name, tgt):
+            with _ctx(name, target_partition_bytes=tgt) as ctx:
                 rdd = ctx.parallelize(
                     [np.arange(5000) % 701, np.arange(5000) % 499]
                 )
@@ -337,8 +334,8 @@ class TestCoalescing:
                 )
                 return digest(out), stage_structure(ctx)
 
-        ref_digest, ref_structure = run("serial", 0, None)
-        got_digest, got_structure = run(backend, target, budget)
+        ref_digest, ref_structure = run("serial", 0)
+        got_digest, got_structure = run(backend, target)
         assert got_digest == ref_digest
         assert got_structure == ref_structure
 
