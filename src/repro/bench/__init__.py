@@ -8,7 +8,6 @@ printing.
 
 from repro.bench.harness import (
     cached_seed,
-    clock_report,
     default_cluster,
     measure_wall,
     run_sweep,
@@ -22,7 +21,6 @@ __all__ = [
     "run_sweep",
     "SweepPoint",
     "measure_wall",
-    "clock_report",
     "format_table",
     "print_series",
 ]

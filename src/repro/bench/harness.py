@@ -23,7 +23,6 @@ __all__ = [
     "run_sweep",
     "SweepPoint",
     "measure_wall",
-    "clock_report",
 ]
 
 
@@ -77,23 +76,6 @@ def measure_wall(fn: Callable[[], Any]) -> tuple[Any, float]:
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
-
-
-def clock_report(result, wall_seconds: float) -> dict[str, float]:
-    """Both clocks for one :class:`~repro.core.generator.GenerationResult`:
-    real elapsed seconds next to the simulated-cluster seconds the figure
-    benchmarks plot."""
-    return {
-        "wall_seconds": float(wall_seconds),
-        "simulated_seconds": float(result.total_seconds),
-        "edges": float(result.graph.n_edges),
-        "wall_edges_per_second": (
-            result.graph.n_edges / wall_seconds
-            if wall_seconds > 0
-            else float("inf")
-        ),
-        "simulated_edges_per_second": float(result.edges_per_second),
-    }
 
 
 @dataclass

@@ -290,13 +290,6 @@ def _cmd_generate(args) -> int:
         "peak node memory     : "
         f"{result.peak_node_memory_bytes / 2**20:.1f} MiB"
     )
-    m = ctx.metrics
-    if ctx.fault_plan is not None or m.tasks_failed:
-        print(
-            "fault recovery       : "
-            f"{m.tasks_failed} failed, {m.tasks_retried} retried, "
-            f"{m.recovery_recompute_bytes / 2**20:.1f} MiB recomputed"
-        )
     if args.save_npz:
         result.graph.save_npz(args.save_npz)
         print(f"graph saved to {args.save_npz}")

@@ -24,12 +24,11 @@ that reads ``os.environ`` for configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "SETTINGS",
@@ -200,26 +199,6 @@ def _switch(value) -> bool:
 switch = Parser(_switch, "one of " + ", ".join(_ON_VALUES + _OFF_VALUES))
 
 
-def _json_object(value) -> dict:
-    if isinstance(value, Mapping):
-        return dict(value)
-    if not isinstance(value, str):
-        raise TypeError(
-            "expected a JSON object as text or a mapping, got "
-            f"{type(value).__name__}"
-        )
-    try:
-        data = json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON object: {value!r} ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"not a JSON object: {value!r}")
-    return data
-
-
-json_object = Parser(_json_object, "a JSON object", "JSON")
-
-
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
@@ -320,28 +299,6 @@ SETTINGS: "dict[str, Setting]" = {
                 "::test_fused_peak_memory_below_eager"
             ),
             show=_on_off,
-        ),
-        Setting(
-            "faults", "REPRO_FAULTS", None, json_object,
-            "--faults", "fault_plan",
-            "deterministic fault-injection plan as JSON, e.g. "
-            '`{"seed": 1, "p_exception": 0.1, "p_kill": 0.05}`; recovery '
-            "keeps results and simulated metrics bit-identical",
-            evidence=(
-                "tests/test_engine_faults.py::TestChaosEquivalence"
-                "::test_pipeline_bit_identical_under_faults"
-            ),
-            show=lambda v: json.dumps(v, sort_keys=True) if v else "off",
-        ),
-        Setting(
-            "max_task_retries", "REPRO_MAX_TASK_RETRIES", 3, integer(min=0),
-            "--max-task-retries", "max_task_retries",
-            "retry budget per failed task before the run aborts "
-            "(mirrors Spark's `task.maxFailures=4`)",
-            evidence=(
-                "tests/test_engine_faults.py::TestRunWithRecovery"
-                "::test_budget_exhaustion_reraises_original"
-            ),
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),

@@ -11,33 +11,23 @@ parallelism saturates (the paper measured 12 of 20 cores, Fig. 8), task
 waves, and per-node memory meters (Fig. 11).  Scalability figures are read
 from the simulated clock; veracity figures from the real data.
 
-Like its Spark original, the execution layer survives task failures:
-every batch runs through lineage-based recovery (retry from the
-narrowest persisted or source ancestor), and a seeded
-:class:`~repro.engine.faults.FaultPlan` can deterministically inject
-exceptions and worker deaths to prove recovery is bit-identical to the
-fault-free run.
+Unlike its Spark original, the execution layer retries nothing: every
+task is a pure function of ``(seed, partition)``, so a task error fails
+its job at once, and a ``pool`` worker that dies fails it with
+:class:`~repro.engine.executor.WorkerDied`.
 """
 
 from repro.engine.context import ClusterContext
 from repro.engine.executor import (
     Executor,
     PoolExecutor,
-    RecoveryStats,
     RemoteTaskError,
     SerialExecutor,
-    TaskOutcome,
     ThreadExecutor,
     TransportProfile,
     WorkerDied,
     available_backends,
     make_executor,
-    run_with_recovery,
-)
-from repro.engine.faults import (
-    FaultPlan,
-    InjectedFault,
-    SimulatedWorkerDeath,
 )
 from repro.engine.rdd import ArrayRDD
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
@@ -55,17 +45,11 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "PoolExecutor",
-    "TaskOutcome",
-    "RecoveryStats",
     "TransportProfile",
     "WorkerDied",
     "RemoteTaskError",
-    "run_with_recovery",
     "make_executor",
     "available_backends",
-    "FaultPlan",
-    "InjectedFault",
-    "SimulatedWorkerDeath",
     "BlockId",
     "BlockStore",
 ]

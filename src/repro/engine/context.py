@@ -22,16 +22,9 @@ touching the simulated series: ``target_partition_bytes`` (plan-level
 coalescing of small partition chains into ~target-sized executor tasks,
 ``REPRO_TARGET_PARTITION_BYTES``, 0/"off" disables).
 
-Every task batch is dispatched through the lineage-recovery layer
-(:func:`repro.engine.executor.run_with_recovery`): failed tasks are
-retried up to ``max_task_retries`` times with exponential backoff,
-recomputing only the lost partition's fused chain from its anchor
-(source or ``persist()``-ed) partitions.  A seeded
-:class:`~repro.engine.faults.FaultPlan` — ``fault_plan=`` argument, the
-``REPRO_FAULTS`` environment variable, or the CLI ``--faults`` flag —
-deterministically injects task failures and worker deaths to exercise
-that path.  Recovery affects wall clock and the ``metrics`` recovery
-counters only, never the simulated series.
+A task that raises fails its job at once, on every backend: tasks are
+pure functions of ``(seed, partition)``, so nothing is retried (see
+:mod:`repro.engine.executor`).
 """
 
 from __future__ import annotations
@@ -42,13 +35,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro import config
-from repro.engine.executor import (
-    Executor,
-    RecoveryStats,
-    make_executor,
-    run_with_recovery,
-)
-from repro.engine.faults import FaultPlan
+from repro.engine.executor import Executor, make_executor
 from repro.engine.metrics import SimulationMetrics
 from repro.engine.partitioner import split_array, split_count
 from repro.engine.rdd import ArrayRDD, Columns
@@ -76,9 +63,6 @@ class ClusterContext:
         local_workers: int | None = None,
         fusion: bool | None = None,
         target_partition_bytes: int | str | None = None,
-        fault_plan: FaultPlan | dict | str | None = None,
-        max_task_retries: int | None = None,
-        retry_backoff_seconds: float = 0.01,
     ) -> None:
         if partition_multiplier < 1:
             raise ValueError("partition_multiplier must be >= 1")
@@ -112,16 +96,6 @@ class ClusterContext:
             self.executor = executor
         else:
             self.executor = make_executor(executor, local_workers)
-        self.fault_plan = FaultPlan.resolve(fault_plan)
-        self.max_task_retries = config.resolve(
-            "max_task_retries", max_task_retries
-        )
-        if retry_backoff_seconds < 0:
-            raise ValueError("retry_backoff_seconds must be >= 0")
-        self.retry_backoff_seconds = retry_backoff_seconds
-        # Monotone batch counter keying each dispatched batch into the
-        # fault plan's deterministic decision stream.
-        self._batch_ids = itertools.count()
         # Every materialized partition lives in the block store behind a
         # BlockId.  Monotone RDD ids key the blocks (and the persist
         # accounting — id() reuse can never alias entries).
@@ -141,9 +115,8 @@ class ClusterContext:
         *,
         emitted: int | None = None,
     ) -> list[Any]:
-        """Dispatch a batch of partition tasks on the executor backend,
-        with lineage-based retry of failed tasks (and deterministic fault
-        injection when a plan is configured).
+        """Dispatch a batch of partition tasks on the executor backend;
+        the results in task order, or the first task's error.
 
         ``emitted`` is the *logical* task count this batch stands for —
         the coalescing planner passes the pre-coalescing number so the
@@ -154,19 +127,7 @@ class ClusterContext:
             len(tasks) if emitted is None else emitted
         )
         self.metrics.tasks_dispatched += len(tasks)
-        stats = RecoveryStats()
-        try:
-            return run_with_recovery(
-                self.executor,
-                tasks,
-                fault_plan=self.fault_plan,
-                batch=next(self._batch_ids),
-                max_task_retries=self.max_task_retries,
-                backoff_seconds=self.retry_backoff_seconds,
-                stats=stats,
-            )
-        finally:
-            self.metrics.record_recovery(stats)
+        return self.executor.run(tasks)
 
     def close(self) -> None:
         """Release executor resources (worker pools) and drop the block

@@ -32,10 +32,9 @@ Three backends are provided, all on the driver's host:
 
 The pool's scheduling is :class:`_Dispatcher`, the driver-side state
 machine — give every idle channel one batch, wait, drain replies, and
-apply the three rules: absorb each reply as the head task's outcome,
-blame the first unreported task and requeue the rest when a worker
-dies, and mark whatever is left as :class:`WorkerDied` when every
-worker is gone.  A
+apply the two rules: absorb each reply as the head task's result, and
+on the first task error or worker loss stop feeding, drain what is
+still in flight and raise.  A
 :class:`_Channel` is the seam between that machine and the pipe to one
 worker (:class:`_PoolWorker`): how a batch is encoded and sent, how
 replies are read, what the driver waits on.  The worker side is
@@ -45,24 +44,12 @@ Every RNG stream in the engine is keyed by ``(seed, partition_index)``
 and results are gathered in partition order, so every backend
 produces bit-identical datasets for identical seeds (tested).
 
-Fault tolerance lives in two layers here:
-
-* :meth:`Executor.run_outcomes` runs a batch and reports one
-  :class:`TaskOutcome` per task instead of raising, so a single failed
-  partition no longer aborts its siblings.  Subclasses override *either*
-  :meth:`Executor.run` (simple backends — the base ``run_outcomes``
-  guards each task and dispatches through ``run``) *or*
-  ``run_outcomes`` natively (the dispatcher, which must observe worker
-  death).
-* :func:`run_with_recovery` drives rounds of ``run_outcomes`` with
-  per-task retry budgets and exponential backoff — the engine analogue
-  of Spark's lineage recomputation.  Because every engine task closure
-  captures its *materialised* anchor partitions (source arrays or
-  ``persist()``-ed blocks, see ``plan._make_fused_task``), re-running a
-  failed task IS recomputing the lost partition's fused chain from its
-  narrowest persisted or source ancestor; nothing else is touched.
-  Every task is a pure function of ``(seed, partition)``, so each runs
-  as one copy: a second copy could only repeat work already running.
+Task failure: :meth:`Executor.run` raises the first failure and
+retries nothing.  Every task is a pure function of ``(seed,
+partition)``, so re-running one that raised could only raise again.  A
+pool worker that dies mid-task surfaces as :class:`WorkerDied`; its
+child is reaped, its arena segments unlinked, and the next job forks a
+replacement.
 
 Selection: ``ClusterContext(executor="threads", local_workers=8)``, or
 the environment variables ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS``
@@ -91,7 +78,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .. import config
-from .faults import FaultPlan
 
 try:  # the pool backend needs cloudpickle for task-closure transport
     import cloudpickle as _cloudpickle
@@ -103,12 +89,9 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "PoolExecutor",
-    "TaskOutcome",
-    "RecoveryStats",
     "TransportProfile",
     "WorkerDied",
     "RemoteTaskError",
-    "run_with_recovery",
     "make_executor",
     "available_backends",
     "default_workers",
@@ -129,32 +112,6 @@ class WorkerDied(RuntimeError):
 class RemoteTaskError(RuntimeError):
     """Stand-in for a worker exception that could not be pickled back;
     carries the original type name and formatted traceback as text."""
-
-
-@dataclass
-class TaskOutcome:
-    """Per-task result-or-error record returned by ``run_outcomes``."""
-
-    value: Any = None
-    error: BaseException | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> Any:
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-@dataclass
-class RecoveryStats:
-    """Counters produced by one :func:`run_with_recovery` batch."""
-
-    tasks_failed: int = 0
-    tasks_retried: int = 0
-    recompute_bytes: int = 0
 
 
 @dataclass
@@ -196,38 +153,15 @@ class TransportProfile:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _guard(task: Task) -> Callable[[], TaskOutcome]:
-    """Turn a task into one that reports failure instead of raising."""
-
-    def guarded() -> TaskOutcome:
-        try:
-            return TaskOutcome(value=task())
-        except Exception as exc:  # noqa: BLE001 - outcome channel
-            return TaskOutcome(error=exc)
-
-    return guarded
-
-
-def _result_nbytes(obj: Any) -> int:
-    """Total ndarray payload bytes in a task result tree."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (tuple, list)):
-        return sum(_result_nbytes(o) for o in obj)
-    if isinstance(obj, dict):
-        return sum(_result_nbytes(v) for v in obj.values())
-    return 0
-
-
 class Executor:
     """Runs a batch of independent zero-argument tasks, preserving order.
 
     Results are positionally aligned with ``tasks`` no matter in which
     order the backend completes them — the determinism contract the RDD
-    layer relies on.  Subclasses must override at least one of ``run``
-    (raise-on-first-error values) or ``run_outcomes`` (per-task
-    :class:`TaskOutcome` records); each base method is implemented in
-    terms of the other.
+    layer relies on.  :meth:`run` raises the first failure; no task is
+    retried.  The base implementation runs every task in the driver
+    loop: that is the ``serial`` backend, and the fallback of the
+    others for degenerate batches.
     """
 
     name = "abstract"
@@ -241,23 +175,13 @@ class Executor:
         self._closed = False
 
     def run(self, tasks: Sequence[Task]) -> list[Any]:
-        return [outcome.unwrap() for outcome in self.run_outcomes(tasks)]
-
-    def _run_inline(
-        self, tasks: Sequence[Task]
-    ) -> list[TaskOutcome]:
-        """In-driver fallback shared by the process-based backends for
-        degenerate batches (one task, or one worker)."""
-        outcomes = []
+        """Run a batch; the results in task order, or the first error."""
+        results = []
         for task in tasks:
             started = time.perf_counter()
-            outcomes.append(_guard(task)())
+            results.append(task())
             self.transport.compute_seconds += time.perf_counter() - started
-        return outcomes
-
-    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
-        """Run a batch, one :class:`TaskOutcome` per task."""
-        return list(self.run([_guard(task) for task in tasks]))
+        return results
 
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
@@ -277,14 +201,6 @@ class SerialExecutor(Executor):
     """The original behaviour: run every task in the driver loop."""
 
     name = "serial"
-
-    def run(self, tasks: Sequence[Task]) -> list[Any]:
-        results = []
-        for task in tasks:
-            started = time.perf_counter()
-            results.append(task())
-            self.transport.compute_seconds += time.perf_counter() - started
-        return results
 
 
 class ThreadExecutor(Executor):
@@ -314,7 +230,9 @@ class ThreadExecutor(Executor):
             return result
 
         if len(tasks) <= 1 or self.workers == 1:
-            return [_timed(task) for task in tasks]
+            return super().run(tasks)
+        # map() yields in task order, so the lowest-indexed failure is
+        # the one raised.
         return list(self._ensure_pool().map(_timed, tasks))
 
     def close(self) -> None:
@@ -540,11 +458,11 @@ def _pool_worker_main(conn: mp_connection.Connection) -> None:
     per-task segment create/unlink — which is safe because the driver
     copies a batch's results out before it sends the next batch.  Tasks
     run strictly in batch order, which is what lets the driver attribute
-    a silent death to the first unreported task.  An injected kill
-    ``os._exit``s inside ``fn`` — the arena segments it leaves behind
-    are unlinked by the driver (it learned their names from earlier
-    result descriptors) or, as a last resort, by the shared resource
-    tracker at interpreter exit.
+    a silent death to the first unreported task.  A task that
+    ``os._exit``s inside ``fn`` leaves arena segments behind; they are
+    unlinked by the driver (it learned their names from earlier result
+    descriptors) or, as a last resort, by the shared resource tracker
+    at interpreter exit.
     """
     reader = _ArenaReader()
     arena = _Arena()
@@ -707,15 +625,22 @@ class _Channel:
 
 
 class _Job:
-    """The bookkeeping of one ``run_outcomes`` call.  Keys on the wire
-    and in ``_Channel.assigned`` are plain task indices: a job returns
-    only once every task has reported or been blamed, so no channel
-    still holds work of an earlier job."""
+    """The bookkeeping of one ``run`` call.  Keys on the wire and in
+    ``_Channel.assigned`` are plain task indices: a job returns or
+    raises only once every dispatched task has reported or been blamed,
+    so no channel still holds work of an earlier job."""
 
     def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks = tasks
-        self.outcomes: list[TaskOutcome | None] = [None] * len(tasks)
+        self.results: list[Any] = [None] * len(tasks)
         self.pending: deque[int] = deque(range(len(tasks)))
+        self.failures: dict[int, BaseException] = {}
+
+    def fail(self, key: int, error: BaseException) -> None:
+        """Record a failed task and stop feeding: what is still queued
+        is never sent."""
+        self.failures.setdefault(key, error)
+        self.pending.clear()
 
 
 class _Dispatcher(Executor):
@@ -724,14 +649,11 @@ class _Dispatcher(Executor):
 
     Workers run a batch strictly in order and report each task as it
     finishes, so ``assigned`` always has the task in progress at its
-    head.  That is the hinge of every rule here: a reply belongs to the
-    head, a death blames the head (:class:`WorkerDied`) and requeues the
-    rest — which never started — and when no worker is left every
-    unresolved task becomes a :class:`WorkerDied` outcome.
-    :func:`run_with_recovery`, retry budgets and
-    :class:`~repro.engine.faults.FaultPlan` coordinates sit on top
-    unchanged, because batching only affects transport: task identity,
-    result order and fault verdicts are those of the flat task list.
+    head.  That is the hinge of both rules here: a reply belongs to the
+    head, and a death blames the head (:class:`WorkerDied`).  The first
+    ``err`` reply or worker loss stops the feeding; the batches still in
+    flight drain, and then the error of the lowest-indexed failed task
+    is raised.  A lost channel is retired, not replaced mid-job.
 
     Each idle channel gets one batch of ``ceil(n / (2 * live
     channels))`` tasks, two rounds of work per worker for tail balancing
@@ -758,35 +680,18 @@ class _Dispatcher(Executor):
         raise NotImplementedError
 
     def _channel_lost(self, channel: _Channel) -> None:
-        """``channel`` is gone and its work requeued: replace it or
-        drop it from ``_channels``."""
+        """``channel``'s worker is gone: drop it from ``_channels``."""
         raise NotImplementedError
 
-    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
-        if len(tasks) <= 1:
-            # In-driver fallback: injected kills degrade to
-            # SimulatedWorkerDeath (see FaultPlan.wrap).
-            return self._run_inline(tasks)
+    def run(self, tasks: Sequence[Task]) -> list[Any]:
+        if len(tasks) <= 1 or self.workers == 1:
+            return super().run(tasks)  # in the driver: no one to share with
         self._open_channels()
         job = _Job(tasks)
-        while any(o is None for o in job.outcomes):
+        while True:
             self._feed(job)
             busy = [c for c in self._channels if c.assigned]
             if not busy:
-                if self._channels:
-                    continue  # conclusions above freed work; loop re-feeds
-                # Every worker is gone mid-job.  Mark what is left
-                # unresolved as WorkerDied instead of raising: the
-                # recovery layer backs off and retries, and the next
-                # round's _open_channels re-forks.
-                for i, outcome in enumerate(job.outcomes):
-                    if outcome is None:
-                        job.outcomes[i] = TaskOutcome(
-                            error=WorkerDied(
-                                f"every {self.name} worker was lost "
-                                f"before task {i} completed"
-                            )
-                        )
                 break
             wait_started = time.perf_counter()
             mp_connection.wait([w for c in busy for w in c.waitables()])
@@ -795,11 +700,12 @@ class _Dispatcher(Executor):
             )
             for channel in busy:
                 self._drain(channel, job)
-        return job.outcomes  # type: ignore[return-value]
+        if job.failures:
+            raise job.failures[min(job.failures)]
+        return job.results
 
     def _feed(self, job: _Job) -> None:
-        """Give each idle channel one batch from the head of the queue;
-        a batch a channel refused goes back to the head for the next."""
+        """Give each idle channel one batch from the head of the queue."""
         live = max(1, len(self._channels))
         limit = self.task_batch or max(1, -(-len(job.tasks) // (2 * live)))
         for channel in list(self._channels):
@@ -811,13 +717,18 @@ class _Dispatcher(Executor):
                 job.pending.popleft()
                 for _ in range(min(limit, len(job.pending)))
             ]
-            if channel.send([(i, job.tasks[i]) for i in keys]):
+            try:
+                sent = channel.send([(i, job.tasks[i]) for i in keys])
+            except Exception as exc:  # noqa: BLE001 - a batch that won't pickle
+                # Raised only after the batches in flight drain: raising
+                # now would leave their replies to the next job.
+                job.fail(keys[0], exc)
+                continue
+            if sent:
                 channel.assigned.extend(keys)
                 self.batches_sent += 1
             else:
-                # Idle, so nothing to blame: the batch is still ours.
-                job.pending.extendleft(reversed(keys))
-                self._channel_lost(channel)
+                self._lose(channel, keys[0], "refused its batch", job)
 
     def _drain(self, channel: _Channel, job: _Job) -> None:
         """Absorb everything a channel has to say, then let it report a
@@ -827,47 +738,39 @@ class _Dispatcher(Executor):
             while (reply := channel.poll()) is not None:
                 self._absorb(channel, reply, job)
         except _Lost as lost:
-            self._blame_and_requeue(channel, str(lost), job)
-            self._channel_lost(channel)
+            self._lose(channel, channel.assigned[0], str(lost), job)
 
     def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
         # Strict order: a reply is always the head's.
         channel.assigned.popleft()
         tag, key, body, duration = reply
         if tag == "err":
-            job.outcomes[key] = TaskOutcome(error=body)
+            job.fail(key, body)
             return
         payload, buffers = body
         unpack_started = time.perf_counter()
-        value = _own_tree(pickle.loads(payload, buffers=buffers))
+        job.results[key] = _own_tree(pickle.loads(payload, buffers=buffers))
         self.transport.serialize_seconds += (
             time.perf_counter() - unpack_started
         )
-        job.outcomes[key] = TaskOutcome(value=value)
         self.transport.compute_seconds += duration
         self.transport.payload_bytes += len(payload) + sum(
             len(buf) for buf in buffers
         )
 
-    def _blame_and_requeue(
-        self, channel: _Channel, how: str, job: _Job
-    ) -> None:
-        """A worker died with work outstanding.  The first unreported
-        assigned task was in progress and takes the blame; the rest
-        never started and are requeued (same wrapped callables — the
-        deterministic fault verdict is per (batch, index, attempt), not
-        per dispatch)."""
-        if not channel.assigned:
-            return
-        blamed, *unstarted = channel.assigned
-        channel.assigned.clear()
-        job.outcomes[blamed] = TaskOutcome(
-            error=WorkerDied(
+    def _lose(self, channel: _Channel, key: int, how: str, job: _Job) -> None:
+        """A worker is gone holding task ``key`` (in progress, or the
+        head of a batch it could not take): blame that task and retire
+        the channel.  The rest of its batch never started."""
+        job.fail(
+            key,
+            WorkerDied(
                 f"{channel.label} {how} before reporting a result for "
-                f"task {blamed}"
-            )
+                f"task {key}"
+            ),
         )
-        job.pending.extend(unstarted)
+        channel.assigned.clear()
+        self._channel_lost(channel)
 
 
 class _PoolWorker(_Channel):
@@ -902,8 +805,8 @@ class _PoolWorker(_Channel):
         return True
 
     def waitables(self) -> list:
-        # The sentinel too, so a worker that dies without a word (a
-        # FaultPlan kill's os._exit) wakes the driver.
+        # The sentinel too, so a worker that dies without a word (an
+        # os._exit in a task) wakes the driver.
         return [self.child.conn, self.child.proc.sentinel]
 
     def poll(self) -> tuple | None:
@@ -930,10 +833,11 @@ class PoolExecutor(_Dispatcher):
     reused for every subsequent batch, so the fork + import-state cost is
     paid ``workers`` times per executor lifetime instead of once per
     task.  See the module docstring for the transport protocol and
-    :class:`_Dispatcher` for scheduling and recovery.  A worker's single
+    :class:`_Dispatcher` for scheduling and failure.  A worker's single
     task arena is recycled per batch, so batches and their replies
-    strictly alternate.  A worker that dies (an injected
-    ``os._exit(73)`` kill, say) is respawned in place.
+    strictly alternate.  A worker that dies fails its job with
+    :class:`WorkerDied` and is retired; the next job forks a
+    replacement.
     """
 
     name = "pool"
@@ -946,7 +850,6 @@ class PoolExecutor(_Dispatcher):
             )
         super().__init__(workers)
         self.workers_forked = 0
-        self.workers_respawned = 0
         global _REAPER_REGISTERED
         _LIVE_POOL_EXECUTORS.add(self)
         if not _REAPER_REGISTERED:
@@ -964,11 +867,6 @@ class PoolExecutor(_Dispatcher):
             "result_segments": [len(c.reader.segments) for c in children],
         }
 
-    def run_outcomes(self, tasks: Sequence[Task]) -> list[TaskOutcome]:
-        if self.workers == 1:
-            return self._run_inline(tasks)  # no one to share with
-        return super().run_outcomes(tasks)
-
     def _new_worker(self) -> _PoolWorker:
         self.workers_forked += 1
         return _PoolWorker(self.transport)
@@ -979,8 +877,7 @@ class PoolExecutor(_Dispatcher):
 
     def _channel_lost(self, channel: _Channel) -> None:
         channel.child.retire()
-        self._channels[self._channels.index(channel)] = self._new_worker()
-        self.workers_respawned += 1
+        self._channels.remove(channel)
 
     def close(self) -> None:
         for worker in self._channels:
@@ -989,105 +886,6 @@ class PoolExecutor(_Dispatcher):
             worker.child.retire()
         self._channels.clear()
         super().close()
-
-
-# ----------------------------------------------------------------------
-# Lineage-based recovery: retry rounds with backoff over run_outcomes.
-# ----------------------------------------------------------------------
-
-def run_with_recovery(
-    executor: Executor,
-    tasks: Sequence[Task],
-    *,
-    fault_plan: FaultPlan | None = None,
-    batch: int = 0,
-    max_task_retries: int = 3,
-    backoff_seconds: float = 0.01,
-    stats: RecoveryStats | None = None,
-) -> list[Any]:
-    """Run a task batch, retrying failed tasks from lineage.
-
-    Each engine task closure captures its materialised anchor partitions
-    (source arrays or ``persist()``-ed blocks), so re-invoking a failed
-    task recomputes exactly the lost partition's fused operator chain
-    from its narrowest persisted or source ancestor — the Spark recovery
-    model at batch granularity.  A task may fail up to
-    ``max_task_retries`` times; rounds are separated by exponential
-    backoff (``backoff_seconds * 2**(round-1)``, capped at 1s).  When the
-    budget is exhausted the *original* exception is re-raised.
-
-    ``fault_plan`` wraps each attempt with its deterministic injection
-    verdict (attempt numbers advance per failure, so a plan with
-    ``max_failures_per_task <= max_task_retries`` always converges).
-    """
-    n = len(tasks)
-    if n == 0:
-        return []
-    plan = (
-        fault_plan
-        if fault_plan is not None and not fault_plan.is_zero
-        else None
-    )
-    driver_pid = os.getpid()
-    if stats is None:
-        stats = RecoveryStats()
-    results: list[Any] = [None] * n
-    failures = [0] * n
-    pending = list(range(n))
-    round_no = 0
-    while pending:
-        if round_no > 0:
-            time.sleep(min(backoff_seconds * (2 ** (round_no - 1)), 1.0))
-        if plan is not None:
-            wrapped = [
-                plan.wrap(
-                    tasks[i],
-                    batch=batch,
-                    index=i,
-                    attempt=failures[i],
-                    driver_pid=driver_pid,
-                )
-                for i in pending
-            ]
-        else:
-            wrapped = [tasks[i] for i in pending]
-        outcomes = executor.run_outcomes(wrapped)
-        next_pending: list[int] = []
-        for pos, i in enumerate(pending):
-            outcome = outcomes[pos]
-            if outcome.ok:
-                results[i] = outcome.value
-                if round_no > 0:
-                    # Tasks that know their lineage (fused chains) expose
-                    # a `recovery_bytes` accountant covering every re-run
-                    # operator segment plus the anchor; plain
-                    # tasks fall back to the result's payload size.
-                    accountant = getattr(tasks[i], "recovery_bytes", None)
-                    if accountant is not None:
-                        stats.recompute_bytes += int(
-                            accountant(outcome.value)
-                        )
-                    else:
-                        stats.recompute_bytes += _result_nbytes(
-                            outcome.value
-                        )
-                continue
-            stats.tasks_failed += 1
-            failures[i] += 1
-            if failures[i] > max_task_retries:
-                error = outcome.error
-                if hasattr(error, "add_note"):
-                    error.add_note(
-                        f"task {i} of batch {batch} failed {failures[i]} "
-                        f"time(s); max_task_retries={max_task_retries} "
-                        "exhausted"
-                    )
-                raise error
-            stats.tasks_retried += 1
-            next_pending.append(i)
-        pending = next_pending
-        round_no += 1
-    return results
 
 
 # ----------------------------------------------------------------------

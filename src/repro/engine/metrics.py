@@ -11,15 +11,7 @@ materialization and releases them on ``unpersist()``, so
 ``persisted_bytes`` / ``peak_persisted_bytes`` expose how much dataset
 the generators keep live across loop iterations.
 
-Fault recovery is metered separately from the simulated series: the
-recovery layer (:func:`repro.engine.executor.run_with_recovery`) reports
-``tasks_failed`` / ``tasks_retried`` / ``recovery_recompute_bytes``
-per batch via :meth:`SimulationMetrics.record_recovery`.  These counters never feed the scheduler, so the
-Fig. 8-12 stage records and makespans are byte-identical whether a run
-recovered from faults or saw none (asserted in tests).
-
-Physical dispatch is metered the same way — outside the simulated
-series: ``tasks_emitted`` counts logical per-partition tasks the planner
+Physical dispatch is metered outside the simulated series: ``tasks_emitted`` counts logical per-partition tasks the planner
 produced, ``tasks_dispatched`` the physical executor tasks they were
 coalesced into, ``tasks_inlined`` the empty-partition chains run in the
 driver instead of scheduled; ``transport_breakdown()`` exposes the
@@ -63,9 +55,10 @@ class SimulationMetrics:
     node_peak_bytes: np.ndarray = None
     persisted_rdd_bytes: dict = field(default_factory=dict)
     peak_persisted_bytes: int = 0
+    # Always 0: a task error fails its job and nothing is retried.  Kept
+    # because the e2e benchmark reports them per generator.
     tasks_failed: int = 0
     tasks_retried: int = 0
-    recovery_recompute_bytes: int = 0
     # Physical dispatch accounting (wall-clock side of the two clocks):
     # logical tasks emitted by the planner vs. executor tasks actually
     # dispatched after coalescing, plus empty chains run in the driver.
@@ -108,16 +101,6 @@ class SimulationMetrics:
             )
         self.node_resident_bytes = per_node
         self.node_peak_bytes = np.maximum(self.node_peak_bytes, per_node)
-
-    # ------------------------------------------------------------------
-    def record_recovery(self, stats) -> None:
-        """Fold one batch's :class:`~repro.engine.executor.RecoveryStats`
-        into the recovery counters.  Recovery is wall-clock-only: these
-        numbers never reach the scheduler or the task records, so the
-        simulated Fig. 8-12 series are unaffected by faults."""
-        self.tasks_failed += stats.tasks_failed
-        self.tasks_retried += stats.tasks_retried
-        self.recovery_recompute_bytes += stats.recompute_bytes
 
     # ------------------------------------------------------------------
     def register_persist(self, key: int, nbytes: int) -> None:

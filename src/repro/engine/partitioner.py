@@ -2,8 +2,8 @@
 
 ``split_array`` / ``split_count`` fix *logical* partition boundaries: the
 same ``(total, n_partitions)`` always produces the same split, so stage
-re-execution (recovery, another backend, another task grain) lands every row
-in the same partition.  ``chunk_weights`` works on the other side of the
+re-execution (another backend, another task grain) lands every row in
+the same partition.  ``chunk_weights`` works on the other side of the
 two-clock boundary: it groups logical partitions into the *physical*
 executor tasks the coalescer dispatches, without ever moving a row
 between partitions.
@@ -44,8 +44,7 @@ def chunk_weights(
     boundaries are placed at the balanced cumulative-weight quotas, so the
     grouping is a pure function of ``(weights, target, min_chunks)`` —
     deterministic and backend-independent, which keeps the coalesced task
-    composition (and therefore any fault-injection coordinates keyed on
-    it) identical on every executor backend.
+    composition identical on every executor backend.
     """
     if target < 1:
         raise ValueError("target weight must be >= 1")

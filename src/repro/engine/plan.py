@@ -40,8 +40,8 @@ fewer than ``_MIN_COALESCED_CHUNKS`` chunks, so small-stage dispatch is
 untouched), and runs empty-partition chains inline in the driver instead
 of scheduling them at all.  The grouping is a pure function of cached
 partition byte metadata and per-op ``bytes_hint``s — deterministic and
-backend-independent, so the physical task list (and with it the
-fault-injection coordinates) is identical on every backend.  Each member
+backend-independent, so the physical task list is identical on every
+backend.  Each member
 chain still times its own operator segments, so the simulated stage
 records — task indices, byte volumes, node assignments — are
 byte-identical coalesced or not (asserted in tests); only wall-clock
@@ -54,14 +54,6 @@ partitions, never the intermediates of its lineage.  Forking two lazy
 branches off one unforced, unpersisted RDD therefore re-runs the shared
 prefix (and honestly re-charges it to the simulated clock); ``persist()``
 the branch point to compute it once and account its resident bytes.
-
-The same anchoring is what makes fault recovery lineage-based: a fused
-task closure captures its *materialized* anchor columns, so when the
-recovery layer (:func:`repro.engine.executor.run_with_recovery`) re-runs
-a failed task it recomputes exactly the lost partition's chain from its
-narrowest persisted or source ancestor — sibling partitions and already
-persisted data are never touched, and ``persist()`` doubles as the
-recovery anchor.
 """
 
 from __future__ import annotations
@@ -167,16 +159,6 @@ def _make_fused_task(ref, ops, validate):
             )
         return current, segments
 
-    # Chain-aware recovery accounting: a retried fused task recomputes
-    # every operator segment plus the anchor partition itself — a
-    # source or persist()-ed anchor lives in executor memory, which the
-    # simulated worker loss takes with it.
-    anchor_bytes = ref.nbytes
-
-    def _recovery_bytes(value):
-        return anchor_bytes + sum(seg[3] for seg in value[1])
-
-    _task.recovery_bytes = _recovery_bytes
     return _task
 
 
@@ -190,13 +172,6 @@ def _make_chunk_task(subtasks):
     def _task():
         return [task() for task in subtasks]
 
-    def _recovery_bytes(values):
-        return sum(
-            task.recovery_bytes(value)
-            for task, value in zip(subtasks, values)
-        )
-
-    _task.recovery_bytes = _recovery_bytes
     return _task
 
 

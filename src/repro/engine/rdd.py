@@ -36,14 +36,9 @@ branches off one unforced RDD and the shared prefix recomputes (and is
 re-charged to the simulated clock); persist the branch point to avoid
 that, as the generators do at their loop boundaries.
 
-The "resilient" in the name is earned at the execution layer: every task
-batch an action dispatches goes through
-:func:`~repro.engine.executor.run_with_recovery`, so a failed or killed
-task is retried from its captured anchor partitions — recomputing only
-the lost partition's chain from its narrowest persisted or source
-ancestor.  ``persist()`` doubles as the recovery anchor; its blocks
-live in executor memory, which the simulated failure loses, so a retry
-re-charges the anchor bytes to ``recovery_recompute_bytes``.
+A task that raises fails the action that forced it: every task is a
+pure function of its anchor partition and ``(seed, partition)``, so
+nothing is retried (see :mod:`repro.engine.executor`).
 """
 
 from __future__ import annotations

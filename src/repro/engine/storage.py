@@ -32,11 +32,10 @@ class _MemoryRef:
     """A task-capturable reference to a block: the arrays inline, which
     forked workers inherit copy-on-write."""
 
-    __slots__ = ("columns", "nbytes")
+    __slots__ = ("columns",)
 
-    def __init__(self, columns, nbytes):
+    def __init__(self, columns):
         self.columns = columns
-        self.nbytes = nbytes
 
     def load(self):
         return self.columns
@@ -94,8 +93,7 @@ class BlockStore:
 
     def task_ref(self, block_id: BlockId) -> _MemoryRef:
         """A picklable/forkable reference for capturing in task closures."""
-        entry = self._blocks[block_id]
-        return _MemoryRef(entry.columns, entry.nbytes)
+        return _MemoryRef(self._blocks[block_id].columns)
 
     def meta(self, block_id: BlockId) -> _Entry:
         """A block's record (rows/nbytes/n_columns)."""

@@ -178,7 +178,7 @@ class TestEngineInfo:
 
         for setting in SETTINGS.values():
             monkeypatch.delenv(setting.env, raising=False)
-        monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
+        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
         monkeypatch.setenv("REPRO_QUERY_CACHE", "16")
         rc = main(
             ["engine-info", "--nodes", "1", "--workers", "3",
@@ -196,7 +196,7 @@ class TestEngineInfo:
         # An explicit flag is a flag even when it repeats the default.
         assert row("nodes", "1", "flag") and row("cores", "12", "default")
         assert row("local workers", "3", "flag")
-        assert row("max task retries", "5", "env REPRO_MAX_TASK_RETRIES")
+        assert row("executor", "threads", "env REPRO_EXECUTOR")
         assert row("query cache", "16 entries", "env REPRO_QUERY_CACHE")
         assert row("stream lateness", "2 s", "flag")
 

@@ -24,7 +24,7 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 11 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 9 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
@@ -32,8 +32,6 @@ EXPECTED = {
         "--target-partition-bytes", "target_partition_bytes", 4 << 20
     ),
     "REPRO_FUSION": ("--no-fusion", "fusion", True),
-    "REPRO_FAULTS": ("--faults", "fault_plan", None),
-    "REPRO_MAX_TASK_RETRIES": ("--max-task-retries", "max_task_retries", 3),
     "REPRO_QUERY_THREADS": ("--threads", "threads", None),
     "REPRO_QUERY_CACHE": ("--cache-size", "cache_size", 1024),
     "REPRO_STREAM_QUEUE": ("--queue-capacity", "queue_capacity", 8),
@@ -52,12 +50,6 @@ CASES = {
         "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1, 1.9, True]
     ),
     "fusion": ("off", False, True, True, ["maybe"]),
-    "faults": (
-        '{"seed": 4, "p_kill": 0.2}', {"seed": 4, "p_kill": 0.2},
-        {"seed": 3}, {"seed": 3},
-        ["{broken", "[1, 2]"],
-    ),
-    "max_task_retries": ("7", 7, 0, 0, ["many", "-1", 2.5, False]),
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1", True]),
     "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
@@ -82,7 +74,7 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
-        assert len(SETTINGS) == 11
+        assert len(SETTINGS) == 9
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
@@ -230,7 +222,7 @@ class TestResolve:
     @pytest.mark.parametrize(
         "variable",
         ["REPRO_WORKERS", "REPRO_SPECULATION", "REPRO_MEMORY_BUDGET",
-         "REPRO_SPILL_DIR"],
+         "REPRO_SPILL_DIR", "REPRO_FAULTS", "REPRO_MAX_TASK_RETRIES"],
     )
     def test_unknown_variable_is_an_error(self, variable, monkeypatch):
         """A ``REPRO_*`` variable that names no row (one a removed knob
@@ -251,7 +243,7 @@ class TestResolve:
     @pytest.mark.parametrize(
         ("name", "value", "expected"),
         [("local_workers", 3.0, 3), ("target_partition_bytes", 4096.0, 4096),
-         ("max_task_retries", 0.0, 0)],
+         ("query_cache", 0.0, 0)],
     )
     def test_integral_floats_are_whole_numbers(self, name, value, expected):
         resolved = config.resolve(name, value)
@@ -279,12 +271,12 @@ class TestAddArguments:
 
     def test_text_is_kept_as_typed(self):
         args = self._parser().parse_args(
-            ["--target-partition-bytes", "off", "--max-task-retries", "4",
+            ["--target-partition-bytes", "off", "--cache-size", "4",
              "--no-fusion", "--executor", "pool"]
         )
         # The constructor's resolve() is the one place text is read.
         assert args.target_partition_bytes == "off"
-        assert args.max_task_retries == "4"
+        assert args.cache_size == "4"
         assert args.no_fusion is False
         assert args.executor == "pool"
 
@@ -305,11 +297,10 @@ class TestAddArguments:
     @pytest.mark.parametrize(
         ("flag", "bad", "env"),
         [
-            ("--max-task-retries", "many", "REPRO_MAX_TASK_RETRIES"),
+            ("--cache-size", "many", "REPRO_QUERY_CACHE"),
             ("--target-partition-bytes", "8 peta",
              "REPRO_TARGET_PARTITION_BYTES"),
             ("--lateness", "late", "REPRO_STREAM_LATENESS"),
-            ("--faults", "{broken", "REPRO_FAULTS"),
         ],
     )
     def test_bad_text_is_an_argparse_error(self, flag, bad, env, capsys):
@@ -322,7 +313,8 @@ class TestAddArguments:
         for argv in (
             ["--task-batch", "4"], ["--speculation"],
             ["--block-codec", "zlib"], ["--memory-budget", "8MB"],
-            ["--spill-dir", "/tmp/spill"],
+            ["--spill-dir", "/tmp/spill"], ["--faults", "{}"],
+            ["--max-task-retries", "3"],
         ):
             with pytest.raises(SystemExit) as exc:
                 self._parser().parse_args(argv)

@@ -4,11 +4,12 @@
 pipe transport (``_Channel``).  These tests substitute a transport that
 forks nothing — a channel that runs each task in the driver when it is
 sent and hands the replies back under the test's control — so the
-ordering, blame-and-requeue and total-loss rules are exercised
-directly instead of by killing real workers under a seeded fault plan.
-Every job runs one copy per task, so :class:`FakeDispatcher` checks
-after each ``run_outcomes`` that no channel still holds work: that is
-what lets wire keys be plain task indices.
+ordering, error and worker-loss rules are exercised directly instead of
+by killing real workers.  Every job runs one copy per task, and a
+failed job drains what it dispatched before it raises, so
+:class:`FakeDispatcher` checks after each ``run`` — returned or raised
+— that no channel still holds work: that is what lets wire keys be
+plain task indices.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 import pickle
 import weakref
 from collections import deque
+
+import pytest
 
 from repro.engine.executor import (
     TransportProfile,
@@ -94,11 +97,13 @@ class FakeDispatcher(_Dispatcher):
         self._channels.remove(channel)
         self.lost.append(channel)
 
-    def run_outcomes(self, tasks):
-        outcomes = super().run_outcomes(tasks)
-        # One copy per task: a finished job leaves no work behind.
-        assert not any(c.assigned for c in self._channels + self.lost)
-        return outcomes
+    def run(self, tasks):
+        try:
+            return super().run(tasks)
+        finally:
+            # One copy per task: a finished job, failed or not, leaves
+            # no work behind.
+            assert not any(c.assigned for c in self._channels + self.lost)
 
 
 def tasks(n):
@@ -115,38 +120,16 @@ class TestOrdering:
         early = FakeChannel()
         late.held = lambda: bool(early.outbox) or early.delivered < 2
         ex = FakeDispatcher([late, early], task_batch=2)
-        outcomes = ex.run_outcomes(tasks(4))
+        assert ex.run(tasks(4)) == [0, 10, 20, 30]
         assert late.batches[0] == [0, 1]
         assert early.batches[0] == [2, 3]
-        assert [o.unwrap() for o in outcomes] == [0, 10, 20, 30]
         assert ex.batches_sent == 2
         assert not late.assigned
-
-    def test_err_reply_mid_batch_sets_that_outcome_only(self):
-        boom = ValueError("task 1 failed")
-
-        def failing():
-            raise boom
-
-        a, b = FakeChannel(), FakeChannel()
-        ex = FakeDispatcher([a, b], task_batch=3)
-        work = tasks(6)
-        work[1] = failing
-        outcomes = ex.run_outcomes(work)
-        assert outcomes[1].error is boom
-        assert [o.unwrap() for i, o in enumerate(outcomes) if i != 1] == [
-            0, 20, 30, 40, 50
-        ]
-        # the rest of the batch ran on the same channel, nothing resent
-        assert a.batches == [[0, 1, 2]]
-        assert ex.batches_sent == 2 and ex.lost == []
 
     def test_adaptive_batch_gives_each_channel_two_rounds(self):
         a, b = FakeChannel(), FakeChannel()
         ex = FakeDispatcher([a, b])  # task_batch=0: ceil(8 / (2 * 2))
-        assert [o.unwrap() for o in ex.run_outcomes(tasks(8))] == [
-            i * 10 for i in range(8)
-        ]
+        assert ex.run(tasks(8)) == [i * 10 for i in range(8)]
         assert [len(batch) for batch in a.batches + b.batches] == [2] * 4
 
     def test_a_busy_channel_gets_no_second_batch(self):
@@ -161,51 +144,79 @@ class TestOrdering:
         assert list(job.pending) == [2, 3, 4]
 
 
-class TestBlameAndRequeue:
-    def test_lost_channel_blames_first_unreported_requeues_rest(self):
+class TestTaskError:
+    def test_err_reply_stops_feeding_and_raises_after_drain(self):
+        boom = ValueError("task 1 failed")
+
+        def failing():
+            raise boom
+
+        a, b = FakeChannel(), FakeChannel()
+        ex = FakeDispatcher([a, b], task_batch=2)
+        work = tasks(8)
+        work[1] = failing
+        with pytest.raises(ValueError) as exc:
+            ex.run(work)
+        assert exc.value is boom
+        assert not getattr(boom, "__notes__", None)
+        # The in-flight batches drained; tasks 4-7 were never sent and
+        # nothing was resent.
+        assert a.batches == [[0, 1]] and b.batches == [[2, 3]]
+        assert b.delivered == 2
+        assert ex.batches_sent == 2 and ex.lost == []
+
+    def test_lowest_indexed_failure_is_raised(self):
+        def failing(i):
+            def task():
+                raise ValueError(f"task {i} failed")
+            return task
+
+        a, b = FakeChannel(), FakeChannel()
+        # Task 2's error arrives first; task 0's, in the batch still in
+        # flight, arrives after it and wins.
+        a.held = lambda: b.delivered < 2
+        ex = FakeDispatcher([a, b], task_batch=2)
+        work = tasks(4)
+        work[0], work[2] = failing(0), failing(2)
+        with pytest.raises(ValueError, match="task 0 failed"):
+            ex.run(work)
+
+
+class TestWorkerLoss:
+    def test_lost_channel_raises_workerdied_after_others_drain(self):
         doomed = FakeChannel(dies_after=1)  # reports task 0, dies in 1
         healthy = FakeChannel()
         healthy.held = lambda: not ex.lost
         ex = FakeDispatcher([doomed, healthy], task_batch=4)
-        outcomes = ex.run_outcomes(tasks(8))
-        assert doomed.batches[0] == [0, 1, 2, 3]
-        died = [i for i, o in enumerate(outcomes) if not o.ok]
-        assert died == [1]
-        assert isinstance(outcomes[1].error, WorkerDied)
-        assert "fake worker lost (unplugged)" in str(outcomes[1].error)
-        assert "task 1" in str(outcomes[1].error)
-        # k-1 = 2 unstarted tasks requeued, in order, behind no one.
-        assert healthy.batches == [
-            [4, 5, 6, 7], [2, 3]
-        ]
-        assert [o.value for i, o in enumerate(outcomes) if i != 1] == [
-            0, 20, 30, 40, 50, 60, 70
-        ]
-        assert ex.lost == [doomed]
+        with pytest.raises(WorkerDied) as exc:
+            ex.run(tasks(12))
+        assert "fake worker lost (unplugged)" in str(exc.value)
+        assert "task 1" in str(exc.value)
+        assert doomed.batches == [[0, 1, 2, 3]]
+        # The healthy channel's batch drained before the raise; nothing
+        # was requeued onto it and tasks 8-11 were never sent.
+        assert healthy.batches == [[4, 5, 6, 7]]
+        assert healthy.delivered == 4
+        assert ex.lost == [doomed] and ex._channels == [healthy]
 
-    def test_every_channel_lost_returns_workerdied_not_raises(self):
-        a = FakeChannel(dies_after=1)
-        b = FakeChannel(dies_after=0)
+    def test_every_channel_lost_raises_the_lowest_blamed_task(self):
+        a = FakeChannel(dies_after=1)  # blamed for task 1
+        b = FakeChannel(dies_after=0)  # blamed for task 2
         ex = FakeDispatcher([a, b], task_batch=2)
-        outcomes = ex.run_outcomes(tasks(6))
-        assert outcomes[0].unwrap() == 0
-        assert all(isinstance(o.error, WorkerDied) for o in outcomes[1:])
-        assert "lost (unplugged)" in str(outcomes[1].error)  # blamed
-        assert "every fake worker was lost" in str(outcomes[5].error)
+        with pytest.raises(WorkerDied, match="task 1$"):
+            ex.run(tasks(6))
         assert ex._channels == []
 
-    def test_failed_send_requeues_the_batch_at_the_head(self):
+    def test_refused_send_raises_workerdied(self):
         refusing = FakeChannel(refuse=True)
         healthy = FakeChannel()
         ex = FakeDispatcher([refusing, healthy], task_batch=2)
-        outcomes = ex.run_outcomes(tasks(6))
-        assert [o.unwrap() for o in outcomes] == [i * 10 for i in range(6)]
-        # The refused batch [0, 1] is the first thing the next channel
-        # gets — not pushed behind [2, 3].
-        assert healthy.batches == [
-            [0, 1], [2, 3], [4, 5]
-        ]
-        assert ex.lost == [refusing] and refusing.batches == []
+        with pytest.raises(WorkerDied, match="refused its batch .* task 0$"):
+            ex.run(tasks(6))
+        # The refusal stopped the feeding before the healthy channel got
+        # a batch.
+        assert healthy.batches == [] and refusing.batches == []
+        assert ex.lost == [refusing]
 
 
 class TestTransportProfile:

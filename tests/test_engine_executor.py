@@ -1,13 +1,18 @@
-"""Executor backends: determinism, the distinct() exchange, metadata caches.
+"""Executor backends: determinism, failure, lifecycle, the distinct()
+exchange, metadata caches.
 
 The contract under test: every backend (serial / threads / pool)
 produces bit-identical datasets and identical simulated-cluster
 accounting for fixed seeds, because RNG streams are keyed by partition
-index and per-task costs are measured inside the tasks.
+index and per-task costs are measured inside the tasks; a task that
+raises runs once and its error reaches the caller as itself; and every
+executor releases its threads or worker processes on ``close()``.
 """
 
 import hashlib
+import multiprocessing as mp
 import os
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.engine import (
     available_backends,
     make_executor,
 )
+from repro.engine.executor import _reap_leaked_children, default_workers
 from repro.engine.rdd import _unique_pair_index
 
 BACKENDS = available_backends()
@@ -103,6 +109,84 @@ class TestExecutorBasics:
         assert np.array_equal(outs[1][0], big + 1)
         assert outs[0][1] == 1.5 and outs[1][1] == 0.5
         assert outs[0][0].flags.owndata
+
+
+class TestTaskFailure:
+    """A task error surfaces once: nothing is retried, on any backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_raising_task_runs_once(self, backend, tmp_path):
+        # Counted in a file: pool tasks run in other processes.
+        calls = tmp_path / "calls"
+
+        def fn(cols, pidx):
+            if pidx == 0:
+                with open(calls, "a") as log:
+                    log.write("x")
+                raise ValueError("partition 0 is bad")
+            return cols
+
+        with _ctx(backend, target_partition_bytes=0) as ctx:
+            rdd = ctx.parallelize([np.arange(400)], n_partitions=4)
+            with pytest.raises(ValueError, match="partition 0 is bad") as exc:
+                rdd.map_partitions(fn).collect()
+        assert calls.read_text() == "x"
+        assert not getattr(exc.value, "__notes__", None)
+        assert type(exc.value) is ValueError
+        assert ctx.metrics.tasks_failed == ctx.metrics.tasks_retried == 0
+
+
+class TestExecutorLifecycle:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_close_is_idempotent(self, backend):
+        ex = make_executor(backend, 2)
+        ex.run([lambda: 1, lambda: 2])
+        ex.close()
+        ex.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_context_manager(self, backend):
+        with make_executor(backend, 2) as ex:
+            assert ex.run([lambda: 5])[0] == 5
+        if backend == "threads":
+            assert ex._pool is None
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
+    )
+    def test_close_reaps_live_children(self):
+        """close() stops idle workers and terminates one stuck mid-task."""
+        ex = PoolExecutor(2)
+        ex.run([lambda: 1, lambda: 2])
+        busy, idle = (worker.child.proc for worker in ex._channels)
+        assert ex._channels[0].send([(0, lambda: time.sleep(60))])
+        assert busy.is_alive() and idle.is_alive()
+        ex.close()
+        assert not busy.is_alive() and not idle.is_alive()
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
+    )
+    def test_atexit_reaper_kills_orphans(self):
+        ex = PoolExecutor(2)
+        ex.run([lambda: 1, lambda: 2])
+        procs = [worker.child.proc for worker in ex._channels]
+        assert all(proc.is_alive() for proc in procs)
+        _reap_leaked_children()
+        assert not any(proc.is_alive() for proc in procs)
+
+    def test_resolve_workers_reports_offender(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "lots")
+        with pytest.raises(ValueError, match="'lots'"):
+            make_executor("threads")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "0")
+        with pytest.raises(ValueError, match="'0'"):
+            make_executor("threads")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "   ")
+        assert make_executor("threads").workers == default_workers()
+        monkeypatch.delenv("REPRO_LOCAL_WORKERS")
+        assert make_executor("threads", 4).workers == 4
+        assert make_executor("serial").workers == default_workers()
 
 
 class TestBackendEquivalence:

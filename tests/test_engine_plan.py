@@ -19,7 +19,6 @@ import pytest
 from repro.core import PGPBA, PGSK
 from repro.engine import ClusterContext
 from repro.engine.executor import SerialExecutor
-from repro.engine.faults import FaultPlan
 
 
 class CountingExecutor(SerialExecutor):
@@ -40,10 +39,6 @@ class CountingExecutor(SerialExecutor):
 
 def counting_ctx(**kwargs):
     ex = CountingExecutor()
-    # An explicit zero fault plan: these tests assert exact batch/task
-    # dispatch counts, which injected failures (e.g. a REPRO_FAULTS
-    # chaos environment) would legitimately inflate with retry rounds.
-    kwargs.setdefault("fault_plan", FaultPlan())
     ctx = ClusterContext(n_nodes=2, executor=ex, **kwargs)
     return ctx, ex
 
@@ -294,11 +289,11 @@ class TestFusedEagerEquivalence:
         dst = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
 
         def run(fusion):
-            # The CI jobs' ambient grain and fault plan each move a
-            # peak; the claim is about the defaults.
+            # The CI jobs' ambient grain moves the peak; the claim is
+            # about the default.
             with ClusterContext(
                 n_nodes=4, executor="serial", fusion=fusion,
-                target_partition_bytes="4MB", fault_plan=FaultPlan(),
+                target_partition_bytes="4MB",
             ) as ctx:
                 tracemalloc.start()
                 try:

@@ -4,14 +4,15 @@ Three contracts under test:
 
 * **Pool lifecycle** — workers are forked once and reused across
   batches (the shared-memory arenas are recycled, not re-created), a
-  worker killed mid-batch is respawned and its unfinished work retried
-  through the ordinary :func:`run_with_recovery` machinery, and
-  ``close()`` is idempotent; a worker whose driver is killed exits.
+  worker that dies mid-batch fails its job with ``WorkerDied`` and is
+  replaced by a fresh fork for the next job, a task error reaches the
+  caller as itself, and ``close()`` is idempotent; a worker whose
+  driver is killed exits.
 * **Coalescing is invisible to the simulated cluster** — merging small
   partitions into fewer physical dispatches (and running empty chains
   inline in the driver) changes ``tasks_dispatched`` only; datasets,
   stage records, makespans and memory meters are byte-identical under
-  any ``target_partition_bytes`` x backend x memory-budget combination.
+  any ``target_partition_bytes`` x backend combination.
 * **Transport metering** — every backend reports a wall-clock overhead
   breakdown (submit/serialize/ipc/compute) without touching the
   simulated series.
@@ -25,6 +26,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -33,11 +35,9 @@ import pytest
 from repro.core import PGPBA, PGSK
 from repro.engine import (
     ClusterContext,
-    FaultPlan,
     PoolExecutor,
-    RecoveryStats,
-    make_executor,
-    run_with_recovery,
+    RemoteTaskError,
+    WorkerDied,
 )
 from repro.engine.partitioner import chunk_weights, split_array
 
@@ -157,7 +157,6 @@ class TestPoolLifecycle:
                     assert np.array_equal(arr, big + 4 * round_no + j)
                     assert arr.flags.owndata  # survives arena recycling
             assert ex.workers_forked == 2
-            assert ex.workers_respawned == 0
             assert ex.batches_sent >= 3
             stats = ex.arena_stats()
         # Grow-only reuse: each worker ever created at most 2 task
@@ -167,35 +166,54 @@ class TestPoolLifecycle:
         assert all(n <= 2 for n in stats["result_segments"])
 
     def test_worker_death_mid_batch_recovered(self):
-        """An injected kill takes down a real pooled worker; the driver
-        blames exactly the killed task, respawns the worker, and the
-        retry round completes bit-identically."""
-        plan = FaultPlan(seed=1, p_kill=1.0, max_failures_per_task=1)
+        """A task that really ``os._exit``s takes down its pooled worker:
+        the job fails with WorkerDied naming that task, the dead worker
+        is retired, and the same executor runs the next job on a fresh
+        fork."""
+        driver = os.getpid()
+
+        def dies():
+            if os.getpid() != driver:
+                os._exit(9)
+            return -1
+
         with PoolExecutor(2) as ex:
-            ex.task_batch = 2  # two-task batches: a kill strands a task
-            stats = RecoveryStats()
-            out = run_with_recovery(
-                ex,
-                [lambda i=i: np.full(6, i) for i in range(4)],
-                fault_plan=plan,
-                backoff_seconds=0.0,
-                stats=stats,
-            )
-            assert ex.workers_respawned >= 1
+            ex.task_batch = 2  # two-task batches: the death strands a task
+            work = [lambda i=i: np.full(6, i) for i in range(4)]
+            work[1] = dies
+            with pytest.raises(WorkerDied, match="code 9 .* task 1$"):
+                ex.run(work)
+            assert len(ex._channels) == 1
+            out = ex.run([lambda i=i: np.full(6, i) for i in range(4)])
+            assert ex.workers_forked == 3
         for i in range(4):
             assert np.array_equal(out[i], np.full(6, i))
-        assert stats.tasks_failed == 4
-        assert stats.tasks_retried == 4
 
     def test_error_transport(self):
         def bad():
             raise KeyError("from the worker")
 
         with PoolExecutor(2) as ex:
-            outcomes = ex.run_outcomes([bad, lambda: 7, lambda: 8])
-        assert not outcomes[0].ok
-        assert "from the worker" in str(outcomes[0].error)
-        assert outcomes[1].value == 7 and outcomes[2].value == 8
+            with pytest.raises(KeyError, match="from the worker") as exc:
+                ex.run([bad, lambda: 7, lambda: 8])
+            assert not getattr(exc.value, "__notes__", None)
+            # A task error kills no worker: the next job reuses both.
+            assert ex.run([lambda: 7, lambda: 8]) == [7, 8]
+            assert ex.workers_forked == 2
+
+    def test_unpicklable_task_leaves_no_reply_to_the_next_job(self):
+        """A batch that cannot be pickled fails its job only after the
+        batch already sent has replied; raising at once left that reply
+        in the pipe, where the next job read it as its own task 0."""
+        lock = threading.Lock()
+        with PoolExecutor(2) as ex:
+            ex.task_batch = 1
+            with pytest.raises(TypeError, match="lock"):
+                ex.run([lambda: (time.sleep(0.5), "old")[1], lambda: lock])
+            assert not any(worker.assigned for worker in ex._channels)
+            assert ex.run([lambda: "new-0", lambda: "new-1"]) == [
+                "new-0", "new-1"
+            ]
 
     def test_results_in_task_order_with_batching(self):
         with PoolExecutor(2) as ex:
@@ -252,6 +270,39 @@ class TestPoolLifecycle:
         ex.close()
         ex.close()
         assert ex.run([lambda: 3]) == [3]  # single task: inline fallback
+
+
+class TestWorkerDeath:
+    def test_child_really_dies_and_is_observed(self):
+        """A task takes down the actual worker process; the driver reads
+        the exit code off the process sentinel and raises WorkerDied
+        for that task once its sibling's batch has drained."""
+        driver = os.getpid()
+
+        def dies():
+            if os.getpid() != driver:
+                os._exit(73)
+            return -1
+
+        with PoolExecutor(2) as ex:
+            with pytest.raises(
+                WorkerDied, match="pool worker exited with code 73 .* task 0$"
+            ):
+                ex.run([dies, lambda: np.arange(3)])
+            assert not any(worker.assigned for worker in ex._channels)
+
+    def test_unpicklable_child_error_degrades_to_text(self):
+        class Weird(Exception):
+            def __reduce__(self):
+                raise TypeError("nope")
+
+        def bad():
+            raise Weird("worker-side detail")
+
+        with PoolExecutor(2) as ex:
+            with pytest.raises(RemoteTaskError, match="Weird") as exc:
+                ex.run([bad, lambda: 1])
+        assert "worker-side detail" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
@@ -384,37 +435,6 @@ class TestCoalescing:
         assert got_digest == ref_digest
         assert got_structure == ref_structure
 
-    def test_coalescing_under_faults_conserves_recovery(self):
-        """Fault coordinates are per physical dispatch, so coalesced runs
-        still recover bit-identically and the recompute meter balances."""
-        plan = FaultPlan(
-            seed=13, p_exception=0.4, max_failures_per_task=2,
-        )
-        with _ctx(
-            "serial", target_partition_bytes=0, retry_backoff_seconds=0.0
-        ) as ref_ctx:
-            rdd = ref_ctx.parallelize(
-                [np.arange(32_000, dtype=np.int64)], n_partitions=32
-            )
-            ref = rdd.map_partitions(
-                lambda cols, i: (cols[0] % 97,), stage="mod"
-            ).collect()
-        with _ctx(
-            "serial", target_partition_bytes="64KiB",
-            fault_plan=plan, retry_backoff_seconds=0.0,
-        ) as ctx:
-            rdd = ctx.parallelize(
-                [np.arange(32_000, dtype=np.int64)], n_partitions=32
-            )
-            out = rdd.map_partitions(
-                lambda cols, i: (cols[0] % 97,), stage="mod"
-            ).collect()
-            m = ctx.metrics
-        assert digest(out) == digest(ref)
-        assert m.tasks_failed > 0
-        assert m.tasks_retried == m.tasks_failed
-        assert m.recovery_recompute_bytes > 0
-
 
 # ----------------------------------------------------------------------
 # Transport metering
@@ -474,7 +494,7 @@ class TestTransportMetering:
 _SHM_HYGIENE_SCRIPT = """
 import gc, os
 import numpy as np
-from repro.engine.executor import PoolExecutor
+from repro.engine.executor import PoolExecutor, WorkerDied
 
 shm_dir = "/dev/shm"
 before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
@@ -483,16 +503,22 @@ big = np.arange(200_000, dtype=np.int64)
 driver = os.getpid()
 
 def work(k):
-    # Half the tasks kill their worker mid-batch: killed workers leave
+    # Every odd task kills its worker mid-batch, right after the even
+    # one parked its result in the worker's arena: killed workers leave
     # result-arena segments only the driver can unlink.
-    if k % 2 == 0 and os.getpid() != driver:
+    if k % 2 == 1 and os.getpid() != driver:
         os._exit(9)
     return big + k
 
 ex = PoolExecutor(2)
 for _ in range(2):
-    ex.run_outcomes([(lambda k=k: work(k)) for k in range(8)])
-assert ex.workers_respawned > 0
+    try:
+        ex.run([(lambda k=k: work(k)) for k in range(8)])
+    except WorkerDied:
+        pass
+    else:
+        raise AssertionError("a worker died and its job succeeded")
+assert ex.workers_forked > 2
 ex.close()
 gc.collect()
 

@@ -126,8 +126,9 @@ class TestPersist:
 
 # ----------------------------------------------------------------------
 class TestRemovedOutOfCore:
-    """Storage levels, budgets and spill directories are gone: a removed
-    keyword is a ``TypeError``, never silently ignored."""
+    """Storage levels, budgets and spill directories are gone, as are the
+    fault plan and the retry budget: a removed keyword is a
+    ``TypeError``, never silently ignored."""
 
     def test_persist_takes_no_level(self):
         with ClusterContext(n_nodes=1) as ctx:
@@ -135,7 +136,10 @@ class TestRemovedOutOfCore:
                 ctx.parallelize([np.arange(10)]).persist("disk_only")
 
     @pytest.mark.parametrize(
-        "kwargs", [{"memory_budget_bytes": "8MB"}, {"spill_dir": "/tmp"}]
+        "kwargs",
+        [{"memory_budget_bytes": "8MB"}, {"spill_dir": "/tmp"},
+         {"fault_plan": {"seed": 1}}, {"max_task_retries": 3},
+         {"retry_backoff_seconds": 0.0}],
     )
     def test_context_takes_no_budget(self, kwargs):
         with pytest.raises(TypeError):
