@@ -11,8 +11,8 @@ Everything that needs to know about knobs derives from that table:
   that names no row is an error, not silently ignored);
 * ``repro.cli`` builds its flags with :func:`add_arguments` and
   ``repro engine-info`` prints every row with :func:`source`;
-* the README "Runtime flags" table is :func:`flags_table`
-  (``python -m repro.config`` prints it).
+* the README "Runtime flags" table is :func:`flags_table`, printed by
+  ``python -c "from repro.config import flags_table; print(flags_table())"``.
 
 This is a leaf module: it imports nothing from ``repro.engine``,
 ``repro.serve`` or ``repro.stream``, so any of them may import it.  The
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -36,47 +35,9 @@ __all__ = [
     "Setting",
     "add_arguments",
     "flags_table",
-    "format_bytes",
-    "parse_size",
     "resolve",
     "source",
 ]
-
-
-# ----------------------------------------------------------------------
-# Value grammars shared with the rest of the program
-# ----------------------------------------------------------------------
-_SIZE_RE = re.compile(
-    r"^\s*(?P<number>\d+(?:\.\d+)?)\s*(?P<unit>[kmgt]i?b?|b)?\s*$",
-    re.IGNORECASE,
-)
-_SIZE_MULTIPLIERS = {
-    "b": 1,
-    "k": 1024,
-    "m": 1024**2,
-    "g": 1024**3,
-    "t": 1024**4,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human byte size ('8MB', '64MiB', '1.5GB', '4096') to bytes.
-
-    Units are powers of 1024; 'MB' and 'MiB' are synonyms.
-    """
-    match = _SIZE_RE.match(text)
-    if match is None:
-        raise ValueError(f"unparseable byte size: {text!r}")
-    number = float(match.group("number"))
-    unit = (match.group("unit") or "b").lower()
-    return int(number * _SIZE_MULTIPLIERS[unit[0]])
-
-
-def format_bytes(n: int) -> str:
-    for unit, shift in (("GiB", 30), ("MiB", 20), ("KiB", 10)):
-        if n >= 1 << shift:
-            return f"{n / (1 << shift):.1f} {unit}"
-    return f"{n} B"
 
 
 # ----------------------------------------------------------------------
@@ -148,27 +109,6 @@ lateness = Parser(
 )
 
 
-def size(*, min: int = 0, off_tokens: Iterable[str] = (), off=None) -> Parser:
-    """A byte count (int, or human text through :func:`parse_size`);
-    the ``off_tokens`` spellings resolve to ``off``."""
-    off_tokens = tuple(off_tokens)
-
-    def parse(value):
-        if isinstance(value, str):
-            if value.strip().lower() in off_tokens:
-                return off
-            value = parse_size(value)
-        number = _whole(value)
-        if number < min:
-            raise ValueError(number)
-        return number
-
-    what = f"a byte size >= {min} such as 4096 or '64MB'"
-    if off_tokens:
-        what += " or one of " + ", ".join(t for t in off_tokens if t)
-    return Parser(parse, what, "SIZE")
-
-
 def choice(values: Iterable[str]) -> Parser:
     values = tuple(values)
 
@@ -179,24 +119,6 @@ def choice(values: Iterable[str]) -> Parser:
         return name
 
     return Parser(parse, "one of " + ", ".join(values), values=values)
-
-
-_ON_VALUES = ("on", "1", "true", "yes")
-_OFF_VALUES = ("off", "0", "false", "no")
-
-
-def _switch(value) -> bool:
-    if not isinstance(value, str):
-        return bool(value)
-    token = value.strip().lower()
-    if token in _ON_VALUES:
-        return True
-    if token in _OFF_VALUES:
-        return False
-    raise ValueError(token)
-
-
-switch = Parser(_switch, "one of " + ", ".join(_ON_VALUES + _OFF_VALUES))
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +159,6 @@ _CONSTRUCTORS = {
 }
 
 
-def _on_off(value) -> str:
-    return "on" if value else "off"
-
-
 def _cpu_count(value) -> str:
     return "CPU count" if value is None else str(value)
 
@@ -248,11 +166,6 @@ def _cpu_count(value) -> str:
 def _unit(unit: str) -> Callable[[Any], str]:
     return lambda value: f"{value:g} {unit}"
 
-
-_BYTE_IDENTICAL = (
-    "results and simulated metrics are byte-identical under any value, "
-    "only wall clock and memory use change"
-)
 
 SETTINGS: "dict[str, Setting]" = {
     s.name: s
@@ -263,7 +176,8 @@ SETTINGS: "dict[str, Setting]" = {
             "--executor", "executor",
             "real execution backend for partition tasks: `pool` reuses "
             "persistent forked workers with shared-memory transport; "
-            + _BYTE_IDENTICAL,
+            "results and simulated metrics are byte-identical under any "
+            "value, only wall clock and memory use change",
             evidence="generate_pool",
         ),
         Setting(
@@ -272,33 +186,6 @@ SETTINGS: "dict[str, Setting]" = {
             "worker count of the `threads` and `pool` backends",
             evidence="generate_pool",
             show=_cpu_count,
-        ),
-        # ~4 MiB of input per executor task: the point where per-task
-        # dispatch overhead stops mattering relative to NumPy kernel
-        # time on the partition.
-        Setting(
-            "target_partition_bytes", "REPRO_TARGET_PARTITION_BYTES",
-            4 * 1024 * 1024,
-            size(off_tokens=("off", "none", "0", "disabled"), off=0),
-            "--target-partition-bytes", "target_partition_bytes",
-            "coalesce adjacent small partitions into physical tasks of "
-            "roughly this size before dispatch; " + _BYTE_IDENTICAL,
-            evidence=(
-                "tests/test_engine_pool.py::TestCoalescing"
-                "::test_dispatch_reduced_4x_simulation_unchanged"
-            ),
-            show=lambda v: format_bytes(v) if v else "off (no coalescing)",
-        ),
-        Setting(
-            "fusion", "REPRO_FUSION", True, switch,
-            "--no-fusion", "fusion",
-            "lazy stage fusion of narrow per-partition chains; off runs "
-            "every transformation eagerly; " + _BYTE_IDENTICAL,
-            evidence=(
-                "tests/test_engine_plan.py::TestFusedEagerEquivalence"
-                "::test_fused_peak_memory_below_eager"
-            ),
-            show=_on_off,
         ),
         Setting(
             "query_threads", "REPRO_QUERY_THREADS", None, integer(min=1),
@@ -420,12 +307,7 @@ def add_arguments(
             f"{s.help} (default: {s.env} env var, then "
             f"{s.show(s.default)})"
         ).replace("`", "'")
-        if s.parse is switch:
-            parser.add_argument(
-                s.flag, action="store_const", const=not s.default,
-                default=None, help=help_text,
-            )
-        elif s.parse.values is not None:
+        if s.parse.values is not None:
             parser.add_argument(
                 s.flag, choices=s.parse.values, default=None,
                 help=help_text,
@@ -465,7 +347,3 @@ def flags_table() -> str:
             f"| {s.help} | `{s.evidence}` |"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(flags_table())

@@ -151,16 +151,7 @@ class PGPBA:
                     ),
                 )
 
-            # Growth multiplies each sampled edge into ~mean_new_edges
-            # new ones (two int64 columns each); hint that expansion so
-            # the coalescer weighs grow chains by their *output*, not by
-            # the small sampled anchor.
-            grow_hint = np.maximum(
-                sizes * 16, (sizes * mean_new_edges * 16).astype(np.int64)
-            )
-            new_edges = sampled.map_partitions(
-                _grow, stage="pa:grow", bytes_hint=grow_hint
-            )
+            new_edges = sampled.map_partitions(_grow, stage="pa:grow")
             n_vertices += n_new
             n_edges += new_edges.count()
             grown = edges.union(new_edges)
@@ -236,11 +227,5 @@ def _decorate(
         sampled = model.sample_columns(n, rng, conditional=conditional)
         return tuple(sampled[name] for name in names)
 
-    # Nine property columns come out for every two id columns in: weight
-    # the decoration chains accordingly for the coalescer.
-    prop_hint = edges.partition_bytes() * len(names) // 2
-    prop_rdd = edges.map_partitions(
-        _props, stage="properties", bytes_hint=prop_hint
-    )
-    collected = prop_rdd.collect()
+    collected = edges.map_partitions(_props, stage="properties").collect()
     return {name: collected[j] for j, name in enumerate(names)}

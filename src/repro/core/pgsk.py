@@ -180,18 +180,12 @@ class PGSK:
         distinct_edges = edges
         # Persist the multigraph: both the property-decoration pass and
         # the final collect read it, and without the pin the second
-        # reader would re-run the duplication stage.  Duplication
-        # multiplies every distinct edge by ~mean_dup parallel copies;
-        # hint that expansion so the coalescer weighs these chains by
-        # their output, not the smaller distinct-edge anchor.
-        dup_hint = (
-            distinct_edges.partition_bytes() * mean_dup
-        ).astype(np.int64)
+        # reader would re-run the duplication stage.
         edges = distinct_edges.map_partitions(
-            _duplicate, stage="kron:duplicate", bytes_hint=dup_hint
+            _duplicate, stage="kron:duplicate"
         ).persist()
         # Force now so the duplication stage is charged to the structure
-        # clock (not the property clock) exactly as on the eager path.
+        # clock, not the property clock.
         edges.count()
         distinct_edges.unpersist()
 

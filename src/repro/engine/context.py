@@ -17,10 +17,7 @@ pick the *real* execution backend partition tasks run on — in the
 driver, its threads or its forked workers, always on this host (see
 :mod:`repro.engine.executor`): simulated metrics are identical across
 backends because each task measures its own CPU cost; only wall-clock
-time changes.  One further knob shapes the *physical* task grain without
-touching the simulated series: ``target_partition_bytes`` (plan-level
-coalescing of small partition chains into ~target-sized executor tasks,
-``REPRO_TARGET_PARTITION_BYTES``, 0/"off" disables).
+time changes.  Every partition is one executor task.
 
 A task that raises fails its job at once, on every backend: tasks are
 pure functions of ``(seed, partition)``, so nothing is retried (see
@@ -34,7 +31,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro import config
 from repro.engine.executor import Executor, make_executor
 from repro.engine.metrics import SimulationMetrics
 from repro.engine.partitioner import split_array, split_count
@@ -61,8 +57,6 @@ class ClusterContext:
         max_real_partitions: int = 32,
         executor: str | Executor | None = None,
         local_workers: int | None = None,
-        fusion: bool | None = None,
-        target_partition_bytes: int | str | None = None,
     ) -> None:
         if partition_multiplier < 1:
             raise ValueError("partition_multiplier must be >= 1")
@@ -78,19 +72,6 @@ class ClusterContext:
         )
         self.partition_multiplier = partition_multiplier
         self.max_real_partitions = max_real_partitions
-        # Configuration: every ``None`` argument below resolves through
-        # ``repro.config`` (explicit argument > REPRO_* variable >
-        # default; the table there documents each setting).
-        #
-        # Fusion off forces every transformation immediately (the eager
-        # reference path); target_partition_bytes coalesces small
-        # partition chains into ~target-sized executor tasks at plan
-        # time.  Both change only wall clock / local peak memory — the
-        # simulated stage records are identical (asserted in tests).
-        self.fusion_enabled = config.resolve("fusion", fusion)
-        self.target_partition_bytes = config.resolve(
-            "target_partition_bytes", target_partition_bytes
-        )
         self.metrics = SimulationMetrics(n_nodes=n_nodes)
         if isinstance(executor, Executor):
             self.executor = executor
@@ -109,23 +90,10 @@ class ClusterContext:
         return next(self._rdd_ids)
 
     # ------------------------------------------------------------------
-    def run_tasks(
-        self,
-        tasks: Sequence[Callable[[], Any]],
-        *,
-        emitted: int | None = None,
-    ) -> list[Any]:
+    def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
         """Dispatch a batch of partition tasks on the executor backend;
-        the results in task order, or the first task's error.
-
-        ``emitted`` is the *logical* task count this batch stands for —
-        the coalescing planner passes the pre-coalescing number so the
-        ``tasks_emitted`` / ``tasks_dispatched`` counters expose the
-        dispatch reduction; plain batches leave it unset (1:1).
-        """
-        self.metrics.tasks_emitted += (
-            len(tasks) if emitted is None else emitted
-        )
+        the results in task order, or the first task's error."""
+        self.metrics.tasks_emitted += len(tasks)
         self.metrics.tasks_dispatched += len(tasks)
         return self.executor.run(tasks)
 
@@ -214,14 +182,7 @@ class ClusterContext:
         def _gen(_cols: Columns, pidx: int) -> Sequence[np.ndarray]:
             return fn(int(counts[pidx]), pidx)
 
-        # The seedless anchor is empty, so without a hint the coalescer
-        # would estimate every generate chain at zero bytes and inline
-        # them all in the driver.  Weight each chain by its item count
-        # (~2 int64 columns per item); zero-count slots stay at zero and
-        # are correctly pruned to inline execution.
-        return seedless.map_partitions(
-            _gen, stage=stage, bytes_hint=counts * 16
-        )
+        return seedless.map_partitions(_gen, stage=stage)
 
     # ------------------------------------------------------------------
     def _record_stage(

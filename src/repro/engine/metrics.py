@@ -11,13 +11,11 @@ materialization and releases them on ``unpersist()``, so
 ``persisted_bytes`` / ``peak_persisted_bytes`` expose how much dataset
 the generators keep live across loop iterations.
 
-Physical dispatch is metered outside the simulated series: ``tasks_emitted`` counts logical per-partition tasks the planner
-produced, ``tasks_dispatched`` the physical executor tasks they were
-coalesced into, ``tasks_inlined`` the empty-partition chains run in the
-driver instead of scheduled; ``transport_breakdown()`` exposes the
-executor's wall-clock overhead profile (submit/serialize/ipc/compute).
-``n_tasks`` remains the *simulated* task count and is identical under
-any coalescing setting.
+Real dispatch is metered outside the simulated series:
+``tasks_emitted`` / ``tasks_dispatched`` count the executor tasks run,
+and ``transport_breakdown()`` exposes the executor's wall-clock
+overhead profile (submit/serialize/ipc/compute).  ``n_tasks`` is the
+*simulated* task count (a real partition may stand for several).
 """
 
 from __future__ import annotations
@@ -59,12 +57,11 @@ class SimulationMetrics:
     # because the e2e benchmark reports them per generator.
     tasks_failed: int = 0
     tasks_retried: int = 0
-    # Physical dispatch accounting (wall-clock side of the two clocks):
-    # logical tasks emitted by the planner vs. executor tasks actually
-    # dispatched after coalescing, plus empty chains run in the driver.
+    # Executor tasks run (wall-clock side of the two clocks).  Always
+    # equal: every partition is one task.  Kept as two because the e2e
+    # benchmark reports both per generator.
     tasks_emitted: int = 0
     tasks_dispatched: int = 0
-    tasks_inlined: int = 0
     # Live view of the executor's TransportProfile (attached by the
     # context, which zeroes it on reset_metrics so the breakdown spans
     # the same window as every other counter here).
@@ -131,13 +128,6 @@ class SimulationMetrics:
         if self.transport is None:
             return TransportProfile().as_dict()
         return self.transport.as_dict()
-
-    @property
-    def dispatch_ratio(self) -> float:
-        """Logical-to-physical task ratio (>= 1 under coalescing)."""
-        if self.tasks_dispatched == 0:
-            return 1.0
-        return self.tasks_emitted / self.tasks_dispatched
 
     # ------------------------------------------------------------------
     @property

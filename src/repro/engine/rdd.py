@@ -15,10 +15,10 @@ task times its operator segments separately with ``time.perf_counter``
 and the measured per-stage costs are reported to the owning
 :class:`~repro.engine.context.ClusterContext`, whose scheduler converts
 them into simulated cluster time: the simulated clock sees the same
-per-partition work no matter which backend ran it *and* no matter
-whether the stages were fused (only the wall clock and the peak local
-memory change).  ``ClusterContext(fusion=False)`` / ``REPRO_FUSION=off``
-force every transformation immediately — the eager reference path.
+per-partition work no matter which backend ran it, and one stage per
+transformation although a chain runs as one task.  Calling ``_force()``
+after every transformation is the eager reference: the same datasets
+and stage records at a higher peak memory.
 
 Materialized partitions live in the context's
 :class:`~repro.engine.storage.BlockStore` behind stable
@@ -285,14 +285,6 @@ class ArrayRDD:
             self._force()
         return self._known_columns
 
-    @property
-    def _parts(self) -> "list[Columns] | None":
-        """Loaded partition list (legacy view used by tests/diagnostics);
-        ``None`` while lazy."""
-        if self._blocks is None:
-            return None
-        return [self._partition(i) for i in range(len(self._blocks))]
-
     def count(self) -> int:
         if self._cached_count is None:
             self._cached_count = int(self.partition_sizes().sum())
@@ -342,7 +334,6 @@ class ArrayRDD:
         fn: Callable[[Columns, int], Sequence[np.ndarray]],
         *,
         stage: str = "map_partitions",
-        bytes_hint: Sequence[int] | np.ndarray | None = None,
     ) -> "ArrayRDD":
         """Apply ``fn(columns, partition_index) -> columns`` per partition.
 
@@ -350,22 +341,12 @@ class ArrayRDD:
         immediately; the fused task chain runs (concurrently, on the
         context's executor backend) when an action forces the result.
         This is the workhorse all other transformations build on.
-
-        ``bytes_hint`` — optional per-partition output-byte estimates for
-        the coalescing planner; only needed when the op *grows* its data
-        far beyond the anchor (generate stages on empty anchors most of
-        all).  Purely a dispatch-grain weight, never simulated cost.
         """
         op = PendingOp(
             fn=fn,
             stage=stage,
             n_tasks=self.n_partitions,
             multiplier=self.task_multiplier,
-            bytes_hint=(
-                None
-                if bytes_hint is None
-                else tuple(int(b) for b in bytes_hint)
-            ),
         )
         if self._is_anchor:
             pipes = [
@@ -376,15 +357,12 @@ class ArrayRDD:
                 Pipe(p.base, p.index, p.ops + ((op, i),))
                 for i, p in enumerate(self._pipes)
             ]
-        out = ArrayRDD._from_pipes(
+        return ArrayRDD._from_pipes(
             self._ctx,
             pipes,
             task_multiplier=self.task_multiplier,
             n_columns=None,
         )
-        if not self._ctx.fusion_enabled:
-            out._force()
-        return out
 
     def sample(
         self, fraction: float, *, seed: int = 0, stage: str = "sample"
@@ -493,7 +471,7 @@ class ArrayRDD:
         ):
             raise ValueError("union requires matching column counts")
         width = self._known_columns or other._known_columns
-        out = ArrayRDD._from_pipes(
+        return ArrayRDD._from_pipes(
             self._ctx,
             self._as_pipes() + other._as_pipes(),
             task_multiplier=max(self.task_multiplier, other.task_multiplier),
@@ -501,9 +479,6 @@ class ArrayRDD:
             if (self._known_columns and other._known_columns)
             else None,
         )
-        if not self._ctx.fusion_enabled:
-            out._force()
-        return out
 
     def repartition(self, n_partitions: int, *, stage: str = "repartition") -> "ArrayRDD":
         """Rebalance rows into ``n_partitions`` near-equal partitions.
@@ -586,36 +561,6 @@ class ArrayRDD:
             multiplier=self.task_multiplier,
         )
         return rdd
-
-    def reduce_columns(
-        self, fn: Callable[[Columns], np.ndarray], *, stage: str = "reduce"
-    ) -> np.ndarray:
-        """Per-partition reduction followed by a driver-side concat.
-
-        ``fn`` maps a partition to a (possibly scalar-like) array; the
-        results are concatenated, mirroring ``RDD.mapPartitions().collect()``
-        driver aggregation.  An action: forces the lineage first.
-        """
-        self._force()
-        refs = [self._task_ref(i) for i in range(self.n_partitions)]
-
-        def _make_task(ref):
-            def _task():
-                part = ref.load()
-                t0 = time.perf_counter()
-                out = np.atleast_1d(np.asarray(fn(part)))
-                return out, time.perf_counter() - t0
-
-            return _task
-
-        results = self._ctx.run_tasks([_make_task(r) for r in refs])
-        outs = [r[0] for r in results]
-        cpu = [r[1] for r in results]
-        self._ctx._record_stage(
-            stage, cpu, [o.nbytes for o in outs], None,
-            multiplier=self.task_multiplier,
-        )
-        return np.concatenate(outs)
 
 
 # ----------------------------------------------------------------------

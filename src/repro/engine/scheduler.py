@@ -19,13 +19,11 @@ stage makespan for a cluster of ``n_nodes`` identical compute nodes:
   and gives the generation-time curves their linear-in-size region
   (Fig. 9).
 
-The scheduler always sees the *logical* per-partition task set: adaptive
-partition coalescing (:mod:`repro.engine.plan`) may batch several small
-partitions into one physical executor dispatch, but each member still
-reports its own measured segment, so the simulated stage records,
-makespans and memory meters are byte-identical under any
-``target_partition_bytes`` setting.  Physical dispatch counts live in
-``SimulationMetrics.tasks_dispatched``, never here.
+The scheduler sees one task per transformation and partition: a fused
+chain (:mod:`repro.engine.plan`) runs as one executor task but reports
+each operator segment separately, so the simulated stage records,
+makespans and memory meters do not depend on fusion.  Real dispatch
+counts live in ``SimulationMetrics.tasks_dispatched``, never here.
 """
 
 from __future__ import annotations

@@ -133,43 +133,40 @@ class TestEngineInfo:
         # layer's among them) stay gone.
         for gone in ("heartbeat timeout", "max inflight", "wire codec",
                      "task batch", "fetch prefetch", "[cluster]",
-                     "memory budget", "spill dir"):
+                     "memory budget", "spill dir",
+                     "target partition bytes", "fusion"):
             assert gone not in out
         assert not re.search(r"^workers\s*:", out, re.M)
 
     def test_flag_beats_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "8MB")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "2")
         monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        rc = main(["engine-info", "--target-partition-bytes", "64MB"])
+        rc = main(["engine-info", "--workers", "5"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert re.search(
-            r"^target partition bytes\s*: 64\.0 MiB\s+\[flag\]$", out, re.M
-        )
+        assert re.search(r"^local workers\s*: 5\s+\[flag\]$", out, re.M)
         assert "[env REPRO_EXECUTOR]" in out
 
     def test_reports_no_codec_or_shuffle_row(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
+        monkeypatch.delenv("REPRO_LOCAL_WORKERS", raising=False)
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
         assert re.search(
-            r"^target partition bytes\s*: 4\.0 MiB\s+\[default\]", out, re.M
+            r"^local workers\s*: CPU count\s+\[default\]", out, re.M
         )
         assert not re.search(r"^(block codec|shuffle)\b", out, re.M)
 
     def test_flag_source(self, capsys):
-        assert main(["engine-info", "--target-partition-bytes", "8MB"]) == 0
+        assert main(["engine-info", "--workers", "3"]) == 0
         out = capsys.readouterr().out
-        assert re.search(
-            r"target partition bytes\s*: 8\.0 MiB\s+\[flag\]", out
-        )
+        assert re.search(r"local workers\s*: 3\s+\[flag\]", out)
 
     def test_env_source(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "8MB")
+        monkeypatch.setenv("REPRO_LOCAL_WORKERS", "4")
         assert main(["engine-info"]) == 0
         out = capsys.readouterr().out
-        assert re.search(r"target partition bytes\s*: 8\.0 MiB\b", out)
-        assert "[env REPRO_TARGET_PARTITION_BYTES]" in out
+        assert re.search(r"local workers\s*: 4\b", out)
+        assert "[env REPRO_LOCAL_WORKERS]" in out
 
     def test_every_setting_is_printed_with_its_own_source(
         self, monkeypatch, capsys

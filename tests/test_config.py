@@ -12,6 +12,7 @@ import argparse
 import ast
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,14 +25,10 @@ from repro.config import SETTINGS
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
-# env -> (flag, constructor keyword, default): the 9 knobs, frozen.
+# env -> (flag, constructor keyword, default): the 7 knobs, frozen.
 EXPECTED = {
     "REPRO_EXECUTOR": ("--executor", "executor", "serial"),
     "REPRO_LOCAL_WORKERS": ("--workers", "local_workers", None),
-    "REPRO_TARGET_PARTITION_BYTES": (
-        "--target-partition-bytes", "target_partition_bytes", 4 << 20
-    ),
-    "REPRO_FUSION": ("--no-fusion", "fusion", True),
     "REPRO_QUERY_THREADS": ("--threads", "threads", None),
     "REPRO_QUERY_CACHE": ("--cache-size", "cache_size", 1024),
     "REPRO_STREAM_QUEUE": ("--queue-capacity", "queue_capacity", 8),
@@ -46,10 +43,6 @@ CASES = {
     "executor": ("threads", "threads", "POOL", "pool",
                  ["processes", "bogus", "cluster"]),
     "local_workers": ("3", 3, 5, 5, ["lots", "0", -1, 2.7, True, "2.5"]),
-    "target_partition_bytes": (
-        "256KB", 256 * 1024, "off", 0, ["abc", "-5MB", -1, 1.9, True]
-    ),
-    "fusion": ("off", False, True, True, ["maybe"]),
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1", True]),
     "stream_queue": ("3", 3, 16, 16, ["zero", "0"]),
@@ -74,7 +67,7 @@ class TestTable:
         assert {
             s.env: (s.flag, s.kwarg, s.default) for s in SETTINGS.values()
         } == EXPECTED
-        assert len(SETTINGS) == 9
+        assert len(SETTINGS) == 7
         assert set(CASES) == set(SETTINGS)
         assert all(name == s.name for name, s in SETTINGS.items())
 
@@ -222,7 +215,8 @@ class TestResolve:
     @pytest.mark.parametrize(
         "variable",
         ["REPRO_WORKERS", "REPRO_SPECULATION", "REPRO_MEMORY_BUDGET",
-         "REPRO_SPILL_DIR", "REPRO_FAULTS", "REPRO_MAX_TASK_RETRIES"],
+         "REPRO_SPILL_DIR", "REPRO_FAULTS", "REPRO_MAX_TASK_RETRIES",
+         "REPRO_FUSION", "REPRO_TARGET_PARTITION_BYTES"],
     )
     def test_unknown_variable_is_an_error(self, variable, monkeypatch):
         """A ``REPRO_*`` variable that names no row (one a removed knob
@@ -242,8 +236,7 @@ class TestResolve:
 
     @pytest.mark.parametrize(
         ("name", "value", "expected"),
-        [("local_workers", 3.0, 3), ("target_partition_bytes", 4096.0, 4096),
-         ("query_cache", 0.0, 0)],
+        [("local_workers", 3.0, 3), ("query_cache", 0.0, 0)],
     )
     def test_integral_floats_are_whole_numbers(self, name, value, expected):
         resolved = config.resolve(name, value)
@@ -271,13 +264,11 @@ class TestAddArguments:
 
     def test_text_is_kept_as_typed(self):
         args = self._parser().parse_args(
-            ["--target-partition-bytes", "off", "--cache-size", "4",
-             "--no-fusion", "--executor", "pool"]
+            ["--lateness", "auto", "--cache-size", "4", "--executor", "pool"]
         )
         # The constructor's resolve() is the one place text is read.
-        assert args.target_partition_bytes == "off"
+        assert args.lateness == "auto"
         assert args.cache_size == "4"
-        assert args.no_fusion is False
         assert args.executor == "pool"
 
     def test_workers_flag_takes_a_count_only(self, capsys):
@@ -298,8 +289,6 @@ class TestAddArguments:
         ("flag", "bad", "env"),
         [
             ("--cache-size", "many", "REPRO_QUERY_CACHE"),
-            ("--target-partition-bytes", "8 peta",
-             "REPRO_TARGET_PARTITION_BYTES"),
             ("--lateness", "late", "REPRO_STREAM_LATENESS"),
         ],
     )
@@ -314,7 +303,8 @@ class TestAddArguments:
             ["--task-batch", "4"], ["--speculation"],
             ["--block-codec", "zlib"], ["--memory-budget", "8MB"],
             ["--spill-dir", "/tmp/spill"], ["--faults", "{}"],
-            ["--max-task-retries", "3"],
+            ["--max-task-retries", "3"], ["--no-fusion"],
+            ["--target-partition-bytes", "4MB"],
         ):
             with pytest.raises(SystemExit) as exc:
                 self._parser().parse_args(argv)
@@ -324,3 +314,15 @@ class TestAddArguments:
                 in capsys.readouterr().err
             )
 
+
+def test_documented_flags_table_command_is_clean():
+    """The command README and DESIGN give for printing the flags table
+    runs warning-free and prints exactly :func:`flags_table`."""
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "from repro.config import flags_table; print(flags_table())"],
+        cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stderr == ""
+    assert out.stdout == config.flags_table() + "\n"

@@ -197,11 +197,6 @@ class TestRDD:
         assert r.n_partitions == 2
         assert np.array_equal(np.sort(r.collect()[0]), np.arange(100))
 
-    def test_reduce_columns(self, ctx):
-        rdd = ctx.parallelize([np.arange(10)])
-        sums = rdd.reduce_columns(lambda cols: cols[0].sum())
-        assert sums.sum() == 45
-
     def test_generate(self, ctx):
         rdd = ctx.generate(
             100, lambda count, pidx: (np.full(count, pidx),)

@@ -126,7 +126,7 @@ class TestTaskFailure:
                 raise ValueError("partition 0 is bad")
             return cols
 
-        with _ctx(backend, target_partition_bytes=0) as ctx:
+        with _ctx(backend) as ctx:
             rdd = ctx.parallelize([np.arange(400)], n_partitions=4)
             with pytest.raises(ValueError, match="partition 0 is bad") as exc:
                 rdd.map_partitions(fn).collect()
@@ -334,8 +334,9 @@ class TestExchangeShuffle:
         rdd = ctx.parallelize([data], n_partitions=4)
         parts = rdd.repartition(3)
         expected = np.array_split(data, 3)
-        for got, want in zip(parts._parts, expected):
-            assert np.array_equal(got[0], want)
+        assert parts.n_partitions == len(expected)
+        for i, want in enumerate(expected):
+            assert np.array_equal(parts._partition(i)[0], want)
 
 
 class TestLargeIdKeys:

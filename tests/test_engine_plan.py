@@ -4,12 +4,14 @@ The contract under test: fusion changes *how* partition tasks run (one
 fused task per partition instead of one task per transformation) but not
 *what* the engine computes or reports — datasets, simulated stage
 records, node assignment and byte accounting are bit-identical between
-the fused and the eager (``REPRO_FUSION=off``) paths, on every executor
-backend.
+the fused plan and the eager reference, on every executor backend.  The
+eager reference is built here, by :func:`eager`: it forces every
+transformation as soon as it is built.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import tracemalloc
 
@@ -19,6 +21,7 @@ import pytest
 from repro.core import PGPBA, PGSK
 from repro.engine import ClusterContext
 from repro.engine.executor import SerialExecutor
+from repro.engine.rdd import ArrayRDD
 
 
 class CountingExecutor(SerialExecutor):
@@ -58,56 +61,29 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-# ----------------------------------------------------------------------
-# the fusion switch
-# ----------------------------------------------------------------------
-class TestResolveFusion:
-    """The fusion switch as the context reads it (the per-row
-    precedence table is tests/test_config.py)."""
+def _forced(transformation):
+    def run(self, *args, **kwargs):
+        out = transformation(self, *args, **kwargs)
+        out._force()
+        return out
 
-    @staticmethod
-    def _fusion(**kwargs) -> bool:
-        with ClusterContext(executor="serial", **kwargs) as ctx:
-            return ctx.fusion_enabled
+    return run
 
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSION", raising=False)
-        assert self._fusion() is True
 
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", "OFF"])
-    def test_env_off(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSION", value)
-        assert self._fusion() is False
-
-    @pytest.mark.parametrize("value", ["on", "1", "true", "yes", ""])
-    def test_env_on(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSION", value)
-        assert self._fusion() is True
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "off")
-        assert self._fusion(fusion=True) is True
-        monkeypatch.setenv("REPRO_FUSION", "on")
-        assert self._fusion(fusion=False) is False
-
-    def test_bad_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "maybe")
-        with pytest.raises(ValueError, match="REPRO_FUSION"):
-            ClusterContext()
-
-    def test_context_flag(self):
-        with ClusterContext(fusion=False) as ctx:
-            assert ctx.fusion_enabled is False
-
-    def test_cli_flag_wires_through(self):
-        from repro.cli import _flag_values, build_parser
-
-        args = build_parser().parse_args(
-            ["generate", "x.pcap", "--edges", "10", "--no-fusion"]
-        )
-        assert _flag_values(args)["fusion"] is False
-        args = build_parser().parse_args(["generate", "x.pcap", "--edges", "10"])
-        assert _flag_values(args)["fusion"] is None
+@contextlib.contextmanager
+def eager(on: bool = True):
+    """While active (and ``on``), every ``map_partitions`` and ``union``
+    forces its result at once, so no chain grows beyond one operator:
+    the eager reference the fused plan is compared with.  ``sample``,
+    ``generate`` and the map side of ``distinct`` go through
+    ``map_partitions``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if on:
+            for name in ("map_partitions", "union"):
+                patch.setattr(
+                    ArrayRDD, name, _forced(getattr(ArrayRDD, name))
+                )
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +91,7 @@ class TestResolveFusion:
 # ----------------------------------------------------------------------
 class TestLaziness:
     def test_transformations_record_nothing(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(100), np.arange(100)])
         mapped = rdd.map_partitions(
             lambda cols, p: tuple(c * 2 for c in cols), stage="double"
@@ -129,7 +105,7 @@ class TestLaziness:
         ctx.close()
 
     def test_action_forces_and_records(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(100)])
         mapped = rdd.map_partitions(
             lambda cols, p: (cols[0] + 1,), stage="inc"
@@ -142,7 +118,7 @@ class TestLaziness:
         ctx.close()
 
     def test_chain_fuses_into_one_dispatch(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(512)], n_partitions=4)
         out = (
             rdd.map_partitions(lambda c, p: (c[0] * 3,), stage="a")
@@ -159,20 +135,21 @@ class TestLaziness:
         ctx.close()
 
     def test_eager_dispatches_per_stage(self):
-        ctx, ex = counting_ctx(fusion=False)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(512)], n_partitions=4)
-        (
-            rdd.map_partitions(lambda c, p: (c[0] * 3,), stage="a")
-            .map_partitions(lambda c, p: (c[0] + 1,), stage="b")
-            .map_partitions(lambda c, p: (c[0] % 7,), stage="c")
-        )
-        # Eager mode forces each transformation as it is built.
+        with eager():
+            (
+                rdd.map_partitions(lambda c, p: (c[0] * 3,), stage="a")
+                .map_partitions(lambda c, p: (c[0] + 1,), stage="b")
+                .map_partitions(lambda c, p: (c[0] % 7,), stage="c")
+            )
+        # The eager reference forces each transformation as it is built.
         assert ex.batches == 3
         assert ex.tasks == 3 * rdd.n_partitions
         ctx.close()
 
     def test_persist_boundary_breaks_fusion(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(256)], n_partitions=4)
         pinned = rdd.map_partitions(
             lambda c, p: (c[0] + 1,), stage="a"
@@ -190,7 +167,7 @@ class TestLaziness:
 # ----------------------------------------------------------------------
 class TestPersist:
     def test_persist_prevents_recomputation(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         rdd = ctx.parallelize([np.arange(256)], n_partitions=4)
         pinned = rdd.map_partitions(
             lambda c, p: (c[0] + 1,), stage="base"
@@ -207,7 +184,7 @@ class TestPersist:
         ctx.close()
 
     def test_repeated_actions_hit_cache(self):
-        ctx, ex = counting_ctx(fusion=True)
+        ctx, ex = counting_ctx()
         mapped = ctx.parallelize([np.arange(64)]).map_partitions(
             lambda c, p: (c[0] + 1,), stage="inc"
         )
@@ -221,7 +198,7 @@ class TestPersist:
         ctx.close()
 
     def test_persist_registers_bytes_on_force(self):
-        with ClusterContext(fusion=True) as ctx:
+        with ClusterContext() as ctx:
             pinned = ctx.parallelize([np.arange(1000)]).map_partitions(
                 lambda c, p: (c[0] * 2,), stage="x"
             ).persist()
@@ -232,7 +209,7 @@ class TestPersist:
             assert ctx.metrics.peak_persisted_bytes == 8000
 
     def test_unpersist_releases_bytes(self):
-        with ClusterContext(fusion=True) as ctx:
+        with ClusterContext() as ctx:
             a = ctx.parallelize([np.arange(1000)]).persist()
             b = ctx.parallelize([np.arange(500)]).persist()
             a.count(), b.count()
@@ -267,10 +244,10 @@ def _pipeline(ctx):
 
 class TestFusedEagerEquivalence:
     def test_pipeline_identical(self):
-        with ClusterContext(n_nodes=3, fusion=True) as ctx_f:
+        with ClusterContext(n_nodes=3) as ctx_f:
             cols_f = _pipeline(ctx_f)
             struct_f = stage_structure(ctx_f)
-        with ClusterContext(n_nodes=3, fusion=False) as ctx_e:
+        with eager(), ClusterContext(n_nodes=3) as ctx_e:
             cols_e = _pipeline(ctx_e)
             struct_e = stage_structure(ctx_e)
         assert digest(cols_f) == digest(cols_e)
@@ -281,19 +258,16 @@ class TestFusedEagerEquivalence:
         transform, contract, distinct): eagerly, the expanded dataset is
         materialised in full before the next stage starts; fused, each
         partition flows through the whole narrow chain in one task.
-        Measured 3.8x at this size; serial, because tracemalloc only
+        Measured 3.5x at this size; serial, because tracemalloc only
         sees this process."""
         rows = 100_000
         rng = np.random.default_rng(23)
         src = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
         dst = rng.integers(0, rows // 2, size=rows, dtype=np.int64)
 
-        def run(fusion):
-            # The CI jobs' ambient grain moves the peak; the claim is
-            # about the default.
-            with ClusterContext(
-                n_nodes=4, executor="serial", fusion=fusion,
-                target_partition_bytes="4MB",
+        def run(eager_on):
+            with eager(eager_on), ClusterContext(
+                n_nodes=4, executor="serial"
             ) as ctx:
                 tracemalloc.start()
                 try:
@@ -320,8 +294,8 @@ class TestFusedEagerEquivalence:
                     tracemalloc.stop()
                 return digest(cols), stage_structure(ctx), peak_bytes
 
-        fused_digest, fused_stages, fused_peak = run(True)
-        eager_digest, eager_stages, eager_peak = run(False)
+        fused_digest, fused_stages, fused_peak = run(False)
+        eager_digest, eager_stages, eager_peak = run(True)
         assert fused_digest == eager_digest
         assert fused_stages == eager_stages
         assert eager_peak >= 2 * fused_peak, (eager_peak, fused_peak)
@@ -331,9 +305,9 @@ class TestFusedEagerEquivalence:
         self, seed_graph, seed_analysis, backend
     ):
         results = {}
-        for fusion in (True, False):
-            with ClusterContext(
-                n_nodes=2, executor=backend, local_workers=2, fusion=fusion
+        for eager_on in (False, True):
+            with eager(eager_on), ClusterContext(
+                n_nodes=2, executor=backend, local_workers=2
             ) as ctx:
                 gen = PGPBA(fraction=0.5, seed=3)
                 res = gen.generate(
@@ -342,12 +316,12 @@ class TestFusedEagerEquivalence:
                     seed_graph.n_edges * 2,
                     context=ctx,
                 )
-                results[fusion] = (
+                results[eager_on] = (
                     digest([res.graph.src, res.graph.dst]),
                     stage_structure(ctx),
                     ctx.metrics.peak_persisted_bytes,
                 )
-        assert results[True] == results[False]
+        assert results[False] == results[True]
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
     def test_pgsk_identical_across_modes_and_backends(
@@ -356,9 +330,9 @@ class TestFusedEagerEquivalence:
         gen = PGSK(seed=5, kronfit_iterations=4, kronfit_swaps=20)
         initiator = gen.fit_initiator(seed_graph)
         results = {}
-        for fusion in (True, False):
-            with ClusterContext(
-                n_nodes=2, executor=backend, local_workers=2, fusion=fusion
+        for eager_on in (False, True):
+            with eager(eager_on), ClusterContext(
+                n_nodes=2, executor=backend, local_workers=2
             ) as ctx:
                 res = gen.generate(
                     seed_graph,
@@ -367,17 +341,17 @@ class TestFusedEagerEquivalence:
                     context=ctx,
                     initiator=initiator,
                 )
-                results[fusion] = (
+                results[eager_on] = (
                     digest([res.graph.src, res.graph.dst]),
                     stage_structure(ctx),
                     ctx.metrics.peak_persisted_bytes,
                 )
-        assert results[True] == results[False]
+        assert results[False] == results[True]
 
     def test_generators_leave_no_pinned_bytes(
         self, seed_graph, seed_analysis
     ):
-        with ClusterContext(fusion=True) as ctx:
+        with ClusterContext() as ctx:
             PGPBA(fraction=0.5, seed=1).generate(
                 seed_graph, seed_analysis, seed_graph.n_edges * 2,
                 context=ctx,

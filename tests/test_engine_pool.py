@@ -1,6 +1,6 @@
-"""Persistent worker pool, zero-copy transport, adaptive coalescing.
+"""Persistent worker pool and zero-copy transport.
 
-Three contracts under test:
+Two contracts under test:
 
 * **Pool lifecycle** — workers are forked once and reused across
   batches (the shared-memory arenas are recycled, not re-created), a
@@ -8,11 +8,6 @@ Three contracts under test:
   replaced by a fresh fork for the next job, a task error reaches the
   caller as itself, and ``close()`` is idempotent; a worker whose
   driver is killed exits.
-* **Coalescing is invisible to the simulated cluster** — merging small
-  partitions into fewer physical dispatches (and running empty chains
-  inline in the driver) changes ``tasks_dispatched`` only; datasets,
-  stage records, makespans and memory meters are byte-identical under
-  any ``target_partition_bytes`` x backend combination.
 * **Transport metering** — every backend reports a wall-clock overhead
   breakdown (submit/serialize/ipc/compute) without touching the
   simulated series.
@@ -20,7 +15,6 @@ Three contracts under test:
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing as mp
 import os
 import signal
@@ -32,14 +26,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import PGPBA, PGSK
 from repro.engine import (
     ClusterContext,
     PoolExecutor,
     RemoteTaskError,
     WorkerDied,
 )
-from repro.engine.partitioner import chunk_weights, split_array
 
 from .conftest import process_table
 
@@ -49,94 +41,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-def stage_structure(ctx):
-    """Everything about the simulated stages except the measured times."""
-    return [
-        (r.stage, r.partition, r.node, r.bytes_out)
-        for r in ctx.metrics.tasks
-    ]
-
-
 def _ctx(backend="serial", **kw):
     kw.setdefault("n_nodes", 2)
     kw.setdefault("executor_cores", 2)
     kw.setdefault("local_workers", 2)
     return ClusterContext(executor=backend, **kw)
-
-
-# ----------------------------------------------------------------------
-# chunk_weights: the deterministic coalescer kernel
-# ----------------------------------------------------------------------
-class TestChunkWeights:
-    def test_groups_are_contiguous_and_cover(self):
-        groups = chunk_weights([5, 1, 1, 9, 2, 2], target=8)
-        flat = [i for g in groups for i in g]
-        assert flat == list(range(6))
-        assert all(g for g in groups)
-
-    def test_small_partitions_merge_toward_target(self):
-        groups = chunk_weights([1] * 64, target=16)
-        assert len(groups) == 4
-        assert {len(g) for g in groups} == {16}
-
-    def test_min_chunks_floor(self):
-        # Plenty of data in one target's worth: the floor still forces
-        # at least 8 chunks so small clusters keep their parallelism.
-        groups = chunk_weights([1] * 64, target=1000, min_chunks=8)
-        assert len(groups) == 8
-
-    def test_never_more_chunks_than_weights(self):
-        assert chunk_weights([3, 3], target=1, min_chunks=8) == [[0], [1]]
-
-    def test_deterministic(self):
-        w = [7, 0, 3, 12, 1, 1, 1, 5, 0, 2]
-        assert chunk_weights(w, target=6) == chunk_weights(w, target=6)
-
-    def test_large_partitions_stay_separate(self):
-        groups = chunk_weights([100, 100, 100, 100], target=10, min_chunks=1)
-        assert groups == [[0], [1], [2], [3]]
-
-
-# ----------------------------------------------------------------------
-# Knob resolution: flag > env > default
-# ----------------------------------------------------------------------
-class TestKnobResolution:
-    # Through the constructors; the per-row precedence table is
-    # tests/test_config.py.
-    def test_target_partition_bytes_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
-        assert _ctx().target_partition_bytes == 4 << 20
-
-    def test_target_partition_bytes_env_and_arg(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "256KB")
-        assert _ctx().target_partition_bytes == 256 * 1024
-        # An explicit argument beats the environment.
-        for arg, expected in (("1MB", 1 << 20), (4096, 4096)):
-            ctx = _ctx(target_partition_bytes=arg)
-            assert ctx.target_partition_bytes == expected
-
-    @pytest.mark.parametrize("token", ["off", "none", "0", "disabled"])
-    def test_off_tokens_disable(self, token):
-        assert _ctx(target_partition_bytes=token).target_partition_bytes == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_TARGET_PARTITION_BYTES"):
-            _ctx(target_partition_bytes=-1)
-
-    def test_context_threads_the_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TARGET_PARTITION_BYTES", raising=False)
-        with _ctx("serial", target_partition_bytes="64KB") as ctx:
-            assert ctx.target_partition_bytes == 64 * 1024
-        monkeypatch.setenv("REPRO_TARGET_PARTITION_BYTES", "off")
-        with _ctx("serial") as ctx:
-            assert ctx.target_partition_bytes == 0
 
 
 # ----------------------------------------------------------------------
@@ -306,137 +215,6 @@ class TestWorkerDeath:
 
 
 # ----------------------------------------------------------------------
-# Adaptive coalescing: fewer dispatches, identical simulation
-# ----------------------------------------------------------------------
-class TestCoalescing:
-    def _chain(self, ctx):
-        rdd = ctx.parallelize(
-            [np.arange(64_000, dtype=np.int64)], n_partitions=64
-        )
-        return rdd.map_partitions(
-            lambda cols, i: (cols[0] * 3 + 1,), stage="xform"
-        ).collect()
-
-    def test_dispatch_reduced_4x_simulation_unchanged(self):
-        with _ctx("serial", target_partition_bytes=0) as ref_ctx:
-            ref = self._chain(ref_ctx)
-            ref_structure = stage_structure(ref_ctx)
-            ref_tasks = ref_ctx.metrics.n_tasks
-        # 64 partitions x 8 KB against a 64 KB grain: 8 physical tasks.
-        with _ctx("serial", target_partition_bytes="64KiB") as ctx:
-            out = self._chain(ctx)
-            m = ctx.metrics
-            assert digest(out) == digest(ref)
-            # Simulated side: byte-identical stage records.
-            assert m.n_tasks == ref_tasks
-            assert stage_structure(ctx) == ref_structure
-            # Physical side: >= 4x fewer executor dispatches.
-            assert m.tasks_emitted > 0
-            assert m.tasks_dispatched * 4 <= m.tasks_emitted
-            assert m.dispatch_ratio >= 4.0
-
-    def test_empty_partitions_pruned_not_scheduled(self):
-        """Regression: split_array pads short inputs with empty
-        partitions (its documented contract) — those chains must run
-        inline in the driver, not occupy executor dispatch slots."""
-        parts = split_array(np.arange(3, dtype=np.int64), 16)
-        assert len(parts) == 16  # the padding contract this guards
-
-        def build(ctx):
-            # generate() keeps all 16 real partitions, 13 of them empty
-            # (parallelize clamps to the element count, generate cannot:
-            # the counts are the data).
-            rdd = ctx.generate(
-                3,
-                lambda count, pidx: (
-                    np.full(count, pidx, dtype=np.int64),
-                ),
-                n_partitions=16,
-            )
-            return rdd.map_partitions(
-                lambda cols, i: (cols[0] + 1,), stage="bump"
-            ).collect()
-
-        with _ctx("serial", target_partition_bytes=0) as ref_ctx:
-            ref = build(ref_ctx)
-            ref_structure = stage_structure(ref_ctx)
-        with _ctx("serial", target_partition_bytes="1MB") as ctx:
-            out = build(ctx)
-            m = ctx.metrics
-            assert digest(out) == digest(ref)
-            assert stage_structure(ctx) == ref_structure
-            assert m.tasks_inlined > 0  # the 13 empty chains
-            assert m.tasks_dispatched < m.tasks_emitted
-
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
-    @pytest.mark.parametrize("target", [0, "256KB"])
-    def test_chain_digest_matrix(self, backend, target):
-        """Coalescing x backend: one digest."""
-        def run(name, tgt):
-            with _ctx(name, target_partition_bytes=tgt) as ctx:
-                rdd = ctx.parallelize(
-                    [np.arange(5000) % 701, np.arange(5000) % 499]
-                )
-                out = (
-                    rdd.sample(0.5, seed=3)
-                    .distinct(key_columns=(0, 1))
-                    .repartition(3)
-                    .collect()
-                )
-                return digest(out), stage_structure(ctx)
-
-        ref_digest, ref_structure = run("serial", 0)
-        got_digest, got_structure = run(backend, target)
-        assert got_digest == ref_digest
-        assert got_structure == ref_structure
-
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
-    @pytest.mark.parametrize("target", [0, "256KB"])
-    def test_pgpba_digest_matrix(self, backend, target, seed_graph,
-                                 seed_analysis):
-        def run(name, tgt):
-            with _ctx(name, target_partition_bytes=tgt) as ctx:
-                res = PGPBA(fraction=0.5, seed=5).generate(
-                    seed_graph, seed_analysis,
-                    4 * seed_graph.n_edges, context=ctx,
-                )
-                cols = [res.graph.src, res.graph.dst] + [
-                    res.graph.edge_properties[k]
-                    for k in sorted(res.graph.edge_properties)
-                ]
-                return digest(cols), stage_structure(ctx)
-
-        ref_digest, ref_structure = run("serial", 0)
-        got_digest, got_structure = run(backend, target)
-        assert got_digest == ref_digest
-        assert got_structure == ref_structure
-
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
-    @pytest.mark.parametrize("target", [0, "256KB"])
-    def test_pgsk_digest_matrix(self, backend, target, seed_graph,
-                                seed_analysis):
-        gen = PGSK(seed=5, kronfit_iterations=4, kronfit_swaps=10)
-        initiator = gen.fit_initiator(seed_graph)
-
-        def run(name, tgt):
-            with _ctx(name, target_partition_bytes=tgt) as ctx:
-                res = gen.generate(
-                    seed_graph, seed_analysis, 2 * seed_graph.n_edges,
-                    context=ctx, initiator=initiator,
-                )
-                cols = [res.graph.src, res.graph.dst] + [
-                    res.graph.edge_properties[k]
-                    for k in sorted(res.graph.edge_properties)
-                ]
-                return digest(cols), stage_structure(ctx)
-
-        ref_digest, ref_structure = run("serial", 0)
-        got_digest, got_structure = run(backend, target)
-        assert got_digest == ref_digest
-        assert got_structure == ref_structure
-
-
-# ----------------------------------------------------------------------
 # Transport metering
 # ----------------------------------------------------------------------
 class TestTransportMetering:
@@ -484,7 +262,6 @@ class TestTransportMetering:
         m = SimulationMetrics(n_nodes=1)
         assert set(m.transport_breakdown()) == self.EXPECTED_KEYS
         assert not any(m.transport_breakdown().values())
-        assert m.dispatch_ratio == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Layers covered:
 
-* ``parse_size``: the byte-size text the engine's size settings accept;
 * ``BlockStore``: put/get round-trips, duplicate ids, reference
   counting;
 * ``ArrayRDD.persist()`` / ``unpersist``: the ``persisted_bytes`` drift
   regression and GC-based release;
 * the removed out-of-core surface: a storage level is no argument of
-  ``persist()`` and the context takes no budget or spill directory.
+  ``persist()`` and the context takes no budget, spill directory,
+  fusion switch or partition-byte target.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.bench import default_cluster
-from repro.config import parse_size
 from repro.engine import BlockId, BlockStore, ClusterContext
 
 
@@ -29,30 +28,6 @@ def _cols(n: int, seed: int = 0) -> tuple:
 
 
 # ----------------------------------------------------------------------
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("4096", 4096),
-            ("1kb", 1024),
-            ("8MB", 8 * 2**20),
-            ("8MiB", 8 * 2**20),
-            ("  64 mb ", 64 * 2**20),
-            ("1.5GB", int(1.5 * 2**30)),
-            ("2TiB", 2 * 2**40),
-            ("512B", 512),
-            ("3K", 3 * 1024),
-        ],
-    )
-    def test_sizes(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "MB", "-5MB", "8 peta", "1..5MB"])
-    def test_rejects_garbage(self, text):
-        with pytest.raises(ValueError):
-            parse_size(text)
-
-
 class TestBlockStore:
     def test_put_get_roundtrip(self):
         store = BlockStore()
@@ -127,8 +102,9 @@ class TestPersist:
 # ----------------------------------------------------------------------
 class TestRemovedOutOfCore:
     """Storage levels, budgets and spill directories are gone, as are the
-    fault plan and the retry budget: a removed keyword is a
-    ``TypeError``, never silently ignored."""
+    fault plan, the retry budget, the fusion switch and the partition
+    coalescing target: a removed keyword is a ``TypeError``, never
+    silently ignored."""
 
     def test_persist_takes_no_level(self):
         with ClusterContext(n_nodes=1) as ctx:
@@ -139,7 +115,8 @@ class TestRemovedOutOfCore:
         "kwargs",
         [{"memory_budget_bytes": "8MB"}, {"spill_dir": "/tmp"},
          {"fault_plan": {"seed": 1}}, {"max_task_retries": 3},
-         {"retry_backoff_seconds": 0.0}],
+         {"retry_backoff_seconds": 0.0}, {"fusion": False},
+         {"target_partition_bytes": "4MB"}],
     )
     def test_context_takes_no_budget(self, kwargs):
         with pytest.raises(TypeError):
