@@ -247,14 +247,22 @@ def resolve(name: str, value: Any = None) -> Any:
     """Resolve one setting: explicit ``value`` > environment variable >
     default.  A blank environment value counts as unset; an explicit
     value, blank or not, goes to the row's parser and never falls
-    through to the environment, and reading the environment fails on
-    any ``REPRO_*`` variable that is not a row of :data:`SETTINGS`."""
+    through to the environment.  Every call, an explicit value or not,
+    fails on any ``REPRO_*`` variable that is not a row of
+    :data:`SETTINGS`: a constructor given every value still refuses a
+    removed or misspelt knob."""
+    _check_environment()
     setting = SETTINGS[name]
     if value is None:
-        _check_environment()
         value = os.environ.get(setting.env)
         if value is None or not value.strip():
             return setting.default
+    return _parse(setting, value)
+
+
+def _parse(setting: Setting, value: Any) -> Any:
+    """``setting``'s parser on ``value``; a rejection names the
+    variable and the flag."""
     try:
         return setting.parse(value)
     except ValueError as exc:
@@ -324,7 +332,7 @@ def _checked_text(setting: Setting) -> Callable[[str], str]:
 
     def check(text: str) -> str:
         try:
-            resolve(setting.name, text)
+            _parse(setting, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
         return text

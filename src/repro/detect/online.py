@@ -94,8 +94,7 @@ class OnlineDetector:
 
         Returns the alarms newly raised by the window evaluations the
         stream time advanced past — the same however the flows are cut
-        into tables, and the same as feeding them one by one to
-        :meth:`process`.
+        into tables, one flow per table included.
         """
         n = len(flows)
         if not n:
@@ -118,10 +117,6 @@ class OnlineDetector:
         ])
         self._recent = self._recent.concat(flows)
         return self._evaluate(due, after)
-
-    def process(self, record: NetflowRecord) -> list[TimedDetection]:
-        """Feed one flow; see :meth:`process_table`."""
-        return self.process_table(FlowTable.from_records([record]))
 
     def flush(self) -> list[TimedDetection]:
         """Drain: run every pending evaluation plus a final tail pass.

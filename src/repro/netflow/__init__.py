@@ -8,8 +8,9 @@ conversion; the columnar kernel (:func:`~repro.netflow.kernel.assemble_table`
 for bounded input, :func:`~repro.netflow.kernel.assemble_batch` with carried
 :class:`~repro.netflow.kernel.OpenFlows` for streams) is our from-scratch
 equivalent, including a TCP connection state machine producing Bro-style
-connection states; :class:`~repro.netflow.flow_assembler.FlowAssembler` is
-its packet-at-a-time reference.
+connection states.  A packet stamped before the capture clock (the running
+maximum of the timestamps) is taken as arriving at the clock.  Flow tables
+are stored with :meth:`~repro.netflow.record.FlowTable.save_npz`.
 """
 
 from repro.netflow.attributes import (
@@ -18,10 +19,8 @@ from repro.netflow.attributes import (
     NETFLOW_EDGE_ATTRIBUTES,
 )
 from repro.netflow.record import NetflowRecord, FlowTable
-from repro.netflow.flow_assembler import FlowAssembler
 from repro.netflow.kernel import assemble_flows, assemble_table
 from repro.netflow.mapping import flow_table_to_property_graph
-from repro.netflow import codec
 
 __all__ = [
     "Protocol",
@@ -29,9 +28,7 @@ __all__ = [
     "NETFLOW_EDGE_ATTRIBUTES",
     "NetflowRecord",
     "FlowTable",
-    "FlowAssembler",
     "assemble_flows",
     "assemble_table",
     "flow_table_to_property_graph",
-    "codec",
 ]

@@ -2,10 +2,19 @@
 
 Sort → split → reduce, one micro-batch at a time.  Packets are stably
 sorted by the canonical 5-tuple, the sorted run is split into flows where
-the incremental :class:`~repro.netflow.flow_assembler.FlowAssembler` would
-close one and open the next, and every flow attribute is a segmented
-reduction — the same flows, in the same order, without a Python object
-per packet.
+the Bro-style state machine closes one and opens the next, and every flow
+attribute is a segmented reduction — the flows a packet-at-a-time
+assembler would yield, in the same order, without a Python object per
+packet.
+
+Capture clock
+-------------
+Every timestamp is read through the capture clock, the running maximum of
+the timestamps so far (the carried clock included), like Zeek's network
+time: a packet stamped before the clock is taken as arriving at the
+clock.  So the kernel only ever sees non-decreasing times, inside a batch
+and across batches, and expiry, flow starts and durations are all read
+on that one clock.
 
 Carried state
 -------------
@@ -33,17 +42,14 @@ round *k* places the *k*-th successive flow of every segment.
 
 Emission order
 --------------
-``FlowAssembler.process`` yields, per packet, the flows that packet
-expires (in creation order) and then the flow it tears down; ``flush``
-yields the rest in creation order.  So rows are sorted by ``(emit index,
-expired-before-torn, creation index)``: a torn-down flow emits at its
-closing packet, an expired one at the first later packet of *any* flow
-that satisfies the original float predicate (found by bisection on that
-predicate itself, not on a rearranged one); the rest stay open.
-
-The precondition is non-decreasing timestamps, across batches as well as
-inside one (``PcapWriter`` enforces it); a batch that violates it is run
-through the incremental assembler and handed back as carried state.
+A packet-at-a-time assembler yields, per packet, the flows that packet
+expires (in creation order) and then the flow it tears down; the end of
+the capture yields the rest in creation order.  So rows are sorted by
+``(emit index, expired-before-torn, creation index)``: a torn-down flow
+emits at its closing packet, an expired one at the first later packet of
+*any* flow that satisfies the original float predicate (found by
+bisection on that predicate itself, not on a rearranged one); the rest
+stay open.
 """
 
 from __future__ import annotations
@@ -55,18 +61,13 @@ from typing import Iterator
 import numpy as np
 
 from repro.netflow.attributes import TcpState
-from repro.netflow.flow_assembler import (
-    _PROTOCOL_OF,
-    FlowAssembler,
-    _FlowState,
-)
 from repro.netflow.record import FlowTable, NetflowRecord
 from repro.pcap.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.pcap.table import PacketTable
 
 __all__ = ["OpenFlows", "assemble_batch", "assemble_table", "assemble_flows"]
 
-# What an open flow carries besides its key: :class:`_FlowState`'s names.
+# What an open flow carries besides its key.
 _COUNTERS = ("out_pkts", "in_pkts", "out_bytes", "in_bytes", "syn_count",
              "ack_count")
 _FLAGS = ("orig_syn", "resp_synack", "established", "orig_fin", "resp_fin",
@@ -107,9 +108,6 @@ class OpenFlows:
     @classmethod
     def empty(cls) -> "OpenFlows":
         return cls(np.empty((0, len(_FIELDS))))
-
-    def __len__(self) -> int:
-        return len(self.flows)
 
     def ordered(self) -> np.ndarray:
         """The rows in creation order."""
@@ -193,37 +191,6 @@ def _emission_order(emit, torn, created) -> np.ndarray:
     return np.lexsort((created, torn, emit))
 
 
-def _incremental(packets: PacketTable, carry: OpenFlows, **timeouts):
-    """The route for timestamps that go backwards, inside the batch or
-    against the carried clock, and :class:`FlowAssembler`'s only caller:
-    carried state → one ``_FlowState`` per open flow → packet-by-packet
-    processing → carried state."""
-    assembler = FlowAssembler(**timeouts)
-    for lo, hi, transport, origin_lo, *state in carry.ordered().tolist():
-        lo, hi, transport = int(lo), int(hi), int(transport)
-        src, dst = (lo, hi) if origin_lo else (hi, lo)
-        key = ((lo >> 16, lo & 0xFFFF), (hi >> 16, hi & 0xFFFF), transport)
-        assembler._flows[key] = _FlowState(
-            src_ip=src >> 16, dst_ip=dst >> 16,
-            protocol=_PROTOCOL_OF[transport],
-            src_port=src & 0xFFFF, dst_port=dst & 0xFFFF,
-            **{name: _DTYPE[name](value).item()
-               for name, value in zip(_STATE_FIELDS, state)},
-        )
-    assembler._clock, assembler._seen = carry.clock, carry.seen
-    closed = [record for pkt in packets for record in assembler.process(pkt)]
-    left = [
-        (a[0] << 16 | a[1], b[0] << 16 | b[1], transport,
-         (s.src_ip, s.src_port) == a,
-         *(getattr(s, name) for name in _STATE_FIELDS))
-        for (a, b, transport), s in assembler._flows.items()
-    ]
-    return FlowTable.from_records(closed), OpenFlows(
-        np.array(left, np.float64).reshape(-1, len(_FIELDS)),
-        clock=assembler._clock, seen=assembler._seen,
-    )
-
-
 def assemble_batch(
     packets: PacketTable,
     carry: OpenFlows,
@@ -232,23 +199,18 @@ def assemble_batch(
     max_flow_duration: float = 3600.0,
 ) -> tuple[FlowTable, OpenFlows]:
     """Feed one packet micro-batch on top of the flows ``carry`` holds
-    open: the flows it closed, in the order a :class:`FlowAssembler` fed
-    the same packets one by one yields them, and the flows still open."""
+    open, on the capture clock: the flows it closed, in the order they
+    close packet by packet, and the flows still open."""
     if idle_timeout <= 0 or max_flow_duration <= 0:
         raise ValueError("timeouts must be positive")
     proto = packets.transport
     known = (proto == PROTO_TCP) | (proto == PROTO_UDP) | (proto == PROTO_ICMP)
     if not known.all():
         packets = packets[known]
-    ts = packets.timestamp
-    n = ts.size
+    n = len(packets)
     if n == 0:
         return FlowTable.empty(), carry
-    if ts[0] < carry.clock or not np.all(ts[1:] >= ts[:-1]):
-        return _incremental(
-            packets, carry, idle_timeout=idle_timeout,
-            max_flow_duration=max_flow_duration,
-        )
+    ts = np.maximum.accumulate(np.maximum(packets.timestamp, carry.clock))
     held = carry.flows
     src_ep = packets.src_ip.astype(np.int64) << 16 | packets.src_port
     dst_ep = packets.dst_ip.astype(np.int64) << 16 | packets.dst_port
@@ -429,8 +391,7 @@ def assemble_table(
     max_flow_duration: float = 3600.0,
 ) -> FlowTable:
     """Assemble a bounded packet table into flows — one batch from empty
-    state, then the flush: the rows, and the row order, of a
-    :class:`FlowAssembler` fed the same packets one by one."""
+    state, then the flush: every flow, in the order it closes."""
     closed, still_open = assemble_batch(
         packets, OpenFlows.empty(), idle_timeout=idle_timeout,
         max_flow_duration=max_flow_duration,

@@ -24,7 +24,7 @@ from repro.pcap.packet import (
     ipv4_checksum,
 )
 from repro.pcap.table import PacketTable
-from repro.pcap.reader import PcapReader, read_packet_table, read_pcap
+from repro.pcap.reader import PcapReader, read_packet_table
 from repro.pcap.writer import PcapWriter, write_pcap
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "PacketTable",
     "PcapReader",
     "read_packet_table",
-    "read_pcap",
     "PcapWriter",
     "write_pcap",
 ]

@@ -22,7 +22,7 @@ from repro.pcap.format import (
 from repro.pcap.packet import ParsedPacket
 from repro.pcap.table import PacketTable, record_tables
 
-__all__ = ["PcapReader", "read_pcap", "read_packet_table"]
+__all__ = ["PcapReader", "read_packet_table"]
 
 
 class PcapReader:
@@ -91,8 +91,3 @@ def read_packet_table(path) -> PacketTable:
     """Decode an entire capture into one table."""
     with PcapReader(path) as reader:
         return PacketTable.concat(reader.tables())
-
-
-def read_pcap(path) -> list[ParsedPacket]:
-    """Eagerly read and decode an entire capture (convenience for tests)."""
-    return list(read_packet_table(path))

@@ -12,8 +12,7 @@ flows earlier batches left open, into a :class:`FlowTable` of the flows it
 closed.  Windows bucket such slices: one ``floor`` gives every flow's
 window index, and a closing window concatenates its slices and orders
 them with one stable argsort on ``START_TIME``.  No packet or flow becomes
-a Python object on this path; ``FlowWindow.records`` builds record objects
-only when it is read.
+a Python object on this path.
 
 Windowing & the byte-identity argument
 --------------------------------------
@@ -50,7 +49,7 @@ import numpy as np
 from repro.graph.property_graph import PropertyGraph
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
 from repro.netflow.kernel import OpenFlows, assemble_batch
-from repro.netflow.record import FlowTable, NetflowRecord
+from repro.netflow.record import FlowTable
 from repro.pcap.table import PacketTable
 
 __all__ = ["FlowWindow", "WindowAssembler", "GraphAccumulator"]
@@ -67,11 +66,6 @@ class FlowWindow:
     # Wall-clock stamp at emission; the sink measures end-to-end window
     # latency against it.  Excluded from equality.
     closed_at_wall: float = field(compare=False, default=0.0)
-
-    @property
-    def records(self) -> tuple[NetflowRecord, ...]:
-        """The flows as record objects, built on each read."""
-        return tuple(self.table.records())
 
     def __len__(self) -> int:
         return len(self.table)

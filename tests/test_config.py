@@ -231,8 +231,39 @@ class TestResolve:
         assert "REPRO_EXECUTOR" in str(exc.value)  # lists the valid ones
         with pytest.raises(ValueError, match=variable):
             ClusterContext()
-        # An explicit value reads no environment.
-        assert config.resolve("executor", "pool") == "pool"
+        # An explicit value reads no environment, but still fails.
+        with pytest.raises(ValueError, match=variable):
+            config.resolve("executor", "pool")
+
+    def test_constructors_given_every_value_refuse_an_unknown_variable(
+        self, monkeypatch
+    ):
+        """No constructor skips the check because it was handed every
+        setting it reads; the flags still parse, and the unknown variable
+        is reported as itself, not as a bad flag value."""
+        import numpy as np
+
+        from repro.cli import main
+        from repro.engine import ClusterContext
+        from repro.graph import PropertyGraph
+        from repro.serve import QueryServer
+        from repro.stream import StreamPipeline
+
+        graph = PropertyGraph(2, np.array([0]), np.array([1]))
+        monkeypatch.setenv("REPRO_FUSION", "off")
+        with pytest.raises(ValueError, match="REPRO_FUSION"):
+            ClusterContext(executor="serial", local_workers=1)
+        with pytest.raises(ValueError, match="REPRO_FUSION"):
+            QueryServer(graph, threads=1, cache_size=0)
+        with pytest.raises(ValueError, match="REPRO_FUSION"):
+            StreamPipeline([], window_seconds=1.0, lateness=0.0,
+                           queue_capacity=2)
+        parser = argparse.ArgumentParser(prog="t")
+        config.add_arguments(parser)
+        args = parser.parse_args(["--workers", "3", "--cache-size", "0"])
+        assert (args.workers, args.cache_size) == ("3", "0")
+        with pytest.raises(ValueError, match="REPRO_FUSION"):
+            main(["engine-info", "--workers", "3"])
 
     @pytest.mark.parametrize(
         ("name", "value", "expected"),

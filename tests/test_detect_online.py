@@ -90,7 +90,7 @@ class TestStreaming:
         records = sorted_records(background)
         detector = OnlineDetector(thresholds, window_seconds=2.0)
         for r in records:
-            detector.process(r)
+            detector.process_table(FlowTable.from_records([r]))
         in_window = [
             r for r in records
             if r.start_time >= records[-1].start_time - 10 * 2.0
@@ -105,7 +105,8 @@ class TestStreaming:
         )
         records = sorted_records(gt.frames)
         detector = OnlineDetector(thresholds, window_seconds=WINDOW)
-        mid = [d for r in records for d in detector.process(r)]
+        mid = [d for r in records
+               for d in detector.process_table(FlowTable.from_records([r]))]
         tail = detector.flush()
         kinds = {a.detection.kind for a in mid + tail}
         assert any("syn" in k or k == "host_scan" for k in kinds)
@@ -125,7 +126,8 @@ class TestStreaming:
         detector = OnlineDetector(
             thresholds, window_seconds=WINDOW, cooldown_seconds=0.0
         )
-        mid = [d for r in records for d in detector.process(r)]
+        mid = [d for r in records
+               for d in detector.process_table(FlowTable.from_records([r]))]
         assert mid, "attack should alert before the drain"
         mid_keys = {
             (a.detection.kind, a.detection.ip, a.detection.direction)
@@ -148,7 +150,7 @@ class TestStreaming:
             thresholds, window_seconds=WINDOW, cooldown_seconds=0.0
         )
         for r in records:
-            detector.process(r)
+            detector.process_table(FlowTable.from_records([r]))
         flushed = detector.flush()
         times = [a.time for a in flushed]
         assert times == sorted(times)
@@ -340,6 +342,6 @@ class TestColumns:
 
         one, det = [], detector()
         for r in records:
-            one += det.process(r)
+            one += det.process_table(FlowTable.from_records([r]))
         one += det.flush()
         assert as_tuples(one) == expected

@@ -1,13 +1,13 @@
 """Unit tests for flow assembly (packets -> Netflow records).
 
 Every case runs twice: the ``Test*`` classes through ``assemble_flows``
-(the columnar kernel), their ``*Incremental`` subclasses through a
-:class:`FlowAssembler` fed packet by packet.
+(the columnar kernel), their ``*Incremental`` subclasses through the
+oracle :class:`~tests.flow_oracle.FlowAssembler` fed packet by packet.
 """
 
 import pytest
 
-from repro.netflow import FlowAssembler, Protocol, TcpState, assemble_flows
+from repro.netflow import Protocol, TcpState, assemble_flows
 from repro.pcap.packet import (
     PROTO_ICMP,
     PROTO_TCP,
@@ -16,6 +16,7 @@ from repro.pcap.packet import (
     build_ethernet_ipv4_packet,
     parse_ethernet_ipv4_packet,
 )
+from tests.flow_oracle import FlowAssembler
 
 A, B = 0x0A000001, 0x0A000002
 

@@ -1,5 +1,6 @@
-"""The columnar flow kernel against the incremental assembler driven
-packet by packet: same flows, same order."""
+"""The columnar flow kernel against the packet-at-a-time oracle
+(``tests/flow_oracle.py``): same flows, same order, on the capture
+clock."""
 
 import dataclasses
 import math
@@ -13,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.pipeline import build_seed
-from repro.netflow import FlowAssembler, FlowTable, assemble_table
+from repro.netflow import FlowTable, assemble_table
 from repro.netflow import kernel
 from repro.netflow.kernel import OpenFlows, assemble_batch
-from repro.netflow.flow_assembler import _FlowState
 from repro.netflow.record import NetflowRecord
 from repro.pcap import PacketTable, write_pcap
 from repro.pcap.packet import (
@@ -27,6 +27,7 @@ from repro.pcap.packet import (
     TcpFlags,
 )
 from repro.trace.synthesizer import TraceSynthesizer
+from tests.flow_oracle import FlowAssembler
 
 F = TcpFlags
 SYN, ACK, FIN, RST, PSH = F.SYN, F.ACK, F.FIN, F.RST, F.PSH
@@ -191,28 +192,36 @@ def test_batch_cuts_change_nothing(trace):
 
 @settings(max_examples=200, deadline=None)
 @given(cut_traces(regressions=True))
-def test_timestamp_regressions_take_the_assembler_route(trace):
-    """Timestamps that go backwards, inside a batch or across a cut, run
-    through the assembler and hand back carried state the kernel goes on
-    from."""
+def test_timestamp_regressions_are_clamped_to_the_clock(trace):
+    """Timestamps that go backwards, inside a batch or across a cut, are
+    read on the capture clock: the rows, their order and the carried
+    state at the end equal the clamping oracle's, wherever the cuts
+    fall."""
     packets, cuts, timeouts = trace
     got, expected, carry, assembler = batched(packets, cuts, **timeouts)
     assert got == expected
+    assert (carry.clock, carry.seen) == (assembler._clock, assembler._seen)
     assert list(carry.table().records()) == assembler.flush()
 
 
-def test_carried_state_round_trips_through_the_assembler():
-    packets = sorted(
-        conversation(0.0, 1000, "full")[:4]
-        + conversation(0.001, 1001, "half_close")[:5]
-        + [packet(0.5, 3, 4, 53, 53, PROTO_UDP, size=9)],
-        key=lambda p: p.timestamp,
-    )
-    _, carry = assemble_batch(PacketTable.pack(packets), OpenFlows.empty())
-    assert len(carry) == 3
-    _, back = kernel._incremental(PacketTable.empty(), carry)
-    assert np.array_equal(back.ordered(), carry.ordered())
-    assert (back.clock, back.seen) == (carry.clock, carry.seen)
+def test_a_late_packet_is_taken_at_the_capture_clock():
+    """A packet stamped 5 s behind the clock arrives at the clock: the
+    flow it opens starts at the clock and idles from it, and a flow idle
+    for longer than ``idle_timeout`` before the clock is not continued
+    by it, though its own stamp is within ``idle_timeout`` of that
+    flow's last packet."""
+    udp = lambda ts, sport: packet(ts, 1, 2, sport, 53, PROTO_UDP, size=1)
+    packets = [
+        udp(88.0, 1000),   # X: 12 s idle at the clock, 7 s at the stamp
+        udp(100.0, 2000),  # sets the clock to 100 and expires X
+        udp(95.0, 1000),   # 5 s late: opens a flow on X's key at 100
+        udp(107.0, 2000),  # 7 s after the clock, 12 s after the stamp
+    ]
+    rows = assert_kernel_matches(packets, idle_timeout=10.0)
+    assert [(r.src_port, r.start_time, r.out_pkts) for r in rows] == [
+        (1000, 88.0, 1), (2000, 100.0, 2), (1000, 100.0, 1),
+    ]
+    assert rows[2].duration_ms == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -226,35 +235,6 @@ def conversation(t0, sport, script, src=1, dst=2, dport=80, step=0.01):
 
 
 class TestRoutes:
-    def trace(self):
-        packets = (
-            conversation(0.0, 1000, "full")
-            + conversation(0.5, 1001, "rej")
-            + [packet(1.0 + i, 3, 4, 53, 53, PROTO_UDP, size=9)
-               for i in range(5)]
-            + conversation(80.0, 1000, "full")
-        )
-        return sorted(packets, key=lambda p: p.timestamp)
-
-    def test_ordered_input_never_builds_a_flow_state(self):
-        with mock.patch.object(
-            kernel, "FlowAssembler", side_effect=AssertionError
-        ):
-            assert len(assemble_table(PacketTable.pack(self.trace()))) == 4
-
-    def test_swapped_timestamps_take_the_incremental_route(self):
-        packets = self.trace()
-        a, b = packets[3], packets[4]
-        packets[3:5] = [
-            dataclasses.replace(a, timestamp=b.timestamp),
-            dataclasses.replace(b, timestamp=a.timestamp),
-        ]
-        with mock.patch.object(
-            kernel, "_incremental", wraps=kernel._incremental
-        ) as route:
-            assert_kernel_matches(packets)
-        assert route.call_count == 1
-
     def test_empty_and_unknown_only(self):
         assert len(assemble_table(PacketTable.empty())) == 0
         only = [packet(0.0, 1, 2, 0, 0, None)]
@@ -318,7 +298,7 @@ class TestNoObjectPerPacket:
         frames = TraceSynthesizer(session_rate=40.0, seed=3).generate(5.0)
         path = tmp_path / "seed.pcap"
         write_pcap(path, frames)
-        made = {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0}
+        made = {ParsedPacket: 0, NetflowRecord: 0}
 
         def counting(cls):
             init = cls.__init__
@@ -329,21 +309,20 @@ class TestNoObjectPerPacket:
 
             return mock.patch.object(cls, "__init__", __init__)
 
-        with counting(ParsedPacket), counting(_FlowState), counting(
-            NetflowRecord
-        ):
+        with counting(ParsedPacket), counting(NetflowRecord):
             bundle = build_seed(path)
         assert len(frames) > 4_000 and len(bundle.flow_table) > 100
-        assert made == {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0}
+        assert made == {ParsedPacket: 0, NetflowRecord: 0}
 
-    def test_flow_assembler_is_used_only_by_the_kernel(self):
-        """Its one caller is the kernel's route for timestamps that go
-        backwards (the package also exports it, as the test reference)."""
+    def test_src_has_one_flow_assembler_and_no_flow_codecs(self):
+        """The kernel is the one flow assembler in ``src/``: the
+        packet-at-a-time oracle lives in ``tests/``, and flow tables are
+        stored only as ``.npz``."""
         src = Path(repro.__file__).parent
-        users = {
+        named = {
             path.relative_to(src).as_posix()
             for path in src.rglob("*.py")
-            if re.search(r"\bFlowAssembler\b", path.read_text())
+            if re.search(r"FlowAssembler|_FlowState|netflow\.codec",
+                         path.read_text())
         }
-        assert users == {"netflow/__init__.py", "netflow/flow_assembler.py",
-                         "netflow/kernel.py"}
+        assert named == set()

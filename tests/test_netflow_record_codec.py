@@ -1,4 +1,4 @@
-"""Unit tests for FlowTable, codecs, and the graph mapping."""
+"""Unit tests for FlowTable, its ``.npz`` form, and the graph mapping."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.netflow import (
     NetflowRecord,
     Protocol,
     TcpState,
-    codec,
     flow_table_to_property_graph,
 )
 from repro.netflow.attributes import NETFLOW_EDGE_ATTRIBUTES
@@ -85,49 +84,6 @@ class TestFlowTable:
         t.save_npz(p)
         back = FlowTable.load_npz(p)
         assert list(back.records()) == records()
-
-
-class TestCodecs:
-    def test_csv_roundtrip(self, tmp_path):
-        t = FlowTable.from_records(records())
-        p = tmp_path / "flows.csv"
-        codec.write_csv(t, p)
-        back = codec.read_csv(p)
-        assert len(back) == 3
-        assert np.allclose(back["DURATION"], t["DURATION"])
-        assert np.array_equal(back["SRC_IP"], t["SRC_IP"])
-
-    def test_csv_empty(self, tmp_path):
-        p = tmp_path / "e.csv"
-        codec.write_csv(FlowTable.empty(), p)
-        assert len(codec.read_csv(p)) == 0
-
-    def test_csv_bad_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("nope\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            codec.read_csv(p)
-
-    def test_binary_roundtrip(self, tmp_path):
-        t = FlowTable.from_records(records())
-        p = tmp_path / "flows.bin"
-        codec.write_binary(t, p)
-        back = codec.read_binary(p)
-        assert list(back.records()) == records()
-
-    def test_binary_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="binary flow"):
-            codec.read_binary(p)
-
-    def test_binary_truncated(self, tmp_path):
-        t = FlowTable.from_records(records())
-        p = tmp_path / "flows.bin"
-        codec.write_binary(t, p)
-        p.write_bytes(p.read_bytes()[:-10])
-        with pytest.raises(ValueError, match="truncated"):
-            codec.read_binary(p)
 
 
 class TestGraphMapping:

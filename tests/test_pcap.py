@@ -16,7 +16,6 @@ from repro.pcap import (
     build_ethernet_ipv4_packet,
     ipv4_checksum,
     parse_ethernet_ipv4_packet,
-    read_pcap,
     write_pcap,
 )
 from repro.pcap.format import GLOBAL_HEADER_LEN
@@ -159,7 +158,8 @@ class TestFileIO:
         path = tmp_path / "t.pcap"
         frames = self._frames()
         assert write_pcap(path, frames) == 5
-        packets = read_pcap(path)
+        with PcapReader(path) as reader:
+            packets = list(reader.parsed_packets())
         assert len(packets) == 5
         assert [p.src_ip for p in packets] == [1, 2, 3, 4, 5]
         assert packets[3].timestamp == pytest.approx(3.0)
@@ -196,9 +196,11 @@ class TestFileIO:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
-            read_pcap(path)
+            with PcapReader(path) as reader:
+                list(reader.parsed_packets())
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "t.pcap"
         write_pcap(path, [])
-        assert read_pcap(path) == []
+        with PcapReader(path) as reader:
+            assert list(reader.parsed_packets()) == []

@@ -16,7 +16,6 @@ from repro.pcap import (
     build_ethernet_ipv4_packet,
     parse_ethernet_ipv4_packet,
     read_packet_table,
-    read_pcap,
     write_pcap,
 )
 from repro.pcap import table as table_module
@@ -159,8 +158,8 @@ class TestTypedErrors:
         with mock.patch.object(table_module, "WINDOW_BYTES", 256):
             with pytest.raises(PcapError):
                 read_packet_table(path)
-            with pytest.raises(PcapError):
-                read_pcap(path)
+            with pytest.raises(PcapError), PcapReader(path) as reader:
+                list(reader.parsed_packets())
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +183,8 @@ class TestWindows:
         path.write_bytes(capture_bytes(
             [frame(payload_len=9), frame(PROTO_UDP)], endian=">"
         ))
-        packets = read_pcap(path)
+        with PcapReader(path) as reader:
+            packets = list(reader.parsed_packets())
         assert packets == scalar_reference(path)
         assert [p.timestamp for p in packets] == [
             1000.0, 1000 + 333_333 * 1e-6,

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.pipeline import packets_from
 from repro.detect import DetectionThresholds, OnlineDetector
 from repro.netflow import FlowTable, assemble_flows
-from repro.netflow.flow_assembler import FlowAssembler, _FlowState
 from repro.netflow.mapping import flow_table_to_property_graph
 from repro.netflow.record import NetflowRecord
 from repro.pcap import PacketTable, write_pcap
@@ -33,6 +32,7 @@ from repro.stream.queues import CLOSE
 from repro.trace import attacks
 from repro.trace.hosts import ipv4
 from repro.trace.synthesizer import TraceSynthesizer
+from tests.flow_oracle import FlowAssembler
 from tests.test_netflow_kernel import cut_traces
 
 WINDOW = 5.0
@@ -159,14 +159,15 @@ class TestWindowAssembler:
         assert [w.index for w in windows] == [0, 1, 2]
         assert [len(w) for w in windows] == [2, 2, 1]
         for w in windows:
-            for r in w.records:
+            for r in w.table.records():
                 assert w.start <= r.start_time < w.end
 
     def test_windows_sorted_by_start_time(self):
         wa = WindowAssembler(window_seconds=10.0)
         wa.process_records(flows(record(3.0), record(1.0), record(2.0)))
         (w,) = wa.drain()
-        assert [r.start_time for r in w.records] == [1.0, 2.0, 3.0]
+        starts = [r.start_time for r in w.table.records()]
+        assert starts == [1.0, 2.0, 3.0]
 
     def test_watermark_holds_window_until_lateness_passes(self):
         wa = WindowAssembler(window_seconds=10.0, lateness=5.0)
@@ -189,7 +190,8 @@ class TestWindowAssembler:
         # The late record rides in the next unemitted window instead of
         # being dropped (here window 1, which the watermark has already
         # passed, so it comes straight out).
-        assert any(late in w.records for w in rerouted + wa.drain())
+        assert any(late in w.table.records()
+                   for w in rerouted + wa.drain())
 
     def test_drain_flushes_open_flows_and_partial_window(self):
         frames = TraceSource(
@@ -238,7 +240,7 @@ class TestGraphAccumulator:
             acc.fold(w)
         live = acc.graph()
 
-        all_records = [r for w in windows for r in w.records]
+        all_records = [r for w in windows for r in w.table.records()]
         batch = flow_table_to_property_graph(
             FlowTable.from_records(all_records)
         )
@@ -510,11 +512,12 @@ class TestQueueSentinel:
 class TestColumnsEndToEnd:
     def test_stream_path_builds_no_packet_or_flow_objects(self, tmp_path):
         """Packets and flows stay columns from the capture to the
-        detector; record objects exist only where ``.records`` is read."""
+        detector; record objects exist only where ``table.records()`` is
+        read."""
         frames = TraceSynthesizer(session_rate=40.0, seed=3).generate(5.0)
         path = tmp_path / "stream.pcap"
         write_pcap(path, frames)
-        made = {ParsedPacket: 0, _FlowState: 0, NetflowRecord: 0, "rows": 0}
+        made = {ParsedPacket: 0, NetflowRecord: 0, "rows": 0}
 
         def counting(cls):
             init = cls.__init__
@@ -532,18 +535,17 @@ class TestColumnsEndToEnd:
             made["rows"] += 1
             return from_records(records)
 
-        with counting(ParsedPacket), counting(_FlowState), counting(
-            NetflowRecord
-        ), mock.patch.object(FlowTable, "from_records", spy):
+        with counting(ParsedPacket), counting(NetflowRecord), \
+                mock.patch.object(FlowTable, "from_records", spy):
             result = StreamPipeline(
                 ReplaySource(path), window_seconds=1.0
             ).run()
-            assert made == {ParsedPacket: 0, _FlowState: 0,
-                            NetflowRecord: 0, "rows": 0}
+            assert made == {ParsedPacket: 0, NetflowRecord: 0, "rows": 0}
             wa = WindowAssembler(window_seconds=10.0)
             (window,) = wa.process_records(one) + wa.drain()
             assert made[NetflowRecord] == 0
-            assert len(window.records) == 1 and made[NetflowRecord] == 1
+            assert len(list(window.table.records())) == 1
+            assert made[NetflowRecord] == 1
         assert result.stats.packets > 4_000 and result.stats.flows > 100
 
     @settings(max_examples=60, deadline=None)
@@ -574,7 +576,8 @@ class TestColumnsEndToEnd:
                       else lateness),
             **timeouts,
         )
-        assert [(w.index, list(w.records)) for w in windows] == expected
+        got = [(w.index, list(w.table.records())) for w in windows]
+        assert got == expected
         assert wa.late_flows == late
 
         loud = DetectionThresholds(fs_lt=0.0, fs_ht=0.0, np_lt=0.0,
