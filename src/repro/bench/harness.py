@@ -9,9 +9,8 @@ seconds on this machine (what the executor backends accelerate).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core.pipeline import SeedBundle, build_seed
 from repro.engine.context import ClusterContext
@@ -20,8 +19,6 @@ from repro.trace.synthesizer import synthesize_seed_packets
 __all__ = [
     "cached_seed",
     "default_cluster",
-    "run_sweep",
-    "SweepPoint",
     "measure_wall",
 ]
 
@@ -76,26 +73,3 @@ def measure_wall(fn: Callable[[], Any]) -> tuple[Any, float]:
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
-
-
-@dataclass
-class SweepPoint:
-    """One measured point of a parameter sweep."""
-
-    label: str
-    parameter: float
-    values: dict[str, float] = field(default_factory=dict)
-
-
-def run_sweep(
-    parameters: Iterable,
-    fn: Callable[..., dict[str, float]],
-    *,
-    label: str = "x",
-) -> list[SweepPoint]:
-    """Evaluate ``fn(parameter)`` per sweep point, collecting metric dicts."""
-    points: list[SweepPoint] = []
-    for p in parameters:
-        values = fn(p)
-        points.append(SweepPoint(label=label, parameter=float(p), values=values))
-    return points

@@ -34,6 +34,7 @@ __all__ = [
     "Parser",
     "Setting",
     "add_arguments",
+    "check_environment",
     "flags_table",
     "resolve",
     "source",
@@ -172,7 +173,7 @@ SETTINGS: "dict[str, Setting]" = {
     for s in (
         Setting(
             "executor", "REPRO_EXECUTOR", "serial",
-            choice(("serial", "threads", "pool")),
+            choice(("serial", "pool")),
             "--executor", "executor",
             "real execution backend for partition tasks: `pool` reuses "
             "persistent forked workers with shared-memory transport; "
@@ -183,7 +184,7 @@ SETTINGS: "dict[str, Setting]" = {
         Setting(
             "local_workers", "REPRO_LOCAL_WORKERS", None, integer(min=1),
             "--workers", "local_workers",
-            "worker count of the `threads` and `pool` backends",
+            "worker count of the `pool` backend",
             evidence="generate_pool",
             show=_cpu_count,
         ),
@@ -230,8 +231,8 @@ SETTINGS: "dict[str, Setting]" = {
             "windows sooner and route late flows into the next window "
             "(counted in `late_flows`)",
             evidence=(
-                "tests/test_stream.py::TestWindowAssembler"
-                "::test_late_record_rerouted_and_counted"
+                "tests/test_stream.py::TestPipeline"
+                "::test_lateness_setting_reaches_the_assembler"
             ),
             layer="stream",
             show=lambda v: "auto" if v is None else f"{v:g} s",
@@ -251,7 +252,7 @@ def resolve(name: str, value: Any = None) -> Any:
     fails on any ``REPRO_*`` variable that is not a row of
     :data:`SETTINGS`: a constructor given every value still refuses a
     removed or misspelt knob."""
-    _check_environment()
+    check_environment()
     setting = SETTINGS[name]
     if value is None:
         value = os.environ.get(setting.env)
@@ -275,9 +276,10 @@ def _parse(setting: Setting, value: Any) -> Any:
 _ENV_NAMES = frozenset(s.env for s in SETTINGS.values())
 
 
-def _check_environment() -> None:
+def check_environment() -> None:
     """Refuse a ``REPRO_*`` variable that names no setting — a removed
-    or misspelt knob would otherwise be silently ignored."""
+    or misspelt knob would otherwise be silently ignored.  :func:`resolve`
+    runs it; a constructor that resolves no setting calls it itself."""
     unknown = sorted(
         name for name in os.environ
         if name.startswith("REPRO_") and name not in _ENV_NAMES

@@ -164,12 +164,6 @@ class GenerationResult:
         return self.graph.n_edges / self.total_seconds
 
     @property
-    def structure_edges_per_second(self) -> float:
-        if self.structure_seconds <= 0:
-            return float("inf")
-        return self.graph.n_edges / self.structure_seconds
-
-    @property
     def property_overhead(self) -> float:
         """property_seconds / structure_seconds, the Fig. 10 overhead."""
         if self.structure_seconds <= 0:

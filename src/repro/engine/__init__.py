@@ -23,7 +23,6 @@ from repro.engine.executor import (
     PoolExecutor,
     RemoteTaskError,
     SerialExecutor,
-    ThreadExecutor,
     TransportProfile,
     WorkerDied,
     available_backends,
@@ -43,7 +42,6 @@ __all__ = [
     "TaskRecord",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "PoolExecutor",
     "TransportProfile",
     "WorkerDied",

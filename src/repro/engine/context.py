@@ -14,10 +14,10 @@ found 2x-4x the executor-core count best).
 
 Orthogonally to the *simulated* cluster, ``executor`` / ``local_workers``
 pick the *real* execution backend partition tasks run on — in the
-driver, its threads or its forked workers, always on this host (see
-:mod:`repro.engine.executor`): simulated metrics are identical across
-backends because each task measures its own CPU cost; only wall-clock
-time changes.  Every partition is one executor task.
+driver (``serial``) or its forked workers (``pool``), always on this
+host (see :mod:`repro.engine.executor`): simulated metrics are identical
+across backends because each task measures its own CPU cost; only
+wall-clock time changes.  Every partition is one executor task.
 
 A task that raises fails its job at once, on every backend: tasks are
 pure functions of ``(seed, partition)``, so nothing is retried (see
@@ -31,6 +31,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro import config
 from repro.engine.executor import Executor, make_executor
 from repro.engine.metrics import SimulationMetrics
 from repro.engine.partitioner import split_array, split_count
@@ -74,6 +75,8 @@ class ClusterContext:
         self.max_real_partitions = max_real_partitions
         self.metrics = SimulationMetrics(n_nodes=n_nodes)
         if isinstance(executor, Executor):
+            # Nothing is resolved, so check the environment here.
+            config.check_environment()
             self.executor = executor
         else:
             self.executor = make_executor(executor, local_workers)

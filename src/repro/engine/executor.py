@@ -10,16 +10,11 @@ delivers, and that is what this module accelerates: an
 their results in task order, so any backend can stand behind
 ``ArrayRDD.map_partitions`` without changing observable behaviour.
 
-Three backends are provided, all on the driver's host:
+Two backends are provided, both on the driver's host:
 
 ``serial``
     The original driver-loop behaviour; the default, and the reference
     for determinism.
-``threads``
-    ``concurrent.futures.ThreadPoolExecutor``.  The hot kernels are NumPy
-    calls (``np.unique``, ``np.repeat``, ``np.concatenate``, RNG fills)
-    which release the GIL, so threads give real parallelism without any
-    serialisation cost.
 ``pool``
     Persistent forked workers running a task loop over a duplex pipe —
     the fork cost is paid ``workers`` times per executor, not per task
@@ -51,7 +46,7 @@ pool worker that dies mid-task surfaces as :class:`WorkerDied`; its
 child is reaped, its arena segments unlinked, and the next job forks a
 replacement.
 
-Selection: ``ClusterContext(executor="threads", local_workers=8)``, or
+Selection: ``ClusterContext(executor="pool", local_workers=8)``, or
 the environment variables ``REPRO_EXECUTOR`` / ``REPRO_LOCAL_WORKERS``
 when the constructor arguments are left unset.  Executors are context
 managers (``with make_executor(...) as ex:``) and ``close()`` is
@@ -69,7 +64,6 @@ import time
 import traceback
 import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
@@ -87,7 +81,6 @@ except Exception:  # pragma: no cover - baked into the image, but gated
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "PoolExecutor",
     "TransportProfile",
     "WorkerDied",
@@ -160,8 +153,8 @@ class Executor:
     order the backend completes them — the determinism contract the RDD
     layer relies on.  :meth:`run` raises the first failure; no task is
     retried.  The base implementation runs every task in the driver
-    loop: that is the ``serial`` backend, and the fallback of the
-    others for degenerate batches.
+    loop: that is the ``serial`` backend, and the ``pool``'s fallback
+    for degenerate batches.
     """
 
     name = "abstract"
@@ -201,45 +194,6 @@ class SerialExecutor(Executor):
     """The original behaviour: run every task in the driver loop."""
 
     name = "serial"
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool backend; parallel because the kernels release the GIL."""
-
-    name = "threads"
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return self._pool
-
-    def run(self, tasks: Sequence[Task]) -> list[Any]:
-        def _timed(task: Task) -> Any:
-            started = time.perf_counter()
-            result = task()
-            # float += is a single bytecode pair under the GIL; worst
-            # case a racing update is lost, which is fine for a
-            # diagnostic counter.
-            self.transport.compute_seconds += time.perf_counter() - started
-            return result
-
-        if len(tasks) <= 1 or self.workers == 1:
-            return super().run(tasks)
-        # map() yields in task order, so the lowest-indexed failure is
-        # the one raised.
-        return list(self._ensure_pool().map(_timed, tasks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        super().close()
 
 
 # ----------------------------------------------------------------------
@@ -669,7 +623,7 @@ class _Dispatcher(Executor):
             raise ValueError(
                 f"the {self.name!r} backend needs cloudpickle for task "
                 "transport; install it (pip install cloudpickle) or use "
-                "'threads'"
+                "'serial'"
             )
         super().__init__(workers)
         self._channels: list = []
@@ -846,7 +800,7 @@ class PoolExecutor(_Dispatcher):
         if "fork" not in mp.get_all_start_methods():
             raise ValueError(
                 "the 'pool' backend needs the fork start method "
-                "(unavailable on this platform); use 'threads' instead"
+                "(unavailable on this platform); use 'serial' instead"
             )
         super().__init__(workers)
         self.workers_forked = 0
@@ -891,7 +845,6 @@ class PoolExecutor(_Dispatcher):
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     PoolExecutor.name: PoolExecutor,
 }
 

@@ -138,10 +138,6 @@ class SimulationMetrics:
     def peak_node_memory_bytes(self) -> int:
         return int(self.node_peak_bytes.max(initial=0))
 
-    @property
-    def mean_node_memory_bytes(self) -> float:
-        return float(self.node_peak_bytes.mean()) if self.n_nodes else 0.0
-
     def utilisation(self) -> float:
         """Fraction of node-seconds spent computing (vs idle waves).
 

@@ -6,30 +6,23 @@ records to vertices and edges.  :class:`~repro.graph.property_graph.PropertyGrap
 realises that model with columnar NumPy storage — one int64 array per edge
 endpoint and one array per attribute — so a ten-million-edge graph is a
 handful of contiguous arrays rather than ten million Python objects.
+
+Beside it: :class:`GraphBuilder` (edge blocks concatenated once), the
+edge-list files of :mod:`repro.graph.io`, and two analytics —
+:func:`pagerank`, which veracity scores, and
+:func:`global_clustering_coefficient`.
 """
 
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.builder import GraphBuilder
-from repro.graph.analytics import (
-    degree_distribution,
-    in_degree_distribution,
-    out_degree_distribution,
-    weakly_connected_components,
-    global_clustering_coefficient,
-)
+from repro.graph.analytics import global_clustering_coefficient
 from repro.graph.pagerank import pagerank
-from repro.graph.centrality import approximate_betweenness
 from repro.graph import io
 
 __all__ = [
     "PropertyGraph",
     "GraphBuilder",
-    "degree_distribution",
-    "in_degree_distribution",
-    "out_degree_distribution",
-    "weakly_connected_components",
     "global_clustering_coefficient",
     "pagerank",
-    "approximate_betweenness",
     "io",
 ]

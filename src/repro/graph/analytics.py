@@ -1,8 +1,7 @@
 """Structural analytics over property graphs.
 
-Everything here is expressed as array operations (``np.bincount``,
-sparse-matrix traversals from :mod:`scipy.sparse.csgraph`); the only Python
-loops iterate over components or sampled sources, never over edges.
+Expressed as sparse-matrix operations over the simple-graph projection;
+no Python loop runs over edges.
 """
 
 from __future__ import annotations
@@ -10,65 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.property_graph import PropertyGraph
-from repro.stats.empirical import EmpiricalDistribution
 
-__all__ = [
-    "degree_distribution",
-    "in_degree_distribution",
-    "out_degree_distribution",
-    "weakly_connected_components",
-    "strongly_connected_components",
-    "global_clustering_coefficient",
-    "degree_histogram",
-]
-
-
-def in_degree_distribution(graph: PropertyGraph) -> EmpiricalDistribution:
-    """Empirical distribution of vertex in-degrees (parallel edges count)."""
-    return EmpiricalDistribution.from_samples(graph.in_degrees())
-
-
-def out_degree_distribution(graph: PropertyGraph) -> EmpiricalDistribution:
-    """Empirical distribution of vertex out-degrees."""
-    return EmpiricalDistribution.from_samples(graph.out_degrees())
-
-
-def degree_distribution(graph: PropertyGraph) -> EmpiricalDistribution:
-    """Empirical distribution of total (in + out) degrees."""
-    return EmpiricalDistribution.from_samples(graph.degrees())
-
-
-def degree_histogram(graph: PropertyGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(degree values, vertex counts)`` sorted by degree."""
-    deg = graph.degrees()
-    values, counts = np.unique(deg, return_counts=True)
-    return values, counts
-
-
-def weakly_connected_components(graph: PropertyGraph) -> np.ndarray:
-    """Component label per vertex, treating edges as undirected."""
-    from scipy.sparse import csgraph
-
-    if graph.n_vertices == 0:
-        return np.empty(0, dtype=np.int64)
-    adj = graph.to_sparse_adjacency(weighted=False)
-    _, labels = csgraph.connected_components(
-        adj, directed=True, connection="weak"
-    )
-    return labels.astype(np.int64)
-
-
-def strongly_connected_components(graph: PropertyGraph) -> np.ndarray:
-    """Strongly connected component label per vertex."""
-    from scipy.sparse import csgraph
-
-    if graph.n_vertices == 0:
-        return np.empty(0, dtype=np.int64)
-    adj = graph.to_sparse_adjacency(weighted=False)
-    _, labels = csgraph.connected_components(
-        adj, directed=True, connection="strong"
-    )
-    return labels.astype(np.int64)
+__all__ = ["global_clustering_coefficient"]
 
 
 def global_clustering_coefficient(graph: PropertyGraph) -> float:

@@ -62,16 +62,6 @@ class GraphBuilder:
     def n_edges(self) -> int:
         return self._n_edges
 
-    def add_vertices(self, count: int) -> np.ndarray:
-        """Allocate ``count`` fresh vertex ids; returns the new id block."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        new = np.arange(
-            self._n_vertices, self._n_vertices + count, dtype=np.int64
-        )
-        self._n_vertices += count
-        return new
-
     def add_edges(
         self,
         src: np.ndarray,
@@ -112,22 +102,6 @@ class GraphBuilder:
                 )
             self._prop_blocks.setdefault(name, []).append(arr)
         self._n_edges += src.size
-
-    def set_edge_property(self, name: str, values: np.ndarray) -> None:
-        """Attach a full-length property column after the fact.
-
-        Used by the decoration phase (Fig. 2 lines 15-20 / Fig. 3 lines
-        13-18), which samples properties for *all* edges in one pass.
-        """
-        values = np.asarray(values)
-        if len(values) != self._n_edges:
-            raise ValueError(
-                f"property column length {len(values)} != edge count "
-                f"{self._n_edges}"
-            )
-        self._prop_blocks[name] = [values]
-        # A post-hoc column replaces any per-block history for that name;
-        # other columns must already be full-length or absent.
 
     def build(self) -> PropertyGraph:
         """Concatenate all blocks into an immutable-ish PropertyGraph."""

@@ -13,7 +13,7 @@ arrays (``np.bincount`` for degrees, one sparse mat-vec per PageRank sweep).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -200,21 +200,6 @@ class PropertyGraph:
             },
         )
 
-    def sample_edges(
-        self, fraction: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Uniformly sample edge indices; the PGPBA preferential-attachment
-        first stage (Fig. 2 line 3).  Returns ceil(fraction * |E|) indices
-        drawn without replacement when possible.
-        """
-        if not 0.0 < fraction:
-            raise ValueError("fraction must be positive")
-        k = max(1, int(np.ceil(fraction * self.n_edges)))
-        if k >= self.n_edges:
-            # Sampling more edges than exist: draw with replacement.
-            return rng.integers(0, self.n_edges, size=k)
-        return rng.choice(self.n_edges, size=k, replace=False)
-
     # ------------------------------------------------------------------
     # adjacency export
     # ------------------------------------------------------------------
@@ -250,42 +235,6 @@ class PropertyGraph:
             mat.data[:] = 1.0
         return mat
 
-    def to_networkx(self, *, max_edges: int = 5_000_000):
-        """Convert to a ``networkx.MultiDiGraph`` (for small graphs only)."""
-        import networkx as nx
-
-        if self.n_edges > max_edges:
-            raise ValueError(
-                f"refusing to materialise {self.n_edges} edges as Python "
-                f"objects (limit {max_edges})"
-            )
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(range(self.n_vertices))
-        prop_names = list(self.edge_properties)
-        if prop_names:
-            cols = [self.edge_properties[p] for p in prop_names]
-            for i in range(self.n_edges):
-                attrs = {p: cols[j][i] for j, p in enumerate(prop_names)}
-                g.add_edge(int(self.src[i]), int(self.dst[i]), **attrs)
-        else:
-            g.add_edges_from(zip(self.src.tolist(), self.dst.tolist()))
-        return g
-
-    @classmethod
-    def from_networkx(cls, g) -> "PropertyGraph":
-        """Build from any networkx directed graph with integer nodes."""
-        nodes = sorted(g.nodes())
-        relabel = {n: i for i, n in enumerate(nodes)}
-        src, dst = [], []
-        for u, v in g.edges():
-            src.append(relabel[u])
-            dst.append(relabel[v])
-        return cls(
-            n_vertices=len(nodes),
-            src=np.asarray(src, dtype=np.int64),
-            dst=np.asarray(dst, dtype=np.int64),
-        )
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
@@ -319,18 +268,6 @@ class PropertyGraph:
                 vertex_properties=vp,
                 edge_properties=ep,
             )
-
-    # ------------------------------------------------------------------
-    # iteration (small-graph convenience; analytics never use this)
-    # ------------------------------------------------------------------
-    def iter_edges(self) -> Iterator[tuple[int, int, dict]]:
-        """Yield ``(src, dst, properties)`` per edge.  O(|E|) Python loop —
-        intended for tests and small exports, not for analytics."""
-        names = list(self.edge_properties)
-        cols = [self.edge_properties[n] for n in names]
-        for i in range(self.n_edges):
-            props = {n: cols[j][i] for j, n in enumerate(names)}
-            yield int(self.src[i]), int(self.dst[i]), props
 
     def memory_bytes(self) -> int:
         """Resident bytes of all columnar arrays (used by Fig. 11 meter)."""

@@ -15,15 +15,11 @@ Implements the three pieces PGSK (Fig. 3 of the paper) needs:
 """
 
 from repro.kronecker.initiator import InitiatorMatrix
-from repro.kronecker.expand import (
-    deterministic_kronecker_adjacency,
-    stochastic_kronecker_edges,
-)
+from repro.kronecker.expand import stochastic_kronecker_edges
 from repro.kronecker.kronfit import kronfit, kronecker_log_likelihood
 
 __all__ = [
     "InitiatorMatrix",
-    "deterministic_kronecker_adjacency",
     "stochastic_kronecker_edges",
     "kronfit",
     "kronecker_log_likelihood",

@@ -1,16 +1,11 @@
 """Kronecker graph expansion.
 
-Two realisations are provided, mirroring the paper's Section III-B:
-
-* the **deterministic** Kronecker power (``O(|V|^2)``) — only practical for
-  tests and tiny graphs, kept as the ground truth the stochastic version
-  simulates;
-* the **stochastic** recursive descent (``O(|E|)``): each edge
-  independently walks k levels of the initiator, choosing cell ``(i, j)``
-  with probability ``theta_ij / sum(theta)`` at every level.  Batches of
-  edges descend simultaneously as vectorised digit draws, duplicates are
-  removed (the paper's ``RDD.distinct()``), and the loop re-descends until
-  the expected distinct-edge count is reached.
+The stochastic recursive descent of the paper's Section III-B
+(``O(|E|)``): each edge independently walks k levels of the initiator,
+choosing cell ``(i, j)`` with probability ``theta_ij / sum(theta)`` at
+every level.  Batches of edges descend simultaneously as vectorised digit
+draws, duplicates are removed (the paper's ``RDD.distinct()``), and the
+loop re-descends until the expected distinct-edge count is reached.
 
 Equivalence note (cell sampling): :func:`descend_batch` draws cells by
 inverse-CDF sampling — ``np.searchsorted`` of ``rng.random((n_edges, k))``
@@ -34,28 +29,9 @@ import numpy as np
 from repro.kronecker.initiator import InitiatorMatrix
 
 __all__ = [
-    "deterministic_kronecker_adjacency",
     "stochastic_kronecker_edges",
     "descend_batch",
 ]
-
-
-def deterministic_kronecker_adjacency(
-    base: np.ndarray, k: int
-) -> np.ndarray:
-    """k-fold Kronecker power of a 0/1 adjacency matrix.
-
-    Quadratic in the output vertex count; use for validation only.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    if base.ndim != 2 or base.shape[0] != base.shape[1]:
-        raise ValueError("base adjacency must be square")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = base.copy()
-    for _ in range(k - 1):
-        out = np.kron(out, base)
-    return out
 
 
 def descend_batch(

@@ -1,15 +1,15 @@
-"""Statistical substrate: empirical distributions, power laws, conditionals.
+"""Statistical substrate: empirical and conditional distributions.
 
 The generators in :mod:`repro.core` never look at the seed trace directly;
 they consume the *empirical distributions* extracted from it (in/out degree,
 Netflow attribute histograms, conditional attribute distributions).  This
 package provides those distribution objects together with fast vectorised
-samplers built on inverse-CDF lookup (``np.searchsorted``), a maximum
-likelihood power-law fitter, and quantile-binned conditional distributions.
+samplers built on inverse-CDF lookup (``np.searchsorted``),
+quantile-binned conditional distributions, and the log-binned histogram
+distances the veracity scores use.
 """
 
 from repro.stats.empirical import EmpiricalDistribution
-from repro.stats.powerlaw import PowerLawFit, fit_power_law, sample_power_law
 from repro.stats.conditional import ConditionalDistribution
 from repro.stats.histogram import (
     normalized_distribution,
@@ -19,9 +19,6 @@ from repro.stats.histogram import (
 
 __all__ = [
     "EmpiricalDistribution",
-    "PowerLawFit",
-    "fit_power_law",
-    "sample_power_law",
     "ConditionalDistribution",
     "normalized_distribution",
     "log_binned_histogram",

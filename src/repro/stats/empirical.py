@@ -126,18 +126,6 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         return float(np.dot(self.values.astype(np.float64), self.probabilities))
 
-    def var(self) -> float:
-        m = self.mean()
-        second = np.dot(
-            np.square(self.values.astype(np.float64)), self.probabilities
-        )
-        return float(second - m * m)
-
-    def entropy(self) -> float:
-        """Shannon entropy in nats."""
-        p = self.probabilities
-        return float(-np.sum(p * np.log(p)))
-
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
@@ -151,42 +139,6 @@ class EmpiricalDistribution:
         idx = np.searchsorted(self._cdf, u, side="right")
         idx = np.clip(idx, 0, self.values.size - 1)
         return self.values[idx]
-
-    def sample_one(self, rng: np.random.Generator):
-        """Draw a single variate (scalar convenience wrapper)."""
-        return self.sample(1, rng)[0]
-
-    # ------------------------------------------------------------------
-    # transforms
-    # ------------------------------------------------------------------
-    def truncated(self, low=None, high=None) -> "EmpiricalDistribution":
-        """Restrict the support to ``[low, high]`` and renormalise."""
-        mask = np.ones(self.values.size, dtype=bool)
-        if low is not None:
-            mask &= self.values >= low
-        if high is not None:
-            mask &= self.values <= high
-        if not mask.any():
-            raise ValueError("truncation removed the entire support")
-        return EmpiricalDistribution.from_counts(
-            self.values[mask], self.probabilities[mask]
-        )
-
-    def mixed_with(
-        self, other: "EmpiricalDistribution", weight: float
-    ) -> "EmpiricalDistribution":
-        """Mixture ``(1-weight)*self + weight*other``."""
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
-        values = np.concatenate([self.values, other.values])
-        probs = np.concatenate(
-            [(1.0 - weight) * self.probabilities, weight * other.probabilities]
-        )
-        # from_counts aggregates duplicate atoms via sort order; sum ties first.
-        uniq, inverse = np.unique(values, return_inverse=True)
-        agg = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(agg, inverse, probs)
-        return EmpiricalDistribution.from_counts(uniq, agg)
 
     def __len__(self) -> int:
         return self.support_size

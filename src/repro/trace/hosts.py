@@ -91,7 +91,3 @@ class HostPopulation:
                     1, 65535, size=n_ext
                 )
         return dests
-
-    def random_unused_address(self, rng: np.random.Generator) -> int:
-        """An address outside both pools (attack sources, dark space)."""
-        return int(ipv4(203, 0, 113, 0) + rng.integers(1, 255))

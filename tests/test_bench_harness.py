@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import (
-    SweepPoint,
-    cached_seed,
-    default_cluster,
-    format_table,
-    run_sweep,
-)
+from repro.bench import cached_seed, default_cluster, format_table
 from repro.bench.tables import print_series
 
 
@@ -36,15 +30,6 @@ class TestFormatTable:
         out = capsys.readouterr().out
         assert "== demo ==" in out
         assert "1" in out
-
-
-class TestSweep:
-    def test_run_sweep_collects_points(self):
-        pts = run_sweep([1, 2, 3], lambda p: {"sq": float(p * p)},
-                        label="n")
-        assert [p.parameter for p in pts] == [1.0, 2.0, 3.0]
-        assert pts[2].values["sq"] == 9.0
-        assert isinstance(pts[0], SweepPoint)
 
 
 class TestSeedCache:

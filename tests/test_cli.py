@@ -140,7 +140,7 @@ class TestEngineInfo:
 
     def test_flag_beats_env(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "2")
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "pool")
         rc = main(["engine-info", "--workers", "5"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -175,7 +175,7 @@ class TestEngineInfo:
 
         for setting in SETTINGS.values():
             monkeypatch.delenv(setting.env, raising=False)
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "pool")
         monkeypatch.setenv("REPRO_QUERY_CACHE", "16")
         rc = main(
             ["engine-info", "--nodes", "1", "--workers", "3",
@@ -193,7 +193,7 @@ class TestEngineInfo:
         # An explicit flag is a flag even when it repeats the default.
         assert row("nodes", "1", "flag") and row("cores", "12", "default")
         assert row("local workers", "3", "flag")
-        assert row("executor", "threads", "env REPRO_EXECUTOR")
+        assert row("executor", "pool", "env REPRO_EXECUTOR")
         assert row("query cache", "16 entries", "env REPRO_QUERY_CACHE")
         assert row("stream lateness", "2 s", "flag")
 
@@ -206,9 +206,11 @@ class TestEngineInfo:
     @pytest.mark.parametrize(
         ("flag", "removed", "choices"),
         [
-            ("--executor", "processes", "'serial', 'threads', 'pool'"),
-            ("--executor", "cluster", "'serial', 'threads', 'pool'"),
-            ("REPRO_EXECUTOR", "cluster", "serial, threads, pool"),
+            ("--executor", "processes", "'serial', 'pool'"),
+            ("--executor", "cluster", "'serial', 'pool'"),
+            ("--executor", "threads", "'serial', 'pool'"),
+            ("REPRO_EXECUTOR", "cluster", "serial, pool"),
+            ("REPRO_EXECUTOR", "threads", "serial, pool"),
         ],
     )
     def test_removed_values_rejected(

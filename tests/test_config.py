@@ -40,8 +40,8 @@ EXPECTED = {
 # values).  The env and argument values differ from each other and from
 # the default, so precedence is observable.
 CASES = {
-    "executor": ("threads", "threads", "POOL", "pool",
-                 ["processes", "bogus", "cluster"]),
+    "executor": ("pool", "pool", "SERIAL", "serial",
+                 ["processes", "bogus", "cluster", "threads"]),
     "local_workers": ("3", 3, 5, 5, ["lots", "0", -1, 2.7, True, "2.5"]),
     "query_threads": ("7", 7, 3, 3, ["abc", "0"]),
     "query_cache": ("9", 9, 0, 0, ["abc", "-1", True]),
@@ -244,7 +244,7 @@ class TestResolve:
         import numpy as np
 
         from repro.cli import main
-        from repro.engine import ClusterContext
+        from repro.engine import ClusterContext, SerialExecutor
         from repro.graph import PropertyGraph
         from repro.serve import QueryServer
         from repro.stream import StreamPipeline
@@ -253,6 +253,9 @@ class TestResolve:
         monkeypatch.setenv("REPRO_FUSION", "off")
         with pytest.raises(ValueError, match="REPRO_FUSION"):
             ClusterContext(executor="serial", local_workers=1)
+        # A built executor resolves no setting, and is refused all the same.
+        with pytest.raises(ValueError, match="REPRO_FUSION"):
+            ClusterContext(executor=SerialExecutor(1))
         with pytest.raises(ValueError, match="REPRO_FUSION"):
             QueryServer(graph, threads=1, cache_size=0)
         with pytest.raises(ValueError, match="REPRO_FUSION"):

@@ -1,12 +1,12 @@
 """Executor backends: determinism, failure, lifecycle, the distinct()
 exchange, metadata caches.
 
-The contract under test: every backend (serial / threads / pool)
+The contract under test: every backend (serial / pool)
 produces bit-identical datasets and identical simulated-cluster
 accounting for fixed seeds, because RNG streams are keyed by partition
 index and per-task costs are measured inside the tasks; a task that
 raises runs once and its error reaches the caller as itself; and every
-executor releases its threads or worker processes on ``close()``.
+executor releases its worker processes on ``close()``.
 """
 
 import hashlib
@@ -23,7 +23,6 @@ from repro.engine import (
     ClusterContext,
     PoolExecutor,
     SerialExecutor,
-    ThreadExecutor,
     available_backends,
     make_executor,
 )
@@ -62,15 +61,17 @@ class TestExecutorBasics:
             ex.close()
 
     def test_backend_registry(self, monkeypatch):
-        assert BACKENDS == ("serial", "threads", "pool")
-        # Unknown names — including the removed fork-per-task and socket
-        # backends — are rejected with the valid choices spelled out.
-        choices = "serial, threads, pool"
-        for name in ("bogus", "processes", "cluster"):
+        assert BACKENDS == ("serial", "pool")
+        # Unknown names — including the removed fork-per-task, socket and
+        # thread-pool backends — are rejected with the valid choices
+        # spelled out.
+        choices = "serial, pool"
+        for name in ("bogus", "processes", "cluster", "threads"):
             with pytest.raises(ValueError, match=choices):
                 make_executor(name)
-        with pytest.raises(ValueError, match=f"{choices}, got 'cluster'"):
-            ClusterContext(executor="cluster")
+        for name in ("cluster", "threads"):
+            with pytest.raises(ValueError, match=f"{choices}, got '{name}'"):
+                ClusterContext(executor=name)
         monkeypatch.setenv("REPRO_EXECUTOR", "processes")
         with pytest.raises(ValueError, match=choices):
             config.resolve("executor")
@@ -80,12 +81,12 @@ class TestExecutorBasics:
     def test_env_var_selection(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert isinstance(make_executor(), SerialExecutor)
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "pool")
         # An explicit argument beats the environment.
         assert isinstance(make_executor("serial"), SerialExecutor)
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "3")
         ex = make_executor()
-        assert isinstance(ex, ThreadExecutor)
+        assert isinstance(ex, PoolExecutor)
         assert ex.workers == 3
         ex.close()
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "not-a-number")
@@ -148,8 +149,6 @@ class TestExecutorLifecycle:
     def test_context_manager(self, backend):
         with make_executor(backend, 2) as ex:
             assert ex.run([lambda: 5])[0] == 5
-        if backend == "threads":
-            assert ex._pool is None
 
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods(), reason="fork unavailable"
@@ -178,19 +177,19 @@ class TestExecutorLifecycle:
     def test_resolve_workers_reports_offender(self, monkeypatch):
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "lots")
         with pytest.raises(ValueError, match="'lots'"):
-            make_executor("threads")
+            make_executor("pool")
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "0")
         with pytest.raises(ValueError, match="'0'"):
-            make_executor("threads")
+            make_executor("pool")
         monkeypatch.setenv("REPRO_LOCAL_WORKERS", "   ")
-        assert make_executor("threads").workers == default_workers()
+        assert make_executor("pool").workers == default_workers()
         monkeypatch.delenv("REPRO_LOCAL_WORKERS")
-        assert make_executor("threads", 4).workers == 4
+        assert make_executor("pool", 4).workers == 4
         assert make_executor("serial").workers == default_workers()
 
 
 class TestBackendEquivalence:
-    """serial == threads == pool, bit for bit."""
+    """serial == pool, bit for bit."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rdd_pipeline_matches_serial(self, backend):
@@ -406,12 +405,12 @@ class TestMetadataCache:
 class TestWorkerCountIndependence:
     """Worker count changes wall-clock only, never results or metrics."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_thread_worker_count_invariant(self, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_worker_count_invariant(self, workers):
         def run(w):
             ctx = ClusterContext(
                 n_nodes=2, executor_cores=2,
-                executor="threads", local_workers=w,
+                executor="pool", local_workers=w,
             )
             out = ctx.parallelize([np.arange(3000)]).sample(
                 0.3, seed=1

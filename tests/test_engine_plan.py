@@ -300,7 +300,7 @@ class TestFusedEagerEquivalence:
         assert fused_stages == eager_stages
         assert eager_peak >= 2 * fused_peak, (eager_peak, fused_peak)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_pgpba_identical_across_modes_and_backends(
         self, seed_graph, seed_analysis, backend
     ):
@@ -323,7 +323,7 @@ class TestFusedEagerEquivalence:
                 )
         assert results[False] == results[True]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_pgsk_identical_across_modes_and_backends(
         self, seed_graph, seed_analysis, backend
     ):

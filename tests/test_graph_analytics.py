@@ -1,22 +1,10 @@
-"""Unit tests for repro.graph.analytics and centrality."""
+"""Unit tests for repro.graph.analytics and the degree arrays."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import (
-    PropertyGraph,
-    approximate_betweenness,
-    degree_distribution,
-    global_clustering_coefficient,
-    in_degree_distribution,
-    out_degree_distribution,
-    weakly_connected_components,
-)
-from repro.graph.analytics import (
-    degree_histogram,
-    strongly_connected_components,
-)
+from repro.graph import PropertyGraph, global_clustering_coefficient
 
 
 def chain(n=4):
@@ -27,46 +15,13 @@ def chain(n=4):
 
 class TestDegreeDistributions:
     def test_chain_degrees(self):
-        d = degree_distribution(chain(4))
         # endpoints have degree 1, middles degree 2
-        assert np.allclose(d.pmf([1, 2]), [0.5, 0.5])
+        assert chain(4).degrees().tolist() == [1, 2, 2, 1]
 
     def test_in_out_split(self):
         g = chain(3)
-        din = in_degree_distribution(g)
-        dout = out_degree_distribution(g)
-        assert din.pmf([0])[0] == pytest.approx(1 / 3)
-        assert dout.pmf([0])[0] == pytest.approx(1 / 3)
-
-    def test_histogram_counts_vertices(self):
-        values, counts = degree_histogram(chain(5))
-        assert counts.sum() == 5
-
-
-class TestComponents:
-    def test_two_islands(self):
-        g = PropertyGraph(4, np.array([0, 2]), np.array([1, 3]))
-        labels = weakly_connected_components(g)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
-
-    def test_direction_ignored_weak(self):
-        g = PropertyGraph(3, np.array([1, 1]), np.array([0, 2]))
-        labels = weakly_connected_components(g)
-        assert len(set(labels.tolist())) == 1
-
-    def test_strong_components_cycle(self):
-        g = PropertyGraph(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
-        labels = strongly_connected_components(g)
-        assert len(set(labels.tolist())) == 1
-
-    def test_strong_components_chain_all_separate(self):
-        labels = strongly_connected_components(chain(3))
-        assert len(set(labels.tolist())) == 3
-
-    def test_empty(self):
-        assert weakly_connected_components(PropertyGraph.empty()).size == 0
+        assert g.in_degrees().tolist() == [0, 1, 1]
+        assert g.out_degrees().tolist() == [1, 1, 0]
 
 
 class TestClustering:
@@ -100,45 +55,3 @@ class TestClustering:
 
     def test_empty_zero(self):
         assert global_clustering_coefficient(PropertyGraph.empty()) == 0.0
-
-
-class TestBetweenness:
-    def test_chain_center_highest(self):
-        # Undirectedness is not assumed: use a bidirected chain.
-        src = np.array([0, 1, 1, 2, 2, 3])
-        dst = np.array([1, 0, 2, 1, 3, 2])
-        g = PropertyGraph(4, src, dst)
-        bc = approximate_betweenness(g, n_sources=4, normalized=False)
-        assert bc[1] > bc[0]
-        assert bc[2] > bc[3]
-
-    def test_exact_matches_networkx_on_small_graph(self):
-        rng = np.random.default_rng(1)
-        src = rng.integers(0, 12, 40)
-        dst = rng.integers(0, 12, 40)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        g = PropertyGraph.from_edge_list(src, dst, n_vertices=12)
-        bc = approximate_betweenness(g, n_sources=12, normalized=True)
-        nxg = nx.DiGraph()
-        nxg.add_nodes_from(range(12))
-        nxg.add_edges_from(zip(src.tolist(), dst.tolist()))
-        expected = nx.betweenness_centrality(nxg, normalized=True)
-        for v in range(12):
-            assert bc[v] == pytest.approx(expected[v], abs=1e-9)
-
-    def test_sampling_approximates(self):
-        rng = np.random.default_rng(2)
-        src = rng.integers(0, 60, 600)
-        dst = rng.integers(0, 60, 600)
-        g = PropertyGraph.from_edge_list(src, dst, n_vertices=60)
-        exact = approximate_betweenness(g, n_sources=60)
-        approx = approximate_betweenness(
-            g, n_sources=30, rng=np.random.default_rng(3)
-        )
-        # Correlated rankings: top exact vertex is near the top of approx.
-        top = int(np.argmax(exact))
-        assert approx[top] >= np.quantile(approx, 0.8)
-
-    def test_empty(self):
-        assert approximate_betweenness(PropertyGraph.empty()).size == 0

@@ -7,20 +7,6 @@ from repro.graph import GraphBuilder, PropertyGraph
 
 
 class TestVertices:
-    def test_add_vertices_allocates_contiguous_ids(self):
-        b = GraphBuilder(5)
-        new = b.add_vertices(3)
-        assert new.tolist() == [5, 6, 7]
-        assert b.n_vertices == 8
-
-    def test_add_zero_vertices(self):
-        b = GraphBuilder()
-        assert b.add_vertices(0).size == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            GraphBuilder().add_vertices(-1)
-
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             GraphBuilder(-1)
@@ -88,21 +74,6 @@ class TestFromGraph:
         assert b.n_vertices == 0 and b.n_edges == 0
 
 
-class TestSetEdgeProperty:
-    def test_post_hoc_column(self):
-        b = GraphBuilder(3)
-        b.add_edges(np.array([0, 1]), np.array([1, 2]))
-        b.set_edge_property("W", np.array([5.0, 6.0]))
-        g = b.build()
-        assert g.edge_properties["W"].tolist() == [5.0, 6.0]
-
-    def test_wrong_length_rejected(self):
-        b = GraphBuilder(3)
-        b.add_edges(np.array([0]), np.array([1]))
-        with pytest.raises(ValueError, match="column length"):
-            b.set_edge_property("W", np.array([1.0, 2.0]))
-
-
 def test_build_empty():
     g = GraphBuilder(4).build()
     assert g.n_vertices == 4
@@ -111,10 +82,9 @@ def test_build_empty():
 
 def test_linear_growth_many_blocks():
     """Appending many blocks stays cheap and correct."""
-    b = GraphBuilder(1)
+    b = GraphBuilder(201)
     for i in range(200):
-        new = b.add_vertices(1)
-        b.add_edges(new, np.zeros(1, dtype=np.int64))
+        b.add_edges(np.array([i + 1]), np.zeros(1, dtype=np.int64))
     g = b.build()
     assert g.n_edges == 200
     assert g.in_degrees()[0] == 200

@@ -109,20 +109,6 @@ class TestTransforms:
         sub = g.select_edges(np.array([4, 0]))
         assert sub.src.tolist() == [2, 0]
 
-    def test_sample_edges_size(self, rng):
-        g = tri_multigraph()
-        idx = g.sample_edges(0.5, rng)
-        assert idx.size == 3  # ceil(0.5 * 5)
-
-    def test_sample_edges_with_replacement_when_over_one(self, rng):
-        g = tri_multigraph()
-        idx = g.sample_edges(2.0, rng)
-        assert idx.size == 10
-
-    def test_sample_edges_bad_fraction(self, rng):
-        with pytest.raises(ValueError):
-            tri_multigraph().sample_edges(0.0, rng)
-
 
 class TestAdjacencyExport:
     def test_sparse_weighted_multiplicity(self):
@@ -135,21 +121,6 @@ class TestAdjacencyExport:
         g = tri_multigraph()
         m = g.to_sparse_adjacency(weighted=False)
         assert m[0, 1] == 1.0
-
-    def test_networkx_roundtrip(self):
-        g = tri_multigraph()
-        nxg = g.to_networkx()
-        assert nxg.number_of_edges() == 5
-        back = PropertyGraph.from_networkx(nxg)
-        assert back.n_edges == 5
-        assert np.array_equal(
-            np.sort(back.degrees()), np.sort(g.degrees())
-        )
-
-    def test_networkx_refuses_huge(self):
-        g = tri_multigraph()
-        with pytest.raises(ValueError, match="refusing"):
-            g.to_networkx(max_edges=2)
 
 
 class TestPersistence:
@@ -175,12 +146,6 @@ class TestPersistence:
 
 
 class TestMisc:
-    def test_iter_edges(self):
-        g = tri_multigraph()
-        edges = list(g.iter_edges())
-        assert len(edges) == 5
-        assert edges[0] == (0, 1, {"W": 1.0})
-
     def test_memory_bytes_positive(self):
         assert tri_multigraph().memory_bytes() > 0
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.kronecker import (
     InitiatorMatrix,
-    deterministic_kronecker_adjacency,
     kronecker_log_likelihood,
     kronfit,
     stochastic_kronecker_edges,
@@ -52,30 +51,6 @@ class TestInitiator:
     def test_normalized_to_sum(self):
         init = InitiatorMatrix.classic().normalized_to_sum(1.5)
         assert init.edge_weight_sum == pytest.approx(1.5)
-
-
-class TestDeterministicExpansion:
-    def test_kron_power_shape(self):
-        base = np.array([[1, 1], [0, 1]])
-        out = deterministic_kronecker_adjacency(base, 3)
-        assert out.shape == (8, 8)
-
-    def test_edge_count_multiplies(self):
-        base = np.array([[1, 1], [0, 1]])
-        out = deterministic_kronecker_adjacency(base, 2)
-        assert out.sum() == base.sum() ** 2
-
-    def test_k1_is_identityish(self):
-        base = np.array([[1, 0], [1, 1]])
-        assert np.array_equal(
-            deterministic_kronecker_adjacency(base, 1), base
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            deterministic_kronecker_adjacency(np.ones((2, 3)), 2)
-        with pytest.raises(ValueError):
-            deterministic_kronecker_adjacency(np.ones((2, 2)), 0)
 
 
 class TestStochasticExpansion:

@@ -56,7 +56,6 @@ class TestConstruction:
         d = EmpiricalDistribution.degenerate(42)
         assert d.support_size == 1
         assert d.mean() == 42.0
-        assert d.var() == 0.0
 
 
 class TestQueries:
@@ -89,17 +88,8 @@ class TestQueries:
         with pytest.raises(ValueError, match="0, 1"):
             dist.quantile([1.5])
 
-    def test_mean_var(self, dist):
+    def test_mean(self, dist):
         assert dist.mean() == pytest.approx(0.25 * 1 + 0.5 * 2 + 0.25 * 4)
-        m = dist.mean()
-        expected_var = 0.25 * (1 - m) ** 2 + 0.5 * (2 - m) ** 2 + 0.25 * (4 - m) ** 2
-        assert dist.var() == pytest.approx(expected_var)
-
-    def test_entropy_uniform_is_log_n(self):
-        d = EmpiricalDistribution.from_counts(
-            np.arange(8), np.ones(8)
-        )
-        assert d.entropy() == pytest.approx(np.log(8))
 
     def test_len(self, dist):
         assert len(dist) == 3
@@ -133,46 +123,8 @@ class TestSampling:
         )
         assert d.sample(10, rng).dtype == np.int64
 
-    def test_sample_one(self, rng):
-        d = EmpiricalDistribution.degenerate(5)
-        assert d.sample_one(rng) == 5
-
     def test_deterministic_given_seed(self):
         d = EmpiricalDistribution.from_samples(np.arange(100))
         a = d.sample(50, np.random.default_rng(1))
         b = d.sample(50, np.random.default_rng(1))
         assert np.array_equal(a, b)
-
-
-class TestTransforms:
-    def test_truncated(self):
-        d = EmpiricalDistribution.from_counts(
-            np.array([1, 2, 3, 4]), np.ones(4)
-        )
-        t = d.truncated(low=2, high=3)
-        assert t.values.tolist() == [2, 3]
-        assert np.allclose(t.probabilities, [0.5, 0.5])
-
-    def test_truncated_empty_rejected(self):
-        d = EmpiricalDistribution.degenerate(1)
-        with pytest.raises(ValueError, match="entire support"):
-            d.truncated(low=10)
-
-    def test_mixture_weights(self):
-        a = EmpiricalDistribution.degenerate(0)
-        b = EmpiricalDistribution.degenerate(1)
-        m = a.mixed_with(b, 0.25)
-        assert np.allclose(m.pmf([0, 1]), [0.75, 0.25])
-
-    def test_mixture_merges_shared_atoms(self):
-        a = EmpiricalDistribution.from_counts(
-            np.array([0, 1]), np.array([0.5, 0.5])
-        )
-        m = a.mixed_with(a, 0.5)
-        assert m.support_size == 2
-        assert np.allclose(m.probabilities, [0.5, 0.5])
-
-    def test_mixture_bad_weight(self):
-        a = EmpiricalDistribution.degenerate(0)
-        with pytest.raises(ValueError):
-            a.mixed_with(a, 1.5)

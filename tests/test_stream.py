@@ -16,7 +16,11 @@ from repro.netflow import FlowTable, assemble_flows
 from repro.netflow.mapping import flow_table_to_property_graph
 from repro.netflow.record import NetflowRecord
 from repro.pcap import PacketTable, write_pcap
-from repro.pcap.packet import ParsedPacket
+from repro.pcap.packet import (
+    PROTO_UDP,
+    ParsedPacket,
+    build_ethernet_ipv4_packet,
+)
 from repro.serve import QueryServer
 from repro.stream import (
     Batch,
@@ -385,6 +389,38 @@ class TestPipeline:
             assert q.depth_high_water <= q.capacity
         assert any(q.backpressure_stalls > 0 for q in stats.queues)
         assert sum(q.stall_seconds for q in stats.queues) > 0
+
+    def test_lateness_setting_reaches_the_assembler(
+        self, tmp_path, monkeypatch
+    ):
+        """REPRO_STREAM_LATENESS changes what the pipeline does: at 0 a
+        flow longer than a window arrives after its window closed and is
+        counted late; unset (``auto``) nothing is late."""
+        start = 1_000_000.0
+        background = TraceSynthesizer(session_rate=40.0, seed=7).generate(
+            12.0, start_time=start
+        )
+        # One UDP flow, a packet a second for 11 s: four windows long.
+        long_flow = [
+            (start + 0.5 + i, build_ethernet_ipv4_packet(
+                src_ip=ipv4(10, 9, 0, 1), dst_ip=ipv4(10, 9, 0, 2),
+                protocol=PROTO_UDP, src_port=5000, dst_port=53,
+                payload_len=10,
+            ))
+            for i in range(12)
+        ]
+        path = tmp_path / "long.pcap"
+        write_pcap(path, sorted(background + long_flow, key=lambda f: f[0]))
+
+        def late_flows():
+            return StreamPipeline(
+                ReplaySource(path), window_seconds=2.5
+            ).run().stats.late_flows
+
+        monkeypatch.setenv("REPRO_STREAM_LATENESS", "0")
+        assert late_flows() > 0
+        monkeypatch.delenv("REPRO_STREAM_LATENESS")
+        assert late_flows() == 0
 
     def test_stop_requests_early_clean_drain(self):
         source = make_source(duration=30.0, batch_packets=32)

@@ -48,11 +48,6 @@ class TestHosts:
         d = pop.sample_destinations(1000, rng)
         assert np.isin(d, pop.servers).all()
 
-    def test_unused_address_outside_pools(self, rng):
-        pop = HostPopulation()
-        addr = pop.random_unused_address(rng)
-        assert addr not in pop.clients and addr not in pop.servers
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HostPopulation(n_clients=0)
