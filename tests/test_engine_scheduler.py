@@ -12,13 +12,23 @@ heterogeneous costs, round-robin placement can genuinely assign both
 expensive tasks to the same node of a larger cluster — e.g. costs
 [10, 1, 1, 10] on 1-core nodes pack to 11s on 2 nodes but 20s on 3 —
 so the general claim is false, by design.)
+
+:class:`TestGoldenRecords` pins the scheduler's output for whole
+generator runs: a hash of every simulated task record (measured CPU
+seconds excluded), the memory meters and the edges, for PGPBA and PGSK
+at 1, 10 and 60 nodes on every backend.  An engine change that moves a
+stage, a partition or a byte changes the hash.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core import PGPBA, PGSK
+from repro.engine import ClusterContext, available_backends
 from repro.engine.metrics import TaskRecord
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
 
@@ -155,3 +165,57 @@ class TestNodeSpec:
     def test_cores_clamped_to_physical(self):
         sched = ClusterScheduler(1, 64)
         assert sched.executor_cores == sched.node.physical_cores
+
+
+# sha256 prefixes of (stage, partition, node, bytes_out) per task record,
+# node_peak_bytes, peak_persisted_bytes and the edges; equal on every
+# backend.
+GOLDEN_RECORDS = {
+    ("pgpba", 1): "683e219be3e9fc1e",
+    ("pgpba", 10): "48a0bd2d922be944",
+    ("pgpba", 60): "01572e4475168565",
+    ("pgsk", 1): "1e9c81cc7cc1ba08",
+    ("pgsk", 10): "935831ffb6461c3b",
+    ("pgsk", 60): "c9b094014b288653",
+}
+
+
+def _records_digest(metrics, graph) -> str:
+    h = hashlib.sha256()
+    for r in metrics.tasks:
+        h.update(f"{r.stage}|{r.partition}|{r.node}|{r.bytes_out};".encode())
+    h.update(np.asarray(metrics.node_peak_bytes, np.int64).tobytes())
+    h.update(str(int(metrics.peak_persisted_bytes)).encode())
+    h.update(np.ascontiguousarray(graph.src, np.int64).tobytes())
+    h.update(np.ascontiguousarray(graph.dst, np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def pgsk_initiator(seed_graph):
+    return PGSK(seed=5).fit_initiator(seed_graph)
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("n_nodes", [1, 10, 60])
+    @pytest.mark.parametrize("algorithm", ["pgpba", "pgsk"])
+    def test_simulated_records_are_pinned(
+        self, seed_graph, seed_analysis, pgsk_initiator, algorithm,
+        n_nodes, backend,
+    ):
+        desired = 4 * seed_graph.n_edges
+        with ClusterContext(
+            n_nodes=n_nodes, executor=backend, local_workers=2
+        ) as ctx:
+            if algorithm == "pgpba":
+                result = PGPBA(fraction=0.1, seed=5).generate(
+                    seed_graph, seed_analysis, desired, context=ctx
+                )
+            else:
+                result = PGSK(seed=5).generate(
+                    seed_graph, seed_analysis, desired, context=ctx,
+                    initiator=pgsk_initiator,
+                )
+            digest = _records_digest(ctx.metrics, result.graph)
+        assert digest == GOLDEN_RECORDS[algorithm, n_nodes]
