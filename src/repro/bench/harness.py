@@ -1,16 +1,13 @@
 """Shared machinery for the figure-reproduction benchmarks.
 
-Two clocks matter here and must not be conflated: ``result.total_seconds``
-is *simulated* cluster time (what Figs. 8-12 plot, identical across
-executor backends), while :func:`measure_wall` times *real* elapsed
-seconds on this machine (what the executor backends accelerate).
+``result.total_seconds`` is *simulated* cluster time (what Figs. 8-12
+plot, identical across executor backends), not the real elapsed seconds
+the executor backends accelerate.
 """
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
-from typing import Any, Callable
 
 from repro.core.pipeline import SeedBundle, build_seed
 from repro.engine.context import ClusterContext
@@ -19,7 +16,6 @@ from repro.trace.synthesizer import synthesize_seed_packets
 __all__ = [
     "cached_seed",
     "default_cluster",
-    "measure_wall",
 ]
 
 
@@ -66,10 +62,3 @@ def default_cluster(
         executor=executor,
         local_workers=local_workers,
     )
-
-
-def measure_wall(fn: Callable[[], Any]) -> tuple[Any, float]:
-    """Run ``fn`` once and return ``(result, wall_seconds)``."""
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0

@@ -31,7 +31,6 @@ from repro.engine.executor import (
 from repro.engine.rdd import ArrayRDD
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
 from repro.engine.metrics import SimulationMetrics, TaskRecord
-from repro.engine.storage import BlockId, BlockStore
 
 __all__ = [
     "ClusterContext",
@@ -48,6 +47,4 @@ __all__ = [
     "RemoteTaskError",
     "make_executor",
     "available_backends",
-    "BlockId",
-    "BlockStore",
 ]

@@ -37,7 +37,6 @@ from repro.engine.metrics import SimulationMetrics
 from repro.engine.partitioner import split_array, split_count
 from repro.engine.rdd import ArrayRDD, Columns
 from repro.engine.scheduler import ClusterScheduler, NodeSpec
-from repro.engine.storage import BlockStore
 
 __all__ = ["ClusterContext"]
 
@@ -80,10 +79,8 @@ class ClusterContext:
             self.executor = executor
         else:
             self.executor = make_executor(executor, local_workers)
-        # Every materialized partition lives in the block store behind a
-        # BlockId.  Monotone RDD ids key the blocks (and the persist
-        # accounting — id() reuse can never alias entries).
-        self.storage = BlockStore()
+        # Monotone RDD ids key the persist accounting: id() reuse can
+        # never alias entries.
         self._rdd_ids = itertools.count()
         self.metrics.attach_transport(
             getattr(self.executor, "transport", None)
@@ -101,10 +98,8 @@ class ClusterContext:
         return self.executor.run(tasks)
 
     def close(self) -> None:
-        """Release executor resources (worker pools) and drop the block
-        store; idempotent."""
+        """Release executor resources (worker pools); idempotent."""
         self.executor.close()
-        self.storage.close()
 
     def __enter__(self) -> "ClusterContext":
         return self

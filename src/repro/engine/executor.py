@@ -25,15 +25,13 @@ Two backends are provided, both on the driver's host:
     recycled across batches: no per-task segment create/unlink, one
     memcpy each way.
 
-The pool's scheduling is :class:`_Dispatcher`, the driver-side state
-machine — give every idle channel one batch, wait, drain replies, and
-apply the two rules: absorb each reply as the head task's result, and
-on the first task error or worker loss stop feeding, drain what is
-still in flight and raise.  A
-:class:`_Channel` is the seam between that machine and the pipe to one
-worker (:class:`_PoolWorker`): how a batch is encoded and sent, how
-replies are read, what the driver waits on.  The worker side is
-:func:`_pool_worker_main`, forked through :class:`_PipeChild`.
+The pool's scheduling lives in :class:`PoolExecutor` itself — give
+every idle worker one batch, wait, drain replies, and apply the two
+rules: absorb each reply as the head task's result, and on the first
+task error or worker loss stop feeding, drain what is still in flight
+and raise.  A :class:`_Worker` is one forked process with its pipe and
+the arenas on the driver's side of it; the worker side is
+:func:`_pool_worker_main`.
 
 Every RNG stream in the engine is keyed by ``(seed, partition_index)``
 and results are gathered in partition order, so every backend
@@ -402,8 +400,15 @@ def _own_tree(obj: Any) -> Any:
     return obj
 
 
-def _pool_worker_main(conn: mp_connection.Connection) -> None:
+def _pool_worker_main(
+    conn: mp_connection.Connection, driver_end: mp_connection.Connection
+) -> None:
     """Long-lived worker body: loop over task batches until "stop".
+
+    ``driver_end`` is the fork-inherited copy of the driver's end of the
+    pipe, closed first: while the worker holds it its own ``recv()`` can
+    never see EOF, so a worker whose driver was SIGKILLed would block
+    forever instead of exiting.
 
     One ``("run", blob, descriptors)`` message carries a whole batch of
     ``(key, fn)`` pairs; task buffers are read from the driver's task
@@ -418,6 +423,7 @@ def _pool_worker_main(conn: mp_connection.Connection) -> None:
     descriptors) or, as a last resort, by the shared resource tracker
     at interpreter exit.
     """
+    driver_end.close()
     reader = _ArenaReader()
     arena = _Arena()
     status = 0
@@ -472,45 +478,38 @@ def _pool_worker_main(conn: mp_connection.Connection) -> None:
         os._exit(status)
 
 
-def _pipe_child_main(
-    parent_conn: mp_connection.Connection, target: Callable, *args: Any
-) -> None:
-    """Fork-child entry of :class:`_PipeChild`: close the inherited copy
-    of the parent's pipe end, then run ``target``.  While the child
-    holds that copy its own ``recv()`` can never see EOF, so a child
-    whose parent was SIGKILLed would block forever instead of exiting."""
-    parent_conn.close()
-    target(*args)
+class _Worker:
+    """One persistent forked worker as the driver sees it: the process
+    running :func:`_pool_worker_main`, the duplex pipe to it, the task
+    arena (the worker holds views into it until it has finished the
+    batch), a reader over the worker's result arena, and ``assigned``:
+    the task indices of its unreported tasks, in dispatch order.  A
+    worker holds at most one batch: it is busy iff ``assigned`` is
+    non-empty."""
 
-
-class _PipeChild:
-    """A forked process running the worker loop over a duplex pipe, plus
-    the arenas on this side of the pipe: the task arena (the child holds
-    views into it until it has finished the batch) and a reader over the
-    child's result arena.  The pool holds one per worker."""
-
-    def __init__(self, target: Callable) -> None:
-        # Start the resource tracker *before* forking so parent and
-        # child share one tracker: segments the child registers at
-        # create are unregistered by the parent's unlink, and nothing is
+    def __init__(self) -> None:
+        # Start the resource tracker *before* forking so driver and
+        # worker share one tracker: segments the worker registers at
+        # create are unregistered by the driver's unlink, and nothing is
         # reported leaked.
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
         ctx = mp.get_context("fork")
-        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.conn, worker_end = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_pipe_child_main,
-            args=(self.conn, target, child_conn),
+            target=_pool_worker_main,
+            args=(worker_end, self.conn),
             daemon=True,
         )
         self.proc.start()
-        child_conn.close()
+        worker_end.close()
         self.task_arena = _Arena()
         self.reader = _ArenaReader()
+        self.assigned: deque[int] = deque()
 
     def send(self, *msg: Any) -> bool:
-        """Write one message to the child; False if the child is gone."""
+        """Write one message to the worker; False if it is gone."""
         try:
             self.conn.send(msg)
         except (OSError, ValueError):
@@ -518,7 +517,7 @@ class _PipeChild:
         return True
 
     def retire(self) -> None:
-        """Reap the child (already stopped or dead) and unlink every
+        """Reap the process (already stopped or dead) and unlink every
         arena segment tied to it."""
         self.proc.join(timeout=5.0)
         if self.proc.is_alive():  # stuck mid-task: "stop" went unread
@@ -526,7 +525,7 @@ class _PipeChild:
             self.proc.join(timeout=5.0)
         result_segments = list(self.reader.segments)
         self.reader.close()
-        # A cleanly-stopped child unlinked its own result arenas; a
+        # A cleanly-stopped worker unlinked its own result arenas; a
         # killed one did not — unlink whatever is still there.
         _unlink_segment_names(result_segments)
         self.task_arena.destroy()
@@ -536,53 +535,11 @@ class _PipeChild:
             pass
 
 
-# ----------------------------------------------------------------------
-# The dispatcher: the pool's driver-side scheduler.
-# ----------------------------------------------------------------------
-
-class _Lost(Exception):
-    """Raised by :meth:`_Channel.poll` when the worker behind the
-    channel is gone; the message says how, for the ``WorkerDied``."""
-
-
-class _Channel:
-    """One worker as the dispatcher sees it.
-
-    The dispatcher owns ``assigned``; a transport supplies the three
-    methods, and they are all it may differ in.  A channel holds at most
-    one batch: it is busy iff ``assigned`` is non-empty.
-    """
-
-    label = "worker"  # leads the WorkerDied message
-
-    def __init__(self) -> None:
-        # task indices of the unreported tasks, in dispatch order
-        self.assigned: deque[int] = deque()
-
-    def send(self, entries: list[tuple[int, Task]]) -> bool:
-        """Encode and ship one batch of ``(key, fn)``; False if the
-        worker is gone."""
-        raise NotImplementedError
-
-    def waitables(self) -> list:
-        """What ``multiprocessing.connection.wait`` should watch while
-        this channel has work out."""
-        raise NotImplementedError
-
-    def poll(self) -> tuple | None:
-        """The next reply, or None when nothing is readable now:
-        ``("ok", key, (payload, buffers), duration)`` with the result
-        still pickled (the dispatcher unpickles it, so the time lands in
-        ``serialize_seconds``) or ``("err", key, exception, duration)``.
-        Raises :class:`_Lost` when the worker is gone."""
-        raise NotImplementedError
-
-
 class _Job:
     """The bookkeeping of one ``run`` call.  Keys on the wire and in
-    ``_Channel.assigned`` are plain task indices: a job returns or
-    raises only once every dispatched task has reported or been blamed,
-    so no channel still holds work of an earlier job."""
+    ``_Worker.assigned`` are plain task indices: a job returns or raises
+    only once every dispatched task has reported or been blamed, so no
+    worker still holds work of an earlier job."""
 
     def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks = tasks
@@ -597,204 +554,32 @@ class _Job:
         self.pending.clear()
 
 
-class _Dispatcher(Executor):
-    """The driver-side scheduling state machine of the pool, written
-    against :class:`_Channel`.
-
-    Workers run a batch strictly in order and report each task as it
-    finishes, so ``assigned`` always has the task in progress at its
-    head.  That is the hinge of both rules here: a reply belongs to the
-    head, and a death blames the head (:class:`WorkerDied`).  The first
-    ``err`` reply or worker loss stops the feeding; the batches still in
-    flight drain, and then the error of the lowest-indexed failed task
-    is raised.  A lost channel is retired, not replaced mid-job.
-
-    Each idle channel gets one batch of ``ceil(n / (2 * live
-    channels))`` tasks, two rounds of work per worker for tail balancing
-    (``task_batch`` pins another size; only tests do).  A subclass keeps
-    ``_channels`` current and implements :meth:`_open_channels` and
-    :meth:`_channel_lost`.
-    """
-
-    task_batch = 0
-
-    def __init__(self, workers: int | None) -> None:
-        if _cloudpickle is None:
-            raise ValueError(
-                f"the {self.name!r} backend needs cloudpickle for task "
-                "transport; install it (pip install cloudpickle) or use "
-                "'serial'"
-            )
-        super().__init__(workers)
-        self._channels: list = []
-        self.batches_sent = 0
-
-    def _open_channels(self) -> None:
-        """Bring ``_channels`` up to strength before a job."""
-        raise NotImplementedError
-
-    def _channel_lost(self, channel: _Channel) -> None:
-        """``channel``'s worker is gone: drop it from ``_channels``."""
-        raise NotImplementedError
-
-    def run(self, tasks: Sequence[Task]) -> list[Any]:
-        if len(tasks) <= 1 or self.workers == 1:
-            return super().run(tasks)  # in the driver: no one to share with
-        self._open_channels()
-        job = _Job(tasks)
-        while True:
-            self._feed(job)
-            busy = [c for c in self._channels if c.assigned]
-            if not busy:
-                break
-            wait_started = time.perf_counter()
-            mp_connection.wait([w for c in busy for w in c.waitables()])
-            self.transport.ipc_wait_seconds += (
-                time.perf_counter() - wait_started
-            )
-            for channel in busy:
-                self._drain(channel, job)
-        if job.failures:
-            raise job.failures[min(job.failures)]
-        return job.results
-
-    def _feed(self, job: _Job) -> None:
-        """Give each idle channel one batch from the head of the queue."""
-        live = max(1, len(self._channels))
-        limit = self.task_batch or max(1, -(-len(job.tasks) // (2 * live)))
-        for channel in list(self._channels):
-            if not job.pending:
-                break
-            if channel.assigned:
-                continue
-            keys = [
-                job.pending.popleft()
-                for _ in range(min(limit, len(job.pending)))
-            ]
-            try:
-                sent = channel.send([(i, job.tasks[i]) for i in keys])
-            except Exception as exc:  # noqa: BLE001 - a batch that won't pickle
-                # Raised only after the batches in flight drain: raising
-                # now would leave their replies to the next job.
-                job.fail(keys[0], exc)
-                continue
-            if sent:
-                channel.assigned.extend(keys)
-                self.batches_sent += 1
-            else:
-                self._lose(channel, keys[0], "refused its batch", job)
-
-    def _drain(self, channel: _Channel, job: _Job) -> None:
-        """Absorb everything a channel has to say, then let it report a
-        loss — in that order, so results a worker managed to send before
-        dying are never lost."""
-        try:
-            while (reply := channel.poll()) is not None:
-                self._absorb(channel, reply, job)
-        except _Lost as lost:
-            self._lose(channel, channel.assigned[0], str(lost), job)
-
-    def _absorb(self, channel: _Channel, reply: tuple, job: _Job) -> None:
-        # Strict order: a reply is always the head's.
-        channel.assigned.popleft()
-        tag, key, body, duration = reply
-        if tag == "err":
-            job.fail(key, body)
-            return
-        payload, buffers = body
-        unpack_started = time.perf_counter()
-        job.results[key] = _own_tree(pickle.loads(payload, buffers=buffers))
-        self.transport.serialize_seconds += (
-            time.perf_counter() - unpack_started
-        )
-        self.transport.compute_seconds += duration
-        self.transport.payload_bytes += len(payload) + sum(
-            len(buf) for buf in buffers
-        )
-
-    def _lose(self, channel: _Channel, key: int, how: str, job: _Job) -> None:
-        """A worker is gone holding task ``key`` (in progress, or the
-        head of a batch it could not take): blame that task and retire
-        the channel.  The rest of its batch never started."""
-        job.fail(
-            key,
-            WorkerDied(
-                f"{channel.label} {how} before reporting a result for "
-                f"task {key}"
-            ),
-        )
-        channel.assigned.clear()
-        self._channel_lost(channel)
-
-
-class _PoolWorker(_Channel):
-    """The pipe channel: one persistent forked worker, its batches
-    parked in shared-memory arenas either side of the pipe."""
-
-    label = "pool worker"
-
-    def __init__(self, transport: TransportProfile) -> None:
-        super().__init__()
-        self.transport = transport
-        started = time.perf_counter()
-        self.child = _PipeChild(_pool_worker_main)
-        transport.submit_seconds += time.perf_counter() - started
-
-    def send(self, entries: list[tuple[int, Task]]) -> bool:
-        # The previous batch has fully replied (one batch per channel),
-        # so the child holds no view into the arena any more.
-        arena = self.child.task_arena
-        arena.recycle()
-        serialize_started = time.perf_counter()
-        blob, descriptors = _dump_with_arena(entries, arena, _cloudpickle)
-        send_started = time.perf_counter()
-        if not self.child.send("run", blob, descriptors):
-            return False
-        now = time.perf_counter()
-        self.transport.serialize_seconds += send_started - serialize_started
-        self.transport.submit_seconds += now - send_started
-        self.transport.payload_bytes += len(blob) + sum(
-            descriptor[2] for descriptor in descriptors
-        )
-        return True
-
-    def waitables(self) -> list:
-        # The sentinel too, so a worker that dies without a word (an
-        # os._exit in a task) wakes the driver.
-        return [self.child.conn, self.child.proc.sentinel]
-
-    def poll(self) -> tuple | None:
-        child = self.child
-        try:
-            msg = child.conn.recv() if child.conn.poll() else None
-        except (EOFError, OSError):
-            msg = None
-        if msg is None:
-            if self.assigned and not child.proc.is_alive():
-                raise _Lost(f"exited with code {child.proc.exitcode}")
-            return None
-        if msg[0] == "ok":
-            _tag, key, payload, descriptors, duration = msg
-            views = [child.reader.view(*d) for d in descriptors]
-            return ("ok", key, (payload, views), duration)
-        return msg  # ("err", key, exception, duration)
-
-
-class PoolExecutor(_Dispatcher):
+class PoolExecutor(Executor):
     """Persistent forked worker pool with zero-copy batch transport.
 
     Workers are forked once (lazily, on the first multi-task batch) and
     reused for every subsequent batch, so the fork + import-state cost is
     paid ``workers`` times per executor lifetime instead of once per
-    task.  See the module docstring for the transport protocol and
-    :class:`_Dispatcher` for scheduling and failure.  A worker's single
-    task arena is recycled per batch, so batches and their replies
-    strictly alternate.  A worker that dies fails its job with
-    :class:`WorkerDied` and is retired; the next job forks a
-    replacement.
+    task.  See the module docstring for the transport protocol.  A
+    worker's single task arena is recycled per batch, so batches and
+    their replies strictly alternate.
+
+    Workers run a batch strictly in order and report each task as it
+    finishes, so ``assigned`` always has the task in progress at its
+    head.  That is the hinge of both scheduling rules: a reply belongs to
+    the head, and a death blames the head (:class:`WorkerDied`).  The
+    first ``err`` reply or worker loss stops the feeding; the batches
+    still in flight drain, and then the error of the lowest-indexed
+    failed task is raised.  A lost worker is retired, not replaced
+    mid-job; the next job forks a replacement.
+
+    Each idle worker gets one batch of ``ceil(n / (2 * live workers))``
+    tasks, two rounds of work per worker for tail balancing
+    (``task_batch`` pins another size; only tests do).
     """
 
     name = "pool"
+    task_batch = 0
 
     def __init__(self, workers: int | None = None) -> None:
         if "fork" not in mp.get_all_start_methods():
@@ -802,7 +587,14 @@ class PoolExecutor(_Dispatcher):
                 "the 'pool' backend needs the fork start method "
                 "(unavailable on this platform); use 'serial' instead"
             )
+        if _cloudpickle is None:
+            raise ValueError(
+                "the 'pool' backend needs cloudpickle for task transport; "
+                "install it (pip install cloudpickle) or use 'serial'"
+            )
         super().__init__(workers)
+        self._workers: list[_Worker] = []
+        self.batches_sent = 0
         self.workers_forked = 0
         global _REAPER_REGISTERED
         _LIVE_POOL_EXECUTORS.add(self)
@@ -815,30 +607,148 @@ class PoolExecutor(_Dispatcher):
         how many task-arena segments the driver ever created for each
         worker, and how many result-arena segments it currently maps.
         Steady state is 1 and 1 — reuse, not churn."""
-        children = [worker.child for worker in self._channels]
         return {
-            "task_segments": [c.task_arena.segments_created for c in children],
-            "result_segments": [len(c.reader.segments) for c in children],
+            "task_segments": [
+                w.task_arena.segments_created for w in self._workers
+            ],
+            "result_segments": [len(w.reader.segments) for w in self._workers],
         }
 
-    def _new_worker(self) -> _PoolWorker:
-        self.workers_forked += 1
-        return _PoolWorker(self.transport)
+    def run(self, tasks: Sequence[Task]) -> list[Any]:
+        if len(tasks) <= 1 or self.workers == 1:
+            return super().run(tasks)  # in the driver: no one to share with
+        while len(self._workers) < self.workers:
+            started = time.perf_counter()
+            self._workers.append(_Worker())
+            self.transport.submit_seconds += time.perf_counter() - started
+            self.workers_forked += 1
+        job = _Job(tasks)
+        while True:
+            self._feed(job)
+            busy = [w for w in self._workers if w.assigned]
+            if not busy:
+                break
+            wait_started = time.perf_counter()
+            # The sentinel too, so a worker that dies without a word (an
+            # os._exit in a task) wakes the driver.
+            mp_connection.wait(
+                [x for w in busy for x in (w.conn, w.proc.sentinel)]
+            )
+            self.transport.ipc_wait_seconds += (
+                time.perf_counter() - wait_started
+            )
+            for worker in busy:
+                self._drain(worker, job)
+        if job.failures:
+            raise job.failures[min(job.failures)]
+        return job.results
 
-    def _open_channels(self) -> None:
-        while len(self._channels) < self.workers:
-            self._channels.append(self._new_worker())
+    def _feed(self, job: _Job) -> None:
+        """Give each idle worker one batch from the head of the queue."""
+        live = max(1, len(self._workers))
+        limit = self.task_batch or max(1, -(-len(job.tasks) // (2 * live)))
+        for worker in list(self._workers):
+            if not job.pending:
+                break
+            if worker.assigned:
+                continue
+            keys = [
+                job.pending.popleft()
+                for _ in range(min(limit, len(job.pending)))
+            ]
+            try:
+                sent = self._send(worker, [(i, job.tasks[i]) for i in keys])
+            except Exception as exc:  # noqa: BLE001 - a batch that won't pickle
+                # Raised only after the batches in flight drain: raising
+                # now would leave their replies to the next job.
+                job.fail(keys[0], exc)
+                continue
+            if sent:
+                worker.assigned.extend(keys)
+                self.batches_sent += 1
+            else:
+                self._lose(worker, keys[0], "refused its batch", job)
 
-    def _channel_lost(self, channel: _Channel) -> None:
-        channel.child.retire()
-        self._channels.remove(channel)
+    def _send(self, worker: _Worker, entries: list[tuple[int, Task]]) -> bool:
+        """Encode and ship one batch of ``(key, fn)``; False if the
+        worker is gone."""
+        # The previous batch has fully replied (one batch per worker),
+        # so the worker holds no view into the arena any more.
+        worker.task_arena.recycle()
+        serialize_started = time.perf_counter()
+        blob, descriptors = _dump_with_arena(
+            entries, worker.task_arena, _cloudpickle
+        )
+        send_started = time.perf_counter()
+        if not worker.send("run", blob, descriptors):
+            return False
+        now = time.perf_counter()
+        self.transport.serialize_seconds += send_started - serialize_started
+        self.transport.submit_seconds += now - send_started
+        self.transport.payload_bytes += len(blob) + sum(
+            descriptor[2] for descriptor in descriptors
+        )
+        return True
+
+    def _drain(self, worker: _Worker, job: _Job) -> None:
+        """Absorb everything a worker has sent, then check whether it is
+        gone — in that order, so results a worker managed to send before
+        dying are never lost."""
+        while True:
+            try:
+                msg = worker.conn.recv() if worker.conn.poll() else None
+            except (EOFError, OSError):
+                msg = None
+            if msg is None:
+                break
+            self._absorb(worker, msg, job)
+        if worker.assigned and not worker.proc.is_alive():
+            self._lose(
+                worker,
+                worker.assigned[0],
+                f"exited with code {worker.proc.exitcode}",
+                job,
+            )
+
+    def _absorb(self, worker: _Worker, msg: tuple, job: _Job) -> None:
+        # Strict order: a reply is always the head's.
+        worker.assigned.popleft()
+        if msg[0] == "err":
+            _tag, key, error, _duration = msg
+            job.fail(key, error)
+            return
+        _tag, key, payload, descriptors, duration = msg
+        buffers = [worker.reader.view(*d) for d in descriptors]
+        unpack_started = time.perf_counter()
+        job.results[key] = _own_tree(pickle.loads(payload, buffers=buffers))
+        self.transport.serialize_seconds += (
+            time.perf_counter() - unpack_started
+        )
+        self.transport.compute_seconds += duration
+        self.transport.payload_bytes += len(payload) + sum(
+            descriptor[2] for descriptor in descriptors
+        )
+
+    def _lose(self, worker: _Worker, key: int, how: str, job: _Job) -> None:
+        """A worker is gone holding task ``key`` (in progress, or the
+        head of a batch it could not take): blame that task and retire
+        the worker.  The rest of its batch never started."""
+        job.fail(
+            key,
+            WorkerDied(
+                f"pool worker {how} before reporting a result for task {key}"
+            ),
+        )
+        worker.assigned.clear()
+        worker.retire()
+        self._workers.remove(worker)
 
     def close(self) -> None:
-        for worker in self._channels:
-            worker.child.send("stop")
-        for worker in self._channels:
-            worker.child.retire()
-        self._channels.clear()
+        for worker in self._workers:
+            worker.send("stop")
+        for worker in self._workers:
+            worker.retire()
+        self._workers.clear()
         super().close()
 
 

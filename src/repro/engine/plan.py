@@ -97,19 +97,19 @@ class StageGroup:
     bytes_out: list[int]
 
 
-def _make_fused_task(ref, ops, validate):
+def _make_fused_task(cols, ops, validate):
     """Build one executor task running a whole chain of narrow ops.
 
-    ``ref`` is a block reference from the store; the task reads the
-    anchor's arrays through it.  Each operator segment is timed
-    separately (`two clocks`: the simulated scheduler needs per-stage
-    costs, not per-fused-task costs) and its output bytes captured;
-    intermediates die as soon as the next segment consumed them, so the
-    task's transient footprint is one partition, not one RDD.
+    ``cols`` is the anchor partition's column tuple, captured by the
+    task.  Each operator segment is timed separately (`two clocks`: the
+    simulated scheduler needs per-stage costs, not per-fused-task costs)
+    and its output bytes captured; intermediates die as soon as the next
+    segment consumed them, so the task's transient footprint is one
+    partition, not one RDD.
     """
 
     def _task():
-        current = ref.load()
+        current = cols
         segments = []
         for op, task_index in ops:
             t0 = time.perf_counter()
@@ -133,9 +133,9 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe]):
 
     ``results`` holds, per output partition, either the computed column
     tuple or, for a pipe with an empty chain (pure union passthrough), the
-    anchor's :class:`~repro.engine.storage.BlockId`, shared by reference:
-    no task, no copy, no stage record.  Every other pipe is one fused
-    task, and all of them go to the executor as one batch.
+    anchor's own tuple, shared by reference: no task, no copy, no stage
+    record.  Every other pipe is one fused task, and all of them go to
+    the executor as one batch.
     """
     from repro.engine.rdd import _validate_partition
 
@@ -153,10 +153,10 @@ def fuse_and_run(ctx, pipes: Sequence[Pipe]):
         if pipe.ops:
             work.append(i)
         else:
-            results[i] = pipe.base._blocks[pipe.index]
+            results[i] = pipe.base._parts[pipe.index]
     tasks = [
         _make_fused_task(
-            pipes[i].base._task_ref(pipes[i].index),
+            pipes[i].base._parts[pipes[i].index],
             pipes[i].ops,
             _validate_partition,
         )

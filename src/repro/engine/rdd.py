@@ -20,12 +20,10 @@ transformation although a chain runs as one task.  Calling ``_force()``
 after every transformation is the eager reference: the same datasets
 and stage records at a higher peak memory.
 
-Materialized partitions live in the context's
-:class:`~repro.engine.storage.BlockStore` behind stable
-:class:`~repro.engine.storage.BlockId` handles: the RDD itself only holds
-block ids, and every data access goes through the store.  Blocks are
-memory-resident and reference counted (``union`` passthrough shares
-them), and freed when the last referencing RDD is garbage collected.
+A materialized RDD holds its partitions itself: one tuple of column
+arrays per partition.  Tasks capture those tuples directly, ``union``
+passthrough shares the anchor's tuple, and an array is freed by
+Python's reference counting once no RDD or task holds it.
 
 ``persist()`` pins an RDD: its first forcing materializes and caches the
 partitions (breaking any fusion chain through it) and registers the
@@ -51,7 +49,6 @@ import numpy as np
 
 from repro.engine.partitioner import split_count
 from repro.engine.plan import PendingOp, Pipe, fuse_and_run
-from repro.engine.storage import BlockId
 
 __all__ = ["ArrayRDD"]
 
@@ -69,14 +66,6 @@ def _validate_partition(cols: Sequence[np.ndarray]) -> Columns:
     return cols
 
 
-def _release_rdd(store, block_ids, metrics, rdd_id):
-    """Finalizer: drop block references and any persist accounting when
-    an RDD is garbage collected (so a forgotten ``unpersist()`` cannot
-    leak driver-meter bytes forever)."""
-    store.release_many(block_ids)
-    metrics.release_persist(rdd_id)
-
-
 class ArrayRDD:
     """Partitioned columnar dataset bound to a cluster context.
 
@@ -91,8 +80,7 @@ class ArrayRDD:
     Partitions are immutable once materialized, so the driver-side
     metadata views (``count``, ``partition_sizes``, ``partition_bytes``)
     are computed once and cached — PGPBA's growth loop polls them every
-    iteration.  Metadata comes from the block store's per-block records.
-    On a lazy RDD they are actions: they force the lineage.
+    iteration.  On a lazy RDD they are actions: they force the lineage.
     """
 
     def __init__(
@@ -115,8 +103,7 @@ class ArrayRDD:
         self.task_multiplier = task_multiplier
         self._id = context._next_rdd_id()
         self._pipes: list[Pipe] | None = None
-        self._blocks: list[BlockId] | None = None
-        self._finalizer = None
+        self._parts: list[Columns] | None = None
         self._known_columns: int | None = None
         self._persisted = False
         self._cached_count: int | None = None
@@ -146,49 +133,24 @@ class ArrayRDD:
         *,
         task_multiplier: int,
     ) -> "ArrayRDD":
-        """Build a materialized RDD from executor results: raw column
-        tuples, or :class:`BlockId` (share an existing block by
-        reference)."""
+        """Build a materialized RDD from executor results: one column
+        tuple per partition (a union passthrough shares its anchor's)."""
         rdd = cls.__new__(cls)
         rdd._init_shell(context, task_multiplier)
         rdd._adopt_results(results)
         return rdd
 
     def _adopt_results(self, results: list) -> None:
-        """Register executor results as this RDD's blocks in the store."""
-        store = self._ctx.storage
-        blocks: list[BlockId] = []
-        width: int | None = None
-        for i, result in enumerate(results):
-            if isinstance(result, BlockId):
-                store.share(result)
-                blocks.append(result)
-                w = store.meta(result).n_columns
-            else:
-                block_id = BlockId(self._id, i)
-                store.put(block_id, result)
-                blocks.append(block_id)
-                w = len(result)
-            if width is None:
-                width = w
-            elif w != width:
-                raise ValueError(
-                    "all partitions must have the same column count"
-                )
-        self._blocks = blocks
+        """Hold executor results as this RDD's partitions."""
+        parts = [tuple(result) for result in results]
+        if len({len(p) for p in parts}) > 1:
+            raise ValueError("all partitions must have the same column count")
+        self._parts = parts
         self._pipes = None
-        self._known_columns = width
-        self._finalizer = weakref.finalize(
-            self, _release_rdd, store, list(blocks), self._ctx.metrics,
-            self._id,
-        )
-
-    def _release_now(self) -> None:
-        """Eagerly drop this RDD's block references (internal use by the
-        shuffle, which consumes its map side mid-exchange)."""
-        if self._finalizer is not None:
-            self._finalizer()
-        self._blocks = None
+        self._known_columns = len(parts[0])
+        # A forgotten unpersist() must not leak driver-meter bytes when
+        # the RDD is garbage collected.
+        weakref.finalize(self, self._ctx.metrics.release_persist, self._id)
 
     # ------------------------------------------------------------------
     # lineage plumbing
@@ -196,18 +158,18 @@ class ArrayRDD:
     @property
     def _is_anchor(self) -> bool:
         """Materialized and persisted RDDs anchor fusion chains."""
-        return self._blocks is not None or self._persisted
+        return self._parts is not None or self._persisted
 
     def _as_pipes(self) -> list[Pipe]:
         if self._is_anchor:
             return [Pipe(self, i) for i in range(self.n_partitions)]
         return list(self._pipes)
 
-    def _force(self) -> list[BlockId]:
+    def _force(self) -> list[Columns]:
         """Materialize this RDD (idempotent): run the fused plan, record
-        each logical stage's measured costs, register the blocks."""
-        if self._blocks is not None:
-            return self._blocks
+        each logical stage's measured costs, keep the partitions."""
+        if self._parts is not None:
+            return self._parts
         results, stage_groups = fuse_and_run(self._ctx, self._pipes)
         for group in stage_groups:
             self._ctx._record_stage(
@@ -222,17 +184,7 @@ class ArrayRDD:
             self._ctx.metrics.register_persist(
                 self._id, int(self.partition_bytes().sum())
             )
-        return self._blocks
-
-    def _partition(self, index: int) -> Columns:
-        """Load one partition's columns through the store (an action)."""
-        self._force()
-        return self._ctx.storage.get(self._blocks[index])
-
-    def _task_ref(self, index: int):
-        """A picklable/forkable block reference for task closures."""
-        self._force()
-        return self._ctx.storage.task_ref(self._blocks[index])
+        return self._parts
 
     def persist(self) -> "ArrayRDD":
         """Pin this RDD: cache its partitions at first forcing (breaking
@@ -241,7 +193,7 @@ class ArrayRDD:
         Idempotent: re-persisting never double-counts bytes.
         """
         self._persisted = True
-        if self._blocks is not None:
+        if self._parts is not None:
             # register_persist overwrites the same key, so repeated
             # persist() calls can never drift the accounting.
             self._ctx.metrics.register_persist(
@@ -251,8 +203,8 @@ class ArrayRDD:
 
     def unpersist(self) -> "ArrayRDD":
         """Release the persist accounting (idempotent).  The partition
-        data itself is freed by block reference counting once nothing
-        downstream shares it."""
+        data itself is freed by reference counting once nothing downstream
+        shares it."""
         if self._persisted:
             self._persisted = False
             self._ctx.metrics.release_persist(self._id)
@@ -264,7 +216,7 @@ class ArrayRDD:
 
     @property
     def is_materialized(self) -> bool:
-        return self._blocks is not None
+        return self._parts is not None
 
     # ------------------------------------------------------------------
     @property
@@ -273,11 +225,7 @@ class ArrayRDD:
 
     @property
     def n_partitions(self) -> int:
-        return (
-            len(self._blocks)
-            if self._blocks is not None
-            else len(self._pipes)
-        )
+        return len(self._parts if self._parts is not None else self._pipes)
 
     @property
     def n_columns(self) -> int:
@@ -293,14 +241,12 @@ class ArrayRDD:
     def partition_sizes(self) -> np.ndarray:
         """Row count per partition (an action on a lazy RDD).
 
-        Served from block metadata.  Cached and returned read-only:
-        partitions never change after materialization.
+        Cached and returned read-only: partitions never change after
+        materialization.
         """
         if self._cached_sizes is None:
-            self._force()
-            store = self._ctx.storage
             sizes = np.asarray(
-                [store.meta(b).rows for b in self._blocks], dtype=np.int64
+                [p[0].size for p in self._force()], dtype=np.int64
             )
             sizes.flags.writeable = False
             self._cached_sizes = sizes
@@ -308,10 +254,9 @@ class ArrayRDD:
 
     def partition_bytes(self) -> np.ndarray:
         if self._cached_bytes is None:
-            self._force()
-            store = self._ctx.storage
             nbytes = np.asarray(
-                [store.meta(b).nbytes for b in self._blocks], dtype=np.int64
+                [sum(c.nbytes for c in p) for p in self._force()],
+                dtype=np.int64,
             )
             nbytes.flags.writeable = False
             self._cached_bytes = nbytes
@@ -319,14 +264,11 @@ class ArrayRDD:
 
     def collect(self) -> Columns:
         """Concatenate all partitions into driver-side column arrays."""
-        self._force()
-        n_cols = self.n_columns
-        chunks: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
-        for i in range(self.n_partitions):
-            part = self._partition(i)
-            for j in range(n_cols):
-                chunks[j].append(part[j])
-        return tuple(np.concatenate(chunks[j]) for j in range(n_cols))
+        parts = self._force()
+        return tuple(
+            np.concatenate([p[j] for p in parts])
+            for j in range(self.n_columns)
+        )
 
     # ------------------------------------------------------------------
     def map_partitions(
@@ -425,8 +367,8 @@ class ArrayRDD:
             stage=f"{stage}:map",
         )
         map_side._force()
-        # The exchange consumes the map side: its blocks are released
-        # as soon as every map task has re-bucketed its input.
+        # The exchange consumes the map side: its arrays are dropped as
+        # soon as every map task has re-bucketed its input.
         results, task_cpu, driver_cpu = _exchange_shuffle(
             self._ctx, map_side, key_cols, n_parts
         )
@@ -484,16 +426,16 @@ class ArrayRDD:
         """Rebalance rows into ``n_partitions`` near-equal partitions.
 
         A range exchange (and therefore a fusion barrier): the driver
-        only *plans* (computes per-destination source slices); the
-        per-destination load/slice/concatenate work runs as executor
-        tasks against block references.  Row order
+        only *plans* (cuts per-destination source slices, as views); the
+        per-destination concatenation runs as executor tasks, each
+        capturing only its own slices.  Row order
         (and therefore the output) is identical to concatenating
         everything and ``np.array_split``-ing it, without ever
         materialising the full dataset in the driver.
         """
         if n_partitions < 1:
             raise ValueError("need at least one partition")
-        self._force()
+        parts = self._force()
         t0 = time.perf_counter()
         sizes = self.partition_sizes()
         src_off = np.concatenate(([0], np.cumsum(sizes)))
@@ -501,47 +443,34 @@ class ArrayRDD:
         bounds = np.concatenate(
             ([0], np.cumsum(split_count(total, n_partitions)))
         )
-        pieces: list[list[tuple[int, int, int]]] = []
+        pieces: list[list[Columns]] = []
         for p in range(n_partitions):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
-            mine: list[tuple[int, int, int]] = []
+            mine: list[Columns] = []
             if hi > lo:
                 s = int(np.searchsorted(src_off, lo, side="right")) - 1
                 while s < self.n_partitions and src_off[s] < hi:
                     a = max(lo, int(src_off[s])) - int(src_off[s])
                     b = min(hi, int(src_off[s + 1])) - int(src_off[s])
                     if b > a:
-                        mine.append((s, a, b))
+                        mine.append(tuple(c[a:b] for c in parts[s]))
                     s += 1
-            pieces.append(mine)
-        refs = {
-            s: self._task_ref(s)
-            for s in sorted({c[0] for mine in pieces for c in mine})
-        }
-        template_ref = (
-            self._task_ref(0) if any(not mine for mine in pieces) else None
-        )
+            # An empty destination keeps the column dtypes.
+            pieces.append(mine or [tuple(c[:0] for c in parts[0])])
         plan_seconds = time.perf_counter() - t0
         n_cols = self.n_columns
 
-        def _make_task(mine: list[tuple[int, int, int]]):
+        def _make_task(mine: list[Columns]):
             def _task():
-                loaded = [(refs[s].load(), a, b) for s, a, b in mine]
-                if not loaded and template_ref is not None:
-                    template = template_ref.load()
                 t0 = time.perf_counter()
-                if not loaded:
-                    cols = tuple(c[:0] for c in template)
-                elif len(loaded) == 1:
-                    src, a, b = loaded[0]
-                    cols = tuple(c[a:b] for c in src)
+                if len(mine) == 1:
+                    cols = mine[0]
                 else:
                     cols = tuple(
-                        np.concatenate([src[j][a:b] for src, a, b in loaded])
+                        np.concatenate([piece[j] for piece in mine])
                         for j in range(n_cols)
                     )
-                elapsed = time.perf_counter() - t0
-                return cols, elapsed
+                return cols, time.perf_counter() - t0
 
             return _task
 
@@ -607,13 +536,10 @@ def _exchange_shuffle(
     executor; the driver only concatenates per-destination buckets,
     releasing buffers as eagerly as the dataflow allows.
     """
-    n_src = map_side.n_partitions
     n_cols = map_side.n_columns
-    refs = [map_side._task_ref(i) for i in range(n_src)]
 
-    def _make_bucket_task(ref):
+    def _make_bucket_task(cols: Columns):
         def _task():
-            cols = ref.load()
             t0 = time.perf_counter()
             order, splits = _route(cols, key_cols, n_parts)
             # Fancy indexing copies, so every bucket owns its rows and the
@@ -626,12 +552,13 @@ def _exchange_shuffle(
 
         return _task
 
-    bucket_outs = ctx.run_tasks([_make_bucket_task(r) for r in refs])
+    bucket_outs = ctx.run_tasks(
+        [_make_bucket_task(cols) for cols in map_side._force()]
+    )
     bucket_cpu = [r[1] for r in bucket_outs]
     bucketed: list[list[Columns]] = [r[0] for r in bucket_outs]
     del bucket_outs
-    refs = None
-    map_side._release_now()  # map-side blocks are consumed; free them now
+    map_side._parts = None  # the map side is consumed; free its arrays now
 
     t0 = time.perf_counter()
     gathered: list[Columns] = []

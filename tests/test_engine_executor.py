@@ -157,8 +157,8 @@ class TestExecutorLifecycle:
         """close() stops idle workers and terminates one stuck mid-task."""
         ex = PoolExecutor(2)
         ex.run([lambda: 1, lambda: 2])
-        busy, idle = (worker.child.proc for worker in ex._channels)
-        assert ex._channels[0].send([(0, lambda: time.sleep(60))])
+        busy, idle = (worker.proc for worker in ex._workers)
+        assert ex._send(ex._workers[0], [(0, lambda: time.sleep(60))])
         assert busy.is_alive() and idle.is_alive()
         ex.close()
         assert not busy.is_alive() and not idle.is_alive()
@@ -169,7 +169,7 @@ class TestExecutorLifecycle:
     def test_atexit_reaper_kills_orphans(self):
         ex = PoolExecutor(2)
         ex.run([lambda: 1, lambda: 2])
-        procs = [worker.child.proc for worker in ex._channels]
+        procs = [worker.proc for worker in ex._workers]
         assert all(proc.is_alive() for proc in procs)
         _reap_leaked_children()
         assert not any(proc.is_alive() for proc in procs)
@@ -335,7 +335,7 @@ class TestExchangeShuffle:
         expected = np.array_split(data, 3)
         assert parts.n_partitions == len(expected)
         for i, want in enumerate(expected):
-            assert np.array_equal(parts._partition(i)[0], want)
+            assert np.array_equal(parts._force()[i][0], want)
 
 
 class TestLargeIdKeys:

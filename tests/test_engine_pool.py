@@ -92,7 +92,7 @@ class TestPoolLifecycle:
             work[1] = dies
             with pytest.raises(WorkerDied, match="code 9 .* task 1$"):
                 ex.run(work)
-            assert len(ex._channels) == 1
+            assert len(ex._workers) == 1
             out = ex.run([lambda i=i: np.full(6, i) for i in range(4)])
             assert ex.workers_forked == 3
         for i in range(4):
@@ -119,7 +119,7 @@ class TestPoolLifecycle:
             ex.task_batch = 1
             with pytest.raises(TypeError, match="lock"):
                 ex.run([lambda: (time.sleep(0.5), "old")[1], lambda: lock])
-            assert not any(worker.assigned for worker in ex._channels)
+            assert not any(worker.assigned for worker in ex._workers)
             assert ex.run([lambda: "new-0", lambda: "new-1"]) == [
                 "new-0", "new-1"
             ]
@@ -141,14 +141,14 @@ class TestPoolLifecycle:
         """A pool worker whose driver is SIGKILLed (no ``retire()``, no
         "stop") reads EOF and exits.  It would block in ``recv`` forever,
         reparented to init, if it still held the driver's end of its own
-        pipe: ``_pipe_child_main`` closes that inherited copy."""
+        pipe: ``_pool_worker_main`` closes that inherited copy first."""
         # The pid travels by file: a captured stdout would be one more
         # pipe the orphan holds open.
         script = (
             "import os, signal, sys\n"
-            "from repro.engine.executor import _PipeChild, _pool_worker_main\n"
-            "child = _PipeChild(_pool_worker_main)\n"
-            "open(sys.argv[1], 'w').write(str(child.proc.pid))\n"
+            "from repro.engine.executor import _Worker\n"
+            "worker = _Worker()\n"
+            "open(sys.argv[1], 'w').write(str(worker.proc.pid))\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         pid_file = tmp_path / "worker.pid"
@@ -198,7 +198,7 @@ class TestWorkerDeath:
                 WorkerDied, match="pool worker exited with code 73 .* task 0$"
             ):
                 ex.run([dies, lambda: np.arange(3)])
-            assert not any(worker.assigned for worker in ex._channels)
+            assert not any(worker.assigned for worker in ex._workers)
 
     def test_unpicklable_child_error_degrades_to_text(self):
         class Weird(Exception):
@@ -244,6 +244,19 @@ class TestTransportMetering:
         assert profile["ipc_wait_seconds"] > 0
         assert profile["serialize_seconds"] > 0
         assert profile["payload_bytes"] >= 4 * big.nbytes
+
+    def test_pool_repartition_ships_each_row_once_each_way(self):
+        """Each repartition task captures only its own source slices, so
+        a pool repartition ships every row to one worker and back: about
+        twice the dataset.  Tasks that captured every source partition
+        shipped it once per batch (5x here)."""
+        data = np.arange(2_000_000, dtype=np.int64)  # 16 MB
+        with _ctx("pool") as ctx:
+            rdd = ctx.parallelize([data], n_partitions=3)
+            out = rdd.repartition(4)
+            payload = ctx.metrics.transport_breakdown()["payload_bytes"]
+            assert np.array_equal(out.collect()[0], data)
+        assert data.nbytes < payload <= 2.1 * data.nbytes
 
     def test_profile_resets_with_metrics(self):
         with _ctx("serial") as ctx:

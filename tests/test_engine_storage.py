@@ -1,9 +1,10 @@
-"""In-memory block storage and ``persist()`` accounting.
+"""Partitions held by their RDD, and ``persist()`` accounting.
 
 Layers covered:
 
-* ``BlockStore``: put/get round-trips, duplicate ids, reference
-  counting;
+* a materialized ``ArrayRDD`` holds its partitions: size metadata reads
+  the arrays, a ``union`` passthrough shares the anchor's column tuple,
+  and the arrays are freed with the last RDD that holds them;
 * ``ArrayRDD.persist()`` / ``unpersist``: the ``persisted_bytes`` drift
   regression and GC-based release;
 * the removed out-of-core surface: a storage level is no argument of
@@ -14,55 +15,40 @@ Layers covered:
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.bench import default_cluster
-from repro.engine import BlockId, BlockStore, ClusterContext
-
-
-def _cols(n: int, seed: int = 0) -> tuple:
-    rng = np.random.default_rng(seed)
-    return (rng.integers(0, 1 << 30, size=n, dtype=np.int64),)
+from repro.engine import ClusterContext
 
 
 # ----------------------------------------------------------------------
-class TestBlockStore:
-    def test_put_get_roundtrip(self):
-        store = BlockStore()
-        cols = _cols(100)
-        store.put(BlockId(0, 0), cols)
-        got = store.get(BlockId(0, 0))
-        np.testing.assert_array_equal(got[0], cols[0])
-        meta = store.meta(BlockId(0, 0))
-        assert (meta.rows, meta.nbytes, meta.n_columns) == (
-            100, cols[0].nbytes, 1
-        )
-        assert store.task_ref(BlockId(0, 0)).load() is got
-        store.close()
+class TestPartitions:
+    def test_metadata_reads_the_arrays(self):
+        with ClusterContext(n_nodes=1) as ctx:
+            rdd = ctx.parallelize(
+                [np.arange(100), np.arange(100, dtype=np.int32)],
+                n_partitions=3,
+            )
+            parts = rdd._force()
+            assert rdd.partition_sizes().tolist() == [34, 33, 33]
+            assert rdd.partition_bytes().tolist() == [
+                sum(c.nbytes for c in p) for p in parts
+            ]
+            assert rdd.count() == 100 and rdd.n_columns == 2
 
-    def test_duplicate_put_rejected(self):
-        store = BlockStore()
-        store.put(BlockId(0, 0), _cols(10))
-        with pytest.raises(ValueError, match="duplicate block"):
-            store.put(BlockId(0, 0), _cols(10))
-        store.close()
-
-    def test_refcounting_frees_at_zero(self):
-        store = BlockStore()
-        store.put(BlockId(0, 0), _cols(100))
-        store.share(BlockId(0, 0))
-        store.release(BlockId(0, 0))
-        assert store.n_blocks == 1  # one reference left
-        store.release(BlockId(0, 0))
-        assert store.n_blocks == 0
-        with pytest.raises(KeyError):
-            store.get(BlockId(0, 0))
-        store.release(BlockId(0, 0))  # idempotent
-        store.close()
-        store.close()  # idempotent
-
+    def test_union_passthrough_shares_the_anchor_tuple(self):
+        with ClusterContext(n_nodes=1) as ctx:
+            a = ctx.parallelize([np.arange(10)], n_partitions=2)
+            b = a.map_partitions(lambda cols, i: (cols[0] + 1,))
+            both = a.union(b)
+            parts = both._force()
+            assert parts[0] is a._force()[0]
+            assert parts[1] is a._force()[1]
+            assert parts[2] is not a._force()[0]
+            assert both.collect()[0].tolist() == [*range(10), *range(1, 11)]
 
 # ----------------------------------------------------------------------
 class TestPersist:
@@ -87,16 +73,16 @@ class TestPersist:
 
     def test_gc_releases_persist_accounting_and_blocks(self):
         """Regression: a persisted RDD that is garbage collected without
-        ``unpersist()`` must not leak meter bytes or store blocks."""
+        ``unpersist()`` must not leak meter bytes or its partitions."""
         with ClusterContext(n_nodes=1) as ctx:
             rdd = ctx.parallelize([np.arange(10_000)]).persist()
             rdd.count()
             assert ctx.metrics.persisted_bytes > 0
-            assert ctx.storage.n_blocks > 0
+            column = weakref.ref(rdd._force()[0][0])
             del rdd
             gc.collect()
             assert ctx.metrics.persisted_bytes == 0
-            assert ctx.storage.n_blocks == 0
+            assert column() is None
 
 
 # ----------------------------------------------------------------------
