@@ -1,11 +1,12 @@
 """Ablation — conditional vs unconditional Netflow attribute sampling.
 
-The seed-analysis step (Fig. 1) fits p(IN_BYTES) and p(a | IN_BYTES) for
-every other attribute a.  This ablation quantifies what the conditional
-model buys: the correlation structure between attribute columns of the
-generated edges.  Unconditional (marginal) sampling reproduces each
-attribute's distribution but destroys the couplings — a generated flow can
-move a gigabyte in one packet.
+The seed-analysis step (Fig. 1) keeps p(IN_BYTES) and p(a | IN_BYTES) for
+every other attribute a; decoration realises both by giving each edge the
+attributes of one seed flow.  This ablation quantifies what that buys: the
+correlation structure between attribute columns of the generated edges.
+Unconditional (marginal) sampling draws each attribute from its own seed
+row: it reproduces each attribute's distribution but destroys the
+couplings — a generated flow can move a gigabyte in one packet.
 """
 
 from __future__ import annotations

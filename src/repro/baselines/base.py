@@ -19,10 +19,9 @@ def decorate_with_properties(
     *,
     conditional: bool = True,
 ) -> PropertyGraph:
-    """Attach the nine Netflow attribute columns to a structural graph.
-
-    Identical to the decoration stage of PGPBA/PGSK, so baselines produce
-    fully comparable property graphs.
+    """Attach the nine Netflow attribute columns to a structural graph:
+    one seed flow per edge, as in the decoration stage of PGPBA/PGSK, so
+    baselines produce fully comparable property graphs.
     """
     cols = analysis.properties.sample_columns(
         graph.n_edges, rng, conditional=conditional

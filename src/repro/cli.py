@@ -249,7 +249,8 @@ def _cmd_analyze(args) -> int:
     print(f"mean in-degree       : {a.in_degree.mean():.3f}")
     print(f"mean out-degree      : {a.out_degree.mean():.3f}")
     print(f"mean edge multiplicity: {a.multiplicity.mean():.3f}")
-    print(f"mean IN_BYTES        : {a.properties.anchor.mean():.1f}")
+    in_bytes = a.properties.columns["IN_BYTES"]
+    print(f"mean IN_BYTES        : {in_bytes.mean():.1f}")
     if args.save:
         g.save_npz(args.save)
         print(f"seed graph saved to {args.save}")

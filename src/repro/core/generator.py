@@ -18,7 +18,6 @@ from repro.netflow.attributes import (
     CONDITIONING_ATTRIBUTE,
     NETFLOW_EDGE_ATTRIBUTES,
 )
-from repro.stats.conditional import ConditionalDistribution
 from repro.stats.empirical import EmpiricalDistribution
 
 __all__ = ["SeedAnalysis", "PropertyModel", "GenerationResult"]
@@ -26,41 +25,37 @@ __all__ = ["SeedAnalysis", "PropertyModel", "GenerationResult"]
 
 @dataclass(frozen=True)
 class PropertyModel:
-    """The Netflow attribute model extracted from the seed.
+    """The Netflow attribute model extracted from the seed: its flows.
 
-    ``anchor`` is the unconditional p(IN_BYTES); ``conditionals`` maps every
-    other attribute ``a`` to p(a | IN_BYTES).  ``marginals`` keeps the
-    unconditional distribution of every attribute, used when conditional
-    sampling is disabled (the ablation knob in DESIGN.md).
+    ``columns`` maps each of the nine attributes to the seed's column, in
+    its own dtype and read-only; row ``i`` of every column is seed flow
+    ``i``.  Drawing one seed row per edge is the paper's p(IN_BYTES) and
+    p(a | IN_BYTES) with the conditioner resolved exactly: a uniform row
+    has the seed's IN_BYTES law, and given its IN_BYTES each attribute has
+    the seed's conditional law.  All nine values come from one real flow,
+    so together they never describe a flow the seed did not have.
     """
 
-    anchor: EmpiricalDistribution
-    conditionals: dict[str, ConditionalDistribution]
-    marginals: dict[str, EmpiricalDistribution]
+    columns: dict[str, np.ndarray]
 
     @classmethod
-    def fit(
-        cls, edge_properties: dict[str, np.ndarray], *, n_bins: int = 16
-    ) -> "PropertyModel":
-        """Fit the model from seed edge-attribute columns."""
+    def fit(cls, edge_properties: dict[str, np.ndarray]) -> "PropertyModel":
+        """Keep the seed's edge-attribute columns."""
         missing = [
             a for a in NETFLOW_EDGE_ATTRIBUTES if a not in edge_properties
         ]
         if missing:
             raise ValueError(f"seed lacks Netflow attributes: {missing}")
-        anchor_col = np.asarray(edge_properties[CONDITIONING_ATTRIBUTE])
-        anchor = EmpiricalDistribution.from_samples(anchor_col)
-        conditionals: dict[str, ConditionalDistribution] = {}
-        marginals: dict[str, EmpiricalDistribution] = {}
+        columns = {}
         for name in NETFLOW_EDGE_ATTRIBUTES:
-            col = np.asarray(edge_properties[name])
-            marginals[name] = EmpiricalDistribution.from_samples(col)
-            if name != CONDITIONING_ATTRIBUTE:
-                conditionals[name] = ConditionalDistribution.fit(
-                    anchor_col, col, n_bins=n_bins
-                )
-        return cls(anchor=anchor, conditionals=conditionals,
-                   marginals=marginals)
+            col = np.array(edge_properties[name])
+            col.flags.writeable = False
+            columns[name] = col
+        if len({col.shape for col in columns.values()}) != 1:
+            raise ValueError("seed attribute columns differ in length")
+        if not columns[CONDITIONING_ATTRIBUTE].size:
+            raise ValueError("cannot fit attributes on zero seed flows")
+        return cls(columns=columns)
 
     def sample_columns(
         self,
@@ -71,21 +66,20 @@ class PropertyModel:
     ) -> dict[str, np.ndarray]:
         """Draw all nine attribute columns for ``n_edges`` edges.
 
-        With ``conditional=True`` the anchor attribute is drawn first and
-        every other attribute conditions on it, preserving the seed's
-        attribute couplings (big flows have many packets, long durations).
+        With ``conditional=True`` one seed row is drawn per edge and every
+        column is gathered with it, keeping the seed's attribute couplings
+        (big flows have many packets, long durations).  With
+        ``conditional=False`` each column draws its own rows: the same
+        marginals, no couplings (the attribute ablation).
         """
-        cols: dict[str, np.ndarray] = {}
-        anchor_vals = self.anchor.sample(n_edges, rng)
-        cols[CONDITIONING_ATTRIBUTE] = anchor_vals
-        for name in NETFLOW_EDGE_ATTRIBUTES:
-            if name == CONDITIONING_ATTRIBUTE:
-                continue
-            if conditional:
-                cols[name] = self.conditionals[name].sample(anchor_vals, rng)
-            else:
-                cols[name] = self.marginals[name].sample(n_edges, rng)
-        return cols
+        n_seed = self.columns[CONDITIONING_ATTRIBUTE].size
+        if conditional:
+            rows = rng.integers(0, n_seed, n_edges)
+            return {name: col[rows] for name, col in self.columns.items()}
+        return {
+            name: col[rng.integers(0, n_seed, n_edges)]
+            for name, col in self.columns.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,7 @@ class SeedAnalysis:
     properties: PropertyModel
 
     @classmethod
-    def from_graph(
-        cls, graph: PropertyGraph, *, n_bins: int = 16
-    ) -> "SeedAnalysis":
+    def from_graph(cls, graph: PropertyGraph) -> "SeedAnalysis":
         if graph.n_edges == 0:
             raise ValueError("seed graph has no edges to analyse")
         # Degree distributions exclude isolated vertices: a grown vertex
@@ -129,7 +121,7 @@ class SeedAnalysis:
             multiplicity=EmpiricalDistribution.from_samples(
                 graph.edge_multiplicities()
             ),
-            properties=PropertyModel.fit(props, n_bins=n_bins),
+            properties=PropertyModel.fit(props),
         )
 
 

@@ -31,16 +31,15 @@ class SeedBundle:
     analysis: SeedAnalysis
 
 
-def analyze_seed(graph: PropertyGraph, *, n_bins: int = 16) -> SeedAnalysis:
+def analyze_seed(graph: PropertyGraph) -> SeedAnalysis:
     """Analysis of structural + attribute properties (Fig. 1 last step)."""
-    return SeedAnalysis.from_graph(graph, n_bins=n_bins)
+    return SeedAnalysis.from_graph(graph)
 
 
 def build_seed(
     source,
     *,
     idle_timeout: float = 60.0,
-    n_bins: int = 16,
 ) -> SeedBundle:
     """Run the full preliminary pipeline.
 
@@ -55,7 +54,7 @@ def build_seed(
     if not len(table):
         raise ValueError("the source produced no flows")
     graph = flow_table_to_property_graph(table)
-    analysis = analyze_seed(graph, n_bins=n_bins)
+    analysis = analyze_seed(graph)
     return SeedBundle(flow_table=table, graph=graph, analysis=analysis)
 
 

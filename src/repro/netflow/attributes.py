@@ -69,6 +69,6 @@ NETFLOW_EDGE_ATTRIBUTES: tuple[str, ...] = (
     "STATE",
 )
 
-#: Attribute whose unconditional distribution anchors the conditional model
-#: p(a | IN_BYTES) computed by the seed-analysis step (Fig. 1).
+#: Attribute the paper conditions every other one on, p(a | IN_BYTES) (Fig. 1);
+#: drawing whole seed rows keeps that law exactly.
 CONDITIONING_ATTRIBUTE = "IN_BYTES"

@@ -1,16 +1,14 @@
-"""Statistical substrate: empirical and conditional distributions.
+"""Statistical substrate: empirical distributions and histogram distances.
 
 The generators in :mod:`repro.core` never look at the seed trace directly;
-they consume the *empirical distributions* extracted from it (in/out degree,
-Netflow attribute histograms, conditional attribute distributions).  This
-package provides those distribution objects together with fast vectorised
-samplers built on inverse-CDF lookup (``np.searchsorted``),
-quantile-binned conditional distributions, and the log-binned histogram
-distances the veracity scores use.
+they consume the *empirical distributions* extracted from it (in/out
+degree, edge multiplicity).  This package provides those distribution
+objects with fast vectorised samplers built on inverse-CDF lookup
+(``np.searchsorted``), and the log-binned histogram distances the
+veracity scores use.
 """
 
 from repro.stats.empirical import EmpiricalDistribution
-from repro.stats.conditional import ConditionalDistribution
 from repro.stats.histogram import (
     normalized_distribution,
     log_binned_histogram,
@@ -19,7 +17,6 @@ from repro.stats.histogram import (
 
 __all__ = [
     "EmpiricalDistribution",
-    "ConditionalDistribution",
     "normalized_distribution",
     "log_binned_histogram",
     "aligned_euclidean_distance",

@@ -104,7 +104,10 @@ def aligned_euclidean_distance(
     n = pa.size
     if n == 0:
         return 0.0
-    return float(np.linalg.norm(pa - pb) / n)
+    # A numpy reduction, not ``np.linalg.norm``: BLAS splits a long vector
+    # over its threads, so the last bit would depend on the thread count.
+    d = pa - pb
+    return float(np.sqrt(np.sum(d * d)) / n)
 
 
 def kolmogorov_smirnov_distance(

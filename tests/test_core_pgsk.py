@@ -184,7 +184,7 @@ class TestDeterminism:
 
 # sha256 over src, dst and every edge column in sorted name order.
 GOLDEN_DIGEST = (
-    "4d0b21a2dcb13b8c8d276a4f7ed9de3219ee0afc7555282c40c55cf665e3c5e1"
+    "ec846a8964bbf0221fd71c22b78f4e1f9b494ea91ea9866cbe7193f20e799df2"
 )
 
 

@@ -1,5 +1,10 @@
 """Unit tests for repro.stats.histogram."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,6 +95,30 @@ class TestAlignedEuclidean:
         c = np.random.default_rng(2).lognormal(3, 1, 500)
         d_diff = aligned_euclidean_distance(a, c, n_bins=20)
         assert d_same < d_diff
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        """OpenBLAS splits a vector of more than 10^4 points over its
+        threads, and a BLAS norm then rounds differently on one thread than
+        on two; the veracity scores, and so the digests, must not."""
+        script = (
+            "import numpy as np\n"
+            "from repro.stats import aligned_euclidean_distance\n"
+            "for s in range(4):\n"
+            "    rng = np.random.default_rng(s)\n"
+            "    a, b = np.floor(rng.pareto(1.5, (2, 8_000)) * 1e5)\n"
+            "    print(repr(aligned_euclidean_distance(a, b)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].split()) == 4
 
 
 class TestKS:
