@@ -270,6 +270,25 @@ class ArrayRDD:
             for j in range(self.n_columns)
         )
 
+    def limit(self, n: int) -> "ArrayRDD":
+        """The first ``n`` rows in partition order (an action).
+
+        Like :meth:`union` it moves no data and runs no task: each
+        partition is cut on the driver as a view, so the cut is not
+        charged to the simulated clock.  The partition count is kept.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        parts = self._force()
+        sizes = self.partition_sizes()
+        before = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        keep = np.clip(n - before, 0, sizes)
+        return ArrayRDD._from_results(
+            self._ctx,
+            [tuple(c[: int(k)] for c in p) for p, k in zip(parts, keep)],
+            task_multiplier=self.task_multiplier,
+        )
+
     # ------------------------------------------------------------------
     def map_partitions(
         self,

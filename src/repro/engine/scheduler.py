@@ -9,7 +9,8 @@ stage makespan for a cluster of ``n_nodes`` identical compute nodes:
   parallelism saturates at ``saturation_cores`` — the paper measured that
   12 of the 20 physical cores saturate a Shadow II node (Fig. 8), a memory
   bandwidth wall we model as a contention factor ``max(1, c/saturation)``
-  multiplying task latency;
+  multiplying a task's compute and its per-byte (data movement) cost
+  alike, so past the wall a node's stage time stops falling;
 * a node's stage time is LPT-greedy wave packing over its core slots;
   the stage makespan is the slowest node plus a fixed per-stage platform
   overhead (job scheduling — the constant floor visible in the paper's
@@ -109,14 +110,13 @@ class ClusterScheduler:
             return 0.0, []
         nodes = self.assign_nodes(n_tasks)
         factor = self.contention_factor
-        # Task cost model: measured CPU (under core contention) plus a
-        # data-volume term (serialisation / shuffle I/O, the dominant cost
-        # of real Spark tasks at scale) plus fixed task launch overhead.
+        # Task cost model: measured CPU plus a data-volume term
+        # (serialisation / shuffle I/O, the dominant cost of real Spark
+        # tasks at scale), both slowed by core contention, plus fixed
+        # task launch overhead.
         effective = (
-            cpu_seconds * factor
-            + bytes_out * self.per_byte_cost
-            + self.per_task_overhead
-        )
+            cpu_seconds + bytes_out * self.per_byte_cost
+        ) * factor + self.per_task_overhead
         records = [
             TaskRecord(
                 stage=stage,

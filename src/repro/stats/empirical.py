@@ -126,6 +126,10 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         return float(np.dot(self.values.astype(np.float64), self.probabilities))
 
+    def var(self) -> float:
+        d = self.values.astype(np.float64) - self.mean()
+        return float(np.sum(self.probabilities * d * d))
+
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------

@@ -302,6 +302,16 @@ class TestTaskModel:
         out = rdd.sample(1e-9, seed=0)
         assert out.count() >= 1
 
+    def test_limit_keeps_a_prefix_and_runs_no_task(self, open_context):
+        ctx = open_context(n_nodes=1, executor_cores=1)
+        rdd = ctx.parallelize([np.arange(100)], n_partitions=4)
+        cut = rdd.limit(30)
+        assert ctx.metrics.n_tasks == 0
+        assert cut.n_partitions == 4
+        assert list(cut.partition_sizes()) == [25, 5, 0, 0]
+        np.testing.assert_array_equal(cut.collect()[0], np.arange(30))
+        assert rdd.limit(1000).count() == 100
+
 
 class TestClampedPGPBA:
     def test_clamping_limits_overshoot(
@@ -314,7 +324,47 @@ class TestClampedPGPBA:
         res = PGPBA(fraction=2.0, seed=1).generate(
             seed_graph, seed_analysis, target, context=ctx
         )
-        assert res.graph.n_edges == pytest.approx(target, rel=0.25)
+        assert res.graph.n_edges == target
+
+    def test_cut_keeps_no_vertex_past_it(
+        self, seed_graph, seed_analysis, open_context
+    ):
+        """The iteration that reaches the target is cut at it, and every
+        new vertex the cut keeps has an edge."""
+        from repro.core import PGPBA
+
+        target = 20 * seed_graph.n_edges + 7
+        ctx = open_context(n_nodes=2, executor_cores=2)
+        g = PGPBA(fraction=0.5, seed=2, generate_properties=False).generate(
+            seed_graph, seed_analysis, target, context=ctx
+        ).graph
+        assert g.n_edges == target
+        degree = np.bincount(
+            np.concatenate([g.src, g.dst]), minlength=g.n_vertices
+        )
+        assert degree.size == g.n_vertices
+        assert (degree[seed_graph.n_vertices:] > 0).all()
+
+    def test_iterations_do_not_hang_on_partitioning(
+        self, seed_graph, seed_analysis, open_context
+    ):
+        """The last iteration covers the remainder but for a three-sigma
+        shortfall, so no core count needs a top-up iteration."""
+        from repro.core import PGPBA
+
+        iterations = []
+        for seed in range(4):
+            for cores in (2, 12, 16):
+                ctx = open_context(n_nodes=1, executor_cores=cores)
+                iterations.append(
+                    PGPBA(
+                        fraction=0.5, seed=seed, generate_properties=False
+                    ).generate(
+                        seed_graph, seed_analysis, 20 * seed_graph.n_edges,
+                        context=ctx,
+                    ).iterations
+                )
+        assert iterations == [2] * 12
 
     def test_unclamped_matches_literal_algorithm(
         self, seed_graph, seed_analysis, open_context

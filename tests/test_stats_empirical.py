@@ -91,6 +91,12 @@ class TestQueries:
     def test_mean(self, dist):
         assert dist.mean() == pytest.approx(0.25 * 1 + 0.5 * 2 + 0.25 * 4)
 
+    def test_var(self, dist):
+        # values 1, 2, 4 with weights 1/4, 1/2, 1/4: mean 2.25
+        assert dist.var() == pytest.approx(
+            0.25 * 1.25**2 + 0.5 * 0.25**2 + 0.25 * 1.75**2
+        )
+
     def test_len(self, dist):
         assert len(dist) == 3
 
